@@ -22,6 +22,21 @@
 //! points are hard synchronisation barriers — the finished segment and
 //! the directory are fsynced before the next header is written.
 //!
+//! # Writes
+//!
+//! [`JournalWriter::append`] only encodes the record into a pending
+//! buffer. The buffer reaches the OS in one `write` at every sync point
+//! and rotation, on [`JournalWriter::flush`], and when the writer is
+//! dropped. Where the records go and when they are fsynced does not
+//! depend on this: segment bytes, rotation points and fsyncs are those
+//! of a writer that wrote each record as it was appended.
+//!
+//! The rule that keeps this safe is *flush before a visible effect*:
+//! the socket loop flushes before any reply or follower row leaves the
+//! process, and at the end of every poll. A SIGKILL therefore loses at
+//! most records whose effects no client has seen. Power loss is bounded
+//! by the fsync cadence, as before.
+//!
 //! # Recovery
 //!
 //! [`recover`] scans the segments in order and is *total*: it never
@@ -144,17 +159,16 @@ pub fn segment_name(first_seq: u64) -> String {
     format!("wal-{first_seq:020}.log")
 }
 
-/// Encode one record frame.
-pub fn encode_record(seq: u64, payload: &str) -> Vec<u8> {
+/// Encode one record frame onto the end of `out`.
+pub fn encode_record(seq: u64, payload: &str, out: &mut Vec<u8>) {
     let p = payload.as_bytes();
-    let mut out = Vec::with_capacity(RECORD_OVERHEAD + p.len());
+    out.reserve(RECORD_OVERHEAD + p.len());
     out.extend_from_slice(&(p.len() as u32).to_le_bytes());
     let seq_le = seq.to_le_bytes();
     out.extend_from_slice(&seq_le);
     out.extend_from_slice(p);
     let check = fnv64_chain(fnv64_chain(0xcbf2_9ce4_8422_2325, &seq_le), p);
     out.extend_from_slice(&check.to_le_bytes());
-    out
 }
 
 fn encode_header(first_seq: u64) -> [u8; HEADER_BYTES] {
@@ -420,6 +434,9 @@ pub fn recover(dir: &Path, from_seq: u64) -> Result<Recovery, ServeError> {
 /// The append side of the journal. One writer owns the directory at a
 /// time; it always starts a fresh segment at `first_seq` (recovery has
 /// already truncated or quarantined anything that conflicts).
+///
+/// Appends encode into one reused pending buffer; see the module docs
+/// for when it reaches the OS.
 #[derive(Debug)]
 pub struct JournalWriter {
     dir: PathBuf,
@@ -432,6 +449,9 @@ pub struct JournalWriter {
     synced_bytes: u64,
     faults: Option<StorageFaults>,
     stats: JournalStats,
+    /// Encoded records not yet written to `file`; `seg_bytes` counts
+    /// them.
+    pending: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -461,6 +481,7 @@ impl JournalWriter {
             synced_bytes: 0,
             faults: faults.filter(|f| !f.is_empty()),
             stats: JournalStats::default(),
+            pending: Vec::new(),
         };
         writer.start_segment()?;
         Ok(writer)
@@ -500,16 +521,14 @@ impl JournalWriter {
                 payload.len()
             )));
         }
-        let record = encode_record(self.next_seq, payload);
+        let record_bytes = (RECORD_OVERHEAD + payload.len()) as u64;
         if self.seg_bytes > HEADER_BYTES as u64
-            && self.seg_bytes + record.len() as u64 > self.config.segment_bytes
+            && self.seg_bytes + record_bytes > self.config.segment_bytes
         {
             self.rotate()?;
         }
-        self.file
-            .write_all(&record)
-            .map_err(|e| io_err("cannot append to segment", &self.seg_path, e))?;
-        self.seg_bytes += record.len() as u64;
+        encode_record(self.next_seq, payload, &mut self.pending);
+        self.seg_bytes += record_bytes;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.appended += 1;
@@ -522,6 +541,7 @@ impl JournalWriter {
     /// Rotation: hard-sync the finished segment (fault-exempt — rotation
     /// points are durability barriers) and open the next one.
     fn rotate(&mut self) -> Result<(), ServeError> {
+        self.flush()?;
         self.file
             .sync_data()
             .map_err(|e| io_err("cannot sync segment", &self.seg_path, e))?;
@@ -530,13 +550,15 @@ impl JournalWriter {
         self.start_segment()
     }
 
-    /// fsync pending records. Inside a simulated `fsync_fail` window the
-    /// sync is skipped and counted, the durable watermark holds, and the
-    /// daemon carries on — returns whether the tail is durable.
+    /// Write and fsync pending records. Inside a simulated `fsync_fail`
+    /// window the records are written but the sync is skipped and
+    /// counted, the durable watermark holds, and the daemon carries on —
+    /// returns whether the tail is durable.
     pub fn sync(&mut self, now_ns: u128) -> Result<bool, ServeError> {
         if self.synced_seq + 1 == self.next_seq {
             return Ok(true);
         }
+        self.flush()?;
         if self.faults.as_ref().is_some_and(|f| f.fsync_fails(now_ns)) {
             self.stats.fsync_failed += 1;
             return Ok(false);
@@ -547,6 +569,20 @@ impl JournalWriter {
         self.synced_seq = self.next_seq - 1;
         self.synced_bytes = self.seg_bytes;
         Ok(true)
+    }
+
+    /// Hand every pending record to the OS in one write. This makes
+    /// them survive a process kill, not a power cut: only [`sync`]
+    /// advances the durable watermark.
+    ///
+    /// [`sync`]: JournalWriter::sync
+    pub fn flush(&mut self) -> Result<(), ServeError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let written = self.file.write_all(&self.pending);
+        self.pending.clear();
+        written.map_err(|e| io_err("cannot append to segment", &self.seg_path, e))
     }
 
     /// The journal directory.
@@ -574,6 +610,14 @@ impl JournalWriter {
     /// Writer-side counters.
     pub fn stats(&self) -> JournalStats {
         self.stats
+    }
+}
+
+impl Drop for JournalWriter {
+    /// A writer dropped without a final [`JournalWriter::flush`] still
+    /// hands its pending records to the OS; errors are ignored here.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -634,6 +678,70 @@ mod tests {
         let rec = recover(&dir, 0).unwrap();
         assert_eq!(rec.last_seq, 60);
         assert_eq!(rec.frames.len(), 60);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_writes_match_per_record_frames() {
+        // The reference is what writing each record as it came leaves:
+        // a new segment wherever the next frame would overflow, each
+        // holding its header and the `encode_record` frames, and a sync
+        // every `sync_every` records since the last sync or rotation.
+        let dir = tmp_dir("group");
+        let config = JournalConfig {
+            segment_bytes: 700,
+            sync_every: 5,
+        };
+        let payloads: Vec<String> = (0..97)
+            .map(|i| format!("{}-{i}", "p".repeat(i * 7 % 61)))
+            .collect();
+        let mut w = JournalWriter::open(&dir, config, 1, None).unwrap();
+        let mut want = vec![(segment_name(1), encode_header(1).to_vec())];
+        let mut rotations = 0;
+        let mut synced = 0;
+        for (i, p) in payloads.iter().enumerate() {
+            let seq = i as u64 + 1;
+            let mut frame = Vec::new();
+            encode_record(seq, p, &mut frame);
+            let segment = &want[want.len() - 1].1;
+            if segment.len() > HEADER_BYTES
+                && (segment.len() + frame.len()) as u64 > config.segment_bytes
+            {
+                want.push((segment_name(seq), encode_header(seq).to_vec()));
+                rotations += 1;
+                synced = seq - 1;
+            }
+            want.last_mut().unwrap().1.extend_from_slice(&frame);
+            if seq - synced >= config.sync_every {
+                synced = seq;
+            }
+            assert_eq!(w.append(i as u128, p).unwrap(), seq);
+            assert_eq!(w.synced_seq(), synced, "record {seq}");
+            // Records reach the file only at sync points and rotations,
+            // so the file holds exactly its durable prefix.
+            let (path, synced_bytes) = w.sync_point();
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), synced_bytes);
+        }
+        assert!(rotations >= 5, "{rotations}");
+        assert_eq!(
+            w.stats(),
+            JournalStats {
+                appended: payloads.len() as u64,
+                fsync_failed: 0,
+                rotations,
+            }
+        );
+        // Dropping the writer hands the unsynced tail to the OS.
+        drop(w);
+        let got: Vec<(String, Vec<u8>)> = list_segments(&dir)
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(p).unwrap())
+            })
+            .collect();
+        assert_eq!(got, want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -759,7 +867,8 @@ mod tests {
             payload in proptest::collection::vec(32u8..127, 0..200),
         ) {
             let text: String = payload.iter().map(|&b| b as char).collect();
-            let frame = encode_record(seq, &text);
+            let mut frame = Vec::new();
+            encode_record(seq, &text, &mut frame);
             prop_assert_eq!(frame.len(), RECORD_OVERHEAD + text.len());
             match decode_at(&frame, 0, seq) {
                 Decoded::Record { payload, next } => {

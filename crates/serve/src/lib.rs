@@ -67,7 +67,7 @@ pub use proto::{EventV1, Request, ServeError};
 
 use mnemo_faults::Backoff;
 use mnemo_telemetry::Snapshot;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 
@@ -341,20 +341,17 @@ impl ServeLoop {
         }
         let mut broadcast: Vec<String> = Vec::new();
         for i in 0..self.clients.len() {
-            let mut chunk = [0u8; 4096];
+            let client = &mut self.clients[i];
             loop {
-                match self.clients[i].stream.read(&mut chunk) {
+                match client.buf.read_from(&mut client.stream) {
                     Ok(0) => {
-                        self.clients[i].dead = true;
+                        client.dead = true;
                         break;
                     }
-                    Ok(n) => {
-                        self.clients[i].buf.extend(&chunk[..n]);
-                        active = true;
-                    }
+                    Ok(_) => active = true,
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(_) => {
-                        self.clients[i].dead = true;
+                        client.dead = true;
                         break;
                     }
                 }
@@ -367,9 +364,7 @@ impl ServeLoop {
                     Err(e) => {
                         // Protocol errors answer the offender and close
                         // it; the daemon keeps serving everyone else.
-                        let _ = self.clients[i]
-                            .stream
-                            .write_all(&proto::encode_frame(&proto::error_row(&e.to_string())));
+                        self.reply(i, &proto::error_row(&e.to_string()))?;
                         self.clients[i].dead = true;
                         break;
                     }
@@ -377,11 +372,7 @@ impl ServeLoop {
                 self.clients[i].frames_seen += 1;
                 active = true;
                 match proto::parse_request(&frame, frame_no) {
-                    Err(e) => {
-                        let _ = self.clients[i]
-                            .stream
-                            .write_all(&proto::encode_frame(&proto::error_row(&e.to_string())));
-                    }
+                    Err(e) => self.reply(i, &proto::error_row(&e.to_string()))?,
                     Ok(Request::Ingest(event)) => {
                         self.journal_append(&frame)?;
                         broadcast.extend(self.engine.ingest(event)?);
@@ -395,22 +386,24 @@ impl ServeLoop {
                     Ok(Request::Advise { tenant }) => {
                         self.journal_append(&frame)?;
                         let row = self.engine.advise_now(&tenant);
-                        self.reply(i, &row);
+                        self.reply(i, &row)?;
                         broadcast.push(row);
                     }
                     Ok(Request::Status) => {
                         let row = self.engine.status_row();
-                        self.reply(i, &row);
+                        self.reply(i, &row)?;
                     }
                     Ok(Request::Snapshot) => {
                         let row = self.engine.snapshot_row();
-                        self.reply(i, &row);
+                        self.reply(i, &row)?;
                     }
                     Ok(Request::Follow) => self.clients[i].follow = true,
                     Ok(Request::Shutdown) => self.done = true,
                 }
             }
         }
+        // Nothing leaves the process ahead of the records behind it.
+        self.flush_journal()?;
         if !broadcast.is_empty() {
             for client in &mut self.clients {
                 if client.follow && !client.dead {
@@ -427,13 +420,25 @@ impl ServeLoop {
         Ok(active)
     }
 
-    fn reply(&mut self, client: usize, row: &str) {
+    /// Send `row` to one client, after the journal records behind it.
+    fn reply(&mut self, client: usize, row: &str) -> Result<(), ServeError> {
+        self.flush_journal()?;
         if self.clients[client]
             .stream
             .write_all(&proto::encode_frame(row))
             .is_err()
         {
             self.clients[client].dead = true;
+        }
+        Ok(())
+    }
+
+    /// Hand pending journal records to the OS (see the journal module's
+    /// flush-before-visible-effect rule).
+    fn flush_journal(&mut self) -> Result<(), ServeError> {
+        match self.writer.as_mut() {
+            None => Ok(()),
+            Some(writer) => writer.flush(),
         }
     }
 
@@ -496,16 +501,14 @@ pub fn follow(path: &Path, max_rows: Option<u64>, out: &mut dyn Write) -> Result
         .write_all(&proto::encode_frame("{\"v\":1,\"cmd\":\"follow\"}"))
         .map_err(|e| ServeError::Io(format!("cannot subscribe: {e}")))?;
     let mut buf = proto::FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
     let mut rows = 0u64;
     'read: loop {
-        let n = match stream.read(&mut chunk) {
+        match buf.read_from(&mut stream) {
             Ok(0) => break,
-            Ok(n) => n,
+            Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(ServeError::Io(format!("read failed: {e}"))),
-        };
-        buf.extend(&chunk[..n]);
+        }
         while let Some(row) = buf.next_frame(rows as usize + 1)? {
             writeln!(out, "{row}").map_err(|e| ServeError::Io(format!("write failed: {e}")))?;
             rows += 1;
@@ -583,15 +586,13 @@ fn tail_stream(
         return Ok(false);
     }
     let mut buf = proto::FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
     loop {
-        let n = match stream.read(&mut chunk) {
+        match buf.read_from(&mut stream) {
             Ok(0) => return Ok(false),
-            Ok(n) => n,
+            Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Ok(false),
-        };
-        buf.extend(&chunk[..n]);
+        }
         loop {
             match buf.next_frame(*rows as usize + 1) {
                 Ok(Some(row)) => {
@@ -620,6 +621,7 @@ pub fn snapshots(outcome: &ReplayOutcome) -> &[Snapshot] {
 mod tests {
     use super::*;
     use mnemo_stream::{DriftConfig, StreamConfig};
+    use std::io::Read;
 
     fn small_config() -> ServeConfig {
         ServeConfig {
@@ -670,6 +672,86 @@ mod tests {
             Err(other) => panic!("expected protocol error, got {other}"),
             Ok(_) => panic!("expected protocol error, got a transcript"),
         }
+    }
+
+    /// Poll `served` until `client` has a whole frame, and return it.
+    fn poll_for_frame(served: &mut ServeLoop, client: &mut UnixStream) -> String {
+        let mut buf = proto::FrameBuffer::new();
+        for _ in 0..100 {
+            served.poll_once().unwrap();
+            match buf.read_from(client) {
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) => panic!("client read: {e}"),
+            }
+            if let Some(frame) = buf.next_frame(1).unwrap() {
+                return frame;
+            }
+        }
+        panic!("no frame arrived");
+    }
+
+    #[test]
+    fn rows_a_client_sees_follow_the_journal_records_behind_them() {
+        // The sync cadence never comes due here, so only the flushes
+        // ahead of follower rows and replies can put the ingests where a
+        // restart finds them.
+        let dir = std::env::temp_dir().join(format!("mnemo-serve-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("mnemo.sock");
+        let journal_dir = dir.join("journal");
+        let state = StatePolicy {
+            journal: Some(JournalPolicy {
+                dir: journal_dir.clone(),
+                config: JournalConfig {
+                    segment_bytes: 1 << 20,
+                    sync_every: 1 << 20,
+                },
+            }),
+            ..StatePolicy::default()
+        };
+        let mut served = ServeLoop::bind(&sock, small_config(), state).unwrap();
+        let journaled = || -> Vec<String> {
+            let recovery = journal::recover(&journal_dir, 0).unwrap();
+            assert_eq!(recovery.truncated, 0);
+            recovery.frames.into_iter().map(|(_, p)| p).collect()
+        };
+        let mut follower = UnixStream::connect(&sock).unwrap();
+        follower
+            .write_all(&proto::encode_frame("{\"v\":1,\"cmd\":\"follow\"}"))
+            .unwrap();
+        follower.set_nonblocking(true).unwrap();
+        served.poll_once().unwrap();
+        let events: Vec<String> = sample_input(&["alpha", "beta"], 300)
+            .lines()
+            .map(String::from)
+            .collect();
+        let (first, second) = events.split_at(400);
+        let mut sender = UnixStream::connect(&sock).unwrap();
+        // The rows a tick emits reach the follower after the ingests
+        // behind them are journaled.
+        let mut wire = Vec::new();
+        for event in first {
+            wire.extend_from_slice(&proto::encode_frame(event));
+        }
+        sender.write_all(&wire).unwrap();
+        let row = poll_for_frame(&mut served, &mut follower);
+        assert!(row.contains("\"row\":\"advise\""), "{row}");
+        assert_eq!(journaled(), first);
+        // A reply likewise follows every ingest sent before its request.
+        wire.clear();
+        for event in second {
+            wire.extend_from_slice(&proto::encode_frame(event));
+        }
+        wire.extend_from_slice(&proto::encode_frame("{\"v\":1,\"cmd\":\"status\"}"));
+        sender.write_all(&wire).unwrap();
+        sender.set_nonblocking(true).unwrap();
+        let reply = poll_for_frame(&mut served, &mut sender);
+        assert!(reply.contains("\"row\":\"status\""), "{reply}");
+        assert_eq!(journaled(), events);
+        drop(served);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

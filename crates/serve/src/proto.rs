@@ -24,7 +24,10 @@
 use mnemo::advisor::{DegradedReason, ResilientRecommendation};
 use mnemo_stream::Drift;
 use mnemo_telemetry::export::fmt_f64;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::io::Read;
 use ycsb::Op;
 
 /// The protocol schema version this build speaks.
@@ -152,11 +155,10 @@ pub enum Json {
 impl Json {
     /// Parse exactly one JSON value spanning the whole input.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(input, &mut pos)?;
+        skip_ws(input.as_bytes(), &mut pos);
+        if pos != input.len() {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
@@ -231,22 +233,22 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+fn parse_value(src: &str, pos: &mut usize) -> Result<Json, String> {
+    skip_ws(src.as_bytes(), pos);
+    match src.as_bytes().get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(b'{') => parse_object(src, pos),
+        Some(b'[') => parse_array(src, pos),
+        Some(b'"') => Ok(Json::Str(parse_string(src, pos)?)),
+        Some(b't') => parse_literal(src, pos, "true", Json::Bool(true)),
+        Some(b'f') => parse_literal(src, pos, "false", Json::Bool(false)),
+        Some(b'n') => parse_literal(src, pos, "null", Json::Null),
+        Some(_) => parse_number(src, pos),
     }
 }
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
+fn parse_literal(src: &str, pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
+    if src.as_bytes()[*pos..].starts_with(word.as_bytes()) {
         *pos += word.len();
         Ok(value)
     } else {
@@ -254,46 +256,81 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(src: &str, pos: &mut usize) -> Result<Json, String> {
+    scan_number(src, pos).map(|raw| Json::Num(raw.to_string()))
+}
+
+/// The raw token of the number at `*pos`, which must parse as an `f64`.
+fn scan_number<'a>(src: &'a str, pos: &mut usize) -> Result<&'a str, String> {
+    let bytes = src.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    // A plain digit run is always a valid float; skip the float parse.
+    let mut plain = *pos == start;
+    while let Some(&b) = bytes.get(*pos) {
+        match b {
+            b'0'..=b'9' => {}
+            b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
+            _ => break,
+        }
         *pos += 1;
     }
-    let raw = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| "non-utf8 number token".to_string())?;
-    if raw.is_empty() || raw.parse::<f64>().is_err() {
+    plain &= *pos > start;
+    // Every byte taken is ASCII, so both ends are char boundaries.
+    let raw = &src[start..*pos];
+    if !plain && raw.parse::<f64>().is_err() {
         return Err(format!("invalid number at byte {start}"));
     }
-    Ok(Json::Num(raw.to_string()))
+    Ok(raw)
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let mut out = String::new();
+    scan_string(src, pos, Some(&mut out))?;
+    Ok(out)
+}
+
+/// Walk the string literal whose opening quote is at `*pos`, leaving
+/// `*pos` past its closing quote. With `out`, the decoded text is
+/// appended there: each run between escapes is copied in one go, so the
+/// walk is linear in the literal's length. Without `out`, it only
+/// validates. Returns whether the literal holds any escape.
+fn scan_string(src: &str, pos: &mut usize, mut out: Option<&mut String>) -> Result<bool, String> {
+    let bytes = src.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
-    let mut out = String::new();
+    let mut escaped = false;
     loop {
-        match bytes.get(*pos) {
+        let run = *pos;
+        *pos += bytes[run..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - run);
+        if let Some(out) = out.as_deref_mut() {
+            // The run starts after and ends at an ASCII byte (or the end
+            // of the input), so both ends are char boundaries.
+            out.push_str(&src[run..*pos]);
+        }
+        let c = match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(escaped);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 *pos += 1;
+                escaped = true;
                 match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b't') => '\t',
+                    Some(b'r') => '\r',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
@@ -301,28 +338,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .ok_or("truncated \\u escape")?;
                         let code =
                             u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
+                        char::from_u32(code).unwrap_or('\u{fffd}')
                     }
                     _ => return Err("invalid escape".into()),
                 }
-                *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always a valid boundary walk).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| "non-utf8 string".to_string())?;
-                if let Some(c) = s.chars().next() {
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
+        };
+        if let Some(out) = out.as_deref_mut() {
+            out.push(c);
         }
+        *pos += 1;
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -331,7 +362,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(src, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -344,7 +375,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     *pos += 1; // '{'
     let mut members: Vec<(String, Json)> = Vec::new();
     skip_ws(bytes, pos);
@@ -357,7 +389,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("expected member name at byte {pos}"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(src, pos)?;
         if members.iter().any(|(k, _)| *k == key) {
             return Err(format!("duplicate key `{key}`"));
         }
@@ -366,7 +398,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(src, pos)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -391,40 +423,191 @@ fn proto_err(line: usize, reason: impl Into<String>) -> ServeError {
     }
 }
 
-fn check_keys(obj: &Json, known: &[&str], line: usize) -> Result<(), ServeError> {
-    for (key, _) in obj.obj("request").map_err(|e| proto_err(line, e))? {
-        if !known.contains(&key.as_str()) {
-            return Err(proto_err(line, format!("unknown key `{key}`")));
+/// The keys a request may carry, in [`Members::known`] slot order.
+const KEYS: [&str; 6] = ["v", "cmd", "tenant", "key", "op", "bytes"];
+const V: usize = 0;
+const CMD: usize = 1;
+const TENANT: usize = 2;
+const KEY: usize = 3;
+const OP: usize = 4;
+const BYTES: usize = 5;
+
+/// One top-level member value, borrowed from the request.
+#[derive(Debug)]
+enum Val<'a> {
+    /// A number, as its raw token.
+    Num(&'a str),
+    /// A string, decoded (borrowed unless it holds escapes).
+    Str(Cow<'a, str>),
+    /// `null`, a boolean, an array or an object.
+    Other,
+}
+
+impl<'a> Val<'a> {
+    fn u64(&self, what: &str) -> Result<u64, String> {
+        match self {
+            Val::Num(raw) => raw
+                .parse::<u64>()
+                .map_err(|_| format!("{what} must be an unsigned integer, got {raw}")),
+            _ => Err(format!("{what} must be a number")),
         }
     }
-    Ok(())
+
+    fn str(&self, what: &str) -> Result<&str, String> {
+        match self {
+            Val::Str(s) => Ok(s),
+            _ => Err(format!("{what} must be a string")),
+        }
+    }
+}
+
+/// A request object's members, scanned in one pass without building a
+/// tree: each protocol key's value and member index, plus the first
+/// other key. The scan validates the whole input exactly as
+/// [`Json::parse`] does and fails with the same error.
+#[derive(Debug, Default)]
+struct Members<'a> {
+    known: [Option<(usize, Val<'a>)>; KEYS.len()],
+    unknown: Option<(usize, Cow<'a, str>)>,
+}
+
+impl<'a> Members<'a> {
+    fn scan(input: &'a str) -> Result<Members<'a>, String> {
+        let bytes = input.as_bytes();
+        let mut members = Members::default();
+        let mut pos = 0;
+        skip_ws(bytes, &mut pos);
+        if bytes.get(pos) != Some(&b'{') {
+            // Not an object, so no members; any syntax error still wins.
+            Json::parse(input)?;
+            return Ok(members);
+        }
+        pos += 1;
+        skip_ws(bytes, &mut pos);
+        if bytes.get(pos) == Some(&b'}') {
+            pos += 1;
+        } else {
+            // Other keys are remembered only to reject duplicates, and
+            // only a request that is about to be refused has any.
+            let mut others = BTreeSet::new();
+            for index in 0.. {
+                skip_ws(bytes, &mut pos);
+                if bytes.get(pos) != Some(&b'"') {
+                    return Err(format!("expected member name at byte {pos}"));
+                }
+                let key = scan_text(input, &mut pos)?;
+                let slot = KEYS.iter().position(|k| *k == key);
+                let duplicate = match slot {
+                    Some(slot) => members.known[slot].is_some(),
+                    None => !others.insert(key.clone()),
+                };
+                if duplicate {
+                    return Err(format!("duplicate key `{key}`"));
+                }
+                skip_ws(bytes, &mut pos);
+                if bytes.get(pos) != Some(&b':') {
+                    return Err(format!("expected ':' at byte {pos}"));
+                }
+                pos += 1;
+                let value = scan_value(input, &mut pos)?;
+                match slot {
+                    Some(slot) => members.known[slot] = Some((index, value)),
+                    None => {
+                        members.unknown.get_or_insert((index, key));
+                    }
+                }
+                skip_ws(bytes, &mut pos);
+                match bytes.get(pos) {
+                    Some(b',') => pos += 1,
+                    Some(b'}') => {
+                        pos += 1;
+                        break;
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                }
+            }
+        }
+        skip_ws(bytes, &mut pos);
+        if pos != bytes.len() {
+            return Err(format!("trailing input at byte {pos}"));
+        }
+        Ok(members)
+    }
+
+    fn get(&self, slot: usize) -> Option<&Val<'a>> {
+        self.known[slot].as_ref().map(|(_, v)| v)
+    }
+
+    /// Reject the first member, in source order, whose key is not in
+    /// `allowed` (slots of [`KEYS`]).
+    fn check_keys(&self, allowed: &[usize]) -> Result<(), String> {
+        let mut first = self.unknown.as_ref().map(|(i, k)| (*i, k.as_ref()));
+        for (slot, member) in self.known.iter().enumerate() {
+            if let Some((i, _)) = member {
+                if !allowed.contains(&slot) && first.is_none_or(|(j, _)| *i < j) {
+                    first = Some((*i, KEYS[slot]));
+                }
+            }
+        }
+        match first {
+            Some((_, key)) => Err(format!("unknown key `{key}`")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Scan a string literal, copying it only when it holds escapes.
+fn scan_text<'a>(input: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    let at = *pos;
+    let escaped = scan_string(input, pos, None)?;
+    // Both ends are quote bytes, hence char boundaries.
+    let body = &input[at + 1..*pos - 1];
+    if !escaped {
+        return Ok(Cow::Borrowed(body));
+    }
+    parse_string(input, &mut { at }).map(Cow::Owned)
+}
+
+/// [`parse_value`] for a top-level member: scalars stay borrowed; nested
+/// containers, which no request key accepts, are parsed only to
+/// validate them.
+fn scan_value<'a>(input: &'a str, pos: &mut usize) -> Result<Val<'a>, String> {
+    let bytes = input.as_bytes();
+    skip_ws(bytes, pos);
+    match bytes.get(*pos) {
+        Some(b'"') => scan_text(input, pos).map(Val::Str),
+        Some(b'{' | b'[' | b't' | b'f' | b'n') => parse_value(input, pos).map(|_| Val::Other),
+        Some(_) => scan_number(input, pos).map(Val::Num),
+        None => Err("unexpected end of input".into()),
+    }
 }
 
 /// Decode one request line. `line` is the 1-based input line (or frame
 /// ordinal), reported in protocol errors.
 pub fn parse_request(input: &str, line: usize) -> Result<Request, ServeError> {
-    let value = Json::parse(input).map_err(|e| proto_err(line, e))?;
-    let v = value
-        .get("v")
+    let err = |e: String| proto_err(line, e);
+    let members = Members::scan(input).map_err(err)?;
+    let v = members
+        .get(V)
         .ok_or_else(|| proto_err(line, "missing `v` (schema version)"))?
         .u64("`v`")
-        .map_err(|e| proto_err(line, e))?;
+        .map_err(err)?;
     if v != PROTO_VERSION {
         return Err(proto_err(
             line,
             format!("unsupported schema version {v} (this build speaks {PROTO_VERSION})"),
         ));
     }
-    if let Some(cmd) = value.get("cmd") {
-        let cmd = cmd.str("`cmd`").map_err(|e| proto_err(line, e))?;
+    if let Some(cmd) = members.get(CMD) {
+        let cmd = cmd.str("`cmd`").map_err(err)?;
         return match cmd {
             "advise" => {
-                check_keys(&value, &["v", "cmd", "tenant"], line)?;
-                let tenant = value
-                    .get("tenant")
+                members.check_keys(&[V, CMD, TENANT]).map_err(err)?;
+                let tenant = members
+                    .get(TENANT)
                     .ok_or_else(|| proto_err(line, "`advise` needs a `tenant`"))?
                     .str("`tenant`")
-                    .map_err(|e| proto_err(line, e))?;
+                    .map_err(err)?;
                 if tenant.is_empty() {
                     return Err(proto_err(line, "`tenant` must not be empty"));
                 }
@@ -433,7 +616,7 @@ pub fn parse_request(input: &str, line: usize) -> Result<Request, ServeError> {
                 })
             }
             "status" | "snapshot" | "follow" | "shutdown" => {
-                check_keys(&value, &["v", "cmd"], line)?;
+                members.check_keys(&[V, CMD]).map_err(err)?;
                 Ok(match cmd {
                     "status" => Request::Status,
                     "snapshot" => Request::Snapshot,
@@ -445,25 +628,27 @@ pub fn parse_request(input: &str, line: usize) -> Result<Request, ServeError> {
         };
     }
     // No `cmd`: an ingest event.
-    check_keys(&value, &["v", "tenant", "key", "op", "bytes"], line)?;
-    let tenant = value
-        .get("tenant")
+    members
+        .check_keys(&[V, TENANT, KEY, OP, BYTES])
+        .map_err(err)?;
+    let tenant = members
+        .get(TENANT)
         .ok_or_else(|| proto_err(line, "event needs a `tenant`"))?
         .str("`tenant`")
-        .map_err(|e| proto_err(line, e))?;
+        .map_err(err)?;
     if tenant.is_empty() {
         return Err(proto_err(line, "`tenant` must not be empty"));
     }
-    let key = value
-        .get("key")
+    let key = members
+        .get(KEY)
         .ok_or_else(|| proto_err(line, "event needs a `key`"))?
         .u64("`key`")
-        .map_err(|e| proto_err(line, e))?;
-    let op = match value
-        .get("op")
+        .map_err(err)?;
+    let op = match members
+        .get(OP)
         .ok_or_else(|| proto_err(line, "event needs an `op`"))?
         .str("`op`")
-        .map_err(|e| proto_err(line, e))?
+        .map_err(err)?
     {
         "read" => Op::Read,
         "update" | "write" => Op::Update,
@@ -474,8 +659,8 @@ pub fn parse_request(input: &str, line: usize) -> Result<Request, ServeError> {
             ))
         }
     };
-    let bytes = match value.get("bytes") {
-        Some(b) => b.u64("`bytes`").map_err(|e| proto_err(line, e))?,
+    let bytes = match members.get(BYTES) {
+        Some(b) => b.u64("`bytes`").map_err(err)?,
         None => 0,
     };
     Ok(Request::Ingest(EventV1 {
@@ -613,11 +798,24 @@ pub fn encode_frame(payload: &str) -> Vec<u8> {
     out
 }
 
+/// Free space [`FrameBuffer::read_from`] asks for before each read.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Incremental decoder for length-prefixed frames arriving in arbitrary
 /// chunks.
+///
+/// Popping a frame only advances a read cursor. The consumed prefix is
+/// reclaimed when new bytes need its room, by moving the unconsumed
+/// backlog to the front, and the storage doubles only when that is not
+/// enough. The capacity therefore stays below twice the largest backlog
+/// plus the largest single append (or 16 KiB for a read): bounded by
+/// the peer's outstanding bytes, never by uptime.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
+    /// Initialised storage; `buf[start..end]` is the unconsumed backlog.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -626,29 +824,59 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
+    /// Make at least `n` bytes free after the backlog.
+    fn reserve(&mut self, n: usize) {
+        if self.buf.len() - self.end >= n {
+            return;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < n {
+            let len = (2 * self.buf.len()).max(self.end + n);
+            self.buf.reserve_exact(len - self.buf.len());
+            self.buf.resize(len, 0);
+        }
+    }
+
     /// Append raw bytes from the wire.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Read once from `src` straight into the buffer, offering it at
+    /// least 16 KiB of room. Returns what `read` returned:
+    /// `Ok(0)` is the end of the stream.
+    pub fn read_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        self.reserve(READ_CHUNK);
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Pop the next complete frame, if one is buffered. `frame_no` is
     /// reported in protocol errors (oversized frame, non-UTF-8 payload).
     pub fn next_frame(&mut self, frame_no: usize) -> Result<Option<String>, ServeError> {
-        if self.buf.len() < 4 {
+        let backlog = &self.buf[self.start..self.end];
+        let Some(&[a, b, c, d]) = backlog.get(..4) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        };
+        let len = u32::from_le_bytes([a, b, c, d]) as usize;
         if len > MAX_FRAME_BYTES {
             return Err(proto_err(
                 frame_no,
                 format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
             ));
         }
-        if self.buf.len() < 4 + len {
+        let Some(payload) = backlog.get(4..4 + len) else {
             return Ok(None);
-        }
-        let payload = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
+        };
+        let payload = payload.to_vec();
+        self.start += 4 + len;
         String::from_utf8(payload)
             .map(Some)
             .map_err(|_| proto_err(frame_no, "frame payload is not UTF-8"))
@@ -658,6 +886,383 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
+
+    fn oracle_check_keys(obj: &Json, known: &[&str], line: usize) -> Result<(), ServeError> {
+        for (key, _) in obj.obj("request").map_err(|e| proto_err(line, e))? {
+            if !known.contains(&key.as_str()) {
+                return Err(proto_err(line, format!("unknown key `{key}`")));
+            }
+        }
+        Ok(())
+    }
+
+    /// The reference decoder: parse the whole `Json` tree, then read the
+    /// members from it. `parse_request` must give the same `Ok` value or
+    /// the same error for every input.
+    fn oracle_parse_request(input: &str, line: usize) -> Result<Request, ServeError> {
+        let value = Json::parse(input).map_err(|e| proto_err(line, e))?;
+        let v = value
+            .get("v")
+            .ok_or_else(|| proto_err(line, "missing `v` (schema version)"))?
+            .u64("`v`")
+            .map_err(|e| proto_err(line, e))?;
+        if v != PROTO_VERSION {
+            return Err(proto_err(
+                line,
+                format!("unsupported schema version {v} (this build speaks {PROTO_VERSION})"),
+            ));
+        }
+        if let Some(cmd) = value.get("cmd") {
+            let cmd = cmd.str("`cmd`").map_err(|e| proto_err(line, e))?;
+            return match cmd {
+                "advise" => {
+                    oracle_check_keys(&value, &["v", "cmd", "tenant"], line)?;
+                    let tenant = value
+                        .get("tenant")
+                        .ok_or_else(|| proto_err(line, "`advise` needs a `tenant`"))?
+                        .str("`tenant`")
+                        .map_err(|e| proto_err(line, e))?;
+                    if tenant.is_empty() {
+                        return Err(proto_err(line, "`tenant` must not be empty"));
+                    }
+                    Ok(Request::Advise {
+                        tenant: tenant.to_string(),
+                    })
+                }
+                "status" | "snapshot" | "follow" | "shutdown" => {
+                    oracle_check_keys(&value, &["v", "cmd"], line)?;
+                    Ok(match cmd {
+                        "status" => Request::Status,
+                        "snapshot" => Request::Snapshot,
+                        "follow" => Request::Follow,
+                        _ => Request::Shutdown,
+                    })
+                }
+                other => Err(proto_err(line, format!("unknown cmd `{other}`"))),
+            };
+        }
+        oracle_check_keys(&value, &["v", "tenant", "key", "op", "bytes"], line)?;
+        let tenant = value
+            .get("tenant")
+            .ok_or_else(|| proto_err(line, "event needs a `tenant`"))?
+            .str("`tenant`")
+            .map_err(|e| proto_err(line, e))?;
+        if tenant.is_empty() {
+            return Err(proto_err(line, "`tenant` must not be empty"));
+        }
+        let key = value
+            .get("key")
+            .ok_or_else(|| proto_err(line, "event needs a `key`"))?
+            .u64("`key`")
+            .map_err(|e| proto_err(line, e))?;
+        let op = match value
+            .get("op")
+            .ok_or_else(|| proto_err(line, "event needs an `op`"))?
+            .str("`op`")
+            .map_err(|e| proto_err(line, e))?
+        {
+            "read" => Op::Read,
+            "update" | "write" => Op::Update,
+            other => {
+                return Err(proto_err(
+                    line,
+                    format!("unknown op `{other}` (read|update)"),
+                ))
+            }
+        };
+        let bytes = match value.get("bytes") {
+            Some(b) => b.u64("`bytes`").map_err(|e| proto_err(line, e))?,
+            None => 0,
+        };
+        Ok(Request::Ingest(EventV1 {
+            tenant: tenant.to_string(),
+            key,
+            op,
+            bytes,
+        }))
+    }
+
+    /// Member keys, as they appear between the quotes.
+    const KEY_POOL: [&str; 10] = [
+        "v",
+        "cmd",
+        "tenant",
+        "key",
+        "op",
+        "bytes",
+        "x",
+        "\\u0076",
+        "t\\u0065nant",
+        "k\\\"ey",
+    ];
+    /// Member values, as JSON text.
+    const VALUE_POOL: [&str; 32] = [
+        "1",
+        "2",
+        "0",
+        "-1",
+        "1.5",
+        "1e2",
+        "01",
+        "18446744073709551615",
+        "18446744073709551616",
+        "\"read\"",
+        "\"update\"",
+        "\"write\"",
+        "\"scan\"",
+        "\"advise\"",
+        "\"status\"",
+        "\"snapshot\"",
+        "\"follow\"",
+        "\"shutdown\"",
+        "\"\"",
+        "\"alpha\"",
+        "\"a\\\"b\"",
+        "\"\\u0061lpha\"",
+        "\"caf\\u00e9\"",
+        "\"\u{e9}t\u{e9}\"",
+        "\"\\ud800\"",
+        "null",
+        "true",
+        "[1,{\"a\":1}]",
+        "{\"k\":[]}",
+        "{\"a\":1,\"a\":2}",
+        "[1,]",
+        "\"\\u+041\"",
+    ];
+    const WS_POOL: [&str; 4] = ["", " ", "\n\t", "\r "];
+    const TRAILING_POOL: [&str; 6] = ["", " ", "x", "}", "{}", ",1"];
+    /// Fragments for unstructured inputs.
+    const TOKEN_POOL: [&str; 30] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        " ",
+        "\"",
+        "\\",
+        "\"v\"",
+        "\"cmd\"",
+        "\"tenant\"",
+        "\"key\"",
+        "\"op\"",
+        "\"x\"",
+        "1",
+        "-",
+        "1.5",
+        "e",
+        "\"read\"",
+        "\"status\"",
+        "\"a\"",
+        "null",
+        "tru",
+        "\"\\u12\"",
+        "\"\\q\"",
+        "\u{e9}",
+        "\"\\u0076\"",
+        "\n",
+        "18446744073709551616",
+    ];
+
+    /// A canonical frame of one of four kinds, edited by `(kind, a, b)`
+    /// steps: reorder, duplicate, add, revalue, remove or rename members,
+    /// or append trailing input. `ws` picks the whitespace between tokens.
+    fn mutated_frame(template: usize, edits: &[(u8, usize, usize)], ws: u64) -> String {
+        let canonical: &[(&str, &str)] = match template % 4 {
+            0 => &[
+                ("v", "1"),
+                ("tenant", "\"alpha\""),
+                ("key", "17"),
+                ("op", "\"read\""),
+                ("bytes", "128"),
+            ],
+            1 => &[("v", "1"), ("cmd", "\"advise\""), ("tenant", "\"beta\"")],
+            2 => &[("v", "1"), ("cmd", "\"status\"")],
+            _ => &[
+                ("v", "1"),
+                ("tenant", "\"a\""),
+                ("key", "3"),
+                ("op", "\"update\""),
+            ],
+        };
+        let mut members: Vec<(&str, &str)> = canonical.to_vec();
+        let mut trailing = "";
+        for &(kind, a, b) in edits {
+            let n = members.len();
+            match kind {
+                0 if n > 1 => members.swap(a % n, b % n),
+                1 if n > 0 => members.insert(b % (n + 1), members[a % n]),
+                2 => members.insert(
+                    b % (n + 1),
+                    (
+                        KEY_POOL[a % KEY_POOL.len()],
+                        VALUE_POOL[b % VALUE_POOL.len()],
+                    ),
+                ),
+                3 if n > 0 => members[a % n].1 = VALUE_POOL[b % VALUE_POOL.len()],
+                4 if n > 0 => {
+                    members.remove(a % n);
+                }
+                5 if n > 0 => members[a % n].0 = KEY_POOL[b % KEY_POOL.len()],
+                6 => trailing = TRAILING_POOL[a % TRAILING_POOL.len()],
+                _ => {}
+            }
+        }
+        let mut turn = 0u32;
+        let mut pad = || {
+            turn = (turn + 2) % 64;
+            WS_POOL[((ws >> turn) & 3) as usize]
+        };
+        let mut out = String::new();
+        out.push_str(pad());
+        out.push('{');
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(pad());
+            out.push_str(&format!("\"{key}\""));
+            out.push_str(pad());
+            out.push(':');
+            out.push_str(pad());
+            out.push_str(value);
+            out.push_str(pad());
+        }
+        out.push('}');
+        out.push_str(pad());
+        out.push_str(trailing);
+        out
+    }
+
+    #[test]
+    fn decoder_matches_the_oracle_on_edge_cases() {
+        let cases = [
+            "",
+            "   ",
+            "{}",
+            "{ }",
+            "[1]",
+            "\"s\"",
+            "17",
+            "{\"v\":1,",
+            "{\"v\" 1}",
+            "{\"v\":}",
+            "{\"v\":1}}",
+            "{\"v\":1e0}",
+            "{\"v\":\"1\"}",
+            "{\"v\":1,\"cmd\":1}",
+            "{\"v\":1,\"cmd\":\"st\\u0061tus\"}",
+            "{\"tenant\":\"a\",\"v\":1,\"cmd\":\"status\",\"x\":1}",
+            "{\"v\":1,\"cmd\":\"status\",\"x\":1,\"tenant\":\"a\"}",
+            "{\"v\":1,\"x\":1,\"x\":2}",
+            "{\"v\":1,\"cmd\":\"status\",\"x\":1,\"y\":2}",
+            "{\"v\":1,\"x\":1,\"y\":2,\"x\":3}",
+            "{\"v\":1,\"\\u0078\":1,\"x\":2}",
+            "{\"v\":1,\"v\":1}",
+            "{\"v\":1,\"tenant\":\"a\",\"key\":-1,\"op\":\"read\"}",
+            "{\"v\":1,\"tenant\":\"a\",\"key\":1.0,\"op\":\"read\"}",
+            "{\"v\":1,\"tenant\":\"a\",\"key\":1,\"op\":\"read\",\"bytes\":null}",
+            "{\"v\":1,\"tenant\":\"a\",\"key\":1,\"op\":\"read\"} x",
+            "{\"v\":1,\"tenant\":\"\u{e9}\",\"key\":1,\"op\":\"read\"}",
+            "{\"v\":1,\"tenant\":\"a\\ud800\",\"key\":1,\"op\":\"read\"}",
+            "{\"v\":1,\"a\":[1,{\"b\":2,\"b\":3}]}",
+            "{\"v\":1,\"a\":[1,}",
+            "{\"v\":1,\"s\":\"\\u+041\"}",
+            "{\"v\":1,\"s\":\"\\u12\"}",
+            "{\"v\":1,\"s\":\"abc",
+            "{\"v\":1,\"s\":\"ab\\",
+            "{\"v\":1,\"cmd\":\"advise\",\"tenant\":\"\\\"q\\\"\"}",
+        ];
+        for input in cases {
+            assert_eq!(
+                parse_request(input, 3),
+                oracle_parse_request(input, 3),
+                "{input:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn decoder_matches_the_oracle_on_mutated_frames(
+            template in 0usize..4,
+            edits in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 0..6),
+            ws in 0u64..u64::MAX,
+        ) {
+            let input = mutated_frame(template, &edits, ws);
+            prop_assert_eq!(
+                parse_request(&input, 9),
+                oracle_parse_request(&input, 9),
+                "{:?}",
+                input
+            );
+        }
+
+        #[test]
+        fn decoder_matches_the_oracle_on_token_soup(
+            tokens in proptest::collection::vec(0usize..TOKEN_POOL.len(), 0..24),
+        ) {
+            let input: String = tokens.iter().map(|&t| TOKEN_POOL[t]).collect();
+            prop_assert_eq!(
+                parse_request(&input, 2),
+                oracle_parse_request(&input, 2),
+                "{:?}",
+                input
+            );
+        }
+
+        #[test]
+        fn decoder_matches_the_oracle_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+        ) {
+            let input = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(
+                parse_request(&input, 1),
+                oracle_parse_request(&input, 1),
+                "{:?}",
+                input
+            );
+        }
+    }
+
+    #[test]
+    fn near_limit_strings_parse_in_linear_time() {
+        // A per-character re-validation of the rest of the input made a
+        // frame this size take tens of seconds.
+        let plain = "t".repeat(MAX_FRAME_BYTES - 100);
+        let unit = "ab\\\"\u{e9}\\u00e9";
+        let escaped = unit.repeat((MAX_FRAME_BYTES - 100) / unit.len());
+        let started = Instant::now();
+        for (body, decoded_len) in [
+            (&plain, plain.len()),
+            (
+                &escaped,
+                escaped.len() / unit.len() * "ab\"\u{e9}\u{e9}".len(),
+            ),
+        ] {
+            let frame = format!("{{\"v\":1,\"tenant\":\"{body}\",\"key\":1,\"op\":\"read\"}}");
+            assert!(frame.len() <= MAX_FRAME_BYTES);
+            match parse_request(&frame, 1) {
+                Ok(Request::Ingest(event)) => assert_eq!(event.tenant.len(), decoded_len),
+                other => panic!("near-limit frame failed to decode: {other:?}"),
+            }
+            // State dumps share the string parser.
+            let doc = format!("{{\"s\":\"{body}\"}}");
+            let value = Json::parse(&doc).unwrap();
+            assert_eq!(value.get("s").unwrap().str("s").unwrap().len(), decoded_len);
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "took {:?}",
+            started.elapsed()
+        );
+    }
 
     #[test]
     fn events_and_commands_decode() {
@@ -729,20 +1334,102 @@ mod tests {
 
     #[test]
     fn framing_round_trips_in_chunks() {
-        let frames = ["{\"v\":1,\"cmd\":\"status\"}", "short", ""];
+        // Every chunk size, from one byte to the whole stream, yields the
+        // same frames and errors, and the buffer never outgrows twice the
+        // largest frame plus a chunk.
+        let big = "x".repeat(5_000);
+        let frames = [
+            "{\"v\":1,\"cmd\":\"status\"}",
+            "short",
+            "",
+            big.as_str(),
+            "caf\u{e9}",
+        ];
         let mut wire = Vec::new();
         for f in frames {
             wire.extend_from_slice(&encode_frame(f));
         }
-        let mut buf = FrameBuffer::new();
-        let mut got = Vec::new();
-        for chunk in wire.chunks(3) {
-            buf.extend(chunk);
-            while let Some(frame) = buf.next_frame(got.len() + 1).unwrap() {
-                got.push(frame);
+        wire.extend_from_slice(&3u32.to_le_bytes());
+        wire.extend_from_slice(&[0xff, 0xfe, 0xfd]);
+        wire.extend_from_slice(&encode_frame("after"));
+        wire.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+        let mut want: Vec<Result<String, ServeError>> =
+            frames.iter().map(|f| Ok(f.to_string())).collect();
+        want.push(Err(proto_err(6, "frame payload is not UTF-8")));
+        want.push(Ok("after".into()));
+        want.push(Err(proto_err(
+            8,
+            "frame of 1048577 bytes exceeds the 1048576-byte limit",
+        )));
+        let largest = 4 + big.len();
+        for chunk in 1..=wire.len() {
+            let mut buf = FrameBuffer::new();
+            let mut got = Vec::new();
+            'feed: for piece in wire.chunks(chunk) {
+                buf.extend(piece);
+                assert!(
+                    buf.buf.capacity() <= 2 * (largest + chunk),
+                    "chunk {chunk}: capacity {}",
+                    buf.buf.capacity()
+                );
+                loop {
+                    match buf.next_frame(got.len() + 1) {
+                        Ok(Some(frame)) => got.push(Ok(frame)),
+                        Ok(None) => break,
+                        Err(e) => {
+                            // An oversized frame is never consumed; the
+                            // daemon closes the connection instead.
+                            let oversized = e.to_string().contains("exceeds");
+                            got.push(Err(e));
+                            if oversized {
+                                break 'feed;
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(got, want, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn read_buffer_stays_bounded_over_a_long_stream() {
+        /// Hands out the stream in uneven pieces.
+        struct Trickle<'a> {
+            data: &'a [u8],
+            turn: usize,
+        }
+        impl Read for Trickle<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                self.turn += 1;
+                let n = self
+                    .data
+                    .len()
+                    .min(out.len())
+                    .min(1 + self.turn * 7_919 % 90_000);
+                out[..n].copy_from_slice(&self.data[..n]);
+                self.data = &self.data[n..];
+                Ok(n)
             }
         }
-        assert_eq!(got, frames);
+        let frames: Vec<String> = (0..5_000).map(|i| "y".repeat(i * 37 % 900)).collect();
+        let wire: Vec<u8> = frames.iter().flat_map(|f| encode_frame(f)).collect();
+        let mut src = Trickle {
+            data: &wire,
+            turn: 0,
+        };
+        let mut buf = FrameBuffer::new();
+        let mut popped = 0;
+        let mut peak = 0;
+        while buf.read_from(&mut src).unwrap() > 0 {
+            peak = peak.max(buf.buf.capacity());
+            while let Some(frame) = buf.next_frame(popped + 1).unwrap() {
+                assert_eq!(frame, frames[popped]);
+                popped += 1;
+            }
+        }
+        assert_eq!(popped, frames.len());
+        assert!(peak <= 2 * (4 + 900 + READ_CHUNK), "peak capacity {peak}");
     }
 
     #[test]
