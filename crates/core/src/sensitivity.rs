@@ -144,7 +144,8 @@ impl SensitivityEngine {
         cells: &[(StoreKind, &Trace)],
     ) -> Result<Vec<Baselines>, EngineError> {
         mnemo_par::Pool::current()
-            .run_jobs(cells.len(), |i| { // mnemo-lint: allow(D007, "the only reachable reduction is predict's per-key dot product, local to each grid cell job")
+            // mnemo-lint: allow(D007, "the only reachable reduction is predict's per-key dot product, local to each grid cell job")
+            .run_jobs(cells.len(), |i| {
                 let (store, trace) = cells[i];
                 self.measure(store, trace)
             })

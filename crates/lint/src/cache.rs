@@ -255,11 +255,7 @@ fn finding_record(tag: &str, f: &Finding) -> Vec<String> {
 fn write_entry(out: &mut String, path: &str, hash: u64, a: &FileAnalysis) {
     push_record(
         out,
-        &[
-            "file".to_string(),
-            format!("{hash:016x}"),
-            esc(path),
-        ],
+        &["file".to_string(), format!("{hash:016x}"), esc(path)],
     );
     for f in &a.raw {
         push_record(out, &finding_record("raw", f));
@@ -448,7 +444,11 @@ fn parse(text: &str) -> Option<Cache> {
                 let module = opt_unesc(rest.get(5)?);
                 let f = FnInfo {
                     name: unesc(rest.first()?),
-                    impl_ty: if impl_ty.is_empty() { None } else { Some(impl_ty) },
+                    impl_ty: if impl_ty.is_empty() {
+                        None
+                    } else {
+                        Some(impl_ty)
+                    },
                     module: if module.is_empty() {
                         Vec::new()
                     } else {

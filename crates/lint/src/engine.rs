@@ -123,16 +123,22 @@ pub fn assemble(analyses: &[FileAnalysis]) -> Report {
 
     // Apply allows: a directive suppresses matching-code findings on
     // its target line of its own file. M-codes are not allowable.
-    let mut used: Vec<Vec<bool>> = analyses.iter().map(|a| vec![false; a.directives.len()]).collect();
+    let mut used: Vec<Vec<bool>> = analyses
+        .iter()
+        .map(|a| vec![false; a.directives.len()])
+        .collect();
     let mut allowed = 0usize;
     for f in pre_allow {
-        let slot = analyses.iter().position(|a| a.path == f.file).and_then(|ai| {
-            analyses[ai]
-                .directives
-                .iter()
-                .position(|d| d.code == f.code && d.applies_to == f.line)
-                .map(|di| (ai, di))
-        });
+        let slot = analyses
+            .iter()
+            .position(|a| a.path == f.file)
+            .and_then(|ai| {
+                analyses[ai]
+                    .directives
+                    .iter()
+                    .position(|d| d.code == f.code && d.applies_to == f.line)
+                    .map(|di| (ai, di))
+            });
         match slot {
             Some((ai, di)) => {
                 used[ai][di] = true;
@@ -150,7 +156,8 @@ pub fn assemble(analyses: &[FileAnalysis]) -> Report {
             *copies.entry(d.justification.as_str()).or_default() += 1;
         }
     }
-    let mut seen_so_far: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
+    let mut seen_so_far: std::collections::BTreeMap<&str, usize> =
+        std::collections::BTreeMap::new();
     for (ai, a) in analyses.iter().enumerate() {
         for (di, d) in a.directives.iter().enumerate() {
             if !used[ai][di] {
@@ -209,10 +216,7 @@ pub fn assemble(analyses: &[FileAnalysis]) -> Report {
 pub fn lint_files(files: &[(String, String)]) -> Report {
     let mut sorted: Vec<&(String, String)> = files.iter().collect();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let analyses: Vec<FileAnalysis> = sorted
-        .iter()
-        .map(|(p, s)| analyze_source(p, s))
-        .collect();
+    let analyses: Vec<FileAnalysis> = sorted.iter().map(|(p, s)| analyze_source(p, s)).collect();
     assemble(&analyses)
 }
 
@@ -431,7 +435,9 @@ mod tests {
         let r = lint_source("crates/core/src/x.rs", src.as_str());
         let codes: Vec<Code> = r.findings.iter().map(|f| f.code).collect();
         assert_eq!(codes, vec![Code::M002], "{:?}", r.findings);
-        assert!(r.findings[0].message.contains("duplicated verbatim 4 times"));
+        assert!(r.findings[0]
+            .message
+            .contains("duplicated verbatim 4 times"));
         assert_eq!(r.findings[0].line, 4);
         // Three copies stay clean.
         let mut three = String::new();

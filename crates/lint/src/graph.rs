@@ -61,25 +61,121 @@ pub struct Graph<'m> {
 /// call — and through pool-site roots, which resolve before this list
 /// applies.
 pub const METHOD_SKIP: [&str; 97] = [
-    "abs", "all", "and_then", "any", "as_bytes", "as_mut", "as_ref", "as_str", "binary_search",
-    "bytes", "ceil", "chain", "chars", "checked_add", "checked_mul", "checked_sub", "chunks",
-    "clear", "clone", "cloned", "cmp", "collect", "contains", "contains_key", "copied", "count",
-    "drain", "entry", "enumerate", "eq", "exp", "extend", "filter", "filter_map", "find",
-    "first", "flat_map", "flatten", "floor", "flush", "fmt", "fold", "for_each", "get",
-    "get_mut", "hash", "insert", "into_iter", "is_empty", "is_err", "is_none", "is_ok",
-    "is_some", "iter", "iter_mut", "join", "keys", "last", "len", "lines", "ln", "lock", "map",
-    "max", "min", "next", "ok", "parse", "partial_cmp", "position", "pow", "powf", "powi",
-    "product", "push", "read", "remove", "resize", "retain", "rev", "reverse", "round", "skip",
-    "sort", "splice", "split", "sqrt", "starts_with", "step_by", "sum", "take", "trim",
-    "truncate", "values", "windows", "write", "zip",
+    "abs",
+    "all",
+    "and_then",
+    "any",
+    "as_bytes",
+    "as_mut",
+    "as_ref",
+    "as_str",
+    "binary_search",
+    "bytes",
+    "ceil",
+    "chain",
+    "chars",
+    "checked_add",
+    "checked_mul",
+    "checked_sub",
+    "chunks",
+    "clear",
+    "clone",
+    "cloned",
+    "cmp",
+    "collect",
+    "contains",
+    "contains_key",
+    "copied",
+    "count",
+    "drain",
+    "entry",
+    "enumerate",
+    "eq",
+    "exp",
+    "extend",
+    "filter",
+    "filter_map",
+    "find",
+    "first",
+    "flat_map",
+    "flatten",
+    "floor",
+    "flush",
+    "fmt",
+    "fold",
+    "for_each",
+    "get",
+    "get_mut",
+    "hash",
+    "insert",
+    "into_iter",
+    "is_empty",
+    "is_err",
+    "is_none",
+    "is_ok",
+    "is_some",
+    "iter",
+    "iter_mut",
+    "join",
+    "keys",
+    "last",
+    "len",
+    "lines",
+    "ln",
+    "lock",
+    "map",
+    "max",
+    "min",
+    "next",
+    "ok",
+    "parse",
+    "partial_cmp",
+    "position",
+    "pow",
+    "powf",
+    "powi",
+    "product",
+    "push",
+    "read",
+    "remove",
+    "resize",
+    "retain",
+    "rev",
+    "reverse",
+    "round",
+    "skip",
+    "sort",
+    "splice",
+    "split",
+    "sqrt",
+    "starts_with",
+    "step_by",
+    "sum",
+    "take",
+    "trim",
+    "truncate",
+    "values",
+    "windows",
+    "write",
+    "zip",
 ];
 
 /// Prefix variants the skip list covers via `starts_with` checks —
 /// `sort_by`, `unwrap_or_else`, `to_le_bytes`, `saturating_sub`, … all
 /// share these stems.
 const METHOD_SKIP_PREFIXES: [&str; 12] = [
-    "sort_", "unwrap", "expect", "to_", "from_", "max_by", "min_by", "saturating_",
-    "wrapping_", "split_", "strip_", "ends_",
+    "sort_",
+    "unwrap",
+    "expect",
+    "to_",
+    "from_",
+    "max_by",
+    "min_by",
+    "saturating_",
+    "wrapping_",
+    "split_",
+    "strip_",
+    "ends_",
 ];
 
 /// Should an unqualified method call of this name resolve at all?
@@ -132,7 +228,7 @@ impl<'m> Graph<'m> {
             crate_dirs,
         };
         let mut edges = vec![Vec::new(); g.nodes.len()];
-        for id in 0..g.nodes.len() {
+        for (id, slot) in edges.iter_mut().enumerate() {
             let node = g.nodes[id].clone();
             let f = g.fn_of(id);
             let mut out = BTreeSet::new();
@@ -143,7 +239,7 @@ impl<'m> Graph<'m> {
                     }
                 }
             }
-            edges[id] = out.into_iter().collect();
+            *slot = out.into_iter().collect();
         }
         g.edges = edges;
         let mut site_roots = Vec::with_capacity(models.len());
@@ -203,7 +299,11 @@ impl<'m> Graph<'m> {
                 .copied()
                 .filter(|&id| self.nodes[id].crate_dir == crate_dir)
                 .collect();
-            return if same_crate.is_empty() { ids } else { same_crate };
+            return if same_crate.is_empty() {
+                ids
+            } else {
+                same_crate
+            };
         }
         // Expand the leading segment through the file's use map.
         let mut segs: Vec<&str> = call.segments.iter().map(String::as_str).collect();
@@ -269,7 +369,10 @@ impl<'m> Graph<'m> {
         }
         // `Type::method` with a workspace type: same crate, then global.
         if starts_upper(head) && segs.len() == 2 {
-            if let Some(ids) = self.by_type_method.get(&(head.to_string(), name.to_string())) {
+            if let Some(ids) = self
+                .by_type_method
+                .get(&(head.to_string(), name.to_string()))
+            {
                 let same_crate: Vec<FnId> = ids
                     .iter()
                     .copied()
@@ -311,8 +414,8 @@ impl<'m> Graph<'m> {
         let mut seen: BTreeMap<FnId, (u32, Option<FnId>)> = BTreeMap::new();
         let mut queue = VecDeque::new();
         for &r in roots {
-            if !seen.contains_key(&r) {
-                seen.insert(r, (0, None));
+            if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(r) {
+                e.insert((0, None));
                 queue.push_back(r);
             }
         }
@@ -322,8 +425,8 @@ impl<'m> Graph<'m> {
                 continue;
             }
             for &t in &self.edges[id] {
-                if !seen.contains_key(&t) {
-                    seen.insert(t, (d + 1, Some(id)));
+                if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(t) {
+                    e.insert((d + 1, Some(id)));
                     queue.push_back(t);
                 }
             }
@@ -489,10 +592,7 @@ mod tests {
         let models = vec![alpha, core, par];
         let g = Graph::build(&models);
         let f = id_of(&g, "f");
-        assert_eq!(
-            g.edges[f],
-            vec![id_of(&g, "plan"), id_of(&g, "install")]
-        );
+        assert_eq!(g.edges[f], vec![id_of(&g, "plan"), id_of(&g, "install")]);
     }
 
     #[test]

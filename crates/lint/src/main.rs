@@ -55,10 +55,10 @@ fn run(argv: &[String]) -> Result<(String, bool), String> {
             }
             "--deny-warnings" => deny_warnings = true,
             "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(
-                    iter.next()
-                        .ok_or_else(|| "--cache-dir needs a directory".to_string())?,
-                ));
+                cache_dir =
+                    Some(PathBuf::from(iter.next().ok_or_else(|| {
+                        "--cache-dir needs a directory".to_string()
+                    })?));
             }
             "--explain" => {
                 let v = iter

@@ -314,7 +314,13 @@ impl<'a> Parser<'a> {
                     }
                     if self.is_punct(j, "{") {
                         let close = self.skip_balanced(j, "{", "}", end);
-                        self.parse_items(j + 1, close.saturating_sub(1), module, Some(&name), depth + 1);
+                        self.parse_items(
+                            j + 1,
+                            close.saturating_sub(1),
+                            module,
+                            Some(&name),
+                            depth + 1,
+                        );
                         i = close;
                     } else {
                         i = j + 1;
@@ -371,7 +377,13 @@ impl<'a> Parser<'a> {
         let ty = ty_after_for.or(ty_before_for);
         if self.is_punct(j, "{") {
             let close = self.skip_balanced(j, "{", "}", end);
-            self.parse_items(j + 1, close.saturating_sub(1), module, ty.as_deref(), depth + 1);
+            self.parse_items(
+                j + 1,
+                close.saturating_sub(1),
+                module,
+                ty.as_deref(),
+                depth + 1,
+            );
             close
         } else {
             j + 1
@@ -521,7 +533,14 @@ impl<'a> Parser<'a> {
         let close = self.skip_balanced(j, "{", "}", end);
         let fn_slot = self.model.fns.len();
         self.model.fns.push(info);
-        self.scan_body(j + 1, close.saturating_sub(1), fn_slot, module, impl_ty, depth);
+        self.scan_body(
+            j + 1,
+            close.saturating_sub(1),
+            fn_slot,
+            module,
+            impl_ty,
+            depth,
+        );
         close
     }
 
@@ -647,9 +666,7 @@ impl<'a> Parser<'a> {
             what: what.to_string(),
         };
         match t {
-            "Instant" | "Utc" | "Local"
-                if self.is_path_sep(i + 1) && self.text(i + 3) == "now" =>
-            {
+            "Instant" | "Utc" | "Local" if self.is_path_sep(i + 1) && self.text(i + 3) == "now" => {
                 out.push(hit(FactKind::WallClock, &format!("{t}::now()")));
             }
             "SystemTime" => out.push(hit(FactKind::WallClock, "SystemTime")),
@@ -918,7 +935,8 @@ mod tests {
 
     #[test]
     fn free_fns_and_methods_with_modules() {
-        let src = "fn top() {}\nmod inner {\n    impl Widget {\n        fn method(&self) {}\n    }\n}\n";
+        let src =
+            "fn top() {}\nmod inner {\n    impl Widget {\n        fn method(&self) {}\n    }\n}\n";
         let m = parse("crates/core/src/x.rs", src);
         assert_eq!(m.fns.len(), 2);
         assert_eq!(m.fns[0].name, "top");
@@ -947,7 +965,10 @@ mod tests {
             .collect();
         assert!(decls.contains(&("c".into(), vec!["a".into(), "b".into(), "c".into()])));
         assert!(decls.contains(&("e".into(), vec!["a".into(), "b".into(), "d".into()])));
-        assert!(decls.contains(&("g".into(), vec!["a".into(), "b".into(), "f".into(), "g".into()])));
+        assert!(decls.contains(&(
+            "g".into(),
+            vec!["a".into(), "b".into(), "f".into(), "g".into()]
+        )));
         assert!(decls.contains(&("*".into(), vec!["h".into()])));
         assert!(decls.contains(&("fmt".into(), vec!["std".into(), "fmt".into()])));
     }
@@ -961,7 +982,10 @@ mod tests {
         assert!(names.contains(&"helper".to_string()));
         assert!(names.contains(&"a::b::g".to_string()));
         assert!(names.contains(&"method_call".to_string()));
-        assert!(f.calls.iter().any(|c| c.method && c.segments == ["method_call"]));
+        assert!(f
+            .calls
+            .iter()
+            .any(|c| c.method && c.segments == ["method_call"]));
         let kinds: Vec<FactKind> = f.facts.iter().map(|h| h.kind).collect();
         assert!(kinds.contains(&FactKind::WallClock));
         assert!(kinds.contains(&FactKind::Panics));

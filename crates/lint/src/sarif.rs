@@ -110,7 +110,10 @@ mod tests {
 
     #[test]
     fn rendering_is_deterministic() {
-        let r = lint_source("crates/core/src/x.rs", "fn f() { x.unwrap(); y.expect(\"z\"); }\n");
+        let r = lint_source(
+            "crates/core/src/x.rs",
+            "fn f() { x.unwrap(); y.expect(\"z\"); }\n",
+        );
         assert_eq!(sarif(&r), sarif(&r));
     }
 }

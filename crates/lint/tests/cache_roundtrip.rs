@@ -100,7 +100,11 @@ fn corrupt_cache_degrades_to_cold_run() {
     let cache = tree.root.join("lint-cache");
 
     let cold = lint_tree_cached(&tree.root, Some(&cache)).unwrap();
-    fs::write(cache.join("analysis.v1.tsv"), "not a cache file\n\x00garbage").unwrap();
+    fs::write(
+        cache.join("analysis.v1.tsv"),
+        "not a cache file\n\x00garbage",
+    )
+    .unwrap();
     let after = lint_tree_cached(&tree.root, Some(&cache)).unwrap();
     assert_eq!(after.files_cached, 0, "corrupt cache must be ignored");
     assert_eq!(
