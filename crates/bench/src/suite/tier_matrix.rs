@@ -18,7 +18,8 @@ use super::SuiteOutcome;
 use crate::{print_table, seed_for, write_csv, HarnessError};
 use hybridmem::clock::NoiseConfig;
 use hybridmem::stack::StackSpec;
-use kvsim::tiered::{trace_stats, trace_windows, TieredServer};
+use kvsim::tiered::{trace_stats, trace_windows};
+use kvsim::{Server, StoreKind};
 use mnemo_faults::{FaultPlan, TierNames};
 use mnemo_tier::{dram_optane_ssd, paper_two_tier, PolicyKind};
 use ycsb::WorkloadSpec;
@@ -131,12 +132,13 @@ pub fn run(d: u64) -> Result<SuiteOutcome, HarnessError> {
         let spec = sized_for(base.clone(), stored);
         let epoch = (trace.len() as u64 / EPOCHS_PER_RUN).max(1);
         let windows = trace_windows(trace, epoch);
-        let mut server = TieredServer::build_with(
+        let mut server = Server::build_tiered(
+            StoreKind::Redis,
             spec.clone(),
             NoiseConfig::disabled(),
-            epoch,
-            kind.build(seed_for(hier_name), &windows),
             trace,
+            kind.build(seed_for(hier_name), &windows),
+            epoch,
         )
         .map_err(|e| format!("tiered server build failed: {e}"))?;
         if faulted {

@@ -848,7 +848,7 @@ pub fn trace_cmd(parsed: &mut Parsed) -> Result<String, CliError> {
 /// pluggable tiering policy (or the full policy catalog with
 /// `--policy all`).
 pub fn tier(parsed: &mut Parsed) -> Result<String, CliError> {
-    use kvsim::tiered::{trace_windows, TieredServer};
+    use kvsim::{tiered::trace_windows, Server};
     use mnemo_tier::PolicyKind;
 
     let source = parsed
@@ -959,12 +959,13 @@ pub fn tier(parsed: &mut Parsed) -> Result<String, CliError> {
     );
     for kind in kinds {
         let windows = trace_windows(&trace, epoch);
-        let mut server = TieredServer::build_with(
+        let mut server = Server::build_tiered(
+            StoreKind::Redis,
             spec.clone(),
             hybridmem::clock::NoiseConfig::disabled(),
-            epoch,
-            kind.build(seed, &windows),
             &trace,
+            kind.build(seed, &windows),
+            epoch,
         )
         .map_err(|e| CliError::Engine(format!("cannot build tiered server: {e}")))?;
         if let Some(plan) = &fault_plan {

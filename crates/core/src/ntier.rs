@@ -6,9 +6,9 @@
 //! structure holds tier by tier, so this module computes the expected
 //! service cost of every (key, tier) pair **analytically** from the
 //! hierarchy's Table-I-style device parameters and the engine's cost
-//! profile — the exact arithmetic [`kvsim::TieredEngine`] charges per
+//! profile — the exact arithmetic the Redis-like engine charges per
 //! request, summed in expectation. On a cache-less hierarchy the
-//! estimate matches a measured [`kvsim::TieredServer`] run to float
+//! estimate matches a measured [`kvsim::Server`] run to float
 //! rounding; with an LLC configured it is a consistent upper bound (the
 //! cache only removes value traffic), which preserves the ranking the
 //! curves and planners need.
@@ -34,9 +34,10 @@ use serde::Serialize;
 /// `bytes + VALUE_HEADER_BYTES` of device capacity.
 const VALUE_HEADER_BYTES: u64 = 64;
 
-/// Analytic expected-runtime model of a [`kvsim::TieredServer`] run:
-/// per-key, per-tier op costs from the device parameters and the store
-/// profile, with the dict chain-length factor of the loaded key count.
+/// Analytic expected-runtime model of a policy-placed [`kvsim::Server`]
+/// run ([`kvsim::Server::build_tiered`]): per-key, per-tier op costs
+/// from the device parameters and the store profile, with the dict
+/// chain-length factor of the loaded key count.
 pub struct NTierEstimator {
     spec: StackSpec,
     profile: EngineProfile,
@@ -316,8 +317,10 @@ pub fn plan_shared_stack(tenants: &[TenantWorkload], spec: &StackSpec) -> Shared
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridmem::clock::NoiseConfig;
     use hybridmem::CacheConfig;
-    use kvsim::tiered::{trace_stats, TieredServer};
+    use kvsim::tiered::trace_stats;
+    use kvsim::Server;
     use mnemo_tier::dram_optane_ssd;
     use ycsb::WorkloadSpec;
 
@@ -339,7 +342,15 @@ mod tests {
         let estimator = NTierEstimator::new(spec.clone(), StoreKind::Redis, stats.len());
         let est = estimator.runtime_ns(&stats, &assignment);
 
-        let mut server = TieredServer::build(spec, Box::new(GreedyPolicy), &t).unwrap();
+        let mut server = Server::build_tiered(
+            StoreKind::Redis,
+            spec,
+            NoiseConfig::disabled(),
+            &t,
+            Box::new(GreedyPolicy),
+            0,
+        )
+        .unwrap();
         let report = server.run(&t);
         // The run clock quantizes each request to whole nanoseconds, so
         // compare against the un-quantized per-request service times.

@@ -1,21 +1,18 @@
-//! Placement-aware object allocator.
+//! Object identity and simulated address assignment.
 //!
 //! Key-value pairs are simulated as *objects*: opaque blobs with a stable
-//! [`ObjectId`], a byte size and a current tier. The allocator mirrors what
-//! `numactl`-bound server processes do in the paper — every allocation is
-//! served by exactly one memory node — while additionally supporting
-//! per-object placement and migration, which is what Mnemo's Placement
-//! Engine needs.
+//! [`ObjectId`], a byte size and a current tier. The
+//! [`TierStack`](crate::stack::TierStack) serves every allocation from
+//! exactly one tier — what `numactl`-bound server processes do in the
+//! paper — while additionally supporting per-object placement and
+//! migration, which is what Mnemo's Placement Engine needs.
 //!
-//! Simulated addresses are handed out by a segregated free-list: freed
-//! blocks are recycled by size class before the bump pointer grows. The
-//! addresses only need to be stable and disjoint (they seed the cache
-//! models), not contiguous.
+//! Simulated addresses are handed out per tier by a segregated
+//! free-list (`TierArena`): freed blocks are recycled by size class
+//! before the bump pointer grows. The addresses only need to be stable
+//! and disjoint (they seed the cache models), not contiguous.
 
 use crate::det::DetHashMap;
-use crate::device::CapacityError;
-use crate::num;
-use crate::spec::MemTier;
 use serde::{Deserialize, Serialize};
 
 /// Stable identifier of a simulated object.
@@ -25,58 +22,6 @@ pub struct ObjectId(pub u64);
 impl std::fmt::Display for ObjectId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "obj#{}", self.0)
-    }
-}
-
-/// Placement record of a live object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// Tier currently holding the object.
-    pub tier: MemTier,
-    /// Simulated start address within the tier's address window.
-    pub addr: u64,
-    /// Object size in bytes.
-    pub bytes: u64,
-}
-
-/// Allocation errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocError {
-    /// The target tier does not have room (capacity enforced by the owning
-    /// [`Device`](crate::device::Device)). Carries the device's own
-    /// [`CapacityError`] so callers see both the request and the free
-    /// bytes at the moment of failure — over-committed splits surface as
-    /// diagnosable errors, never panics.
-    OutOfMemory {
-        /// Tier that was full.
-        tier: MemTier,
-        /// The device-level capacity error that caused this.
-        source: CapacityError,
-    },
-    /// The object id is unknown (double free, migrate after free, ...).
-    UnknownObject(ObjectId),
-    /// Zero-sized allocations are not meaningful for placement decisions.
-    ZeroSize,
-}
-
-impl std::fmt::Display for AllocError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AllocError::OutOfMemory { tier, source } => {
-                write!(f, "{tier}: {source}")
-            }
-            AllocError::UnknownObject(id) => write!(f, "unknown object {id}"),
-            AllocError::ZeroSize => write!(f, "zero-sized allocation"),
-        }
-    }
-}
-
-impl std::error::Error for AllocError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AllocError::OutOfMemory { source, .. } => Some(source),
-            _ => None,
-        }
     }
 }
 
@@ -115,194 +60,50 @@ impl TierArena {
     }
 }
 
-/// Object table: id -> placement, plus per-tier arenas.
-///
-/// Ids are handed out sequentially and never reused, so placements live
-/// in a slab indexed by id — the per-request placement probe is a
-/// bounds-checked load instead of a hash probe. Freed slots stay `None`.
-#[derive(Debug, Default, Clone)]
-pub struct ObjectTable {
-    /// Slot `i` holds the placement of `ObjectId(i)`; `None` once freed.
-    slots: Vec<Option<Placement>>,
-    live: usize,
-    fast: TierArena,
-    slow: TierArena,
-}
-
-impl ObjectTable {
-    /// Empty table.
-    pub fn new() -> ObjectTable {
-        ObjectTable::default()
-    }
-
-    fn arena(&mut self, tier: MemTier) -> &mut TierArena {
-        match tier {
-            MemTier::Fast => &mut self.fast,
-            MemTier::Slow => &mut self.slow,
-        }
-    }
-
-    /// Register a new object in `tier`. Capacity must have been reserved
-    /// by the caller (the [`HybridMemory`](crate::system::HybridMemory)
-    /// facade pairs this with device accounting).
-    pub fn insert(&mut self, bytes: u64, tier: MemTier) -> Result<ObjectId, AllocError> {
-        if bytes == 0 {
-            return Err(AllocError::ZeroSize);
-        }
-        let id = ObjectId(num::u64_from_usize(self.slots.len()));
-        let addr = self.arena(tier).alloc(bytes);
-        self.slots.push(Some(Placement { tier, addr, bytes }));
-        self.live += 1;
-        Ok(id)
-    }
-
-    /// Look up a live object.
-    #[inline]
-    pub fn get(&self, id: ObjectId) -> Result<Placement, AllocError> {
-        match self.slots.get(num::usize_from_u64(id.0)) {
-            Some(&Some(p)) => Ok(p),
-            _ => Err(AllocError::UnknownObject(id)),
-        }
-    }
-
-    fn slot_mut(&mut self, id: ObjectId) -> Option<&mut Option<Placement>> {
-        self.slots.get_mut(num::usize_from_u64(id.0))
-    }
-
-    /// Remove an object, returning its last placement.
-    pub fn remove(&mut self, id: ObjectId) -> Result<Placement, AllocError> {
-        let p = self
-            .slot_mut(id)
-            .and_then(|slot| slot.take())
-            .ok_or(AllocError::UnknownObject(id))?;
-        self.live -= 1;
-        self.arena(p.tier).dealloc(p.addr, p.bytes);
-        Ok(p)
-    }
-
-    /// Move an object to `target`, returning `(old, new)` placements.
-    /// A migration to the current tier is a no-op.
-    pub fn migrate(
-        &mut self,
-        id: ObjectId,
-        target: MemTier,
-    ) -> Result<(Placement, Placement), AllocError> {
-        let old = self.get(id)?;
-        if old.tier == target {
-            return Ok((old, old));
-        }
-        self.arena(old.tier).dealloc(old.addr, old.bytes);
-        let addr = self.arena(target).alloc(old.bytes);
-        let new = Placement {
-            tier: target,
-            addr,
-            bytes: old.bytes,
-        };
-        if let Some(slot) = self.slot_mut(id) {
-            *slot = Some(new);
-        }
-        Ok((old, new))
-    }
-
-    /// Resize an object in place (same tier, possibly new address),
-    /// returning `(old, new)` placements.
-    pub fn resize(
-        &mut self,
-        id: ObjectId,
-        bytes: u64,
-    ) -> Result<(Placement, Placement), AllocError> {
-        if bytes == 0 {
-            return Err(AllocError::ZeroSize);
-        }
-        let old = self.get(id)?;
-        let new = if size_class(bytes) == size_class(old.bytes) {
-            Placement { bytes, ..old }
-        } else {
-            self.arena(old.tier).dealloc(old.addr, old.bytes);
-            let addr = self.arena(old.tier).alloc(bytes);
-            Placement {
-                tier: old.tier,
-                addr,
-                bytes,
-            }
-        };
-        if let Some(slot) = self.slot_mut(id) {
-            *slot = Some(new);
-        }
-        Ok((old, new))
-    }
-
-    /// Number of live objects.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no objects are live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Iterate over live objects in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Placement)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.map(|p| (ObjectId(num::u64_from_usize(i)), p)))
-    }
-
-    /// Total live bytes in a tier.
-    pub fn bytes_in(&self, tier: MemTier) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|p| p.tier == tier)
-            .map(|p| p.bytes)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{HybridSpec, TierId};
+    use crate::stack::{StackError, StackSpec, TierStack};
     use proptest::prelude::*;
+
+    const FAST: TierId = TierId::FAST;
+    const SLOW: TierId = TierId::SLOW;
+
+    fn stack() -> TierStack {
+        TierStack::new(StackSpec::two_tier(&HybridSpec::paper_testbed())).unwrap()
+    }
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut t = ObjectTable::new();
-        let id = t.insert(1000, MemTier::Fast).unwrap();
-        let p = t.get(id).unwrap();
-        assert_eq!(p.tier, MemTier::Fast);
+        let mut t = stack();
+        let id = t.alloc(1000, FAST).unwrap();
+        let p = t.placement(id).unwrap();
+        assert_eq!(p.tier, FAST);
         assert_eq!(p.bytes, 1000);
-        let removed = t.remove(id).unwrap();
-        assert_eq!(removed, p);
-        assert_eq!(t.get(id).unwrap_err(), AllocError::UnknownObject(id));
+        t.free(id).unwrap();
+        assert_eq!(t.placement(id).unwrap_err(), StackError::UnknownObject(id));
     }
 
     #[test]
     fn zero_size_rejected() {
-        let mut t = ObjectTable::new();
-        assert_eq!(
-            t.insert(0, MemTier::Fast).unwrap_err(),
-            AllocError::ZeroSize
-        );
+        assert_eq!(stack().alloc(0, FAST).unwrap_err(), StackError::ZeroSize);
     }
 
     #[test]
     fn ids_are_never_reused() {
-        let mut t = ObjectTable::new();
-        let a = t.insert(10, MemTier::Fast).unwrap();
-        t.remove(a).unwrap();
-        let b = t.insert(10, MemTier::Fast).unwrap();
+        let mut t = stack();
+        let a = t.alloc(10, FAST).unwrap();
+        t.free(a).unwrap();
+        let b = t.alloc(10, FAST).unwrap();
         assert_ne!(a, b);
     }
 
     #[test]
     fn addresses_disjoint_per_tier() {
-        let mut t = ObjectTable::new();
-        let ids: Vec<_> = (0..100)
-            .map(|_| t.insert(300, MemTier::Fast).unwrap())
-            .collect();
-        let mut addrs: Vec<u64> = ids.iter().map(|&i| t.get(i).unwrap().addr).collect();
+        let mut t = stack();
+        let ids: Vec<_> = (0..100).map(|_| t.alloc(300, FAST).unwrap()).collect();
+        let mut addrs: Vec<u64> = ids.iter().map(|&i| t.placement(i).unwrap().addr).collect();
         addrs.sort_unstable();
         addrs.dedup();
         assert_eq!(addrs.len(), 100, "live objects must not alias");
@@ -310,50 +111,38 @@ mod tests {
 
     #[test]
     fn freed_addresses_are_recycled() {
-        let mut t = ObjectTable::new();
-        let a = t.insert(1000, MemTier::Slow).unwrap();
-        let addr = t.get(a).unwrap().addr;
-        t.remove(a).unwrap();
-        let b = t.insert(900, MemTier::Slow).unwrap(); // same 1024-class
-        assert_eq!(t.get(b).unwrap().addr, addr);
+        let mut t = stack();
+        let a = t.alloc(1000, SLOW).unwrap();
+        let addr = t.placement(a).unwrap().addr;
+        t.free(a).unwrap();
+        let b = t.alloc(900, SLOW).unwrap(); // same 1024-class
+        assert_eq!(t.placement(b).unwrap().addr, addr);
     }
 
     #[test]
     fn migrate_moves_tier_and_keeps_size() {
-        let mut t = ObjectTable::new();
-        let id = t.insert(5000, MemTier::Slow).unwrap();
-        let (old, new) = t.migrate(id, MemTier::Fast).unwrap();
-        assert_eq!(old.tier, MemTier::Slow);
-        assert_eq!(new.tier, MemTier::Fast);
-        assert_eq!(new.bytes, 5000);
-        // No-op migration.
-        let (o2, n2) = t.migrate(id, MemTier::Fast).unwrap();
-        assert_eq!(o2, n2);
-    }
-
-    #[test]
-    fn resize_within_class_is_in_place() {
-        let mut t = ObjectTable::new();
-        let id = t.insert(1000, MemTier::Fast).unwrap();
-        let before = t.get(id).unwrap().addr;
-        let (_, new) = t.resize(id, 1024).unwrap(); // same 1024-class
-        assert_eq!(new.addr, before);
-        assert_eq!(new.bytes, 1024);
-        let (_, moved) = t.resize(id, 5000).unwrap();
-        assert_eq!(moved.bytes, 5000);
+        let mut t = stack();
+        let id = t.alloc(5000, SLOW).unwrap();
+        t.migrate(id, FAST).unwrap();
+        let p = t.placement(id).unwrap();
+        assert_eq!(p.tier, FAST);
+        assert_eq!(p.bytes, 5000);
+        // No-op migration: free, and the placement is untouched.
+        assert_eq!(t.migrate(id, FAST).unwrap(), 0.0);
+        assert_eq!(t.placement(id).unwrap(), p);
     }
 
     #[test]
     fn bytes_in_tier_accounting() {
-        let mut t = ObjectTable::new();
-        t.insert(100, MemTier::Fast).unwrap();
-        t.insert(200, MemTier::Fast).unwrap();
-        let s = t.insert(300, MemTier::Slow).unwrap();
-        assert_eq!(t.bytes_in(MemTier::Fast), 300);
-        assert_eq!(t.bytes_in(MemTier::Slow), 300);
-        t.migrate(s, MemTier::Fast).unwrap();
-        assert_eq!(t.bytes_in(MemTier::Fast), 600);
-        assert_eq!(t.bytes_in(MemTier::Slow), 0);
+        let mut t = stack();
+        t.alloc(100, FAST).unwrap();
+        t.alloc(200, FAST).unwrap();
+        let s = t.alloc(300, SLOW).unwrap();
+        assert_eq!(t.object_bytes_in(FAST), 300);
+        assert_eq!(t.object_bytes_in(SLOW), 300);
+        t.migrate(s, FAST).unwrap();
+        assert_eq!(t.object_bytes_in(FAST), 600);
+        assert_eq!(t.object_bytes_in(SLOW), 0);
     }
 
     #[test]
@@ -367,32 +156,32 @@ mod tests {
     proptest! {
         #[test]
         fn live_objects_never_alias(ops in proptest::collection::vec((0u64..4, 1u64..10_000), 1..200)) {
-            let mut t = ObjectTable::new();
+            let mut t = stack();
             let mut live: Vec<ObjectId> = Vec::new();
             for (op, arg) in ops {
                 match op {
                     0 | 1 => {
-                        let tier = if op == 0 { MemTier::Fast } else { MemTier::Slow };
-                        live.push(t.insert(arg, tier).unwrap());
+                        let tier = if op == 0 { FAST } else { SLOW };
+                        live.push(t.alloc(arg, tier).unwrap());
                     }
                     2 if !live.is_empty() => {
                         let id = live.remove(arg as usize % live.len());
-                        t.remove(id).unwrap();
+                        t.free(id).unwrap();
                     }
                     3 if !live.is_empty() => {
                         let id = live[arg as usize % live.len()];
-                        let target = if arg % 2 == 0 { MemTier::Fast } else { MemTier::Slow };
+                        let target = if arg % 2 == 0 { FAST } else { SLOW };
                         t.migrate(id, target).unwrap();
                     }
                     _ => {}
                 }
                 // Invariant: (tier, addr) pairs of live objects are unique.
                 let mut seen = std::collections::HashSet::new();
-                for (_, p) in t.iter() {
+                for (_, p) in t.objects() {
                     prop_assert!(seen.insert((p.tier, p.addr)), "aliased placement {p:?}");
                 }
             }
-            prop_assert_eq!(t.len(), live.len());
+            prop_assert_eq!(t.object_count(), live.len());
         }
     }
 }

@@ -12,15 +12,15 @@
 //!   default) and a line-granular set-associative LRU (accurate, used for
 //!   validation and the cache ablation bench), plus a pass-through.
 //! * [`device`] — per-tier timing: `latency + bytes / bandwidth`.
-//! * [`alloc`] — a segregated free-list object allocator that assigns
-//!   stable simulated addresses per tier and tracks placement.
-//! * [`system`] — the [`HybridMemory`] facade:
-//!   allocate / free / migrate objects between tiers and charge simulated
-//!   nanoseconds for reads and writes.
-//! * [`stack`] — the N-tier generalization: an ordered [`TierStack`] of
-//!   devices (DRAM + NVM + SSD-swap, any depth) with per-tier names,
-//!   capacities and $/GiB prices, bit-identical to [`HybridMemory`] in
-//!   its two-tier degenerate case.
+//! * [`alloc`] — stable object ids and a segregated free-list that
+//!   assigns simulated addresses per tier.
+//! * [`stack`] — the memory system: an ordered [`TierStack`] of devices
+//!   (DRAM + NVM + SSD-swap, any depth) with per-tier names, capacities
+//!   and $/GiB prices behind a shared LLC — allocate / free / migrate
+//!   objects between tiers and charge simulated nanoseconds for reads
+//!   and writes. The paper's FastMem/SlowMem testbed is its two-tier
+//!   case ([`StackSpec::two_tier`]).
+//! * [`system`] — whole-system LLC counters ([`system::CacheStats`]).
 //! * [`clock`] — simulated nanosecond clock and a seeded Gaussian noise
 //!   model standing in for real-hardware measurement variability.
 //! * [`degrade`] — time-varying per-tier degradation profiles (latency
@@ -38,12 +38,12 @@
 //! # Example
 //!
 //! ```
-//! use hybridmem::{HybridMemory, HybridSpec, MemTier, AccessKind};
+//! use hybridmem::{AccessKind, HybridSpec, MemTier, StackSpec, TierStack};
 //!
-//! let mut mem = HybridMemory::new(HybridSpec::paper_testbed());
-//! let obj = mem.alloc(100 * 1024, MemTier::Fast).unwrap();
+//! let mut mem = TierStack::new(StackSpec::two_tier(&HybridSpec::paper_testbed())).unwrap();
+//! let obj = mem.alloc(100 * 1024, MemTier::Fast.id()).unwrap();
 //! let t_fast = mem.access(obj, AccessKind::Read);
-//! mem.migrate(obj, MemTier::Slow).unwrap();
+//! mem.migrate(obj, MemTier::Slow.id()).unwrap();
 //! let t_slow = mem.access(obj, AccessKind::Read);
 //! assert!(t_slow > t_fast, "SlowMem reads must be slower");
 //! ```
@@ -70,7 +70,7 @@ pub mod stack;
 pub mod stats;
 pub mod system;
 
-pub use alloc::{AllocError, ObjectId};
+pub use alloc::ObjectId;
 pub use cache::{Cache, CacheConfig, CacheKind};
 pub use clock::{NoiseModel, SimClock};
 pub use degrade::{DegradationProfile, DegradationWindow, TierFactors};
@@ -80,4 +80,4 @@ pub use device::{CapacityError, Device};
 pub use spec::{AccessKind, HybridSpec, MemTier, TierId, TierSpec};
 pub use stack::{StackError, StackPlacement, StackSpec, TierDef, TierStack};
 pub use stats::{AccessStats, Histogram};
-pub use system::HybridMemory;
+pub use system::CacheStats;

@@ -1,19 +1,17 @@
-//! N-tier generalization of [`HybridMemory`](crate::system::HybridMemory).
+//! The simulated memory system: an ordered stack of tiers behind an LLC.
 //!
 //! The paper's model is exactly two tiers (FastMem/SlowMem). A
-//! [`TierStack`] is the same machinery over an *ordered list* of devices
-//! — DRAM + NVM + SSD-backed swap, or any depth — each described by a
-//! [`TierDef`] carrying Table-I-style timing plus a capacity and a $/GiB
-//! price. Index 0 is the topmost (fastest) tier; indices grow downward
-//! toward cheaper, slower devices.
+//! [`TierStack`] is an *ordered list* of devices — DRAM + NVM +
+//! SSD-backed swap, or any depth — each described by a [`TierDef`]
+//! carrying Table-I-style timing plus a capacity and a $/GiB price.
+//! Index 0 is the topmost (fastest) tier; indices grow downward toward
+//! cheaper, slower devices. The paper's testbed is the two-tier case,
+//! built from its Table I description with [`StackSpec::two_tier`].
 //!
-//! The access path is byte-for-byte the same float arithmetic as the
-//! two-tier [`HybridMemory`](crate::system::HybridMemory) facade: the
-//! same LLC front-end, the same [`Device`] charge rows, the same
-//! allocator address sequences. A two-tier stack built via
-//! [`StackSpec::two_tier`] therefore reproduces the legacy system's
-//! charges bit-identically — the property the `mnemo-tier` greedy policy
-//! relies on to keep golden figures byte-stable at N=2.
+//! Every access is front-ended by the LLC model: bytes that hit in
+//! cache are served at cache speed, bytes that miss at the owning
+//! tier's [`Device`] speed. Objects get stable ids and per-tier
+//! simulated addresses from the [`alloc`](crate::alloc) arenas.
 
 use crate::alloc::{ObjectId, TierArena};
 use crate::cache::{Cache, CacheConfig};
@@ -67,7 +65,7 @@ pub struct StackSpec {
 }
 
 impl StackSpec {
-    /// The legacy two-tier system as a stack: FastMem at index 0,
+    /// The paper's two-tier system as a stack: FastMem at index 0,
     /// SlowMem at index 1, same capacities and cache. Prices follow the
     /// paper's cost model where SlowMem costs a 0.2 fraction of FastMem
     /// per byte (DRAM at $6/GiB).
@@ -252,9 +250,11 @@ impl std::error::Error for StackError {
     }
 }
 
-/// A simulated N-tier memory system with an LLC in front — the
-/// [`HybridMemory`](crate::system::HybridMemory) facade generalized to
-/// an ordered stack of devices.
+/// A simulated N-tier memory system with an LLC in front.
+///
+/// All methods that model memory traffic return the simulated cost in
+/// nanoseconds; callers (the KV engines) accumulate those into request
+/// service times.
 pub struct TierStack {
     spec: StackSpec,
     devices: Vec<Device>,
@@ -325,7 +325,8 @@ impl TierStack {
     }
 
     /// Install (or clear) a time-varying degradation profile on all
-    /// devices, shared via `Arc` like the two-tier facade.
+    /// devices (shared via `Arc`). Accesses and reservations consult it
+    /// at the time last set via [`Self::set_now_ns`].
     pub fn set_degradation(&mut self, profile: Option<DegradationProfile>) {
         let shared = profile.map(Arc::new);
         for d in &mut self.devices {
@@ -340,14 +341,17 @@ impl TierStack {
     }
 
     /// Set the simulated time at which all devices evaluate their
-    /// degradation profile.
+    /// degradation profile. Drivers call this once per request with
+    /// their `SimClock` reading; without a profile installed it is free
+    /// of observable effect.
     pub fn set_now_ns(&mut self, now_ns: u128) {
         for d in &mut self.devices {
             d.set_now_ns(now_ns);
         }
     }
 
-    /// Drop all cached state without touching device statistics.
+    /// Drop all cached state without touching device statistics — a cold
+    /// restart after a crash, mid-measurement.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
     }
@@ -385,8 +389,8 @@ impl TierStack {
 
     /// Migrate an object to `target`, returning the simulated cost of
     /// the copy (read from source + write to destination); a no-op
-    /// migration costs nothing. Same charge order as the two-tier
-    /// facade, so costs stay bit-identical at N=2.
+    /// migration costs nothing. A full target leaves the object where
+    /// it was.
     pub fn migrate(&mut self, id: ObjectId, target: TierId) -> Result<f64, StackError> {
         let ti = self.check_tier(target)?;
         let old = self.placement(id)?;
@@ -425,39 +429,20 @@ impl TierStack {
     }
 
     /// Access the whole object; returns simulated nanoseconds (zero for
-    /// an unknown object, mirroring the two-tier facade).
+    /// an unknown object).
     pub fn access(&mut self, id: ObjectId, kind: AccessKind) -> f64 {
-        let p = match self.placement(id) {
-            Ok(p) => p,
-            Err(_) => return 0.0,
-        };
-        self.access_placed(id, p, kind, p.bytes)
-    }
-
-    /// Access the first `bytes` of the object (clamped to its size).
-    pub fn access_bytes(&mut self, id: ObjectId, kind: AccessKind, bytes: u64) -> f64 {
-        let p = match self.placement(id) {
-            Ok(p) => p,
-            Err(_) => return 0.0,
-        };
-        self.access_placed(id, p, kind, bytes.min(p.bytes))
+        match self.placement(id) {
+            Ok(p) => self.access_at(id, p, kind),
+            Err(_) => 0.0,
+        }
     }
 
     /// Access the whole object through a placement the caller already
     /// resolved via [`Self::placement`], skipping the second table probe
-    /// on the request hot path.
+    /// on the request hot path. The placement must be current — callers
+    /// use it immediately after the lookup, before any migrate or free.
     pub fn access_at(&mut self, id: ObjectId, p: StackPlacement, kind: AccessKind) -> f64 {
-        self.access_placed(id, p, kind, p.bytes)
-    }
-
-    fn access_placed(
-        &mut self,
-        id: ObjectId,
-        p: StackPlacement,
-        kind: AccessKind,
-        bytes: u64,
-    ) -> f64 {
-        let outcome = self.cache.access(id.0, bytes);
+        let outcome = self.cache.access(id.0, p.bytes);
         if outcome.hit_bytes > 0 {
             self.cache_stats.hits += 1;
             self.cache_stats.hit_bytes += outcome.hit_bytes;
@@ -473,14 +458,17 @@ impl TierStack {
         ns
     }
 
-    /// A raw, uncached device access of `bytes` in `tier` — engine
-    /// metadata traffic not tracked as an object.
+    /// A raw, uncached device access of `bytes` in `tier` — models
+    /// pointer-chasing engine metadata that lives alongside the data but
+    /// is not tracked as an object (dict entries, slab headers, ...).
     pub fn touch(&mut self, tier: TierId, kind: AccessKind, bytes: u64) -> f64 {
         self.devices[tier.index()].access_ns(kind, bytes)
     }
 
-    /// `n` identical raw device accesses in one call, bit-identical to
-    /// `n` separate [`Self::touch`] calls.
+    /// `n` identical raw device accesses in one call. The charge is
+    /// resolved once and accumulated, so the returned total and the
+    /// device stats are bit-identical to `n` separate [`Self::touch`]
+    /// calls — this is how engines batch their pointer-chase chains.
     pub fn touch_n(&mut self, tier: TierId, kind: AccessKind, bytes: u64, n: u64) -> f64 {
         self.devices[tier.index()].access_ns_n(kind, bytes, n)
     }
@@ -571,8 +559,6 @@ impl std::fmt::Debug for TierStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MemTier;
-    use crate::system::HybridMemory;
 
     fn three_tier() -> StackSpec {
         StackSpec {
@@ -680,49 +666,6 @@ mod tests {
             }
         ));
         stack.alloc(1, TierId(1)).unwrap();
-    }
-
-    #[test]
-    fn two_tier_stack_matches_hybrid_memory_bit_for_bit() {
-        let mut spec = HybridSpec::paper_testbed();
-        spec.fast_capacity = 1 << 20;
-        spec.slow_capacity = 1 << 20;
-        let mut legacy = HybridMemory::new(spec.clone());
-        let mut stack = TierStack::new(StackSpec::two_tier(&spec)).unwrap();
-
-        let mut legacy_ids = Vec::new();
-        let mut stack_ids = Vec::new();
-        for i in 0..50u64 {
-            let bytes = 256 + i * 97;
-            let tier = if i % 3 == 0 {
-                MemTier::Fast
-            } else {
-                MemTier::Slow
-            };
-            legacy_ids.push(legacy.alloc(bytes, tier).unwrap());
-            stack_ids.push(stack.alloc(bytes, tier.id()).unwrap());
-        }
-        for round in 0..3 {
-            for (i, (&l, &s)) in legacy_ids.iter().zip(&stack_ids).enumerate() {
-                let kind = if (i + round) % 4 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                let a = legacy.access(l, kind);
-                let b = stack.access(s, kind);
-                assert_eq!(a.to_bits(), b.to_bits(), "i={i} round={round}");
-            }
-        }
-        let lm = legacy.migrate(legacy_ids[4], MemTier::Fast).unwrap();
-        let sm = stack.migrate(stack_ids[4], TierId::FAST).unwrap();
-        assert_eq!(lm.to_bits(), sm.to_bits());
-        assert_eq!(legacy.cache_stats(), stack.cache_stats());
-        assert_eq!(
-            legacy.tier_stats(MemTier::Slow),
-            stack.tier_stats(TierId::SLOW)
-        );
-        assert_eq!(legacy.used(MemTier::Fast), stack.used(TierId::FAST));
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! The [`HybridMemory`] facade tying devices, cache and placement together.
-
-use crate::alloc::{AllocError, ObjectId, ObjectTable, Placement};
-use crate::cache::{Cache, CacheConfig};
-use crate::degrade::DegradationProfile;
-use crate::device::Device;
-use crate::spec::{AccessKind, HybridSpec, MemTier};
-use crate::stats::AccessStats;
-use std::sync::Arc;
+//! Whole-system counters of the simulated memory system.
+//!
+//! [`TierStack`](crate::stack::TierStack) is the one memory system: an
+//! ordered stack of devices behind a shared LLC. The paper's FastMem /
+//! SlowMem testbed is its two-tier case, built from the Table I
+//! description with [`StackSpec::two_tier`](crate::stack::StackSpec::two_tier).
+//! This module holds the LLC counters the stack reports and the
+//! end-to-end unit tests of that two-tier configuration.
 
 /// Cache-level counters for a whole system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,285 +44,15 @@ impl CacheStats {
     }
 }
 
-/// A simulated two-tier memory system with an LLC in front.
-///
-/// All methods that model memory traffic return the simulated cost in
-/// nanoseconds; callers (the KV engines) accumulate those into request
-/// service times.
-pub struct HybridMemory {
-    spec: HybridSpec,
-    fast: Device,
-    slow: Device,
-    objects: ObjectTable,
-    cache: Box<dyn Cache>,
-    cache_stats: CacheStats,
-    degradation: Option<Arc<DegradationProfile>>,
-}
-
-impl HybridMemory {
-    /// Build a system from a spec (cache model chosen by the spec).
-    pub fn new(spec: HybridSpec) -> HybridMemory {
-        let cache = spec.cache.build();
-        HybridMemory {
-            fast: Device::new(MemTier::Fast, spec.fast, spec.fast_capacity),
-            slow: Device::new(MemTier::Slow, spec.slow, spec.slow_capacity),
-            objects: ObjectTable::new(),
-            cache,
-            cache_stats: CacheStats::default(),
-            degradation: None,
-            spec,
-        }
-    }
-
-    /// Replace the cache model (clears cached state).
-    pub fn set_cache(&mut self, config: CacheConfig) {
-        self.spec.cache = config;
-        self.cache = config.build();
-        self.cache_stats = CacheStats::default();
-    }
-
-    /// Install (or clear) a time-varying degradation profile on both
-    /// devices. Accesses and reservations consult it at the time last set
-    /// via [`Self::set_now_ns`].
-    pub fn set_degradation(&mut self, profile: Option<DegradationProfile>) {
-        let shared = profile.map(Arc::new);
-        self.fast.set_degradation(shared.clone());
-        self.slow.set_degradation(shared.clone());
-        self.degradation = shared;
-    }
-
-    /// The installed degradation profile, if any.
-    pub fn degradation(&self) -> Option<&DegradationProfile> {
-        self.degradation.as_deref()
-    }
-
-    /// Set the simulated time at which both devices evaluate their
-    /// degradation profile. Drivers call this once per request with their
-    /// `SimClock` reading; without a profile installed it is free of
-    /// observable effect.
-    pub fn set_now_ns(&mut self, now_ns: u128) {
-        self.fast.set_now_ns(now_ns);
-        self.slow.set_now_ns(now_ns);
-    }
-
-    /// Drop all cached state without touching device statistics — a cold
-    /// restart after a crash, mid-measurement.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// The system specification.
-    pub fn spec(&self) -> &HybridSpec {
-        &self.spec
-    }
-
-    fn device(&mut self, tier: MemTier) -> &mut Device {
-        match tier {
-            MemTier::Fast => &mut self.fast,
-            MemTier::Slow => &mut self.slow,
-        }
-    }
-
-    /// Allocate an object of `bytes` in `tier`.
-    pub fn alloc(&mut self, bytes: u64, tier: MemTier) -> Result<ObjectId, AllocError> {
-        self.device(tier)
-            .reserve(bytes)
-            .map_err(|source| AllocError::OutOfMemory { tier, source })?;
-        match self.objects.insert(bytes, tier) {
-            Ok(id) => Ok(id),
-            Err(e) => {
-                self.device(tier).release(bytes);
-                Err(e)
-            }
-        }
-    }
-
-    /// Free an object.
-    pub fn free(&mut self, id: ObjectId) -> Result<(), AllocError> {
-        let p = self.objects.remove(id)?;
-        self.device(p.tier).release(p.bytes);
-        self.cache.invalidate(id.0);
-        Ok(())
-    }
-
-    /// Migrate an object to `target`, returning the simulated cost of the
-    /// copy (read from source + write to destination). A no-op migration
-    /// costs nothing.
-    pub fn migrate(&mut self, id: ObjectId, target: MemTier) -> Result<f64, AllocError> {
-        let current = self.objects.get(id)?;
-        if current.tier == target {
-            return Ok(0.0);
-        }
-        self.device(target)
-            .reserve(current.bytes)
-            .map_err(|source| AllocError::OutOfMemory {
-                tier: target,
-                source,
-            })?;
-        // `get(id)` above proved the object is live, so this cannot
-        // fail; if it ever does, propagate rather than abort.
-        let (old, _new) = self.objects.migrate(id, target)?;
-        self.device(old.tier).release(old.bytes);
-        self.cache.invalidate(id.0);
-        let read = self.device(old.tier).access_ns(AccessKind::Read, old.bytes);
-        let write = self.device(target).access_ns(AccessKind::Write, old.bytes);
-        Ok(read + write)
-    }
-
-    /// Resize an object in place, returning the placement change. Frees
-    /// and re-reserves capacity; fails (object unchanged) if the tier
-    /// cannot hold the new size.
-    pub fn resize(&mut self, id: ObjectId, bytes: u64) -> Result<Placement, AllocError> {
-        let current = self.objects.get(id)?;
-        if bytes > current.bytes {
-            let grow = bytes - current.bytes;
-            self.device(current.tier)
-                .reserve(grow)
-                .map_err(|source| AllocError::OutOfMemory {
-                    tier: current.tier,
-                    source,
-                })?;
-        } else {
-            self.device(current.tier).release(current.bytes - bytes);
-        }
-        let (_, new) = self.objects.resize(id, bytes)?;
-        self.cache.invalidate(id.0);
-        Ok(new)
-    }
-
-    /// Current placement of an object.
-    pub fn placement(&self, id: ObjectId) -> Result<Placement, AllocError> {
-        self.objects.get(id)
-    }
-
-    /// Access the whole object; returns simulated nanoseconds.
-    pub fn access(&mut self, id: ObjectId, kind: AccessKind) -> f64 {
-        let p = match self.objects.get(id) {
-            Ok(p) => p,
-            Err(_) => return 0.0,
-        };
-        self.access_placed(id, p, kind, p.bytes)
-    }
-
-    /// Access the first `bytes` of the object (clamped to its size).
-    pub fn access_bytes(&mut self, id: ObjectId, kind: AccessKind, bytes: u64) -> f64 {
-        let p = match self.objects.get(id) {
-            Ok(p) => p,
-            Err(_) => return 0.0,
-        };
-        self.access_placed(id, p, kind, bytes.min(p.bytes))
-    }
-
-    fn access_placed(&mut self, id: ObjectId, p: Placement, kind: AccessKind, bytes: u64) -> f64 {
-        let outcome = self.cache.access(id.0, bytes);
-        if outcome.hit_bytes > 0 {
-            self.cache_stats.hits += 1;
-            self.cache_stats.hit_bytes += outcome.hit_bytes;
-        }
-        if outcome.miss_bytes > 0 {
-            self.cache_stats.misses += 1;
-            self.cache_stats.miss_bytes += outcome.miss_bytes;
-        }
-        let mut ns = self.spec.cache.hit_ns(outcome.hit_bytes);
-        if outcome.miss_bytes > 0 {
-            ns += self.device(p.tier).access_ns(kind, outcome.miss_bytes);
-        }
-        ns
-    }
-
-    /// A raw, uncached device access of `bytes` in `tier` — models
-    /// pointer-chasing engine metadata that lives alongside the data but
-    /// is not tracked as an object (dict entries, slab headers, ...).
-    pub fn touch(&mut self, tier: MemTier, kind: AccessKind, bytes: u64) -> f64 {
-        self.device(tier).access_ns(kind, bytes)
-    }
-
-    /// `n` identical raw device accesses in one call. The charge is
-    /// resolved once and accumulated, so the returned total and the
-    /// device stats are bit-identical to `n` separate [`Self::touch`]
-    /// calls — this is how engines batch their pointer-chase chains.
-    pub fn touch_n(&mut self, tier: MemTier, kind: AccessKind, bytes: u64, n: u64) -> f64 {
-        self.device(tier).access_ns_n(kind, bytes, n)
-    }
-
-    /// Access the whole object through a placement the caller already
-    /// resolved via [`Self::placement`], skipping the second object-table
-    /// probe on the request hot path. The placement must be current —
-    /// callers use it immediately after the lookup, before any
-    /// migrate/resize/free.
-    pub fn access_at(&mut self, id: ObjectId, p: Placement, kind: AccessKind) -> f64 {
-        self.access_placed(id, p, kind, p.bytes)
-    }
-
-    /// Device statistics for one tier.
-    pub fn tier_stats(&self, tier: MemTier) -> &AccessStats {
-        match tier {
-            MemTier::Fast => self.fast.stats(),
-            MemTier::Slow => self.slow.stats(),
-        }
-    }
-
-    /// Cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache_stats
-    }
-
-    /// Used bytes in a tier.
-    pub fn used(&self, tier: MemTier) -> u64 {
-        match tier {
-            MemTier::Fast => self.fast.used(),
-            MemTier::Slow => self.slow.used(),
-        }
-    }
-
-    /// Free bytes in a tier.
-    pub fn free_bytes(&self, tier: MemTier) -> u64 {
-        match tier {
-            MemTier::Fast => self.fast.free(),
-            MemTier::Slow => self.slow.free(),
-        }
-    }
-
-    /// Number of live objects.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// Live bytes per tier according to the object table (excludes
-    /// engine-internal reservations).
-    pub fn object_bytes_in(&self, tier: MemTier) -> u64 {
-        self.objects.bytes_in(tier)
-    }
-
-    /// Iterate over live objects and their placements.
-    pub fn objects(&self) -> impl Iterator<Item = (ObjectId, Placement)> + '_ {
-        self.objects.iter()
-    }
-
-    /// Reset access statistics and drop all cached state — the moment
-    /// "between runs" in the paper's methodology.
-    pub fn reset_measurement_state(&mut self) {
-        self.fast.reset_stats();
-        self.slow.reset_stats();
-        self.cache.clear();
-        self.cache_stats = CacheStats::default();
-    }
-}
-
-impl std::fmt::Debug for HybridMemory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HybridMemory")
-            .field("fast_used", &self.fast.used())
-            .field("slow_used", &self.slow.used())
-            .field("objects", &self.objects.len())
-            .field("cache_stats", &self.cache_stats)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
+    use crate::spec::{AccessKind, HybridSpec, MemTier, TierId};
+    use crate::stack::{StackError, StackSpec, TierStack};
+
+    const FAST: TierId = TierId::FAST;
+    const SLOW: TierId = TierId::SLOW;
 
     fn small_spec() -> HybridSpec {
         let mut spec = HybridSpec::paper_testbed();
@@ -332,44 +61,48 @@ mod tests {
         spec
     }
 
+    fn system(spec: &HybridSpec) -> TierStack {
+        TierStack::new(StackSpec::two_tier(spec)).unwrap()
+    }
+
+    fn uncached() -> TierStack {
+        let mut spec = small_spec();
+        spec.cache = CacheConfig::disabled();
+        system(&spec)
+    }
+
     #[test]
     fn alloc_free_accounting() {
-        let mut mem = HybridMemory::new(small_spec());
-        let id = mem.alloc(1000, MemTier::Fast).unwrap();
-        assert_eq!(mem.used(MemTier::Fast), 1000);
+        let mut mem = system(&small_spec());
+        let id = mem.alloc(1000, FAST).unwrap();
+        assert_eq!(mem.used(FAST), 1000);
         assert_eq!(mem.object_count(), 1);
         mem.free(id).unwrap();
-        assert_eq!(mem.used(MemTier::Fast), 0);
+        assert_eq!(mem.used(FAST), 0);
         assert_eq!(mem.object_count(), 0);
-        assert_eq!(mem.free(id).unwrap_err(), AllocError::UnknownObject(id));
+        assert_eq!(mem.free(id).unwrap_err(), StackError::UnknownObject(id));
     }
 
     #[test]
     fn capacity_is_enforced() {
-        let mut mem = HybridMemory::new(small_spec());
-        mem.alloc(1 << 20, MemTier::Fast).unwrap();
-        let err = mem.alloc(1, MemTier::Fast).unwrap_err();
-        assert!(matches!(
-            err,
-            AllocError::OutOfMemory {
-                tier: MemTier::Fast,
-                ..
-            }
-        ));
+        let mut mem = system(&small_spec());
+        mem.alloc(1 << 20, MemTier::Fast.id()).unwrap();
+        let err = mem.alloc(1, MemTier::Fast.id()).unwrap_err();
+        assert!(matches!(err, StackError::OutOfMemory { tier: FAST, .. }));
         // Slow tier unaffected.
-        mem.alloc(1, MemTier::Slow).unwrap();
+        mem.alloc(1, MemTier::Slow.id()).unwrap();
     }
 
     #[test]
     fn over_commit_surfaces_capacity_details() {
         use crate::device::CapacityError;
-        let mut mem = HybridMemory::new(small_spec());
-        mem.alloc((1 << 20) - 100, MemTier::Fast).unwrap();
-        let err = mem.alloc(500, MemTier::Fast).unwrap_err();
+        let mut mem = system(&small_spec());
+        mem.alloc((1 << 20) - 100, FAST).unwrap();
+        let err = mem.alloc(500, FAST).unwrap_err();
         assert_eq!(
             err,
-            AllocError::OutOfMemory {
-                tier: MemTier::Fast,
+            StackError::OutOfMemory {
+                tier: FAST,
                 source: CapacityError::OutOfMemory {
                     requested: 500,
                     free: 100,
@@ -384,10 +117,8 @@ mod tests {
     #[test]
     fn degradation_profile_slows_accesses_in_window() {
         use crate::degrade::{DegradationProfile, DegradationWindow};
-        let mut spec = small_spec();
-        spec.cache = CacheConfig::disabled();
-        let mut mem = HybridMemory::new(spec);
-        let id = mem.alloc(100_000, MemTier::Slow).unwrap();
+        let mut mem = uncached();
+        let id = mem.alloc(100_000, SLOW).unwrap();
         let nominal = mem.access(id, AccessKind::Read);
         mem.set_degradation(Some(DegradationProfile::new().with(DegradationWindow {
             latency_mult: 4.0,
@@ -410,32 +141,25 @@ mod tests {
     #[test]
     fn capacity_shrink_fails_allocations_during_window() {
         use crate::degrade::{DegradationProfile, DegradationWindow};
-        let mut mem = HybridMemory::new(small_spec());
+        let mut mem = system(&small_spec());
         mem.set_degradation(Some(DegradationProfile::new().with(DegradationWindow {
             capacity_shrink: 1 << 20,
             ..DegradationWindow::nominal(MemTier::Fast, 100, 200)
         })));
         mem.set_now_ns(150);
-        let err = mem.alloc(1, MemTier::Fast).unwrap_err();
-        assert!(matches!(
-            err,
-            AllocError::OutOfMemory {
-                tier: MemTier::Fast,
-                ..
-            }
-        ));
+        assert_eq!(mem.effective_capacity(FAST), 0);
+        let err = mem.alloc(1, FAST).unwrap_err();
+        assert!(matches!(err, StackError::OutOfMemory { tier: FAST, .. }));
         // The window passes and the same allocation succeeds.
         mem.set_now_ns(200);
-        mem.alloc(1, MemTier::Fast).unwrap();
+        mem.alloc(1, FAST).unwrap();
     }
 
     #[test]
     fn slow_reads_cost_more_when_uncached() {
-        let mut spec = small_spec();
-        spec.cache = CacheConfig::disabled();
-        let mut mem = HybridMemory::new(spec);
-        let f = mem.alloc(100_000, MemTier::Fast).unwrap();
-        let s = mem.alloc(100_000, MemTier::Slow).unwrap();
+        let mut mem = uncached();
+        let f = mem.alloc(100_000, FAST).unwrap();
+        let s = mem.alloc(100_000, SLOW).unwrap();
         let tf = mem.access(f, AccessKind::Read);
         let ts = mem.access(s, AccessKind::Read);
         assert!(ts > 5.0 * tf, "slow {ts} vs fast {tf}");
@@ -443,8 +167,8 @@ mod tests {
 
     #[test]
     fn cached_rereads_are_cheap_and_tier_blind() {
-        let mut mem = HybridMemory::new(small_spec());
-        let s = mem.alloc(4096, MemTier::Slow).unwrap();
+        let mut mem = system(&small_spec());
+        let s = mem.alloc(4096, SLOW).unwrap();
         let cold = mem.access(s, AccessKind::Read);
         let warm = mem.access(s, AccessKind::Read);
         assert!(warm < cold / 5.0, "cold {cold} warm {warm}");
@@ -454,70 +178,56 @@ mod tests {
 
     #[test]
     fn migration_moves_bytes_and_invalidates_cache() {
-        let mut mem = HybridMemory::new(small_spec());
-        let id = mem.alloc(4096, MemTier::Slow).unwrap();
+        let mut mem = system(&small_spec());
+        let id = mem.alloc(4096, SLOW).unwrap();
         mem.access(id, AccessKind::Read); // warm the cache
-        let cost = mem.migrate(id, MemTier::Fast).unwrap();
+        let cost = mem.migrate(id, FAST).unwrap();
         assert!(cost > 0.0);
-        assert_eq!(mem.used(MemTier::Fast), 4096);
-        assert_eq!(mem.used(MemTier::Slow), 0);
+        assert_eq!(mem.used(FAST), 4096);
+        assert_eq!(mem.used(SLOW), 0);
         // Cache was invalidated, so the next read misses (but in Fast now).
         let t = mem.access(id, AccessKind::Read);
         let warm = mem.access(id, AccessKind::Read);
         assert!(t > warm);
+        assert_eq!(mem.cache_stats().misses, 2);
         // No-op migration is free.
-        assert_eq!(mem.migrate(id, MemTier::Fast).unwrap(), 0.0);
+        assert_eq!(mem.migrate(id, FAST).unwrap(), 0.0);
     }
 
     #[test]
     fn migration_fails_when_target_full() {
-        let mut mem = HybridMemory::new(small_spec());
-        mem.alloc(1 << 20, MemTier::Fast).unwrap();
-        let id = mem.alloc(4096, MemTier::Slow).unwrap();
-        assert!(mem.migrate(id, MemTier::Fast).is_err());
-        // Object still lives in Slow.
-        assert_eq!(mem.placement(id).unwrap().tier, MemTier::Slow);
-    }
-
-    #[test]
-    fn resize_updates_accounting() {
-        let mut mem = HybridMemory::new(small_spec());
-        let id = mem.alloc(1000, MemTier::Fast).unwrap();
-        mem.resize(id, 5000).unwrap();
-        assert_eq!(mem.used(MemTier::Fast), 5000);
-        mem.resize(id, 100).unwrap();
-        assert_eq!(mem.used(MemTier::Fast), 100);
-    }
-
-    #[test]
-    fn partial_access_charges_less() {
-        let mut spec = small_spec();
-        spec.cache = CacheConfig::disabled();
-        let mut mem = HybridMemory::new(spec);
-        let id = mem.alloc(100_000, MemTier::Slow).unwrap();
-        let full = mem.access(id, AccessKind::Read);
-        let part = mem.access_bytes(id, AccessKind::Read, 1000);
-        assert!(part < full / 10.0);
+        let mut mem = system(&small_spec());
+        mem.alloc(1 << 20, FAST).unwrap();
+        let id = mem.alloc(4096, SLOW).unwrap();
+        assert!(mem.migrate(id, FAST).is_err());
+        // Object still lives in Slow, and no capacity leaked.
+        assert_eq!(mem.placement(id).unwrap().tier, SLOW);
+        assert_eq!(mem.used(SLOW), 4096);
+        assert_eq!(mem.used(FAST), 1 << 20);
     }
 
     #[test]
     fn touch_charges_raw_device_time() {
-        let mut mem = HybridMemory::new(small_spec());
-        let tf = mem.touch(MemTier::Fast, AccessKind::Read, 64);
-        let ts = mem.touch(MemTier::Slow, AccessKind::Read, 64);
+        let mut mem = system(&small_spec());
+        let tf = mem.touch(FAST, AccessKind::Read, 64);
+        let ts = mem.touch(SLOW, AccessKind::Read, 64);
         assert!(ts > 3.0 * tf);
-        assert_eq!(mem.tier_stats(MemTier::Slow).reads, 1);
+        assert_eq!(mem.tier_stats(SLOW).reads, 1);
+        // A batched chain charges and counts like separate touches.
+        let chain = mem.touch_n(SLOW, AccessKind::Read, 64, 4);
+        assert_eq!(chain.to_bits(), (ts + ts + ts + ts).to_bits());
+        assert_eq!(mem.tier_stats(SLOW).reads, 5);
     }
 
     #[test]
     fn reset_measurement_state_clears_cache_and_stats() {
-        let mut mem = HybridMemory::new(small_spec());
-        let id = mem.alloc(4096, MemTier::Fast).unwrap();
+        let mut mem = system(&small_spec());
+        let id = mem.alloc(4096, FAST).unwrap();
         mem.access(id, AccessKind::Read);
         mem.access(id, AccessKind::Read);
         mem.reset_measurement_state();
         assert_eq!(mem.cache_stats(), CacheStats::default());
-        assert_eq!(mem.tier_stats(MemTier::Fast).reads, 0);
+        assert_eq!(mem.tier_stats(FAST).reads, 0);
         // First read after reset misses again.
         mem.access(id, AccessKind::Read);
         assert_eq!(mem.cache_stats().misses, 1);
@@ -525,18 +235,21 @@ mod tests {
 
     #[test]
     fn access_unknown_object_is_zero_cost() {
-        let mut mem = HybridMemory::new(small_spec());
-        let id = mem.alloc(10, MemTier::Fast).unwrap();
+        let mut mem = system(&small_spec());
+        let id = mem.alloc(10, FAST).unwrap();
         mem.free(id).unwrap();
         assert_eq!(mem.access(id, AccessKind::Read), 0.0);
     }
 
     #[test]
     fn cache_hit_ratio() {
-        let mut mem = HybridMemory::new(small_spec());
-        let id = mem.alloc(1024, MemTier::Fast).unwrap();
+        let mut mem = system(&small_spec());
+        let id = mem.alloc(1024, FAST).unwrap();
         mem.access(id, AccessKind::Read);
         mem.access(id, AccessKind::Read);
         assert!((mem.cache_stats().hit_ratio() - 0.5).abs() < 1e-12);
+        let later = mem.cache_stats();
+        mem.access(id, AccessKind::Read);
+        assert_eq!(mem.cache_stats().since(&later).hits, 1);
     }
 }

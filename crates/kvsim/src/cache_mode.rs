@@ -21,7 +21,7 @@ use crate::engine::{EngineError, KvEngine};
 use crate::profile::StoreKind;
 use crate::server::{make_engine, RequestSample, RunReport};
 use hybridmem::cache::ObjectLru;
-use hybridmem::{AccessKind, DetHashSet, Histogram, HybridSpec, MemTier, SimClock};
+use hybridmem::{AccessKind, DetHashSet, Histogram, HybridSpec, SimClock, StackSpec, TierId};
 use ycsb::{Op, Trace};
 
 /// Cache-mode statistics.
@@ -81,9 +81,9 @@ impl CacheModeServer {
         trace: &Trace,
         fast_capacity_bytes: u64,
     ) -> Result<CacheModeServer, EngineError> {
-        let mut engine = make_engine(kind, spec.clone());
+        let mut engine = make_engine(kind, StackSpec::two_tier(&spec))?;
         for (key, &bytes) in trace.sizes.iter().enumerate() {
-            engine.load(key as u64, bytes, MemTier::Slow)?;
+            engine.load(key as u64, bytes, TierId::SLOW)?;
         }
         Ok(CacheModeServer {
             engine,

@@ -17,7 +17,9 @@ use crate::engine::EngineError;
 use crate::profile::StoreKind;
 use crate::server::{make_engine, Placement, RequestSample, RunReport};
 use hybridmem::clock::NoiseConfig;
-use hybridmem::{DetHashSet, Histogram, HybridSpec, MemTier, NoiseModel, SimClock};
+use hybridmem::{
+    DetHashSet, Histogram, HybridSpec, MemTier, NoiseModel, SimClock, StackSpec, TierId,
+};
 use ycsb::{Op, Trace};
 
 /// A FastMem server + SlowMem server pair with client-side routing.
@@ -54,14 +56,15 @@ impl TwoInstanceCluster {
         trace: &Trace,
         fast_keys: DetHashSet<u64>,
     ) -> Result<TwoInstanceCluster, EngineError> {
-        let mut fast = make_engine(kind, spec.clone());
-        let mut slow = make_engine(kind, spec);
+        let stack = StackSpec::two_tier(&spec);
+        let mut fast = make_engine(kind, stack.clone())?;
+        let mut slow = make_engine(kind, stack)?;
         for (key, &bytes) in trace.sizes.iter().enumerate() {
             let key = key as u64;
             if fast_keys.contains(&key) {
-                fast.load(key, bytes, MemTier::Fast)?;
+                fast.load(key, bytes, TierId::FAST)?;
             } else {
-                slow.load(key, bytes, MemTier::Slow)?;
+                slow.load(key, bytes, TierId::SLOW)?;
             }
         }
         Ok(TwoInstanceCluster {
@@ -102,8 +105,8 @@ impl TwoInstanceCluster {
     /// Bytes held by each instance, `(fast, slow)`.
     pub fn byte_split(&self) -> (u64, u64) {
         (
-            self.fast.bytes_in(MemTier::Fast),
-            self.slow.bytes_in(MemTier::Slow),
+            self.fast.bytes_in(TierId::FAST),
+            self.slow.bytes_in(TierId::SLOW),
         )
     }
 

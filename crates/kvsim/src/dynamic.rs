@@ -21,7 +21,7 @@
 use crate::engine::{EngineError, KvEngine};
 use crate::profile::StoreKind;
 use crate::server::{make_engine, RequestSample, RunReport};
-use hybridmem::{Histogram, HybridSpec, MemTier, SimClock};
+use hybridmem::{Histogram, HybridSpec, MemTier, SimClock, StackSpec, TierId};
 use mnemo_faults::{Backoff, FaultPlan, MigrationFaults};
 use ycsb::{Op, Trace};
 
@@ -119,9 +119,9 @@ impl DynamicTieringServer {
         assert!(config.epoch_requests > 0, "epoch must be positive");
         assert!((0.0..=1.0).contains(&config.decay), "decay out of [0,1]");
         assert!(config.hysteresis >= 0.0, "hysteresis must be non-negative");
-        let mut engine = make_engine(kind, spec);
+        let mut engine = make_engine(kind, StackSpec::two_tier(&spec))?;
         for (key, &bytes) in trace.sizes.iter().enumerate() {
-            engine.load(key as u64, bytes, MemTier::Slow)?;
+            engine.load(key as u64, bytes, TierId::SLOW)?;
         }
         Ok(DynamicTieringServer {
             engine,
@@ -164,7 +164,7 @@ impl DynamicTieringServer {
         // Density order over scored keys, hysteresis-boosted residents.
         let density = |engine: &dyn KvEngine, scores: &[f64], hysteresis: f64, key: u64| -> f64 {
             let base = scores[key as usize] / engine.value_bytes(key).unwrap_or(1).max(1) as f64;
-            if engine.placement_of(key) == Some(MemTier::Fast) {
+            if engine.placement_of(key) == Some(TierId::FAST) {
                 base * (1.0 + hysteresis)
             } else {
                 base
@@ -194,7 +194,7 @@ impl DynamicTieringServer {
             if score <= 0.0 {
                 break;
             }
-            let resident = self.engine.placement_of(key) == Some(MemTier::Fast);
+            let resident = self.engine.placement_of(key) == Some(TierId::FAST);
             if !resident && score < self.config.promotion_threshold {
                 continue;
             }
@@ -212,7 +212,8 @@ impl DynamicTieringServer {
         // (for promotions, that is the SlowMem fallback) and only the
         // backoff delays are charged.
         let mut cost = 0.0;
-        let spec = self.engine.memory().spec().clone();
+        let tiers = &self.engine.memory().spec().tiers;
+        let (fast, slow) = (tiers[0].spec, tiers[1].spec);
         let apply = |engine: &mut dyn KvEngine,
                      stats: &mut MigrationStats,
                      faults: &MigrationFaults,
@@ -240,7 +241,7 @@ impl DynamicTieringServer {
                     continue;
                 }
                 stats.retry_ns += delay;
-                if engine.migrate(key, target).is_err() {
+                if engine.migrate(key, target.id()).is_err() {
                     return delay;
                 }
                 match target {
@@ -248,8 +249,8 @@ impl DynamicTieringServer {
                     MemTier::Slow => stats.demotions += 1,
                 }
                 let (src, dst) = match target {
-                    MemTier::Fast => (&spec.slow, &spec.fast),
-                    MemTier::Slow => (&spec.fast, &spec.slow),
+                    MemTier::Fast => (&slow, &fast),
+                    MemTier::Slow => (&fast, &slow),
                 };
                 return delay
                     + src.access_ns(hybridmem::AccessKind::Read, bytes)
@@ -258,7 +259,7 @@ impl DynamicTieringServer {
         };
         for key in 0..self.scores.len() as u64 {
             let current = self.engine.placement_of(key);
-            if current == Some(MemTier::Fast) && !want_fast[key as usize] {
+            if current == Some(TierId::FAST) && !want_fast[key as usize] {
                 cost += apply(
                     self.engine.as_mut(),
                     &mut self.stats,
@@ -271,7 +272,7 @@ impl DynamicTieringServer {
         }
         for key in 0..self.scores.len() as u64 {
             let current = self.engine.placement_of(key);
-            if current == Some(MemTier::Slow) && want_fast[key as usize] {
+            if current == Some(TierId::SLOW) && want_fast[key as usize] {
                 cost += apply(
                     self.engine.as_mut(),
                     &mut self.stats,
@@ -386,9 +387,9 @@ impl DynamicTieringServer {
                 tel.count("kv.requests", 1);
                 tel.observe("kv.request.service_ns", ns);
                 match tier {
-                    Some(MemTier::Fast) => tel.count("kv.tier.fast_hits", 1),
-                    Some(MemTier::Slow) => tel.count("kv.tier.slow_hits", 1),
-                    None => {}
+                    Some(TierId::FAST) => tel.count("kv.tier.fast_hits", 1),
+                    Some(TierId::SLOW) => tel.count("kv.tier.slow_hits", 1),
+                    _ => {}
                 }
                 log.tick();
             }
@@ -416,7 +417,7 @@ impl DynamicTieringServer {
 
     /// Bytes currently placed in FastMem.
     pub fn fast_bytes(&self) -> u64 {
-        self.engine.bytes_in(MemTier::Fast)
+        self.engine.bytes_in(TierId::FAST)
     }
 }
 

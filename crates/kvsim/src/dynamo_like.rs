@@ -9,8 +9,8 @@
 //! over a 1.5x-inflated stored footprint.
 
 use crate::engine::{EngineCore, EngineError, KvEngine};
-use crate::profile::{EngineProfile, StoreKind};
-use hybridmem::{AccessKind, HybridMemory, HybridSpec, MemTier};
+use crate::profile::StoreKind;
+use hybridmem::{AccessKind, TierId, TierStack};
 
 /// Fixed per-item metadata footprint (attribute map skeleton, bytes).
 const ITEM_OVERHEAD_BYTES: u64 = 128;
@@ -24,14 +24,9 @@ pub struct DynamoLike {
 
 impl DynamoLike {
     /// Build over a fresh memory system.
-    pub fn new(spec: HybridSpec) -> DynamoLike {
-        DynamoLike::with_profile(StoreKind::Dynamo.profile(), spec)
-    }
-
-    /// Build with a custom profile (ablations).
-    pub fn with_profile(profile: EngineProfile, spec: HybridSpec) -> DynamoLike {
+    pub fn new(mem: TierStack) -> DynamoLike {
         DynamoLike {
-            core: EngineCore::new(profile, HybridMemory::new(spec)),
+            core: EngineCore::new(StoreKind::Dynamo.profile(), mem),
         }
     }
 
@@ -52,11 +47,15 @@ impl DynamoLike {
 }
 
 impl KvEngine for DynamoLike {
-    fn profile(&self) -> &EngineProfile {
-        self.core.profile()
+    fn core(&self) -> &EngineCore {
+        &self.core
     }
 
-    fn load(&mut self, key: u64, bytes: u64, tier: MemTier) -> Result<(), EngineError> {
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), EngineError> {
         self.core.load(key, bytes, Self::stored_bytes(bytes), tier)
     }
 
@@ -78,38 +77,6 @@ impl KvEngine for DynamoLike {
         self.core.remove(key)?;
         Ok(self.core.profile().fixed_op_ns + index)
     }
-
-    fn placement_of(&self, key: u64) -> Option<MemTier> {
-        self.core.placement_of(key)
-    }
-
-    fn migrate(&mut self, key: u64, tier: MemTier) -> Result<(), EngineError> {
-        self.core.migrate(key, tier)
-    }
-
-    fn key_count(&self) -> usize {
-        self.core.key_count()
-    }
-
-    fn bytes_in(&self, tier: MemTier) -> u64 {
-        self.core.bytes_in(tier)
-    }
-
-    fn value_bytes(&self, key: u64) -> Option<u64> {
-        self.core.value_bytes(key)
-    }
-
-    fn reset_measurement_state(&mut self) {
-        self.core.reset_measurement_state();
-    }
-
-    fn memory(&self) -> &HybridMemory {
-        self.core.memory()
-    }
-
-    fn memory_mut(&mut self) -> &mut HybridMemory {
-        self.core.memory_mut()
-    }
 }
 
 #[cfg(test)]
@@ -117,19 +84,16 @@ mod tests {
     use super::*;
     use crate::redis_like::RedisLike;
 
-    fn small_spec() -> HybridSpec {
-        let mut spec = HybridSpec::paper_testbed();
-        spec.fast_capacity = 1 << 26;
-        spec.slow_capacity = 1 << 26;
-        spec
+    fn small_spec() -> TierStack {
+        crate::engine::test_stack(1 << 26, 1 << 26)
     }
 
     #[test]
     fn storage_is_inflated() {
         assert_eq!(DynamoLike::stored_bytes(1000), 1628);
         let mut e = DynamoLike::new(small_spec());
-        e.load(1, 1000, MemTier::Fast).unwrap();
-        assert_eq!(e.bytes_in(MemTier::Fast), 1628);
+        e.load(1, 1000, TierId::FAST).unwrap();
+        assert_eq!(e.bytes_in(TierId::FAST), 1628);
         assert_eq!(e.value_bytes(1), Some(1000));
     }
 
@@ -137,8 +101,8 @@ mod tests {
     fn dynamo_most_sensitive_of_all_engines() {
         let slowdown_dynamo = {
             let mut e = DynamoLike::new(small_spec());
-            e.load(1, 100_000, MemTier::Fast).unwrap();
-            e.load(2, 100_000, MemTier::Slow).unwrap();
+            e.load(1, 100_000, TierId::FAST).unwrap();
+            e.load(2, 100_000, TierId::SLOW).unwrap();
             e.get(1).unwrap();
             e.get(2).unwrap();
             e.reset_measurement_state();
@@ -146,8 +110,8 @@ mod tests {
         };
         let slowdown_redis = {
             let mut e = RedisLike::new(small_spec());
-            e.load(1, 100_000, MemTier::Fast).unwrap();
-            e.load(2, 100_000, MemTier::Slow).unwrap();
+            e.load(1, 100_000, TierId::FAST).unwrap();
+            e.load(2, 100_000, TierId::SLOW).unwrap();
             e.get(1).unwrap();
             e.get(2).unwrap();
             e.reset_measurement_state();
@@ -166,11 +130,11 @@ mod tests {
     #[test]
     fn index_deepens_with_table_size() {
         let mut small = DynamoLike::new(small_spec());
-        small.load(0, 64, MemTier::Fast).unwrap();
+        small.load(0, 64, TierId::FAST).unwrap();
         let shallow = small.index_depth();
         let mut big = DynamoLike::new(small_spec());
         for k in 0..50_000 {
-            big.load(k, 64, MemTier::Fast).unwrap();
+            big.load(k, 64, TierId::FAST).unwrap();
         }
         assert!(big.index_depth() > shallow);
     }
@@ -178,7 +142,7 @@ mod tests {
     #[test]
     fn delete_removes_key() {
         let mut e = DynamoLike::new(small_spec());
-        e.load(5, 500, MemTier::Slow).unwrap();
+        e.load(5, 500, TierId::SLOW).unwrap();
         e.delete(5).unwrap();
         assert_eq!(e.key_count(), 0);
         assert!(e.get(5).is_err());

@@ -1,24 +1,26 @@
 //! The [`KvEngine`] trait and the shared engine core.
 //!
 //! Engines simulate the *server side* of the paper's setup: they own a
-//! [`HybridMemory`], keep a key → object mapping, and translate every
+//! [`TierStack`], keep a key → object mapping, and translate every
 //! client operation into (a) engine-specific index work, (b) value
 //! traffic through the memory system, and (c) a fixed CPU/protocol cost.
 //! The returned service times are what the YCSB-style
-//! [`Server`](crate::server::Server) accumulates.
+//! [`Server`](crate::server::Server) accumulates. The paper's two-tier
+//! testbed is the stack built by `StackSpec::two_tier`; every engine
+//! runs unchanged on deeper hierarchies.
 
 use crate::profile::EngineProfile;
-use hybridmem::{AccessKind, AllocError, DenseU64Map, HybridMemory, MemTier, ObjectId};
+use hybridmem::{AccessKind, DenseU64Map, ObjectId, StackError, StackPlacement, TierId, TierStack};
 
 /// Errors surfaced by engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// Key not loaded.
     UnknownKey(u64),
     /// Key already loaded (double `load`).
     DuplicateKey(u64),
-    /// The memory system rejected an allocation.
-    Memory(AllocError),
+    /// The memory system rejected an operation (or its spec).
+    Memory(StackError),
 }
 
 impl std::fmt::Display for EngineError {
@@ -33,20 +35,27 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-impl From<AllocError> for EngineError {
-    fn from(e: AllocError) -> Self {
+impl From<StackError> for EngineError {
+    fn from(e: StackError) -> Self {
         EngineError::Memory(e)
     }
 }
 
 /// A simulated key-value store engine.
+///
+/// An engine adds its index and allocation behaviour on top of an
+/// [`EngineCore`]; everything that is plain key-table or memory-system
+/// bookkeeping has a default that goes through the core.
 pub trait KvEngine: Send {
-    /// The engine's cost profile.
-    fn profile(&self) -> &EngineProfile;
+    /// The shared key table and memory system.
+    fn core(&self) -> &EngineCore;
+
+    /// Mutable access to the core.
+    fn core_mut(&mut self) -> &mut EngineCore;
 
     /// Pre-load a key of `bytes` into `tier` (dataset population — not
     /// part of the measured run, costs nothing).
-    fn load(&mut self, key: u64, bytes: u64, tier: MemTier) -> Result<(), EngineError>;
+    fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), EngineError>;
 
     /// Serve a GET; returns the simulated service time in nanoseconds.
     fn get(&mut self, key: u64) -> Result<f64, EngineError>;
@@ -57,32 +66,55 @@ pub trait KvEngine: Send {
     /// Serve a DELETE; returns the service time in nanoseconds.
     fn delete(&mut self, key: u64) -> Result<f64, EngineError>;
 
-    /// Current tier of a key.
-    fn placement_of(&self, key: u64) -> Option<MemTier>;
+    /// The engine's cost profile.
+    fn profile(&self) -> &EngineProfile {
+        self.core().profile()
+    }
 
-    /// Move a key's value (and its metadata) to `tier` outside measured
-    /// time (static placement, as Mnemo's Placement Engine performs it).
-    fn migrate(&mut self, key: u64, tier: MemTier) -> Result<(), EngineError>;
+    /// Current tier of a key.
+    fn placement_of(&self, key: u64) -> Option<TierId> {
+        self.core().placement_of(key)
+    }
+
+    /// Move a key's value to `tier`, returning the simulated copy cost
+    /// (zero for a no-op move). Static placement, as Mnemo's Placement
+    /// Engine performs it, ignores the cost; epoch re-planning charges
+    /// it to the run.
+    fn migrate(&mut self, key: u64, tier: TierId) -> Result<f64, EngineError> {
+        self.core_mut().migrate(key, tier)
+    }
 
     /// Number of loaded keys.
-    fn key_count(&self) -> usize;
+    fn key_count(&self) -> usize {
+        self.core().key_count()
+    }
 
     /// Bytes the engine occupies in `tier`, including allocator overhead.
-    fn bytes_in(&self, tier: MemTier) -> u64;
+    fn bytes_in(&self, tier: TierId) -> u64 {
+        self.core().bytes_in(tier)
+    }
 
     /// Logical value bytes stored for a key.
-    fn value_bytes(&self, key: u64) -> Option<u64>;
+    fn value_bytes(&self, key: u64) -> Option<u64> {
+        self.core().value_bytes(key)
+    }
 
     /// Reset caches and statistics between measured runs.
-    fn reset_measurement_state(&mut self);
+    fn reset_measurement_state(&mut self) {
+        self.core_mut().reset_measurement_state();
+    }
 
-    /// Access the underlying memory system (stats, cache counters).
-    fn memory(&self) -> &HybridMemory;
+    /// The underlying memory system (stats, cache counters).
+    fn memory(&self) -> &TierStack {
+        self.core().memory()
+    }
 
     /// Mutable access to the memory system — drivers use it to advance
     /// the devices' view of simulated time and install degradation
     /// profiles (fault injection).
-    fn memory_mut(&mut self) -> &mut HybridMemory;
+    fn memory_mut(&mut self) -> &mut TierStack {
+        self.core_mut().memory_mut()
+    }
 }
 
 /// The two cost components of one index-plus-value operation, resolved
@@ -101,7 +133,7 @@ pub struct OpCharge {
 /// allocation-rounding behaviour through the hooks they pass in.
 pub struct EngineCore {
     profile: EngineProfile,
-    mem: HybridMemory,
+    mem: TierStack,
     /// key -> (object, logical value bytes). Trace keys are dense, so
     /// the hot-path lookup is a vector index, not a hash probe.
     table: DenseU64Map<(ObjectId, u64)>,
@@ -109,7 +141,7 @@ pub struct EngineCore {
 
 impl EngineCore {
     /// Build a core over a memory system.
-    pub fn new(profile: EngineProfile, mem: HybridMemory) -> EngineCore {
+    pub fn new(profile: EngineProfile, mem: TierStack) -> EngineCore {
         EngineCore {
             profile,
             mem,
@@ -123,12 +155,12 @@ impl EngineCore {
     }
 
     /// The memory system.
-    pub fn memory(&self) -> &HybridMemory {
+    pub fn memory(&self) -> &TierStack {
         &self.mem
     }
 
     /// Mutable memory system (engine internals only).
-    pub fn memory_mut(&mut self) -> &mut HybridMemory {
+    pub fn memory_mut(&mut self) -> &mut TierStack {
         &mut self.mem
     }
 
@@ -139,7 +171,7 @@ impl EngineCore {
         key: u64,
         value_bytes: u64,
         stored_bytes: u64,
-        tier: MemTier,
+        tier: TierId,
     ) -> Result<(), EngineError> {
         if self.table.contains_key(key) {
             return Err(EngineError::DuplicateKey(key));
@@ -158,7 +190,7 @@ impl EngineCore {
     }
 
     /// The tier currently holding a key.
-    pub fn placement_of(&self, key: u64) -> Option<MemTier> {
+    pub fn placement_of(&self, key: u64) -> Option<TierId> {
         let (id, _) = self.table.get(key).copied()?;
         self.mem.placement(id).ok().map(|p| p.tier)
     }
@@ -169,36 +201,38 @@ impl EngineCore {
     /// fresh buffers, so they pay device speed again).
     pub fn value_traffic(&mut self, key: u64, kind: AccessKind) -> Result<f64, EngineError> {
         let (id, value_bytes) = self.lookup(key)?;
-        let tier = self.mem.placement(id).map_err(EngineError::Memory)?.tier;
+        let p = self.mem.placement(id)?;
+        Ok(self.value_ns(id, p, value_bytes, kind))
+    }
+
+    fn value_ns(
+        &mut self,
+        id: ObjectId,
+        p: StackPlacement,
+        value_bytes: u64,
+        kind: AccessKind,
+    ) -> f64 {
         let amp = match kind {
             AccessKind::Read => self.profile.read_amplification,
             AccessKind::Write => self.profile.write_amplification,
         };
-        let mut ns = self.mem.access(id, kind);
+        let mut ns = self.mem.access_at(id, p, kind);
         if amp > 1.0 {
-            ns += (amp - 1.0) * self.mem.touch(tier, kind, value_bytes);
+            ns += (amp - 1.0) * self.mem.touch(p.tier, kind, value_bytes);
         }
-        Ok(ns)
-    }
-
-    /// One dependent metadata pointer-chase in the key's tier.
-    pub fn index_touch(&mut self, key: u64) -> Result<f64, EngineError> {
-        let (id, _) = self.lookup(key)?;
-        let tier = self.mem.placement(id).map_err(EngineError::Memory)?.tier;
-        let bytes = self.profile.touch_bytes;
-        Ok(self.mem.touch(tier, AccessKind::Read, bytes))
+        ns
     }
 
     /// `touches` dependent metadata pointer-chases in the key's tier.
     /// Resolved with one lookup and charged as a batch — bit-identical
-    /// to `touches` separate [`EngineCore::index_touch`] calls, since
-    /// every touch in the chain is the same size in the same tier.
+    /// to `touches` separate single-touch charges, since every touch in
+    /// the chain is the same size in the same tier.
     pub fn index_walk(&mut self, key: u64, touches: u32) -> Result<f64, EngineError> {
         if touches == 0 {
             return Ok(0.0);
         }
         let (id, _) = self.lookup(key)?;
-        let tier = self.mem.placement(id).map_err(EngineError::Memory)?.tier;
+        let tier = self.mem.placement(id)?.tier;
         let bytes = self.profile.touch_bytes;
         Ok(self
             .mem
@@ -217,21 +251,14 @@ impl EngineCore {
         touches: u32,
     ) -> Result<OpCharge, EngineError> {
         let (id, value_bytes) = self.lookup(key)?;
-        let p = self.mem.placement(id).map_err(EngineError::Memory)?;
+        let p = self.mem.placement(id)?;
         let index_ns = self.mem.touch_n(
             p.tier,
             AccessKind::Read,
             self.profile.touch_bytes,
             u64::from(touches),
         );
-        let amp = match kind {
-            AccessKind::Read => self.profile.read_amplification,
-            AccessKind::Write => self.profile.write_amplification,
-        };
-        let mut value_ns = self.mem.access_at(id, p, kind);
-        if amp > 1.0 {
-            value_ns += (amp - 1.0) * self.mem.touch(p.tier, kind, value_bytes);
-        }
+        let value_ns = self.value_ns(id, p, value_bytes, kind);
         Ok(OpCharge { index_ns, value_ns })
     }
 
@@ -242,11 +269,10 @@ impl EngineCore {
         Ok(value_bytes)
     }
 
-    /// Migrate a key's object.
-    pub fn migrate(&mut self, key: u64, tier: MemTier) -> Result<(), EngineError> {
+    /// Migrate a key's object, returning the simulated copy cost.
+    pub fn migrate(&mut self, key: u64, tier: TierId) -> Result<f64, EngineError> {
         let (id, _) = self.lookup(key)?;
-        self.mem.migrate(id, tier)?;
-        Ok(())
+        Ok(self.mem.migrate(id, tier)?)
     }
 
     /// Number of keys.
@@ -260,7 +286,7 @@ impl EngineCore {
     }
 
     /// Engine bytes in a tier (device accounting).
-    pub fn bytes_in(&self, tier: MemTier) -> u64 {
+    pub fn bytes_in(&self, tier: TierId) -> u64 {
         self.mem.used(tier)
     }
 
@@ -270,28 +296,37 @@ impl EngineCore {
     }
 }
 
+/// The paper testbed with both tiers resized, as a two-tier stack —
+/// the memory system the engine unit tests run on.
+#[cfg(test)]
+pub(crate) fn test_stack(fast_capacity: u64, slow_capacity: u64) -> TierStack {
+    let mut spec = hybridmem::HybridSpec::paper_testbed();
+    spec.fast_capacity = fast_capacity;
+    spec.slow_capacity = slow_capacity;
+    TierStack::new(hybridmem::StackSpec::two_tier(&spec)).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::StoreKind;
-    use hybridmem::HybridSpec;
+
+    const FAST: TierId = TierId::FAST;
+    const SLOW: TierId = TierId::SLOW;
 
     fn core() -> EngineCore {
-        let mut spec = HybridSpec::paper_testbed();
-        spec.fast_capacity = 1 << 24;
-        spec.slow_capacity = 1 << 24;
-        EngineCore::new(StoreKind::Redis.profile(), HybridMemory::new(spec))
+        EngineCore::new(StoreKind::Redis.profile(), test_stack(1 << 24, 1 << 24))
     }
 
     #[test]
     fn load_lookup_remove() {
         let mut c = core();
-        c.load(1, 100, 128, MemTier::Fast).unwrap();
+        c.load(1, 100, 128, FAST).unwrap();
         assert_eq!(c.key_count(), 1);
         assert_eq!(c.value_bytes(1), Some(100));
-        assert_eq!(c.placement_of(1), Some(MemTier::Fast));
+        assert_eq!(c.placement_of(1), Some(FAST));
         assert_eq!(
-            c.load(1, 100, 128, MemTier::Fast).unwrap_err(),
+            c.load(1, 100, 128, FAST).unwrap_err(),
             EngineError::DuplicateKey(1)
         );
         assert_eq!(c.remove(1).unwrap(), 100);
@@ -301,8 +336,8 @@ mod tests {
     #[test]
     fn value_traffic_depends_on_tier() {
         let mut c = core();
-        c.load(1, 100_000, 100_000, MemTier::Fast).unwrap();
-        c.load(2, 100_000, 100_000, MemTier::Slow).unwrap();
+        c.load(1, 100_000, 100_000, FAST).unwrap();
+        c.load(2, 100_000, 100_000, SLOW).unwrap();
         let tf = c.value_traffic(1, AccessKind::Read).unwrap();
         let ts = c.value_traffic(2, AccessKind::Read).unwrap();
         assert!(ts > 3.0 * tf, "slow {ts} fast {tf}");
@@ -311,7 +346,7 @@ mod tests {
     #[test]
     fn index_walk_scales_with_touches() {
         let mut c = core();
-        c.load(1, 64, 64, MemTier::Slow).unwrap();
+        c.load(1, 64, 64, SLOW).unwrap();
         let one = c.index_walk(1, 1).unwrap();
         let ten = c.index_walk(1, 10).unwrap();
         assert!((ten - 10.0 * one).abs() < 1e-6);
@@ -323,7 +358,7 @@ mod tests {
             let mut split = core();
             let mut fused = core();
             for c in [&mut split, &mut fused] {
-                c.load(1, 100_000, 100_000, MemTier::Slow).unwrap();
+                c.load(1, 100_000, 100_000, SLOW).unwrap();
                 // Warm the cache so both paths see the same hit pattern.
                 c.value_traffic(1, kind).unwrap();
             }
@@ -333,8 +368,8 @@ mod tests {
             assert_eq!(index.to_bits(), op.index_ns.to_bits(), "{kind:?}");
             assert_eq!(value.to_bits(), op.value_ns.to_bits(), "{kind:?}");
             assert_eq!(
-                split.memory().tier_stats(MemTier::Slow),
-                fused.memory().tier_stats(MemTier::Slow)
+                split.memory().tier_stats(SLOW),
+                fused.memory().tier_stats(SLOW)
             );
         }
     }
@@ -351,22 +386,35 @@ mod tests {
     #[test]
     fn migrate_updates_placement() {
         let mut c = core();
-        c.load(1, 100, 128, MemTier::Slow).unwrap();
-        c.migrate(1, MemTier::Fast).unwrap();
-        assert_eq!(c.placement_of(1), Some(MemTier::Fast));
-        assert_eq!(c.bytes_in(MemTier::Slow), 0);
+        c.load(1, 100, 128, SLOW).unwrap();
+        c.migrate(1, FAST).unwrap();
+        assert_eq!(c.placement_of(1), Some(FAST));
+        assert_eq!(c.bytes_in(SLOW), 0);
+    }
+
+    #[test]
+    fn migrate_returns_the_copy_cost() {
+        let mut c = core();
+        c.load(1, 10_000, 10_000, SLOW).unwrap();
+        let cost = c.migrate(1, FAST).unwrap();
+        let spec = c.memory().spec();
+        let expect = spec.tiers[1].spec.access_ns(AccessKind::Read, 10_000)
+            + spec.tiers[0].spec.access_ns(AccessKind::Write, 10_000);
+        assert_eq!(cost.to_bits(), expect.to_bits());
+        assert_eq!(c.migrate(1, FAST).unwrap(), 0.0, "no-op moves are free");
+        assert!(matches!(
+            c.migrate(1, TierId(7)).unwrap_err(),
+            EngineError::Memory(StackError::UnknownTier(TierId(7)))
+        ));
+        assert_eq!(c.placement_of(1), Some(FAST));
     }
 
     #[test]
     fn amplified_reads_cost_more() {
-        let mut spec = HybridSpec::paper_testbed();
-        spec.fast_capacity = 1 << 24;
-        spec.slow_capacity = 1 << 24;
-        let mut plain =
-            EngineCore::new(StoreKind::Redis.profile(), HybridMemory::new(spec.clone()));
-        let mut amped = EngineCore::new(StoreKind::Dynamo.profile(), HybridMemory::new(spec));
-        plain.load(1, 50_000, 50_000, MemTier::Slow).unwrap();
-        amped.load(1, 50_000, 50_000, MemTier::Slow).unwrap();
+        let mut plain = EngineCore::new(StoreKind::Redis.profile(), test_stack(1 << 24, 1 << 24));
+        let mut amped = EngineCore::new(StoreKind::Dynamo.profile(), test_stack(1 << 24, 1 << 24));
+        plain.load(1, 50_000, 50_000, SLOW).unwrap();
+        amped.load(1, 50_000, 50_000, SLOW).unwrap();
         let a = plain.value_traffic(1, AccessKind::Read).unwrap();
         let b = amped.value_traffic(1, AccessKind::Read).unwrap();
         assert!(b > 2.0 * a, "amplification must dominate: {b} vs {a}");

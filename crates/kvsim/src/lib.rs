@@ -3,7 +3,10 @@
 //! The paper measures three unmodified in-memory key-value stores — Redis,
 //! Memcached and (local) DynamoDB — deployed on a hybrid memory testbed
 //! and driven by a YCSB client. This crate rebuilds those servers as
-//! *engine models* over the [`hybridmem`] simulator:
+//! *engine models* over one storage substrate, the [`hybridmem`]
+//! simulator's `TierStack`: the paper's two-tier testbed and deeper
+//! DRAM/NVM/SSD hierarchies run through the same engines and the same
+//! request loop.
 //!
 //! * [`profile`] — per-engine cost profiles (fixed per-op service cost,
 //!   metadata pointer-chases, data amplification). These three constants
@@ -19,6 +22,11 @@
 //! * [`server`] — executes [`ycsb`] traces against an engine, producing
 //!   runtimes, throughputs, per-request service times and latency
 //!   histograms (the paper's Sensitivity Engine measures against this).
+//!   Keys are placed statically ([`Placement`]) or by a
+//!   `mnemo-tier` policy with optional epoch re-planning.
+//! * [`tiered`] — the policy glue behind policy-placed servers: per-key
+//!   trace stats and windows, the spilling initial load and the epoch
+//!   re-planner.
 //! * [`cluster`] — the paper's two-instance deployment: a FastMem-bound
 //!   server plus a SlowMem-bound server and a client-side key router.
 //! * [`dynamic`] — a migrating tiering baseline (the "existing tiering
@@ -64,6 +72,5 @@ pub use cluster::TwoInstanceCluster;
 pub use dynamic::{DynamicConfig, DynamicTieringServer};
 pub use engine::{EngineError, KvEngine, OpCharge};
 pub use profile::{EngineProfile, StoreKind};
-pub use server::{Placement, RequestSample, RunReport, Server};
+pub use server::{MigrationStats, Placement, RequestSample, RunReport, Server};
 pub use sharded::ShardedCluster;
-pub use tiered::{MigrationStats, TieredEngine, TieredError, TieredServer};

@@ -8,8 +8,8 @@
 //! slowdown budget.
 
 use crate::engine::{EngineCore, EngineError, KvEngine};
-use crate::profile::{EngineProfile, StoreKind};
-use hybridmem::{AccessKind, HybridMemory, HybridSpec, MemTier};
+use crate::profile::StoreKind;
+use hybridmem::{AccessKind, TierId, TierStack};
 
 /// memcached's per-item header (item struct + CAS + key).
 const ITEM_HEADER_BYTES: u64 = 48;
@@ -53,14 +53,9 @@ pub struct MemcachedLike {
 
 impl MemcachedLike {
     /// Build over a fresh memory system.
-    pub fn new(spec: HybridSpec) -> MemcachedLike {
-        MemcachedLike::with_profile(StoreKind::Memcached.profile(), spec)
-    }
-
-    /// Build with a custom profile (ablations).
-    pub fn with_profile(profile: EngineProfile, spec: HybridSpec) -> MemcachedLike {
+    pub fn new(mem: TierStack) -> MemcachedLike {
         MemcachedLike {
-            core: EngineCore::new(profile, HybridMemory::new(spec)),
+            core: EngineCore::new(StoreKind::Memcached.profile(), mem),
             class_counts: vec![0; slab_classes().len()],
             core_value_sum: 0,
         }
@@ -76,7 +71,12 @@ impl MemcachedLike {
     /// Slab-allocator internal fragmentation (chunk bytes reserved minus
     /// logical value bytes stored).
     pub fn slab_overhead_bytes(&self) -> u64 {
-        let reserved = self.bytes_in(MemTier::Fast) + self.bytes_in(MemTier::Slow);
+        let reserved: u64 = self
+            .core
+            .memory()
+            .tier_ids()
+            .map(|t| self.bytes_in(t))
+            .sum();
         reserved.saturating_sub(self.core_value_sum)
     }
 
@@ -88,11 +88,15 @@ impl MemcachedLike {
 }
 
 impl KvEngine for MemcachedLike {
-    fn profile(&self) -> &EngineProfile {
-        self.core.profile()
+    fn core(&self) -> &EngineCore {
+        &self.core
     }
 
-    fn load(&mut self, key: u64, bytes: u64, tier: MemTier) -> Result<(), EngineError> {
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), EngineError> {
         let chunk = slab_chunk_for(bytes + ITEM_HEADER_BYTES);
         self.core.load(key, bytes, chunk, tier)?;
         self.core_value_sum += bytes;
@@ -124,49 +128,14 @@ impl KvEngine for MemcachedLike {
         self.bump_class(chunk, -1);
         Ok(self.core.profile().fixed_op_ns + index)
     }
-
-    fn placement_of(&self, key: u64) -> Option<MemTier> {
-        self.core.placement_of(key)
-    }
-
-    fn migrate(&mut self, key: u64, tier: MemTier) -> Result<(), EngineError> {
-        self.core.migrate(key, tier)
-    }
-
-    fn key_count(&self) -> usize {
-        self.core.key_count()
-    }
-
-    fn bytes_in(&self, tier: MemTier) -> u64 {
-        self.core.bytes_in(tier)
-    }
-
-    fn value_bytes(&self, key: u64) -> Option<u64> {
-        self.core.value_bytes(key)
-    }
-
-    fn reset_measurement_state(&mut self) {
-        self.core.reset_measurement_state();
-    }
-
-    fn memory(&self) -> &HybridMemory {
-        self.core.memory()
-    }
-
-    fn memory_mut(&mut self) -> &mut HybridMemory {
-        self.core.memory_mut()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_spec() -> HybridSpec {
-        let mut spec = HybridSpec::paper_testbed();
-        spec.fast_capacity = 1 << 26;
-        spec.slow_capacity = 1 << 26;
-        spec
+    fn small_spec() -> TierStack {
+        crate::engine::test_stack(1 << 26, 1 << 26)
     }
 
     #[test]
@@ -196,8 +165,8 @@ mod tests {
     #[test]
     fn slab_overhead_is_visible() {
         let mut e = MemcachedLike::new(small_spec());
-        e.load(1, 100, MemTier::Fast).unwrap(); // 100+48=148 -> 150-class
-        let reserved = e.bytes_in(MemTier::Fast);
+        e.load(1, 100, TierId::FAST).unwrap(); // 100+48=148 -> 150-class
+        let reserved = e.bytes_in(TierId::FAST);
         assert!(reserved > 100, "reserved {reserved}");
         assert!(e.slab_overhead_bytes() > 0);
     }
@@ -205,8 +174,8 @@ mod tests {
     #[test]
     fn memcached_is_least_sensitive() {
         let mut e = MemcachedLike::new(small_spec());
-        e.load(1, 100_000, MemTier::Fast).unwrap();
-        e.load(2, 100_000, MemTier::Slow).unwrap();
+        e.load(1, 100_000, TierId::FAST).unwrap();
+        e.load(2, 100_000, TierId::SLOW).unwrap();
         e.get(1).unwrap();
         e.get(2).unwrap();
         e.reset_measurement_state();
@@ -222,7 +191,7 @@ mod tests {
     #[test]
     fn delete_updates_class_counts() {
         let mut e = MemcachedLike::new(small_spec());
-        e.load(1, 100, MemTier::Fast).unwrap();
+        e.load(1, 100, TierId::FAST).unwrap();
         let before: u64 = e.class_counts.iter().sum();
         e.delete(1).unwrap();
         let after: u64 = e.class_counts.iter().sum();

@@ -8,8 +8,8 @@
 //! per-op cost.
 
 use crate::engine::{EngineCore, EngineError, KvEngine};
-use crate::profile::{EngineProfile, StoreKind};
-use hybridmem::{AccessKind, HybridMemory, HybridSpec, MemTier};
+use crate::profile::StoreKind;
+use hybridmem::{AccessKind, TierId, TierStack};
 
 /// Per-value header overhead (robj + SDS header + dict entry), bytes.
 const VALUE_HEADER_BYTES: u64 = 64;
@@ -23,14 +23,9 @@ pub struct RedisLike {
 
 impl RedisLike {
     /// Build over a fresh memory system.
-    pub fn new(spec: HybridSpec) -> RedisLike {
-        RedisLike::with_profile(StoreKind::Redis.profile(), spec)
-    }
-
-    /// Build with a custom profile (ablations).
-    pub fn with_profile(profile: EngineProfile, spec: HybridSpec) -> RedisLike {
+    pub fn new(mem: TierStack) -> RedisLike {
         RedisLike {
-            core: EngineCore::new(profile, HybridMemory::new(spec)),
+            core: EngineCore::new(StoreKind::Redis.profile(), mem),
             table_size: 4,
         }
     }
@@ -63,11 +58,15 @@ impl RedisLike {
 }
 
 impl KvEngine for RedisLike {
-    fn profile(&self) -> &EngineProfile {
-        self.core.profile()
+    fn core(&self) -> &EngineCore {
+        &self.core
     }
 
-    fn load(&mut self, key: u64, bytes: u64, tier: MemTier) -> Result<(), EngineError> {
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), EngineError> {
         self.core
             .load(key, bytes, bytes + VALUE_HEADER_BYTES, tier)?;
         self.maybe_grow();
@@ -95,55 +94,20 @@ impl KvEngine for RedisLike {
         self.core.remove(key)?;
         Ok(self.core.profile().fixed_op_ns + index)
     }
-
-    fn placement_of(&self, key: u64) -> Option<MemTier> {
-        self.core.placement_of(key)
-    }
-
-    fn migrate(&mut self, key: u64, tier: MemTier) -> Result<(), EngineError> {
-        self.core.migrate(key, tier)
-    }
-
-    fn key_count(&self) -> usize {
-        self.core.key_count()
-    }
-
-    fn bytes_in(&self, tier: MemTier) -> u64 {
-        self.core.bytes_in(tier)
-    }
-
-    fn value_bytes(&self, key: u64) -> Option<u64> {
-        self.core.value_bytes(key)
-    }
-
-    fn reset_measurement_state(&mut self) {
-        self.core.reset_measurement_state();
-    }
-
-    fn memory(&self) -> &HybridMemory {
-        self.core.memory()
-    }
-
-    fn memory_mut(&mut self) -> &mut HybridMemory {
-        self.core.memory_mut()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_spec() -> HybridSpec {
-        let mut spec = HybridSpec::paper_testbed();
-        spec.fast_capacity = 1 << 26;
-        spec.slow_capacity = 1 << 26;
-        spec
+    fn small_spec() -> TierStack {
+        crate::engine::test_stack(1 << 26, 1 << 26)
     }
 
     #[test]
     fn get_put_delete_roundtrip() {
         let mut e = RedisLike::new(small_spec());
-        e.load(1, 1000, MemTier::Fast).unwrap();
+        e.load(1, 1000, TierId::FAST).unwrap();
         assert!(e.get(1).unwrap() > 0.0);
         assert!(e.put(1).unwrap() > 0.0);
         assert!(e.delete(1).unwrap() > 0.0);
@@ -153,8 +117,8 @@ mod tests {
     #[test]
     fn slow_tier_is_slower_end_to_end() {
         let mut e = RedisLike::new(small_spec());
-        e.load(1, 100_000, MemTier::Fast).unwrap();
-        e.load(2, 100_000, MemTier::Slow).unwrap();
+        e.load(1, 100_000, TierId::FAST).unwrap();
+        e.load(2, 100_000, TierId::SLOW).unwrap();
         // Skip cache warmup effects: measure second access of each.
         e.get(1).unwrap();
         e.get(2).unwrap();
@@ -170,7 +134,7 @@ mod tests {
     #[test]
     fn writes_less_exposed_than_reads() {
         let mut e = RedisLike::new(small_spec());
-        e.load(1, 100_000, MemTier::Slow).unwrap();
+        e.load(1, 100_000, TierId::SLOW).unwrap();
         e.get(1).unwrap();
         e.reset_measurement_state();
         let r = e.get(1).unwrap();
@@ -183,7 +147,7 @@ mod tests {
     fn dict_grows_with_keys() {
         let mut e = RedisLike::new(small_spec());
         for k in 0..100 {
-            e.load(k, 100, MemTier::Fast).unwrap();
+            e.load(k, 100, TierId::FAST).unwrap();
         }
         assert!(e.load_factor() <= 1.0);
         assert_eq!(e.key_count(), 100);
@@ -192,17 +156,17 @@ mod tests {
     #[test]
     fn header_overhead_is_accounted() {
         let mut e = RedisLike::new(small_spec());
-        e.load(1, 1000, MemTier::Fast).unwrap();
-        assert!(e.bytes_in(MemTier::Fast) >= 1000 + VALUE_HEADER_BYTES);
+        e.load(1, 1000, TierId::FAST).unwrap();
+        assert!(e.bytes_in(TierId::FAST) >= 1000 + VALUE_HEADER_BYTES);
         assert_eq!(e.value_bytes(1), Some(1000));
     }
 
     #[test]
     fn migrate_between_tiers() {
         let mut e = RedisLike::new(small_spec());
-        e.load(1, 1000, MemTier::Slow).unwrap();
-        e.migrate(1, MemTier::Fast).unwrap();
-        assert_eq!(e.placement_of(1), Some(MemTier::Fast));
-        assert_eq!(e.bytes_in(MemTier::Slow), 0);
+        e.load(1, 1000, TierId::SLOW).unwrap();
+        e.migrate(1, TierId::FAST).unwrap();
+        assert_eq!(e.placement_of(1), Some(TierId::FAST));
+        assert_eq!(e.bytes_in(TierId::SLOW), 0);
     }
 }

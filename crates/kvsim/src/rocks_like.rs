@@ -24,7 +24,7 @@ use crate::engine::{EngineCore, EngineError, KvEngine};
 use crate::profile::{EngineProfile, StoreKind};
 use hybridmem::cache::ObjectLru;
 use hybridmem::Cache as _;
-use hybridmem::{AccessKind, HybridMemory, HybridSpec, MemTier};
+use hybridmem::{AccessKind, TierId, TierStack};
 
 /// Simulated SSD: ~90 µs access latency, 500 MB/s effective bandwidth.
 const SSD_LATENCY_NS: f64 = 90_000.0;
@@ -51,16 +51,15 @@ pub struct RocksLike {
 }
 
 impl RocksLike {
-    /// Build over a fresh memory system; the block cache is sized to a
-    /// quarter of the configured memory capacity.
-    pub fn new(spec: HybridSpec) -> RocksLike {
-        let cache_bytes =
-            ((spec.fast_capacity + spec.slow_capacity) as f64 * BLOCK_CACHE_FRACTION) as u64;
-        RocksLike::with_cache_bytes(spec, cache_bytes)
+    /// Build over a fresh memory system; the block cache gets a fixed
+    /// 5% share of the memory system's total capacity.
+    pub fn new(mem: TierStack) -> RocksLike {
+        let cache_bytes = (mem.spec().total_capacity() as f64 * BLOCK_CACHE_FRACTION) as u64;
+        RocksLike::with_cache_bytes(mem, cache_bytes)
     }
 
     /// Build with an explicit block-cache budget.
-    pub fn with_cache_bytes(spec: HybridSpec, cache_bytes: u64) -> RocksLike {
+    pub fn with_cache_bytes(mem: TierStack, cache_bytes: u64) -> RocksLike {
         // Storage stores have lighter in-memory metadata than Redis but a
         // deep read path; the fixed cost matches Redis-class service.
         let profile = EngineProfile {
@@ -72,7 +71,7 @@ impl RocksLike {
             write_amplification: 1.0,
         };
         RocksLike {
-            core: EngineCore::new(profile, HybridMemory::new(spec)),
+            core: EngineCore::new(profile, mem),
             block_cache: ObjectLru::new(cache_bytes),
             disk_reads: 0,
             cache_reads: 0,
@@ -101,11 +100,15 @@ impl RocksLike {
 }
 
 impl KvEngine for RocksLike {
-    fn profile(&self) -> &EngineProfile {
-        self.core.profile()
+    fn core(&self) -> &EngineCore {
+        &self.core
     }
 
-    fn load(&mut self, key: u64, bytes: u64, tier: MemTier) -> Result<(), EngineError> {
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), EngineError> {
         // The tier reservation covers the key's *potential* block-cache
         // residency (the memory the store would use for it when hot).
         self.core.load(key, bytes, bytes + 64, tier)
@@ -153,39 +156,11 @@ impl KvEngine for RocksLike {
         Ok(self.core.profile().fixed_op_ns + index)
     }
 
-    fn placement_of(&self, key: u64) -> Option<MemTier> {
-        self.core.placement_of(key)
-    }
-
-    fn migrate(&mut self, key: u64, tier: MemTier) -> Result<(), EngineError> {
-        self.core.migrate(key, tier)
-    }
-
-    fn key_count(&self) -> usize {
-        self.core.key_count()
-    }
-
-    fn bytes_in(&self, tier: MemTier) -> u64 {
-        self.core.bytes_in(tier)
-    }
-
-    fn value_bytes(&self, key: u64) -> Option<u64> {
-        self.core.value_bytes(key)
-    }
-
     fn reset_measurement_state(&mut self) {
         self.core.reset_measurement_state();
         self.block_cache.clear();
         self.disk_reads = 0;
         self.cache_reads = 0;
-    }
-
-    fn memory(&self) -> &HybridMemory {
-        self.core.memory()
-    }
-
-    fn memory_mut(&mut self) -> &mut HybridMemory {
-        self.core.memory_mut()
     }
 }
 
@@ -193,18 +168,18 @@ impl KvEngine for RocksLike {
 mod tests {
     use super::*;
 
-    fn small_spec() -> HybridSpec {
-        let mut spec = HybridSpec::paper_testbed();
+    fn small_spec() -> TierStack {
+        let mut spec = hybridmem::HybridSpec::paper_testbed();
         spec.fast_capacity = 1 << 27;
         spec.slow_capacity = 1 << 27;
         spec.cache = hybridmem::CacheConfig::disabled();
-        spec
+        TierStack::new(hybridmem::StackSpec::two_tier(&spec)).unwrap()
     }
 
     #[test]
     fn cold_reads_hit_disk_then_cache() {
         let mut e = RocksLike::new(small_spec());
-        e.load(1, 100_000, MemTier::Fast).unwrap();
+        e.load(1, 100_000, TierId::FAST).unwrap();
         let cold = e.get(1).unwrap();
         let warm = e.get(1).unwrap();
         assert!(
@@ -217,8 +192,8 @@ mod tests {
     #[test]
     fn disk_reads_are_placement_independent() {
         let mut e = RocksLike::with_cache_bytes(small_spec(), 0); // cache nothing
-        e.load(1, 100_000, MemTier::Fast).unwrap();
-        e.load(2, 100_000, MemTier::Slow).unwrap();
+        e.load(1, 100_000, TierId::FAST).unwrap();
+        e.load(2, 100_000, TierId::SLOW).unwrap();
         let fast = e.get(1).unwrap();
         let slow = e.get(2).unwrap();
         // Both go to disk; only the admission write differs (small).
@@ -232,8 +207,8 @@ mod tests {
     #[test]
     fn cached_reads_are_placement_dependent() {
         let mut e = RocksLike::new(small_spec());
-        e.load(1, 100_000, MemTier::Fast).unwrap();
-        e.load(2, 100_000, MemTier::Slow).unwrap();
+        e.load(1, 100_000, TierId::FAST).unwrap();
+        e.load(2, 100_000, TierId::SLOW).unwrap();
         e.get(1).unwrap();
         e.get(2).unwrap(); // both now block-cached
         let fast = e.get(1).unwrap();
@@ -247,7 +222,7 @@ mod tests {
     #[test]
     fn writes_pay_compaction() {
         let mut e = RocksLike::new(small_spec());
-        e.load(1, 100_000, MemTier::Fast).unwrap();
+        e.load(1, 100_000, TierId::FAST).unwrap();
         let w = e.put(1).unwrap();
         assert!(
             w > AMORTISED_WRITE_AMP * SSD_LATENCY_NS,
@@ -262,7 +237,7 @@ mod tests {
     #[test]
     fn reset_clears_block_cache() {
         let mut e = RocksLike::new(small_spec());
-        e.load(1, 50_000, MemTier::Fast).unwrap();
+        e.load(1, 50_000, TierId::FAST).unwrap();
         e.get(1).unwrap();
         e.reset_measurement_state();
         e.get(1).unwrap();

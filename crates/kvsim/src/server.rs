@@ -4,6 +4,14 @@
 //! producing the quantities the paper's Sensitivity Engine extracts by
 //! actually running the workload: total runtime, average read/write
 //! service times, throughput and latency distributions.
+//!
+//! The engine's memory system is a [`TierStack`] of any depth. A server
+//! built from the paper's [`HybridSpec`] places keys statically by
+//! [`Placement`]; one built over a [`StackSpec`] hierarchy takes its
+//! initial placement from a [`TieringPolicy`] and, with epochs on,
+//! re-plans every that many requests, charging each move's copy cost
+//! (read from source + write to destination) to the run's clock and
+//! accumulating it in [`MigrationStats`].
 
 use crate::dynamo_like::DynamoLike;
 use crate::engine::{EngineError, KvEngine};
@@ -11,12 +19,15 @@ use crate::memcached_like::MemcachedLike;
 use crate::profile::StoreKind;
 use crate::redis_like::RedisLike;
 use crate::rocks_like::RocksLike;
+use crate::tiered::{load_planned, trace_stats, EpochPlanner};
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{
     DegradationProfile, DetHashSet, Histogram, HybridSpec, MemTier, NoiseModel, SimClock,
+    StackSpec, TierStack,
 };
 use mnemo_faults::{FaultPlan, ShardCrash};
 use mnemo_telemetry::{AccessStatKeys, CacheStatKeys, EpochLog, Snapshot};
+use mnemo_tier::TieringPolicy;
 use ycsb::{AccessEvent, Op, Trace};
 
 /// Initial data placement for a run — the paper's `numactl` binding plus
@@ -137,6 +148,19 @@ impl RunReport {
     }
 }
 
+/// Migration accounting of one run with epoch re-planning.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MigrationStats {
+    /// Epoch re-plans executed.
+    pub epochs: u64,
+    /// Keys actually moved between tiers.
+    pub moved_keys: u64,
+    /// Logical bytes moved.
+    pub moved_bytes: u64,
+    /// Total nanoseconds charged to the run's clock for moves.
+    pub migration_ns: f64,
+}
+
 /// A server instance: one engine + measurement jitter.
 pub struct Server {
     engine: Box<dyn KvEngine>,
@@ -147,16 +171,25 @@ pub struct Server {
     degraded: bool,
     /// Crash schedule for this server, sorted by crash time.
     crashes: Vec<ShardCrash>,
+    /// Epoch re-planning; `None` keeps the placement static, with no
+    /// per-request policy or counter work.
+    planner: Option<EpochPlanner>,
+    migration: MigrationStats,
+    /// Per-tier telemetry follows the paper's names (`kv.fast`,
+    /// `kv.slow`) for a server built from a [`HybridSpec`], and the
+    /// hierarchy's tier names (`kv.tier.<name>`) otherwise.
+    paper_names: bool,
 }
 
-/// Instantiate an engine of `kind` over `spec`.
-pub fn make_engine(kind: StoreKind, spec: HybridSpec) -> Box<dyn KvEngine> {
-    match kind {
-        StoreKind::Redis => Box::new(RedisLike::new(spec)),
-        StoreKind::Memcached => Box::new(MemcachedLike::new(spec)),
-        StoreKind::Dynamo => Box::new(DynamoLike::new(spec)),
-        StoreKind::Rocks => Box::new(RocksLike::new(spec)),
-    }
+/// Instantiate an engine of `kind` over a fresh memory system.
+pub fn make_engine(kind: StoreKind, spec: StackSpec) -> Result<Box<dyn KvEngine>, EngineError> {
+    let mem = TierStack::new(spec)?;
+    Ok(match kind {
+        StoreKind::Redis => Box::new(RedisLike::new(mem)),
+        StoreKind::Memcached => Box::new(MemcachedLike::new(mem)),
+        StoreKind::Dynamo => Box::new(DynamoLike::new(mem)),
+        StoreKind::Rocks => Box::new(RocksLike::new(mem)),
+    })
 }
 
 impl Server {
@@ -184,17 +217,57 @@ impl Server {
         trace: &Trace,
         placement: Placement,
     ) -> Result<Server, EngineError> {
-        let mut engine = make_engine(kind, spec);
+        let mut engine = make_engine(kind, StackSpec::two_tier(&spec))?;
         for (key, &bytes) in trace.sizes.iter().enumerate() {
-            engine.load(key as u64, bytes, placement.tier_of(key as u64))?;
+            engine.load(key as u64, bytes, placement.tier_of(key as u64).id())?;
         }
-        Ok(Server {
+        Ok(Server::assemble(engine, kind, noise, None, true))
+    }
+
+    /// Build over an N-tier hierarchy. `policy` places the trace's
+    /// dataset from its whole-run per-key stats; `epoch_requests > 0`
+    /// makes it re-plan (and the server charge migrations) every that
+    /// many requests, while 0 keeps the placement static.
+    pub fn build_tiered(
+        kind: StoreKind,
+        spec: StackSpec,
+        noise: NoiseConfig,
+        trace: &Trace,
+        mut policy: Box<dyn TieringPolicy>,
+        epoch_requests: u64,
+    ) -> Result<Server, EngineError> {
+        let stats = trace_stats(trace);
+        let plan = policy.place(&stats, &spec);
+        let mut engine = make_engine(kind, spec)?;
+        load_planned(engine.as_mut(), &stats, &plan)?;
+        let planner =
+            (epoch_requests > 0).then(|| EpochPlanner::new(policy, epoch_requests, trace));
+        Ok(Server::assemble(engine, kind, noise, planner, false))
+    }
+
+    fn assemble(
+        engine: Box<dyn KvEngine>,
+        store: StoreKind,
+        noise: NoiseConfig,
+        planner: Option<EpochPlanner>,
+        paper_names: bool,
+    ) -> Server {
+        Server {
             engine,
             noise: NoiseModel::new(noise),
-            store: kind,
+            store,
             degraded: false,
             crashes: Vec::new(),
-        })
+            planner,
+            migration: MigrationStats::default(),
+            paper_names,
+        }
+    }
+
+    /// Migration accounting of the most recent run (all zero for a
+    /// static placement).
+    pub fn migration_stats(&self) -> MigrationStats {
+        self.migration
     }
 
     /// Install (or clear) a time-varying device degradation profile.
@@ -238,14 +311,11 @@ impl Server {
     ) -> Result<(), EngineError> {
         // Migrate slow->fast second so the fast tier never holds both the
         // outgoing and incoming working set at once.
-        for key in 0..trace.keys() {
-            if placement.tier_of(key) == MemTier::Slow {
-                self.engine.migrate(key, MemTier::Slow)?;
-            }
-        }
-        for key in 0..trace.keys() {
-            if placement.tier_of(key) == MemTier::Fast {
-                self.engine.migrate(key, MemTier::Fast)?;
+        for tier in [MemTier::Slow, MemTier::Fast] {
+            for key in 0..trace.keys() {
+                if placement.tier_of(key) == tier {
+                    self.engine.migrate(key, tier.id())?;
+                }
             }
         }
         Ok(())
@@ -319,6 +389,61 @@ impl Server {
         (report, log.finish())
     }
 
+    /// Per-tier `(hit counter, device counters)` metric names, indexed
+    /// by tier.
+    fn tier_metric_keys(&self) -> Vec<(String, AccessStatKeys)> {
+        if self.paper_names {
+            return vec![
+                (
+                    "kv.tier.fast_hits".to_string(),
+                    AccessStatKeys::new("kv.fast"),
+                ),
+                (
+                    "kv.tier.slow_hits".to_string(),
+                    AccessStatKeys::new("kv.slow"),
+                ),
+            ];
+        }
+        let spec = self.engine.memory().spec();
+        spec.tiers
+            .iter()
+            .map(|t| {
+                let prefix = format!("kv.tier.{}", t.name);
+                (format!("{prefix}.hits"), AccessStatKeys::new(&prefix))
+            })
+            .collect()
+    }
+
+    /// One epoch re-plan: the policy turns the epoch's per-key stats
+    /// into desired tiers and every actual move's copy cost is charged
+    /// to the clock.
+    fn run_epoch(&mut self, clock: &mut SimClock, telemetry: &mut Option<&mut EpochLog>) {
+        let Some(planner) = self.planner.as_mut() else {
+            return;
+        };
+        if self.degraded {
+            self.engine.memory_mut().set_now_ns(clock.now_ns());
+        }
+        let (moved_keys, moved_bytes, epoch_ns) = planner.replan(self.engine.as_mut());
+        self.migration.epochs += 1;
+        self.migration.moved_keys += moved_keys;
+        self.migration.moved_bytes += moved_bytes;
+        self.migration.migration_ns += epoch_ns;
+        clock.advance(epoch_ns);
+        if let Some(log) = telemetry.as_deref_mut() {
+            let tel = log.recorder();
+            tel.count("kv.tier.epochs", 1);
+            tel.count("kv.tier.moved_keys", moved_keys);
+            tel.count("kv.tier.moved_bytes", moved_bytes);
+            tel.gauge("kv.tier.migration_ns", epoch_ns);
+            let mem = self.engine.memory();
+            for (tier, def) in mem.tier_ids().zip(&mem.spec().tiers) {
+                let name = format!("kv.tier.{}.occupancy_bytes", def.name);
+                tel.gauge(&name, mem.used(tier) as f64);
+            }
+        }
+    }
+
     fn run_instrumented(
         &mut self,
         trace: &Trace,
@@ -326,6 +451,10 @@ impl Server {
         mut telemetry: Option<&mut EpochLog>,
     ) -> RunReport {
         self.engine.reset_measurement_state();
+        self.migration = MigrationStats::default();
+        if let Some(planner) = self.planner.as_mut() {
+            planner.reset();
+        }
         let mut clock = SimClock::new();
         let mut report = RunReport {
             store: self.store,
@@ -343,14 +472,13 @@ impl Server {
         let mut next_crash = 0usize;
         // Metric names for the per-request telemetry block, formatted
         // once per run instead of ten times per request.
-        let stat_keys = telemetry.as_ref().map(|_| {
-            (
-                AccessStatKeys::new("kv.fast"),
-                AccessStatKeys::new("kv.slow"),
-                CacheStatKeys::new("kv.llc"),
-            )
-        });
-        for r in &trace.requests {
+        let stat_keys = telemetry
+            .as_ref()
+            .map(|_| (self.tier_metric_keys(), CacheStatKeys::new("kv.llc")));
+        for (seq, r) in trace.requests.iter().enumerate() {
+            if self.planner.as_ref().is_some_and(|p| p.is_due(seq)) {
+                self.run_epoch(&mut clock, &mut telemetry);
+            }
             // Fire any crash whose time has come: charge the recovery
             // cost and restart with a cold cache. Crash costs are part of
             // the measured runtime whether or not telemetry observes them.
@@ -397,6 +525,9 @@ impl Server {
                 op: r.op,
                 bytes: trace.sizes[r.key as usize],
             });
+            if let Some(planner) = self.planner.as_mut() {
+                planner.observe(r.key, r.op, seq);
+            }
             let ns = self.noise.perturb(raw);
             clock.advance(ns);
             if let (Some(log), Some((tier, pre_dev, pre_cache))) = (telemetry.as_deref_mut(), pre) {
@@ -417,15 +548,13 @@ impl Server {
                 }
                 // stat_keys is Some exactly when telemetry is, so this
                 // if-let always enters inside the telemetry block.
-                if let Some((fast_keys, slow_keys, llc_keys)) = stat_keys.as_ref() {
+                if let Some((tier_keys, llc_keys)) = stat_keys.as_ref() {
                     if let (Some(tier), Some(pre_dev)) = (tier, pre_dev) {
-                        let (hit_name, dev_keys) = match tier {
-                            MemTier::Fast => ("kv.tier.fast_hits", fast_keys),
-                            MemTier::Slow => ("kv.tier.slow_hits", slow_keys),
-                        };
-                        tel.count(hit_name, 1);
-                        let dev_delta = self.engine.memory().tier_stats(tier).since(&pre_dev);
-                        tel.record_access_stats_with(dev_keys, &dev_delta);
+                        if let Some((hit_name, dev_keys)) = tier_keys.get(tier.index()) {
+                            tel.count(hit_name, 1);
+                            let dev_delta = mem.tier_stats(tier).since(&pre_dev);
+                            tel.record_access_stats_with(dev_keys, &dev_delta);
+                        }
                     }
                     tel.record_cache_stats_with(llc_keys, &cache_delta);
                 }

@@ -1,361 +1,105 @@
-//! N-tier trace execution: a Redis-like engine over a [`TierStack`],
-//! driven by a pluggable [`TieringPolicy`].
+//! Policy-driven tiering for the one [`Server`](crate::Server): the
+//! per-key stats a [`TieringPolicy`] plans from, the spill-tolerant
+//! initial load, and the epoch re-planner behind
+//! [`Server::build_tiered`](crate::Server::build_tiered).
 //!
-//! [`TieredServer`] is the N-tier counterpart of
-//! [`Server`](crate::Server): same
-//! request loop, same charge arithmetic, same noise and fault plumbing
-//! — but the memory system is an ordered stack of any depth and the
-//! per-key placement comes from a policy instead of a fixed
-//! [`Placement`](crate::Placement). At N=2 with the greedy policy and
-//! no epochs, a run is bit-identical to the legacy two-tier server with
-//! the Pattern Engine's `FastSet` placement (covered by `tests/tier.rs`),
-//! which keeps every golden figure byte-stable.
-//!
-//! With `epoch_requests > 0` the policy re-plans every that many
-//! requests; the server diffs the desired assignments against current
-//! placements and charges each move's copy cost (read from source +
-//! write to destination) to the run's clock, accumulated in
-//! [`MigrationStats`].
+//! At N=2 with the greedy policy and no epochs, a policy-placed run is
+//! bit-identical to the same server with the Pattern Engine's `FastSet`
+//! placement (covered by `tests/tier.rs`): both are the same request
+//! loop over the same engine, differing only in who picked the tiers.
 
-use crate::engine::OpCharge;
-use crate::profile::{EngineProfile, StoreKind};
-use crate::server::{RequestSample, RunReport};
-use hybridmem::clock::NoiseConfig;
-use hybridmem::stack::{StackError, StackSpec, TierStack};
-use hybridmem::{AccessKind, DenseU64Map, Histogram, NoiseModel, ObjectId, SimClock, TierId};
-use mnemo_faults::{FaultPlan, ShardCrash};
-use mnemo_telemetry::{AccessStatKeys, CacheStatKeys, EpochLog, Snapshot};
+use crate::engine::{EngineError, KvEngine};
+use hybridmem::{AccessKind, TierId};
 use mnemo_tier::{KeyStat, TieringPolicy};
 use ycsb::{Op, Trace};
 
-/// Per-value header overhead, matching the Redis-like engine's
-/// `robj` + SDS + dict-entry allocation rounding so two-tier runs stay
-/// byte-compatible with [`RedisLike`](crate::redis_like::RedisLike).
-const VALUE_HEADER_BYTES: u64 = 64;
-
-/// Errors surfaced by the tiered engine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TieredError {
-    /// Key not loaded.
-    UnknownKey(u64),
-    /// Key already loaded (double `load`).
-    DuplicateKey(u64),
-    /// The tier stack rejected an operation.
-    Memory(StackError),
-}
-
-impl std::fmt::Display for TieredError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TieredError::UnknownKey(k) => write!(f, "unknown key {k}"),
-            TieredError::DuplicateKey(k) => write!(f, "duplicate key {k}"),
-            TieredError::Memory(e) => write!(f, "memory error: {e}"),
+/// Load every key at its planned tier. Policies plan against logical
+/// value bytes while engines add per-value overhead, so a
+/// capacity-tight planned tier can run out. The plan is advisory: spill
+/// toward the bottom of the stack first, then back up, and fail only
+/// when no tier at all has room.
+pub(crate) fn load_planned(
+    engine: &mut dyn KvEngine,
+    stats: &[KeyStat],
+    plan: &[TierId],
+) -> Result<(), EngineError> {
+    let num_tiers = engine.memory().num_tiers();
+    for (s, &tier) in stats.iter().zip(plan) {
+        let mut err = None;
+        let spill = (tier.index()..num_tiers).chain((0..tier.index()).rev());
+        for t in spill {
+            match engine.load(s.key, s.bytes, TierId(u8::try_from(t).unwrap_or(u8::MAX))) {
+                Ok(()) => {
+                    err = None;
+                    break;
+                }
+                Err(e @ EngineError::Memory(_)) => err = Some(e),
+                Err(e) => return Err(e),
+            }
+        }
+        if let Some(e) = err {
+            return Err(e);
         }
     }
+    Ok(())
 }
 
-impl std::error::Error for TieredError {}
-
-impl From<StackError> for TieredError {
-    fn from(e: StackError) -> Self {
-        TieredError::Memory(e)
-    }
-}
-
-/// Migration accounting for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MigrationStats {
-    /// Epoch re-plans executed.
-    pub epochs: u64,
-    /// Keys actually moved between tiers.
-    pub moved_keys: u64,
-    /// Logical bytes moved.
-    pub moved_bytes: u64,
-    /// Total nanoseconds charged to the run's clock for moves.
-    pub migration_ns: f64,
-}
-
-/// Redis-like engine over an N-tier stack: chained dict front-end with
-/// load-factor-dependent probe depth, value-header allocation rounding
-/// and the batched index + value charge path — the same float
-/// arithmetic as [`RedisLike`](crate::redis_like::RedisLike), tier count
-/// aside.
-pub struct TieredEngine {
-    profile: EngineProfile,
-    mem: TierStack,
-    /// key -> (object, logical value bytes).
-    table: DenseU64Map<(ObjectId, u64)>,
-    /// Power-of-two dict table size (doubles like Redis' dict).
-    table_size: u64,
-}
-
-impl TieredEngine {
-    /// Build over a fresh stack with the Redis cost profile.
-    pub fn new(spec: StackSpec) -> Result<TieredEngine, TieredError> {
-        Ok(TieredEngine {
-            profile: StoreKind::Redis.profile(),
-            mem: TierStack::new(spec)?,
-            table: DenseU64Map::new(),
-            table_size: 4,
-        })
-    }
-
-    /// The engine's cost profile.
-    pub fn profile(&self) -> &EngineProfile {
-        &self.profile
-    }
-
-    /// Current dict load factor (keys per bucket).
-    pub fn load_factor(&self) -> f64 {
-        self.table.len() as f64 / self.table_size as f64
-    }
-
-    fn maybe_grow(&mut self) {
-        while self.table.len() as u64 > self.table_size {
-            self.table_size *= 2;
-        }
-    }
-
-    /// Expected chain-length multiplier at the current load factor.
-    fn chain_scale(&self) -> f64 {
-        1.0 + self.load_factor() / 2.0
-    }
-
-    /// Pre-load a key of `bytes` into `tier` (unmeasured population).
-    pub fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), TieredError> {
-        if self.table.contains_key(key) {
-            return Err(TieredError::DuplicateKey(key));
-        }
-        let stored = bytes + VALUE_HEADER_BYTES;
-        let id = self.mem.alloc(stored.max(1), tier)?;
-        self.table.insert(key, (id, bytes));
-        self.maybe_grow();
-        Ok(())
-    }
-
-    fn lookup(&self, key: u64) -> Result<(ObjectId, u64), TieredError> {
-        self.table
-            .get(key)
-            .copied()
-            .ok_or(TieredError::UnknownKey(key))
-    }
-
-    /// The full index + value charge of one operation — the same charge
-    /// order as the two-tier `EngineCore::charge_op`: index walk first,
-    /// then value traffic, then amplification passes.
-    fn charge_op(
-        &mut self,
-        key: u64,
-        kind: AccessKind,
-        touches: u32,
-    ) -> Result<OpCharge, TieredError> {
-        let (id, value_bytes) = self.lookup(key)?;
-        let p = self.mem.placement(id)?;
-        let index_ns = self.mem.touch_n(
-            p.tier,
-            AccessKind::Read,
-            self.profile.touch_bytes,
-            u64::from(touches),
-        );
-        let amp = match kind {
-            AccessKind::Read => self.profile.read_amplification,
-            AccessKind::Write => self.profile.write_amplification,
-        };
-        let mut value_ns = self.mem.access_at(id, p, kind);
-        if amp > 1.0 {
-            value_ns += (amp - 1.0) * self.mem.touch(p.tier, kind, value_bytes);
-        }
-        Ok(OpCharge { index_ns, value_ns })
-    }
-
-    /// Serve a GET; returns the simulated service time in nanoseconds.
-    pub fn get(&mut self, key: u64) -> Result<f64, TieredError> {
-        let op = self.charge_op(key, AccessKind::Read, self.profile.index_touches)?;
-        let index = op.index_ns * self.chain_scale();
-        Ok(self.profile.fixed_op_ns + index + op.value_ns)
-    }
-
-    /// Serve a same-size UPDATE; returns the service time in nanoseconds.
-    pub fn put(&mut self, key: u64) -> Result<f64, TieredError> {
-        let op = self.charge_op(key, AccessKind::Write, self.profile.index_touches)?;
-        let index = op.index_ns * self.chain_scale();
-        Ok(self.profile.fixed_op_ns + index + op.value_ns)
-    }
-
-    /// The tier currently holding a key.
-    pub fn placement_of(&self, key: u64) -> Option<TierId> {
-        let (id, _) = self.table.get(key).copied()?;
-        self.mem.placement(id).ok().map(|p| p.tier)
-    }
-
-    /// Move a key's value to `tier`, returning the simulated copy cost
-    /// (zero for a no-op move).
-    pub fn migrate(&mut self, key: u64, tier: TierId) -> Result<f64, TieredError> {
-        let (id, _) = self.lookup(key)?;
-        Ok(self.mem.migrate(id, tier)?)
-    }
-
-    /// Number of loaded keys.
-    pub fn key_count(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Engine bytes in a tier (device accounting, headers included).
-    pub fn bytes_in(&self, tier: TierId) -> u64 {
-        self.mem.used(tier)
-    }
-
-    /// The underlying stack (stats, cache counters).
-    pub fn memory(&self) -> &TierStack {
-        &self.mem
-    }
-
-    /// Mutable stack access (sim-time pushes, degradation).
-    pub fn memory_mut(&mut self) -> &mut TierStack {
-        &mut self.mem
-    }
-
-    /// Reset caches and statistics between measured runs.
-    pub fn reset_measurement_state(&mut self) {
-        self.mem.reset_measurement_state();
-    }
-}
-
-/// An N-tier server: one [`TieredEngine`], one [`TieringPolicy`], and
-/// the same measurement loop as the two-tier [`Server`](crate::Server).
-pub struct TieredServer {
-    engine: TieredEngine,
-    noise: NoiseModel,
+/// Epoch re-planning state of a policy-placed server: the policy, the
+/// period, and the current epoch's per-key read/write counts.
+pub(crate) struct EpochPlanner {
     policy: Box<dyn TieringPolicy>,
+    /// Re-plan period in requests (positive).
+    every: u64,
     /// Full-dataset sizes, for epoch stat assembly.
     sizes: Vec<u64>,
-    /// Re-plan period in requests; 0 disables epochs (static placement).
-    epoch_requests: u64,
-    /// Per-key read/write counts within the current epoch.
-    epoch_reads: Vec<u64>,
-    epoch_writes: Vec<u64>,
-    migration: MigrationStats,
-    degraded: bool,
-    crashes: Vec<ShardCrash>,
+    reads: Vec<u64>,
+    writes: Vec<u64>,
 }
 
-impl TieredServer {
-    /// Build over `spec`, place the trace's dataset with `policy`, no
-    /// noise, no epochs (static placement).
-    pub fn build(
-        spec: StackSpec,
-        policy: Box<dyn TieringPolicy>,
-        trace: &Trace,
-    ) -> Result<TieredServer, TieredError> {
-        TieredServer::build_with(spec, NoiseConfig::disabled(), 0, policy, trace)
-    }
-
-    /// Fully parameterised constructor. `epoch_requests > 0` makes the
-    /// policy re-plan (and the server charge migrations) every that
-    /// many requests.
-    pub fn build_with(
-        spec: StackSpec,
-        noise: NoiseConfig,
-        epoch_requests: u64,
-        mut policy: Box<dyn TieringPolicy>,
-        trace: &Trace,
-    ) -> Result<TieredServer, TieredError> {
-        let stats = trace_stats(trace);
-        let assignment = policy.place(&stats, &spec);
-        let num_tiers = spec.tiers.len();
-        let mut engine = TieredEngine::new(spec)?;
-        for (s, &tier) in stats.iter().zip(assignment.iter()) {
-            // Policies plan against logical value bytes; the engine adds
-            // per-value header overhead, so a capacity-tight assigned
-            // tier can run out. The plan is advisory: spill toward the
-            // bottom of the stack first, then back up, and only fail
-            // when no tier at all has room.
-            let mut err = None;
-            let spill = (tier.index()..num_tiers).chain((0..tier.index()).rev());
-            for t in spill {
-                match engine.load(s.key, s.bytes, TierId(u8::try_from(t).unwrap_or(u8::MAX))) {
-                    Ok(()) => {
-                        err = None;
-                        break;
-                    }
-                    Err(e @ TieredError::Memory(_)) => err = Some(e),
-                    Err(e) => return Err(e),
-                }
-            }
-            if let Some(e) = err {
-                return Err(e);
-            }
-        }
+impl EpochPlanner {
+    pub(crate) fn new(policy: Box<dyn TieringPolicy>, every: u64, trace: &Trace) -> EpochPlanner {
         let keys = trace.sizes.len();
-        Ok(TieredServer {
-            engine,
-            noise: NoiseModel::new(noise),
+        EpochPlanner {
             policy,
+            every,
             sizes: trace.sizes.clone(),
-            epoch_requests,
-            epoch_reads: vec![0; keys],
-            epoch_writes: vec![0; keys],
-            migration: MigrationStats::default(),
-            degraded: false,
-            crashes: Vec::new(),
-        })
-    }
-
-    /// Install (or clear) a time-varying device degradation profile.
-    pub fn set_degradation(&mut self, profile: Option<hybridmem::DegradationProfile>) {
-        self.degraded = profile.is_some();
-        self.engine.memory_mut().set_degradation(profile);
-        if !self.degraded {
-            self.engine.memory_mut().set_now_ns(0);
+            reads: vec![0; keys],
+            writes: vec![0; keys],
         }
     }
 
-    /// Install a crash schedule (sorted by time).
-    pub fn set_crash_schedule(&mut self, crashes: Vec<ShardCrash>) {
-        self.crashes = crashes;
+    /// Zero the epoch counters at the start of a run.
+    pub(crate) fn reset(&mut self) {
+        self.reads.iter_mut().for_each(|c| *c = 0);
+        self.writes.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// Install the device-side parts of a fault plan (degradation
-    /// windows keyed by tier id plus shard-0 crashes).
-    pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        let profile = plan.degradation_profile();
-        self.set_degradation(if profile.is_empty() {
-            None
-        } else {
-            Some(profile)
-        });
-        self.set_crash_schedule(plan.shard_crashes(0));
+    /// Whether a re-plan runs before request `seq`.
+    pub(crate) fn is_due(&self, seq: usize) -> bool {
+        seq > 0 && seq as u64 % self.every == 0
     }
 
-    /// Migration accounting of the most recent run.
-    pub fn migration_stats(&self) -> MigrationStats {
-        self.migration
+    /// Count one served request and show it to the policy.
+    pub(crate) fn observe(&mut self, key: u64, op: Op, seq: usize) {
+        let kind = match op {
+            Op::Read => {
+                self.reads[key as usize] += 1;
+                AccessKind::Read
+            }
+            Op::Update => {
+                self.writes[key as usize] += 1;
+                AccessKind::Write
+            }
+        };
+        self.policy.on_access(key, kind, seq as u64);
     }
 
-    /// The engine (for inspection).
-    pub fn engine(&self) -> &TieredEngine {
-        &self.engine
-    }
-
-    /// Execute the trace and report measurements.
-    pub fn run(&mut self, trace: &Trace) -> RunReport {
-        self.run_instrumented(trace, None)
-    }
-
-    /// [`Self::run`] with telemetry: per-tier hit and device counters
-    /// under `kv.tier.<name>.*`, occupancy gauges at every epoch roll,
-    /// and migration counters. Epoch length follows `epoch_len`
-    /// requests (0 = one epoch for the whole run).
-    pub fn run_telemetered(&mut self, trace: &Trace, epoch_len: u64) -> (RunReport, Vec<Snapshot>) {
-        let mut log = EpochLog::new(epoch_len);
-        let report = self.run_instrumented(trace, Some(&mut log));
-        (report, log.finish())
-    }
-
-    /// Collect the epoch's stats, ask the policy for new assignments,
-    /// and charge every actual move to the clock.
-    fn run_epoch(&mut self, clock: &mut SimClock, telemetry: &mut Option<&mut EpochLog>) {
-        self.migration.epochs += 1;
+    /// Hand the epoch's stats to the policy and move every key whose
+    /// desired tier differs from its current one. Returns the keys and
+    /// logical bytes moved and the summed copy cost. A failed move
+    /// (target tier full) skips the key rather than aborting the run:
+    /// re-planning is best-effort.
+    pub(crate) fn replan(&mut self, engine: &mut dyn KvEngine) -> (u64, u64, f64) {
         let stats: Vec<KeyStat> = self
             .sizes
             .iter()
@@ -363,195 +107,26 @@ impl TieredServer {
             .map(|(key, &bytes)| KeyStat {
                 key: key as u64,
                 bytes,
-                reads: self.epoch_reads[key],
-                writes: self.epoch_writes[key],
+                reads: self.reads[key],
+                writes: self.writes[key],
             })
             .collect();
-        self.epoch_reads.iter_mut().for_each(|c| *c = 0);
-        self.epoch_writes.iter_mut().for_each(|c| *c = 0);
-        let desired = {
-            let spec = self.engine.memory().spec().clone();
-            self.policy.on_epoch(&stats, &spec)
-        };
-        if self.degraded {
-            self.engine.memory_mut().set_now_ns(clock.now_ns());
-        }
+        self.reset();
+        let desired = self.policy.on_epoch(&stats, engine.memory().spec());
         let mut moved_keys = 0u64;
         let mut moved_bytes = 0u64;
-        let mut epoch_ns = 0.0;
+        let mut ns = 0.0;
         for (key, tier) in desired {
-            if self.engine.placement_of(key) == Some(tier) {
+            if engine.placement_of(key) == Some(tier) {
                 continue;
             }
-            // A failed move (target tier full) skips the key rather
-            // than aborting the run: re-planning is best-effort.
-            if let Ok(ns) = self.engine.migrate(key, tier) {
+            if let Ok(cost) = engine.migrate(key, tier) {
                 moved_keys += 1;
                 moved_bytes += self.sizes.get(key as usize).copied().unwrap_or(0);
-                epoch_ns += ns;
+                ns += cost;
             }
         }
-        self.migration.moved_keys += moved_keys;
-        self.migration.moved_bytes += moved_bytes;
-        self.migration.migration_ns += epoch_ns;
-        clock.advance(epoch_ns);
-        if let Some(log) = telemetry.as_deref_mut() {
-            let names: Vec<String> = {
-                let spec = self.engine.memory().spec();
-                spec.tiers.iter().map(|t| t.name.clone()).collect()
-            };
-            let tel = log.recorder();
-            tel.count("kv.tier.epochs", 1);
-            tel.count("kv.tier.moved_keys", moved_keys);
-            tel.count("kv.tier.moved_bytes", moved_bytes);
-            tel.gauge("kv.tier.migration_ns", epoch_ns);
-            for (i, name) in names.iter().enumerate() {
-                let tier = TierId(u8::try_from(i).unwrap_or(u8::MAX));
-                let used = self.engine.memory().used(tier);
-                tel.gauge(&format!("kv.tier.{name}.occupancy_bytes"), used as f64);
-            }
-        }
-    }
-
-    fn run_instrumented(
-        &mut self,
-        trace: &Trace,
-        mut telemetry: Option<&mut EpochLog>,
-    ) -> RunReport {
-        self.engine.reset_measurement_state();
-        self.migration = MigrationStats::default();
-        self.epoch_reads.iter_mut().for_each(|c| *c = 0);
-        self.epoch_writes.iter_mut().for_each(|c| *c = 0);
-        let mut clock = SimClock::new();
-        let mut report = RunReport {
-            store: StoreKind::Redis,
-            workload: trace.name.clone(),
-            requests: trace.len(),
-            runtime_ns: 0.0,
-            reads: 0,
-            writes: 0,
-            read_ns_total: 0.0,
-            write_ns_total: 0.0,
-            read_hist: Histogram::new(),
-            write_hist: Histogram::new(),
-            samples: Vec::with_capacity(trace.len()),
-        };
-        let mut next_crash = 0usize;
-        // Per-tier metric names, formatted once per run.
-        let stat_keys: Option<(Vec<(String, AccessStatKeys)>, CacheStatKeys)> =
-            telemetry.as_ref().map(|_| {
-                let spec = self.engine.memory().spec();
-                let tiers = spec
-                    .tiers
-                    .iter()
-                    .map(|t| {
-                        let prefix = format!("kv.tier.{}", t.name);
-                        (format!("{prefix}.hits"), AccessStatKeys::new(&prefix))
-                    })
-                    .collect();
-                (tiers, CacheStatKeys::new("kv.llc"))
-            });
-        for (seq, r) in trace.requests.iter().enumerate() {
-            if self.epoch_requests > 0 && seq > 0 && seq as u64 % self.epoch_requests == 0 {
-                self.run_epoch(&mut clock, &mut telemetry);
-            }
-            while next_crash < self.crashes.len()
-                && clock.now_ns() >= self.crashes[next_crash].at_ns
-            {
-                let crash = self.crashes[next_crash];
-                next_crash += 1;
-                let recovery = crash.recovery_ns(self.engine.key_count());
-                clock.advance(recovery);
-                self.engine.memory_mut().clear_cache();
-                if let Some(log) = telemetry.as_deref_mut() {
-                    let tel = log.recorder();
-                    tel.count("kv.fault.shard_crashes", 1);
-                    tel.gauge("kv.fault.recovery_ns", recovery);
-                }
-            }
-            if self.degraded {
-                self.engine.memory_mut().set_now_ns(clock.now_ns());
-            }
-            let degraded_now = self.degraded
-                && telemetry.is_some()
-                && self
-                    .engine
-                    .memory()
-                    .degradation()
-                    .is_some_and(|p| p.is_active_at(clock.now_ns()));
-            let pre = telemetry.as_ref().map(|_| {
-                let tier = self.engine.placement_of(r.key);
-                let mem = self.engine.memory();
-                let dev = tier.map(|t| *mem.tier_stats(t));
-                (tier, dev, mem.cache_stats())
-            });
-            let raw = match r.op {
-                Op::Read => self.engine.get(r.key),
-                Op::Update => self.engine.put(r.key),
-            }
-            // mnemo-lint: allow(R001, "build loads every key of the trace before run, so requests cannot hit an unloaded key")
-            .expect("trace references unloaded key");
-            let kind = match r.op {
-                Op::Read => {
-                    self.epoch_reads[r.key as usize] += 1;
-                    AccessKind::Read
-                }
-                Op::Update => {
-                    self.epoch_writes[r.key as usize] += 1;
-                    AccessKind::Write
-                }
-            };
-            self.policy.on_access(r.key, kind, seq as u64);
-            let ns = self.noise.perturb(raw);
-            clock.advance(ns);
-            if let (Some(log), Some((tier, pre_dev, pre_cache))) = (telemetry.as_deref_mut(), pre) {
-                let mem = self.engine.memory();
-                let cache_delta = mem.cache_stats().since(&pre_cache);
-                let tel = log.recorder();
-                tel.count("kv.requests", 1);
-                tel.count(
-                    match r.op {
-                        Op::Read => "kv.reads",
-                        Op::Update => "kv.writes",
-                    },
-                    1,
-                );
-                tel.observe("kv.request.service_ns", ns);
-                if degraded_now {
-                    tel.count("kv.fault.degraded_requests", 1);
-                }
-                if let Some((tier_keys, llc_keys)) = stat_keys.as_ref() {
-                    if let (Some(tier), Some(pre_dev)) = (tier, pre_dev) {
-                        if let Some((hit_name, dev_keys)) = tier_keys.get(tier.index()) {
-                            tel.count(hit_name, 1);
-                            let dev_delta = self.engine.memory().tier_stats(tier).since(&pre_dev);
-                            tel.record_access_stats_with(dev_keys, &dev_delta);
-                        }
-                    }
-                    tel.record_cache_stats_with(llc_keys, &cache_delta);
-                }
-                log.tick();
-            }
-            match r.op {
-                Op::Read => {
-                    report.reads += 1;
-                    report.read_ns_total += ns;
-                    report.read_hist.record(ns);
-                }
-                Op::Update => {
-                    report.writes += 1;
-                    report.write_ns_total += ns;
-                    report.write_hist.record(ns);
-                }
-            }
-            report.samples.push(RequestSample {
-                key: r.key,
-                op: r.op,
-                service_ns: ns,
-            });
-        }
-        report.runtime_ns = clock.now_ns() as f64;
-        report
+        (moved_keys, moved_bytes, ns)
     }
 }
 
@@ -613,6 +188,11 @@ pub fn trace_windows(trace: &Trace, epoch_requests: u64) -> Vec<Vec<KeyStat>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::StoreKind;
+    use crate::server::Server;
+    use hybridmem::clock::NoiseConfig;
+    use hybridmem::StackSpec;
+    use mnemo_faults::FaultPlan;
     use mnemo_tier::{dram_optane_ssd, GreedyPolicy, PolicyKind};
     use ycsb::WorkloadSpec;
 
@@ -620,14 +200,28 @@ mod tests {
         WorkloadSpec::trending().scaled(200, 3_000).generate(42)
     }
 
+    /// A Redis server over `spec`, placed by `policy`, re-planning every
+    /// `epoch` requests.
+    fn server(spec: StackSpec, policy: Box<dyn TieringPolicy>, t: &Trace, epoch: u64) -> Server {
+        Server::build_tiered(
+            StoreKind::Redis,
+            spec,
+            NoiseConfig::disabled(),
+            t,
+            policy,
+            epoch,
+        )
+        .unwrap()
+    }
+
+    fn greedy(t: &Trace) -> Server {
+        server(dram_optane_ssd(), Box::new(GreedyPolicy), t, 0)
+    }
+
     #[test]
     fn three_tier_run_is_deterministic_and_accounted() {
         let t = trace();
-        let run = |_: u32| {
-            TieredServer::build(dram_optane_ssd(), Box::new(GreedyPolicy), &t)
-                .unwrap()
-                .run(&t)
-        };
+        let run = |_: u32| greedy(&t).run(&t);
         let a = run(0);
         let b = run(1);
         assert_eq!(a.runtime_ns.to_bits(), b.runtime_ns.to_bits());
@@ -635,20 +229,57 @@ mod tests {
         assert_eq!(a.samples.len(), t.len());
     }
 
+    /// Plans every key into one tier, whatever its capacity.
+    struct AllIn(TierId);
+
+    impl TieringPolicy for AllIn {
+        fn name(&self) -> &'static str {
+            "all-in"
+        }
+
+        fn place(&mut self, stats: &[KeyStat], _: &StackSpec) -> Vec<TierId> {
+            vec![self.0; stats.len()]
+        }
+    }
+
+    #[test]
+    fn overfull_plans_spill_down_then_up() {
+        let t = trace();
+        let stored: u64 = t.sizes.iter().map(|b| b + 64).sum();
+        let mut spec = dram_optane_ssd();
+        spec.tiers[0].capacity_bytes = stored;
+        spec.tiers[1].capacity_bytes = stored / 4;
+        spec.tiers[2].capacity_bytes = stored / 4;
+        // Everything planned into the middle tier: it fills, the rest
+        // spills down into the bottom tier, then back up to the top.
+        let s = server(spec.clone(), Box::new(AllIn(TierId(1))), &t, 0);
+        let used: Vec<u64> = spec.ids().map(|tier| s.engine().bytes_in(tier)).collect();
+        assert_eq!(s.engine().key_count(), t.sizes.len());
+        assert_eq!(used.iter().sum::<u64>(), stored);
+        for (bytes, tier) in used.iter().zip(&spec.tiers) {
+            assert!(*bytes > 0 && *bytes <= tier.capacity_bytes, "{used:?}");
+        }
+        // A hierarchy that cannot hold the dataset at all fails the build.
+        spec.tiers[0].capacity_bytes = stored / 4;
+        let err = Server::build_tiered(
+            StoreKind::Redis,
+            spec,
+            NoiseConfig::disabled(),
+            &t,
+            Box::new(AllIn(TierId(1))),
+            0,
+        )
+        .err()
+        .unwrap();
+        assert!(matches!(err, EngineError::Memory(_)), "{err}");
+    }
+
     #[test]
     fn every_policy_serves_the_full_trace() {
         let t = trace();
         for kind in PolicyKind::ALL {
             let windows = trace_windows(&t, 500);
-            let mut server = TieredServer::build_with(
-                dram_optane_ssd(),
-                NoiseConfig::disabled(),
-                500,
-                kind.build(9, &windows),
-                &t,
-            )
-            .unwrap();
-            let report = server.run(&t);
+            let report = server(dram_optane_ssd(), kind.build(9, &windows), &t, 500).run(&t);
             assert_eq!(report.requests, t.len(), "{kind}");
             assert!(report.runtime_ns > 0.0, "{kind}");
         }
@@ -661,17 +292,10 @@ mod tests {
         let mut spec = dram_optane_ssd();
         spec.tiers[0].capacity_bytes = t.dataset_bytes() / 6;
         spec.tiers[1].capacity_bytes = t.dataset_bytes() / 3;
-        let static_run = TieredServer::build(spec.clone(), PolicyKind::Lru.build(0, &[]), &t)
-            .unwrap()
-            .run(&t);
-        let mut moving = TieredServer::build_with(
-            spec,
-            NoiseConfig::disabled(),
-            250,
-            PolicyKind::Lru.build(0, &[]),
-            &t,
-        )
-        .unwrap();
+        let mut static_server = server(spec.clone(), PolicyKind::Lru.build(0, &[]), &t, 0);
+        let static_run = static_server.run(&t);
+        assert_eq!(static_server.migration_stats(), Default::default());
+        let mut moving = server(spec, PolicyKind::Lru.build(0, &[]), &t, 250);
         let moved = moving.run(&t);
         let stats = moving.migration_stats();
         assert!(stats.epochs > 0);
@@ -686,9 +310,7 @@ mod tests {
     #[test]
     fn telemetry_counts_tier_hits_by_name() {
         let t = trace();
-        let mut server =
-            TieredServer::build(dram_optane_ssd(), Box::new(GreedyPolicy), &t).unwrap();
-        let (report, snaps) = server.run_telemetered(&t, 0);
+        let (report, snaps) = greedy(&t).run_telemetered(&t, 0);
         let sum = |name: &str| snaps.iter().map(|s| s.counter(name)).sum::<u64>();
         assert_eq!(sum("kv.requests"), t.len() as u64);
         let tier_hits: u64 = ["dram", "optane", "ssd"]
@@ -697,9 +319,7 @@ mod tests {
             .sum();
         assert_eq!(tier_hits, t.len() as u64);
         // Telemetry must be a pure observer.
-        let clean = TieredServer::build(dram_optane_ssd(), Box::new(GreedyPolicy), &t)
-            .unwrap()
-            .run(&t);
+        let clean = greedy(&t).run(&t);
         assert_eq!(report.runtime_ns.to_bits(), clean.runtime_ns.to_bits());
     }
 
@@ -707,9 +327,7 @@ mod tests {
     fn fault_plans_degrade_named_tiers() {
         use mnemo_faults::TierNames;
         let t = trace();
-        let clean = TieredServer::build(dram_optane_ssd(), Box::new(GreedyPolicy), &t)
-            .unwrap()
-            .run(&t);
+        let clean = greedy(&t).run(&t);
         let names = TierNames::from_names(&["dram", "optane", "ssd"]);
         let plan_text = r#"
 seed = 1
@@ -729,8 +347,7 @@ end_ns = 340282366920938463463374607431768211455
 factor = 0.025
 "#;
         let plan = FaultPlan::parse_toml_with(plan_text, &names).unwrap();
-        let mut server =
-            TieredServer::build(dram_optane_ssd(), Box::new(GreedyPolicy), &t).unwrap();
+        let mut server = greedy(&t);
         server.install_fault_plan(&plan);
         let faulted = server.run(&t);
         assert!(

@@ -268,7 +268,7 @@ impl Code {
             }
             Code::P001 => {
                 "Walks the call graph from the hybridmem per-request charge paths \
-                 (touch/touch_n/access/access_bytes/access_at/access_ns/access_ns_n \
+                 (touch/touch_n/access/access_at/access_ns/access_ns_n \
                  and the AccessStats record/record_n sinks) and flags reachable heap \
                  allocations (vec!/format!/Box::new/with_capacity/to_vec/to_string/ \
                  to_owned/String::from/.collect). PR 7's alloc-count perf gates \

@@ -31,14 +31,26 @@ pub const MAX_DEPTH: u32 = 16;
 
 /// `mnemo-serve` request hot-path roots in `engine.rs`.
 const SERVE_ENGINE_ROOTS: [&str; 8] = [
-    "on_event", "advise", "demand", "advise_row", "ingest", "tick", "replan", "advise_now",
+    "on_event",
+    "advise",
+    "demand",
+    "advise_row",
+    "ingest",
+    "tick",
+    "replan",
+    "advise_now",
 ];
 /// `mnemo-serve` journal hot-path roots in `journal.rs`.
 const SERVE_JOURNAL_ROOTS: [&str; 6] = [
-    "start_segment", "append", "rotate", "sync", "recover", "encode_record",
+    "start_segment",
+    "append",
+    "rotate",
+    "sync",
+    "recover",
+    "encode_record",
 ];
-/// `hybridmem` per-request charge-path roots in `system.rs`.
-const HM_SYSTEM_ROOTS: [&str; 5] = ["access", "access_bytes", "touch", "touch_n", "access_at"];
+/// `hybridmem` per-request charge-path roots in `stack.rs`.
+const HM_STACK_ROOTS: [&str; 4] = ["access", "access_at", "touch", "touch_n"];
 /// `hybridmem` per-request charge-path roots in `device.rs`.
 const HM_DEVICE_ROOTS: [&str; 1] = ["access_ns"];
 
@@ -159,7 +171,11 @@ fn pool_reach_rules(g: &Graph, out: &mut Vec<Finding>) {
                 g,
                 &seen,
                 0,
-                &[FactKind::WallClock, FactKind::Entropy, FactKind::DefaultHasher],
+                &[
+                    FactKind::WallClock,
+                    FactKind::Entropy,
+                    FactKind::DefaultHasher,
+                ],
                 true,
             );
             if !nondet.is_empty() {
@@ -194,7 +210,8 @@ fn serve_panic_rule(g: &Graph, out: &mut Vec<Finding>) {
         if f.in_test || crate_dir_of(path) != "serve" {
             continue;
         }
-        let is_root = (path.ends_with("/engine.rs") && SERVE_ENGINE_ROOTS.contains(&f.name.as_str()))
+        let is_root = (path.ends_with("/engine.rs")
+            && SERVE_ENGINE_ROOTS.contains(&f.name.as_str()))
             || (path.ends_with("/journal.rs") && SERVE_JOURNAL_ROOTS.contains(&f.name.as_str()));
         if !is_root {
             continue;
@@ -222,7 +239,7 @@ fn alloc_reach_rule(g: &Graph, out: &mut Vec<Finding>) {
         if f.in_test || crate_dir_of(path) != "hybridmem" {
             continue;
         }
-        let is_root = (path.ends_with("/system.rs") && HM_SYSTEM_ROOTS.contains(&f.name.as_str()))
+        let is_root = (path.ends_with("/stack.rs") && HM_STACK_ROOTS.contains(&f.name.as_str()))
             || (path.ends_with("/device.rs") && HM_DEVICE_ROOTS.contains(&f.name.as_str()));
         if !is_root {
             continue;
@@ -316,13 +333,7 @@ fn lock_order_rule(g: &Graph, out: &mut Vec<Finding>) {
                                 pairs
                                     .entry((a.receiver.clone(), recv.clone()))
                                     .or_insert_with(|| {
-                                        (
-                                            path.to_string(),
-                                            a.line,
-                                            bf.clone(),
-                                            *bl,
-                                            g.display(id),
-                                        )
+                                        (path.to_string(), a.line, bf.clone(), *bl, g.display(id))
                                     });
                             }
                         }
@@ -369,14 +380,14 @@ fn lock_order_rule(g: &Graph, out: &mut Vec<Finding>) {
 fn lock_closure(
     g: &Graph,
     id: FnId,
-    memo: &mut Vec<Option<BTreeMap<String, (String, u32)>>>,
+    memo: &mut [Option<BTreeMap<String, (String, u32)>>],
 ) -> BTreeMap<String, (String, u32)> {
     if let Some(m) = &memo[id] {
         return m.clone();
     }
     let mut acc = BTreeMap::new();
     let seen = g.reach(&[id], 4);
-    for (&t, _) in &seen {
+    for &t in seen.keys() {
         let f = g.fn_of(t);
         if f.in_test {
             continue;
@@ -474,7 +485,7 @@ mod tests {
     #[test]
     fn p001_catches_alloc_on_charge_path_including_depth_zero() {
         let models = vec![model(
-            "crates/hybridmem/src/system.rs",
+            "crates/hybridmem/src/stack.rs",
             "impl System {\n    fn access(&mut self, k: u64) {\n        let label = format!(\"{k}\");\n    }\n}\n",
         )];
         let f = workspace_rules(&models);

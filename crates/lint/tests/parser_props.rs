@@ -50,7 +50,10 @@ fn check_model_invariants(
         }
         for l in &f.locks {
             prop_assert!(l.line >= 1 && l.line <= lines, "lock line {l:?}");
-            prop_assert!(idents.contains(l.receiver.as_str()), "invented receiver {l:?}");
+            prop_assert!(
+                idents.contains(l.receiver.as_str()),
+                "invented receiver {l:?}"
+            );
         }
     }
     for u in &model.uses {
@@ -70,10 +73,42 @@ fn check_model_invariants(
 /// item state machine, not just its error recovery.
 fn item_chunk(b: u8) -> &'static str {
     const CHUNKS: &[&str] = &[
-        "fn ", "impl ", "mod ", "use ", "pub ", "for ", "{", "}", "(", ")", "::", ";", ",",
-        "a", "b9", "_c", "self.", ".lock()", ".sum::<f64>()", "pool.run_jobs(", "|i|",
-        "Instant::now()", "vec![", "\"s\"", "'c'", "// x\n", "/* y */", "\n", "<", ">", "&",
-        "#[test]", "r#\"", "=", "->", "unwrap",
+        "fn ",
+        "impl ",
+        "mod ",
+        "use ",
+        "pub ",
+        "for ",
+        "{",
+        "}",
+        "(",
+        ")",
+        "::",
+        ";",
+        ",",
+        "a",
+        "b9",
+        "_c",
+        "self.",
+        ".lock()",
+        ".sum::<f64>()",
+        "pool.run_jobs(",
+        "|i|",
+        "Instant::now()",
+        "vec![",
+        "\"s\"",
+        "'c'",
+        "// x\n",
+        "/* y */",
+        "\n",
+        "<",
+        ">",
+        "&",
+        "#[test]",
+        "r#\"",
+        "=",
+        "->",
+        "unwrap",
     ];
     CHUNKS[b as usize % CHUNKS.len()]
 }
@@ -100,7 +135,7 @@ proptest! {
         for path in [
             "crates/core/src/x.rs",
             "crates/serve/src/engine.rs",
-            "crates/hybridmem/src/system.rs",
+            "crates/hybridmem/src/stack.rs",
             "crates/par/src/lib.rs",
         ] {
             let analysis = analyze_source(path, &src);
@@ -149,7 +184,11 @@ fn free(n: usize) -> Vec<u64> {
 "#;
     let model = parse_soup(src);
     assert_eq!(
-        model.fns.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
+        model
+            .fns
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect::<Vec<_>>(),
         vec!["total", "free"]
     );
     assert_eq!(model.uses.len(), 1);

@@ -9,7 +9,7 @@
 //! order and worker count.
 
 use crate::snapshot::{GaugeAgg, Snapshot};
-use hybridmem::system::CacheStats;
+use hybridmem::CacheStats;
 use hybridmem::{AccessStats, Histogram, SimClock};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

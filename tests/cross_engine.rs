@@ -76,7 +76,7 @@ fn per_store_storage_overheads_differ() {
     let t = trace();
     let bytes = |store: StoreKind| {
         let server = Server::build(store, &t, Placement::AllFast).unwrap();
-        server.engine().bytes_in(hybridmem::MemTier::Fast)
+        server.engine().bytes_in(hybridmem::MemTier::Fast.id())
     };
     let logical = t.dataset_bytes();
     let redis = bytes(StoreKind::Redis);

@@ -1,4 +1,4 @@
-//@ path: crates/hybridmem/src/system.rs
+//@ path: crates/hybridmem/src/stack.rs
 fn bump(counter: &mut u64, bytes: u64) {
     *counter += bytes;
 }

@@ -1,4 +1,4 @@
-//@ path: crates/hybridmem/src/system.rs
+//@ path: crates/hybridmem/src/stack.rs
 fn tag(kind: u32) -> String {
     format!("kind-{kind}")
 }

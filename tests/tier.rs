@@ -1,18 +1,19 @@
 //! N-tier integration tests: the `mnemo-tier` policy/hierarchy layer
-//! against the legacy two-tier pipeline and the `tier_matrix` bench.
+//! driving the one [`Server`], and the `tier_matrix` bench.
 //!
 //! The heart of the suite is the bit-identity guarantee: at N=2 with
-//! the paper's hierarchy and the greedy policy, a [`TieredServer`] run
-//! must be **byte-identical** to the legacy [`Server`] with the Pattern
-//! Engine's `fill_capacity` FastSet — on the same inputs the paper
-//! figures (fig1's trending replay, fig5's Table III suite over the
-//! Table I testbed) are generated from. This is what lets the N-tier
-//! subsystem ship without regenerating a single golden artifact.
+//! the paper's hierarchy and the greedy policy, a policy-placed
+//! [`Server`] run must be **byte-identical** to the same server placed
+//! by the paper's pipeline — the Pattern Engine's `fill_capacity`
+//! FastSet — on the same inputs the paper figures (fig1's trending
+//! replay, fig5's Table III suite over the Table I testbed) are
+//! generated from. The policy layer therefore reproduces the paper's
+//! placement decision, not just its cost model.
 
 use hybridmem::clock::NoiseConfig;
 use hybridmem::stack::StackSpec;
 use hybridmem::{HybridSpec, TierId};
-use kvsim::tiered::{trace_stats, trace_windows, TieredServer};
+use kvsim::tiered::{trace_stats, trace_windows};
 use kvsim::{Placement, Server, StoreKind};
 use mnemo::pattern::PatternEngine;
 use mnemo::tiering::MnemoT;
@@ -27,9 +28,9 @@ static JOBS_LOCK: Mutex<()> = Mutex::new(());
 /// The paper testbed with FastMem shrunk so placement is a real
 /// decision on a test-sized trace. Placement is planned against the
 /// returned budget while the device keeps slack for the per-value
-/// store header, so neither server ever overflows FastMem (the legacy
-/// path cannot spill). Capacity never enters the charge math, so the
-/// slack cannot perturb bit-identity.
+/// store header, so neither server ever overflows FastMem (a static
+/// `Placement` cannot spill). Capacity never enters the charge math, so
+/// the slack cannot perturb bit-identity.
 fn tight_testbed(trace: &Trace) -> (HybridSpec, u64) {
     let plan_cap = (trace.dataset_bytes() / 4).max(1);
     let mut spec = HybridSpec::paper_testbed();
@@ -61,39 +62,49 @@ impl TieringPolicy for PlannedGreedy {
     }
 }
 
-/// Run the legacy two-tier server with the Pattern Engine's greedy
-/// capacity fill, and the N=2 tier stack with the greedy policy, and
-/// demand bit-identical measurements.
-fn assert_two_tier_bit_identity(trace: &Trace) {
+/// The testbed's server placed by the Pattern Engine's greedy capacity
+/// fill (MnemoT weight order -> `fill_capacity` -> `FastSet`): the
+/// paper's two-tier pipeline.
+fn fast_set_run(trace: &Trace, noise: NoiseConfig) -> (kvsim::RunReport, Placement) {
     let (testbed, plan_cap) = tight_testbed(trace);
-
-    // Legacy: MnemoT weight order -> capacity fill -> FastSet.
     let pattern = PatternEngine::analyze(trace);
-    let fast_set = MnemoT::fill_capacity(&pattern, plan_cap);
-    let legacy = Server::build_with(
-        StoreKind::Redis,
-        testbed.clone(),
-        NoiseConfig::disabled(),
-        trace,
-        Placement::FastSet(fast_set.clone()),
-    )
-    .unwrap()
-    .run(trace);
+    let placement = Placement::FastSet(MnemoT::fill_capacity(&pattern, plan_cap));
+    let report = Server::build_with(StoreKind::Redis, testbed, noise, trace, placement.clone())
+        .unwrap()
+        .run(trace);
+    (report, placement)
+}
 
-    // N-tier: the same testbed as a two-tier stack, greedy policy.
-    let stack = StackSpec::two_tier(&testbed);
+/// The same testbed as a two-tier stack, placed by the greedy policy
+/// planning against the same top-tier budget, with static placement.
+fn greedy_server(trace: &Trace, noise: NoiseConfig) -> Server {
+    let (testbed, plan_cap) = tight_testbed(trace);
     let policy = PlannedGreedy {
         budget: plan_cap,
         inner: GreedyPolicy,
     };
-    let mut server = TieredServer::build(stack, Box::new(policy), trace).unwrap();
+    Server::build_tiered(
+        StoreKind::Redis,
+        StackSpec::two_tier(&testbed),
+        noise,
+        trace,
+        Box::new(policy),
+        0,
+    )
+    .unwrap()
+}
+
+/// Run the greedy-policy server and the FastSet-placed server and
+/// demand the same placement and bit-identical measurements.
+fn assert_two_tier_bit_identity(trace: &Trace) {
+    let (legacy, fast_set) = fast_set_run(trace, NoiseConfig::disabled());
+    let mut server = greedy_server(trace, NoiseConfig::disabled());
     let tiered = server.run(trace);
 
     // The greedy policy must have picked the same FastMem set...
     for s in trace_stats(trace) {
         let tier = server.engine().placement_of(s.key).unwrap();
-        let expect = if fast_set.contains(&s.key) { 0 } else { 1 };
-        assert_eq!(tier, TierId(expect), "key {} tier", s.key);
+        assert_eq!(tier, fast_set.tier_of(s.key).id(), "key {} tier", s.key);
     }
     // ...and every measurement must match to the bit.
     assert_eq!(legacy.requests, tiered.requests);
@@ -145,31 +156,9 @@ fn greedy_two_tier_matches_legacy_with_noise_enabled() {
     let trace = WorkloadSpec::edit_thumbnail()
         .scaled(200, 2_500)
         .generate(3);
-    let (testbed, plan_cap) = tight_testbed(&trace);
     let noise = NoiseConfig::default_jitter(5);
-    let pattern = PatternEngine::analyze(&trace);
-    let fast_set = MnemoT::fill_capacity(&pattern, plan_cap);
-    let legacy = Server::build_with(
-        StoreKind::Redis,
-        testbed.clone(),
-        noise,
-        &trace,
-        Placement::FastSet(fast_set),
-    )
-    .unwrap()
-    .run(&trace);
-    let tiered = TieredServer::build_with(
-        StackSpec::two_tier(&testbed),
-        noise,
-        0,
-        Box::new(PlannedGreedy {
-            budget: plan_cap,
-            inner: GreedyPolicy,
-        }),
-        &trace,
-    )
-    .unwrap()
-    .run(&trace);
+    let (legacy, _) = fast_set_run(&trace, noise);
+    let tiered = greedy_server(&trace, noise).run(&trace);
     assert_eq!(legacy.runtime_ns.to_bits(), tiered.runtime_ns.to_bits());
 }
 
@@ -246,12 +235,13 @@ fn epoch_replanning_is_deterministic_for_every_policy() {
     for kind in PolicyKind::ALL {
         let run = || {
             let windows = trace_windows(&trace, 1_000);
-            let mut server = TieredServer::build_with(
+            let mut server = Server::build_tiered(
+                StoreKind::Redis,
                 spec.clone(),
                 NoiseConfig::disabled(),
-                1_000,
-                kind.build(17, &windows),
                 &trace,
+                kind.build(17, &windows),
+                1_000,
             )
             .unwrap();
             let report = server.run(&trace);
@@ -261,5 +251,58 @@ fn epoch_replanning_is_deterministic_for_every_policy() {
         let (b, mb) = run();
         assert_eq!(a, b, "{kind} runtime must be reproducible");
         assert_eq!(ma, mb, "{kind} migration stats must be reproducible");
+    }
+}
+
+#[test]
+fn every_store_runs_on_three_tiers_with_epoch_replanning() {
+    let trace = WorkloadSpec::edit_thumbnail()
+        .scaled(300, 4_000)
+        .generate(21);
+    let mut spec = mnemo_tier::dram_optane_ssd();
+    let dataset = trace.dataset_bytes();
+    spec.tiers[0].capacity_bytes = dataset / 5;
+    spec.tiers[1].capacity_bytes = dataset / 3;
+    for store in StoreKind::ALL {
+        let run = || {
+            let mut server = Server::build_tiered(
+                store,
+                spec.clone(),
+                NoiseConfig::disabled(),
+                &trace,
+                Box::new(GreedyPolicy),
+                800,
+            )
+            .unwrap();
+            let report = server.run(&trace);
+            let used: Vec<u64> = spec
+                .ids()
+                .map(|tier| server.engine().bytes_in(tier))
+                .collect();
+            (report, server.migration_stats(), used)
+        };
+        let (a, ma, used) = run();
+        let (b, mb, _) = run();
+        assert_eq!(a.store, store);
+        assert_eq!(a.reads + a.writes, trace.len() as u64, "{store}");
+        assert_eq!(
+            a.runtime_ns.to_bits(),
+            b.runtime_ns.to_bits(),
+            "{store} runtime must be reproducible"
+        );
+        assert_eq!(ma, mb, "{store} migration stats must be reproducible");
+        assert!(ma.epochs > 0, "{store}: {ma:?}");
+        for (tier, bytes) in spec.tiers.iter().zip(&used) {
+            assert!(
+                *bytes <= tier.capacity_bytes,
+                "{store} overfills {}: {bytes} > {}",
+                tier.name,
+                tier.capacity_bytes
+            );
+        }
+        assert!(
+            used[0] > 0 && used[2] > 0,
+            "{store} uses the hierarchy: {used:?}"
+        );
     }
 }
