@@ -8,7 +8,16 @@
 //! attributed to SlowMem."
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::io::{self, Write};
+
+/// Header line of the curve CSV.
+const CSV_HEADER: &str = "key,estimated_throughput_ops_s,cost_reduction";
+
+/// Bytes reserved per CSV row by [`EstimateCurve::to_csv`]: a key id, a
+/// throughput with three decimals and a six-decimal ratio fit in it for
+/// any paper-scale curve, so the string rarely reallocates.
+const CSV_ROW_BYTES: usize = 32;
 
 /// One row of the estimate curve: the state *after* placing `key` (and
 /// all keys of earlier rows) in FastMem.
@@ -37,6 +46,25 @@ impl CurveRow {
         } else {
             self.est_runtime_ns / requests as f64
         }
+    }
+}
+
+/// One curve row as CSV fields (no line end); the all-slow row's key is
+/// the sentinel `-`.
+struct CsvRow<'a>(&'a CurveRow);
+
+impl fmt::Display for CsvRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let row = self.0;
+        match row.key {
+            Some(k) => write!(f, "{k},")?,
+            None => f.write_str("-,")?,
+        }
+        write!(
+            f,
+            "{:.3},{:.6}",
+            row.est_throughput_ops_s, row.cost_reduction
+        )
     }
 }
 
@@ -97,31 +125,25 @@ impl EstimateCurve {
     /// performance (ops/s), cost reduction factor. The initial all-slow
     /// row uses the sentinel `-` key.
     pub fn write_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "key,estimated_throughput_ops_s,cost_reduction")?;
+        writeln!(w, "{CSV_HEADER}")?;
         for row in &self.rows {
-            match row.key {
-                Some(k) => writeln!(
-                    w,
-                    "{k},{:.3},{:.6}",
-                    row.est_throughput_ops_s, row.cost_reduction
-                )?,
-                None => writeln!(
-                    w,
-                    "-,{:.3},{:.6}",
-                    row.est_throughput_ops_s, row.cost_reduction
-                )?,
-            }
+            writeln!(w, "{}", CsvRow(row))?;
         }
         Ok(())
     }
 
-    /// CSV as a string.
+    /// CSV as a string: the bytes [`Self::write_csv`] writes, formatted
+    /// straight into one pre-sized `String`.
     pub fn to_csv(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_csv(&mut buf)
-            // mnemo-lint: allow(R001, "io::Write for Vec<u8> is infallible by its contract")
-            .expect("writing to a Vec cannot fail");
-        String::from_utf8_lossy(&buf).into_owned()
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(CSV_HEADER.len() + 1 + self.rows.len() * CSV_ROW_BYTES);
+        out.push_str(CSV_HEADER);
+        out.push('\n');
+        for row in &self.rows {
+            // fmt::Write for String never fails.
+            let _ = writeln!(out, "{}", CsvRow(row));
+        }
+        out
     }
 
     /// Downsample the curve to at most `n` evenly spaced rows (always
@@ -201,6 +223,26 @@ mod tests {
         for line in &lines[1..] {
             assert_eq!(line.split(',').count(), 3);
         }
+    }
+
+    #[test]
+    fn to_csv_equals_the_write_csv_bytes() {
+        let mut c = curve();
+        // Wide values too: long keys and throughputs overflow the
+        // per-row reservation, which must only cost a reallocation.
+        c.rows[3].key = Some(u64::MAX);
+        c.rows[4].est_throughput_ops_s = 1.0e300;
+        c.rows[5].cost_reduction = -0.0;
+        let mut bytes = Vec::new();
+        c.write_csv(&mut bytes).unwrap();
+        assert_eq!(c.to_csv().as_bytes(), bytes.as_slice());
+        let empty = EstimateCurve {
+            rows: Vec::new(),
+            ..c
+        };
+        let mut bytes = Vec::new();
+        empty.write_csv(&mut bytes).unwrap();
+        assert_eq!(empty.to_csv().as_bytes(), bytes.as_slice());
     }
 
     #[test]

@@ -32,15 +32,16 @@ impl MnemoT {
     /// Keys ordered by descending placement weight — MnemoT's priority
     /// ordering for FastMem allocations. Ties break by key id.
     pub fn weight_order(pattern: &PatternEngine) -> Vec<u64> {
-        let mut order: Vec<u64> = (0..pattern.key_count() as u64).collect();
-        order.sort_by(|&a, &b| {
-            let sa = pattern.key(a);
-            let sb = pattern.key(b);
-            let wa = Self::weight(sa.accesses(), sa.bytes);
-            let wb = Self::weight(sb.accesses(), sb.bytes);
-            wb.total_cmp(&wa).then(a.cmp(&b))
-        });
-        order
+        // Each weight is computed once, not twice per comparison; the
+        // sort key orders exactly like comparing the weights themselves.
+        let mut keyed: Vec<(f64, u64)> = pattern
+            .stats()
+            .iter()
+            .zip(0u64..)
+            .map(|(s, key)| (Self::weight(s.accesses(), s.bytes), key))
+            .collect();
+        keyed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        keyed.into_iter().map(|(_, key)| key).collect()
     }
 
     /// The 0/1-knapsack selection for one fixed FastMem capacity, as
@@ -138,6 +139,43 @@ mod tests {
         };
         let p = PatternEngine::analyze(&t);
         assert_eq!(MnemoT::weight_order(&p), vec![1, 2, 0, 3]);
+    }
+
+    /// The ordering as first written: a comparator sort recomputing
+    /// both weights in every comparison — the oracle for the keyed sort.
+    fn comparator_order(pattern: &PatternEngine) -> Vec<u64> {
+        let mut order: Vec<u64> = (0..pattern.key_count() as u64).collect();
+        order.sort_by(|&a, &b| {
+            let sa = pattern.key(a);
+            let sb = pattern.key(b);
+            let wa = MnemoT::weight(sa.accesses(), sa.bytes);
+            let wb = MnemoT::weight(sb.accesses(), sb.bytes);
+            wb.total_cmp(&wa).then(a.cmp(&b))
+        });
+        order
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn weight_order_matches_the_comparator_sort(
+            // Few distinct sizes and zero-byte keys force weight ties.
+            sizes in proptest::collection::vec(0u64..4, 1..80),
+            picks in proptest::collection::vec((0usize..80, proptest::bool::ANY), 0..300)
+        ) {
+            let sizes: Vec<u64> = sizes.iter().map(|&s| s * 100).collect();
+            // Picks past the key count leave some keys with no accesses.
+            let requests = picks
+                .into_iter()
+                .filter(|&(k, _)| k < sizes.len())
+                .map(|(k, read)| Request {
+                    key: k as u64,
+                    op: if read { Op::Read } else { Op::Update },
+                })
+                .collect();
+            let t = Trace { name: "ties".into(), sizes, requests };
+            let p = PatternEngine::analyze(&t);
+            proptest::prop_assert_eq!(MnemoT::weight_order(&p), comparator_order(&p));
+        }
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! estimate does not know about — keeping the estimate-accuracy evaluation
 //! honest.
 //!
-//! Two concrete models are provided behind the [`Cache`] trait:
+//! Three models implement the [`Cache`] trait:
 //!
-//! * [`ObjectLru`] — object-granular LRU with a byte budget. One hash-map
-//!   probe per access; the default for experiment sweeps.
+//! * [`ObjectLru`] — object-granular LRU with a byte budget. One
+//!   residency-index probe per access; the default for experiment sweeps.
 //! * [`SetAssociative`] — classic line-granular set-associative LRU.
 //!   Accurate but O(lines touched) per access; used for validation and the
 //!   `ablation_cache` bench.
 //! * [`NoCache`] — pass-through (every byte misses).
+//!
+//! [`CacheConfig::build`] returns the configured one as a [`CacheModel`]
+//! enum, which the memory system dispatches statically.
 
 use crate::dense::DenseU64Map;
 use crate::num;
@@ -112,11 +115,11 @@ impl CacheConfig {
     }
 
     /// Build the configured cache model.
-    pub fn build(&self) -> Box<dyn Cache> {
+    pub fn build(&self) -> CacheModel {
         match self.kind {
-            CacheKind::None => Box::new(NoCache),
-            CacheKind::ObjectLru => Box::new(ObjectLru::new(self.capacity_bytes)),
-            CacheKind::SetAssociative => Box::new(SetAssociative::new(
+            CacheKind::None => CacheModel::None(NoCache),
+            CacheKind::ObjectLru => CacheModel::ObjectLru(ObjectLru::new(self.capacity_bytes)),
+            CacheKind::SetAssociative => CacheModel::SetAssociative(SetAssociative::new(
                 self.capacity_bytes,
                 self.line_bytes,
                 self.ways,
@@ -130,6 +133,54 @@ impl CacheConfig {
             return 0.0;
         }
         self.hit_latency_ns + bytes as f64 / self.bandwidth_bytes_per_ns
+    }
+}
+
+/// One of the three cache models, chosen by [`CacheKind`]. The memory
+/// system holds its LLC as this enum rather than a boxed [`Cache`], so
+/// the per-access call is a match the compiler can inline instead of a
+/// virtual call.
+pub enum CacheModel {
+    /// [`NoCache`].
+    None(NoCache),
+    /// [`ObjectLru`].
+    ObjectLru(ObjectLru),
+    /// [`SetAssociative`].
+    SetAssociative(SetAssociative),
+}
+
+impl Cache for CacheModel {
+    #[inline]
+    fn access(&mut self, key: u64, bytes: u64) -> CacheOutcome {
+        match self {
+            CacheModel::None(c) => c.access(key, bytes),
+            CacheModel::ObjectLru(c) => c.access(key, bytes),
+            CacheModel::SetAssociative(c) => c.access(key, bytes),
+        }
+    }
+
+    fn invalidate(&mut self, key: u64) {
+        match self {
+            CacheModel::None(c) => c.invalidate(key),
+            CacheModel::ObjectLru(c) => c.invalidate(key),
+            CacheModel::SetAssociative(c) => c.invalidate(key),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            CacheModel::None(c) => c.clear(),
+            CacheModel::ObjectLru(c) => c.clear(),
+            CacheModel::SetAssociative(c) => c.clear(),
+        }
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        match self {
+            CacheModel::None(c) => c.resident_bytes(),
+            CacheModel::ObjectLru(c) => c.resident_bytes(),
+            CacheModel::SetAssociative(c) => c.resident_bytes(),
+        }
     }
 }
 
@@ -155,25 +206,41 @@ impl Cache for NoCache {
 ///
 /// An access to an object either hits fully (object resident) or misses
 /// fully (object not resident, gets installed, LRU victims evicted until it
-/// fits). Objects larger than the whole cache bypass it. The LRU list is an
-/// index-linked doubly linked list over a slab, so each access is O(1) plus
-/// amortised evictions.
+/// fits). Objects larger than the whole cache bypass it. The LRU list is a
+/// circular doubly linked list over a slab with `u32` links, closed by a
+/// sentinel node at slot 0, so relinking a node never branches on the list
+/// ends; each access is O(1) plus amortised evictions.
 pub struct ObjectLru {
     capacity: u64,
     used: u64,
-    map: DenseU64Map<usize>,
+    /// Residency index: object key -> slab slot.
+    map: DenseU64Map<u32>,
+    /// Slot [`SENTINEL`] closes the list: its `next` is the most recently
+    /// used node and its `prev` the least recently used.
     slab: Vec<Node>,
-    free: Vec<usize>,
-    head: Option<usize>, // most recently used
-    tail: Option<usize>, // least recently used
+    /// Slots of evicted or invalidated nodes, reused before the slab grows.
+    free: Vec<u32>,
 }
+
+/// Slab slot of the list sentinel.
+const SENTINEL: u32 = 0;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
     key: u64,
     bytes: u64,
-    prev: Option<usize>,
-    next: Option<usize>,
+    prev: u32,
+    next: u32,
+}
+
+impl Node {
+    /// The sentinel of an empty list links to itself.
+    const EMPTY_LIST: Node = Node {
+        key: 0,
+        bytes: 0,
+        prev: SENTINEL,
+        next: SENTINEL,
+    };
 }
 
 impl ObjectLru {
@@ -183,48 +250,83 @@ impl ObjectLru {
             capacity,
             used: 0,
             map: DenseU64Map::new(),
-            slab: Vec::new(),
+            slab: vec![Node::EMPTY_LIST],
             free: Vec::new(),
-            head: None,
-            tail: None,
         }
     }
 
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
-        match prev {
-            Some(p) => self.slab[p].next = next,
-            None => self.head = next,
-        }
-        match next {
-            Some(n) => self.slab[n].prev = prev,
-            None => self.tail = prev,
-        }
-        self.slab[idx].prev = None;
-        self.slab[idx].next = None;
+    #[inline]
+    fn node(&mut self, slot: u32) -> &mut Node {
+        &mut self.slab[num::usize_from_u32(slot)]
     }
 
-    fn push_front(&mut self, idx: usize) {
-        self.slab[idx].prev = None;
-        self.slab[idx].next = self.head;
-        if let Some(h) = self.head {
-            self.slab[h].prev = Some(idx);
-        }
-        self.head = Some(idx);
-        if self.tail.is_none() {
-            self.tail = Some(idx);
-        }
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = *self.node(slot);
+        self.node(prev).next = next;
+        self.node(next).prev = prev;
     }
 
+    #[inline]
+    fn push_front(&mut self, slot: u32) {
+        let first = self.node(SENTINEL).next;
+        let node = self.node(slot);
+        node.prev = SENTINEL;
+        node.next = first;
+        self.node(first).prev = slot;
+        self.node(SENTINEL).next = slot;
+    }
+
+    #[inline]
+    fn move_to_front(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.push_front(slot);
+    }
+
+    /// Unlink a resident node and release its slot and bytes.
+    fn remove_slot(&mut self, slot: u32) {
+        self.unlink(slot);
+        let Node { key, bytes, .. } = *self.node(slot);
+        self.map.remove(key);
+        self.free.push(slot);
+        self.used -= bytes;
+    }
+
+    /// Evict the least recently used object, if any.
     fn evict_lru(&mut self) {
-        if let Some(t) = self.tail {
-            let key = self.slab[t].key;
-            let bytes = self.slab[t].bytes;
-            self.detach(t);
-            self.map.remove(key);
-            self.free.push(t);
-            self.used -= bytes;
+        let tail = self.node(SENTINEL).prev;
+        if tail != SENTINEL {
+            self.remove_slot(tail);
         }
+    }
+
+    /// Install a non-resident object at the MRU end. Returns false, and
+    /// leaves the cache as it was, only when the slab already holds
+    /// `u32::MAX` nodes.
+    fn install(&mut self, key: u64, bytes: u64) -> bool {
+        let node = Node {
+            key,
+            bytes,
+            prev: SENTINEL,
+            next: SENTINEL,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                *self.node(slot) = node;
+                slot
+            }
+            None => {
+                let Ok(slot) = u32::try_from(self.slab.len()) else {
+                    return false;
+                };
+                self.slab.push(node);
+                slot
+            }
+        };
+        self.push_front(slot);
+        self.map.insert(key, slot);
+        self.used += bytes;
+        true
     }
 
     /// Number of resident objects.
@@ -245,12 +347,12 @@ impl ObjectLru {
     /// Mark an object most-recently-used without changing its footprint.
     /// Returns false when the object is not resident.
     pub fn touch(&mut self, key: u64) -> bool {
-        if let Some(&idx) = self.map.get(key) {
-            self.detach(idx);
-            self.push_front(idx);
-            true
-        } else {
-            false
+        match self.map.get(key) {
+            Some(&slot) => {
+                self.move_to_front(slot);
+                true
+            }
+            None => false,
         }
     }
 
@@ -260,52 +362,42 @@ impl ObjectLru {
     /// Oversized objects (bigger than the whole budget) are not admitted
     /// and evict nothing.
     pub fn insert_reporting(&mut self, key: u64, bytes: u64) -> Vec<u64> {
-        if bytes == 0 || bytes > self.capacity {
-            return Vec::new();
-        }
-        if let Some(&idx) = self.map.get(key) {
-            // Refresh: adjust footprint in place, then ensure capacity.
-            let cached = self.slab[idx].bytes;
-            self.detach(idx);
-            self.push_front(idx);
-            self.used = self.used - cached + bytes;
-            self.slab[idx].bytes = bytes;
-        } else {
-            let node = Node {
-                key,
-                bytes,
-                prev: None,
-                next: None,
-            };
-            let idx = match self.free.pop() {
-                Some(i) => {
-                    self.slab[i] = node;
-                    i
-                }
-                None => {
-                    self.slab.push(node);
-                    self.slab.len() - 1
-                }
-            };
-            self.push_front(idx);
-            self.map.insert(key, idx);
-            self.used += bytes;
-        }
         let mut evicted = Vec::new();
+        self.insert_with(key, bytes, |victim| evicted.push(victim));
+        evicted
+    }
+
+    /// [`Self::insert_reporting`] for callers that do not need the
+    /// victims: same admission and eviction, no allocation.
+    pub fn insert(&mut self, key: u64, bytes: u64) {
+        self.insert_with(key, bytes, |_| {});
+    }
+
+    fn insert_with(&mut self, key: u64, bytes: u64, mut on_evict: impl FnMut(u64)) {
+        if bytes == 0 || bytes > self.capacity {
+            return;
+        }
+        if let Some(&slot) = self.map.get(key) {
+            // Refresh: adjust footprint in place, then ensure capacity.
+            self.move_to_front(slot);
+            let node = self.node(slot);
+            let cached = node.bytes;
+            node.bytes = bytes;
+            self.used = self.used - cached + bytes;
+        } else if !self.install(key, bytes) {
+            return;
+        }
         while self.used > self.capacity {
-            // Over budget implies a resident tail; bail defensively if
-            // the invariant is ever violated rather than spinning.
-            let Some(tail) = self.tail else { break };
-            // Never evict the object just installed (it is at the head;
-            // capacity guards ensure this only triggers for others).
-            let victim_key = self.slab[tail].key;
-            if victim_key == key {
+            // The object just installed sits at the MRU end; it is never
+            // its own victim (capacity guards ensure only others go).
+            let tail = self.node(SENTINEL).prev;
+            let victim = self.node(tail).key;
+            if tail == SENTINEL || victim == key {
                 break;
             }
-            evicted.push(victim_key);
-            self.evict_lru();
+            on_evict(victim);
+            self.remove_slot(tail);
         }
-        evicted
     }
 }
 
@@ -314,13 +406,12 @@ impl Cache for ObjectLru {
         if bytes == 0 {
             return CacheOutcome::default();
         }
-        if let Some(&idx) = self.map.get(key) {
+        if let Some(&slot) = self.map.get(key) {
             // Size may have changed (value overwritten with a new size):
             // treat a size change as a miss of the delta, conservatively a
             // full miss if it grew beyond the cached footprint.
-            let cached = self.slab[idx].bytes;
-            self.detach(idx);
-            self.push_front(idx);
+            self.move_to_front(slot);
+            let cached = self.node(slot).bytes;
             if bytes <= cached {
                 return CacheOutcome {
                     hit_bytes: bytes,
@@ -330,47 +421,23 @@ impl Cache for ObjectLru {
             let grow = bytes - cached;
             if self.used + grow <= self.capacity {
                 self.used += grow;
-                self.slab[idx].bytes = bytes;
+                self.node(slot).bytes = bytes;
                 return CacheOutcome {
                     hit_bytes: cached,
                     miss_bytes: grow,
                 };
             }
             // Cannot grow in place; fall through to full reinstall below.
-            self.detach(idx);
-            self.map.remove(key);
-            self.free.push(idx);
-            self.used -= cached;
+            self.remove_slot(slot);
         }
-        if bytes > self.capacity {
-            // Streaming object larger than the LLC: bypass.
-            return CacheOutcome {
-                hit_bytes: 0,
-                miss_bytes: bytes,
-            };
-        }
-        while self.used + bytes > self.capacity {
-            self.evict_lru();
-        }
-        let node = Node {
-            key,
-            bytes,
-            prev: None,
-            next: None,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = node;
-                i
+        if bytes <= self.capacity {
+            while self.used + bytes > self.capacity {
+                self.evict_lru();
             }
-            None => {
-                self.slab.push(node);
-                self.slab.len() - 1
-            }
-        };
-        self.push_front(idx);
-        self.map.insert(key, idx);
-        self.used += bytes;
+            self.install(key, bytes);
+        }
+        // Installed, or a streaming object larger than the LLC that
+        // bypasses it: a full miss either way.
         CacheOutcome {
             hit_bytes: 0,
             miss_bytes: bytes,
@@ -378,19 +445,16 @@ impl Cache for ObjectLru {
     }
 
     fn invalidate(&mut self, key: u64) {
-        if let Some(idx) = self.map.remove(key) {
-            self.used -= self.slab[idx].bytes;
-            self.detach(idx);
-            self.free.push(idx);
+        if let Some(&slot) = self.map.get(key) {
+            self.remove_slot(slot);
         }
     }
 
     fn clear(&mut self) {
         self.map.clear();
-        self.slab.clear();
+        self.slab.truncate(1);
+        self.slab[0] = Node::EMPTY_LIST;
         self.free.clear();
-        self.head = None;
-        self.tail = None;
         self.used = 0;
     }
 
@@ -527,6 +591,7 @@ impl Cache for SetAssociative {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn object_lru_hits_after_install() {
@@ -658,6 +723,132 @@ mod tests {
         assert!(!c.touch(5));
         c.insert_reporting(5, 50);
         assert!(c.touch(5));
+    }
+
+    /// Straightforward reference LRU: a most-recently-used-first list
+    /// searched linearly, written from the documented semantics.
+    struct ReferenceLru {
+        capacity: u64,
+        list: Vec<(u64, u64)>,
+    }
+
+    impl ReferenceLru {
+        fn used(&self) -> u64 {
+            self.list.iter().map(|&(_, b)| b).sum()
+        }
+
+        fn take(&mut self, key: u64) -> Option<u64> {
+            let i = self.list.iter().position(|&(k, _)| k == key)?;
+            Some(self.list.remove(i).1)
+        }
+
+        fn access(&mut self, key: u64, bytes: u64) -> CacheOutcome {
+            if bytes == 0 {
+                return CacheOutcome::default();
+            }
+            if let Some(cached) = self.take(key) {
+                if bytes <= cached {
+                    self.list.insert(0, (key, cached));
+                    return CacheOutcome {
+                        hit_bytes: bytes,
+                        miss_bytes: 0,
+                    };
+                }
+                if self.used() + bytes <= self.capacity {
+                    self.list.insert(0, (key, bytes));
+                    return CacheOutcome {
+                        hit_bytes: cached,
+                        miss_bytes: bytes - cached,
+                    };
+                }
+            }
+            if bytes <= self.capacity {
+                while self.used() + bytes > self.capacity {
+                    self.list.pop();
+                }
+                self.list.insert(0, (key, bytes));
+            }
+            CacheOutcome {
+                hit_bytes: 0,
+                miss_bytes: bytes,
+            }
+        }
+
+        fn insert_reporting(&mut self, key: u64, bytes: u64) -> Vec<u64> {
+            if bytes == 0 || bytes > self.capacity {
+                return Vec::new();
+            }
+            self.take(key);
+            self.list.insert(0, (key, bytes));
+            let mut evicted = Vec::new();
+            while self.used() > self.capacity {
+                let (victim, _) = self.list[self.list.len() - 1];
+                if victim == key {
+                    break;
+                }
+                self.list.pop();
+                evicted.push(victim);
+            }
+            evicted
+        }
+
+        fn touch(&mut self, key: u64) -> bool {
+            match self.take(key) {
+                Some(bytes) => {
+                    self.list.insert(0, (key, bytes));
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    /// Dense keys plus two that spill out of the residency index's
+    /// dense range.
+    const KEYS: [u64; 8] = [0, 1, 2, 3, 5, 8, 1 << 40, u64::MAX];
+
+    proptest! {
+        #[test]
+        fn object_lru_matches_reference_lru(
+            capacity in 1u64..3_000,
+            ops in proptest::collection::vec((0u8..7, 0usize..8, 0u64..1_600), 1..200)
+        ) {
+            let mut lru = ObjectLru::new(capacity);
+            let mut reference = ReferenceLru { capacity, list: Vec::new() };
+            for (op, k, bytes) in ops {
+                let key = KEYS[k];
+                match op {
+                    0 | 1 => prop_assert_eq!(lru.access(key, bytes), reference.access(key, bytes)),
+                    2 => prop_assert_eq!(
+                        lru.insert_reporting(key, bytes),
+                        reference.insert_reporting(key, bytes)
+                    ),
+                    3 => {
+                        lru.insert(key, bytes);
+                        reference.insert_reporting(key, bytes);
+                    }
+                    4 => prop_assert_eq!(lru.touch(key), reference.touch(key)),
+                    5 => {
+                        lru.invalidate(key);
+                        reference.take(key);
+                    }
+                    _ if bytes % 8 == 0 => {
+                        lru.clear();
+                        reference.list.clear();
+                    }
+                    _ => prop_assert_eq!(lru.access(key, bytes), reference.access(key, bytes)),
+                }
+                prop_assert_eq!(lru.resident_bytes(), reference.used());
+                prop_assert_eq!(lru.len(), reference.list.len());
+                for key in KEYS {
+                    prop_assert_eq!(lru.contains(key), reference.list.iter().any(|&(k, _)| k == key));
+                }
+            }
+            // Same recency order: draining by oversubscription evicts in
+            // the reference's LRU order.
+            let drained = lru.insert_reporting(7, capacity);
+            prop_assert_eq!(drained, reference.insert_reporting(7, capacity));
+        }
     }
 
     #[test]

@@ -21,6 +21,12 @@ pub fn u64_from_usize(v: usize) -> u64 {
     u64::try_from(v).unwrap_or(u64::MAX)
 }
 
+/// `u32` → `usize` (lossless on every supported target).
+#[inline]
+pub fn usize_from_u32(v: u32) -> usize {
+    usize::try_from(v).unwrap_or(usize::MAX)
+}
+
 /// Non-negative `f64` → `u64`, truncating toward zero and saturating at
 /// the ends; NaN maps to 0. Used for nanosecond values that were
 /// computed in the float domain.

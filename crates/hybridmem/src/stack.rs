@@ -14,7 +14,7 @@
 //! simulated addresses from the [`alloc`](crate::alloc) arenas.
 
 use crate::alloc::{ObjectId, TierArena};
-use crate::cache::{Cache, CacheConfig};
+use crate::cache::{Cache, CacheConfig, CacheModel};
 use crate::degrade::DegradationProfile;
 use crate::device::{CapacityError, Device};
 use crate::num;
@@ -262,7 +262,7 @@ pub struct TierStack {
     slots: Vec<Option<StackPlacement>>,
     live: usize,
     arenas: Vec<TierArena>,
-    cache: Box<dyn Cache>,
+    cache: CacheModel,
     cache_stats: CacheStats,
     degradation: Option<Arc<DegradationProfile>>,
 }

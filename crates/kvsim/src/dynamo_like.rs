@@ -20,13 +20,19 @@ const STORAGE_INFLATION: f64 = 1.5;
 /// DynamoDB-local-like key-value engine.
 pub struct DynamoLike {
     core: EngineCore,
+    /// [`Self::fresh_index_depth`] of the core, refreshed on
+    /// `load`/`delete` (it depends only on the key count) so `get`/`put`
+    /// skip the logarithm.
+    index_depth: u32,
 }
 
 impl DynamoLike {
     /// Build over a fresh memory system.
     pub fn new(mem: TierStack) -> DynamoLike {
+        let core = EngineCore::new(StoreKind::Dynamo.profile(), mem);
         DynamoLike {
-            core: EngineCore::new(StoreKind::Dynamo.profile(), mem),
+            index_depth: Self::fresh_index_depth(&core),
+            core,
         }
     }
 
@@ -37,9 +43,9 @@ impl DynamoLike {
 
     /// Index-walk depth: the configured touches, deepened logarithmically
     /// with table size (a B-tree-ish index, unlike Redis' flat dict).
-    fn index_depth(&self) -> u32 {
-        let base = self.core.profile().index_touches;
-        let n = self.core.key_count().max(2) as f64;
+    fn fresh_index_depth(core: &EngineCore) -> u32 {
+        let base = core.profile().index_touches;
+        let n = core.key_count().max(2) as f64;
         // +1 touch per 4x growth beyond 1k items.
         let extra = ((n / 1000.0).max(1.0).log2() / 2.0) as u32;
         base + extra
@@ -56,25 +62,31 @@ impl KvEngine for DynamoLike {
     }
 
     fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), EngineError> {
-        self.core.load(key, bytes, Self::stored_bytes(bytes), tier)
+        self.core
+            .load(key, bytes, Self::stored_bytes(bytes), tier)?;
+        self.index_depth = Self::fresh_index_depth(&self.core);
+        Ok(())
     }
 
     fn get(&mut self, key: u64) -> Result<f64, EngineError> {
-        let depth = self.index_depth();
-        let op = self.core.charge_op(key, AccessKind::Read, depth)?;
+        let op = self
+            .core
+            .charge_op(key, AccessKind::Read, self.index_depth)?;
         Ok(self.core.profile().fixed_op_ns + op.index_ns + op.value_ns)
     }
 
     fn put(&mut self, key: u64) -> Result<f64, EngineError> {
-        let depth = self.index_depth();
-        let op = self.core.charge_op(key, AccessKind::Write, depth)?;
+        let op = self
+            .core
+            .charge_op(key, AccessKind::Write, self.index_depth)?;
         Ok(self.core.profile().fixed_op_ns + op.index_ns + op.value_ns)
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {
-        let depth = self.index_depth();
-        let index = self.core.index_walk(key, depth)?;
+        // The walk runs at the pre-delete depth.
+        let index = self.core.index_walk(key, self.index_depth)?;
         self.core.remove(key)?;
+        self.index_depth = Self::fresh_index_depth(&self.core);
         Ok(self.core.profile().fixed_op_ns + index)
     }
 }
@@ -83,6 +95,8 @@ impl KvEngine for DynamoLike {
 mod tests {
     use super::*;
     use crate::redis_like::RedisLike;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn small_spec() -> TierStack {
         crate::engine::test_stack(1 << 26, 1 << 26)
@@ -131,12 +145,12 @@ mod tests {
     fn index_deepens_with_table_size() {
         let mut small = DynamoLike::new(small_spec());
         small.load(0, 64, TierId::FAST).unwrap();
-        let shallow = small.index_depth();
+        let shallow = small.index_depth;
         let mut big = DynamoLike::new(small_spec());
         for k in 0..50_000 {
             big.load(k, 64, TierId::FAST).unwrap();
         }
-        assert!(big.index_depth() > shallow);
+        assert!(big.index_depth > shallow);
     }
 
     #[test]
@@ -146,5 +160,46 @@ mod tests {
         e.delete(5).unwrap();
         assert_eq!(e.key_count(), 0);
         assert!(e.get(5).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Batches of loads and deletes move the key count across the
+        /// depth's steps (4k and 16k keys) in both directions.
+        #[test]
+        fn cached_index_depth_tracks_loads_and_deletes(
+            batches in proptest::collection::vec((proptest::bool::ANY, 0u64..6_000), 1..12)
+        ) {
+            let mut e = DynamoLike::new(small_spec());
+            let mut live = BTreeMap::new();
+            let mut next_key = 0u64;
+            for (load, n) in batches {
+                for _ in 0..n {
+                    if load {
+                        let bytes = 1 + next_key % 700;
+                        e.load(next_key, bytes, TierId::SLOW).unwrap();
+                        live.insert(next_key, bytes);
+                        next_key += 1;
+                    } else if let Some((key, _)) = live.pop_first() {
+                        e.delete(key).unwrap();
+                    }
+                }
+                prop_assert_eq!(e.index_depth, DynamoLike::fresh_index_depth(&e.core));
+            }
+            // The depth depends on the key count alone: an engine loaded
+            // straight with the surviving keys charges bit-identically.
+            let mut fresh = DynamoLike::new(small_spec());
+            for (&key, &bytes) in &live {
+                fresh.load(key, bytes, TierId::SLOW).unwrap();
+            }
+            prop_assert_eq!(fresh.index_depth, e.index_depth);
+            e.reset_measurement_state();
+            fresh.reset_measurement_state();
+            for &key in live.keys().take(200) {
+                prop_assert_eq!(e.get(key).unwrap().to_bits(), fresh.get(key).unwrap().to_bits());
+                prop_assert_eq!(e.put(key).unwrap().to_bits(), fresh.put(key).unwrap().to_bits());
+            }
+        }
     }
 }

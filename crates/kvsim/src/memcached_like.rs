@@ -20,33 +20,55 @@ const SLAB_GROWTH: f64 = 1.25;
 /// Largest slab chunk (1 MiB, memcached's default item size limit).
 const SLAB_MAX_BYTES: u64 = 1 << 20;
 
-/// All slab chunk sizes, smallest to largest.
-pub fn slab_classes() -> Vec<u64> {
-    let mut classes = Vec::new();
+/// Number of slab classes: every `SLAB_GROWTH` step below
+/// `SLAB_MAX_BYTES`, plus the 1 MiB class itself.
+const SLAB_CLASS_COUNT: usize = {
+    let mut n = 1;
     let mut size = SLAB_BASE_BYTES as f64;
     while (size as u64) < SLAB_MAX_BYTES {
-        classes.push(size as u64);
+        n += 1;
         size *= SLAB_GROWTH;
     }
-    classes.push(SLAB_MAX_BYTES);
+    n
+};
+
+/// The slab chunk sizes, smallest to largest, computed once at compile
+/// time with the same float recurrence memcached uses at start-up.
+static SLAB_CLASSES: [u64; SLAB_CLASS_COUNT] = {
+    let mut classes = [SLAB_MAX_BYTES; SLAB_CLASS_COUNT];
+    let mut i = 0;
+    let mut size = SLAB_BASE_BYTES as f64;
+    while (size as u64) < SLAB_MAX_BYTES {
+        classes[i] = size as u64;
+        i += 1;
+        size *= SLAB_GROWTH;
+    }
     classes
+};
+
+/// All slab chunk sizes, smallest to largest.
+pub fn slab_classes() -> &'static [u64] {
+    &SLAB_CLASSES
+}
+
+/// Position of the smallest class that holds `bytes`, clamped to the
+/// largest class for oversized items.
+fn class_index(bytes: u64) -> usize {
+    SLAB_CLASSES
+        .partition_point(|&c| c < bytes)
+        .min(SLAB_CLASS_COUNT - 1)
 }
 
 /// The chunk size an item of `bytes` (value + header) is stored in.
 pub fn slab_chunk_for(bytes: u64) -> u64 {
-    for class in slab_classes() {
-        if bytes <= class {
-            return class;
-        }
-    }
-    SLAB_MAX_BYTES
+    SLAB_CLASSES[class_index(bytes)]
 }
 
 /// Memcached-like key-value engine.
 pub struct MemcachedLike {
     core: EngineCore,
     /// Per-slab-class item counts, indexed by class position.
-    class_counts: Vec<u64>,
+    class_counts: [u64; SLAB_CLASS_COUNT],
     /// Sum of logical value bytes over all loaded keys.
     core_value_sum: u64,
 }
@@ -56,16 +78,9 @@ impl MemcachedLike {
     pub fn new(mem: TierStack) -> MemcachedLike {
         MemcachedLike {
             core: EngineCore::new(StoreKind::Memcached.profile(), mem),
-            class_counts: vec![0; slab_classes().len()],
+            class_counts: [0; SLAB_CLASS_COUNT],
             core_value_sum: 0,
         }
-    }
-
-    fn class_index(bytes: u64) -> usize {
-        slab_classes()
-            .iter()
-            .position(|&c| bytes <= c)
-            .unwrap_or(slab_classes().len() - 1)
     }
 
     /// Slab-allocator internal fragmentation (chunk bytes reserved minus
@@ -80,9 +95,8 @@ impl MemcachedLike {
         reserved.saturating_sub(self.core_value_sum)
     }
 
-    fn bump_class(&mut self, stored: u64, delta: i64) {
-        let idx = Self::class_index(stored);
-        let c = &mut self.class_counts[idx];
+    fn bump_class(&mut self, item_bytes: u64, delta: i64) {
+        let c = &mut self.class_counts[class_index(item_bytes)];
         *c = (*c as i64 + delta).max(0) as u64;
     }
 }
@@ -97,10 +111,10 @@ impl KvEngine for MemcachedLike {
     }
 
     fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), EngineError> {
-        let chunk = slab_chunk_for(bytes + ITEM_HEADER_BYTES);
-        self.core.load(key, bytes, chunk, tier)?;
+        let item = bytes + ITEM_HEADER_BYTES;
+        self.core.load(key, bytes, slab_chunk_for(item), tier)?;
         self.core_value_sum += bytes;
-        self.bump_class(chunk, 1);
+        self.bump_class(item, 1);
         Ok(())
     }
 
@@ -124,8 +138,7 @@ impl KvEngine for MemcachedLike {
             .index_walk(key, self.core.profile().index_touches)?;
         let bytes = self.core.remove(key)?;
         self.core_value_sum = self.core_value_sum.saturating_sub(bytes);
-        let chunk = slab_chunk_for(bytes + ITEM_HEADER_BYTES);
-        self.bump_class(chunk, -1);
+        self.bump_class(bytes + ITEM_HEADER_BYTES, -1);
         Ok(self.core.profile().fixed_op_ns + index)
     }
 }
@@ -133,6 +146,56 @@ impl KvEngine for MemcachedLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The table as memcached builds it at start-up, one float step at
+    /// a time — the oracle for the compile-time table.
+    fn classes_by_recurrence() -> Vec<u64> {
+        let mut classes = Vec::new();
+        let mut size = SLAB_BASE_BYTES as f64;
+        while (size as u64) < SLAB_MAX_BYTES {
+            classes.push(size as u64);
+            size *= SLAB_GROWTH;
+        }
+        classes.push(SLAB_MAX_BYTES);
+        classes
+    }
+
+    /// Linear-scan oracle: (class index, chunk) for an item of `bytes`.
+    fn scan(bytes: u64) -> (usize, u64) {
+        let classes = slab_classes();
+        match classes.iter().position(|&c| bytes <= c) {
+            Some(i) => (i, classes[i]),
+            None => (classes.len() - 1, SLAB_MAX_BYTES),
+        }
+    }
+
+    #[test]
+    fn static_table_matches_the_start_up_recurrence() {
+        assert_eq!(slab_classes(), classes_by_recurrence().as_slice());
+    }
+
+    #[test]
+    fn lookup_matches_linear_scan_at_every_boundary() {
+        let mut probes = vec![0, 1, SLAB_MAX_BYTES + 1, 10 << 20, u64::MAX];
+        for &c in slab_classes() {
+            probes.extend([c - 1, c, c + 1]);
+        }
+        for bytes in probes {
+            let (idx, chunk) = scan(bytes);
+            assert_eq!(class_index(bytes), idx, "class of {bytes}");
+            assert_eq!(slab_chunk_for(bytes), chunk, "chunk of {bytes}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn lookup_matches_linear_scan(bytes in 0u64..(4 << 20)) {
+            let (idx, chunk) = scan(bytes);
+            prop_assert_eq!(class_index(bytes), idx);
+            prop_assert_eq!(slab_chunk_for(bytes), chunk);
+        }
+    }
 
     fn small_spec() -> TierStack {
         crate::engine::test_stack(1 << 26, 1 << 26)

@@ -19,6 +19,10 @@ pub struct RedisLike {
     core: EngineCore,
     /// Power-of-two dict table size (doubles like Redis' dict).
     table_size: u64,
+    /// [`Self::fresh_chain_scale`] at the current key count and table
+    /// size, refreshed whenever either changes (`load`/`delete`) so the
+    /// per-request path reads a field instead of dividing.
+    chain_scale: f64,
 }
 
 impl RedisLike {
@@ -27,6 +31,8 @@ impl RedisLike {
         RedisLike {
             core: EngineCore::new(StoreKind::Redis.profile(), mem),
             table_size: 4,
+            // An empty dict: load factor 0.
+            chain_scale: 1.0,
         }
     }
 
@@ -42,17 +48,8 @@ impl RedisLike {
         }
     }
 
-    /// Dict walk cost: the configured dependent touches, scaled by the
-    /// expected chain length at the current load factor.
-    fn index_cost(&mut self, key: u64) -> Result<f64, EngineError> {
-        let base = self
-            .core
-            .index_walk(key, self.core.profile().index_touches)?;
-        Ok(base * self.chain_scale())
-    }
-
     /// Expected chain-length multiplier at the current load factor.
-    fn chain_scale(&self) -> f64 {
+    fn fresh_chain_scale(&self) -> f64 {
         1.0 + self.load_factor() / 2.0
     }
 }
@@ -70,6 +67,7 @@ impl KvEngine for RedisLike {
         self.core
             .load(key, bytes, bytes + VALUE_HEADER_BYTES, tier)?;
         self.maybe_grow();
+        self.chain_scale = self.fresh_chain_scale();
         Ok(())
     }
 
@@ -77,7 +75,7 @@ impl KvEngine for RedisLike {
         let op = self
             .core
             .charge_op(key, AccessKind::Read, self.core.profile().index_touches)?;
-        let index = op.index_ns * self.chain_scale();
+        let index = op.index_ns * self.chain_scale;
         Ok(self.core.profile().fixed_op_ns + index + op.value_ns)
     }
 
@@ -85,13 +83,18 @@ impl KvEngine for RedisLike {
         let op = self
             .core
             .charge_op(key, AccessKind::Write, self.core.profile().index_touches)?;
-        let index = op.index_ns * self.chain_scale();
+        let index = op.index_ns * self.chain_scale;
         Ok(self.core.profile().fixed_op_ns + index + op.value_ns)
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {
-        let index = self.index_cost(key)?;
+        // The walk runs at the pre-delete load factor.
+        let walk = self
+            .core
+            .index_walk(key, self.core.profile().index_touches)?;
+        let index = walk * self.chain_scale;
         self.core.remove(key)?;
+        self.chain_scale = self.fresh_chain_scale();
         Ok(self.core.profile().fixed_op_ns + index)
     }
 }
@@ -99,6 +102,8 @@ impl KvEngine for RedisLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn small_spec() -> TierStack {
         crate::engine::test_stack(1 << 26, 1 << 26)
@@ -168,5 +173,56 @@ mod tests {
         e.migrate(1, TierId::FAST).unwrap();
         assert_eq!(e.placement_of(1), Some(TierId::FAST));
         assert_eq!(e.bytes_in(TierId::SLOW), 0);
+    }
+
+    fn tier_of(key: u64) -> TierId {
+        if key % 3 == 0 {
+            TierId::SLOW
+        } else {
+            TierId::FAST
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn cached_chain_scale_tracks_loads_and_deletes(
+            ops in proptest::collection::vec((proptest::bool::ANY, 0u64..48, 1u64..4_000), 1..120)
+        ) {
+            let mut e = RedisLike::new(small_spec());
+            let mut live = BTreeMap::new();
+            let mut peak = 0;
+            for (load, key, bytes) in ops {
+                if load && !live.contains_key(&key) {
+                    e.load(key, bytes, tier_of(key)).unwrap();
+                    live.insert(key, bytes);
+                } else if !load && live.remove(&key).is_some() {
+                    e.delete(key).unwrap();
+                }
+                peak = peak.max(live.len());
+                prop_assert_eq!(e.chain_scale.to_bits(), e.fresh_chain_scale().to_bits());
+            }
+            // Twin: the same key set reached by a different history — a
+            // fresh load plus filler keys up to the same peak (so the dict
+            // grew to the same size), then the fillers deleted again.
+            let mut twin = RedisLike::new(small_spec());
+            for (&key, &bytes) in &live {
+                twin.load(key, bytes, tier_of(key)).unwrap();
+            }
+            let fillers = 1_000..(1_000 + (peak - live.len()) as u64);
+            for key in fillers.clone() {
+                twin.load(key, 64, TierId::FAST).unwrap();
+            }
+            for key in fillers {
+                twin.delete(key).unwrap();
+            }
+            prop_assert_eq!(twin.table_size, e.table_size);
+            prop_assert_eq!(twin.chain_scale.to_bits(), e.chain_scale.to_bits());
+            e.reset_measurement_state();
+            twin.reset_measurement_state();
+            for &key in live.keys() {
+                prop_assert_eq!(e.get(key).unwrap().to_bits(), twin.get(key).unwrap().to_bits());
+                prop_assert_eq!(e.put(key).unwrap().to_bits(), twin.put(key).unwrap().to_bits());
+            }
+        }
     }
 }

@@ -128,7 +128,7 @@ impl KvEngine for RocksLike {
             // the value is admitted into the block cache (memory write in
             // the key's tier).
             self.disk_reads += 1;
-            self.block_cache.insert_reporting(key, bytes);
+            self.block_cache.insert(key, bytes);
             Self::ssd_ns(bytes) + self.core.value_traffic(key, AccessKind::Write)?
         };
         Ok(self.core.profile().fixed_op_ns + index + data)
@@ -143,7 +143,7 @@ impl KvEngine for RocksLike {
         let memwrite = self.core.value_traffic(key, AccessKind::Write)?;
         let compaction = AMORTISED_WRITE_AMP * Self::ssd_ns(bytes);
         // The fresh value lands in the block cache.
-        self.block_cache.insert_reporting(key, bytes);
+        self.block_cache.insert(key, bytes);
         Ok(self.core.profile().fixed_op_ns + index + memwrite + compaction)
     }
 

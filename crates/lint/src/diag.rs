@@ -166,8 +166,8 @@ impl Code {
                            the classic deadlock shape; pick one global order"
             }
             Code::P001 => {
-                "heap allocation reachable from a hybridmem per-request charge path; \
-                           these paths are pinned alloc-free by the perf gates"
+                "heap allocation reachable from a hybridmem or kvsim per-request \
+                           charge path; these paths are pinned alloc-free by the perf gates"
             }
             Code::M001 => {
                 "malformed mnemo-lint directive: expected \
@@ -269,7 +269,9 @@ impl Code {
             Code::P001 => {
                 "Walks the call graph from the hybridmem per-request charge paths \
                  (touch/touch_n/access/access_at/access_ns/access_ns_n \
-                 and the AccessStats record/record_n sinks) and flags reachable heap \
+                 and the AccessStats record/record_n sinks) and the kvsim request \
+                 paths (EngineCore::charge_op and each *_like.rs engine's get/put) \
+                 and flags reachable heap \
                  allocations (vec!/format!/Box::new/with_capacity/to_vec/to_string/ \
                  to_owned/String::from/.collect). PR 7's alloc-count perf gates \
                  pinned these paths alloc-free; this catches regressions at lint \

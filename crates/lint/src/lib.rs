@@ -22,7 +22,7 @@
 //! | R003 | no panic reachable from serve request/journal hot paths |
 //! | S001 | no `process::exit` outside `main.rs` |
 //! | C001 | no conflicting lock-acquisition orders across call paths |
-//! | P001 | no heap allocation reachable from hybridmem charge paths |
+//! | P001 | no heap allocation reachable from hybridmem charge paths or kvsim engine request paths |
 //! | M001 | malformed `mnemo-lint:` directive |
 //! | M002 | stale, empty-justification, or copy-pasted allow directive |
 //!

@@ -6,7 +6,7 @@
 //! | D007 | `mnemo-par` pool-closure call sites | float reductions |
 //! | R003 | `mnemo-serve` request/journal hot-path fns | `panic!` / `unwrap` / `expect` |
 //! | C001 | every non-test fn | conflicting lock-acquisition orders |
-//! | P001 | `hybridmem` per-request charge fns | heap allocation |
+//! | P001 | `hybridmem` per-request charge fns, `kvsim` engine request fns | heap allocation |
 //!
 //! Division of labor with the token rules: D001/D002/D004/R001 already
 //! flag facts *lexically* at their own site, so D006/D007/R003 only
@@ -53,6 +53,10 @@ const SERVE_JOURNAL_ROOTS: [&str; 6] = [
 const HM_STACK_ROOTS: [&str; 4] = ["access", "access_at", "touch", "touch_n"];
 /// `hybridmem` per-request charge-path roots in `device.rs`.
 const HM_DEVICE_ROOTS: [&str; 1] = ["access_ns"];
+/// `kvsim` per-request charge-path roots in `engine.rs`.
+const KV_ENGINE_ROOTS: [&str; 1] = ["charge_op"];
+/// `kvsim` per-request roots in every `*_like.rs` store engine.
+const KV_STORE_ROOTS: [&str; 2] = ["get", "put"];
 
 /// Run every workspace-level rule over the parsed models. `models`
 /// must be sorted by path; findings come back in rule-then-site order
@@ -230,20 +234,31 @@ fn serve_panic_rule(g: &Graph, out: &mut Vec<Finding>) {
     }
 }
 
-/// P001: heap allocation reachable from the hybridmem charge paths,
-/// including the root's own body (no token rule covers allocation).
+/// Is `name` in `path` a per-request charge-path root of P001?
+fn is_charge_root(path: &str, name: &str) -> bool {
+    match crate_dir_of(path) {
+        "hybridmem" => {
+            (path.ends_with("/stack.rs") && HM_STACK_ROOTS.contains(&name))
+                || (path.ends_with("/device.rs") && HM_DEVICE_ROOTS.contains(&name))
+        }
+        "kvsim" => {
+            (path.ends_with("/engine.rs") && KV_ENGINE_ROOTS.contains(&name))
+                || (path.ends_with("_like.rs") && KV_STORE_ROOTS.contains(&name))
+        }
+        _ => false,
+    }
+}
+
+/// P001: heap allocation reachable from the hybridmem charge paths and
+/// the kvsim engines' request paths, including the root's own body (no
+/// token rule covers allocation).
 fn alloc_reach_rule(g: &Graph, out: &mut Vec<Finding>) {
     for id in 0..g.nodes.len() {
         let f = g.fn_of(id);
+        if f.in_test || !is_charge_root(g.path_of(id), &f.name) {
+            continue;
+        }
         let path = g.path_of(id);
-        if f.in_test || crate_dir_of(path) != "hybridmem" {
-            continue;
-        }
-        let is_root = (path.ends_with("/stack.rs") && HM_STACK_ROOTS.contains(&f.name.as_str()))
-            || (path.ends_with("/device.rs") && HM_DEVICE_ROOTS.contains(&f.name.as_str()));
-        if !is_root {
-            continue;
-        }
         let seen = g.reach(&[id], MAX_DEPTH);
         let allocs = collect(g, &seen, 0, &[FactKind::Alloc], false);
         if !allocs.is_empty() {
@@ -490,6 +505,56 @@ mod tests {
         )];
         let f = workspace_rules(&models);
         assert_eq!(codes(&f), vec![Code::P001]);
+    }
+
+    #[test]
+    fn p001_roots_cover_kvsim_request_paths() {
+        let alloc_body = "{\n        let v = vec![k];\n    }\n";
+        for (path, name) in [
+            ("crates/kvsim/src/engine.rs", "charge_op"),
+            ("crates/kvsim/src/redis_like.rs", "get"),
+            ("crates/kvsim/src/memcached_like.rs", "put"),
+            ("crates/kvsim/src/dynamo_like.rs", "get"),
+            ("crates/kvsim/src/rocks_like.rs", "put"),
+        ] {
+            let src = format!("impl E {{\n    fn {name}(&mut self, k: u64) {alloc_body}}}\n");
+            let f = workspace_rules(&[model(path, &src)]);
+            assert_eq!(codes(&f), vec![Code::P001], "{path}::{name}");
+            assert!(f[0].message.contains(name), "{}", f[0].message);
+        }
+        // The same fns elsewhere, and other fns of the engines, are no roots.
+        for (path, name) in [
+            ("crates/kvsim/src/server.rs", "get"),
+            ("crates/kvsim/src/redis_like.rs", "load"),
+            ("crates/kvsim/src/engine.rs", "get"),
+            ("crates/serve/src/redis_like.rs", "get"),
+        ] {
+            let src = format!("impl E {{\n    fn {name}(&mut self, k: u64) {alloc_body}}}\n");
+            assert!(
+                workspace_rules(&[model(path, &src)]).is_empty(),
+                "{path}::{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn p001_follows_engine_calls_into_the_core() {
+        let models = vec![
+            model(
+                "crates/kvsim/src/engine.rs",
+                "impl EngineCore {\n    fn charge_op(&mut self, k: u64) -> u64 { k }\n    \
+                 fn lookup(&self, k: u64) -> Vec<u64> { vec![k] }\n}\n",
+            ),
+            model(
+                "crates/kvsim/src/redis_like.rs",
+                "impl RedisLike {\n    fn get(&mut self, k: u64) {\n        \
+                 self.core.lookup(k);\n    }\n}\n",
+            ),
+        ];
+        let f = workspace_rules(&models);
+        assert_eq!(codes(&f), vec![Code::P001]);
+        assert_eq!(f[0].file, "crates/kvsim/src/redis_like.rs");
+        assert!(f[0].message.contains("lookup"), "{}", f[0].message);
     }
 
     #[test]
