@@ -6,7 +6,7 @@
 
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 19] = [
+const EXPERIMENTS: [&str; 20] = [
     "fig1",
     "table1",
     "table2",
@@ -16,6 +16,7 @@ const EXPERIMENTS: [&str; 19] = [
     "fig5",
     "fig8",
     "fig9",
+    "slo_truth",
     "table4",
     "downsampling",
     "ycsb_core",

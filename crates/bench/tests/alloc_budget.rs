@@ -7,10 +7,13 @@
 //! reallocations. A per-key heap allocation anywhere on the build or
 //! request path adds thousands and fails this test.
 //!
+//! Both baselines come from one trace walk, so `measure` may allocate
+//! only a few more times than a single-baseline `measure_one`.
+//!
 //! The counter is process-wide, so this file holds a single test: no
 //! other test of the binary can allocate concurrently.
 
-use kvsim::StoreKind;
+use kvsim::{Placement, StoreKind};
 use mnemo::SensitivityEngine;
 use mnemo_bench::alloc_track::allocation_counts;
 use ycsb::{Trace, WorkloadSpec};
@@ -23,12 +26,29 @@ const REQUESTS: usize = 20_000;
 /// of each per-key vector in two builds, far below one per key.
 const BUDGET: u64 = 64;
 
+/// Allowed extra allocations of one `measure` (both baselines from one
+/// walk) over one `measure_one` (a single baseline): the second lane's
+/// report, noise table and workload name, and the per-key ledger.
+const PAIRED_BUDGET: u64 = 8;
+
 fn allocations_of(store: StoreKind, trace: &Trace) -> u64 {
     let engine = SensitivityEngine::default();
     let (before, _) = allocation_counts();
     let baselines = engine.measure(store, trace).unwrap();
     let (after, _) = allocation_counts();
     assert_eq!(baselines.fast.report.requests, REQUESTS);
+    assert!(baselines.ledger.is_some(), "{store:?}: the walk declined");
+    after - before
+}
+
+fn allocations_of_one(store: StoreKind, trace: &Trace) -> u64 {
+    let engine = SensitivityEngine::default();
+    let (before, _) = allocation_counts();
+    let run = engine
+        .measure_one(store, trace, Placement::AllFast)
+        .unwrap();
+    let (after, _) = allocation_counts();
+    assert_eq!(run.report.requests, REQUESTS);
     after - before
 }
 
@@ -54,6 +74,13 @@ fn baseline_allocations_do_not_grow_with_keys() {
             a_large.saturating_sub(a_small) < BUDGET,
             "{store:?}: 10k keys allocate {a_large}, 1k keys {a_small}; \
              the difference must stay below {BUDGET}"
+        );
+        let one = allocations_of_one(store, &large);
+        println!("{store:?}: measure {a_large} allocations, measure_one {one}");
+        assert!(
+            a_large <= one + PAIRED_BUDGET,
+            "{store:?}: measure allocates {a_large}, measure_one {one}; \
+             both baselines from one walk may add at most {PAIRED_BUDGET}"
         );
     }
 }

@@ -332,6 +332,7 @@ impl MlBaselineProfiler {
             workload: trace.name.clone(),
             fast,
             slow,
+            ledger: None,
         })
     }
 }

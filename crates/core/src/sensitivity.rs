@@ -8,7 +8,7 @@
 
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{HybridSpec, MemTier};
-use kvsim::{EngineError, Placement, RunReport, Server, StoreKind};
+use kvsim::{CostLedger, EngineError, Placement, RunReport, Server, StoreKind};
 use ycsb::{Op, Trace};
 
 /// One measured baseline (one extreme placement).
@@ -54,6 +54,10 @@ pub struct Baselines {
     pub fast: BaselineRun,
     /// Everything-in-SlowMem run (worst case).
     pub slow: BaselineRun,
+    /// Per-key slow-minus-fast charges from the one-walk measurement;
+    /// `None` when the baselines came from two separate runs (or were
+    /// built some other way).
+    pub ledger: Option<CostLedger>,
 }
 
 impl Baselines {
@@ -64,6 +68,13 @@ impl Baselines {
             self.slow.avg_read_ns - self.fast.avg_read_ns,
             self.slow.avg_write_ns - self.fast.avg_write_ns,
         )
+    }
+
+    /// The exact noise-free runtime (ns) of every prefix split of
+    /// `order`: entry `i` keeps the first `i` keys in FastMem and the
+    /// rest in SlowMem. `None` without a ledger.
+    pub fn truth_curve(&self, order: &[u64]) -> Option<Vec<f64>> {
+        self.ledger.as_ref().map(|l| l.truth_curve(order))
     }
 
     /// Relative throughput gap between the extremes: how sensitive this
@@ -117,11 +128,18 @@ impl SensitivityEngine {
         &self.spec
     }
 
-    /// Execute the workload "as-is" under both extreme placements. The
-    /// two runs are independent simulations with decorrelated jitter
-    /// seeds, so they execute concurrently on the bounded pool; results
-    /// are identical to running them back to back.
+    /// Execute the workload "as-is" under both extreme placements. One
+    /// trace walk over an all-FastMem server prices every request in
+    /// both tiers ([`Server::run_paired`]) and also yields the per-key
+    /// [`CostLedger`]. When the walk declines — a fault plan is
+    /// installed, or SlowMem cannot hold the dataset — or the server
+    /// cannot be built, the baselines come from two separate runs
+    /// instead, which also report any build error. Either way the result
+    /// is bit-identical to [`Self::measure_one`] under each placement.
     pub fn measure(&self, store: StoreKind, trace: &Trace) -> Result<Baselines, EngineError> {
+        if let Some(baselines) = self.measure_paired(store, trace) {
+            return Ok(baselines);
+        }
         // mnemo-lint: allow(D007, "predict's dot product runs whole within one arm of the join; no cross-worker reduction")
         let (fast, slow) = mnemo_par::Pool::current().join(
             || self.measure_one(store, trace, Placement::AllFast),
@@ -132,7 +150,45 @@ impl SensitivityEngine {
             workload: trace.name.clone(),
             fast: fast?,
             slow: slow?,
+            ledger: None,
         })
+    }
+
+    /// Both baselines from one paired walk, or `None` when it is not
+    /// available.
+    fn measure_paired(&self, store: StoreKind, trace: &Trace) -> Option<Baselines> {
+        let mut server = Server::build_with(
+            store,
+            self.spec.clone(),
+            self.noise_for(MemTier::Fast),
+            trace,
+            Placement::AllFast,
+        )
+        .ok()?;
+        if let Some(plan) = &self.fault_plan {
+            server.install_fault_plan(plan);
+        }
+        let run = server
+            .run_paired(trace, MemTier::Slow.id(), self.noise_for(MemTier::Slow))
+            .ok()?;
+        Some(Baselines {
+            store,
+            workload: trace.name.clone(),
+            fast: BaselineRun::from_report(MemTier::Fast, run.own),
+            slow: BaselineRun::from_report(MemTier::Slow, run.alt),
+            ledger: Some(run.ledger),
+        })
+    }
+
+    /// The noise of the run led by `tier`: the two baselines' jitter is
+    /// decorrelated by a per-tier seed offset.
+    fn noise_for(&self, tier: MemTier) -> NoiseConfig {
+        let mut noise = self.noise;
+        noise.seed = noise.seed.wrapping_add(match tier {
+            MemTier::Fast => 0x5eed_fa57,
+            MemTier::Slow => 0x5eed_510e,
+        });
+        noise
     }
 
     /// Measure a whole grid of (store, trace) cells — the fan-out shape
@@ -165,13 +221,13 @@ impl SensitivityEngine {
             Placement::AllSlow => MemTier::Slow,
             Placement::FastSet(_) => MemTier::Fast, // mixed; tag as fast-led
         };
-        let mut noise = self.noise;
-        // Decorrelate the two baseline runs' jitter.
-        noise.seed = noise.seed.wrapping_add(match tier {
-            MemTier::Fast => 0x5eed_fa57,
-            MemTier::Slow => 0x5eed_510e,
-        });
-        let mut server = Server::build_with(store, self.spec.clone(), noise, trace, placement)?;
+        let mut server = Server::build_with(
+            store,
+            self.spec.clone(),
+            self.noise_for(tier),
+            trace,
+            placement,
+        )?;
         if let Some(plan) = &self.fault_plan {
             server.install_fault_plan(plan);
         }

@@ -234,11 +234,19 @@ impl Device {
     pub fn access_ns_n(&mut self, kind: AccessKind, bytes: u64, n: u64) -> f64 {
         let ns = self.charge_ns(kind, bytes);
         self.stats.record_n(kind, bytes, ns, n);
-        let mut total = 0.0;
-        for _ in 0..n {
-            total += ns;
-        }
-        total
+        repeated_sum(ns, n)
+    }
+
+    /// What [`Device::access_ns`] would charge, without recording it:
+    /// the price of a counterfactual access by data that does not live
+    /// here.
+    pub fn quote_ns(&self, kind: AccessKind, bytes: u64) -> f64 {
+        self.charge_ns(kind, bytes)
+    }
+
+    /// What [`Device::access_ns_n`] would charge, without recording it.
+    pub fn quote_ns_n(&self, kind: AccessKind, bytes: u64, n: u64) -> f64 {
+        repeated_sum(self.charge_ns(kind, bytes), n)
     }
 
     /// Accumulated access statistics.
@@ -250,6 +258,15 @@ impl Device {
     pub fn reset_stats(&mut self) {
         self.stats = AccessStats::default();
     }
+}
+
+/// `ns` added to zero `n` times — the float sum of `n` separate charges.
+fn repeated_sum(ns: f64, n: u64) -> f64 {
+    let mut total = 0.0;
+    for _ in 0..n {
+        total += ns;
+    }
+    total
 }
 
 #[cfg(test)]

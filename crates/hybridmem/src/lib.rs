@@ -78,6 +78,8 @@ pub use dense::DenseU64Map;
 pub use det::{det_map, det_set, BuildDetHasher, DetHashMap, DetHashSet};
 pub use device::{CapacityError, Device};
 pub use spec::{AccessKind, HybridSpec, MemTier, TierId, TierSpec};
-pub use stack::{StackError, StackPlacement, StackSpec, TierDef, TierStack};
+pub use stack::{
+    AlsoIn, ChargeLanes, OwnTier, PairNs, StackError, StackPlacement, StackSpec, TierDef, TierStack,
+};
 pub use stats::{AccessStats, Histogram};
 pub use system::CacheStats;

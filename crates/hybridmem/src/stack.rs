@@ -22,6 +22,7 @@ use crate::spec::{AccessKind, HybridSpec, TierId, TierSpec};
 use crate::stats::AccessStats;
 use crate::system::CacheStats;
 use serde::{Deserialize, Serialize};
+use std::ops::{Add, Mul};
 use std::sync::Arc;
 
 /// Bytes per GiB, for price arithmetic.
@@ -196,6 +197,133 @@ impl StackSpec {
 /// Build a [`TierId`] from a stack index bounded by [`MAX_TIERS`].
 fn tier_id(index: usize) -> TierId {
     TierId(u8::try_from(index).unwrap_or(u8::MAX))
+}
+
+/// One charge priced in two tiers at once: `own` in the tier that holds
+/// the data, `alt` as if the data lived in a second tier. Arithmetic is
+/// lane by lane, so each lane is bit-identical to the same formula
+/// evaluated on plain `f64`s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairNs {
+    /// Nanoseconds in the tier holding the data.
+    pub own: f64,
+    /// Nanoseconds had the data lived in the alternative tier.
+    pub alt: f64,
+}
+
+impl From<f64> for PairNs {
+    /// A tier-independent charge: the same in both lanes.
+    fn from(ns: f64) -> PairNs {
+        PairNs { own: ns, alt: ns }
+    }
+}
+
+impl Add for PairNs {
+    type Output = PairNs;
+    fn add(self, rhs: PairNs) -> PairNs {
+        PairNs {
+            own: self.own + rhs.own,
+            alt: self.alt + rhs.alt,
+        }
+    }
+}
+
+impl Mul<f64> for PairNs {
+    type Output = PairNs;
+    fn mul(self, k: f64) -> PairNs {
+        PairNs {
+            own: self.own * k,
+            alt: self.alt * k,
+        }
+    }
+}
+
+/// How a memory charge is priced: the stack's charge primitives, with
+/// the result type they produce. Engines write each cost formula once,
+/// generic over the lanes, and get the plain run ([`OwnTier`], `f64`)
+/// and the paired run ([`AlsoIn`], [`PairNs`]) from the same code.
+pub trait ChargeLanes: Copy {
+    /// The charge: `f64`, or one `f64` per lane.
+    type Ns: Copy + Add<Output = Self::Ns> + Mul<f64, Output = Self::Ns> + From<f64>;
+
+    /// [`TierStack::access_at`] in these lanes.
+    fn access_at(
+        self,
+        mem: &mut TierStack,
+        id: ObjectId,
+        p: StackPlacement,
+        kind: AccessKind,
+    ) -> Self::Ns;
+
+    /// [`TierStack::touch_n`] in these lanes.
+    fn touch_n(
+        self,
+        mem: &mut TierStack,
+        tier: TierId,
+        kind: AccessKind,
+        bytes: u64,
+        n: u64,
+    ) -> Self::Ns;
+}
+
+/// Price every charge in the tier that holds the data — the plain run.
+#[derive(Debug, Clone, Copy)]
+pub struct OwnTier;
+
+impl ChargeLanes for OwnTier {
+    type Ns = f64;
+
+    fn access_at(
+        self,
+        mem: &mut TierStack,
+        id: ObjectId,
+        p: StackPlacement,
+        kind: AccessKind,
+    ) -> f64 {
+        mem.access_at(id, p, kind)
+    }
+
+    fn touch_n(
+        self,
+        mem: &mut TierStack,
+        tier: TierId,
+        kind: AccessKind,
+        bytes: u64,
+        n: u64,
+    ) -> f64 {
+        mem.touch_n(tier, kind, bytes, n)
+    }
+}
+
+/// Price every charge in the tier that holds the data and, quoted
+/// without being recorded, as if the data lived in tier `.0` — one walk
+/// that prices two placements.
+#[derive(Debug, Clone, Copy)]
+pub struct AlsoIn(pub TierId);
+
+impl ChargeLanes for AlsoIn {
+    type Ns = PairNs;
+
+    fn access_at(
+        self,
+        mem: &mut TierStack,
+        id: ObjectId,
+        p: StackPlacement,
+        kind: AccessKind,
+    ) -> PairNs {
+        mem.access_at_pair(id, p, kind, self.0)
+    }
+
+    fn touch_n(
+        self,
+        mem: &mut TierStack,
+        tier: TierId,
+        kind: AccessKind,
+        bytes: u64,
+        n: u64,
+    ) -> PairNs {
+        mem.touch_n_pair(tier, self.0, kind, bytes, n)
+    }
 }
 
 /// Placement record of a live object in a stack.
@@ -442,7 +570,38 @@ impl TierStack {
     /// on the request hot path. The placement must be current — callers
     /// use it immediately after the lookup, before any migrate or free.
     pub fn access_at(&mut self, id: ObjectId, p: StackPlacement, kind: AccessKind) -> f64 {
-        let outcome = self.cache.access(id.0, p.bytes);
+        let (mut ns, miss_bytes) = self.probe_cache(id, p.bytes);
+        if miss_bytes > 0 {
+            ns += self.devices[p.tier.index()].access_ns(kind, miss_bytes);
+        }
+        ns
+    }
+
+    /// [`Self::access_at`] priced twice on one LLC probe: `own` exactly
+    /// as `access_at` charges and records it, `alt` as if the object
+    /// lived in tier `alt` (quoted, not recorded). The LLC is keyed by
+    /// object, not by address, so its hit or miss is the same in either
+    /// tier. `alt` must be a tier of this stack.
+    pub fn access_at_pair(
+        &mut self,
+        id: ObjectId,
+        p: StackPlacement,
+        kind: AccessKind,
+        alt: TierId,
+    ) -> PairNs {
+        let (hit_ns, miss_bytes) = self.probe_cache(id, p.bytes);
+        let mut ns = PairNs::from(hit_ns);
+        if miss_bytes > 0 {
+            ns.own += self.devices[p.tier.index()].access_ns(kind, miss_bytes);
+            ns.alt += self.devices[alt.index()].quote_ns(kind, miss_bytes);
+        }
+        ns
+    }
+
+    /// One LLC access over an object of `bytes`, counted in the cache
+    /// stats: the cache-side nanoseconds and the bytes that missed.
+    fn probe_cache(&mut self, id: ObjectId, bytes: u64) -> (f64, u64) {
+        let outcome = self.cache.access(id.0, bytes);
         if outcome.hit_bytes > 0 {
             self.cache_stats.hits += 1;
             self.cache_stats.hit_bytes += outcome.hit_bytes;
@@ -451,26 +610,37 @@ impl TierStack {
             self.cache_stats.misses += 1;
             self.cache_stats.miss_bytes += outcome.miss_bytes;
         }
-        let mut ns = self.spec.cache.hit_ns(outcome.hit_bytes);
-        if outcome.miss_bytes > 0 {
-            ns += self.devices[p.tier.index()].access_ns(kind, outcome.miss_bytes);
-        }
-        ns
+        (
+            self.spec.cache.hit_ns(outcome.hit_bytes),
+            outcome.miss_bytes,
+        )
     }
 
-    /// A raw, uncached device access of `bytes` in `tier` — models
-    /// pointer-chasing engine metadata that lives alongside the data but
-    /// is not tracked as an object (dict entries, slab headers, ...).
-    pub fn touch(&mut self, tier: TierId, kind: AccessKind, bytes: u64) -> f64 {
-        self.devices[tier.index()].access_ns(kind, bytes)
-    }
-
-    /// `n` identical raw device accesses in one call. The charge is
-    /// resolved once and accumulated, so the returned total and the
-    /// device stats are bit-identical to `n` separate [`Self::touch`]
-    /// calls — this is how engines batch their pointer-chase chains.
+    /// `n` identical raw, uncached device accesses of `bytes` in `tier`
+    /// — pointer-chasing engine metadata that lives alongside the data
+    /// but is not tracked as an object (dict entries, slab headers, ...),
+    /// or an uncached pass over a value. The charge is resolved once and
+    /// accumulated, so the returned total and the device stats are
+    /// bit-identical to `n` separate single accesses — this is how
+    /// engines batch their pointer-chase chains.
     pub fn touch_n(&mut self, tier: TierId, kind: AccessKind, bytes: u64, n: u64) -> f64 {
         self.devices[tier.index()].access_ns_n(kind, bytes, n)
+    }
+
+    /// [`Self::touch_n`] in `tier` (charged and recorded) and, quoted
+    /// only, in `alt`.
+    pub fn touch_n_pair(
+        &mut self,
+        tier: TierId,
+        alt: TierId,
+        kind: AccessKind,
+        bytes: u64,
+        n: u64,
+    ) -> PairNs {
+        PairNs {
+            own: self.devices[tier.index()].access_ns_n(kind, bytes, n),
+            alt: self.devices[alt.index()].quote_ns_n(kind, bytes, n),
+        }
     }
 
     /// Device statistics for one tier (the top tier for a foreign id —

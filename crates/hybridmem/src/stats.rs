@@ -116,7 +116,7 @@ impl AccessStats {
 ///
 /// Supports the tail-latency reporting of the paper's Figs. 8d/8e: average,
 /// p50, p95, p99, p99.9 over millions of samples in O(1) memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     /// bucket index -> count. Bucket b covers
     /// `[lower(b), lower(b+1))` with `lower = sub * 2^(exp)` layout.

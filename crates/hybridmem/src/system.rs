@@ -209,8 +209,8 @@ mod tests {
     #[test]
     fn touch_charges_raw_device_time() {
         let mut mem = system(&small_spec());
-        let tf = mem.touch(FAST, AccessKind::Read, 64);
-        let ts = mem.touch(SLOW, AccessKind::Read, 64);
+        let tf = mem.touch_n(FAST, AccessKind::Read, 64, 1);
+        let ts = mem.touch_n(SLOW, AccessKind::Read, 64, 1);
         assert!(ts > 3.0 * tf);
         assert_eq!(mem.tier_stats(SLOW).reads, 1);
         // A batched chain charges and counts like separate touches.

@@ -10,7 +10,7 @@
 
 use crate::engine::{EngineCore, EngineError, KvEngine};
 use crate::profile::StoreKind;
-use hybridmem::{AccessKind, TierId, TierStack};
+use hybridmem::{AccessKind, AlsoIn, ChargeLanes, OwnTier, PairNs, TierId, TierStack};
 
 /// Fixed per-item metadata footprint (attribute map skeleton, bytes).
 const ITEM_OVERHEAD_BYTES: u64 = 128;
@@ -41,6 +41,18 @@ impl DynamoLike {
         (value_bytes as f64 * STORAGE_INFLATION) as u64 + ITEM_OVERHEAD_BYTES
     }
 
+    /// The one GET/UPDATE cost formula: fixed cost, the depth-scaled
+    /// index walk, and the amplified value traffic.
+    fn serve<L: ChargeLanes>(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        lanes: L,
+    ) -> Result<L::Ns, EngineError> {
+        let op = self.core.charge_op(key, kind, self.index_depth, lanes)?;
+        Ok(L::Ns::from(self.core.profile().fixed_op_ns) + op.index_ns + op.value_ns)
+    }
+
     /// Index-walk depth: the configured touches, deepened logarithmically
     /// with table size (a B-tree-ish index, unlike Redis' flat dict).
     fn fresh_index_depth(core: &EngineCore) -> u32 {
@@ -69,17 +81,20 @@ impl KvEngine for DynamoLike {
     }
 
     fn get(&mut self, key: u64) -> Result<f64, EngineError> {
-        let op = self
-            .core
-            .charge_op(key, AccessKind::Read, self.index_depth)?;
-        Ok(self.core.profile().fixed_op_ns + op.index_ns + op.value_ns)
+        self.serve(key, AccessKind::Read, OwnTier)
     }
 
     fn put(&mut self, key: u64) -> Result<f64, EngineError> {
-        let op = self
-            .core
-            .charge_op(key, AccessKind::Write, self.index_depth)?;
-        Ok(self.core.profile().fixed_op_ns + op.index_ns + op.value_ns)
+        self.serve(key, AccessKind::Write, OwnTier)
+    }
+
+    fn charge_pair(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        alt: TierId,
+    ) -> Result<PairNs, EngineError> {
+        self.serve(key, kind, AlsoIn(alt))
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {

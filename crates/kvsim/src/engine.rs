@@ -10,7 +10,10 @@
 //! runs unchanged on deeper hierarchies.
 
 use crate::profile::EngineProfile;
-use hybridmem::{AccessKind, DenseU64Map, ObjectId, StackError, StackPlacement, TierId, TierStack};
+use hybridmem::{
+    AccessKind, ChargeLanes, DenseU64Map, ObjectId, PairNs, StackError, StackPlacement, TierId,
+    TierStack,
+};
 
 /// Errors surfaced by engines.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,6 +69,19 @@ pub trait KvEngine: Send {
     /// Serve a DELETE; returns the service time in nanoseconds.
     fn delete(&mut self, key: u64) -> Result<f64, EngineError>;
 
+    /// Serve a GET (`Read`) or UPDATE (`Write`) priced twice: `own` is
+    /// bit-identical to what [`Self::get`]/[`Self::put`] would return,
+    /// with the same state changes; `alt` is what it would have cost
+    /// with the key's data in tier `alt`, which must be a tier of the
+    /// engine's stack. Engines implement both from one cost formula,
+    /// generic over [`ChargeLanes`].
+    fn charge_pair(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        alt: TierId,
+    ) -> Result<PairNs, EngineError>;
+
     /// The engine's cost profile.
     fn profile(&self) -> &EngineProfile {
         self.core().profile()
@@ -118,13 +134,14 @@ pub trait KvEngine: Send {
 }
 
 /// The two cost components of one index-plus-value operation, resolved
-/// by [`EngineCore::charge_op`] with a single key lookup.
+/// by [`EngineCore::charge_op`] with a single key lookup — in
+/// nanoseconds, or one nanosecond figure per lane for a paired charge.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpCharge {
+pub struct OpCharge<N = f64> {
     /// Cost of the engine's dependent index pointer-chases.
-    pub index_ns: f64,
+    pub index_ns: N,
     /// Cost of moving the value (including amplification passes).
-    pub value_ns: f64,
+    pub value_ns: N,
 }
 
 /// Shared implementation: key table, memory system, value traffic.
@@ -199,26 +216,21 @@ impl EngineCore {
     /// object plus `(amplification - 1)` extra uncached passes (the
     /// (de)serialisation copies of object-heavy stores stream through
     /// fresh buffers, so they pay device speed again).
-    pub fn value_traffic(&mut self, key: u64, kind: AccessKind) -> Result<f64, EngineError> {
-        let (id, value_bytes) = self.lookup(key)?;
-        let p = self.mem.placement(id)?;
-        Ok(self.value_ns(id, p, value_bytes, kind))
-    }
-
-    fn value_ns(
+    fn value_ns<L: ChargeLanes>(
         &mut self,
         id: ObjectId,
         p: StackPlacement,
         value_bytes: u64,
         kind: AccessKind,
-    ) -> f64 {
+        lanes: L,
+    ) -> L::Ns {
         let amp = match kind {
             AccessKind::Read => self.profile.read_amplification,
             AccessKind::Write => self.profile.write_amplification,
         };
-        let mut ns = self.mem.access_at(id, p, kind);
+        let mut ns = lanes.access_at(&mut self.mem, id, p, kind);
         if amp > 1.0 {
-            ns += (amp - 1.0) * self.mem.touch(p.tier, kind, value_bytes);
+            ns = ns + lanes.touch_n(&mut self.mem, p.tier, kind, value_bytes, 1) * (amp - 1.0);
         }
         ns
     }
@@ -243,22 +255,27 @@ impl EngineCore {
     /// lookup and placement probe done once instead of once per
     /// component. Charges the index walk first, then the value traffic
     /// — the same device-access order as the unbatched sequence, so
-    /// stats and totals stay bit-identical.
-    pub fn charge_op(
+    /// stats and totals stay bit-identical. Priced in `lanes`: with
+    /// [`hybridmem::OwnTier`] each component is the plain `f64` charge; with
+    /// [`hybridmem::AlsoIn`] it also carries, unrecorded, what it would
+    /// have cost with the key in the alternative tier.
+    pub fn charge_op<L: ChargeLanes>(
         &mut self,
         key: u64,
         kind: AccessKind,
         touches: u32,
-    ) -> Result<OpCharge, EngineError> {
+        lanes: L,
+    ) -> Result<OpCharge<L::Ns>, EngineError> {
         let (id, value_bytes) = self.lookup(key)?;
         let p = self.mem.placement(id)?;
-        let index_ns = self.mem.touch_n(
+        let index_ns = lanes.touch_n(
+            &mut self.mem,
             p.tier,
             AccessKind::Read,
             self.profile.touch_bytes,
             u64::from(touches),
         );
-        let value_ns = self.value_ns(id, p, value_bytes, kind);
+        let value_ns = self.value_ns(id, p, value_bytes, kind, lanes);
         Ok(OpCharge { index_ns, value_ns })
     }
 
@@ -310,6 +327,7 @@ pub(crate) fn test_stack(fast_capacity: u64, slow_capacity: u64) -> TierStack {
 mod tests {
     use super::*;
     use crate::profile::StoreKind;
+    use hybridmem::{AlsoIn, OwnTier};
 
     const FAST: TierId = TierId::FAST;
     const SLOW: TierId = TierId::SLOW;
@@ -333,13 +351,18 @@ mod tests {
         assert_eq!(c.lookup(1).unwrap_err(), EngineError::UnknownKey(1));
     }
 
+    /// The value component of a charge with no index walk.
+    fn value_traffic(c: &mut EngineCore, key: u64, kind: AccessKind) -> f64 {
+        c.charge_op(key, kind, 0, OwnTier).unwrap().value_ns
+    }
+
     #[test]
     fn value_traffic_depends_on_tier() {
         let mut c = core();
         c.load(1, 100_000, 100_000, FAST).unwrap();
         c.load(2, 100_000, 100_000, SLOW).unwrap();
-        let tf = c.value_traffic(1, AccessKind::Read).unwrap();
-        let ts = c.value_traffic(2, AccessKind::Read).unwrap();
+        let tf = value_traffic(&mut c, 1, AccessKind::Read);
+        let ts = value_traffic(&mut c, 2, AccessKind::Read);
         assert!(ts > 3.0 * tf, "slow {ts} fast {tf}");
     }
 
@@ -357,19 +380,34 @@ mod tests {
         for kind in [AccessKind::Read, AccessKind::Write] {
             let mut split = core();
             let mut fused = core();
-            for c in [&mut split, &mut fused] {
+            let mut paired = core();
+            for c in [&mut split, &mut fused, &mut paired] {
                 c.load(1, 100_000, 100_000, SLOW).unwrap();
-                // Warm the cache so both paths see the same hit pattern.
-                c.value_traffic(1, kind).unwrap();
+                // Warm the cache so all paths see the same hit pattern.
+                value_traffic(c, 1, kind);
             }
             let index = split.index_walk(1, 5).unwrap();
-            let value = split.value_traffic(1, kind).unwrap();
-            let op = fused.charge_op(1, kind, 5).unwrap();
+            let value = value_traffic(&mut split, 1, kind);
+            let op = fused.charge_op(1, kind, 5, OwnTier).unwrap();
             assert_eq!(index.to_bits(), op.index_ns.to_bits(), "{kind:?}");
             assert_eq!(value.to_bits(), op.value_ns.to_bits(), "{kind:?}");
             assert_eq!(
                 split.memory().tier_stats(SLOW),
                 fused.memory().tier_stats(SLOW)
+            );
+            // The paired charge's own lane is the plain charge, with the
+            // same stats; the alternative tier's quote is not recorded.
+            let pair = paired.charge_op(1, kind, 5, AlsoIn(FAST)).unwrap();
+            assert_eq!(pair.index_ns.own.to_bits(), op.index_ns.to_bits());
+            assert_eq!(pair.value_ns.own.to_bits(), op.value_ns.to_bits());
+            assert!(pair.index_ns.alt < pair.index_ns.own, "{kind:?}");
+            assert_eq!(
+                paired.memory().tier_stats(SLOW),
+                fused.memory().tier_stats(SLOW)
+            );
+            assert_eq!(
+                paired.memory().tier_stats(FAST),
+                fused.memory().tier_stats(FAST)
             );
         }
     }
@@ -378,7 +416,7 @@ mod tests {
     fn charge_op_unknown_key_errors() {
         let mut c = core();
         assert_eq!(
-            c.charge_op(9, AccessKind::Read, 3).unwrap_err(),
+            c.charge_op(9, AccessKind::Read, 3, OwnTier).unwrap_err(),
             EngineError::UnknownKey(9)
         );
     }
@@ -415,8 +453,8 @@ mod tests {
         let mut amped = EngineCore::new(StoreKind::Dynamo.profile(), test_stack(1 << 24, 1 << 24));
         plain.load(1, 50_000, 50_000, SLOW).unwrap();
         amped.load(1, 50_000, 50_000, SLOW).unwrap();
-        let a = plain.value_traffic(1, AccessKind::Read).unwrap();
-        let b = amped.value_traffic(1, AccessKind::Read).unwrap();
+        let a = value_traffic(&mut plain, 1, AccessKind::Read);
+        let b = value_traffic(&mut amped, 1, AccessKind::Read);
         assert!(b > 2.0 * a, "amplification must dominate: {b} vs {a}");
     }
 }

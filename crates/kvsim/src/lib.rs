@@ -59,6 +59,7 @@ pub mod cluster;
 pub mod dynamic;
 pub mod dynamo_like;
 pub mod engine;
+pub mod ledger;
 pub mod memcached_like;
 pub mod profile;
 pub mod redis_like;
@@ -71,6 +72,9 @@ pub use cache_mode::{CacheModeServer, CacheModeStats};
 pub use cluster::TwoInstanceCluster;
 pub use dynamic::{DynamicConfig, DynamicTieringServer};
 pub use engine::{EngineError, KvEngine, OpCharge};
+pub use ledger::CostLedger;
 pub use profile::{EngineProfile, StoreKind};
-pub use server::{MigrationStats, Placement, RequestSample, RunReport, Server};
+pub use server::{
+    MigrationStats, PairedDecline, PairedRun, Placement, RequestSample, RunReport, Server,
+};
 pub use sharded::ShardedCluster;

@@ -9,7 +9,7 @@
 
 use crate::engine::{EngineCore, EngineError, KvEngine};
 use crate::profile::StoreKind;
-use hybridmem::{AccessKind, TierId, TierStack};
+use hybridmem::{AccessKind, AlsoIn, ChargeLanes, OwnTier, PairNs, TierId, TierStack};
 
 /// memcached's per-item header (item struct + CAS + key).
 const ITEM_HEADER_BYTES: u64 = 48;
@@ -95,6 +95,19 @@ impl MemcachedLike {
         reserved.saturating_sub(self.core_value_sum)
     }
 
+    /// The one GET/UPDATE cost formula: the protocol-heavy fixed cost,
+    /// the hash walk, and one copy of the value.
+    fn serve<L: ChargeLanes>(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        lanes: L,
+    ) -> Result<L::Ns, EngineError> {
+        let touches = self.core.profile().index_touches;
+        let op = self.core.charge_op(key, kind, touches, lanes)?;
+        Ok(L::Ns::from(self.core.profile().fixed_op_ns) + op.index_ns + op.value_ns)
+    }
+
     fn bump_class(&mut self, item_bytes: u64, delta: i64) {
         let c = &mut self.class_counts[class_index(item_bytes)];
         *c = (*c as i64 + delta).max(0) as u64;
@@ -119,17 +132,20 @@ impl KvEngine for MemcachedLike {
     }
 
     fn get(&mut self, key: u64) -> Result<f64, EngineError> {
-        let op = self
-            .core
-            .charge_op(key, AccessKind::Read, self.core.profile().index_touches)?;
-        Ok(self.core.profile().fixed_op_ns + op.index_ns + op.value_ns)
+        self.serve(key, AccessKind::Read, OwnTier)
     }
 
     fn put(&mut self, key: u64) -> Result<f64, EngineError> {
-        let op = self
-            .core
-            .charge_op(key, AccessKind::Write, self.core.profile().index_touches)?;
-        Ok(self.core.profile().fixed_op_ns + op.index_ns + op.value_ns)
+        self.serve(key, AccessKind::Write, OwnTier)
+    }
+
+    fn charge_pair(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        alt: TierId,
+    ) -> Result<PairNs, EngineError> {
+        self.serve(key, kind, AlsoIn(alt))
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {

@@ -9,7 +9,7 @@
 
 use crate::engine::{EngineCore, EngineError, KvEngine};
 use crate::profile::StoreKind;
-use hybridmem::{AccessKind, TierId, TierStack};
+use hybridmem::{AccessKind, AlsoIn, ChargeLanes, OwnTier, PairNs, TierId, TierStack};
 
 /// Per-value header overhead (robj + SDS header + dict entry), bytes.
 const VALUE_HEADER_BYTES: u64 = 64;
@@ -48,6 +48,20 @@ impl RedisLike {
         }
     }
 
+    /// The one GET/UPDATE cost formula: fixed cost, the dict walk scaled
+    /// by the expected chain length, and one copy of the value.
+    fn serve<L: ChargeLanes>(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        lanes: L,
+    ) -> Result<L::Ns, EngineError> {
+        let touches = self.core.profile().index_touches;
+        let op = self.core.charge_op(key, kind, touches, lanes)?;
+        let index = op.index_ns * self.chain_scale;
+        Ok(L::Ns::from(self.core.profile().fixed_op_ns) + index + op.value_ns)
+    }
+
     /// Expected chain-length multiplier at the current load factor.
     fn fresh_chain_scale(&self) -> f64 {
         1.0 + self.load_factor() / 2.0
@@ -72,19 +86,20 @@ impl KvEngine for RedisLike {
     }
 
     fn get(&mut self, key: u64) -> Result<f64, EngineError> {
-        let op = self
-            .core
-            .charge_op(key, AccessKind::Read, self.core.profile().index_touches)?;
-        let index = op.index_ns * self.chain_scale;
-        Ok(self.core.profile().fixed_op_ns + index + op.value_ns)
+        self.serve(key, AccessKind::Read, OwnTier)
     }
 
     fn put(&mut self, key: u64) -> Result<f64, EngineError> {
-        let op = self
-            .core
-            .charge_op(key, AccessKind::Write, self.core.profile().index_touches)?;
-        let index = op.index_ns * self.chain_scale;
-        Ok(self.core.profile().fixed_op_ns + index + op.value_ns)
+        self.serve(key, AccessKind::Write, OwnTier)
+    }
+
+    fn charge_pair(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        alt: TierId,
+    ) -> Result<PairNs, EngineError> {
+        self.serve(key, kind, AlsoIn(alt))
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {

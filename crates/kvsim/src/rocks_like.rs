@@ -24,7 +24,7 @@ use crate::engine::{EngineCore, EngineError, KvEngine};
 use crate::profile::{EngineProfile, StoreKind};
 use hybridmem::cache::ObjectLru;
 use hybridmem::Cache as _;
-use hybridmem::{AccessKind, TierId, TierStack};
+use hybridmem::{AccessKind, AlsoIn, ChargeLanes, OwnTier, PairNs, TierId, TierStack};
 
 /// Simulated SSD: ~90 µs access latency, 500 MB/s effective bandwidth.
 const SSD_LATENCY_NS: f64 = 90_000.0;
@@ -83,6 +83,54 @@ impl RocksLike {
         SSD_LATENCY_NS + bytes as f64 / SSD_BYTES_PER_NS
     }
 
+    /// The one GET/UPDATE cost formula. The block cache is keyed by
+    /// key, not by tier, so a paired charge sees the same hit or miss in
+    /// both lanes.
+    fn serve<L: ChargeLanes>(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        lanes: L,
+    ) -> Result<L::Ns, EngineError> {
+        let (_, bytes) = self.core.lookup(key)?;
+        let touches = self.core.profile().index_touches;
+        let fixed = L::Ns::from(self.core.profile().fixed_op_ns);
+        match kind {
+            AccessKind::Read => {
+                // A block-cache hit serves the value from memory in the
+                // key's tier. A miss goes to the SSD, independent of tier
+                // placement, and admits the value into the block cache
+                // (a memory write in the key's tier).
+                let hit = self.block_cache.touch(key);
+                let traffic = if hit {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                let op = self.core.charge_op(key, traffic, touches, lanes)?;
+                let data = if hit {
+                    self.cache_reads += 1;
+                    op.value_ns
+                } else {
+                    self.disk_reads += 1;
+                    self.block_cache.insert(key, bytes);
+                    L::Ns::from(Self::ssd_ns(bytes)) + op.value_ns
+                };
+                Ok(fixed + op.index_ns + data)
+            }
+            AccessKind::Write => {
+                // Memtable write in the key's tier + amortised compaction
+                // I/O; the fresh value lands in the block cache.
+                let op = self
+                    .core
+                    .charge_op(key, AccessKind::Write, touches, lanes)?;
+                let compaction = AMORTISED_WRITE_AMP * Self::ssd_ns(bytes);
+                self.block_cache.insert(key, bytes);
+                Ok(fixed + op.index_ns + op.value_ns + L::Ns::from(compaction))
+            }
+        }
+    }
+
     /// `(block-cache reads, disk reads)` served so far.
     pub fn read_split(&self) -> (u64, u64) {
         (self.cache_reads, self.disk_reads)
@@ -115,36 +163,20 @@ impl KvEngine for RocksLike {
     }
 
     fn get(&mut self, key: u64) -> Result<f64, EngineError> {
-        let (_, bytes) = self.core.lookup(key)?;
-        let index = self
-            .core
-            .index_walk(key, self.core.profile().index_touches)?;
-        let data = if self.block_cache.touch(key) {
-            // Block-cache hit: value served from memory in the key's tier.
-            self.cache_reads += 1;
-            self.core.value_traffic(key, AccessKind::Read)?
-        } else {
-            // Miss: the SSD serves it, independent of tier placement;
-            // the value is admitted into the block cache (memory write in
-            // the key's tier).
-            self.disk_reads += 1;
-            self.block_cache.insert(key, bytes);
-            Self::ssd_ns(bytes) + self.core.value_traffic(key, AccessKind::Write)?
-        };
-        Ok(self.core.profile().fixed_op_ns + index + data)
+        self.serve(key, AccessKind::Read, OwnTier)
     }
 
     fn put(&mut self, key: u64) -> Result<f64, EngineError> {
-        let (_, bytes) = self.core.lookup(key)?;
-        let index = self
-            .core
-            .index_walk(key, self.core.profile().index_touches)?;
-        // Memtable write in the key's tier + amortised compaction I/O.
-        let memwrite = self.core.value_traffic(key, AccessKind::Write)?;
-        let compaction = AMORTISED_WRITE_AMP * Self::ssd_ns(bytes);
-        // The fresh value lands in the block cache.
-        self.block_cache.insert(key, bytes);
-        Ok(self.core.profile().fixed_op_ns + index + memwrite + compaction)
+        self.serve(key, AccessKind::Write, OwnTier)
+    }
+
+    fn charge_pair(
+        &mut self,
+        key: u64,
+        kind: AccessKind,
+        alt: TierId,
+    ) -> Result<PairNs, EngineError> {
+        self.serve(key, kind, AlsoIn(alt))
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {

@@ -15,6 +15,7 @@
 
 use crate::dynamo_like::DynamoLike;
 use crate::engine::{EngineError, KvEngine};
+use crate::ledger::CostLedger;
 use crate::memcached_like::MemcachedLike;
 use crate::profile::StoreKind;
 use crate::redis_like::RedisLike;
@@ -22,8 +23,8 @@ use crate::rocks_like::RocksLike;
 use crate::tiered::{load_planned, trace_stats, EpochPlanner};
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{
-    DegradationProfile, DetHashSet, Histogram, HybridSpec, MemTier, NoiseModel, SimClock,
-    StackSpec, TierStack,
+    AccessKind, DegradationProfile, DetHashSet, Histogram, HybridSpec, MemTier, NoiseModel,
+    SimClock, StackSpec, TierId, TierStack,
 };
 use mnemo_faults::{FaultPlan, ShardCrash};
 use mnemo_telemetry::{AccessStatKeys, CacheStatKeys, EpochLog, Snapshot};
@@ -103,6 +104,45 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// A report with nothing recorded yet, sized for `trace`.
+    fn empty(store: StoreKind, trace: &Trace) -> RunReport {
+        RunReport {
+            store,
+            workload: trace.name.clone(),
+            requests: trace.len(),
+            runtime_ns: 0.0,
+            reads: 0,
+            writes: 0,
+            read_ns_total: 0.0,
+            write_ns_total: 0.0,
+            read_hist: Histogram::new(),
+            write_hist: Histogram::new(),
+            samples: Vec::with_capacity(trace.len()),
+        }
+    }
+
+    /// Account one served request of `ns` (the runtime is the clock's,
+    /// set when the run ends).
+    fn record(&mut self, key: u64, op: Op, ns: f64) {
+        match op {
+            Op::Read => {
+                self.reads += 1;
+                self.read_ns_total += ns;
+                self.read_hist.record(ns);
+            }
+            Op::Update => {
+                self.writes += 1;
+                self.write_ns_total += ns;
+                self.write_hist.record(ns);
+            }
+        }
+        self.samples.push(RequestSample {
+            key,
+            op,
+            service_ns: ns,
+        });
+    }
+
     /// Overall throughput in operations per second.
     pub fn throughput_ops_s(&self) -> f64 {
         if self.runtime_ns == 0.0 {
@@ -160,6 +200,65 @@ pub struct MigrationStats {
     /// Total nanoseconds charged to the run's clock for moves.
     pub migration_ns: f64,
 }
+
+/// The two reports and the ledger of one [`Server::run_paired`] walk.
+#[derive(Debug, Clone)]
+pub struct PairedRun {
+    /// The run as placed: bit-identical to [`Server::run`].
+    pub own: RunReport,
+    /// The run with every key in the alternative tier: bit-identical to
+    /// `run` on a server built with all data there and the alternative
+    /// noise.
+    pub alt: RunReport,
+    /// Unperturbed per-key alt-minus-own charges: prices every other
+    /// split of the keys between the two tiers exactly.
+    pub ledger: CostLedger,
+}
+
+/// Why [`Server::run_paired`] declined. Each names something that makes
+/// a request's charge depend on more than its own key's tier, so one
+/// walk could not stand for two runs. (Cache mode is a different server
+/// type, [`CacheModeServer`](crate::CacheModeServer), with no paired run
+/// at all.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairedDecline {
+    /// A degradation profile is installed: device speed varies with
+    /// simulated time, and the two lanes' clocks differ.
+    Degradation,
+    /// A crash schedule is installed: crashes fire at lane-specific
+    /// clock readings and clear the shared LLC.
+    CrashSchedule,
+    /// Epoch re-planning is on: migrations move keys between tiers and
+    /// charge copies mid-run.
+    EpochPlanner,
+    /// The alternative tier is not part of this server's stack.
+    UnknownTier(TierId),
+    /// The alternative tier cannot hold the whole dataset, so a run with
+    /// all data there does not exist.
+    AltCapacity {
+        /// Bytes the engine holds across all tiers.
+        needed: u64,
+        /// The alternative tier's capacity.
+        capacity: u64,
+    },
+}
+
+impl std::fmt::Display for PairedDecline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PairedDecline::Degradation => write!(f, "a degradation profile is installed"),
+            PairedDecline::CrashSchedule => write!(f, "a crash schedule is installed"),
+            PairedDecline::EpochPlanner => write!(f, "epoch re-planning is on"),
+            PairedDecline::UnknownTier(tier) => write!(f, "no tier {tier} in the stack"),
+            PairedDecline::AltCapacity { needed, capacity } => write!(
+                f,
+                "the alternative tier holds {capacity} bytes, the dataset needs {needed}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PairedDecline {}
 
 /// A server instance: one engine + measurement jitter.
 pub struct Server {
@@ -331,32 +430,13 @@ impl Server {
     pub fn run_pipelined(&mut self, trace: &Trace, depth: u32) -> RunReport {
         assert!(depth >= 1, "pipeline depth must be at least 1");
         let amortised_away = self.engine.profile().fixed_op_ns * (1.0 - 1.0 / depth as f64);
-        let mut report = self.run(trace);
-        // Rescale every sample and the aggregates.
-        let mut runtime = 0.0;
-        let mut read_ns = 0.0;
-        let mut write_ns = 0.0;
-        let mut read_hist = Histogram::new();
-        let mut write_hist = Histogram::new();
-        for s in &mut report.samples {
-            s.service_ns = (s.service_ns - amortised_away).max(0.0);
-            runtime += s.service_ns;
-            match s.op {
-                Op::Read => {
-                    read_ns += s.service_ns;
-                    read_hist.record(s.service_ns);
-                }
-                Op::Update => {
-                    write_ns += s.service_ns;
-                    write_hist.record(s.service_ns);
-                }
-            }
+        // Rescale every sample and re-derive the aggregates.
+        let mut report = RunReport::empty(self.store, trace);
+        for s in self.run(trace).samples {
+            let ns = (s.service_ns - amortised_away).max(0.0);
+            report.runtime_ns += ns;
+            report.record(s.key, s.op, ns);
         }
-        report.runtime_ns = runtime;
-        report.read_ns_total = read_ns;
-        report.write_ns_total = write_ns;
-        report.read_hist = read_hist;
-        report.write_hist = write_hist;
         report
     }
 
@@ -444,6 +524,81 @@ impl Server {
         }
     }
 
+    /// Why a paired run against tier `alt` would not be exact, if it
+    /// would not.
+    fn paired_decline(&self, alt: TierId) -> Option<PairedDecline> {
+        let mem = self.engine.memory();
+        if self.degraded {
+            return Some(PairedDecline::Degradation);
+        }
+        if !self.crashes.is_empty() {
+            return Some(PairedDecline::CrashSchedule);
+        }
+        if self.planner.is_some() {
+            return Some(PairedDecline::EpochPlanner);
+        }
+        if alt.index() >= mem.num_tiers() {
+            return Some(PairedDecline::UnknownTier(alt));
+        }
+        let needed = mem.tier_ids().map(|t| mem.used(t)).sum::<u64>();
+        let capacity = mem.capacity(alt);
+        (needed > capacity).then_some(PairedDecline::AltCapacity { needed, capacity })
+    }
+
+    /// Execute the trace once and report it twice: as placed, exactly as
+    /// [`Self::run`] would, and as if every key lived in tier `alt`,
+    /// under its own noise stream `alt_noise` and clock. Each request
+    /// costs one key lookup and one LLC probe — the LLC is keyed by
+    /// object, so its hits are the same in either tier — and goes
+    /// through the engine's cost formula once, priced in both tiers.
+    /// The walk also fills the [`CostLedger`] that prices every other
+    /// split exactly.
+    ///
+    /// Declines, changing nothing, when something makes a request's
+    /// charge depend on more than its key's tier (see [`PairedDecline`]).
+    pub fn run_paired(
+        &mut self,
+        trace: &Trace,
+        alt: TierId,
+        alt_noise: NoiseConfig,
+    ) -> Result<PairedRun, PairedDecline> {
+        if let Some(decline) = self.paired_decline(alt) {
+            return Err(decline);
+        }
+        self.engine.reset_measurement_state();
+        self.migration = MigrationStats::default();
+        let mut alt_noise = NoiseModel::new(alt_noise);
+        let (mut own_clock, mut alt_clock) = (SimClock::new(), SimClock::new());
+        let mut own = RunReport::empty(self.store, trace);
+        let mut alt_run = RunReport::empty(self.store, trace);
+        let mut ledger = CostLedger::new(trace.sizes.len());
+        for r in &trace.requests {
+            let kind = match r.op {
+                Op::Read => AccessKind::Read,
+                Op::Update => AccessKind::Write,
+            };
+            let raw = self
+                .engine
+                .charge_pair(r.key, kind, alt)
+                // mnemo-lint: allow(R001, "Server::build loads every key of the trace before run, so requests cannot hit an unloaded key")
+                .expect("trace references unloaded key");
+            ledger.record(r.key, raw.own, raw.alt);
+            let own_ns = self.noise.perturb(raw.own);
+            let alt_ns = alt_noise.perturb(raw.alt);
+            own_clock.advance(own_ns);
+            alt_clock.advance(alt_ns);
+            own.record(r.key, r.op, own_ns);
+            alt_run.record(r.key, r.op, alt_ns);
+        }
+        own.runtime_ns = own_clock.now_ns() as f64;
+        alt_run.runtime_ns = alt_clock.now_ns() as f64;
+        Ok(PairedRun {
+            own,
+            alt: alt_run,
+            ledger,
+        })
+    }
+
     fn run_instrumented(
         &mut self,
         trace: &Trace,
@@ -456,19 +611,7 @@ impl Server {
             planner.reset();
         }
         let mut clock = SimClock::new();
-        let mut report = RunReport {
-            store: self.store,
-            workload: trace.name.clone(),
-            requests: trace.len(),
-            runtime_ns: 0.0,
-            reads: 0,
-            writes: 0,
-            read_ns_total: 0.0,
-            write_ns_total: 0.0,
-            read_hist: Histogram::new(),
-            write_hist: Histogram::new(),
-            samples: Vec::with_capacity(trace.len()),
-        };
+        let mut report = RunReport::empty(self.store, trace);
         let mut next_crash = 0usize;
         // Metric names for the per-request telemetry block, formatted
         // once per run instead of ten times per request.
@@ -560,23 +703,7 @@ impl Server {
                 }
                 log.tick();
             }
-            match r.op {
-                Op::Read => {
-                    report.reads += 1;
-                    report.read_ns_total += ns;
-                    report.read_hist.record(ns);
-                }
-                Op::Update => {
-                    report.writes += 1;
-                    report.write_ns_total += ns;
-                    report.write_hist.record(ns);
-                }
-            }
-            report.samples.push(RequestSample {
-                key: r.key,
-                op: r.op,
-                service_ns: ns,
-            });
+            report.record(r.key, r.op, ns);
         }
         report.runtime_ns = clock.now_ns() as f64;
         report
