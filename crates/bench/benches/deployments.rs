@@ -4,7 +4,7 @@
 //! pattern analysis).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kvsim::{CacheModeServer, DynamicConfig, DynamicTieringServer, Placement, Server, StoreKind};
+use kvsim::{CacheModeServer, Placement, Server, StoreKind};
 use mnemo::baselines::{InstrumentedProfiler, SamplingProfiler};
 use std::hint::black_box;
 use ycsb::WorkloadSpec;
@@ -21,9 +21,13 @@ fn bench_deployments(c: &mut Criterion) {
         b.iter(|| black_box(server.run(&trace).runtime_ns));
     });
     group.bench_function(BenchmarkId::new("run", "dynamic_tiering"), |b| {
-        let mut server =
-            DynamicTieringServer::build(StoreKind::Redis, &trace, DynamicConfig::new(budget))
-                .unwrap();
+        let mut server = mnemo_bench::decay_server(
+            &trace,
+            &hybridmem::HybridSpec::paper_testbed(),
+            budget,
+            1_000,
+        )
+        .unwrap();
         b.iter(|| black_box(server.run(&trace).runtime_ns));
     });
     group.bench_function(BenchmarkId::new("run", "cache_mode"), |b| {

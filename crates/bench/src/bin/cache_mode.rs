@@ -12,10 +12,13 @@
 //!    traffic at runtime);
 //! 3. **dynamic tiering** — epoch-based migration (Fig. 2b systems).
 
-use kvsim::{CacheModeServer, DynamicConfig, DynamicTieringServer, Server, StoreKind};
+use kvsim::{CacheModeServer, Server, StoreKind};
 use mnemo::advisor::OrderingKind;
 use mnemo::placement::PlacementEngine;
-use mnemo_bench::{consult, paper_workload, print_table, seed_for, testbed_for, write_csv};
+use mnemo_bench::{
+    consult, decay_server, paper_workload, print_table, seed_for, testbed_for, tierer_epoch,
+    write_csv,
+};
 
 const RATIOS: [f64; 4] = [0.1, 0.2, 0.4, 0.6];
 
@@ -52,17 +55,9 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
             let cache_tp = cm.run(&trace).throughput_ops_s();
             let hit_ratio = cm.stats().hit_ratio();
 
-            let mut dt = DynamicTieringServer::build_with(
-                StoreKind::Redis,
-                testbed.clone(),
-                &trace,
-                DynamicConfig {
-                    epoch_requests: 2_000,
-                    ..DynamicConfig::new(budget)
-                },
-            )
-            .map_err(|e| format!("dynamic server build failed: {e}"))?;
-            let dyn_tp = dt.run(&trace).throughput_ops_s();
+            let dyn_tp = decay_server(&trace, &testbed, budget, tierer_epoch(&trace))?
+                .run(&trace)
+                .throughput_ops_s();
 
             Ok((ratio, static_tp, cache_tp, hit_ratio, dyn_tp))
         });

@@ -9,10 +9,13 @@
 //! offers "a static key allocation, with no support for dynamic data
 //! migration".
 
-use kvsim::{DynamicConfig, DynamicTieringServer, Server, StoreKind};
+use kvsim::{Server, StoreKind};
 use mnemo::advisor::OrderingKind;
 use mnemo::placement::PlacementEngine;
-use mnemo_bench::{consult, paper_workloads, print_table, seed_for, testbed_for, write_csv};
+use mnemo_bench::{
+    consult, decay_server, paper_workloads, print_table, seed_for, testbed_for, tierer_epoch,
+    write_csv,
+};
 
 const BUDGET_FRACTION: f64 = 0.2; // 20% of the dataset in FastMem
 
@@ -45,17 +48,7 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
 
         // Dynamic tierer at the same budget (discovers the hot set online,
         // pays migration time).
-        let mut dynamic = DynamicTieringServer::build_with(
-            StoreKind::Redis,
-            testbed,
-            &trace,
-            DynamicConfig {
-                epoch_requests: 2_000,
-                decay: 0.7,
-                ..DynamicConfig::new(budget)
-            },
-        )
-        .map_err(|e| format!("dynamic server build failed: {e}"))?;
+        let mut dynamic = decay_server(&trace, &testbed, budget, tierer_epoch(&trace))?;
         let dynamic_report = dynamic.run(&trace);
         let stats = dynamic.migration_stats();
         Ok((spec.name.clone(), static_report, dynamic_report, stats))
@@ -71,14 +64,14 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
             format!("{:8.0}", stat.throughput_ops_s()),
             format!("{:8.0}", dyn_.throughput_ops_s()),
             format!("{:+5.1}%", (ratio - 1.0) * 100.0),
-            format!("{}", mig.promotions + mig.demotions),
+            format!("{}", mig.moved_keys),
             format!("{:.1} ms", mig.migration_ns / 1e6),
         ]);
         csv.push(format!(
             "{name},{:.1},{:.1},{},{:.3}",
             stat.throughput_ops_s(),
             dyn_.throughput_ops_s(),
-            mig.promotions + mig.demotions,
+            mig.moved_keys,
             mig.migration_ns / 1e6
         ));
     }
@@ -142,18 +135,8 @@ fn churn_sweep() -> Result<(), mnemo_bench::HarnessError> {
         )
         .map_err(|e| format!("static server build failed: {e}"))?
         .run(&trace);
-        let mut dynamic = DynamicTieringServer::build_with(
-            StoreKind::Redis,
-            testbed,
-            &trace,
-            DynamicConfig {
-                epoch_requests: 2_000,
-                decay: 0.7,
-                ..DynamicConfig::new(budget)
-            },
-        )
-        .map_err(|e| format!("dynamic server build failed: {e}"))?;
-        let dynamic_report = dynamic.run(&trace);
+        let dynamic_report =
+            decay_server(&trace, &testbed, budget, tierer_epoch(&trace))?.run(&trace);
         Ok((
             churn_period,
             static_report.throughput_ops_s(),

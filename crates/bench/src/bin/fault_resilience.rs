@@ -15,10 +15,10 @@
 //! whole sweep is byte-identical for every `--jobs` value — the export
 //! joins the CI bench-smoke determinism gate.
 
-use kvsim::{DynamicConfig, DynamicTieringServer, Server, StoreKind};
+use kvsim::{Server, StoreKind};
 use mnemo::advisor::{Advisor, AdvisorConfig, OrderingKind};
 use mnemo::placement::PlacementEngine;
-use mnemo_bench::{measurement_noise, print_table, testbed_for, write_csv};
+use mnemo_bench::{decay_server, measurement_noise, print_table, testbed_for, write_csv};
 use mnemo_faults::{FaultEvent, FaultPlan};
 use ycsb::WorkloadSpec;
 
@@ -124,17 +124,7 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
         // The dynamic tierer under the same plan: migrations fail with
         // the plan's probability and retreat through capped backoff.
         let budget = (trace.dataset_bytes() as f64 * 0.2) as u64;
-        let mut dynamic = DynamicTieringServer::build_with(
-            StoreKind::Redis,
-            testbed.clone(),
-            &trace,
-            DynamicConfig {
-                epoch_requests: 2_000,
-                decay: 0.7,
-                ..DynamicConfig::new(budget)
-            },
-        )
-        .map_err(|e| format!("dynamic server build failed: {e}"))?;
+        let mut dynamic = decay_server(&trace, &testbed, budget, 2_000)?;
         dynamic.install_fault_plan(&plan);
         dynamic.run(&trace);
         let mig = dynamic.migration_stats();

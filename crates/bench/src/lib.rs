@@ -19,12 +19,13 @@ pub mod perf;
 pub mod suite;
 
 use hybridmem::clock::NoiseConfig;
-use hybridmem::HybridSpec;
-use kvsim::StoreKind;
+use hybridmem::{HybridSpec, StackSpec};
+use kvsim::{Server, StoreKind};
 use mnemo::accuracy::EvalPoint;
 use mnemo::advisor::{Advisor, AdvisorConfig, Consultation, OrderingKind};
 use mnemo::ModelKind;
 pub use mnemo_par::SweepTimer;
+use mnemo_tier::DecayPolicy;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -97,6 +98,34 @@ pub fn testbed_for(trace: &Trace) -> HybridSpec {
     // Paper proportion: 12 MB LLC for a ~1 GB dataset (ratio ~85).
     spec.cache.capacity_bytes = spec.cache.capacity_bytes.min((dataset / 85).max(1 << 16));
     spec
+}
+
+/// Requests between the migrating tierer's re-plans in the experiments
+/// that compare against it: 50 epochs per trace, so 2,000 requests at
+/// paper scale and still several epochs at smoke scale.
+pub fn tierer_epoch(trace: &Trace) -> u64 {
+    (trace.len() as u64 / 50).max(1)
+}
+
+/// The migrating tierer Mnemo is set against (paper Fig. 2b) as a Redis
+/// server on `testbed`: every key starts in SlowMem and a
+/// [`DecayPolicy`] refills `budget` logical FastMem bytes every `epoch`
+/// requests, each copy charged to the run.
+pub fn decay_server(
+    trace: &Trace,
+    testbed: &HybridSpec,
+    budget: u64,
+    epoch: u64,
+) -> Result<Server, String> {
+    Server::build_tiered(
+        StoreKind::Redis,
+        StackSpec::two_tier(testbed),
+        NoiseConfig::disabled(),
+        trace,
+        Box::new(DecayPolicy::new(budget)),
+        epoch,
+    )
+    .map_err(|e| format!("decay server build failed: {e}"))
 }
 
 /// Default measurement jitter (the paper reports means of repeated runs;

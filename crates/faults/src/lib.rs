@@ -12,7 +12,7 @@
 //!   access charge and reservation;
 //! * [`FaultPlan::migration_faults`] — a pure seeded function of
 //!   `(now_ns, key, attempt)` deciding which migrations fail, driving
-//!   the dynamic tierer's capped-exponential [`Backoff`] retry loop;
+//!   the epoch re-planner's capped-exponential [`Backoff`] retry loop;
 //! * [`FaultPlan::shard_crashes`] — per-shard crash schedules with
 //!   restart and rebuild costs for `ShardedCluster`.
 //!

@@ -23,15 +23,14 @@
 //!   runtimes, throughputs, per-request service times and latency
 //!   histograms (the paper's Sensitivity Engine measures against this).
 //!   Keys are placed statically ([`Placement`]) or by a
-//!   `mnemo-tier` policy with optional epoch re-planning.
+//!   `mnemo-tier` policy with optional epoch re-planning; the migrating
+//!   tierer Mnemo is set against (the "existing tiering solution" of the
+//!   paper's Fig. 2b) is one such policy, `mnemo_tier::DecayPolicy`.
 //! * [`tiered`] — the policy glue behind policy-placed servers: per-key
 //!   trace stats and windows, the spilling initial load and the epoch
-//!   re-planner.
+//!   re-planner with its migration-failure retries.
 //! * [`cluster`] — the paper's two-instance deployment: a FastMem-bound
 //!   server plus a SlowMem-bound server and a client-side key router.
-//! * [`dynamic`] — a migrating tiering baseline (the "existing tiering
-//!   solution" of the paper's Fig. 2b), used to quantify when Mnemo's
-//!   static placement suffices.
 //! * [`cache_mode`] — FastMem as a write-back DRAM cache of SlowMem
 //!   (Intel Memory Mode-style), the deployment the paper scopes out.
 //! * [`sharded`] — a concurrent multi-shard deployment driven by the
@@ -56,7 +55,6 @@
 
 pub mod cache_mode;
 pub mod cluster;
-pub mod dynamic;
 pub mod dynamo_like;
 pub mod engine;
 pub mod ledger;
@@ -70,7 +68,6 @@ pub mod tiered;
 
 pub use cache_mode::{CacheModeServer, CacheModeStats};
 pub use cluster::TwoInstanceCluster;
-pub use dynamic::{DynamicConfig, DynamicTieringServer};
 pub use engine::{EngineError, KvEngine, OpCharge};
 pub use ledger::CostLedger;
 pub use profile::{EngineProfile, StoreKind};

@@ -10,8 +10,9 @@
 //! [`Placement`]; one built over a [`StackSpec`] hierarchy takes its
 //! initial placement from a [`TieringPolicy`] and, with epochs on,
 //! re-plans every that many requests, charging each move's copy cost
-//! (read from source + write to destination) to the run's clock and
-//! accumulating it in [`MigrationStats`].
+//! (read from source + write to destination, priced by
+//! [`TierStack::migrate`]) and any failed-move backoff to the run's
+//! clock and accumulating both in [`MigrationStats`].
 
 use crate::dynamo_like::DynamoLike;
 use crate::engine::{EngineError, KvEngine};
@@ -197,8 +198,18 @@ pub struct MigrationStats {
     pub moved_keys: u64,
     /// Logical bytes moved.
     pub moved_bytes: u64,
-    /// Total nanoseconds charged to the run's clock for moves.
+    /// Total nanoseconds charged to the run's clock for moves: copy
+    /// costs plus backoff delays.
     pub migration_ns: f64,
+    /// Move attempts re-issued after an injected failure.
+    pub retries: u64,
+    /// Injected move failures (each failed attempt counts once).
+    pub failures: u64,
+    /// Moves abandoned after exhausting the retry budget; the key stays
+    /// where it was.
+    pub fallbacks: u64,
+    /// The share of `migration_ns` spent in backoff delays.
+    pub retry_ns: f64,
 }
 
 /// The two reports and the ledger of one [`Server::run_paired`] walk.
@@ -389,8 +400,9 @@ impl Server {
         self.crashes = crashes;
     }
 
-    /// Install the device-side parts of a fault plan on a standalone
-    /// server (degradation windows plus shard-0 crashes). Sharded
+    /// Install a fault plan on a standalone server: degradation windows,
+    /// shard-0 crashes and, for an epoch-planned server, the seeded
+    /// migration-failure schedule with the plan's retry policy. Sharded
     /// clusters install per-shard schedules instead.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         let profile = plan.degradation_profile();
@@ -400,6 +412,9 @@ impl Server {
             Some(profile)
         });
         self.set_crash_schedule(plan.shard_crashes(0));
+        if let Some(planner) = self.planner.as_mut() {
+            planner.set_faults(plan.migration_faults(), plan.backoff);
+        }
     }
 
     /// Re-place the dataset (static placement between runs; unmeasured).
@@ -495,8 +510,8 @@ impl Server {
     }
 
     /// One epoch re-plan: the policy turns the epoch's per-key stats
-    /// into desired tiers and every actual move's copy cost is charged
-    /// to the clock.
+    /// into desired tiers and every actual move's copy cost, plus the
+    /// backoff of any injected failure, is charged to the clock.
     fn run_epoch(&mut self, clock: &mut SimClock, telemetry: &mut Option<&mut EpochLog>) {
         let Some(planner) = self.planner.as_mut() else {
             return;
@@ -504,18 +519,25 @@ impl Server {
         if self.degraded {
             self.engine.memory_mut().set_now_ns(clock.now_ns());
         }
-        let (moved_keys, moved_bytes, epoch_ns) = planner.replan(self.engine.as_mut());
-        self.migration.epochs += 1;
-        self.migration.moved_keys += moved_keys;
-        self.migration.moved_bytes += moved_bytes;
-        self.migration.migration_ns += epoch_ns;
+        let before = self.migration;
+        let epoch_ns = planner.replan(self.engine.as_mut(), clock.now_ns(), &mut self.migration);
         clock.advance(epoch_ns);
         if let Some(log) = telemetry.as_deref_mut() {
+            let now = self.migration;
             let tel = log.recorder();
             tel.count("kv.tier.epochs", 1);
-            tel.count("kv.tier.moved_keys", moved_keys);
-            tel.count("kv.tier.moved_bytes", moved_bytes);
+            tel.count("kv.tier.moved_keys", now.moved_keys - before.moved_keys);
+            tel.count("kv.tier.moved_bytes", now.moved_bytes - before.moved_bytes);
             tel.gauge("kv.tier.migration_ns", epoch_ns);
+            tel.count("kv.tier.retries", now.retries - before.retries);
+            tel.count(
+                "kv.fault.migration_failures",
+                now.failures - before.failures,
+            );
+            tel.count("kv.tier.fallbacks", now.fallbacks - before.fallbacks);
+            if now.retry_ns > before.retry_ns {
+                tel.gauge("kv.tier.retry_ns", now.retry_ns - before.retry_ns);
+            }
             let mem = self.engine.memory();
             for (tier, def) in mem.tier_ids().zip(&mem.spec().tiers) {
                 let name = format!("kv.tier.{}.occupancy_bytes", def.name);

@@ -9,7 +9,9 @@
 //! loop over the same engine, differing only in who picked the tiers.
 
 use crate::engine::{EngineError, KvEngine};
+use crate::server::MigrationStats;
 use hybridmem::{AccessKind, TierId};
+use mnemo_faults::{Backoff, MigrationFaults};
 use mnemo_tier::{KeyStat, TieringPolicy};
 use ycsb::{Op, Trace};
 
@@ -45,7 +47,8 @@ pub(crate) fn load_planned(
 }
 
 /// Epoch re-planning state of a policy-placed server: the policy, the
-/// period, and the current epoch's per-key read/write counts.
+/// period, the current epoch's per-key read/write counts, and the
+/// seeded migration-failure schedule with its retry policy.
 pub(crate) struct EpochPlanner {
     policy: Box<dyn TieringPolicy>,
     /// Re-plan period in requests (positive).
@@ -54,6 +57,10 @@ pub(crate) struct EpochPlanner {
     sizes: Vec<u64>,
     reads: Vec<u64>,
     writes: Vec<u64>,
+    /// Injected migration failures (empty = none).
+    faults: MigrationFaults,
+    /// Retry policy for a failed move.
+    backoff: Backoff,
 }
 
 impl EpochPlanner {
@@ -65,7 +72,15 @@ impl EpochPlanner {
             sizes: trace.sizes.clone(),
             reads: vec![0; keys],
             writes: vec![0; keys],
+            faults: MigrationFaults::default(),
+            backoff: Backoff::default(),
         }
+    }
+
+    /// Install the migration-failure schedule and retry policy.
+    pub(crate) fn set_faults(&mut self, faults: MigrationFaults, backoff: Backoff) {
+        self.faults = faults;
+        self.backoff = backoff;
     }
 
     /// Zero the epoch counters at the start of a run.
@@ -94,12 +109,23 @@ impl EpochPlanner {
         self.policy.on_access(key, kind, seq as u64);
     }
 
-    /// Hand the epoch's stats to the policy and move every key whose
-    /// desired tier differs from its current one. Returns the keys and
-    /// logical bytes moved and the summed copy cost. A failed move
-    /// (target tier full) skips the key rather than aborting the run:
-    /// re-planning is best-effort.
-    pub(crate) fn replan(&mut self, engine: &mut dyn KvEngine) -> (u64, u64, f64) {
+    /// Hand the epoch's stats and the current placement to the policy
+    /// and move every key whose desired tier differs from its current
+    /// one, accumulating into `acc`. Returns the nanoseconds to charge:
+    /// each move's copy cost plus any backoff delay.
+    ///
+    /// A move the schedule fails is retried with capped-exponential
+    /// backoff; its verdicts are drawn at `now_ns` plus the delay so far,
+    /// so a failure window can expire mid-backoff. A move that exhausts
+    /// its retries falls back (the key stays put) and only the delays
+    /// are charged. A move whose target tier is full is skipped rather
+    /// than aborting the run: re-planning is best-effort.
+    pub(crate) fn replan(
+        &mut self,
+        engine: &mut dyn KvEngine,
+        now_ns: u128,
+        acc: &mut MigrationStats,
+    ) -> f64 {
         let stats: Vec<KeyStat> = self
             .sizes
             .iter()
@@ -112,21 +138,47 @@ impl EpochPlanner {
             })
             .collect();
         self.reset();
-        let desired = self.policy.on_epoch(&stats, engine.memory().spec());
-        let mut moved_keys = 0u64;
-        let mut moved_bytes = 0u64;
+        let mem = engine.memory();
+        let bottom = TierId(u8::try_from(mem.num_tiers().saturating_sub(1)).unwrap_or(u8::MAX));
+        let current: Vec<TierId> = stats
+            .iter()
+            .map(|s| engine.placement_of(s.key).unwrap_or(bottom))
+            .collect();
+        let desired = self.policy.on_epoch(&stats, &current, mem.spec());
         let mut ns = 0.0;
         for (key, tier) in desired {
             if engine.placement_of(key) == Some(tier) {
                 continue;
             }
+            let mut delay = 0.0f64;
+            let mut attempt = 0u32;
+            let mut gave_up = false;
+            while !self.faults.is_empty() && self.faults.fails(now_ns + delay as u128, key, attempt)
+            {
+                acc.failures += 1;
+                if attempt >= self.backoff.max_retries {
+                    acc.fallbacks += 1;
+                    gave_up = true;
+                    break;
+                }
+                delay += self.backoff.delay_ns(attempt);
+                acc.retries += 1;
+                attempt += 1;
+            }
+            acc.retry_ns += delay;
+            ns += delay;
+            if gave_up {
+                continue;
+            }
             if let Ok(cost) = engine.migrate(key, tier) {
-                moved_keys += 1;
-                moved_bytes += self.sizes.get(key as usize).copied().unwrap_or(0);
+                acc.moved_keys += 1;
+                acc.moved_bytes += self.sizes.get(key as usize).copied().unwrap_or(0);
                 ns += cost;
             }
         }
-        (moved_keys, moved_bytes, ns)
+        acc.epochs += 1;
+        acc.migration_ns += ns;
+        ns
     }
 }
 
@@ -189,11 +241,11 @@ pub fn trace_windows(trace: &Trace, epoch_requests: u64) -> Vec<Vec<KeyStat>> {
 mod tests {
     use super::*;
     use crate::profile::StoreKind;
-    use crate::server::Server;
+    use crate::server::{Placement, Server};
     use hybridmem::clock::NoiseConfig;
-    use hybridmem::StackSpec;
-    use mnemo_faults::FaultPlan;
-    use mnemo_tier::{dram_optane_ssd, GreedyPolicy, PolicyKind};
+    use hybridmem::{HybridSpec, StackSpec};
+    use mnemo_faults::{FaultEvent, FaultPlan};
+    use mnemo_tier::{dram_optane_ssd, DecayPolicy, GreedyPolicy, PolicyKind};
     use ycsb::WorkloadSpec;
 
     fn trace() -> Trace {
@@ -361,5 +413,233 @@ factor = 0.025
         server.set_crash_schedule(Vec::new());
         let restored = server.run(&t);
         assert_eq!(restored.runtime_ns.to_bits(), clean.runtime_ns.to_bits());
+    }
+
+    // ------------------------------------------- the migrating tierer --
+
+    fn budget_for(t: &Trace) -> u64 {
+        t.dataset_bytes() / 5
+    }
+
+    /// Paper-proportioned testbed (the full 12 MB LLC would cache these
+    /// reduced-scale datasets outright and mask placement effects).
+    fn scaled_spec(t: &Trace) -> HybridSpec {
+        let mut spec = HybridSpec::paper_testbed();
+        spec.cache.capacity_bytes = (t.dataset_bytes() / 85).max(1 << 16);
+        spec
+    }
+
+    /// A Redis server on `spec` tiered by [`DecayPolicy`] at a 20%
+    /// FastMem budget, re-planning every `epoch` requests.
+    fn decay(spec: HybridSpec, t: &Trace, epoch: u64) -> Server {
+        let policy = Box::new(DecayPolicy::new(budget_for(t)));
+        server(StackSpec::two_tier(&spec), policy, t, epoch)
+    }
+
+    /// A server stuck with the hottest keys by full-trace counts, at the
+    /// same budget: static placement with perfect hindsight.
+    fn hindsight_static(t: &Trace) -> crate::RunReport {
+        let counts = t.key_counts();
+        let mut order: Vec<u64> = (0..t.keys()).collect();
+        order.sort_by_key(|&k| std::cmp::Reverse(counts[k as usize].0 + counts[k as usize].1));
+        let mut used = 0u64;
+        let fast: hybridmem::DetHashSet<u64> = order
+            .iter()
+            .copied()
+            .take_while(|&k| {
+                used += t.sizes[k as usize];
+                used <= budget_for(t)
+            })
+            .collect();
+        Server::build_with(
+            StoreKind::Redis,
+            scaled_spec(t),
+            NoiseConfig::disabled(),
+            t,
+            Placement::FastSet(fast),
+        )
+        .unwrap()
+        .run(t)
+    }
+
+    fn always_failing(seed: u64, probability: f64) -> FaultPlan {
+        FaultPlan::new(seed).with(FaultEvent::MigrationFailure {
+            start_ns: 0,
+            end_ns: u128::MAX,
+            probability,
+        })
+    }
+
+    #[test]
+    fn decay_respects_budget() {
+        let t = WorkloadSpec::trending().scaled(200, 4_000).generate(3);
+        let mut s = decay(HybridSpec::paper_testbed(), &t, 1_000);
+        let _ = s.run(&t);
+        // Engine-side overhead makes bytes slightly exceed the logical
+        // budget; allow the header slack.
+        let fast = s.engine().bytes_in(TierId::FAST);
+        assert!(
+            fast <= budget_for(&t) + 64 * t.keys(),
+            "fast bytes {fast} exceed budget {}",
+            budget_for(&t)
+        );
+        assert!(s.migration_stats().moved_keys > 0);
+    }
+
+    #[test]
+    fn decay_beats_static_on_sliding_patterns() {
+        // News feed: the hot window slides, so a static placement (even a
+        // clairvoyant one from full-trace counts) decays, while the
+        // migrating tierer follows the window.
+        let t = WorkloadSpec::news_feed().scaled(300, 12_000).generate(7);
+        let moving = decay(scaled_spec(&t), &t, 500).run(&t);
+        let fixed = hindsight_static(&t);
+        assert!(
+            moving.throughput_ops_s() > fixed.throughput_ops_s(),
+            "decay {} must beat static {} on news feed",
+            moving.throughput_ops_s(),
+            fixed.throughput_ops_s()
+        );
+    }
+
+    #[test]
+    fn static_suffices_on_stable_patterns() {
+        // Trending: the hot set never moves; static placement (Mnemo's
+        // product) matches or beats the migrating tierer, which pays
+        // migration traffic for nothing.
+        let t = WorkloadSpec::trending().scaled(300, 12_000).generate(7);
+        let moving = decay(scaled_spec(&t), &t, 500).run(&t);
+        let fixed = hindsight_static(&t);
+        assert!(
+            fixed.throughput_ops_s() >= moving.throughput_ops_s() * 0.98,
+            "static {} should match decay {} on trending",
+            fixed.throughput_ops_s(),
+            moving.throughput_ops_s()
+        );
+    }
+
+    #[test]
+    fn decay_migration_costs_are_charged() {
+        let t = WorkloadSpec::timeline().scaled(200, 6_000).generate(2);
+        let mut s = decay(HybridSpec::paper_testbed(), &t, 200);
+        let report = s.run(&t);
+        assert!(s.migration_stats().migration_ns > 0.0);
+        // Runtime includes migration time on top of request service time.
+        let service: f64 = report.samples.iter().map(|r| r.service_ns).sum();
+        assert!(
+            report.runtime_ns > service,
+            "migration must inflate runtime"
+        );
+    }
+
+    #[test]
+    fn copy_cost_matches_the_closed_form() {
+        // One epoch, nothing faulted or degraded: every charged
+        // nanosecond is a promotion's copy, slow read + fast write of the
+        // key's stored bytes, priced straight from the tier specs.
+        let t = WorkloadSpec::timeline().scaled(200, 2_000).generate(2);
+        let spec = HybridSpec::paper_testbed();
+        let mut s = decay(spec.clone(), &t, 1_000);
+        s.run(&t);
+        let stats = s.migration_stats();
+        assert_eq!(stats.epochs, 1);
+        let mut promoted = 0u64;
+        let mut expect = 0.0;
+        for key in 0..t.keys() {
+            if s.engine().placement_of(key) != Some(TierId::FAST) {
+                continue;
+            }
+            let (id, _) = s.engine().core().lookup(key).unwrap();
+            let stored = s.engine().memory().placement(id).unwrap().bytes;
+            assert!(stored > t.sizes[key as usize], "copies move stored bytes");
+            promoted += 1;
+            expect += spec.slow.access_ns(hybridmem::AccessKind::Read, stored)
+                + spec.fast.access_ns(hybridmem::AccessKind::Write, stored);
+        }
+        assert!(promoted > 0);
+        assert_eq!(stats.moved_keys, promoted);
+        let rel = (stats.migration_ns - expect).abs() / expect;
+        assert!(
+            rel < 1e-9,
+            "charged {} vs closed form {expect}",
+            stats.migration_ns
+        );
+    }
+
+    #[test]
+    fn telemetered_decay_run_records_migration_events() {
+        let t = WorkloadSpec::timeline().scaled(200, 6_000).generate(2);
+        let mut s = decay(HybridSpec::paper_testbed(), &t, 200);
+        let (report, snaps) = s.run_telemetered(&t, 1_000);
+        let stats = s.migration_stats();
+        let sum = |name: &str| snaps.iter().map(|s| s.counter(name)).sum::<u64>();
+        assert_eq!(sum("kv.requests"), report.requests as u64);
+        assert_eq!(sum("kv.tier.moved_keys"), stats.moved_keys);
+        assert_eq!(sum("kv.tier.epochs"), stats.epochs);
+        let cost: f64 = snaps
+            .iter()
+            .filter_map(|s| s.gauge("kv.tier.migration_ns"))
+            .map(|g| g.sum)
+            .sum();
+        assert!((cost - stats.migration_ns).abs() < 1e-6 * stats.migration_ns.max(1.0));
+        assert!(stats.epochs > 0 && stats.moved_keys > 0);
+    }
+
+    #[test]
+    fn injected_migration_failures_fall_back_gracefully() {
+        let t = WorkloadSpec::timeline().scaled(200, 6_000).generate(2);
+        let mut s = decay(HybridSpec::paper_testbed(), &t, 200);
+        s.install_fault_plan(&always_failing(9, 1.0));
+        let report = s.run(&t);
+        let stats = s.migration_stats();
+        assert_eq!(stats.moved_keys, 0, "every migration is injected to fail");
+        assert!(stats.fallbacks > 0, "abandoned migrations must be counted");
+        let cap = u64::from(mnemo_faults::Backoff::default().max_retries);
+        assert_eq!(
+            stats.retries,
+            stats.fallbacks * cap,
+            "retry count is bounded by the backoff cap"
+        );
+        assert_eq!(stats.failures, stats.fallbacks * (cap + 1));
+        assert!(stats.retry_ns > 0.0, "backoff delays are charged");
+        assert_eq!(stats.migration_ns, stats.retry_ns, "nothing was copied");
+        assert_eq!(
+            s.engine().bytes_in(TierId::FAST),
+            0,
+            "keys gracefully stay in SlowMem"
+        );
+        let service: f64 = report.samples.iter().map(|r| r.service_ns).sum();
+        assert!(
+            report.runtime_ns > service + stats.retry_ns * 0.99,
+            "retry delays inflate the measured runtime"
+        );
+    }
+
+    #[test]
+    fn faulted_decay_runs_are_deterministic_and_counted() {
+        let t = WorkloadSpec::timeline().scaled(200, 6_000).generate(2);
+        let plan = always_failing(7, 0.5);
+        let run = || {
+            let mut s = decay(HybridSpec::paper_testbed(), &t, 200);
+            s.install_fault_plan(&plan);
+            let out = s.run_telemetered(&t, 0);
+            (out, s.migration_stats())
+        };
+        let ((r1, snaps), s1) = run();
+        let ((r2, _), s2) = run();
+        assert_eq!(r1.runtime_ns.to_bits(), r2.runtime_ns.to_bits());
+        assert_eq!(s1, s2, "seeded injection must be reproducible");
+        assert!(s1.retries > 0, "p=0.5 must fail some attempts");
+        assert!(s1.moved_keys > 0, "p=0.5 must let some retries through");
+        let sum = |name: &str| snaps.iter().map(|s| s.counter(name)).sum::<u64>();
+        assert_eq!(sum("kv.tier.retries"), s1.retries);
+        assert_eq!(sum("kv.fault.migration_failures"), s1.failures);
+        assert_eq!(sum("kv.tier.fallbacks"), s1.fallbacks);
+        let retry_ns: f64 = snaps
+            .iter()
+            .filter_map(|s| s.gauge("kv.tier.retry_ns"))
+            .map(|g| g.sum)
+            .sum();
+        assert!((retry_ns - s1.retry_ns).abs() < 1e-6 * s1.retry_ns.max(1.0));
     }
 }

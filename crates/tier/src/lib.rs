@@ -11,7 +11,8 @@
 //!   access observation, epoch re-planning) and its catalog: the
 //!   paper's greedy hotness ranking (bit-identical to the two-tier
 //!   Pattern Engine at N=2), LRU-style recency, write-asymmetry-aware
-//!   mapping, and random/oracle baselines.
+//!   mapping, random/oracle baselines, and the decayed-density
+//!   migrating tierer Mnemo is compared against.
 //!
 //! The `kvsim` crate drives these policies against simulated key-value
 //! servers; the `tier_matrix` bench sweeps the full policy × hierarchy
@@ -28,6 +29,6 @@ pub use hierarchy::{
     SpecError, PRESETS,
 };
 pub use policy::{
-    AsymPolicy, GreedyPolicy, KeyStat, LruPolicy, OraclePolicy, PolicyKind, RandomPolicy,
-    TieringPolicy,
+    AsymPolicy, DecayPolicy, GreedyPolicy, KeyStat, LruPolicy, OraclePolicy, PolicyKind,
+    RandomPolicy, TieringPolicy,
 };

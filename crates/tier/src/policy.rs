@@ -19,7 +19,10 @@
 //! * [`RandomPolicy`] — seeded capacity-weighted random placement (the
 //!   "no intelligence" floor);
 //! * [`OraclePolicy`] — placement from pre-loaded *future* per-epoch
-//!   stats (the clairvoyant ceiling).
+//!   stats (the clairvoyant ceiling);
+//! * [`DecayPolicy`] — the migrating tierer of the paper's Fig. 2b
+//!   class: decayed access density with a residency bonus, refilling a
+//!   FastMem byte budget every epoch.
 //!
 //! All policies are deterministic: orderings break ties by key id and
 //! randomness is a pure function of the seed and key.
@@ -69,9 +72,16 @@ pub trait TieringPolicy: Send {
     /// Re-plan at an epoch boundary: desired `(key, tier)` assignments.
     /// The server diffs them against current placements and charges a
     /// migration for every difference. `stats` describes the epoch that
-    /// just ended. The default keeps the current placement.
-    fn on_epoch(&mut self, stats: &[KeyStat], hier: &StackSpec) -> Vec<(u64, TierId)> {
-        let _ = (stats, hier);
+    /// just ended; `current` holds each key's tier right now (one entry
+    /// per `stats` entry), after any earlier move that failed. The
+    /// default keeps the current placement.
+    fn on_epoch(
+        &mut self,
+        stats: &[KeyStat],
+        current: &[TierId],
+        hier: &StackSpec,
+    ) -> Vec<(u64, TierId)> {
+        let _ = (stats, current, hier);
         Vec::new()
     }
 }
@@ -169,7 +179,12 @@ impl TieringPolicy for GreedyPolicy {
         fill_stack_order(stats, &weight_order(stats), hier)
     }
 
-    fn on_epoch(&mut self, stats: &[KeyStat], hier: &StackSpec) -> Vec<(u64, TierId)> {
+    fn on_epoch(
+        &mut self,
+        stats: &[KeyStat],
+        _current: &[TierId],
+        hier: &StackSpec,
+    ) -> Vec<(u64, TierId)> {
         let tiers = self.place(stats, hier);
         stats.iter().map(|s| s.key).zip(tiers).collect()
     }
@@ -201,7 +216,12 @@ impl TieringPolicy for LruPolicy {
         self.last_access.insert(key, seq + 1);
     }
 
-    fn on_epoch(&mut self, stats: &[KeyStat], hier: &StackSpec) -> Vec<(u64, TierId)> {
+    fn on_epoch(
+        &mut self,
+        stats: &[KeyStat],
+        _current: &[TierId],
+        hier: &StackSpec,
+    ) -> Vec<(u64, TierId)> {
         let mut order: Vec<usize> = (0..stats.len()).collect();
         order.sort_by(|&a, &b| {
             let ra = self.last_access.get(&stats[a].key).copied().unwrap_or(0);
@@ -284,7 +304,12 @@ impl TieringPolicy for AsymPolicy {
         assignments(out)
     }
 
-    fn on_epoch(&mut self, stats: &[KeyStat], hier: &StackSpec) -> Vec<(u64, TierId)> {
+    fn on_epoch(
+        &mut self,
+        stats: &[KeyStat],
+        _current: &[TierId],
+        hier: &StackSpec,
+    ) -> Vec<(u64, TierId)> {
         let tiers = self.place(stats, hier);
         stats.iter().map(|s| s.key).zip(tiers).collect()
     }
@@ -423,13 +448,139 @@ impl TieringPolicy for OraclePolicy {
         }
     }
 
-    fn on_epoch(&mut self, stats: &[KeyStat], hier: &StackSpec) -> Vec<(u64, TierId)> {
+    fn on_epoch(
+        &mut self,
+        stats: &[KeyStat],
+        _current: &[TierId],
+        hier: &StackSpec,
+    ) -> Vec<(u64, TierId)> {
         let Some(window) = self.windows.get(self.next) else {
             return Vec::new();
         };
         let tiers = self.assign(window, stats, hier);
         self.next += 1;
         stats.iter().map(|s| s.key).zip(tiers).collect()
+    }
+}
+
+// --------------------------------------------------------------- decay --
+
+/// Per-epoch decay of the access scores: about three epochs of memory
+/// (HeteroOS-style history smoothing).
+const DECAY: f64 = 0.7;
+/// Residency bonus: a key already on top keeps its slot unless a
+/// challenger's density beats the resident's by this factor. Without
+/// it, one-hit cold keys displace momentarily quiet hot keys every epoch
+/// and the tierer thrashes.
+const HYSTERESIS: f64 = 0.5;
+/// Minimum decayed score a key below the top tier needs before it may
+/// be promoted: the two-touch (2Q / second-chance) filter that keeps
+/// one-hit wonders from evicting quiet residents.
+const PROMOTION_THRESHOLD: f64 = 2.0;
+
+/// The migrating tierer Mnemo is set against (paper Fig. 2b; X-Mem,
+/// HeteroOS and Unimem migrate at runtime where Mnemo places once, §IV).
+///
+/// The dataset starts in the bottom tier: the tierer must discover the
+/// hot set online. Every request adds one to its key's score; at each
+/// epoch keys are ranked by score over logical size (the density rule
+/// of MnemoT's weights), residents boosted by the hysteresis bonus, and
+/// the top tier's byte budget is refilled in that order. Non-residents
+/// below the promotion threshold are skipped. Keys leaving the top tier
+/// go to the bottom one. Then every score decays.
+#[derive(Debug, Clone)]
+pub struct DecayPolicy {
+    /// Logical bytes the top tier may hold.
+    budget: u64,
+    /// Decayed access score, indexed by key id, for the keys `place`
+    /// saw.
+    scores: Vec<f64>,
+}
+
+impl DecayPolicy {
+    /// A tierer that may fill `budget` logical bytes of the top tier.
+    pub fn new(budget: u64) -> DecayPolicy {
+        DecayPolicy {
+            budget,
+            scores: Vec::new(),
+        }
+    }
+}
+
+impl TieringPolicy for DecayPolicy {
+    fn name(&self) -> &'static str {
+        "decay"
+    }
+
+    fn place(&mut self, stats: &[KeyStat], hier: &StackSpec) -> Vec<TierId> {
+        self.scores = vec![0.0; stats.len()];
+        vec![tier_id(hier.len().saturating_sub(1)); stats.len()]
+    }
+
+    fn on_access(&mut self, key: u64, _kind: AccessKind, _seq: u64) {
+        let i = usize::try_from(key).unwrap_or(usize::MAX);
+        if let Some(score) = self.scores.get_mut(i) {
+            *score += 1.0;
+        }
+    }
+
+    fn on_epoch(
+        &mut self,
+        stats: &[KeyStat],
+        current: &[TierId],
+        hier: &StackSpec,
+    ) -> Vec<(u64, TierId)> {
+        let top = tier_id(0);
+        let bottom = tier_id(hier.len().saturating_sub(1));
+        let score = |s: &KeyStat| {
+            let i = usize::try_from(s.key).unwrap_or(usize::MAX);
+            self.scores.get(i).copied().unwrap_or(0.0)
+        };
+        let density: Vec<f64> = stats
+            .iter()
+            .zip(current)
+            .map(|(s, &tier)| {
+                let base = score(s) / s.bytes.max(1) as f64;
+                if tier == top {
+                    base * (1.0 + HYSTERESIS)
+                } else {
+                    base
+                }
+            })
+            .collect();
+        let n = density.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            density[b]
+                .total_cmp(&density[a])
+                .then(stats[a].key.cmp(&stats[b].key))
+        });
+        let mut budget = self.budget;
+        let mut want_top = vec![false; n];
+        for &i in &order {
+            let s = score(&stats[i]);
+            if s <= 0.0 {
+                break;
+            }
+            if current[i] != top && s < PROMOTION_THRESHOLD {
+                continue;
+            }
+            if stats[i].bytes <= budget {
+                budget -= stats[i].bytes;
+                want_top[i] = true;
+            }
+        }
+        // Demotions first, to free the room promotions need.
+        let demote = (0..n).filter(|&i| current[i] == top && !want_top[i]);
+        let promote = (0..n).filter(|&i| current[i] != top && want_top[i]);
+        let moves = demote
+            .map(|i| (stats[i].key, bottom))
+            .chain(promote.map(|i| (stats[i].key, top)))
+            .collect();
+        for s in &mut self.scores {
+            *s *= DECAY;
+        }
+        moves
     }
 }
 
@@ -698,7 +849,8 @@ mod tests {
         for (seq, key) in (40..50).enumerate() {
             lru.on_access(key, AccessKind::Read, seq as u64);
         }
-        let assign = lru.on_epoch(&stats, &hier);
+        let current = vec![TierId(2); stats.len()];
+        let assign = lru.on_epoch(&stats, &current, &hier);
         let mut top: Vec<u64> = assign
             .iter()
             .filter(|(_, t)| *t == TierId(0))
@@ -766,10 +918,46 @@ mod tests {
         let mut oracle = OraclePolicy::new(vec![w0, w1]);
         let first = oracle.place(&stats, &hier);
         assert_eq!(first, vec![TierId::FAST, TierId::SLOW]);
-        let second = oracle.on_epoch(&stats, &hier);
+        let second = oracle.on_epoch(&stats, &first, &hier);
         assert_eq!(second, vec![(0, TierId::SLOW), (1, TierId::FAST)]);
         // Windows exhausted: no further moves.
-        assert!(oracle.on_epoch(&stats, &hier).is_empty());
+        assert!(oracle.on_epoch(&stats, &first, &hier).is_empty());
+    }
+
+    #[test]
+    fn decay_filters_one_hit_keys_and_damps_residents() {
+        let stat = |key, bytes| KeyStat {
+            key,
+            bytes,
+            reads: 0,
+            writes: 0,
+        };
+        let stats = vec![stat(0, 100), stat(1, 100), stat(2, 10)];
+        let hier = paper_two_tier();
+        let mut decay = DecayPolicy::new(100);
+        let mut current = decay.place(&stats, &hier);
+        assert_eq!(current, vec![TierId::SLOW; 3], "the tierer starts cold");
+        let mut epoch = |touches: &[u64], current: &mut Vec<TierId>| {
+            for &key in touches {
+                decay.on_access(key, AccessKind::Read, 0);
+            }
+            let moves = decay.on_epoch(&stats, current, &hier);
+            for &(key, tier) in &moves {
+                current[key as usize] = tier;
+            }
+            moves
+        };
+        // Key 2 is the densest but touched once: the two-touch filter
+        // keeps it out and key 0 takes the one slot.
+        let first = epoch(&[0, 0, 0, 0, 2], &mut current);
+        assert_eq!(first, vec![(0, TierId::FAST)]);
+        // Key 1 (score 4) beats resident key 0 (4 x 0.7 = 2.8) on raw
+        // density, but not the resident's 1.5x bonus (4.2).
+        assert!(epoch(&[1, 1, 1, 1], &mut current).is_empty());
+        // One more touch (2.8 + 1 = 3.8 against 1.96 x 1.5 = 2.94) swaps
+        // them: the demotion comes first.
+        let third = epoch(&[1], &mut current);
+        assert_eq!(third, vec![(0, TierId::SLOW), (1, TierId::FAST)]);
     }
 
     #[test]

@@ -4,15 +4,20 @@
 //!    faulted cluster runs (reports and telemetry exports) are
 //!    byte-identical for every `--jobs` value;
 //! 2. migration retries are bounded by the plan's capped-exponential
-//!    backoff policy — no unbounded retry storms;
+//!    backoff policy — no unbounded retry storms — on every
+//!    epoch-planned server, whatever its policy;
 //! 3. the advisor never panics under faults: every query returns a
 //!    recommendation that is either SLO-compliant or tagged with a
 //!    machine-readable [`DegradedReason`].
 
-use kvsim::{DynamicConfig, DynamicTieringServer, Placement, ShardedCluster, StoreKind};
+use hybridmem::clock::NoiseConfig;
+use hybridmem::{HybridSpec, StackSpec};
+use kvsim::tiered::trace_windows;
+use kvsim::{MigrationStats, Placement, Server, ShardedCluster, StoreKind};
 use mnemo::advisor::{Advisor, AdvisorConfig, DegradedReason};
 use mnemo_faults::{Backoff, FaultEvent, FaultPlan};
 use mnemo_telemetry::DomainFilter;
+use mnemo_tier::{dram_optane_ssd, DecayPolicy, PolicyKind, TieringPolicy};
 use std::sync::Mutex;
 use ycsb::{Trace, WorkloadSpec};
 
@@ -85,13 +90,13 @@ fn faulted_runs_are_byte_identical_for_every_jobs_value() {
     assert!(jsonl_1.contains("kv.fault.degraded_requests"), "{jsonl_1}");
 }
 
-#[test]
-fn migration_retries_are_bounded_by_the_backoff_cap() {
-    let t = trace();
+/// A plan whose only fault fails every migration attempt with
+/// probability `p`, for the whole run, retried under a tight backoff.
+fn migration_plan(p: f64) -> FaultPlan {
     let mut plan = FaultPlan::new(5).with(FaultEvent::MigrationFailure {
         start_ns: 0,
         end_ns: u128::MAX,
-        probability: 1.0, // every attempt fails: worst case
+        probability: p,
     });
     plan.backoff = Backoff {
         base_ns: 1_000.0,
@@ -99,15 +104,42 @@ fn migration_retries_are_bounded_by_the_backoff_cap() {
         cap_ns: 16_000.0,
         max_retries: 4,
     };
+    plan
+}
+
+/// The p = 1.0 bounds: nothing moves, and every move the policy wanted
+/// was attempted exactly `max_retries + 1` times before it fell back.
+fn assert_bounded_by_backoff(stats: &MigrationStats, backoff: &Backoff, what: &str) {
+    assert_eq!(stats.moved_keys, 0, "{what}: {stats:?}");
+    let cap = u64::from(backoff.max_retries);
+    assert_eq!(stats.retries, stats.fallbacks * cap, "{what}: {stats:?}");
+    assert_eq!(
+        stats.failures,
+        stats.fallbacks * (cap + 1),
+        "{what}: {stats:?}"
+    );
+    // The charged wait per abandoned migration is bounded by the capped
+    // sum of delays, so the total is too.
+    let worst = backoff.worst_case_delay_ns() * stats.fallbacks as f64;
+    assert!(
+        stats.retry_ns <= worst * 1.000001,
+        "{what}: retry_ns {} exceeds the policy bound {worst}",
+        stats.retry_ns
+    );
+}
+
+#[test]
+fn migration_retries_are_bounded_by_the_backoff_cap() {
+    let t = trace();
+    let plan = migration_plan(1.0); // every attempt fails: worst case
     let budget = (t.dataset_bytes() as f64 * 0.3) as u64;
-    let mut server = DynamicTieringServer::build_with(
+    let mut server = Server::build_tiered(
         StoreKind::Redis,
-        hybridmem::HybridSpec::paper_testbed(),
+        StackSpec::two_tier(&HybridSpec::paper_testbed()),
+        NoiseConfig::disabled(),
         &t,
-        DynamicConfig {
-            epoch_requests: 1_000,
-            ..DynamicConfig::new(budget)
-        },
+        Box::new(DecayPolicy::new(budget)),
+        1_000,
     )
     .unwrap();
     server.install_fault_plan(&plan);
@@ -117,24 +149,60 @@ fn migration_retries_are_bounded_by_the_backoff_cap() {
     // With p = 1.0 every attempted migration is abandoned after exactly
     // `max_retries` retries — never more — and falls back to SlowMem.
     assert!(stats.fallbacks > 0, "no migrations were even attempted");
-    assert_eq!(stats.promotions + stats.demotions, 0);
-    assert_eq!(
-        stats.retries,
-        stats.fallbacks * u64::from(plan.backoff.max_retries)
-    );
-    assert_eq!(
-        stats.failures,
-        stats.fallbacks * u64::from(plan.backoff.max_retries + 1)
-    );
-    // The charged wait per abandoned migration is bounded by the capped
-    // sum of delays, so the total is too.
-    let worst = plan.backoff.worst_case_delay_ns() * stats.fallbacks as f64;
-    assert!(
-        stats.retry_ns <= worst * 1.000001,
-        "retry_ns {} exceeds the policy bound {}",
-        stats.retry_ns,
-        worst
-    );
+    assert_bounded_by_backoff(&stats, &plan.backoff, "decay");
+}
+
+#[test]
+fn migration_faults_bind_every_epoch_planned_server() {
+    let t = trace();
+    // A tight top of the stack, so every re-planning policy moves keys.
+    let mut spec = dram_optane_ssd();
+    spec.tiers[0].capacity_bytes = t.dataset_bytes() / 6;
+    spec.tiers[1].capacity_bytes = t.dataset_bytes() / 3;
+    let epoch = 500;
+    let windows = trace_windows(&t, epoch);
+    // Every catalog policy, then the migrating tierer (`None`).
+    let policy = |kind: Option<PolicyKind>| -> Box<dyn TieringPolicy> {
+        match kind {
+            Some(kind) => kind.build(3, &windows),
+            None => Box::new(DecayPolicy::new(t.dataset_bytes() / 6)),
+        }
+    };
+    for kind in PolicyKind::ALL.into_iter().map(Some).chain([None]) {
+        let name = kind.map_or("decay", PolicyKind::name);
+        let run = |plan: Option<&FaultPlan>| {
+            let mut server = Server::build_tiered(
+                StoreKind::Redis,
+                spec.clone(),
+                NoiseConfig::disabled(),
+                &t,
+                policy(kind),
+                epoch,
+            )
+            .unwrap();
+            if let Some(plan) = plan {
+                server.install_fault_plan(plan);
+            }
+            let report = server.run(&t);
+            (report.runtime_ns, server.migration_stats())
+        };
+        let (clean_ns, clean) = run(None);
+        // A plan that cannot fail a move changes nothing, to the bit.
+        for plan in [FaultPlan::new(5), migration_plan(0.0)] {
+            let (ns, stats) = run(Some(&plan));
+            assert_eq!(ns.to_bits(), clean_ns.to_bits(), "{name}");
+            assert_eq!(stats, clean, "{name}");
+        }
+        let plan = migration_plan(1.0);
+        let (_, stats) = run(Some(&plan));
+        assert_bounded_by_backoff(&stats, &plan.backoff, name);
+        if clean.moved_keys > 0 {
+            assert!(
+                stats.fallbacks > 0,
+                "{name}: wanted moves were not attempted"
+            );
+        }
+    }
 }
 
 #[test]
