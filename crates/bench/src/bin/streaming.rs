@@ -69,7 +69,7 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
         let approx = profiler.approx_pattern();
         let head = approx.head_keys.len();
         let streamed = advisor
-            .consult_with_pattern(baselines.clone(), approx.pattern)
+            .consult_with_pattern(baselines.clone(), approx.pattern.clone())
             .map_err(|e| format!("streaming consultation failed: {e}"))?
             .recommend(slo)
             .ok_or("streamed estimate curve is empty")?;

@@ -435,13 +435,13 @@ impl Advisor {
     /// estimate curve a full consultation builds. The shared-budget
     /// allocator ([`crate::multi::allocate_demands`]) needs nothing
     /// more, so high-frequency re-planners use this path.
-    pub fn demand_with_pattern(
+    pub fn demand_with_pattern<'a>(
         &self,
-        baselines: Baselines,
-        pattern: PatternEngine,
-    ) -> crate::multi::TenantDemand {
+        baselines: &Baselines,
+        pattern: &'a PatternEngine,
+    ) -> crate::multi::TenantDemand<'a> {
         let sizes: Vec<u64> = pattern.stats().iter().map(|s| s.bytes).collect();
-        let model = PerfModel::fit(self.config.model, &baselines, &sizes);
+        let model = PerfModel::fit(self.config.model, baselines, &sizes);
         crate::multi::TenantDemand { model, pattern }
     }
 }

@@ -13,7 +13,7 @@
 use crate::advisor::Consultation;
 use crate::estimate::EstimateEngine;
 use crate::model::PerfModel;
-use crate::pattern::PatternEngine;
+use crate::pattern::{KeyStats, PatternEngine};
 use cloudcost::CostModel;
 use serde::Serialize;
 
@@ -57,21 +57,22 @@ impl SharedAllocation {
 /// the tenant's profiled access pattern. This is the cheap subset of a
 /// full [`Consultation`] — no key ordering, no estimate curve — so
 /// high-frequency callers (the serve daemon re-plans every few ticks)
-/// can build one per tenant without paying the curve construction.
+/// can build one per tenant without paying the curve construction. The
+/// pattern is borrowed, so a demand never copies per-key statistics.
 #[derive(Debug, Clone)]
-pub struct TenantDemand {
+pub struct TenantDemand<'a> {
     /// The tenant's fitted performance model.
     pub model: PerfModel,
     /// The tenant's profiled access pattern.
-    pub pattern: PatternEngine,
+    pub pattern: &'a PatternEngine,
 }
 
-impl TenantDemand {
+impl TenantDemand<'_> {
     /// The demand a full consultation implies.
-    pub fn from_consultation(c: &Consultation) -> TenantDemand {
+    pub fn from_consultation(c: &Consultation) -> TenantDemand<'_> {
         TenantDemand {
             model: c.model.clone(),
-            pattern: c.pattern.clone(),
+            pattern: &c.pattern,
         }
     }
 }
@@ -93,13 +94,6 @@ pub fn allocate_shared(consultations: &[Consultation], budget_bytes: u64) -> Sha
 /// (`fast_total + Σ deltas`), bit-identical to the estimate curve's
 /// all-slow row, so the two entry points produce the same allocation.
 pub fn allocate_demands(demands: &[TenantDemand], budget_bytes: u64) -> SharedAllocation {
-    // Gather (tenant, key, bytes, delta) across all tenants.
-    struct Cand {
-        tenant: usize,
-        key: u64,
-        bytes: u64,
-        delta: f64,
-    }
     // Rebuild each tenant's engine to get its deltas (price factor does
     // not matter for deltas; use the default model). Tenants are
     // independent, so the delta evaluations run as coarse jobs on the
@@ -110,56 +104,71 @@ pub fn allocate_demands(demands: &[TenantDemand], budget_bytes: u64) -> SharedAl
         mnemo_par::Pool::current().run_jobs(demands.len(), |tenant| {
             let d = &demands[tenant];
             let engine = EstimateEngine::new(d.model.clone(), CostModel::default());
-            engine.key_deltas(&d.pattern)
+            engine.key_deltas(d.pattern)
         });
+    let stats: Vec<&[KeyStats]> = demands.iter().map(|d| d.pattern.stats()).collect();
+    allocate_by_density(&per_tenant, &stats, budget_bytes)
+}
+
+/// The density fill behind [`allocate_demands`]: tenant `t` has the
+/// all-FastMem runtime `per_tenant[t].0`, promotion delta
+/// `per_tenant[t].1[k]` and record size `stats[t][k].bytes` for key `k`.
+/// Keys with a positive delta and a positive size are granted in
+/// descending density (`delta / bytes`), ties broken by tenant, then
+/// key, while they fit the budget.
+fn allocate_by_density(
+    per_tenant: &[(f64, Vec<f64>)],
+    stats: &[&[KeyStats]],
+    budget_bytes: u64,
+) -> SharedAllocation {
+    struct Cand {
+        /// Sort key: a positive delta over a positive size is a
+        /// non-negative, non-NaN f64, whose bit pattern orders exactly
+        /// like `total_cmp`, so the bitwise complement sorts densest
+        /// first. With the `(tenant, key)` tie-break the order is total,
+        /// so an unstable sort yields the one comparator-sorted order.
+        rank: (u64, usize, u64),
+        bytes: u64,
+        delta: f64,
+    }
     let mut candidates = Vec::new();
-    let mut fast_totals = Vec::with_capacity(demands.len());
-    let mut slow_totals = Vec::with_capacity(demands.len());
-    for (tenant, d) in demands.iter().enumerate() {
-        let (fast_total, deltas) = &per_tenant[tenant];
-        fast_totals.push(*fast_total);
+    let mut slow_totals = Vec::with_capacity(per_tenant.len());
+    for (tenant, (fast_total, deltas)) in per_tenant.iter().enumerate() {
         slow_totals.push(*fast_total + deltas.iter().sum::<f64>());
         for (key, &delta) in deltas.iter().enumerate() {
-            let bytes = d.pattern.key(key as u64).bytes;
+            let bytes = stats[tenant][key].bytes;
             if delta > 0.0 && bytes > 0 {
+                let density = delta / bytes as f64;
                 candidates.push(Cand {
-                    tenant,
-                    key: key as u64,
+                    rank: (!density.to_bits(), tenant, key as u64),
                     bytes,
                     delta,
                 });
             }
         }
     }
-    candidates.sort_by(|a, b| {
-        let da = a.delta / a.bytes as f64;
-        let db = b.delta / b.bytes as f64;
-        db.total_cmp(&da)
-            .then(a.tenant.cmp(&b.tenant))
-            .then(a.key.cmp(&b.key))
-    });
+    candidates.sort_unstable_by_key(|c| c.rank);
 
     let mut used = 0u64;
-    let mut grants: Vec<Vec<u64>> = demands.iter().map(|_| Vec::new()).collect();
-    let mut granted_bytes: Vec<u64> = demands.iter().map(|_| 0).collect();
-    let mut saved: Vec<f64> = demands.iter().map(|_| 0.0).collect();
+    let mut grants: Vec<Vec<u64>> = vec![Vec::new(); per_tenant.len()];
+    let mut granted_bytes = vec![0u64; per_tenant.len()];
+    let mut saved = vec![0.0f64; per_tenant.len()];
     for cand in candidates {
+        let (_, tenant, key) = cand.rank;
         if used + cand.bytes <= budget_bytes {
             used += cand.bytes;
-            grants[cand.tenant].push(cand.key);
-            granted_bytes[cand.tenant] += cand.bytes;
-            saved[cand.tenant] += cand.delta;
+            grants[tenant].push(key);
+            granted_bytes[tenant] += cand.bytes;
+            saved[tenant] += cand.delta;
         }
     }
 
-    let tenants = demands
+    let tenants = per_tenant
         .iter()
         .enumerate()
-        .map(|(tenant, _)| {
+        .map(|(tenant, &(fast, _))| {
             // Runtime = all-slow estimate minus what the grant saves.
-            let slow = slow_totals[tenant];
-            let fast = fast_totals[tenant];
-            let est_runtime_ns = slow - saved[tenant];
+            let est_runtime_ns = slow_totals[tenant] - saved[tenant];
             let est_slowdown = if fast > 0.0 {
                 // Throughput ratio via runtimes: slowdown vs all-fast.
                 (est_runtime_ns - fast) / est_runtime_ns
@@ -187,6 +196,7 @@ mod tests {
     use super::*;
     use crate::advisor::{Advisor, AdvisorConfig};
     use kvsim::StoreKind;
+    use proptest::prelude::*;
     use ycsb::WorkloadSpec;
 
     fn consult(spec: WorkloadSpec, store: StoreKind) -> Consultation {
@@ -277,5 +287,180 @@ mod tests {
             assert!(l.est_runtime_ns <= s.est_runtime_ns + 1e-6);
         }
         assert!(large.worst_slowdown() <= small.worst_slowdown() + 1e-12);
+    }
+
+    /// Oracle for `allocate_by_density`: the same fill behind a plain
+    /// comparator sort (two divisions per compare, `total_cmp` on the
+    /// densities, then tenant, then key).
+    fn reference_by_density(
+        per_tenant: &[(f64, Vec<f64>)],
+        stats: &[&[KeyStats]],
+        budget_bytes: u64,
+    ) -> SharedAllocation {
+        struct Cand {
+            tenant: usize,
+            key: u64,
+            bytes: u64,
+            delta: f64,
+        }
+        let mut candidates = Vec::new();
+        let mut fast_totals = Vec::new();
+        let mut slow_totals = Vec::new();
+        for (tenant, (fast_total, deltas)) in per_tenant.iter().enumerate() {
+            fast_totals.push(*fast_total);
+            slow_totals.push(*fast_total + deltas.iter().sum::<f64>());
+            for (key, &delta) in deltas.iter().enumerate() {
+                let bytes = stats[tenant][key].bytes;
+                if delta > 0.0 && bytes > 0 {
+                    candidates.push(Cand {
+                        tenant,
+                        key: key as u64,
+                        bytes,
+                        delta,
+                    });
+                }
+            }
+        }
+        candidates.sort_by(|a, b| {
+            let da = a.delta / a.bytes as f64;
+            let db = b.delta / b.bytes as f64;
+            db.total_cmp(&da)
+                .then(a.tenant.cmp(&b.tenant))
+                .then(a.key.cmp(&b.key))
+        });
+        let mut used = 0u64;
+        let mut grants: Vec<Vec<u64>> = per_tenant.iter().map(|_| Vec::new()).collect();
+        let mut granted_bytes: Vec<u64> = per_tenant.iter().map(|_| 0).collect();
+        let mut saved: Vec<f64> = per_tenant.iter().map(|_| 0.0).collect();
+        for cand in candidates {
+            if used + cand.bytes <= budget_bytes {
+                used += cand.bytes;
+                grants[cand.tenant].push(cand.key);
+                granted_bytes[cand.tenant] += cand.bytes;
+                saved[cand.tenant] += cand.delta;
+            }
+        }
+        let tenants = (0..per_tenant.len())
+            .map(|tenant| {
+                let slow = slow_totals[tenant];
+                let fast = fast_totals[tenant];
+                let est_runtime_ns = slow - saved[tenant];
+                let est_slowdown = if fast > 0.0 {
+                    (est_runtime_ns - fast) / est_runtime_ns
+                } else {
+                    0.0
+                };
+                TenantAllocation {
+                    tenant,
+                    keys: std::mem::take(&mut grants[tenant]),
+                    fast_bytes: granted_bytes[tenant],
+                    est_runtime_ns,
+                    est_slowdown: est_slowdown.max(0.0),
+                }
+            })
+            .collect();
+        SharedAllocation {
+            tenants,
+            used_bytes: used,
+            budget_bytes,
+        }
+    }
+
+    fn assert_same_allocation(a: &SharedAllocation, b: &SharedAllocation) {
+        assert_eq!(a.used_bytes, b.used_bytes);
+        assert_eq!(a.budget_bytes, b.budget_bytes);
+        assert_eq!(a.tenants.len(), b.tenants.len());
+        for (x, y) in a.tenants.iter().zip(&b.tenants) {
+            assert_eq!(x.tenant, y.tenant);
+            assert_eq!(x.keys, y.keys, "grant order of tenant {}", x.tenant);
+            assert_eq!(x.fast_bytes, y.fast_bytes);
+            assert_eq!(x.est_runtime_ns.to_bits(), y.est_runtime_ns.to_bits());
+            assert_eq!(x.est_slowdown.to_bits(), y.est_slowdown.to_bits());
+        }
+    }
+
+    #[test]
+    fn consultations_allocate_like_the_comparator_sort() {
+        let tenants = two_tenants();
+        let demands: Vec<TenantDemand> = tenants
+            .iter()
+            .map(TenantDemand::from_consultation)
+            .collect();
+        let per_tenant: Vec<(f64, Vec<f64>)> = demands
+            .iter()
+            .map(|d| {
+                EstimateEngine::new(d.model.clone(), CostModel::default()).key_deltas(d.pattern)
+            })
+            .collect();
+        let stats: Vec<&[KeyStats]> = demands.iter().map(|d| d.pattern.stats()).collect();
+        let total: u64 = tenants.iter().map(|c| c.curve.total_bytes).sum();
+        for budget in [0, total / 8, total / 3, total] {
+            assert_same_allocation(
+                &allocate_demands(&demands, budget),
+                &reference_by_density(&per_tenant, &stats, budget),
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Few distinct delta and size values, so equal densities recur
+        /// within and across tenants; zero and negative deltas and
+        /// zero-byte keys must be skipped exactly as the comparator
+        /// fill skips them.
+        #[test]
+        fn integer_key_sort_matches_the_comparator_sort(
+            tenants in proptest::collection::vec(
+                (
+                    prop_oneof![Just(0.0f64), 1.0f64..1e6],
+                    proptest::collection::vec(
+                        (
+                            prop_oneof![
+                                (-4i32..9).prop_map(|d| d as f64 * 250.0),
+                                0.001f64..5e3,
+                            ],
+                            prop_oneof![Just(0u64), 1u64..5, (1u64..5).prop_map(|b| b * 64)],
+                        ),
+                        0..40,
+                    ),
+                ),
+                0..5,
+            ),
+            budget_pick in 0u8..5,
+            budget_frac in 0.0f64..1.0,
+        ) {
+            let per_tenant: Vec<(f64, Vec<f64>)> = tenants
+                .iter()
+                .map(|(fast, keys)| (*fast, keys.iter().map(|&(d, _)| d).collect()))
+                .collect();
+            let key_stats: Vec<Vec<KeyStats>> = tenants
+                .iter()
+                .map(|(_, keys)| {
+                    keys.iter()
+                        .map(|&(_, bytes)| KeyStats { reads: 1, writes: 0, bytes })
+                        .collect()
+                })
+                .collect();
+            let stats: Vec<&[KeyStats]> = key_stats.iter().map(|s| s.as_slice()).collect();
+            let candidate_bytes: u64 = tenants
+                .iter()
+                .flat_map(|(_, keys)| keys)
+                .filter(|&&(d, b)| d > 0.0 && b > 0)
+                .map(|&(_, b)| b)
+                .sum();
+            // Zero, a partial fill, exactly everything, and overflow.
+            let budget = match budget_pick {
+                0 => 0,
+                1 => (candidate_bytes as f64 * budget_frac) as u64,
+                2 => candidate_bytes,
+                3 => candidate_bytes.saturating_sub(1),
+                _ => candidate_bytes + 1 + (budget_frac * 1e4) as u64,
+            };
+            assert_same_allocation(
+                &allocate_by_density(&per_tenant, &stats, budget),
+                &reference_by_density(&per_tenant, &stats, budget),
+            );
+        }
     }
 }

@@ -185,10 +185,10 @@ impl Tenant {
             self.recorder.count("serve.advise.cold", 1);
             return empty_recommendation();
         }
-        let approx = self.profiler.approx_pattern();
+        let pattern = self.profiler.approx_pattern().pattern.clone();
         let baselines = self.baselines.clone();
         self.recorder.time_wall("serve.advise", 1, || {
-            match advisor.consult_with_pattern(baselines, approx.pattern) {
+            match advisor.consult_with_pattern(baselines, pattern) {
                 Ok(c) => c.recommend_resilient(slo),
                 Err(_) => empty_recommendation(),
             }
@@ -199,15 +199,17 @@ impl Tenant {
     /// the shared-capacity re-plan. Deriving it from *current* state
     /// (instead of caching anything from the last advise) keeps the
     /// whole engine a pure function of the dumped fields, so a warm
-    /// restart emits byte-identical re-plan rows. A demand is only the
-    /// model fit plus the pattern — no ordering, no estimate curve —
-    /// which is all the shared allocator consumes.
-    fn demand(&mut self, advisor: &Advisor) -> Option<TenantDemand> {
+    /// restart emits byte-identical re-plan rows; the profiler's
+    /// memoised pattern is itself a pure function of that state. A
+    /// demand is only the model fit plus a borrow of the pattern — no
+    /// ordering, no estimate curve — which is all the shared allocator
+    /// consumes.
+    fn demand(&self, advisor: &Advisor) -> Option<TenantDemand<'_>> {
         if self.profiler.events() == 0 {
             return None;
         }
         let approx = self.profiler.approx_pattern();
-        Some(advisor.demand_with_pattern(self.baselines.clone(), approx.pattern))
+        Some(advisor.demand_with_pattern(&self.baselines, &approx.pattern))
     }
 
     // mnemo-lint: allow(R003, "delegates to advise; the reachable curve expect cannot fire for non-empty estimates")
@@ -481,14 +483,16 @@ impl ServeEngine {
         let drained: Vec<Vec<String>> = mnemo_par::Pool::current().run_jobs(tenants.len(), |i| {
             let mut tenant = lock(&tenants[i]);
             let mut out = Vec::new();
-            let had_events = !tenant.queue.is_empty();
+            let drained = tenant.queue.len() as u64;
             while let Some(event) = tenant.queue.pop_front() {
-                tenant.recorder.count("serve.tenant.events", 1);
                 if let Some(row) = tenant.on_event(&event, advisor, slo) {
                     out.push(row);
                 }
             }
-            if !had_events && tenant.profiler.events() > 0 {
+            if drained > 0 {
+                // No zero bump: it would add a counter key to idle ticks.
+                tenant.recorder.count("serve.tenant.events", drained);
+            } else if tenant.profiler.events() > 0 {
                 // A warm tenant saw no traffic this scheduler epoch:
                 // relax its summary instead of freezing it.
                 tenant.profiler.note_idle_epoch();
@@ -516,11 +520,14 @@ impl ServeEngine {
     /// demand is fitted fresh from its current profiler state.
     // mnemo-lint: allow(R003, "parse_toml's expect reads a section the parser always initializes before use")
     fn replan(&mut self) -> Vec<String> {
-        let mut participants: Vec<usize> = Vec::new();
+        // Demands borrow each tenant's memoised pattern, so every tenant
+        // stays locked until the allocation is done.
+        let tenants: Vec<MutexGuard<'_, Tenant>> = self.tenants.iter().map(lock).collect();
+        let mut participants: Vec<&Tenant> = Vec::new();
         let mut demands: Vec<TenantDemand> = Vec::new();
-        for (i, tenant) in self.tenants.iter().enumerate() {
-            if let Some(d) = lock(tenant).demand(&self.advisor) {
-                participants.push(i);
+        for tenant in &tenants {
+            if let Some(d) = tenant.demand(&self.advisor) {
+                participants.push(tenant);
                 demands.push(d);
             }
         }
@@ -531,11 +538,10 @@ impl ServeEngine {
         let allocation = mnemo::multi::allocate_demands(&demands, self.config.share_bytes);
         let mut rows = Vec::with_capacity(allocation.tenants.len());
         for grant in &allocation.tenants {
-            let name = lock(&self.tenants[participants[grant.tenant]]).name.clone();
             self.recorder.count("serve.replan.rows", 1);
             rows.push(proto::replan_row(
                 self.ticks,
-                &name,
+                &participants[grant.tenant].name,
                 grant.fast_bytes,
                 allocation.budget_bytes,
                 grant.est_slowdown,

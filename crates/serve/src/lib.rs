@@ -15,7 +15,8 @@
 //!   run one-job-per-tenant on the bounded [`mnemo_par::Pool`]),
 //!   never-absent degraded-tagged advising via
 //!   `Consultation::recommend_resilient`, and periodic shared-capacity
-//!   re-planning through [`mnemo::multi::allocate_shared`];
+//!   re-planning through [`mnemo::multi::allocate_demands`] (model fit
+//!   plus approximate pattern per tenant, no estimate curve);
 //! * [`state`] — crash-safe state dumps (atomic write, exact float and
 //!   u64 round-trip) for warm restarts.
 //!

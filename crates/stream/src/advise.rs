@@ -133,10 +133,10 @@ impl OnlineAdvisor {
     /// stream end, or by callers with their own trigger policy).
     pub fn readvise(&mut self, trigger: Drift) -> Readvice {
         self.consultations += 1;
-        let approx = self.profiler.approx_pattern();
+        let pattern = self.profiler.approx_pattern().pattern.clone();
         let recommendation = self
             .advisor
-            .consult_with_pattern(self.baselines.clone(), approx.pattern)
+            .consult_with_pattern(self.baselines.clone(), pattern)
             .ok()
             .and_then(|c| c.recommend(self.slo));
         Readvice {

@@ -29,6 +29,7 @@ use crate::epoch::{Drift, DriftConfig, SkewTracker, TrackerState};
 use crate::sketch::{CountMinSketch, SketchState};
 use crate::topk::{SpaceSaving, TopEntry, TopKState};
 use mnemo::{KeyStats, PatternEngine};
+use std::sync::OnceLock;
 use ycsb::fit::fit_zipf_theta;
 use ycsb::{AccessEvent, Op};
 
@@ -108,6 +109,11 @@ pub struct StreamProfiler {
     /// Global mean record size over events (exact; mass-weighted, which
     /// biases toward hot keys' sizes — documented tail approximation).
     bytes_sum: f64,
+    /// [`Self::approx_pattern`] of the current state, built on first
+    /// use. Every `&mut self` method clears it, so it is always a pure
+    /// function of the fields above; it is neither exported nor counted
+    /// by [`Self::memory_bytes`].
+    approx: OnceLock<ApproxPattern>,
 }
 
 impl StreamProfiler {
@@ -124,6 +130,7 @@ impl StreamProfiler {
             reads: 0,
             writes: 0,
             bytes_sum: 0.0,
+            approx: OnceLock::new(),
         }
     }
 
@@ -142,6 +149,7 @@ impl StreamProfiler {
 
     /// Consume one event. Returns a drift decision at epoch boundaries.
     pub fn observe(&mut self, event: &AccessEvent) -> Option<Drift> {
+        self.approx.take();
         self.events += 1;
         self.bytes_sum += event.bytes as f64;
         match event.op {
@@ -169,6 +177,7 @@ impl StreamProfiler {
     /// and the distinct bitmap are whole-stream totals, not rates, and
     /// are left untouched.
     pub fn note_idle_epoch(&mut self) {
+        self.approx.take();
         self.top.decay_idle_epoch();
         self.skew.note_idle_epoch();
     }
@@ -208,7 +217,9 @@ impl StreamProfiler {
     }
 
     /// Exact profiler state footprint in bytes: every bounded structure,
-    /// summed. Constant in stream length and key count.
+    /// summed. Constant in stream length and key count; the memoised
+    /// [`Self::approx_pattern`] is derived output, not state, and is not
+    /// counted.
     pub fn memory_bytes(&self) -> usize {
         self.top.memory_bytes()
             + self.cm_reads.memory_bytes()
@@ -232,7 +243,16 @@ impl StreamProfiler {
     /// The result feeds `Advisor::consult_with_pattern` unchanged: the
     /// estimate curve depends only on the per-key statistics multiset,
     /// not on key identity.
-    pub fn approx_pattern(&self) -> ApproxPattern {
+    ///
+    /// The pattern is built once per profiler state and shared until the
+    /// next `&mut self` call, so a re-plan and the advises that follow
+    /// it before more events arrive pay for one reconstruction.
+    pub fn approx_pattern(&self) -> &ApproxPattern {
+        self.approx.get_or_init(|| self.build_approx_pattern())
+    }
+
+    /// [`Self::approx_pattern`] computed afresh.
+    fn build_approx_pattern(&self) -> ApproxPattern {
         let entries = self.top.entries();
         let mut stats: Vec<KeyStats> = Vec::with_capacity(entries.len() + 1);
         let mut head_keys: Vec<u64> = Vec::with_capacity(entries.len());
@@ -384,6 +404,7 @@ impl StreamProfiler {
             reads: state.reads,
             writes: state.writes,
             bytes_sum: state.bytes_sum,
+            approx: OnceLock::new(),
         })
     }
 }
@@ -426,6 +447,7 @@ pub struct ApproxPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ycsb::WorkloadSpec;
 
     fn profile(spec: WorkloadSpec, seed: u64) -> (StreamProfiler, ycsb::Trace) {
@@ -590,5 +612,63 @@ mod tests {
         assert_eq!(approx.pattern.key_count(), 0);
         assert_eq!(approx.pattern.total_requests(), 0);
         assert!(approx.head_keys.is_empty());
+    }
+
+    /// Assert the memoised pattern is the one a fresh build gives, and
+    /// that filling the memo leaves the reported footprint alone.
+    fn assert_memo_coherent(
+        p: &StreamProfiler,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let before = p.memory_bytes();
+        let memo = p.approx_pattern();
+        let fresh = p.build_approx_pattern();
+        prop_assert_eq!(memo.pattern.stats(), fresh.pattern.stats());
+        prop_assert_eq!(&memo.head_keys, &fresh.head_keys);
+        prop_assert_eq!(p.memory_bytes(), before);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Steps 0-6 observe a burst of events, 7 resets, 8 applies an
+        /// idle epoch and 9 round-trips the exported state. The memo is
+        /// filled after every step, so a mutation that failed to clear
+        /// it would leave a stale pattern behind.
+        #[test]
+        fn memoised_pattern_tracks_every_state_change(
+            steps in proptest::collection::vec(
+                (0u8..10, proptest::collection::vec((0u64..300, proptest::bool::ANY, 1u64..900), 1..40)),
+                1..30,
+            ),
+        ) {
+            let config = StreamConfig {
+                drift: DriftConfig {
+                    epoch_len: 64,
+                    ..DriftConfig::default()
+                },
+                ..StreamConfig::with_budget_bytes(4 * 1024)
+            };
+            let mut p = StreamProfiler::new(config);
+            assert_memo_coherent(&p)?;
+            for (kind, burst) in &steps {
+                match kind {
+                    0..=6 => {
+                        for &(key, write, bytes) in burst {
+                            let op = if write { Op::Update } else { Op::Read };
+                            p.observe(&AccessEvent { key, op, bytes });
+                        }
+                    }
+                    7 => p.reset(),
+                    8 => p.note_idle_epoch(),
+                    _ => {
+                        let state = p.export_state();
+                        p = StreamProfiler::from_state(config, &state).unwrap();
+                        prop_assert_eq!(p.export_state(), state);
+                    }
+                }
+                assert_memo_coherent(&p)?;
+            }
+        }
     }
 }

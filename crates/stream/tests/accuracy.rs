@@ -65,7 +65,7 @@ fn sketch_fed_advisor_matches_exact_offline_mnemot_within_5_percent() {
 
     let approx = profiler.approx_pattern();
     let streamed = advisor
-        .consult_with_pattern(baselines, approx.pattern)
+        .consult_with_pattern(baselines, approx.pattern.clone())
         .unwrap()
         .recommend(slo)
         .unwrap();
