@@ -376,9 +376,7 @@ pub fn stores() -> [StoreKind; 3] {
 
 /// Deterministic per-workload seed.
 pub fn seed_for(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
+    mnemo_codec::fnv64(name.as_bytes())
 }
 
 #[cfg(test)]

@@ -1,343 +1,9 @@
-//! Minimal JSON reader/writer for the perf trajectory files.
-//!
-//! The workspace builds offline (no `serde_json`), so `BENCH_CORE.json`
-//! and `findings.json` go through this hand-rolled implementation.
-//! Numbers are kept as their raw source text (lossless for `u64`
-//! counters and checksums, which would round through `f64`), and every
-//! parse error carries the 1-based source line so a corrupt baseline
-//! surfaces as a line-numbered CLI error instead of a panic.
+//! The JSON codec of the perf trajectory files: the workspace's one
+//! reader and escaper, re-exported for the harness and its callers.
+//! The tests pin this surface, which the repository benchmark imports.
 
-use std::fmt::Write as _;
-
-/// A parsed JSON value. Object keys keep insertion order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, kept as its raw source text (lossless round-trip).
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-/// A parse failure at a 1-based source line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseError {
-    /// 1-based line of the offending byte.
-    pub line: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.msg)
-    }
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Required object field; `what` names the context in the error.
-    pub fn field(&self, key: &str, what: &str) -> Result<&Json, String> {
-        self.get(key)
-            .ok_or_else(|| format!("{what}: missing field `{key}`"))
-    }
-
-    /// The string payload.
-    pub fn str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("{what}: expected a string, got {}", other.kind())),
-        }
-    }
-
-    /// The number as `u64` (exact — raw text is parsed, not `f64`).
-    pub fn u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| format!("{what}: `{raw}` is not a u64")),
-            other => Err(format!("{what}: expected a number, got {}", other.kind())),
-        }
-    }
-
-    /// The number as `f64`.
-    pub fn f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| format!("{what}: `{raw}` is not a number")),
-            other => Err(format!("{what}: expected a number, got {}", other.kind())),
-        }
-    }
-
-    /// The array elements.
-    pub fn arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(format!("{what}: expected an array, got {}", other.kind())),
-        }
-    }
-
-    /// The object fields.
-    pub fn obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            other => Err(format!("{what}: expected an object, got {}", other.kind())),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "a bool",
-            Json::Num(_) => "a number",
-            Json::Str(_) => "a string",
-            Json::Arr(_) => "an array",
-            Json::Obj(_) => "an object",
-        }
-    }
-}
-
-/// Escape a string for JSON output.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parse a complete JSON document (trailing whitespace allowed).
-pub fn parse(src: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-        line: 1,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing content after the document"));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.line,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            Some(got) => {
-                Err(self.err(format!("expected `{}`, found `{}`", b as char, got as char)))
-            }
-            None => Err(self.err(format!("expected `{}`, found end of input", b as char))),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        for &b in word.as_bytes() {
-            self.expect_byte(b)?;
-        }
-        Ok(value)
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(format!("unexpected character `{}`", other as char))),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(fields)),
-                Some(other) => {
-                    return Err(self.err(format!(
-                        "expected `,` or `}}` in object, found `{}`",
-                        other as char
-                    )))
-                }
-                None => return Err(self.err("unterminated object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                Some(other) => {
-                    return Err(self.err(format!(
-                        "expected `,` or `]` in array, found `{}`",
-                        other as char
-                    )))
-                }
-                None => return Err(self.err("unterminated array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(self.err("unknown string escape")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(_) => {
-                    // Re-assemble the UTF-8 sequence from its lead byte.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0xc0 == 0x80 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.bump();
-        }
-        let mut digits = 0usize;
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+')) {
-            if matches!(self.peek(), Some(b'0'..=b'9')) {
-                digits += 1;
-            }
-            self.bump();
-            // `-` may follow an exponent marker.
-            if matches!(self.peek(), Some(b'-'))
-                && matches!(self.bytes.get(self.pos - 1), Some(b'e' | b'E'))
-            {
-                self.bump();
-            }
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if digits == 0 || raw.parse::<f64>().is_err() {
-            return Err(self.err(format!("malformed number `{raw}`")));
-        }
-        Ok(Json::Num(raw.to_string()))
-    }
-}
+pub use mnemo_codec::json::{escape, parse, Json};
+pub use mnemo_codec::ParseError;
 
 #[cfg(test)]
 mod tests {

@@ -14,25 +14,46 @@ pub struct Parsed {
 
 impl Parsed {
     /// Parse an argument vector. A token starting with `-` begins an
-    /// option; if the next token exists and does not start with `-`, it
-    /// becomes the option's value, otherwise the option is a bare flag.
+    /// option unless it parses as a number (`--seed -1` gives `seed`
+    /// the value `-1`); if the next token exists and is not an option,
+    /// it becomes the option's value, otherwise the option is a bare flag.
     pub fn parse(argv: &[String]) -> Parsed {
+        let is_option = |token: &str| token.starts_with('-') && token.parse::<f64>().is_err();
         let mut parsed = Parsed::default();
         let mut iter = argv.iter().peekable();
         while let Some(token) = iter.next() {
-            if let Some(name) = token.strip_prefix("--").or_else(|| token.strip_prefix('-')) {
-                let value = match iter.peek() {
-                    Some(next) if !next.starts_with('-') => {
-                        iter.next().cloned().unwrap_or_default()
-                    }
-                    _ => String::new(),
-                };
-                parsed.options.insert(name.to_string(), value);
-            } else {
+            if !is_option(token) {
                 parsed.positional.push(token.clone());
+                continue;
             }
+            let name = token
+                .strip_prefix("--")
+                .or_else(|| token.strip_prefix('-'))
+                .unwrap_or(token);
+            let value = iter.next_if(|next| !is_option(next)).cloned();
+            parsed
+                .options
+                .insert(name.to_string(), value.unwrap_or_default());
         }
         parsed
+    }
+
+    /// Reject the first option (in name order) that is neither global
+    /// (`--help`, `--jobs`) nor in one of the `declared` groups, naming
+    /// it and `command`.
+    pub fn check_options(&self, command: &str, declared: &[&[&str]]) -> Result<(), String> {
+        let known = |k: &str| {
+            matches!(k, "help" | "jobs") || declared.iter().any(|group| group.contains(&k))
+        };
+        match self.options.keys().find(|k| !known(k)) {
+            Some(name) => {
+                let dashes = if name.len() == 1 { "-" } else { "--" };
+                Err(format!(
+                    "unknown option {dashes}{name} for `mnemo {command}` (see mnemo --help)"
+                ))
+            }
+            None => Ok(()),
+        }
     }
 
     /// A bare flag (or any option) present?
@@ -112,6 +133,34 @@ mod tests {
         let p = parse(&["--keys", "abc"]);
         assert!(p.number_or::<u64>("keys", 1).is_err());
         assert_eq!(p.number_or::<u64>("missing", 7).unwrap(), 7);
+    }
+
+    #[test]
+    fn negative_numbers_are_values_not_options() {
+        let p = parse(&["--seed", "-1", "--slo", "-0.5", "-5", "--offset", "-1e3"]);
+        assert_eq!(p.get_or("seed", "?"), "-1");
+        assert_eq!(p.get_or("slo", "?"), "-0.5");
+        assert_eq!(p.get_or("offset", "?"), "-1e3");
+        assert_eq!(p.positional, vec!["-5"]);
+        assert!(
+            p.number_or::<u64>("seed", 42).is_err(),
+            "not silently the default"
+        );
+    }
+
+    #[test]
+    fn undeclared_options_are_rejected_by_name() {
+        let p = parse(&["serve", "--jbos", "4", "--jobs", "2", "--epoch", "8"]);
+        let err = p.check_options("serve", &[&["epoch"]]).unwrap_err();
+        assert!(
+            err.contains("--jbos") && err.contains("`mnemo serve`"),
+            "{err}"
+        );
+        assert!(p.check_options("serve", &[&["epoch"], &["jbos"]]).is_ok());
+        let err = parse(&["-x"])
+            .check_options("generate", &[&["o"]])
+            .unwrap_err();
+        assert!(err.contains("unknown option -x"), "{err}");
     }
 
     #[test]

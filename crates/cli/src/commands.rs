@@ -15,6 +15,34 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use ycsb::{Trace, WorkloadSpec};
 
+/// The option names a command reads, in groups, without their dashes.
+/// Each list is declared next to the code that reads those options.
+pub type Options = &'static [&'static [&'static str]];
+
+/// A command's entry point.
+pub type Handler = fn(&mut Parsed) -> Result<String, CliError>;
+
+/// The command `name`: the options it reads besides the global `--help`
+/// and `--jobs`, and its entry point. `None` for an unknown command.
+pub fn lookup(name: &str) -> Option<(Options, Handler)> {
+    Some(match name {
+        "workloads" => (&[], |_| workloads()),
+        "generate" => (GENERATE_OPTIONS, generate),
+        "consult" => (CONSULT_CMD_OPTIONS, consult),
+        "watch" => (WATCH_OPTIONS, watch),
+        "serve" => (SERVE_OPTIONS, serve),
+        "chaos" => (CHAOS_OPTIONS, chaos),
+        "trace" => (TRACE_OPTIONS, trace_cmd),
+        "tier" => (TIER_OPTIONS, tier),
+        "analyze" => (&[], analyze),
+        "downsample" => (DOWNSAMPLE_OPTIONS, downsample),
+        "plan" => (PLAN_OPTIONS, plan),
+        "lint" => (LINT_OPTIONS, lint),
+        "perf" => (PERF_OPTIONS, perf),
+        _ => return None,
+    })
+}
+
 fn load_trace(path: &str) -> Result<Trace, CliError> {
     let file = File::open(path).map_err(|e| CliError::Io(format!("cannot open '{path}': {e}")))?;
     ycsb::fileio::read_trace(BufReader::new(file))
@@ -27,6 +55,9 @@ fn save_trace(trace: &Trace, path: &str) -> Result<(), CliError> {
     ycsb::fileio::write_trace(trace, BufWriter::new(file))
         .map_err(|e| CliError::Io(format!("'{path}': {e}")))
 }
+
+/// Read by [`load_fault_plan_with`].
+const FAULT_OPTIONS: &[&str] = &["faults"];
 
 /// Load the `--faults` plan when the flag is present. Distinguishes an
 /// unreadable path (exit 3) from a malformed plan (exit 4, with the
@@ -124,6 +155,11 @@ pub fn workloads() -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Preset sizing, read by `generate`, `trace` and `tier`.
+const PRESET_OPTIONS: &[&str] = &["keys", "requests", "seed"];
+
+const GENERATE_OPTIONS: Options = &[PRESET_OPTIONS, &["o"]];
+
 /// `mnemo generate <preset> --keys N --requests N --seed S -o <file>`
 pub fn generate(parsed: &mut Parsed) -> Result<String, CliError> {
     let preset = parsed.positional_required("preset name")?.to_string();
@@ -144,6 +180,9 @@ pub fn generate(parsed: &mut Parsed) -> Result<String, CliError> {
         output
     ))
 }
+
+/// Read by [`parse_config`].
+const CONSULT_OPTIONS: &[&str] = &["store", "slo", "price", "ordering", "model", "cache-aware"];
 
 /// Parse the advisor-related options (validated before any file I/O so
 /// usage errors surface first).
@@ -190,6 +229,8 @@ fn consultation_from(
         .map_err(|e| CliError::Engine(format!("consultation failed: {e}")))?;
     Ok((store, slo, consultation))
 }
+
+const CONSULT_CMD_OPTIONS: Options = &[CONSULT_OPTIONS, &["csv", "report"]];
 
 /// `mnemo consult <trace> [--store ...] [--slo ...] [--csv file]`
 pub fn consult(parsed: &mut Parsed) -> Result<String, CliError> {
@@ -259,6 +300,12 @@ fn drift_label(drift: &Drift) -> String {
         Drift::Stable => "stable".into(),
     }
 }
+
+const WATCH_OPTIONS: Options = &[
+    CONSULT_OPTIONS,
+    FAULT_OPTIONS,
+    &["epoch", "budget-kib", "telemetry", "follow", "rows"],
+];
 
 /// `mnemo watch <trace> [--epoch N] [--budget-kib N] [--telemetry DIR]`
 /// plus the consult options.
@@ -428,6 +475,18 @@ fn watch_follow(parsed: &mut Parsed) -> Result<String, CliError> {
     Ok(format!("followed {n} row(s) from {sock}"))
 }
 
+/// Read by [`parse_serve_config`] itself; it also reads the consult and
+/// fault options.
+const SERVE_CONFIG_OPTIONS: &[&str] = &[
+    "epoch",
+    "drift-epoch",
+    "budget-kib",
+    "queue",
+    "replan-every",
+    "max-tenants",
+    "share-mib",
+];
+
 /// Assemble the daemon configuration shared by every `serve` front end.
 fn parse_serve_config(parsed: &Parsed) -> Result<ServeConfig, CliError> {
     let (store, slo, advisor) = parse_config(parsed)?;
@@ -473,6 +532,9 @@ fn parse_serve_config(parsed: &Parsed) -> Result<ServeConfig, CliError> {
     })
 }
 
+/// Read by [`parse_journal_policy`].
+const JOURNAL_OPTIONS: &[&str] = &["journal", "journal-segment-kib", "journal-sync-every"];
+
 /// Parse the `--journal DIR [--journal-segment-kib N]
 /// [--journal-sync-every N]` flags into a [`mnemo_serve::JournalPolicy`]
 /// (validated before any file I/O).
@@ -498,6 +560,14 @@ fn parse_journal_policy(parsed: &Parsed) -> Result<Option<mnemo_serve::JournalPo
         config,
     }))
 }
+
+const SERVE_OPTIONS: Options = &[
+    CONSULT_OPTIONS,
+    FAULT_OPTIONS,
+    SERVE_CONFIG_OPTIONS,
+    JOURNAL_OPTIONS,
+    &["replay", "socket", "state", "state-every", "telemetry"],
+];
 
 /// `mnemo serve [--replay file | --socket path]` — the long-lived
 /// multi-tenant advisor daemon. With `--replay` the request log runs on
@@ -600,6 +670,20 @@ pub fn serve(parsed: &mut Parsed) -> Result<String, CliError> {
     }
     Ok(outcome.transcript.trim_end_matches('\n').to_string())
 }
+
+const CHAOS_OPTIONS: Options = &[
+    CONSULT_OPTIONS,
+    FAULT_OPTIONS,
+    SERVE_CONFIG_OPTIONS,
+    &[
+        "seed",
+        "kills",
+        "workdir",
+        "state-every",
+        "segment-kib",
+        "sync-every",
+    ],
+];
 
 /// `mnemo chaos <request-log> [--workdir DIR]` — deterministic
 /// kill/restart harness over the durable serve path. Runs the request
@@ -724,6 +808,13 @@ fn trace_row(out: &mut String, label: &str, snap: &mnemo_telemetry::Snapshot, fa
     out.push('\n');
 }
 
+const TRACE_OPTIONS: Options = &[
+    CONSULT_OPTIONS,
+    PRESET_OPTIONS,
+    FAULT_OPTIONS,
+    &["epoch", "placement", "telemetry"],
+];
+
 /// `mnemo trace <trace-file|preset> [--epoch N]`
 /// `[--placement fast|slow|advised] [--telemetry DIR]`
 /// plus the consult options.
@@ -843,6 +934,12 @@ pub fn trace_cmd(parsed: &mut Parsed) -> Result<String, CliError> {
     }
     Ok(out)
 }
+
+const TIER_OPTIONS: Options = &[
+    PRESET_OPTIONS,
+    FAULT_OPTIONS,
+    &["hierarchy", "policy", "epoch", "csv"],
+];
 
 /// `mnemo tier <trace|preset>` — N-tier hierarchy simulation with a
 /// pluggable tiering policy (or the full policy catalog with
@@ -1074,6 +1171,8 @@ pub fn analyze(parsed: &mut Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
+const DOWNSAMPLE_OPTIONS: Options = &[&["factor", "seed", "o"]];
+
 /// `mnemo downsample <trace> --factor N -o <file>`
 pub fn downsample(parsed: &mut Parsed) -> Result<String, CliError> {
     let path = parsed.positional_required("trace file")?.to_string();
@@ -1094,6 +1193,8 @@ pub fn downsample(parsed: &mut Parsed) -> Result<String, CliError> {
         output
     ))
 }
+
+const PLAN_OPTIONS: Options = &[CONSULT_OPTIONS, &["provider", "deploy-gib"]];
 
 /// `mnemo plan <trace> [--provider ...] [--deploy-gib N]`
 pub fn plan(parsed: &mut Parsed) -> Result<String, CliError> {
@@ -1152,6 +1253,8 @@ pub fn plan(parsed: &mut Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
+const LINT_OPTIONS: Options = &[&["root", "format", "deny-warnings", "cache-dir", "explain"]];
+
 /// `mnemo lint [--root DIR] [--format human|json|sarif] [--deny-warnings]
 ///             [--cache-dir DIR] [--explain CODE]`
 ///
@@ -1187,6 +1290,15 @@ pub fn lint(parsed: &mut Parsed) -> Result<String, CliError> {
         Ok(rendered)
     }
 }
+
+const PERF_OPTIONS: Options = &[&[
+    "suite",
+    "scale",
+    "out",
+    "findings",
+    "wall-tolerance",
+    "alloc-tolerance",
+]];
 
 /// `mnemo perf [run|baseline|compare] ...`
 ///

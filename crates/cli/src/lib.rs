@@ -180,6 +180,13 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     if parsed.flag("help") {
         return Ok(USAGE.to_string());
     }
+    let Some((options, handler)) = commands::lookup(&command) else {
+        let mut msg = String::new();
+        let _ = writeln!(msg, "unknown command '{command}'");
+        let _ = write!(msg, "{USAGE}");
+        return Err(CliError::Usage(msg));
+    };
+    parsed.check_options(&command, options)?;
     // Global --jobs N: bound the worker pool every parallel stage
     // (baseline runs, curve construction, shard loops) draws from.
     // Results are byte-identical for any value; this only tunes speed.
@@ -191,27 +198,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         mnemo_par::set_jobs(jobs);
     }
     parsed.positional.remove(0);
-    match command.as_str() {
-        "workloads" => commands::workloads(),
-        "generate" => commands::generate(&mut parsed),
-        "consult" => commands::consult(&mut parsed),
-        "watch" => commands::watch(&mut parsed),
-        "serve" => commands::serve(&mut parsed),
-        "chaos" => commands::chaos(&mut parsed),
-        "trace" => commands::trace_cmd(&mut parsed),
-        "tier" => commands::tier(&mut parsed),
-        "analyze" => commands::analyze(&mut parsed),
-        "downsample" => commands::downsample(&mut parsed),
-        "plan" => commands::plan(&mut parsed),
-        "lint" => commands::lint(&mut parsed),
-        "perf" => commands::perf(&mut parsed),
-        other => {
-            let mut msg = String::new();
-            let _ = writeln!(msg, "unknown command '{other}'");
-            let _ = write!(msg, "{USAGE}");
-            Err(CliError::Usage(msg))
-        }
-    }
+    handler(&mut parsed)
 }
 
 #[cfg(test)]
@@ -244,6 +231,130 @@ mod tests {
         assert!(run(&argv(&["workloads", "--jobs", "nope"])).is_err());
         // Leave the global pool unbounded for the other tests.
         mnemo_par::set_jobs(0);
+    }
+
+    #[test]
+    fn undeclared_options_are_usage_errors() {
+        let err = run(&argv(&["serve", "--replay", "x.jsonl", "--jbos", "4"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("--jbos"), "{err}");
+        assert!(err.to_string().contains("mnemo serve"), "{err}");
+        // `--seed -1` is a bad value, not a flag followed by the default.
+        let err = run(&argv(&["generate", "trending", "--seed", "-1", "-o", "x"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(
+            err.to_string().contains("'-1' is not a valid number"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn ci_and_benchmark_option_sets_are_declared() {
+        let sets: [&[&str]; 5] = [
+            &[
+                "serve",
+                "--replay",
+                "f",
+                "--epoch",
+                "1",
+                "--drift-epoch",
+                "1",
+                "--budget-kib",
+                "8",
+                "--telemetry",
+                "d",
+                "--faults",
+                "p",
+            ],
+            &[
+                "chaos",
+                "f",
+                "--seed",
+                "23",
+                "--kills",
+                "8",
+                "--workdir",
+                "d",
+                "--faults",
+                "p",
+            ],
+            &[
+                "perf",
+                "compare",
+                "a",
+                "b",
+                "--suite",
+                "smoke",
+                "--out",
+                "o",
+                "--wall-tolerance",
+                "3.0",
+                "--findings",
+                "f",
+            ],
+            &[
+                "serve",
+                "--socket",
+                "s",
+                "--journal",
+                "j",
+                "--jobs",
+                "1",
+                "--epoch",
+                "1",
+                "--drift-epoch",
+                "1",
+                "--budget-kib",
+                "8",
+                "--journal-sync-every",
+                "1",
+                "--journal-segment-kib",
+                "64",
+            ],
+            &[
+                "lint",
+                "--deny-warnings",
+                "--format",
+                "json",
+                "--cache-dir",
+                "c",
+            ],
+        ];
+        for set in sets {
+            let parsed = args::Parsed::parse(&argv(set));
+            let (declared, _) = commands::lookup(set[0]).unwrap();
+            assert_eq!(parsed.check_options(set[0], declared), Ok(()), "{set:?}");
+        }
+    }
+
+    #[test]
+    fn every_option_in_usage_is_declared_by_its_command() {
+        let commands =
+            &USAGE[USAGE.find("COMMANDS:").unwrap()..USAGE.find("GLOBAL OPTIONS:").unwrap()];
+        let mut command = "";
+        let mut checked = 0;
+        for line in commands.lines().skip(1) {
+            // A command's entry starts at a two-space indent.
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                command = line.split_whitespace().next().unwrap();
+            }
+            let (declared, _) = commands::lookup(command).unwrap();
+            for word in line.split(|c: char| c.is_whitespace() || "/([".contains(c)) {
+                let Some(name) = word.strip_prefix("--").or((word == "-o").then_some("o")) else {
+                    continue;
+                };
+                let name = name.trim_end_matches(|c: char| !c.is_ascii_alphanumeric());
+                if name.is_empty() || name == "jobs" {
+                    continue;
+                }
+                assert!(
+                    declared.iter().any(|group| group.contains(&name)),
+                    "USAGE documents --{name} for `mnemo {command}`, which does not declare it"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 60, "only {checked} options found in USAGE");
     }
 
     #[test]

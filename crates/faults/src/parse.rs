@@ -1,13 +1,15 @@
-//! Hand-rolled TOML- and JSON-subset parsers for fault plans.
+//! The fault-plan schema over the workspace's TOML and JSON readers.
 //!
-//! The build environment vendors a marker-only `serde` shim (derives emit
-//! nothing), so plan files are parsed by hand. Both formats map onto the
-//! same raw records before validation, and every syntax or schema error
-//! carries the 1-based line it was found on.
+//! Both formats map onto the same line-tagged records
+//! ([`mnemo_codec::toml::Record`]) before validation, so every syntax or
+//! schema error carries the 1-based line it was found on.
 
 use crate::backoff::Backoff;
 use crate::plan::{FaultEvent, FaultPlan};
 use hybridmem::TierId;
+use mnemo_codec::json::{self, Json};
+use mnemo_codec::toml::{self, Record, Value};
+use mnemo_codec::ParseError;
 
 /// Tier-name resolution table used while parsing `tier = "..."` fields.
 ///
@@ -132,132 +134,33 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// One parsed scalar value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Int(u128),
-    Float(f64),
-    Bool(bool),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Str(_) => "string",
-            Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Bool(_) => "boolean",
-        }
-    }
-}
-
-/// A flat key/value record plus the line each key appeared on.
-#[derive(Debug, Default, Clone)]
-struct Record {
-    line: usize,
-    fields: Vec<(String, Value, usize)>,
-}
-
-impl Record {
-    fn insert(&mut self, key: String, value: Value, line: usize) -> Result<(), PlanError> {
-        if self.fields.iter().any(|(k, _, _)| *k == key) {
-            return Err(PlanError::at(line, format!("duplicate key `{key}`")));
-        }
-        self.fields.push((key, value, line));
-        Ok(())
-    }
-
-    fn get(&self, key: &str) -> Option<(&Value, usize)> {
-        self.fields
-            .iter()
-            .find(|(k, _, _)| k == key)
-            .map(|(_, v, l)| (v, *l))
-    }
-
-    fn str(&self, key: &str) -> Result<Option<(&str, usize)>, PlanError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Str(s), l)) => Ok(Some((s, l))),
-            Some((v, l)) => Err(PlanError::at(
-                l,
-                format!("`{key}` must be a string, got {}", v.type_name()),
-            )),
-        }
-    }
-
-    fn u128(&self, key: &str) -> Result<Option<u128>, PlanError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Int(n), _)) => Ok(Some(*n)),
-            Some((v, l)) => Err(PlanError::at(
-                l,
-                format!(
-                    "`{key}` must be a non-negative integer, got {}",
-                    v.type_name()
-                ),
-            )),
-        }
-    }
-
-    fn u64(&self, key: &str) -> Result<Option<u64>, PlanError> {
-        match self.u128(key)? {
-            None => Ok(None),
-            Some(n) => u64::try_from(n).map(Some).map_err(|_| {
-                let l = self.get(key).map(|(_, l)| l).unwrap_or(self.line);
-                PlanError::at(l, format!("`{key}` exceeds 64 bits"))
-            }),
-        }
-    }
-
-    fn f64(&self, key: &str) -> Result<Option<f64>, PlanError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Float(x), _)) => Ok(Some(*x)),
-            Some((Value::Int(n), _)) => Ok(Some(*n as f64)),
-            Some((v, l)) => Err(PlanError::at(
-                l,
-                format!("`{key}` must be a number, got {}", v.type_name()),
-            )),
-        }
-    }
-
-    fn require_f64(&self, key: &str) -> Result<f64, PlanError> {
-        self.f64(key)?
-            .ok_or_else(|| PlanError::at(self.line, format!("missing required field `{key}`")))
-    }
-
-    fn tier(&self, tiers: &TierNames) -> Result<TierId, PlanError> {
-        let (name, line) = self
-            .str("tier")?
-            .ok_or_else(|| PlanError::at(self.line, "missing required field `tier`"))?;
-        tiers.resolve(name).ok_or_else(|| {
-            PlanError::at(
-                line,
-                format!(
-                    "unknown tier `{name}` (expected one of: {})",
-                    tiers.primary().join(", ")
-                ),
-            )
-        })
-    }
-
-    fn known_keys(&self, allowed: &[&str]) -> Result<(), PlanError> {
-        for (k, _, l) in &self.fields {
-            if !allowed.contains(&k.as_str()) {
-                return Err(PlanError::at(*l, format!("unknown field `{k}`")));
-            }
-        }
-        Ok(())
+impl From<ParseError> for PlanError {
+    fn from(e: ParseError) -> PlanError {
+        PlanError::at(e.line, e.msg)
     }
 }
 
 /// Both front-ends produce this shape, then share the schema builder.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RawPlan {
     top: Record,
     backoff: Option<Record>,
     events: Vec<Record>,
+}
+
+fn tier(e: &Record, tiers: &TierNames) -> Result<TierId, PlanError> {
+    let (name, line) = e
+        .str("tier")?
+        .ok_or_else(|| PlanError::at(e.line, "missing required field `tier`"))?;
+    tiers.resolve(name).ok_or_else(|| {
+        PlanError::at(
+            line,
+            format!(
+                "unknown tier `{name}` (expected one of: {})",
+                tiers.primary().join(", ")
+            ),
+        )
+    })
 }
 
 fn build(raw: RawPlan, tiers: &TierNames) -> Result<FaultPlan, PlanError> {
@@ -297,7 +200,7 @@ fn build(raw: RawPlan, tiers: &TierNames) -> Result<FaultPlan, PlanError> {
             "latency_spike" => {
                 e.known_keys(&["kind", "tier", "start_ns", "end_ns", "factor", "tenant"])?;
                 FaultEvent::LatencySpike {
-                    tier: e.tier(tiers)?,
+                    tier: tier(e, tiers)?,
                     start_ns,
                     end_ns,
                     factor: e.require_f64("factor")?,
@@ -306,7 +209,7 @@ fn build(raw: RawPlan, tiers: &TierNames) -> Result<FaultPlan, PlanError> {
             "bandwidth_throttle" => {
                 e.known_keys(&["kind", "tier", "start_ns", "end_ns", "factor", "tenant"])?;
                 FaultEvent::BandwidthThrottle {
-                    tier: e.tier(tiers)?,
+                    tier: tier(e, tiers)?,
                     start_ns,
                     end_ns,
                     factor: e.require_f64("factor")?,
@@ -315,7 +218,7 @@ fn build(raw: RawPlan, tiers: &TierNames) -> Result<FaultPlan, PlanError> {
             "capacity_shrink" => {
                 e.known_keys(&["kind", "tier", "start_ns", "end_ns", "bytes", "tenant"])?;
                 FaultEvent::CapacityShrink {
-                    tier: e.tier(tiers)?,
+                    tier: tier(e, tiers)?,
                     start_ns,
                     end_ns,
                     bytes: e
@@ -384,375 +287,95 @@ fn build(raw: RawPlan, tiers: &TierNames) -> Result<FaultPlan, PlanError> {
     Ok(plan)
 }
 
-// ---------------------------------------------------------------- TOML --
-
-/// Strip a trailing comment, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_scalar(text: &str, line: usize) -> Result<Value, PlanError> {
-    let t = text.trim();
-    if t.is_empty() {
-        return Err(PlanError::at(line, "missing value"));
-    }
-    if let Some(stripped) = t.strip_prefix('"') {
-        let Some(inner) = stripped.strip_suffix('"') else {
-            return Err(PlanError::at(line, format!("unterminated string {t}")));
-        };
-        if inner.contains('"') {
-            return Err(PlanError::at(line, format!("malformed string {t}")));
-        }
-        return Ok(Value::Str(inner.to_string()));
-    }
-    match t {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
-    }
-    let digits = t.replace('_', "");
-    if let Ok(n) = digits.parse::<u128>() {
-        return Ok(Value::Int(n));
-    }
-    if let Ok(x) = digits.parse::<f64>() {
-        if x.is_finite() {
-            return Ok(Value::Float(x));
-        }
-    }
-    Err(PlanError::at(line, format!("cannot parse value `{t}`")))
-}
-
-enum TomlSection {
-    Top,
-    Backoff,
-    Event,
-}
-
 fn parse_toml(text: &str) -> Result<RawPlan, PlanError> {
-    let mut raw = RawPlan::default();
-    let mut section = TomlSection::Top;
-    for (idx, raw_line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-            match header.trim() {
-                "event" | "events" => {
-                    raw.events.push(Record {
-                        line: lineno,
-                        fields: Vec::new(),
-                    });
-                    section = TomlSection::Event;
-                }
-                other => {
-                    return Err(PlanError::at(
-                        lineno,
-                        format!("unknown array table `[[{other}]]`"),
-                    ))
-                }
-            }
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            match header.trim() {
-                "backoff" => {
-                    if raw.backoff.is_some() {
-                        return Err(PlanError::at(lineno, "duplicate [backoff] section"));
-                    }
-                    raw.backoff = Some(Record {
-                        line: lineno,
-                        fields: Vec::new(),
-                    });
-                    section = TomlSection::Backoff;
-                }
-                other => {
-                    return Err(PlanError::at(
-                        lineno,
-                        format!("unknown section `[{other}]`"),
-                    ))
-                }
-            }
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
+    let doc = toml::parse(text)?;
+    let mut backoff = None;
+    for table in doc.tables {
+        if table.name != "backoff" {
             return Err(PlanError::at(
-                lineno,
-                format!("expected `key = value`, got `{line}`"),
+                table.line,
+                format!("unknown section `[{}]`", table.name),
             ));
-        };
-        let key = key.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Err(PlanError::at(lineno, format!("invalid key `{key}`")));
         }
-        let value = parse_scalar(value, lineno)?;
-        let record = match section {
-            TomlSection::Top => &mut raw.top,
-            TomlSection::Backoff => {
-                // mnemo-lint: allow(R001, "entering [backoff] always initialises raw.backoff before any key line can reach this arm")
-                raw.backoff.as_mut().expect("section set")
-            }
-            TomlSection::Event => {
-                // mnemo-lint: allow(R001, "entering [[event]] always pushes a record before any key line can reach this arm")
-                raw.events.last_mut().expect("section set")
-            }
-        };
-        record.insert(key.to_string(), value, lineno)?;
+        backoff = Some(table);
     }
-    Ok(raw)
+    if let Some(entry) = doc
+        .arrays
+        .iter()
+        .find(|a| !matches!(a.name.as_str(), "event" | "events"))
+    {
+        return Err(PlanError::at(
+            entry.line,
+            format!("unknown array table `[[{}]]`", entry.name),
+        ));
+    }
+    Ok(RawPlan {
+        top: doc.top,
+        backoff,
+        events: doc.arrays,
+    })
 }
 
-// ---------------------------------------------------------------- JSON --
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Value(Value),
-    Array(Vec<(Json, usize)>),
-    Object(Vec<(String, Json, usize)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn line(&self) -> usize {
-        1 + self.bytes[..self.pos.min(self.bytes.len())]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count()
-    }
-
-    fn err(&self, reason: impl Into<String>) -> PlanError {
-        PlanError::at(self.line(), reason.into())
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), PlanError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, PlanError> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Value(Value::Str(self.parse_string()?))),
-            Some(b't') => self.parse_lit("true", Value::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Value::Bool(false)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, value: Value) -> Result<Json, PlanError> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(Json::Value(value))
-        } else {
-            Err(self.err(format!("expected `{lit}`")))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, PlanError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        other => {
-                            return Err(self.err(format!("unknown escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Re-scan as UTF-8 from the byte before.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    // mnemo-lint: allow(R001, "from_utf8 succeeded on a slice that starts at an in-bounds byte, so there is at least one char")
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, PlanError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        // mnemo-lint: allow(R001, "the scan loop above only advances past ASCII digit/sign/exponent bytes, which are valid UTF-8")
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if !text.contains(['.', 'e', 'E', '-']) {
-            if let Ok(n) = text.parse::<u128>() {
-                return Ok(Json::Value(Value::Int(n)));
-            }
-        }
-        match text.parse::<f64>() {
-            Ok(x) if x.is_finite() => Ok(Json::Value(Value::Float(x))),
-            _ => Err(self.err(format!("cannot parse number `{text}`"))),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, PlanError> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            let line = self.line();
-            items.push((self.parse_value()?, line));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, PlanError> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let line = self.line();
-            let key = self.parse_string()?;
-            self.expect_byte(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value, line));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
+/// A JSON member value as a scalar.
+fn json_scalar(key: &str, value: Json, line: usize) -> Result<Value, PlanError> {
+    match value {
+        Json::Str(s) => Ok(Value::Str(s)),
+        Json::Bool(b) => Ok(Value::Bool(b)),
+        Json::Num(raw) => Value::number(&raw)
+            .ok_or_else(|| PlanError::at(line, format!("cannot parse number `{raw}`"))),
+        Json::Null | Json::Arr(_) | Json::Obj(_) => Err(PlanError::at(
+            line,
+            format!("`{key}` must be a scalar in this position"),
+        )),
     }
 }
 
-fn json_record(fields: Vec<(String, Json, usize)>, line: usize) -> Result<Record, PlanError> {
-    let mut record = Record {
-        line,
-        fields: Vec::new(),
-    };
-    for (key, value, l) in fields {
-        match value {
-            Json::Value(v) => record.insert(key, v, l)?,
-            _ => {
-                return Err(PlanError::at(
-                    l,
-                    format!("`{key}` must be a scalar in this position"),
-                ))
-            }
-        }
+/// A JSON object of scalars as a record; `lines` yields each member's
+/// line in document order.
+fn json_record(
+    name: &str,
+    members: Vec<(String, Json)>,
+    line: usize,
+    lines: &mut impl Iterator<Item = usize>,
+) -> Result<Record, PlanError> {
+    let mut record = Record::new(name, line);
+    for (key, value) in members {
+        let l = lines.next().unwrap_or(line);
+        let scalar = json_scalar(&key, value, l)?;
+        record.insert(key, scalar, l)?;
     }
     Ok(record)
 }
 
 fn parse_json(text: &str) -> Result<RawPlan, PlanError> {
-    let mut parser = JsonParser::new(text);
-    let doc = parser.parse_object()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing content after plan object"));
-    }
-    let Json::Object(fields) = doc else {
-        unreachable!("parse_object returns objects")
+    let (doc, lines) = json::parse_with_lines(text)?;
+    let mut lines = lines.into_iter();
+    let root_line = lines.next().unwrap_or(1);
+    let Json::Obj(members) = doc else {
+        return Err(PlanError::at(root_line, "a JSON plan must be an object"));
     };
-    let mut raw = RawPlan::default();
-    for (key, value, line) in fields {
+    let mut raw = RawPlan {
+        top: Record::new("", 0),
+        backoff: None,
+        events: Vec::new(),
+    };
+    for (key, value) in members {
+        let line = lines.next().unwrap_or(root_line);
         match (key.as_str(), value) {
-            ("seed", Json::Value(v)) => raw.top.insert(key, v, line)?,
-            ("backoff", Json::Object(f)) => raw.backoff = Some(json_record(f, line)?),
-            ("events" | "event", Json::Array(items)) => {
-                for (item, item_line) in items {
+            ("seed", value) => {
+                let seed = json_scalar("seed", value, line)?;
+                raw.top.insert(key, seed, line)?;
+            }
+            ("backoff", Json::Obj(f)) => {
+                raw.backoff = Some(json_record("backoff", f, line, &mut lines)?)
+            }
+            ("events" | "event", Json::Arr(items)) => {
+                for item in items {
+                    let item_line = lines.next().unwrap_or(line);
                     match item {
-                        Json::Object(f) => raw.events.push(json_record(f, item_line)?),
+                        Json::Obj(f) => raw
+                            .events
+                            .push(json_record("event", f, item_line, &mut lines)?),
                         _ => return Err(PlanError::at(item_line, "events must be objects")),
                     }
                 }
@@ -1125,6 +748,32 @@ factor = 2.0
         .unwrap_err();
         assert_eq!(err.line, 4);
         assert!(err.reason.contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn json_schema_errors_carry_the_member_line() {
+        let text = "{\n  \"seed\": 1,\n  \"events\": [\n    {\"kind\": \"torn_write\",\n     \"shard\": 1}\n  ]\n}";
+        let err = FaultPlan::parse_json(text).unwrap_err();
+        assert_eq!(err.line, 5, "{err}");
+        assert!(err.reason.contains("unknown field `shard`"), "{err}");
+        let missing = "{\"events\": [\n\n  {\"kind\": \"latency_spike\"}]}";
+        let err = FaultPlan::parse_json(missing).unwrap_err();
+        assert_eq!(err.line, 3, "missing fields point at the event: {err}");
+        let err = FaultPlan::parse_json("{\n\"backoff\": {\"factor\": [2]}}").unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.reason.contains("must be a scalar"), "{err}");
+    }
+
+    #[test]
+    fn deep_json_nesting_is_a_located_error() {
+        let text = format!(
+            "{{\"v\":1,\"x\":{}{}}}",
+            "[".repeat(50_000),
+            "]".repeat(50_000)
+        );
+        let err = FaultPlan::parse_json(&text).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.reason.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

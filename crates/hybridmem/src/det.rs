@@ -25,12 +25,11 @@ pub struct DetHasher {
     hash: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 impl Default for DetHasher {
     fn default() -> DetHasher {
-        DetHasher { hash: FNV_OFFSET }
+        DetHasher {
+            hash: mnemo_codec::FNV64_OFFSET,
+        }
     }
 }
 
@@ -40,10 +39,7 @@ impl Hasher for DetHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
+        self.hash = mnemo_codec::fnv64_chain(self.hash, bytes);
     }
 }
 

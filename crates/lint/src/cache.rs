@@ -20,6 +20,7 @@ use crate::allow::AllowDirective;
 use crate::diag::{Code, Finding};
 use crate::engine::FileAnalysis;
 use crate::parser::{CallRef, FactHit, FactKind, FnInfo, LockAcq, PoolSite, UseDecl};
+use mnemo_codec::fnv64;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
@@ -29,17 +30,6 @@ use std::path::Path;
 /// meaning of any analysis field changes so stale caches self-evict.
 const HEADER: &str = "mnemo-lint-cache v1";
 const FILE_NAME: &str = "analysis.v1.tsv";
-
-/// FNV-1a 64-bit over raw bytes — tiny, dependency-free, and stable
-/// across platforms, which is all a content key needs.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// An in-memory cache: path → (content hash, analysis), plus a memo of
 /// the whole assembled report keyed on the digest of the complete
@@ -613,12 +603,5 @@ mod tests {
         assert_eq!(loaded.report(digest).unwrap().findings, report.findings);
         assert!(loaded.get("crates/core/src/x.rs", 7).is_some());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fnv64_is_the_reference_function() {
-        assert_eq!(fnv64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
     }
 }

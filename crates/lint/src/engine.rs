@@ -240,7 +240,7 @@ pub fn lint_tree_cached(root: &Path, cache_dir: Option<&Path>) -> io::Result<Rep
     let files = workspace_files(root)?;
     let hashes: Vec<(&str, u64)> = files
         .iter()
-        .map(|(p, s)| (p.as_str(), crate::cache::fnv64(s.as_bytes())))
+        .map(|(p, s)| (p.as_str(), mnemo_codec::fnv64(s.as_bytes())))
         .collect();
     // Byte-identical workspace: replay the memoized report and skip
     // everything — per-file analysis, the workspace phase, even

@@ -6,6 +6,7 @@
 //! byte-identical artifacts.
 
 use crate::engine::Report;
+use mnemo_codec::json::escape;
 
 /// Output format selector for the CLI layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +76,8 @@ fn json(report: &Report) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"code\": \"{}\", \"severity\": \"{}\", \"file\": {}, \"line\": {}, \
-             \"col\": {}, \"message\": {}, \"explain\": {}}}",
+            "\n    {{\"code\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \
+             \"col\": {}, \"message\": \"{}\", \"explain\": \"{}\"}}",
             f.code,
             f.code.severity().as_str(),
             escape(&f.file),
@@ -90,26 +91,6 @@ fn json(report: &Report) -> String {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
-    out
-}
-
-/// JSON string escaping (quotes, backslashes, control bytes). Shared
-/// with the SARIF renderer.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -153,8 +134,13 @@ mod tests {
 
     #[test]
     fn escape_handles_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+        let file = "crates/core/src/a\"b\\c\nd\u{1}.rs";
+        let r = lint_source(file, "fn f() { x.unwrap(); }\n");
+        let text = render(&r, Format::Json);
+        assert!(text.contains("a\\\"b\\\\c\\nd\\u0001.rs"), "{text}");
+        let doc = mnemo_codec::json::parse(&text).unwrap();
+        let findings = doc.get("findings").unwrap().arr("findings").unwrap();
+        assert_eq!(findings[0].get("file").unwrap().str("file").unwrap(), file);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::diag::{Severity, ALL_CODES};
 use crate::engine::Report;
-use crate::report::escape;
+use mnemo_codec::json::escape;
 
 const SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 
@@ -22,13 +22,13 @@ fn level(sev: Severity) -> &'static str {
 pub fn sarif(report: &Report) -> String {
     let mut out = String::with_capacity(4096 + report.findings.len() * 256);
     out.push_str("{\n");
-    out.push_str(&format!("  \"$schema\": {},\n", escape(SCHEMA)));
+    out.push_str(&format!("  \"$schema\": \"{}\",\n", escape(SCHEMA)));
     out.push_str("  \"version\": \"2.1.0\",\n");
     out.push_str("  \"runs\": [\n    {\n");
     out.push_str("      \"tool\": {\n        \"driver\": {\n");
     out.push_str("          \"name\": \"mnemo-lint\",\n");
     out.push_str(&format!(
-        "          \"version\": {},\n",
+        "          \"version\": \"{}\",\n",
         escape(env!("CARGO_PKG_VERSION"))
     ));
     out.push_str("          \"rules\": [\n");
@@ -37,9 +37,9 @@ pub fn sarif(report: &Report) -> String {
             out.push_str(",\n");
         }
         out.push_str(&format!(
-            "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}, \
-             \"fullDescription\": {{\"text\": {}}}, \
-             \"defaultConfiguration\": {{\"level\": {}}}}}",
+            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
+             \"fullDescription\": {{\"text\": \"{}\"}}, \
+             \"defaultConfiguration\": {{\"level\": \"{}\"}}}}",
             escape(code.as_str()),
             escape(code.explain()),
             escape(code.help()),
@@ -57,9 +57,9 @@ pub fn sarif(report: &Report) -> String {
             .position(|c| *c == f.code)
             .unwrap_or_default();
         out.push_str(&format!(
-            "\n        {{\"ruleId\": {}, \"ruleIndex\": {}, \"level\": {}, \
-             \"message\": {{\"text\": {}}}, \"locations\": [{{\"physicalLocation\": \
-             {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": \
+            "\n        {{\"ruleId\": \"{}\", \"ruleIndex\": {}, \"level\": \"{}\", \
+             \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": \
+             {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": \
              {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}",
             escape(f.code.as_str()),
             rule_index,

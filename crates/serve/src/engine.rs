@@ -31,6 +31,7 @@ use mnemo::advisor::{
 };
 use mnemo::multi::TenantDemand;
 use mnemo::sensitivity::{Baselines, SensitivityEngine};
+use mnemo_codec::json::escape;
 use mnemo_faults::{FaultEvent, FaultPlan};
 use mnemo_stream::{Drift, StreamConfig, StreamProfiler};
 use mnemo_telemetry::{Recorder, Snapshot};
@@ -518,7 +519,6 @@ impl ServeEngine {
     /// Re-plan the shared FastMem budget across every warm tenant,
     /// emitting one grant row per participant. Each participant's
     /// demand is fitted fresh from its current profiler state.
-    // mnemo-lint: allow(R003, "parse_toml's expect reads a section the parser always initializes before use")
     fn replan(&mut self) -> Vec<String> {
         // Demands borrow each tenant's memoised pattern, so every tenant
         // stays locked until the allocation is done.
@@ -593,7 +593,7 @@ impl ServeEngine {
                     "{{\"name\":\"{}\",\"events\":{},\"queued\":{},\"dropped\":{},",
                     "\"crash_dropped\":{},\"advice_rows\":{},\"profiler_bytes\":{}}}"
                 ),
-                proto::json_escape(&t.name),
+                escape(&t.name),
                 t.profiler.events(),
                 t.queue.len(),
                 t.dropped,
@@ -616,14 +616,14 @@ impl ServeEngine {
             if i > 0 {
                 row.push(',');
             }
-            let _ = write!(row, "\"{}\":{}", proto::json_escape(name), value);
+            let _ = write!(row, "\"{}\":{}", escape(name), value);
         }
         row.push_str("},\"spans\":{");
         for (i, (name, _, hist)) in folded.histograms().enumerate() {
             if i > 0 {
                 row.push(',');
             }
-            let _ = write!(row, "\"{}\":{}", proto::json_escape(name), hist.count());
+            let _ = write!(row, "\"{}\":{}", escape(name), hist.count());
         }
         row.push_str("}}");
         row

@@ -64,6 +64,7 @@
 //! back without erroring the daemon).
 
 use crate::proto::{ServeError, MAX_FRAME_BYTES};
+use mnemo_codec::{fnv64, fnv64_chain};
 use mnemo_faults::StorageFaults;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -85,20 +86,6 @@ pub const RECORD_OVERHEAD: usize = 4 + 8 + 8;
 /// corruption at recovery time (a flipped length byte must not allocate
 /// gigabytes). Shared with the socket framing limit.
 pub const MAX_RECORD_BYTES: usize = MAX_FRAME_BYTES;
-
-/// FNV-1a over raw bytes — the same artifact checksum the perf harness
-/// uses, small enough to hand-roll and strong enough to catch any
-/// single-bit flip in a frame.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_chain(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-fn fnv64_chain(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 fn io_err(context: &str, path: &Path, e: std::io::Error) -> ServeError {
     ServeError::Io(format!("{context} '{}': {e}", path.display()))
@@ -167,7 +154,7 @@ pub fn encode_record(seq: u64, payload: &str, out: &mut Vec<u8>) {
     let seq_le = seq.to_le_bytes();
     out.extend_from_slice(&seq_le);
     out.extend_from_slice(p);
-    let check = fnv64_chain(fnv64_chain(0xcbf2_9ce4_8422_2325, &seq_le), p);
+    let check = fnv64_chain(fnv64(&seq_le), p);
     out.extend_from_slice(&check.to_le_bytes());
 }
 
@@ -251,10 +238,7 @@ fn decode_at(bytes: &[u8], at: usize, expect_seq: u64) -> Decoded {
     let seq = u64_at(bytes, at + 4);
     let payload = &bytes[at + 12..at + 12 + len];
     let check = u64_at(bytes, at + 12 + len);
-    let want = fnv64_chain(
-        fnv64_chain(0xcbf2_9ce4_8422_2325, &seq.to_le_bytes()),
-        payload,
-    );
+    let want = fnv64_chain(fnv64(&seq.to_le_bytes()), payload);
     if check != want {
         return Decoded::Corrupt("record checksum mismatch".into());
     }

@@ -22,6 +22,7 @@
 //! worker counts and replays.
 
 use mnemo::advisor::{DegradedReason, ResilientRecommendation};
+use mnemo_codec::json::{self, escape, scan_number, scan_string, skip_ws};
 use mnemo_stream::Drift;
 use mnemo_telemetry::export::fmt_f64;
 use std::borrow::Cow;
@@ -130,289 +131,6 @@ pub enum Request {
 }
 
 // ---------------------------------------------------------------------
-// JSON value + parser
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw token so 64-bit integers
-/// round-trip exactly (an `f64` detour would corrupt values above 2^53,
-/// e.g. the distinct-counter bitmap words in a state dump).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number, as its raw token.
-    Num(String),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse exactly one JSON value spanning the whole input.
-    pub fn parse(input: &str) -> Result<Json, String> {
-        let mut pos = 0;
-        let value = parse_value(input, &mut pos)?;
-        skip_ws(input.as_bytes(), &mut pos);
-        if pos != input.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The object members, or an error naming `what`.
-    pub fn obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(members) => Ok(members),
-            _ => Err(format!("{what} must be an object")),
-        }
-    }
-
-    /// The array elements, or an error naming `what`.
-    pub fn arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err(format!("{what} must be an array")),
-        }
-    }
-
-    /// The string value, or an error naming `what`.
-    pub fn str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{what} must be a string")),
-        }
-    }
-
-    /// The value as a `u64`, or an error naming `what`.
-    pub fn u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| format!("{what} must be an unsigned integer, got {raw}")),
-            _ => Err(format!("{what} must be a number")),
-        }
-    }
-
-    /// The value as a `u128`, or an error naming `what`.
-    pub fn u128(&self, what: &str) -> Result<u128, String> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<u128>()
-                .map_err(|_| format!("{what} must be an unsigned integer, got {raw}")),
-            _ => Err(format!("{what} must be a number")),
-        }
-    }
-
-    /// The value as an `f64`, or an error naming `what`.
-    pub fn f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| format!("{what} must be a number, got {raw}")),
-            _ => Err(format!("{what} must be a number")),
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(src: &str, pos: &mut usize) -> Result<Json, String> {
-    skip_ws(src.as_bytes(), pos);
-    match src.as_bytes().get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(src, pos),
-        Some(b'[') => parse_array(src, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(src, pos)?)),
-        Some(b't') => parse_literal(src, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(src, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(src, pos, "null", Json::Null),
-        Some(_) => parse_number(src, pos),
-    }
-}
-
-fn parse_literal(src: &str, pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if src.as_bytes()[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_number(src: &str, pos: &mut usize) -> Result<Json, String> {
-    scan_number(src, pos).map(|raw| Json::Num(raw.to_string()))
-}
-
-/// The raw token of the number at `*pos`, which must parse as an `f64`.
-fn scan_number<'a>(src: &'a str, pos: &mut usize) -> Result<&'a str, String> {
-    let bytes = src.as_bytes();
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    // A plain digit run is always a valid float; skip the float parse.
-    let mut plain = *pos == start;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => {}
-            b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
-            _ => break,
-        }
-        *pos += 1;
-    }
-    plain &= *pos > start;
-    // Every byte taken is ASCII, so both ends are char boundaries.
-    let raw = &src[start..*pos];
-    if !plain && raw.parse::<f64>().is_err() {
-        return Err(format!("invalid number at byte {start}"));
-    }
-    Ok(raw)
-}
-
-fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
-    let mut out = String::new();
-    scan_string(src, pos, Some(&mut out))?;
-    Ok(out)
-}
-
-/// Walk the string literal whose opening quote is at `*pos`, leaving
-/// `*pos` past its closing quote. With `out`, the decoded text is
-/// appended there: each run between escapes is copied in one go, so the
-/// walk is linear in the literal's length. Without `out`, it only
-/// validates. Returns whether the literal holds any escape.
-fn scan_string(src: &str, pos: &mut usize, mut out: Option<&mut String>) -> Result<bool, String> {
-    let bytes = src.as_bytes();
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut escaped = false;
-    loop {
-        let run = *pos;
-        *pos += bytes[run..]
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\')
-            .unwrap_or(bytes.len() - run);
-        if let Some(out) = out.as_deref_mut() {
-            // The run starts after and ends at an ASCII byte (or the end
-            // of the input), so both ends are char boundaries.
-            out.push_str(&src[run..*pos]);
-        }
-        let c = match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(escaped);
-            }
-            Some(_) => {
-                *pos += 1;
-                escaped = true;
-                match bytes.get(*pos) {
-                    Some(b'"') => '"',
-                    Some(b'\\') => '\\',
-                    Some(b'/') => '/',
-                    Some(b'n') => '\n',
-                    Some(b't') => '\t',
-                    Some(b'r') => '\r',
-                    Some(b'b') => '\u{8}',
-                    Some(b'f') => '\u{c}',
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        *pos += 4;
-                        char::from_u32(code).unwrap_or('\u{fffd}')
-                    }
-                    _ => return Err("invalid escape".into()),
-                }
-            }
-        };
-        if let Some(out) = out.as_deref_mut() {
-            out.push(c);
-        }
-        *pos += 1;
-    }
-}
-
-fn parse_array(src: &str, pos: &mut usize) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(src, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_object(src: &str, pos: &mut usize) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    *pos += 1; // '{'
-    let mut members: Vec<(String, Json)> = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected member name at byte {pos}"));
-        }
-        let key = parse_string(src, pos)?;
-        if members.iter().any(|(k, _)| *k == key) {
-            return Err(format!("duplicate key `{key}`"));
-        }
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        let value = parse_value(src, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Request decoding
 // ---------------------------------------------------------------------
 
@@ -464,7 +182,7 @@ impl<'a> Val<'a> {
 /// A request object's members, scanned in one pass without building a
 /// tree: each protocol key's value and member index, plus the first
 /// other key. The scan validates the whole input exactly as
-/// [`Json::parse`] does and fails with the same error.
+/// [`json::parse`] does and fails with the same error.
 #[derive(Debug, Default)]
 struct Members<'a> {
     known: [Option<(usize, Val<'a>)>; KEYS.len()],
@@ -479,7 +197,7 @@ impl<'a> Members<'a> {
         skip_ws(bytes, &mut pos);
         if bytes.get(pos) != Some(&b'{') {
             // Not an object, so no members; any syntax error still wins.
-            Json::parse(input)?;
+            json::parse(input).map_err(|e| e.msg)?;
             return Ok(members);
         }
         pos += 1;
@@ -565,18 +283,22 @@ fn scan_text<'a>(input: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String
     if !escaped {
         return Ok(Cow::Borrowed(body));
     }
-    parse_string(input, &mut { at }).map(Cow::Owned)
+    let mut text = String::new();
+    scan_string(input, &mut { at }, Some(&mut text))?;
+    Ok(Cow::Owned(text))
 }
 
-/// [`parse_value`] for a top-level member: scalars stay borrowed; nested
-/// containers, which no request key accepts, are parsed only to
-/// validate them.
+/// A top-level member's value: scalars stay borrowed; nested containers,
+/// which no request key accepts, are parsed (one level below the
+/// request object) only to validate them.
 fn scan_value<'a>(input: &'a str, pos: &mut usize) -> Result<Val<'a>, String> {
     let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         Some(b'"') => scan_text(input, pos).map(Val::Str),
-        Some(b'{' | b'[' | b't' | b'f' | b'n') => parse_value(input, pos).map(|_| Val::Other),
+        Some(b'{' | b'[' | b't' | b'f' | b'n') => {
+            json::scan_value(input, pos, 1).map(|_| Val::Other)
+        }
         Some(_) => scan_number(input, pos).map(Val::Num),
         None => Err("unexpected end of input".into()),
     }
@@ -675,23 +397,6 @@ pub fn parse_request(input: &str, line: usize) -> Result<Request, ServeError> {
 // Response rows
 // ---------------------------------------------------------------------
 
-/// Escape a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Stable wire label for a drift trigger.
 pub fn drift_json(drift: &Drift) -> &'static str {
     match drift {
@@ -729,7 +434,7 @@ pub fn advise_row(
             "\"trigger\":\"{}\",\"prefix\":{},\"fast_bytes\":{},\"fast_ratio\":{},",
             "\"cost_reduction\":{},\"est_slowdown\":{},\"degraded\":{}}}"
         ),
-        json_escape(tenant),
+        escape(tenant),
         at_event,
         drift_json(trigger),
         r.prefix,
@@ -757,7 +462,7 @@ pub fn replan_row(
             "\"fast_bytes\":{},\"budget_bytes\":{},\"est_slowdown\":{}}}"
         ),
         epoch,
-        json_escape(tenant),
+        escape(tenant),
         fast_bytes,
         budget_bytes,
         fmt_f64(est_slowdown),
@@ -769,7 +474,7 @@ pub fn replan_row(
 pub fn crash_row(tenant: &str, at_ns: u128, until_ns: u128) -> String {
     format!(
         "{{\"v\":1,\"row\":\"crash\",\"tenant\":\"{}\",\"at_ns\":{},\"until_ns\":{}}}",
-        json_escape(tenant),
+        escape(tenant),
         at_ns,
         until_ns,
     )
@@ -781,7 +486,7 @@ pub fn crash_row(tenant: &str, at_ns: u128, until_ns: u128) -> String {
 pub fn error_row(reason: &str) -> String {
     format!(
         "{{\"v\":1,\"row\":\"error\",\"reason\":\"{}\"}}",
-        json_escape(reason)
+        escape(reason)
     )
 }
 
@@ -886,6 +591,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnemo_codec::json::Json;
     use proptest::prelude::*;
     use std::time::{Duration, Instant};
 
@@ -902,7 +608,7 @@ mod tests {
     /// members from it. `parse_request` must give the same `Ok` value or
     /// the same error for every input.
     fn oracle_parse_request(input: &str, line: usize) -> Result<Request, ServeError> {
-        let value = Json::parse(input).map_err(|e| proto_err(line, e))?;
+        let value = json::parse(input).map_err(|e| proto_err(line, e.msg))?;
         let v = value
             .get("v")
             .ok_or_else(|| proto_err(line, "missing `v` (schema version)"))?
@@ -1254,7 +960,7 @@ mod tests {
             }
             // State dumps share the string parser.
             let doc = format!("{{\"s\":\"{body}\"}}");
-            let value = Json::parse(&doc).unwrap();
+            let value = json::parse(&doc).unwrap();
             assert_eq!(value.get("s").unwrap().str("s").unwrap().len(), decoded_len);
         }
         assert!(
@@ -1323,13 +1029,43 @@ mod tests {
 
     #[test]
     fn json_numbers_round_trip_u64_exactly() {
-        let v = Json::parse("{\"w\":18446744073709551615}").unwrap();
-        assert_eq!(v.get("w").unwrap().u64("w").unwrap(), u64::MAX);
+        let frame = r#"{"v":1,"tenant":"a","key":18446744073709551615,"op":"read"}"#;
+        match parse_request(frame, 1) {
+            Ok(Request::Ingest(event)) => assert_eq!(event.key, u64::MAX),
+            other => panic!("expected an ingest event, got {other:?}"),
+        }
     }
 
     #[test]
     fn duplicate_keys_are_rejected() {
-        assert!(Json::parse(r#"{"a":1,"a":2}"#).is_err());
+        for frame in [
+            r#"{"v":1,"v":1,"cmd":"status"}"#,
+            r#"{"v":1,"cmd":"status","x":{"a":1,"a":2}}"#,
+        ] {
+            let err = parse_request(frame, 1).unwrap_err();
+            assert!(err.to_string().contains("duplicate key `"), "{err}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_protocol_error() {
+        // 100,012 bytes, under the frame limit: it used to overflow the
+        // stack in the recursive reader.
+        let frame = format!(
+            "{{\"v\":1,\"x\":{}{}}}",
+            "[".repeat(50_000),
+            "]".repeat(50_000)
+        );
+        assert_eq!(frame.len(), 100_012);
+        let err = parse_request(&frame, 5).unwrap_err();
+        assert_eq!(err, oracle_parse_request(&frame, 5).unwrap_err());
+        match err {
+            ServeError::Proto { line, reason } => {
+                assert_eq!(line, 5);
+                assert!(reason.contains("nesting deeper than"), "{reason}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1457,7 +1193,7 @@ mod tests {
             degraded: Some(DegradedReason::EmptyCurve),
         };
         let row = advise_row("a\"b", 42, &Drift::Initial, &resilient);
-        let parsed = Json::parse(&row).unwrap();
+        let parsed = json::parse(&row).unwrap();
         assert_eq!(parsed.get("tenant").unwrap().str("t").unwrap(), "a\"b");
         assert_eq!(parsed.get("at_event").unwrap().u64("e").unwrap(), 42);
         assert_eq!(
@@ -1465,8 +1201,8 @@ mod tests {
             "empty_curve"
         );
         let replan = replan_row(2, "alpha", 1 << 20, 1 << 26, 0.1);
-        assert!(Json::parse(&replan).is_ok());
-        assert!(Json::parse(&crash_row("beta", 100, 200)).is_ok());
-        assert!(Json::parse(&error_row("unknown tenant `x`")).is_ok());
+        assert!(json::parse(&replan).is_ok());
+        assert!(json::parse(&crash_row("beta", 100, 200)).is_ok());
+        assert!(json::parse(&error_row("unknown tenant `x`")).is_ok());
     }
 }

@@ -4,7 +4,7 @@
 //! The dump is one JSON document holding, per tenant, the full exported
 //! [`mnemo_stream::ProfilerState`] plus the serving counters. Floats
 //! are rendered shortest-roundtrip ([`fmt_f64`]) and 64-bit integers
-//! are kept as raw tokens end to end (see [`crate::proto::Json`]), so
+//! are kept as raw tokens end to end (see [`mnemo_codec::json::Json`]), so
 //! `dump → load → dump` is byte-identical and a reloaded daemon
 //! continues *exactly* where the dumped one stopped.
 //!
@@ -21,7 +21,9 @@
 //! build are rejected with a distinct "too new" message.
 
 use crate::engine::ServeEngine;
-use crate::proto::{json_escape, Json, ServeError};
+use crate::proto::ServeError;
+use mnemo_codec::fnv64;
+use mnemo_codec::json::{self, escape, Json};
 use mnemo_stream::TopEntry;
 use mnemo_stream::{
     DistinctState, Drift, EpochSummary, ProfilerState, SketchState, TopKState, TrackerState,
@@ -222,7 +224,7 @@ pub fn dump(engine: &ServeEngine) -> String {
                 "{{\"name\":\"{}\",\"offered\":{},\"dropped\":{},",
                 "\"crash_dropped\":{},\"advice_rows\":{},\"pending\":"
             ),
-            json_escape(&t.name),
+            escape(&t.name),
             t.offered,
             t.dropped,
             t.crash_dropped,
@@ -234,7 +236,7 @@ pub fn dump(engine: &ServeEngine) -> String {
         out.push('}');
     }
     out.push_str("]}");
-    let check = crate::journal::fnv64(out.as_bytes());
+    let check = fnv64(out.as_bytes());
     let _ = write!(out, "\n{CHECKSUM_PREFIX}{check:016x}\n");
     out
 }
@@ -411,7 +413,7 @@ pub fn parse_named(input: &str, path: &str) -> Result<SavedState, ServeError> {
         };
         let want = u64::from_str_radix(hex.trim(), 16)
             .map_err(|_| corrupt(path, format!("malformed checksum trailer `{extra}`")))?;
-        let got = crate::journal::fnv64(doc.as_bytes());
+        let got = fnv64(doc.as_bytes());
         if got != want {
             return Err(corrupt(
                 path,
@@ -421,7 +423,7 @@ pub fn parse_named(input: &str, path: &str) -> Result<SavedState, ServeError> {
             ));
         }
     }
-    let value = Json::parse(doc).map_err(bad)?;
+    let value = json::parse(doc).map_err(|e| bad(e.msg))?;
     let v = req(&value, "v", "state")?.u64("`v`").map_err(bad)?;
     if v > STATE_VERSION {
         return Err(bad(format!(

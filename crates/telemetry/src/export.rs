@@ -11,6 +11,7 @@
 
 use crate::recorder::{MetricHistogram, SpanRecord, TimeDomain};
 use crate::snapshot::{Snapshot, SCHEMA_VERSION};
+use mnemo_codec::json::escape;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -38,20 +39,6 @@ impl DomainFilter {
 /// Quantiles exported for every histogram, with their column names.
 pub const HIST_QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)];
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Canonical float rendering: Rust's shortest-roundtrip `Display`, which
 /// maps equal bit patterns to equal strings — all the determinism gate
 /// needs, with no precision loss.
@@ -75,7 +62,7 @@ pub fn to_jsonl(snapshots: &[Snapshot], filter: DomainFilter) -> String {
         );
         let counters: Vec<String> = snap
             .counters()
-            .map(|(name, v)| format!("\"{}\":{v}", json_escape(name)))
+            .map(|(name, v)| format!("\"{}\":{v}", escape(name)))
             .collect();
         line.push_str(&counters.join(","));
         line.push_str("},\"gauges\":{");
@@ -85,7 +72,7 @@ pub fn to_jsonl(snapshots: &[Snapshot], filter: DomainFilter) -> String {
             .map(|(name, d, g)| {
                 format!(
                     "\"{}\":{{\"domain\":\"{}\",\"sum\":{},\"count\":{},\"min\":{},\"max\":{},\"mean\":{}}}",
-                    json_escape(name),
+                    escape(name),
                     d.name(),
                     fmt_f64(g.sum),
                     g.count,
@@ -107,7 +94,7 @@ pub fn to_jsonl(snapshots: &[Snapshot], filter: DomainFilter) -> String {
                     .collect();
                 format!(
                     "\"{}\":{{\"domain\":\"{}\",\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"sum\":{},{}}}",
-                    json_escape(name),
+                    escape(name),
                     d.name(),
                     h.samples(),
                     fmt_f64(h.mean_value()),

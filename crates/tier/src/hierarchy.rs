@@ -3,8 +3,8 @@
 //! A hierarchy is a [`StackSpec`]: an ordered list of tiers (fastest
 //! first), each with Table-I-style timing, a capacity and a $/GiB price,
 //! plus the shared LLC in front. This module provides the named presets
-//! the benches sweep over and a hand-rolled TOML-subset parser (the
-//! vendored `serde` shim has no derive payload) whose every error carries
+//! the benches sweep over and the spec-file schema over the workspace's
+//! TOML-subset reader ([`mnemo_codec::toml`]), whose every error carries
 //! the 1-based line it was found on — same discipline as fault plans.
 //!
 //! ```toml
@@ -34,6 +34,8 @@ use hybridmem::cache::CacheKind;
 use hybridmem::spec::TierSpec;
 use hybridmem::stack::{StackSpec, TierDef};
 use hybridmem::{CacheConfig, HybridSpec};
+use mnemo_codec::toml::{self, Record};
+use mnemo_codec::ParseError;
 
 /// The paper's two-tier testbed as a stack: FastMem (DRAM, $6/GiB) over
 /// SlowMem (emulated NVM at the paper's 0.2 price fraction).
@@ -152,265 +154,76 @@ pub fn load_hierarchy(path: &std::path::Path) -> Result<StackSpec, HierarchyLoad
     parse_hierarchy(&text).map_err(HierarchyLoadError::Parse)
 }
 
-// --------------------------------------------------------------- parser --
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Int(u64),
-    Float(f64),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Str(_) => "a string",
-            Value::Int(_) => "an integer",
-            Value::Float(_) => "a float",
-        }
+impl From<ParseError> for SpecError {
+    fn from(e: ParseError) -> SpecError {
+        SpecError::at(e.line, e.msg)
     }
 }
 
-/// One `[[tier]]` or `[cache]` table: keyed scalars with their lines.
-#[derive(Debug, Default)]
-struct Record {
-    line: usize,
-    fields: Vec<(String, Value, usize)>,
-}
-
-impl Record {
-    fn insert(&mut self, key: String, value: Value, line: usize) -> Result<(), SpecError> {
-        if self.fields.iter().any(|(k, _, _)| *k == key) {
-            return Err(SpecError::at(line, format!("duplicate key `{key}`")));
-        }
-        self.fields.push((key, value, line));
-        Ok(())
-    }
-
-    fn get(&self, key: &str) -> Option<(&Value, usize)> {
-        self.fields
-            .iter()
-            .find(|(k, _, _)| k == key)
-            .map(|(_, v, l)| (v, *l))
-    }
-
-    fn str(&self, key: &str) -> Result<Option<(&str, usize)>, SpecError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Str(s), l)) => Ok(Some((s, l))),
-            Some((v, l)) => Err(SpecError::at(
-                l,
-                format!("`{key}` must be a string, got {}", v.type_name()),
-            )),
-        }
-    }
-
-    fn u64(&self, key: &str) -> Result<Option<u64>, SpecError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Int(n), _)) => Ok(Some(*n)),
-            Some((v, l)) => Err(SpecError::at(
-                l,
-                format!(
-                    "`{key}` must be a non-negative integer, got {}",
-                    v.type_name()
-                ),
-            )),
-        }
-    }
-
-    fn f64(&self, key: &str) -> Result<Option<f64>, SpecError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Float(x), _)) => Ok(Some(*x)),
-            Some((Value::Int(n), _)) => Ok(Some(*n as f64)),
-            Some((v, l)) => Err(SpecError::at(
-                l,
-                format!("`{key}` must be a number, got {}", v.type_name()),
-            )),
-        }
-    }
-
-    fn require_f64(&self, key: &str) -> Result<f64, SpecError> {
-        self.f64(key)?
-            .ok_or_else(|| SpecError::at(self.line, format!("missing required field `{key}`")))
-    }
-
-    fn known_keys(&self, allowed: &[&str]) -> Result<(), SpecError> {
-        for (k, _, l) in &self.fields {
-            if !allowed.contains(&k.as_str()) {
-                return Err(SpecError::at(*l, format!("unknown field `{k}`")));
-            }
-        }
-        Ok(())
-    }
-
-    /// Capacity from exactly one of `capacity_bytes` / `capacity_mib` /
-    /// `capacity_gib`.
-    fn capacity(&self) -> Result<u64, SpecError> {
-        let candidates = [
-            ("capacity_bytes", 1u64),
-            ("capacity_mib", 1 << 20),
-            ("capacity_gib", 1 << 30),
-        ];
-        let mut found: Option<(u64, usize)> = None;
-        for (key, unit) in candidates {
-            if let Some(n) = self.u64(key)? {
-                let line = self.get(key).map(|(_, l)| l).unwrap_or(self.line);
-                if found.is_some() {
-                    return Err(SpecError::at(
-                        line,
-                        "capacity given more than once (use exactly one of \
-                         capacity_bytes, capacity_mib, capacity_gib)",
-                    ));
-                }
-                let bytes = n.checked_mul(unit).ok_or_else(|| {
-                    SpecError::at(line, format!("`{key}` overflows a byte count"))
-                })?;
-                found = Some((bytes, line));
-            }
-        }
-        found.map(|(bytes, _)| bytes).ok_or_else(|| {
-            SpecError::at(
-                self.line,
-                "missing capacity (one of capacity_bytes, capacity_mib, capacity_gib)",
-            )
-        })
-    }
-}
-
-/// Strip a trailing comment, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_scalar(text: &str, line: usize) -> Result<Value, SpecError> {
-    let t = text.trim();
-    if t.is_empty() {
-        return Err(SpecError::at(line, "missing value"));
-    }
-    if let Some(stripped) = t.strip_prefix('"') {
-        let Some(inner) = stripped.strip_suffix('"') else {
-            return Err(SpecError::at(line, format!("unterminated string {t}")));
-        };
-        if inner.contains('"') {
-            return Err(SpecError::at(line, format!("malformed string {t}")));
-        }
-        return Ok(Value::Str(inner.to_string()));
-    }
-    let digits = t.replace('_', "");
-    if let Ok(n) = digits.parse::<u64>() {
-        return Ok(Value::Int(n));
-    }
-    if let Ok(x) = digits.parse::<f64>() {
-        if x.is_finite() {
-            return Ok(Value::Float(x));
-        }
-    }
-    Err(SpecError::at(line, format!("cannot parse value `{t}`")))
-}
-
-#[derive(Debug, Default)]
-struct RawHierarchy {
-    cache: Option<Record>,
-    tiers: Vec<Record>,
-}
-
-enum Section {
-    Top,
-    Cache,
-    Tier,
-}
-
-fn parse_raw(text: &str) -> Result<RawHierarchy, SpecError> {
-    let mut raw = RawHierarchy::default();
-    let mut section = Section::Top;
-    for (idx, raw_line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-            match header.trim() {
-                "tier" | "tiers" => {
-                    raw.tiers.push(Record {
-                        line: lineno,
-                        fields: Vec::new(),
-                    });
-                    section = Section::Tier;
-                }
-                other => {
-                    return Err(SpecError::at(
-                        lineno,
-                        format!("unknown array table `[[{other}]]`"),
-                    ))
-                }
-            }
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            match header.trim() {
-                "cache" => {
-                    if raw.cache.is_some() {
-                        return Err(SpecError::at(lineno, "duplicate [cache] section"));
-                    }
-                    raw.cache = Some(Record {
-                        line: lineno,
-                        fields: Vec::new(),
-                    });
-                    section = Section::Cache;
-                }
-                other => {
-                    return Err(SpecError::at(
-                        lineno,
-                        format!("unknown section `[{other}]`"),
-                    ))
-                }
-            }
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(SpecError::at(
-                lineno,
-                format!("expected `key = value`, got `{line}`"),
-            ));
-        };
-        let key = key.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Err(SpecError::at(lineno, format!("invalid key `{key}`")));
-        }
-        let value = parse_scalar(value, lineno)?;
-        match section {
-            Section::Top => {
+/// Capacity from exactly one of `capacity_bytes` / `capacity_mib` /
+/// `capacity_gib`.
+fn capacity(record: &Record) -> Result<u64, SpecError> {
+    let candidates = [
+        ("capacity_bytes", 1u64),
+        ("capacity_mib", 1 << 20),
+        ("capacity_gib", 1 << 30),
+    ];
+    let mut found: Option<(u64, usize)> = None;
+    for (key, unit) in candidates {
+        if let Some(n) = record.u64(key)? {
+            let line = record.get(key).map(|(_, l)| l).unwrap_or(record.line);
+            if found.is_some() {
                 return Err(SpecError::at(
-                    lineno,
-                    format!("`{key}` outside any section (expected [[tier]] or [cache])"),
-                ))
+                    line,
+                    "capacity given more than once (use exactly one of \
+                     capacity_bytes, capacity_mib, capacity_gib)",
+                ));
             }
-            Section::Cache => {
-                // raw.cache is Some whenever section is Cache.
-                if let Some(c) = raw.cache.as_mut() {
-                    c.insert(key.to_string(), value, lineno)?;
-                }
-            }
-            Section::Tier => {
-                // raw.tiers is non-empty whenever section is Tier.
-                if let Some(t) = raw.tiers.last_mut() {
-                    t.insert(key.to_string(), value, lineno)?;
-                }
-            }
+            let bytes = n
+                .checked_mul(unit)
+                .ok_or_else(|| SpecError::at(line, format!("`{key}` overflows a byte count")))?;
+            found = Some((bytes, line));
         }
     }
-    Ok(raw)
+    found.map(|(bytes, _)| bytes).ok_or_else(|| {
+        SpecError::at(
+            record.line,
+            "missing capacity (one of capacity_bytes, capacity_mib, capacity_gib)",
+        )
+    })
+}
+
+/// The `[cache]` record and the `[[tier]]` records, with every other
+/// section and any top-level key rejected.
+fn parse_raw(text: &str) -> Result<(Option<Record>, Vec<Record>), SpecError> {
+    let doc = toml::parse(text)?;
+    if let Some((key, _, line)) = doc.top.fields().first() {
+        return Err(SpecError::at(
+            *line,
+            format!("`{key}` outside any section (expected [[tier]] or [cache])"),
+        ));
+    }
+    let mut cache = None;
+    for table in doc.tables {
+        if table.name != "cache" {
+            return Err(SpecError::at(
+                table.line,
+                format!("unknown section `[{}]`", table.name),
+            ));
+        }
+        cache = Some(table);
+    }
+    if let Some(entry) = doc
+        .arrays
+        .iter()
+        .find(|a| !matches!(a.name.as_str(), "tier" | "tiers"))
+    {
+        return Err(SpecError::at(
+            entry.line,
+            format!("unknown array table `[[{}]]`", entry.name),
+        ));
+    }
+    Ok((cache, doc.arrays))
 }
 
 fn build_cache(record: &Record) -> Result<CacheConfig, SpecError> {
@@ -445,7 +258,7 @@ fn build_cache(record: &Record) -> Result<CacheConfig, SpecError> {
         || record.get("capacity_mib").is_some()
         || record.get("capacity_gib").is_some()
     {
-        cache.capacity_bytes = record.capacity()?;
+        cache.capacity_bytes = capacity(record)?;
     }
     if let Some(n) = record.u64("line_bytes")? {
         cache.line_bytes = n;
@@ -467,13 +280,13 @@ fn build_cache(record: &Record) -> Result<CacheConfig, SpecError> {
 /// validated ([`StackSpec::validate`]) before being returned, with the
 /// validation failure attributed to the offending `[[tier]]` line.
 pub fn parse_hierarchy(text: &str) -> Result<StackSpec, SpecError> {
-    let raw = parse_raw(text)?;
-    if raw.tiers.is_empty() {
+    let (cache, raw_tiers) = parse_raw(text)?;
+    if raw_tiers.is_empty() {
         return Err(SpecError::at(0, "hierarchy has no [[tier]] tables"));
     }
-    let mut tiers = Vec::with_capacity(raw.tiers.len());
-    let mut lines = Vec::with_capacity(raw.tiers.len());
-    for t in &raw.tiers {
+    let mut tiers = Vec::with_capacity(raw_tiers.len());
+    let mut lines = Vec::with_capacity(raw_tiers.len());
+    for t in &raw_tiers {
         t.known_keys(&[
             "name",
             "capacity_bytes",
@@ -496,12 +309,12 @@ pub fn parse_hierarchy(text: &str) -> Result<StackSpec, SpecError> {
                 write_latency_factor: t.f64("write_latency_factor")?.unwrap_or(1.0),
                 write_overlap_factor: t.f64("write_overlap_factor")?.unwrap_or(1.0),
             },
-            capacity_bytes: t.capacity()?,
+            capacity_bytes: capacity(t)?,
             price_per_gib: t.require_f64("price_per_gib")?,
         });
         lines.push(t.line);
     }
-    let cache = match &raw.cache {
+    let cache = match &cache {
         Some(record) => build_cache(record)?,
         None => CacheConfig::paper_llc(),
     };
@@ -620,6 +433,25 @@ price_per_gib = 0.1
         let none = THREE_TIER.replace("capacity_gib = 32\n", "");
         let err = parse_hierarchy(&none).unwrap_err();
         assert!(err.reason.contains("missing capacity"), "{err}");
+    }
+
+    #[test]
+    fn top_level_keys_and_unknown_sections_are_rejected() {
+        let err = parse_hierarchy(&format!("\nllc = 1\n{THREE_TIER}")).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.reason.contains("outside any section"), "{err}");
+        let err = parse_hierarchy(&THREE_TIER.replace("[cache]", "[llc]")).unwrap_err();
+        assert_eq!(
+            (err.line, err.reason.as_str()),
+            (3, "unknown section `[llc]`")
+        );
+        let err = parse_hierarchy(&format!("{THREE_TIER}\n[[device]]\n")).unwrap_err();
+        assert!(
+            err.reason.contains("unknown array table `[[device]]`"),
+            "{err}"
+        );
+        let err = parse_hierarchy(&format!("{THREE_TIER}\n[cache]\n")).unwrap_err();
+        assert!(err.reason.contains("duplicate [cache] section"), "{err}");
     }
 
     #[test]
