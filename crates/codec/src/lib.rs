@@ -12,6 +12,9 @@
 //! * [`toml`] — the TOML subset plan and hierarchy files use: a
 //!   top-level record, `[table]`s and `[[array]]` entries of
 //!   line-tagged scalars;
+//! * [`decimal`] — exact fixed-precision formatting: the bytes of
+//!   `format!("{:.3}", v)` and `n.to_string()` from integer arithmetic,
+//!   for the estimate-curve CSV;
 //! * [`fnv64`] / [`fnv64_chain`] — FNV-1a 64, the checksum and
 //!   deterministic hash of the workspace.
 //!
@@ -21,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod decimal;
 pub mod json;
 pub mod toml;
 

@@ -7,8 +7,8 @@
 //! corresponding values, whereas the rest of the keys ... will be
 //! attributed to SlowMem."
 
+use mnemo_codec::decimal::{push_fixed, push_u64};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::io::{self, Write};
 
 /// Header line of the curve CSV.
@@ -46,25 +46,6 @@ impl CurveRow {
         } else {
             self.est_runtime_ns / requests as f64
         }
-    }
-}
-
-/// One curve row as CSV fields (no line end); the all-slow row's key is
-/// the sentinel `-`.
-struct CsvRow<'a>(&'a CurveRow);
-
-impl fmt::Display for CsvRow<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let row = self.0;
-        match row.key {
-            Some(k) => write!(f, "{k},")?,
-            None => f.write_str("-,")?,
-        }
-        write!(
-            f,
-            "{:.3},{:.6}",
-            row.est_throughput_ops_s, row.cost_reduction
-        )
     }
 }
 
@@ -121,27 +102,31 @@ impl EstimateCurve {
             .unwrap_or_else(|| self.fast_only())
     }
 
-    /// Serialise to the paper's three-column CSV: key id, estimated
-    /// performance (ops/s), cost reduction factor. The initial all-slow
-    /// row uses the sentinel `-` key.
+    /// Serialise to the paper's three-column CSV: the bytes of
+    /// [`Self::to_csv`].
     pub fn write_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "{CSV_HEADER}")?;
-        for row in &self.rows {
-            writeln!(w, "{}", CsvRow(row))?;
-        }
-        Ok(())
+        w.write_all(self.to_csv().as_bytes())
     }
 
-    /// CSV as a string: the bytes [`Self::write_csv`] writes, formatted
-    /// straight into one pre-sized `String`.
+    /// The paper's three-column CSV: key id, estimated performance
+    /// (ops/s, three decimals), cost reduction factor (six decimals). The
+    /// initial all-slow row uses the sentinel `-` key. Rows are encoded
+    /// by [`mnemo_codec::decimal`] (the bytes of `{:.3}` and `{:.6}`)
+    /// into one pre-sized `String`.
     pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::with_capacity(CSV_HEADER.len() + 1 + self.rows.len() * CSV_ROW_BYTES);
         out.push_str(CSV_HEADER);
         out.push('\n');
         for row in &self.rows {
-            // fmt::Write for String never fails.
-            let _ = writeln!(out, "{}", CsvRow(row));
+            match row.key {
+                Some(k) => push_u64(&mut out, k),
+                None => out.push('-'),
+            }
+            out.push(',');
+            push_fixed(&mut out, row.est_throughput_ops_s, 3);
+            out.push(',');
+            push_fixed(&mut out, row.cost_reduction, 6);
+            out.push('\n');
         }
         out
     }
@@ -225,6 +210,35 @@ mod tests {
         }
     }
 
+    /// The row encoder `to_csv` replaced: `std::fmt` at `{:.3}` and
+    /// `{:.6}`, kept as the oracle for the curve's bytes.
+    fn reference_csv(curve: &EstimateCurve) -> String {
+        use std::fmt::Write as _;
+        let mut out = format!("{CSV_HEADER}\n");
+        for row in &curve.rows {
+            match row.key {
+                Some(k) => write!(out, "{k},").unwrap(),
+                None => out.push_str("-,"),
+            }
+            writeln!(
+                out,
+                "{:.3},{:.6}",
+                row.est_throughput_ops_s, row.cost_reduction
+            )
+            .unwrap();
+        }
+        out
+    }
+
+    /// `to_csv`, `write_csv` and the reference encoder agree.
+    fn assert_csv_bytes(c: &EstimateCurve, cell: &str) {
+        let csv = c.to_csv();
+        assert_eq!(csv, reference_csv(c), "{cell}");
+        let mut bytes = Vec::new();
+        c.write_csv(&mut bytes).unwrap();
+        assert_eq!(csv.as_bytes(), bytes.as_slice(), "{cell}");
+    }
+
     #[test]
     fn to_csv_equals_the_write_csv_bytes() {
         let mut c = curve();
@@ -233,16 +247,31 @@ mod tests {
         c.rows[3].key = Some(u64::MAX);
         c.rows[4].est_throughput_ops_s = 1.0e300;
         c.rows[5].cost_reduction = -0.0;
-        let mut bytes = Vec::new();
-        c.write_csv(&mut bytes).unwrap();
-        assert_eq!(c.to_csv().as_bytes(), bytes.as_slice());
+        assert_csv_bytes(&c, "synthetic edge rows");
         let empty = EstimateCurve {
             rows: Vec::new(),
             ..c
         };
-        let mut bytes = Vec::new();
-        empty.write_csv(&mut bytes).unwrap();
-        assert_eq!(empty.to_csv().as_bytes(), bytes.as_slice());
+        assert_csv_bytes(&empty, "empty curve");
+    }
+
+    #[test]
+    fn to_csv_matches_the_reference_on_table3_consultations() {
+        use crate::advisor::{Advisor, AdvisorConfig};
+        use hybridmem::clock::NoiseConfig;
+        use kvsim::StoreKind;
+        use ycsb::WorkloadSpec;
+        let advisor = Advisor::new(AdvisorConfig {
+            noise: NoiseConfig::default_jitter(7),
+            ..AdvisorConfig::default()
+        });
+        for spec in WorkloadSpec::table3() {
+            let trace = spec.scaled(400, 4_000).generate(3);
+            for store in [StoreKind::Redis, StoreKind::Dynamo, StoreKind::Memcached] {
+                let curve = advisor.consult(store, &trace).unwrap().curve;
+                assert_csv_bytes(&curve, &format!("{} on {store:?}", trace.name));
+            }
+        }
     }
 
     #[test]

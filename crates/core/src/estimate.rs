@@ -96,17 +96,9 @@ impl EstimateEngine {
         if let Some(llc) = self.cache_correction {
             // Keys resident in the LLC (hot-first by access density until
             // the capacity is filled) only miss on their cold accesses.
-            let mut density_order: Vec<u64> = (0..pattern.key_count() as u64).collect();
-            density_order.sort_by(|&a, &b| {
-                let sa = pattern.key(a);
-                let sb = pattern.key(b);
-                let da = sa.accesses() as f64 / sa.bytes.max(1) as f64;
-                let db = sb.accesses() as f64 / sb.bytes.max(1) as f64;
-                db.total_cmp(&da).then(a.cmp(&b))
-            });
             let mut factors = vec![1.0f64; deltas.len()];
             let mut resident_bytes = 0u64;
-            for &k in &density_order {
+            for k in density_order(pattern.stats()) {
                 let stats = pattern.key(k);
                 if resident_bytes + stats.bytes > llc {
                     break;
@@ -191,12 +183,29 @@ impl EstimateEngine {
     }
 }
 
+/// Keys by descending access density (`accesses / max(bytes, 1)`), ties
+/// by ascending key. Each density is computed once: it is a finite,
+/// non-negative f64, whose bit pattern orders exactly like `total_cmp`,
+/// so the complemented bits sort densest first, and with the key
+/// tie-break the order is total, so an unstable sort yields the one
+/// comparator-sorted order.
+fn density_order(stats: &[KeyStats]) -> impl Iterator<Item = u64> {
+    let mut ranked: Vec<(u64, u64)> = stats
+        .iter()
+        .zip(0u64..)
+        .map(|(s, k)| (!(s.accesses() as f64 / s.bytes.max(1) as f64).to_bits(), k))
+        .collect();
+    ranked.sort_unstable();
+    ranked.into_iter().map(|(_, k)| k)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ModelKind;
     use crate::sensitivity::SensitivityEngine;
     use kvsim::StoreKind;
+    use proptest::prelude::*;
     use ycsb::{Trace, WorkloadSpec};
 
     fn setup(spec: WorkloadSpec) -> (EstimateEngine, PatternEngine, Trace) {
@@ -354,5 +363,39 @@ mod tests {
         let a = eng.clone().curve(&pattern, &order);
         let b = eng.with_cache_correction(0).curve(&pattern, &order);
         assert_eq!(a, b);
+    }
+
+    /// Oracle for `density_order`: the comparator sort it replaced (two
+    /// divisions per compare, `total_cmp` on the densities, then key).
+    fn reference_density_order(stats: &[KeyStats]) -> Vec<u64> {
+        let mut order: Vec<u64> = (0..stats.len() as u64).collect();
+        order.sort_by(|&a, &b| {
+            let sa = &stats[a as usize];
+            let sb = &stats[b as usize];
+            let da = sa.accesses() as f64 / sa.bytes.max(1) as f64;
+            let db = sb.accesses() as f64 / sb.bytes.max(1) as f64;
+            db.total_cmp(&da).then(a.cmp(&b))
+        });
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Small ranges make equal densities common; zero reads, writes
+        /// and bytes all occur.
+        #[test]
+        fn density_order_matches_the_comparator_sort(
+            keys in proptest::collection::vec((0u64..4, 0u64..3, 0u64..6), 0..64),
+        ) {
+            let stats: Vec<KeyStats> = keys
+                .iter()
+                .map(|&(reads, writes, bytes)| KeyStats { reads, writes, bytes })
+                .collect();
+            prop_assert_eq!(
+                density_order(&stats).collect::<Vec<_>>(),
+                reference_density_order(&stats)
+            );
+        }
     }
 }
