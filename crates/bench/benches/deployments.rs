@@ -4,7 +4,7 @@
 //! pattern analysis).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kvsim::{CacheModeServer, Placement, Server, StoreKind};
+use kvsim::{Placement, Server, StoreKind};
 use mnemo::baselines::{InstrumentedProfiler, SamplingProfiler};
 use std::hint::black_box;
 use ycsb::WorkloadSpec;
@@ -31,7 +31,13 @@ fn bench_deployments(c: &mut Criterion) {
         b.iter(|| black_box(server.run(&trace).runtime_ns));
     });
     group.bench_function(BenchmarkId::new("run", "cache_mode"), |b| {
-        let mut server = CacheModeServer::build(StoreKind::Redis, &trace, budget).unwrap();
+        let mut server = Server::build_cache_mode(
+            StoreKind::Redis,
+            hybridmem::HybridSpec::paper_testbed(),
+            &trace,
+            budget,
+        )
+        .unwrap();
         b.iter(|| black_box(server.run(&trace).runtime_ns));
     });
     group.finish();

@@ -12,7 +12,7 @@
 //!    traffic at runtime);
 //! 3. **dynamic tiering** — epoch-based migration (Fig. 2b systems).
 
-use kvsim::{CacheModeServer, Server, StoreKind};
+use kvsim::{Server, StoreKind};
 use mnemo::advisor::OrderingKind;
 use mnemo::placement::PlacementEngine;
 use mnemo_bench::{
@@ -50,10 +50,10 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
             .throughput_ops_s();
 
             let mut cm =
-                CacheModeServer::build_with(StoreKind::Redis, testbed.clone(), &trace, budget)
+                Server::build_cache_mode(StoreKind::Redis, testbed.clone(), &trace, budget)
                     .map_err(|e| format!("cache-mode server build failed: {e}"))?;
             let cache_tp = cm.run(&trace).throughput_ops_s();
-            let hit_ratio = cm.stats().hit_ratio();
+            let hit_ratio = cm.cache_mode_stats().unwrap_or_default().hit_ratio();
 
             let dyn_tp = decay_server(&trace, &testbed, budget, tierer_epoch(&trace))?
                 .run(&trace)

@@ -14,15 +14,16 @@
 //!   every miss pays admission traffic, and the operator still buys the
 //!   same FastMem capacity.
 //!
-//! The `cache_mode` experiment compares this against Mnemo's static
-//! partition at equal FastMem capacity.
+//! A cache-mode deployment is a [`Server`](crate::Server) built with
+//! [`Server::build_cache_mode`](crate::Server::build_cache_mode): this
+//! module holds only the front cache that prices its requests. The
+//! `cache_mode` experiment compares it against Mnemo's static partition
+//! at equal FastMem capacity.
 
 use crate::engine::{EngineError, KvEngine};
-use crate::profile::StoreKind;
-use crate::server::{make_engine, RequestSample, RunReport};
 use hybridmem::cache::ObjectLru;
-use hybridmem::{AccessKind, DetHashSet, Histogram, HybridSpec, SimClock, StackSpec, TierId};
-use ycsb::{Op, Trace};
+use hybridmem::{AccessKind, DetHashSet, TierId, TierSpec};
+use ycsb::Op;
 
 /// Cache-mode statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,170 +48,108 @@ impl CacheModeStats {
     }
 }
 
-/// A server whose FastMem acts as an inclusive, write-back object cache
-/// of SlowMem.
-pub struct CacheModeServer {
-    engine: Box<dyn KvEngine>,
+/// An inclusive, write-back FastMem object cache in front of an engine
+/// whose every key lives in SlowMem. The directory and dirty set carry
+/// over between runs; the statistics are per run.
+pub(crate) struct FrontCache {
     directory: ObjectLru,
     dirty: DetHashSet<u64>,
-    spec: HybridSpec,
-    store: StoreKind,
     stats: CacheModeStats,
 }
 
-impl CacheModeServer {
-    /// Build over the paper testbed with a FastMem cache of
-    /// `fast_capacity_bytes`; the dataset homes in SlowMem.
-    pub fn build(
-        kind: StoreKind,
-        trace: &Trace,
-        fast_capacity_bytes: u64,
-    ) -> Result<CacheModeServer, EngineError> {
-        Self::build_with(
-            kind,
-            HybridSpec::paper_testbed(),
-            trace,
-            fast_capacity_bytes,
-        )
-    }
-
-    /// Build with an explicit testbed spec.
-    pub fn build_with(
-        kind: StoreKind,
-        spec: HybridSpec,
-        trace: &Trace,
-        fast_capacity_bytes: u64,
-    ) -> Result<CacheModeServer, EngineError> {
-        let mut engine = make_engine(kind, StackSpec::two_tier(&spec))?;
-        for (key, &bytes) in trace.sizes.iter().enumerate() {
-            engine.load(key as u64, bytes, TierId::SLOW)?;
-        }
-        Ok(CacheModeServer {
-            engine,
-            directory: ObjectLru::new(fast_capacity_bytes),
+impl FrontCache {
+    /// An empty cache of `capacity_bytes`.
+    pub(crate) fn new(capacity_bytes: u64) -> FrontCache {
+        FrontCache {
+            directory: ObjectLru::new(capacity_bytes),
             dirty: DetHashSet::default(),
-            spec,
-            store: kind,
             stats: CacheModeStats::default(),
-        })
+        }
     }
 
-    /// Cache statistics of the last run.
-    pub fn stats(&self) -> CacheModeStats {
+    /// Statistics since the last [`Self::reset_stats`].
+    pub(crate) fn stats(&self) -> CacheModeStats {
         self.stats
+    }
+
+    /// Start a run's statistics from zero.
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = CacheModeStats::default();
     }
 
     /// Admit `key` (of `bytes`) into the cache, charging the admission
     /// write and any dirty-victim write-backs.
-    fn admit(&mut self, key: u64, bytes: u64) -> f64 {
-        let mut ns = self.spec.fast.access_ns(AccessKind::Write, bytes);
+    fn admit(&mut self, engine: &dyn KvEngine, key: u64, bytes: u64) -> f64 {
+        let (fast, slow) = tier_specs(engine);
+        let mut ns = fast.access_ns(AccessKind::Write, bytes);
         for victim in self.directory.insert_reporting(key, bytes) {
             if self.dirty.remove(&victim) {
                 self.stats.writebacks += 1;
-                let victim_bytes = self.engine.value_bytes(victim).unwrap_or(0);
+                let victim_bytes = engine.value_bytes(victim).unwrap_or(0);
                 // Read the dirty copy from FastMem, write it home.
-                ns += self.spec.fast.access_ns(AccessKind::Read, victim_bytes)
-                    + self.spec.slow.access_ns(AccessKind::Write, victim_bytes);
+                ns += fast.access_ns(AccessKind::Read, victim_bytes)
+                    + slow.access_ns(AccessKind::Write, victim_bytes);
             }
         }
         ns
     }
 
-    fn serve(&mut self, key: u64, op: Op) -> f64 {
-        let bytes = self
-            .engine
+    /// The raw charge of one request: at FastMem speed on a hit, through
+    /// the engine's SlowMem home plus the admission on a miss.
+    pub(crate) fn serve(
+        &mut self,
+        engine: &mut dyn KvEngine,
+        key: u64,
+        op: Op,
+    ) -> Result<f64, EngineError> {
+        let bytes = engine
             .value_bytes(key)
-            // mnemo-lint: allow(R001, "build() loads every key of the trace at SlowMem before serving, so lookups cannot miss")
-            .expect("trace references unloaded key");
-        let profile = *self.engine.profile();
+            .ok_or(EngineError::UnknownKey(key))?;
+        if op == Op::Update {
+            self.dirty.insert(key);
+        }
         if self.directory.touch(key) {
             // Hit: the whole request path runs at FastMem speed — index
             // walk and value traffic against the cached copy.
             self.stats.hits += 1;
-            let kind = match op {
-                Op::Read => AccessKind::Read,
-                Op::Update => AccessKind::Write,
+            let profile = engine.profile();
+            let (fast, _) = tier_specs(engine);
+            let (kind, amp) = match op {
+                Op::Read => (AccessKind::Read, profile.read_amplification),
+                Op::Update => (AccessKind::Write, profile.write_amplification),
             };
-            if op == Op::Update {
-                self.dirty.insert(key);
-            }
-            let amp = match op {
-                Op::Read => profile.read_amplification,
-                Op::Update => profile.write_amplification,
-            };
-            profile.fixed_op_ns
+            Ok(profile.fixed_op_ns
                 + profile.index_touches as f64
-                    * self
-                        .spec
-                        .fast
-                        .access_ns(AccessKind::Read, profile.touch_bytes)
-                + amp * self.spec.fast.access_ns(kind, bytes)
+                    * fast.access_ns(AccessKind::Read, profile.touch_bytes)
+                + amp * fast.access_ns(kind, bytes))
         } else {
             // Miss: serve from the SlowMem home through the engine (LLC
             // included), then admit into the FastMem cache.
             self.stats.misses += 1;
             let home = match op {
-                Op::Read => self.engine.get(key),
-                Op::Update => self.engine.put(key),
-            }
-            // mnemo-lint: allow(R001, "build() loads every key of the trace at SlowMem before serving, so lookups cannot miss")
-            .expect("trace references unloaded key");
-            if op == Op::Update {
-                self.dirty.insert(key);
-            }
-            home + self.admit(key, bytes)
+                Op::Read => engine.get(key)?,
+                Op::Update => engine.put(key)?,
+            };
+            Ok(home + self.admit(engine, key, bytes))
         }
     }
+}
 
-    /// Execute the trace.
-    pub fn run(&mut self, trace: &Trace) -> RunReport {
-        self.engine.reset_measurement_state();
-        self.stats = CacheModeStats::default();
-        let mut clock = SimClock::new();
-        let mut report = RunReport {
-            store: self.store,
-            workload: format!("{} [cache mode]", trace.name),
-            requests: trace.len(),
-            runtime_ns: 0.0,
-            reads: 0,
-            writes: 0,
-            read_ns_total: 0.0,
-            write_ns_total: 0.0,
-            read_hist: Histogram::new(),
-            write_hist: Histogram::new(),
-            samples: Vec::with_capacity(trace.len()),
-        };
-        for r in &trace.requests {
-            let ns = self.serve(r.key, r.op);
-            clock.advance(ns);
-            match r.op {
-                Op::Read => {
-                    report.reads += 1;
-                    report.read_ns_total += ns;
-                    report.read_hist.record(ns);
-                }
-                Op::Update => {
-                    report.writes += 1;
-                    report.write_ns_total += ns;
-                    report.write_hist.record(ns);
-                }
-            }
-            report.samples.push(RequestSample {
-                key: r.key,
-                op: r.op,
-                service_ns: ns,
-            });
-        }
-        report.runtime_ns = clock.now_ns() as f64;
-        report
-    }
+/// The FastMem and SlowMem timings of the engine's two-tier stack.
+fn tier_specs(engine: &dyn KvEngine) -> (TierSpec, TierSpec) {
+    let tiers = &engine.memory().spec().tiers;
+    (
+        tiers[TierId::FAST.index()].spec,
+        tiers[TierId::SLOW.index()].spec,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::profile::StoreKind;
     use crate::server::{Placement, Server};
-    use ycsb::WorkloadSpec;
+    use hybridmem::HybridSpec;
+    use ycsb::{Trace, WorkloadSpec};
 
     fn scaled_spec(trace: &Trace) -> HybridSpec {
         let mut spec = HybridSpec::paper_testbed();
@@ -223,9 +162,9 @@ mod tests {
         let t = WorkloadSpec::trending().scaled(300, 9_000).generate(2);
         let budget = t.dataset_bytes() / 3; // comfortably holds the hot set
         let mut server =
-            CacheModeServer::build_with(StoreKind::Redis, scaled_spec(&t), &t, budget).unwrap();
+            Server::build_cache_mode(StoreKind::Redis, scaled_spec(&t), &t, budget).unwrap();
         let _ = server.run(&t);
-        let stats = server.stats();
+        let stats = server.cache_mode_stats().unwrap();
         assert!(
             stats.hit_ratio() > 0.6,
             "hit ratio {:.3}",
@@ -238,7 +177,7 @@ mod tests {
         let t = WorkloadSpec::trending().scaled(250, 6_000).generate(4);
         let budget = t.dataset_bytes() / 4;
         let mut cm =
-            CacheModeServer::build_with(StoreKind::Redis, scaled_spec(&t), &t, budget).unwrap();
+            Server::build_cache_mode(StoreKind::Redis, scaled_spec(&t), &t, budget).unwrap();
         let cache_mode = cm.run(&t).throughput_ops_s();
         let run = |p: Placement| {
             Server::build_with(
@@ -268,16 +207,20 @@ mod tests {
         let t = WorkloadSpec::timeline().scaled(300, 5_000).generate(5);
         let budget = t.dataset_bytes() / 10; // force evictions
         let mut server =
-            CacheModeServer::build_with(StoreKind::Redis, scaled_spec(&t), &t, budget).unwrap();
+            Server::build_cache_mode(StoreKind::Redis, scaled_spec(&t), &t, budget).unwrap();
         let _ = server.run(&t);
-        assert!(server.stats().misses > 0);
-        assert_eq!(server.stats().writebacks, 0, "read-only => clean victims");
+        assert!(server.cache_mode_stats().unwrap().misses > 0);
+        assert_eq!(
+            server.cache_mode_stats().unwrap().writebacks,
+            0,
+            "read-only => clean victims"
+        );
 
         // Update-heavy workload under the same pressure: write-backs.
         let t = WorkloadSpec::edit_thumbnail()
             .scaled(300, 5_000)
             .generate(5);
-        let mut server = CacheModeServer::build_with(
+        let mut server = Server::build_cache_mode(
             StoreKind::Redis,
             scaled_spec(&t),
             &t,
@@ -286,7 +229,7 @@ mod tests {
         .unwrap();
         let _ = server.run(&t);
         assert!(
-            server.stats().writebacks > 0,
+            server.cache_mode_stats().unwrap().writebacks > 0,
             "dirty victims must be written back"
         );
     }
@@ -298,7 +241,7 @@ mod tests {
         let t = WorkloadSpec::news_feed().scaled(300, 12_000).generate(7);
         let budget = t.dataset_bytes() / 5;
         let mut cm =
-            CacheModeServer::build_with(StoreKind::Redis, scaled_spec(&t), &t, budget).unwrap();
+            Server::build_cache_mode(StoreKind::Redis, scaled_spec(&t), &t, budget).unwrap();
         let cache_mode = cm.run(&t).throughput_ops_s();
 
         // Static oracle at the same capacity.

@@ -26,13 +26,16 @@
 //!   `mnemo-tier` policy with optional epoch re-planning; the migrating
 //!   tierer Mnemo is set against (the "existing tiering solution" of the
 //!   paper's Fig. 2b) is one such policy, `mnemo_tier::DecayPolicy`.
+//!   Every deployment below runs on this one request loop.
 //! * [`tiered`] — the policy glue behind policy-placed servers: per-key
 //!   trace stats and windows, the spilling initial load and the epoch
 //!   re-planner with its migration-failure retries.
-//! * [`cluster`] — the paper's two-instance deployment: a FastMem-bound
-//!   server plus a SlowMem-bound server and a client-side key router.
-//! * [`cache_mode`] — FastMem as a write-back DRAM cache of SlowMem
-//!   (Intel Memory Mode-style), the deployment the paper scopes out.
+//! * [`cluster`] — the paper's two-instance deployment: a client-side
+//!   key router over a FastMem-bound and a SlowMem-bound [`Server`].
+//! * [`cache_mode`] — the front cache of a cache-mode [`Server`]
+//!   ([`Server::build_cache_mode`]): FastMem as a write-back DRAM cache of
+//!   SlowMem (Intel Memory Mode-style), the deployment the paper scopes
+//!   out.
 //! * [`sharded`] — a concurrent multi-shard deployment driven by the
 //!   bounded `mnemo-par` worker pool.
 //!
@@ -66,7 +69,7 @@ pub mod server;
 pub mod sharded;
 pub mod tiered;
 
-pub use cache_mode::{CacheModeServer, CacheModeStats};
+pub use cache_mode::CacheModeStats;
 pub use cluster::TwoInstanceCluster;
 pub use engine::{EngineError, KvEngine, OpCharge};
 pub use ledger::CostLedger;

@@ -12,8 +12,11 @@
 //! re-plans every that many requests, charging each move's copy cost
 //! (read from source + write to destination, priced by
 //! [`TierStack::migrate`]) and any failed-move backoff to the run's
-//! clock and accumulating both in [`MigrationStats`].
+//! clock and accumulating both in [`MigrationStats`]. A cache-mode
+//! server ([`Server::build_cache_mode`]) homes every key in SlowMem and
+//! prices each request through a write-back FastMem front cache.
 
+use crate::cache_mode::{CacheModeStats, FrontCache};
 use crate::dynamo_like::DynamoLike;
 use crate::engine::{EngineError, KvEngine};
 use crate::ledger::CostLedger;
@@ -106,7 +109,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// A report with nothing recorded yet, sized for `trace`.
-    fn empty(store: StoreKind, trace: &Trace) -> RunReport {
+    pub(crate) fn empty(store: StoreKind, trace: &Trace) -> RunReport {
         RunReport {
             store,
             workload: trace.name.clone(),
@@ -120,6 +123,21 @@ impl RunReport {
             write_hist: Histogram::new(),
             samples: Vec::with_capacity(trace.len()),
         }
+    }
+
+    /// A report re-derived from per-request samples in trace order, with
+    /// the runtime as their sum.
+    pub(crate) fn from_samples(
+        store: StoreKind,
+        trace: &Trace,
+        samples: impl IntoIterator<Item = RequestSample>,
+    ) -> RunReport {
+        let mut report = RunReport::empty(store, trace);
+        for s in samples {
+            report.runtime_ns += s.service_ns;
+            report.record(s.key, s.op, s.service_ns);
+        }
+        report
     }
 
     /// Account one served request of `ns` (the runtime is the clock's,
@@ -228,11 +246,12 @@ pub struct PairedRun {
 
 /// Why [`Server::run_paired`] declined. Each names something that makes
 /// a request's charge depend on more than its own key's tier, so one
-/// walk could not stand for two runs. (Cache mode is a different server
-/// type, [`CacheModeServer`](crate::CacheModeServer), with no paired run
-/// at all.)
+/// walk could not stand for two runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairedDecline {
+    /// A FastMem front cache is installed (cache mode): evictions and
+    /// write-backs make a request's charge depend on other keys.
+    CacheMode,
     /// A degradation profile is installed: device speed varies with
     /// simulated time, and the two lanes' clocks differ.
     Degradation,
@@ -257,6 +276,7 @@ pub enum PairedDecline {
 impl std::fmt::Display for PairedDecline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            PairedDecline::CacheMode => write!(f, "a FastMem front cache is installed"),
             PairedDecline::Degradation => write!(f, "a degradation profile is installed"),
             PairedDecline::CrashSchedule => write!(f, "a crash schedule is installed"),
             PairedDecline::EpochPlanner => write!(f, "epoch re-planning is on"),
@@ -284,6 +304,9 @@ pub struct Server {
     /// Epoch re-planning; `None` keeps the placement static, with no
     /// per-request policy or counter work.
     planner: Option<EpochPlanner>,
+    /// Cache mode's FastMem front cache; `None` charges every request
+    /// straight through the engine.
+    cache: Option<FrontCache>,
     migration: MigrationStats,
     /// Per-tier telemetry follows the paper's names (`kv.fast`,
     /// `kv.slow`) for a server built from a [`HybridSpec`], and the
@@ -355,7 +378,27 @@ impl Server {
         Ok(Server::assemble(engine, kind, noise, planner, false))
     }
 
-    fn assemble(
+    /// Build a cache-mode server: every key of the trace homes in
+    /// SlowMem behind a write-back FastMem object cache of
+    /// `fast_capacity_bytes`, with measurement noise disabled.
+    pub fn build_cache_mode(
+        kind: StoreKind,
+        spec: HybridSpec,
+        trace: &Trace,
+        fast_capacity_bytes: u64,
+    ) -> Result<Server, EngineError> {
+        let mut server = Server::build_with(
+            kind,
+            spec,
+            NoiseConfig::disabled(),
+            trace,
+            Placement::AllSlow,
+        )?;
+        server.cache = Some(FrontCache::new(fast_capacity_bytes));
+        Ok(server)
+    }
+
+    pub(crate) fn assemble(
         engine: Box<dyn KvEngine>,
         store: StoreKind,
         noise: NoiseConfig,
@@ -369,9 +412,16 @@ impl Server {
             degraded: false,
             crashes: Vec::new(),
             planner,
+            cache: None,
             migration: MigrationStats::default(),
             paper_names,
         }
+    }
+
+    /// Front-cache statistics of the most recent run; `None` unless the
+    /// server was built by [`Self::build_cache_mode`].
+    pub fn cache_mode_stats(&self) -> Option<CacheModeStats> {
+        self.cache.as_ref().map(FrontCache::stats)
     }
 
     /// Migration accounting of the most recent run (all zero for a
@@ -446,13 +496,11 @@ impl Server {
         assert!(depth >= 1, "pipeline depth must be at least 1");
         let amortised_away = self.engine.profile().fixed_op_ns * (1.0 - 1.0 / depth as f64);
         // Rescale every sample and re-derive the aggregates.
-        let mut report = RunReport::empty(self.store, trace);
-        for s in self.run(trace).samples {
-            let ns = (s.service_ns - amortised_away).max(0.0);
-            report.runtime_ns += ns;
-            report.record(s.key, s.op, ns);
-        }
-        report
+        let samples = self.run(trace).samples.into_iter().map(|s| RequestSample {
+            service_ns: (s.service_ns - amortised_away).max(0.0),
+            ..s
+        });
+        RunReport::from_samples(self.store, trace, samples)
     }
 
     /// Execute the trace and report measurements. Measurement state
@@ -550,6 +598,9 @@ impl Server {
     /// would not.
     fn paired_decline(&self, alt: TierId) -> Option<PairedDecline> {
         let mem = self.engine.memory();
+        if self.cache.is_some() {
+            return Some(PairedDecline::CacheMode);
+        }
         if self.degraded {
             return Some(PairedDecline::Degradation);
         }
@@ -632,6 +683,9 @@ impl Server {
         if let Some(planner) = self.planner.as_mut() {
             planner.reset();
         }
+        if let Some(cache) = self.cache.as_mut() {
+            cache.reset_stats();
+        }
         let mut clock = SimClock::new();
         let mut report = RunReport::empty(self.store, trace);
         let mut next_crash = 0usize;
@@ -679,9 +733,10 @@ impl Server {
                 let dev = tier.map(|t| *mem.tier_stats(t));
                 (tier, dev, mem.cache_stats())
             });
-            let raw = match r.op {
-                Op::Read => self.engine.get(r.key),
-                Op::Update => self.engine.put(r.key),
+            let raw = match (self.cache.as_mut(), r.op) {
+                (Some(cache), op) => cache.serve(self.engine.as_mut(), r.key, op),
+                (None, Op::Read) => self.engine.get(r.key),
+                (None, Op::Update) => self.engine.put(r.key),
             }
             // mnemo-lint: allow(R001, "Server::build loads every key of the trace before run, so requests cannot hit an unloaded key")
             .expect("trace references unloaded key");

@@ -12,13 +12,14 @@ use crate::engine::EngineError;
 use crate::profile::StoreKind;
 use crate::server::{Placement, RunReport, Server};
 use hybridmem::clock::NoiseConfig;
-use hybridmem::{Histogram, HybridSpec};
+use hybridmem::HybridSpec;
 use parking_lot::Mutex;
 use ycsb::Trace;
 
 /// A hash-sharded set of servers driven concurrently.
 pub struct ShardedCluster {
     shards: Vec<Mutex<Server>>,
+    store: StoreKind,
 }
 
 impl ShardedCluster {
@@ -79,7 +80,10 @@ impl ShardedCluster {
             let server = Server::build_with(kind, spec.clone(), cfg, &sub, placement.clone())?;
             shards.push(Mutex::new(server));
         }
-        Ok(ShardedCluster { shards })
+        Ok(ShardedCluster {
+            shards,
+            store: kind,
+        })
     }
 
     /// Number of shards.
@@ -119,7 +123,7 @@ impl ShardedCluster {
             let mut server = self.shards[s].lock();
             server.run(&subs[s])
         });
-        merge_reports(trace, reports.into_iter())
+        merge_reports(self.store, trace, reports)
     }
 
     /// [`Self::run`] with telemetry: every shard rolls its own epoch log
@@ -158,7 +162,7 @@ impl ShardedCluster {
             }
             last.merge(&cluster.take_snapshot(last.epoch()));
         }
-        (merge_reports(trace, reports.into_iter()), merged)
+        (merge_reports(self.store, trace, reports), merged)
     }
 }
 
@@ -188,24 +192,13 @@ fn shard_trace(trace: &Trace, shard: usize, n: usize) -> Trace {
     }
 }
 
-fn merge_reports(trace: &Trace, reports: impl Iterator<Item = RunReport>) -> RunReport {
-    let mut merged = RunReport {
-        store: StoreKind::Redis, // overwritten below
-        workload: trace.name.clone(),
-        requests: 0,
-        runtime_ns: 0.0,
-        reads: 0,
-        writes: 0,
-        read_ns_total: 0.0,
-        write_ns_total: 0.0,
-        read_hist: Histogram::new(),
-        write_hist: Histogram::new(),
-        // Every trace request lands in exactly one shard's samples, so
-        // the merged vector's final length is known up front.
-        samples: Vec::with_capacity(trace.requests.len()),
-    };
+/// Fold shard reports in shard order: counts and totals add up, the
+/// slowest shard's runtime is the cluster's.
+fn merge_reports(store: StoreKind, trace: &Trace, reports: Vec<RunReport>) -> RunReport {
+    let mut merged = RunReport::empty(store, trace);
+    // Counted from what the shards served, not from the trace.
+    merged.requests = 0;
     for r in reports {
-        merged.store = r.store;
         merged.requests += r.requests;
         merged.runtime_ns = merged.runtime_ns.max(r.runtime_ns);
         merged.reads += r.reads;

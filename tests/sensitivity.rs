@@ -174,6 +174,29 @@ fn paired_run_declines_with_typed_reasons() {
         server.run_paired(&trace, alt, quiet).unwrap_err(),
         PairedDecline::AltCapacity { .. }
     ));
+    // Cache mode comes first: a front cache couples keys' charges
+    // through evictions and write-backs, whatever else is installed.
+    let budget = trace.dataset_bytes() / 4;
+    let cache_mode =
+        || Server::build_cache_mode(StoreKind::Redis, testbed_for(&trace), &trace, budget).unwrap();
+    let mut cached = cache_mode();
+    cached.set_crash_schedule(vec![mnemo_faults::ShardCrash {
+        at_ns: u128::MAX,
+        restart_ns: 1e3,
+        rebuild_ns_per_key: 1.0,
+    }]);
+    assert_eq!(
+        cached.run_paired(&trace, alt, quiet).unwrap_err(),
+        PairedDecline::CacheMode
+    );
+    // The decline left the cache cold: the next run is a fresh server's.
+    let mut fresh = cache_mode();
+    assert_reports_identical(
+        &cached.run(&trace),
+        &fresh.run(&trace),
+        "cache mode after a declined paired run",
+    );
+    assert_eq!(cached.cache_mode_stats(), fresh.cache_mode_stats());
     // ... and there `measure` reports the all-SlowMem build's own error.
     let engine = SensitivityEngine::new(small, quiet);
     assert_eq!(
