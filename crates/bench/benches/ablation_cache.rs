@@ -6,13 +6,13 @@
 //! printed preamble) how little the measured curve differs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hybridmem::{CacheConfig, CacheKind, HybridSpec};
+use hybridmem::{CacheConfig, CacheKind, StackSpec};
 use kvsim::{Placement, Server, StoreKind};
 use std::hint::black_box;
 use ycsb::WorkloadSpec;
 
-fn spec_with(kind: CacheKind, dataset: u64) -> HybridSpec {
-    let mut spec = HybridSpec::paper_testbed();
+fn spec_with(kind: CacheKind, dataset: u64) -> StackSpec {
+    let mut spec = StackSpec::paper_testbed();
     spec.cache = match kind {
         CacheKind::None => CacheConfig::disabled(),
         CacheKind::ObjectLru => CacheConfig::paper_llc(),

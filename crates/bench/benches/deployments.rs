@@ -23,7 +23,7 @@ fn bench_deployments(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("run", "dynamic_tiering"), |b| {
         let mut server = mnemo_bench::decay_server(
             &trace,
-            &hybridmem::HybridSpec::paper_testbed(),
+            &hybridmem::StackSpec::paper_testbed(),
             budget,
             1_000,
         )
@@ -33,7 +33,7 @@ fn bench_deployments(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("run", "cache_mode"), |b| {
         let mut server = Server::build_cache_mode(
             StoreKind::Redis,
-            hybridmem::HybridSpec::paper_testbed(),
+            hybridmem::StackSpec::paper_testbed(),
             &trace,
             budget,
         )

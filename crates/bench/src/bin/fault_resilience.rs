@@ -40,13 +40,13 @@ fn plan_at(intensity: f64) -> FaultPlan {
     }
     plan = plan
         .with(FaultEvent::LatencySpike {
-            tier: hybridmem::MemTier::Slow.id(),
+            tier: hybridmem::TierId::SLOW,
             start_ns: 0,
             end_ns: FOREVER_NS,
             factor: 1.0 + 40.0 * intensity,
         })
         .with(FaultEvent::BandwidthThrottle {
-            tier: hybridmem::MemTier::Slow.id(),
+            tier: hybridmem::TierId::SLOW,
             start_ns: 0,
             end_ns: FOREVER_NS,
             factor: 1.0 / (1.0 + 15.0 * intensity),

@@ -44,14 +44,12 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
             store: StoreKind::Redis,
             workload: trace.name.clone(),
             fast: BaselineRun {
-                tier: hybridmem::MemTier::Fast,
                 runtime_ns: fast_report.runtime_ns,
                 avg_read_ns: fast_report.avg_read_ns(),
                 avg_write_ns: fast_report.avg_write_ns(),
                 report: fast_report,
             },
             slow: BaselineRun {
-                tier: hybridmem::MemTier::Slow,
                 runtime_ns: slow_report.runtime_ns,
                 avg_read_ns: slow_report.avg_read_ns(),
                 avg_write_ns: slow_report.avg_write_ns(),

@@ -5,7 +5,7 @@
 //! reports the Fig. 9 quantity — cost at a 10% slowdown SLO — plus the
 //! store sensitivity at each point.
 
-use hybridmem::{HybridSpec, TierSpec};
+use hybridmem::{StackSpec, TierSpec};
 use kvsim::StoreKind;
 use mnemo::advisor::{Advisor, AdvisorConfig, OrderingKind};
 use mnemo_bench::{measurement_noise, paper_workload, print_table, seed_for, write_csv};
@@ -28,8 +28,8 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
 
     let results = mnemo_bench::parallel(POINTS.len(), |i| -> Result<_, String> {
         let (label, b, l) = POINTS[i];
-        let mut spec = HybridSpec::paper_testbed();
-        spec.slow = TierSpec::derived(&spec.fast, b, l);
+        let mut spec = StackSpec::paper_testbed();
+        spec.tiers[1].spec = TierSpec::derived(&spec.tiers[0].spec, b, l);
         spec.cache.capacity_bytes = spec
             .cache
             .capacity_bytes

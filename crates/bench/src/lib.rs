@@ -19,7 +19,7 @@ pub mod perf;
 pub mod suite;
 
 use hybridmem::clock::NoiseConfig;
-use hybridmem::{HybridSpec, StackSpec};
+use hybridmem::StackSpec;
 use kvsim::{Server, StoreKind};
 use mnemo::accuracy::EvalPoint;
 use mnemo::advisor::{Advisor, AdvisorConfig, Consultation, OrderingKind};
@@ -92,8 +92,8 @@ pub fn paper_workload_at(d: u64, name: &str) -> Result<WorkloadSpec, String> {
 /// The measurement testbed: the paper's Table I spec with the LLC scaled
 /// to keep the paper's cache:dataset proportion when `MNEMO_SCALE`
 /// shrinks the dataset.
-pub fn testbed_for(trace: &Trace) -> HybridSpec {
-    let mut spec = HybridSpec::paper_testbed();
+pub fn testbed_for(trace: &Trace) -> StackSpec {
+    let mut spec = StackSpec::paper_testbed();
     let dataset = trace.dataset_bytes();
     // Paper proportion: 12 MB LLC for a ~1 GB dataset (ratio ~85).
     spec.cache.capacity_bytes = spec.cache.capacity_bytes.min((dataset / 85).max(1 << 16));
@@ -113,13 +113,13 @@ pub fn tierer_epoch(trace: &Trace) -> u64 {
 /// requests, each copy charged to the run.
 pub fn decay_server(
     trace: &Trace,
-    testbed: &HybridSpec,
+    testbed: &StackSpec,
     budget: u64,
     epoch: u64,
 ) -> Result<Server, String> {
     Server::build_tiered(
         StoreKind::Redis,
-        StackSpec::two_tier(testbed),
+        testbed.clone(),
         NoiseConfig::disabled(),
         trace,
         Box::new(DecayPolicy::new(budget)),

@@ -21,7 +21,7 @@ use hybridmem::stack::StackSpec;
 use kvsim::tiered::{trace_stats, trace_windows};
 use kvsim::{Server, StoreKind};
 use mnemo_faults::{FaultPlan, TierNames};
-use mnemo_tier::{dram_optane_ssd, paper_two_tier, PolicyKind};
+use mnemo_tier::{dram_optane_ssd, PolicyKind};
 use ycsb::WorkloadSpec;
 
 /// Re-plan period as a fraction of the trace (4 epochs per run).
@@ -36,7 +36,7 @@ throughput_ops_s,cost_usd,cost_efficiency,moved_keys,moved_bytes";
 /// the faulted variant names.
 fn hierarchies() -> Vec<(&'static str, StackSpec, &'static str)> {
     vec![
-        ("paper_two_tier", paper_two_tier(), "slowmem"),
+        ("paper_two_tier", StackSpec::paper_testbed(), "slowmem"),
         ("dram_optane_ssd", dram_optane_ssd(), "optane"),
     ]
 }
@@ -68,7 +68,7 @@ fn sized_for(mut spec: StackSpec, stored_bytes: u64) -> StackSpec {
 /// (exercising the named-tier fault path end to end): a latency spike
 /// plus a bandwidth throttle on `tier_name` for the whole run.
 fn faulted_plan(spec: &StackSpec, tier_name: &str) -> Result<FaultPlan, String> {
-    let names: Vec<&str> = spec.tiers.iter().map(|t| t.name.as_str()).collect();
+    let names: Vec<&str> = spec.tiers.iter().map(|t| &*t.name).collect();
     let tiers = TierNames::from_names(&names);
     let text = format!(
         "seed = 7\n\n\

@@ -977,7 +977,7 @@ pub fn tier(parsed: &mut Parsed) -> Result<String, CliError> {
     };
 
     // Fault plans may name tiers by the hierarchy's own names.
-    let names: Vec<&str> = spec.tiers.iter().map(|t| t.name.as_str()).collect();
+    let names: Vec<&str> = spec.tiers.iter().map(|t| &*t.name).collect();
     let fault_plan = load_fault_plan_with(parsed, &mnemo_faults::TierNames::from_names(&names))?;
 
     let trace = if std::path::Path::new(&source).is_file() {

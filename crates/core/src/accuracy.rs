@@ -7,7 +7,7 @@
 use crate::advisor::Consultation;
 use crate::placement::PlacementEngine;
 use hybridmem::clock::NoiseConfig;
-use hybridmem::HybridSpec;
+use hybridmem::StackSpec;
 use kvsim::{EngineError, Server, StoreKind};
 use serde::{Deserialize, Serialize};
 use ycsb::Trace;
@@ -111,7 +111,7 @@ pub fn evaluate(
     store: StoreKind,
     trace: &Trace,
     consultation: &Consultation,
-    spec: &HybridSpec,
+    spec: &StackSpec,
     noise: NoiseConfig,
     points: usize,
 ) -> Result<Vec<EvalPoint>, EngineError> {

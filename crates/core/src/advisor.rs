@@ -15,7 +15,7 @@ use crate::sensitivity::{Baselines, SensitivityEngine};
 use crate::tiering::MnemoT;
 use cloudcost::CostModel;
 use hybridmem::clock::NoiseConfig;
-use hybridmem::HybridSpec;
+use hybridmem::StackSpec;
 use kvsim::{EngineError, StoreKind};
 use serde::{Deserialize, Serialize};
 use ycsb::Trace;
@@ -36,7 +36,7 @@ pub enum OrderingKind {
 #[derive(Debug, Clone)]
 pub struct AdvisorConfig {
     /// Testbed specification for the baseline runs.
-    pub spec: HybridSpec,
+    pub spec: StackSpec,
     /// Measurement noise for the baseline runs.
     pub noise: NoiseConfig,
     /// SlowMem:FastMem per-byte price factor `p`.
@@ -59,7 +59,7 @@ pub struct AdvisorConfig {
 impl Default for AdvisorConfig {
     fn default() -> Self {
         AdvisorConfig {
-            spec: HybridSpec::paper_testbed(),
+            spec: StackSpec::paper_testbed(),
             noise: NoiseConfig::disabled(),
             price_factor: cloudcost::model::DEFAULT_PRICE_FACTOR,
             model: ModelKind::GlobalAverage,
@@ -679,16 +679,16 @@ mod tests {
         // Both tiers run at 50x latency / 1/50 bandwidth for the whole
         // run: even all-FastMem cannot stay within 10% of nominal.
         let mut plan = FaultPlan::new(5);
-        for tier in [hybridmem::MemTier::Fast, hybridmem::MemTier::Slow] {
+        for tier in [hybridmem::TierId::FAST, hybridmem::TierId::SLOW] {
             plan = plan
                 .with(FaultEvent::LatencySpike {
-                    tier: tier.id(),
+                    tier,
                     start_ns: 0,
                     end_ns: u128::MAX,
                     factor: 50.0,
                 })
                 .with(FaultEvent::BandwidthThrottle {
-                    tier: tier.id(),
+                    tier,
                     start_ns: 0,
                     end_ns: u128::MAX,
                     factor: 0.02,

@@ -21,7 +21,7 @@
 
 use crate::pattern::PatternEngine;
 use crate::sensitivity::{BaselineRun, Baselines, SensitivityEngine};
-use hybridmem::{DetHashMap, DetHashSet, MemTier};
+use hybridmem::{DetHashMap, DetHashSet};
 use kvsim::{EngineError, RunReport, StoreKind};
 use ycsb::Trace;
 
@@ -321,7 +321,6 @@ impl MlBaselineProfiler {
             s.service_ns *= ratio;
         }
         let fast = BaselineRun {
-            tier: MemTier::Fast,
             runtime_ns: predicted_fast_runtime,
             avg_read_ns: slow.avg_read_ns * ratio,
             avg_write_ns: slow.avg_write_ns * ratio,

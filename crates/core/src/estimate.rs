@@ -15,7 +15,7 @@ use crate::curve::{CurveRow, EstimateCurve};
 use crate::model::PerfModel;
 use crate::pattern::{KeyStats, PatternEngine};
 use cloudcost::CostModel;
-use hybridmem::MemTier;
+use hybridmem::TierId;
 use ycsb::Op;
 
 /// The Estimate Engine.
@@ -70,7 +70,7 @@ impl EstimateEngine {
 
     /// Estimated runtime of one key's requests when its value sits in
     /// `tier`.
-    fn key_runtime(&self, stats: &KeyStats, tier: MemTier) -> f64 {
+    fn key_runtime(&self, stats: &KeyStats, tier: TierId) -> f64 {
         stats.reads as f64 * self.model.predict(tier, Op::Read, stats.bytes)
             + stats.writes as f64 * self.model.predict(tier, Op::Update, stats.bytes)
     }
@@ -87,11 +87,11 @@ impl EstimateEngine {
         // are bit-identical to the single-threaded path.
         let pool = mnemo_par::Pool::current();
         let fast_runtimes =
-            pool.map_slice(pattern.stats(), |_, s| self.key_runtime(s, MemTier::Fast)); // mnemo-lint: allow(D007, "predict's sum is a fixed-length dot product inside one task; per-key results gather in key order")
+            pool.map_slice(pattern.stats(), |_, s| self.key_runtime(s, TierId::FAST)); // mnemo-lint: allow(D007, "predict's sum is a fixed-length dot product inside one task; per-key results gather in key order")
         let fast_total: f64 = fast_runtimes.iter().sum();
         // mnemo-lint: allow(D007, "same per-key dot product as the fast pass; deltas gather in key order regardless of workers")
         let mut deltas: Vec<f64> = pool.map_slice(pattern.stats(), |k, s| {
-            self.key_runtime(s, MemTier::Slow) - fast_runtimes[k]
+            self.key_runtime(s, TierId::SLOW) - fast_runtimes[k]
         });
         if let Some(llc) = self.cache_correction {
             // Keys resident in the LLC (hot-first by access density until

@@ -14,7 +14,7 @@
 //! magnitude. The `ablation_model` bench quantifies the difference.
 
 use crate::sensitivity::Baselines;
-use hybridmem::MemTier;
+use hybridmem::TierId;
 use serde::{Deserialize, Serialize};
 use ycsb::Op;
 
@@ -85,11 +85,10 @@ pub struct PerfModel {
     fits: [AffineFit; 4],
 }
 
-fn idx(tier: MemTier, op: Op) -> usize {
-    let t = match tier {
-        MemTier::Fast => 0,
-        MemTier::Slow => 1,
-    };
+/// The fit slot of `(tier, op)`: the model has a FastMem and a SlowMem
+/// fit, and any tier below FastMem predicts with the SlowMem one.
+fn idx(tier: TierId, op: Op) -> usize {
+    let t = usize::from(tier != TierId::FAST);
     let o = match op {
         Op::Read => 0,
         Op::Update => 1,
@@ -103,8 +102,8 @@ impl PerfModel {
     pub fn fit(kind: ModelKind, baselines: &Baselines, sizes: &[u64]) -> PerfModel {
         let mut fits = [AffineFit::ZERO; 4];
         for (tier, run) in [
-            (MemTier::Fast, &baselines.fast),
-            (MemTier::Slow, &baselines.slow),
+            (TierId::FAST, &baselines.fast),
+            (TierId::SLOW, &baselines.slow),
         ] {
             match kind {
                 ModelKind::GlobalAverage => {
@@ -145,14 +144,14 @@ impl PerfModel {
     }
 
     /// Predicted service time (ns) of one request.
-    pub fn predict(&self, tier: MemTier, op: Op, bytes: u64) -> f64 {
+    pub fn predict(&self, tier: TierId, op: Op, bytes: u64) -> f64 {
         self.fits[idx(tier, op)].predict(bytes).max(0.0)
     }
 
     /// Per-request benefit of promoting a key to FastMem:
     /// `predict(Slow) - predict(Fast)`, by op.
     pub fn promotion_benefit(&self, op: Op, bytes: u64) -> f64 {
-        self.predict(MemTier::Slow, op, bytes) - self.predict(MemTier::Fast, op, bytes)
+        self.predict(TierId::SLOW, op, bytes) - self.predict(TierId::FAST, op, bytes)
     }
 }
 
@@ -171,7 +170,7 @@ mod tests {
         // 12 MB LLC (unlike the paper's 1 GB dataset), which would mask
         // the size dependence the test probes — shrink the cache to keep
         // the testbed proportionate.
-        let mut spec = hybridmem::HybridSpec::paper_testbed();
+        let mut spec = hybridmem::StackSpec::paper_testbed();
         spec.cache.capacity_bytes = t.dataset_bytes() / 85;
         let engine = SensitivityEngine::new(spec, hybridmem::clock::NoiseConfig::disabled());
         let b = engine.measure(StoreKind::Redis, &t).unwrap();
@@ -187,9 +186,9 @@ mod tests {
             .measure(StoreKind::Redis, &t)
             .unwrap();
         let m = PerfModel::fit(ModelKind::GlobalAverage, &b, &t.sizes);
-        assert_eq!(m.predict(MemTier::Fast, Op::Read, 123), b.fast.avg_read_ns);
+        assert_eq!(m.predict(TierId::FAST, Op::Read, 123), b.fast.avg_read_ns);
         assert_eq!(
-            m.predict(MemTier::Slow, Op::Update, 9_999_999),
+            m.predict(TierId::SLOW, Op::Update, 9_999_999),
             b.slow.avg_write_ns
         );
     }
@@ -200,8 +199,8 @@ mod tests {
             let (m, t) = setup(kind);
             for &bytes in t.sizes.iter().take(50) {
                 assert!(
-                    m.predict(MemTier::Slow, Op::Read, bytes)
-                        > m.predict(MemTier::Fast, Op::Read, bytes),
+                    m.predict(TierId::SLOW, Op::Read, bytes)
+                        > m.predict(TierId::FAST, Op::Read, bytes),
                     "{kind:?} bytes={bytes}"
                 );
             }
@@ -211,8 +210,8 @@ mod tests {
     #[test]
     fn size_aware_separates_small_and_large() {
         let (m, _) = setup(ModelKind::SizeAware);
-        let small = m.predict(MemTier::Slow, Op::Read, 1_024);
-        let large = m.predict(MemTier::Slow, Op::Read, 100 * 1024);
+        let small = m.predict(TierId::SLOW, Op::Read, 1_024);
+        let large = m.predict(TierId::SLOW, Op::Read, 100 * 1024);
         assert!(large > small * 1.4, "large {large} small {small}");
     }
 
@@ -220,8 +219,8 @@ mod tests {
     fn global_average_is_size_blind() {
         let (m, _) = setup(ModelKind::GlobalAverage);
         assert_eq!(
-            m.predict(MemTier::Fast, Op::Read, 100),
-            m.predict(MemTier::Fast, Op::Read, 1 << 20)
+            m.predict(TierId::FAST, Op::Read, 100),
+            m.predict(TierId::FAST, Op::Read, 1 << 20)
         );
     }
 
@@ -259,6 +258,6 @@ mod tests {
             .measure(StoreKind::Redis, &t)
             .unwrap();
         let m = PerfModel::fit(ModelKind::SizeAware, &b, &t.sizes);
-        assert_eq!(m.predict(MemTier::Fast, Op::Update, 1000), 0.0);
+        assert_eq!(m.predict(TierId::FAST, Op::Update, 1000), 0.0);
     }
 }

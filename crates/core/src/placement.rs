@@ -68,7 +68,7 @@ mod tests {
     use crate::pattern::PatternEngine;
     use crate::sensitivity::SensitivityEngine;
     use cloudcost::CostModel;
-    use hybridmem::MemTier;
+    use hybridmem::TierId;
     use ycsb::WorkloadSpec;
 
     fn setup() -> (Trace, Vec<u64>, EstimateCurve) {
@@ -89,7 +89,7 @@ mod tests {
         let row = &curve.rows[30];
         let placement = PlacementEngine::placement_for(&order, row);
         for (i, &k) in order.iter().enumerate() {
-            let want = if i < 30 { MemTier::Fast } else { MemTier::Slow };
+            let want = if i < 30 { TierId::FAST } else { TierId::SLOW };
             assert_eq!(placement.tier_of(k), want, "key {k} at position {i}");
         }
     }
@@ -100,7 +100,7 @@ mod tests {
         let budget = t.dataset_bytes() / 3;
         let placement = PlacementEngine::placement_for_budget(&order, &t.sizes, budget);
         let used: u64 = (0..t.keys())
-            .filter(|&k| placement.tier_of(k) == MemTier::Fast)
+            .filter(|&k| placement.tier_of(k) == TierId::FAST)
             .map(|k| t.sizes[k as usize])
             .sum();
         assert!(used <= budget);

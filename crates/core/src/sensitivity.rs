@@ -7,15 +7,13 @@
 //! response times."
 
 use hybridmem::clock::NoiseConfig;
-use hybridmem::{HybridSpec, MemTier};
+use hybridmem::{StackSpec, TierId};
 use kvsim::{CostLedger, EngineError, Placement, RunReport, Server, StoreKind};
 use ycsb::{Op, Trace};
 
 /// One measured baseline (one extreme placement).
 #[derive(Debug, Clone)]
 pub struct BaselineRun {
-    /// Which tier held all data.
-    pub tier: MemTier,
     /// Total measured runtime (ns).
     pub runtime_ns: f64,
     /// Average read service time (ns).
@@ -27,9 +25,8 @@ pub struct BaselineRun {
 }
 
 impl BaselineRun {
-    fn from_report(tier: MemTier, report: RunReport) -> BaselineRun {
+    fn from_report(report: RunReport) -> BaselineRun {
         BaselineRun {
-            tier,
             runtime_ns: report.runtime_ns,
             avg_read_ns: report.avg_read_ns(),
             avg_write_ns: report.avg_write_ns(),
@@ -94,20 +91,20 @@ impl Baselines {
 /// execution, with no application modification.
 #[derive(Debug, Clone)]
 pub struct SensitivityEngine {
-    spec: HybridSpec,
+    spec: StackSpec,
     noise: NoiseConfig,
     fault_plan: Option<mnemo_faults::FaultPlan>,
 }
 
 impl Default for SensitivityEngine {
     fn default() -> Self {
-        SensitivityEngine::new(HybridSpec::paper_testbed(), NoiseConfig::disabled())
+        SensitivityEngine::new(StackSpec::paper_testbed(), NoiseConfig::disabled())
     }
 }
 
 impl SensitivityEngine {
     /// Engine over a given testbed spec and measurement-noise model.
-    pub fn new(spec: HybridSpec, noise: NoiseConfig) -> SensitivityEngine {
+    pub fn new(spec: StackSpec, noise: NoiseConfig) -> SensitivityEngine {
         SensitivityEngine {
             spec,
             noise,
@@ -124,7 +121,7 @@ impl SensitivityEngine {
     }
 
     /// The testbed spec in use.
-    pub fn spec(&self) -> &HybridSpec {
+    pub fn spec(&self) -> &StackSpec {
         &self.spec
     }
 
@@ -160,7 +157,7 @@ impl SensitivityEngine {
         let mut server = Server::build_with(
             store,
             self.spec.clone(),
-            self.noise_for(MemTier::Fast),
+            self.noise_for(TierId::FAST),
             trace,
             Placement::AllFast,
         )
@@ -169,24 +166,25 @@ impl SensitivityEngine {
             server.install_fault_plan(plan);
         }
         let run = server
-            .run_paired(trace, MemTier::Slow.id(), self.noise_for(MemTier::Slow))
+            .run_paired(trace, TierId::SLOW, self.noise_for(TierId::SLOW))
             .ok()?;
         Some(Baselines {
             store,
             workload: trace.name.clone(),
-            fast: BaselineRun::from_report(MemTier::Fast, run.own),
-            slow: BaselineRun::from_report(MemTier::Slow, run.alt),
+            fast: BaselineRun::from_report(run.own),
+            slow: BaselineRun::from_report(run.alt),
             ledger: Some(run.ledger),
         })
     }
 
     /// The noise of the run led by `tier`: the two baselines' jitter is
     /// decorrelated by a per-tier seed offset.
-    fn noise_for(&self, tier: MemTier) -> NoiseConfig {
+    fn noise_for(&self, tier: TierId) -> NoiseConfig {
         let mut noise = self.noise;
-        noise.seed = noise.seed.wrapping_add(match tier {
-            MemTier::Fast => 0x5eed_fa57,
-            MemTier::Slow => 0x5eed_510e,
+        noise.seed = noise.seed.wrapping_add(if tier == TierId::FAST {
+            0x5eed_fa57
+        } else {
+            0x5eed_510e
         });
         noise
     }
@@ -217,9 +215,9 @@ impl SensitivityEngine {
         placement: Placement,
     ) -> Result<BaselineRun, EngineError> {
         let tier = match &placement {
-            Placement::AllFast => MemTier::Fast,
-            Placement::AllSlow => MemTier::Slow,
-            Placement::FastSet(_) => MemTier::Fast, // mixed; tag as fast-led
+            Placement::AllFast => TierId::FAST,
+            Placement::AllSlow => TierId::SLOW,
+            Placement::FastSet(_) => TierId::FAST, // mixed; seeded as fast-led
         };
         let mut server = Server::build_with(
             store,
@@ -231,7 +229,7 @@ impl SensitivityEngine {
         if let Some(plan) = &self.fault_plan {
             server.install_fault_plan(plan);
         }
-        Ok(BaselineRun::from_report(tier, server.run(trace)))
+        Ok(BaselineRun::from_report(server.run(trace)))
     }
 
     /// Average read/write times per op from a report, split by op — a
@@ -352,7 +350,7 @@ mod tests {
             .measure(StoreKind::Redis, &t)
             .unwrap();
         let noisy =
-            SensitivityEngine::new(HybridSpec::paper_testbed(), NoiseConfig::default_jitter(1))
+            SensitivityEngine::new(StackSpec::paper_testbed(), NoiseConfig::default_jitter(1))
                 .measure(StoreKind::Redis, &t)
                 .unwrap();
         let rel = (clean.fast.runtime_ns - noisy.fast.runtime_ns).abs() / clean.fast.runtime_ns;

@@ -15,7 +15,7 @@
 
 use crate::model::PerfModel;
 use crate::pattern::PatternEngine;
-use hybridmem::MemTier;
+use hybridmem::TierId;
 use ycsb::Op;
 
 /// Tail-quantile estimator over the per-request service-time mixture.
@@ -37,9 +37,9 @@ impl<'a> TailEstimator<'a> {
         let mut atoms = Vec::with_capacity(self.pattern.key_count() * 2);
         for (k, stats) in self.pattern.stats().iter().enumerate() {
             let tier = if in_fast(k as u64) {
-                MemTier::Fast
+                TierId::FAST
             } else {
-                MemTier::Slow
+                TierId::SLOW
             };
             if stats.reads > 0 {
                 atoms.push((self.model.predict(tier, Op::Read, stats.bytes), stats.reads));
@@ -101,20 +101,20 @@ mod tests {
     use super::*;
     use crate::model::ModelKind;
     use crate::sensitivity::SensitivityEngine;
-    use hybridmem::{CacheConfig, HybridSpec};
+    use hybridmem::{CacheConfig, StackSpec};
     use kvsim::{Placement, Server, StoreKind};
     use ycsb::WorkloadSpec;
 
     /// Noiseless, cache-free testbed: per-request service times are an
     /// exact affine function of record size, so the SizeAware mixture
     /// should reproduce measured quantiles to histogram resolution.
-    fn cacheless_spec() -> HybridSpec {
-        let mut spec = HybridSpec::paper_testbed();
+    fn cacheless_spec() -> StackSpec {
+        let mut spec = StackSpec::paper_testbed();
         spec.cache = CacheConfig::disabled();
         spec
     }
 
-    fn setup() -> (PerfModel, PatternEngine, ycsb::Trace, HybridSpec) {
+    fn setup() -> (PerfModel, PatternEngine, ycsb::Trace, StackSpec) {
         let t = WorkloadSpec::trending_preview()
             .scaled(300, 5_000)
             .generate(3);

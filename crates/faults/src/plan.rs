@@ -12,8 +12,8 @@ pub enum FaultEvent {
     /// The tier's access latency is multiplied by `factor` (>= 1) while
     /// the window is active.
     LatencySpike {
-        /// Degraded tier (stack index; legacy `MemTier` values convert
-        /// via [`hybridmem::MemTier::id`]).
+        /// Degraded tier (stack index; the paper's tiers are
+        /// [`TierId::FAST`] and [`TierId::SLOW`]).
         tier: TierId,
         /// Window start (inclusive).
         start_ns: u128,
@@ -530,24 +530,23 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridmem::MemTier;
 
     fn sample_plan() -> FaultPlan {
         FaultPlan::new(7)
             .with(FaultEvent::LatencySpike {
-                tier: MemTier::Slow.id(),
+                tier: TierId::SLOW,
                 start_ns: 0,
                 end_ns: 1_000,
                 factor: 3.0,
             })
             .with(FaultEvent::BandwidthThrottle {
-                tier: MemTier::Slow.id(),
+                tier: TierId::SLOW,
                 start_ns: 500,
                 end_ns: 2_000,
                 factor: 0.25,
             })
             .with(FaultEvent::CapacityShrink {
-                tier: MemTier::Fast.id(),
+                tier: TierId::FAST,
                 start_ns: 0,
                 end_ns: u128::MAX,
                 bytes: 4096,
@@ -571,10 +570,10 @@ mod tests {
         plan.validate().unwrap();
         let profile = plan.degradation_profile();
         assert_eq!(profile.windows().len(), 3);
-        let f = profile.factors_at(MemTier::Slow, 750);
+        let f = profile.factors_at(TierId::SLOW, 750);
         assert_eq!(f.latency_mult, 3.0);
         assert_eq!(f.bandwidth_mult, 0.25);
-        assert_eq!(profile.factors_at(MemTier::Fast, 750).capacity_shrink, 4096);
+        assert_eq!(profile.factors_at(TierId::FAST, 750).capacity_shrink, 4096);
     }
 
     #[test]
@@ -740,7 +739,7 @@ mod tests {
             )
             .with_for_tenant(
                 FaultEvent::BandwidthThrottle {
-                    tier: MemTier::Slow.id(),
+                    tier: TierId::SLOW,
                     start_ns: 0,
                     end_ns: 100,
                     factor: 0.5,
@@ -785,7 +784,7 @@ mod tests {
     #[test]
     fn validation_catches_bad_parameters() {
         let bad = FaultPlan::new(0).with(FaultEvent::LatencySpike {
-            tier: MemTier::Fast.id(),
+            tier: TierId::FAST,
             start_ns: 10,
             end_ns: 10,
             factor: 2.0,
@@ -798,7 +797,7 @@ mod tests {
         });
         assert!(bad.validate().unwrap_err().contains("probability"));
         let bad = FaultPlan::new(0).with(FaultEvent::BandwidthThrottle {
-            tier: MemTier::Slow.id(),
+            tier: TierId::SLOW,
             start_ns: 0,
             end_ns: 1,
             factor: 0.0,

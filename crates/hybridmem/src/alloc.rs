@@ -63,7 +63,7 @@ impl TierArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{HybridSpec, TierId};
+    use crate::spec::TierId;
     use crate::stack::{StackError, StackSpec, TierStack};
     use proptest::prelude::*;
 
@@ -71,7 +71,7 @@ mod tests {
     const SLOW: TierId = TierId::SLOW;
 
     fn stack() -> TierStack {
-        TierStack::new(StackSpec::two_tier(&HybridSpec::paper_testbed())).unwrap()
+        TierStack::new(StackSpec::paper_testbed()).unwrap()
     }
 
     #[test]

@@ -71,9 +71,9 @@ pub struct DegradationWindow {
 impl DegradationWindow {
     /// A window that changes nothing but timing bounds — useful as a
     /// starting point for builders.
-    pub fn nominal(tier: impl Into<TierId>, start_ns: u128, end_ns: u128) -> DegradationWindow {
+    pub fn nominal(tier: TierId, start_ns: u128, end_ns: u128) -> DegradationWindow {
         DegradationWindow {
-            tier: tier.into(),
+            tier,
             start_ns,
             end_ns,
             latency_mult: 1.0,
@@ -145,8 +145,7 @@ impl DegradationProfile {
     }
 
     /// The composed factors in effect for `tier` at `now_ns`.
-    pub fn factors_at(&self, tier: impl Into<TierId>, now_ns: u128) -> TierFactors {
-        let tier = tier.into();
+    pub fn factors_at(&self, tier: TierId, now_ns: u128) -> TierFactors {
         let mut f = TierFactors::NOMINAL;
         for w in &self.windows {
             if w.tier == tier && w.active_at(now_ns) {
@@ -168,9 +167,8 @@ impl DegradationProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MemTier;
 
-    fn spike(tier: MemTier, start: u128, end: u128, lat: f64) -> DegradationWindow {
+    fn spike(tier: TierId, start: u128, end: u128, lat: f64) -> DegradationWindow {
         DegradationWindow {
             latency_mult: lat,
             ..DegradationWindow::nominal(tier, start, end)
@@ -181,7 +179,7 @@ mod tests {
     fn empty_profile_is_nominal_everywhere() {
         let p = DegradationProfile::new();
         assert!(p.is_empty());
-        for t in MemTier::ALL {
+        for t in [TierId::FAST, TierId::SLOW] {
             for now in [0u128, 1, 1 << 40] {
                 assert!(p.factors_at(t, now).is_nominal());
             }
@@ -191,42 +189,42 @@ mod tests {
 
     #[test]
     fn window_bounds_are_half_open() {
-        let p = DegradationProfile::new().with(spike(MemTier::Slow, 100, 200, 3.0));
-        assert!(p.factors_at(MemTier::Slow, 99).is_nominal());
-        assert_eq!(p.factors_at(MemTier::Slow, 100).latency_mult, 3.0);
-        assert_eq!(p.factors_at(MemTier::Slow, 199).latency_mult, 3.0);
-        assert!(p.factors_at(MemTier::Slow, 200).is_nominal());
+        let p = DegradationProfile::new().with(spike(TierId::SLOW, 100, 200, 3.0));
+        assert!(p.factors_at(TierId::SLOW, 99).is_nominal());
+        assert_eq!(p.factors_at(TierId::SLOW, 100).latency_mult, 3.0);
+        assert_eq!(p.factors_at(TierId::SLOW, 199).latency_mult, 3.0);
+        assert!(p.factors_at(TierId::SLOW, 200).is_nominal());
         // The other tier is untouched.
-        assert!(p.factors_at(MemTier::Fast, 150).is_nominal());
+        assert!(p.factors_at(TierId::FAST, 150).is_nominal());
         assert!(p.is_active_at(150));
         assert!(!p.is_active_at(200));
     }
 
     #[test]
     fn overlapping_windows_compose_order_independently() {
-        let a = spike(MemTier::Fast, 0, 100, 2.0);
-        let mut b = spike(MemTier::Fast, 50, 150, 3.0);
+        let a = spike(TierId::FAST, 0, 100, 2.0);
+        let mut b = spike(TierId::FAST, 50, 150, 3.0);
         b.bandwidth_mult = 0.5;
         b.capacity_shrink = 1024;
         let ab = DegradationProfile::new().with(a).with(b);
         let ba = DegradationProfile::new().with(b).with(a);
-        let f = ab.factors_at(MemTier::Fast, 75);
+        let f = ab.factors_at(TierId::FAST, 75);
         assert_eq!(f.latency_mult, 6.0);
         assert_eq!(f.bandwidth_mult, 0.5);
         assert_eq!(f.capacity_shrink, 1024);
-        assert_eq!(f, ba.factors_at(MemTier::Fast, 75));
+        assert_eq!(f, ba.factors_at(TierId::FAST, 75));
     }
 
     #[test]
     #[should_panic(expected = "latency multiplier")]
     fn speedup_windows_are_rejected() {
-        DegradationProfile::new().with(spike(MemTier::Fast, 0, 1, 0.5));
+        DegradationProfile::new().with(spike(TierId::FAST, 0, 1, 0.5));
     }
 
     #[test]
     #[should_panic(expected = "bandwidth multiplier")]
     fn bandwidth_boost_rejected() {
-        let mut w = DegradationWindow::nominal(MemTier::Fast, 0, 1);
+        let mut w = DegradationWindow::nominal(TierId::FAST, 0, 1);
         w.bandwidth_mult = 2.0;
         DegradationProfile::new().with(w);
     }
@@ -234,6 +232,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty window")]
     fn empty_window_rejected() {
-        DegradationProfile::new().with(DegradationWindow::nominal(MemTier::Fast, 5, 5));
+        DegradationProfile::new().with(DegradationWindow::nominal(TierId::FAST, 5, 5));
     }
 }

@@ -84,12 +84,11 @@ impl std::error::Error for CapacityError {}
 
 impl Device {
     /// Create a device of `capacity` bytes with the given timing. The
-    /// tier id keys degradation-profile lookups; legacy `MemTier` values
-    /// convert implicitly.
-    pub fn new(tier: impl Into<TierId>, spec: TierSpec, capacity: u64) -> Device {
+    /// tier id keys degradation-profile lookups.
+    pub fn new(tier: TierId, spec: TierSpec, capacity: u64) -> Device {
         let charge = ChargeRow::table(&spec);
         Device {
-            tier: tier.into(),
+            tier,
             spec,
             capacity,
             used: 0,
@@ -272,10 +271,9 @@ fn repeated_sum(ns: f64, n: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MemTier;
 
     fn dev() -> Device {
-        Device::new(MemTier::Fast, TierSpec::paper_fastmem(), 1024)
+        Device::new(TierId::FAST, TierSpec::paper_fastmem(), 1024)
     }
 
     #[test]
@@ -311,7 +309,7 @@ mod tests {
         let profile = DegradationProfile::new().with(DegradationWindow {
             latency_mult: 2.0,
             bandwidth_mult: 0.5,
-            ..DegradationWindow::nominal(MemTier::Fast, 1000, 2000)
+            ..DegradationWindow::nominal(TierId::FAST, 1000, 2000)
         });
         d.set_degradation(Some(Arc::new(profile)));
         // Outside the window: unchanged (bit-identical path).
@@ -334,7 +332,7 @@ mod tests {
         d.reserve(1000).unwrap();
         let profile = DegradationProfile::new().with(DegradationWindow {
             capacity_shrink: 512,
-            ..DegradationWindow::nominal(MemTier::Fast, 0, u128::MAX)
+            ..DegradationWindow::nominal(TierId::FAST, 0, u128::MAX)
         });
         d.set_degradation(Some(Arc::new(profile)));
         // 1024 - 512 shrink leaves effective capacity below used: nothing
@@ -357,7 +355,7 @@ mod tests {
         let profile = DegradationProfile::new().with(DegradationWindow {
             latency_mult: 1.7,
             bandwidth_mult: 0.3,
-            ..DegradationWindow::nominal(MemTier::Fast, 0, 1000)
+            ..DegradationWindow::nominal(TierId::FAST, 0, 1000)
         });
         singles.set_degradation(Some(Arc::new(profile.clone())));
         batched.set_degradation(Some(Arc::new(profile)));

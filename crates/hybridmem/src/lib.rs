@@ -19,7 +19,7 @@
 //!   and $/GiB prices behind a shared LLC — allocate / free / migrate
 //!   objects between tiers and charge simulated nanoseconds for reads
 //!   and writes. The paper's FastMem/SlowMem testbed is its two-tier
-//!   case ([`StackSpec::two_tier`]).
+//!   case ([`StackSpec::paper_testbed`]).
 //! * [`system`] — whole-system LLC counters ([`system::CacheStats`]).
 //! * [`clock`] — simulated nanosecond clock and a seeded Gaussian noise
 //!   model standing in for real-hardware measurement variability.
@@ -38,12 +38,12 @@
 //! # Example
 //!
 //! ```
-//! use hybridmem::{AccessKind, HybridSpec, MemTier, StackSpec, TierStack};
+//! use hybridmem::{AccessKind, StackSpec, TierId, TierStack};
 //!
-//! let mut mem = TierStack::new(StackSpec::two_tier(&HybridSpec::paper_testbed())).unwrap();
-//! let obj = mem.alloc(100 * 1024, MemTier::Fast.id()).unwrap();
+//! let mut mem = TierStack::new(StackSpec::paper_testbed()).unwrap();
+//! let obj = mem.alloc(100 * 1024, TierId::FAST).unwrap();
 //! let t_fast = mem.access(obj, AccessKind::Read);
-//! mem.migrate(obj, MemTier::Slow.id()).unwrap();
+//! mem.migrate(obj, TierId::SLOW).unwrap();
 //! let t_slow = mem.access(obj, AccessKind::Read);
 //! assert!(t_slow > t_fast, "SlowMem reads must be slower");
 //! ```
@@ -77,7 +77,7 @@ pub use degrade::{DegradationProfile, DegradationWindow, TierFactors};
 pub use dense::DenseU64Map;
 pub use det::{det_map, det_set, BuildDetHasher, DetHashMap, DetHashSet};
 pub use device::{CapacityError, Device};
-pub use spec::{AccessKind, HybridSpec, MemTier, TierId, TierSpec};
+pub use spec::{AccessKind, TierId, TierSpec};
 pub use stack::{
     AlsoIn, ChargeLanes, OwnTier, PairNs, StackError, StackPlacement, StackSpec, TierDef, TierStack,
 };

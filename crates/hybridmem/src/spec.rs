@@ -1,82 +1,25 @@
 //! Memory tier timing specifications (the paper's Table I).
 
-use crate::cache::CacheConfig;
 use serde::{Deserialize, Serialize};
-
-/// The two memory tiers of a hybrid memory system.
-///
-/// The paper calls these **FastMem** (DRAM-like: high bandwidth, low
-/// latency) and **SlowMem** (NVDIMM-like: lower bandwidth, higher latency,
-/// but cheaper per byte).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MemTier {
-    /// DRAM-like fast tier.
-    Fast,
-    /// NVM-like slow tier.
-    Slow,
-}
-
-impl MemTier {
-    /// Both tiers, Fast first.
-    pub const ALL: [MemTier; 2] = [MemTier::Fast, MemTier::Slow];
-
-    /// The other tier.
-    pub fn other(self) -> MemTier {
-        match self {
-            MemTier::Fast => MemTier::Slow,
-            MemTier::Slow => MemTier::Fast,
-        }
-    }
-
-    /// Paper-facing name.
-    pub fn name(self) -> &'static str {
-        match self {
-            MemTier::Fast => "FastMem",
-            MemTier::Slow => "SlowMem",
-        }
-    }
-
-    /// This tier's index in the generalized N-tier stack order
-    /// (Fast = 0, Slow = 1).
-    pub fn id(self) -> TierId {
-        TierId::from(self)
-    }
-}
-
-impl std::fmt::Display for MemTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Identifier of one tier in an ordered N-tier hierarchy: index 0 is
 /// the topmost (fastest, most expensive) tier and indices grow downward.
 ///
-/// The legacy two-tier system maps [`MemTier::Fast`] to index 0 and
-/// [`MemTier::Slow`] to index 1, so everything keyed by `TierId` (device
-/// degradation, fault plans) composes unchanged with two-tier code via
-/// the `From<MemTier>` conversion.
+/// The paper's two tiers are [`TierId::FAST`] (FastMem, DRAM-like: high
+/// bandwidth, low latency) and [`TierId::SLOW`] (SlowMem, NVDIMM-like:
+/// lower bandwidth, higher latency, but cheaper per byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TierId(pub u8);
 
 impl TierId {
-    /// The legacy FastMem tier (stack index 0).
+    /// The paper's FastMem tier (stack index 0).
     pub const FAST: TierId = TierId(0);
-    /// The legacy SlowMem tier (stack index 1).
+    /// The paper's SlowMem tier (stack index 1).
     pub const SLOW: TierId = TierId(1);
 
     /// Position in the stack, top (fastest) first.
     pub fn index(self) -> usize {
         usize::from(self.0)
-    }
-}
-
-impl From<MemTier> for TierId {
-    fn from(tier: MemTier) -> TierId {
-        match tier {
-            MemTier::Fast => TierId::FAST,
-            MemTier::Slow => TierId::SLOW,
-        }
     }
 }
 
@@ -178,70 +121,9 @@ impl TierSpec {
     }
 }
 
-/// Full specification of a simulated hybrid memory system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HybridSpec {
-    /// FastMem timing.
-    pub fast: TierSpec,
-    /// SlowMem timing.
-    pub slow: TierSpec,
-    /// FastMem capacity in bytes.
-    pub fast_capacity: u64,
-    /// SlowMem capacity in bytes.
-    pub slow_capacity: u64,
-    /// Last-level cache in front of both tiers.
-    pub cache: CacheConfig,
-}
-
-impl HybridSpec {
-    /// The paper's testbed: two 4 GB nodes and a 12 MB shared LLC.
-    pub fn paper_testbed() -> HybridSpec {
-        HybridSpec {
-            fast: TierSpec::paper_fastmem(),
-            slow: TierSpec::paper_slowmem(),
-            fast_capacity: 4 << 30,
-            slow_capacity: 4 << 30,
-            cache: CacheConfig::paper_llc(),
-        }
-    }
-
-    /// Timing spec of a tier.
-    pub fn tier(&self, tier: MemTier) -> &TierSpec {
-        match tier {
-            MemTier::Fast => &self.fast,
-            MemTier::Slow => &self.slow,
-        }
-    }
-
-    /// Capacity of a tier in bytes.
-    pub fn capacity(&self, tier: MemTier) -> u64 {
-        match tier {
-            MemTier::Fast => self.fast_capacity,
-            MemTier::Slow => self.slow_capacity,
-        }
-    }
-
-    /// The bandwidth (`B`) and latency (`L`) factors of SlowMem relative
-    /// to FastMem, as Table I reports them.
-    pub fn slow_factors(&self) -> (f64, f64) {
-        (
-            self.slow.bandwidth_bytes_per_ns / self.fast.bandwidth_bytes_per_ns,
-            self.slow.read_latency_ns / self.fast.read_latency_ns,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table1_factors() {
-        let spec = HybridSpec::paper_testbed();
-        let (b, l) = spec.slow_factors();
-        assert!((b - 0.12).abs() < 0.005, "bandwidth factor {b}");
-        assert!((l - 3.62).abs() < 0.005, "latency factor {l}");
-    }
 
     #[test]
     fn read_time_has_latency_plus_transfer() {
@@ -305,12 +187,5 @@ mod tests {
             optane.access_ns(AccessKind::Write, 64) < optane.access_ns(AccessKind::Read, 64),
             "small writes still hide latency in buffers"
         );
-    }
-
-    #[test]
-    fn tier_other_roundtrips() {
-        assert_eq!(MemTier::Fast.other(), MemTier::Slow);
-        assert_eq!(MemTier::Slow.other().other(), MemTier::Slow);
-        assert_eq!(MemTier::Fast.to_string(), "FastMem");
     }
 }

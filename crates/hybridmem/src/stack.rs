@@ -6,7 +6,7 @@
 //! carrying Table-I-style timing plus a capacity and a $/GiB price.
 //! Index 0 is the topmost (fastest) tier; indices grow downward toward
 //! cheaper, slower devices. The paper's testbed is the two-tier case,
-//! built from its Table I description with [`StackSpec::two_tier`].
+//! [`StackSpec::paper_testbed`].
 //!
 //! Every access is front-ended by the LLC model: bytes that hit in
 //! cache are served at cache speed, bytes that miss at the owning
@@ -14,14 +14,15 @@
 //! simulated addresses from the [`alloc`](crate::alloc) arenas.
 
 use crate::alloc::{ObjectId, TierArena};
-use crate::cache::{Cache, CacheConfig, CacheModel};
+use crate::cache::{Cache, CacheConfig, CacheKind, CacheModel};
 use crate::degrade::DegradationProfile;
 use crate::device::{CapacityError, Device};
 use crate::num;
-use crate::spec::{AccessKind, HybridSpec, TierId, TierSpec};
+use crate::spec::{AccessKind, TierId, TierSpec};
 use crate::stats::AccessStats;
 use crate::system::CacheStats;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::ops::{Add, Mul};
 use std::sync::Arc;
 
@@ -37,8 +38,10 @@ pub const MAX_TIERS: usize = 64;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TierDef {
     /// Human-facing tier name (e.g. `"dram"`, `"optane"`, `"ssd"`).
-    /// Matched case-insensitively by spec files and fault plans.
-    pub name: String,
+    /// Matched case-insensitively by spec files and fault plans. Borrowed
+    /// for the built-in presets, so building or cloning one allocates
+    /// only the tier list.
+    pub name: Cow<'static, str>,
     /// Timing model of the tier's device.
     pub spec: TierSpec,
     /// Capacity in bytes.
@@ -66,27 +69,29 @@ pub struct StackSpec {
 }
 
 impl StackSpec {
-    /// The paper's two-tier system as a stack: FastMem at index 0,
-    /// SlowMem at index 1, same capacities and cache. Prices follow the
-    /// paper's cost model where SlowMem costs a 0.2 fraction of FastMem
-    /// per byte (DRAM at $6/GiB).
-    pub fn two_tier(spec: &HybridSpec) -> StackSpec {
+    /// The paper's testbed: FastMem at index 0 and SlowMem at index 1
+    /// (Table I timing), two 4 GiB nodes and a 12 MB shared LLC. Prices
+    /// follow the paper's cost model where SlowMem costs a 0.2 fraction
+    /// of FastMem per byte (DRAM at $6/GiB).
+    pub fn paper_testbed() -> StackSpec {
         StackSpec {
             tiers: vec![
                 TierDef {
-                    name: "fastmem".to_string(),
-                    spec: spec.fast,
-                    capacity_bytes: spec.fast_capacity,
+                    name: "fastmem".into(),
+                    spec: TierSpec::paper_fastmem(),
+                    capacity_bytes: 4 << 30,
                     price_per_gib: 6.0,
                 },
                 TierDef {
-                    name: "slowmem".to_string(),
-                    spec: spec.slow,
-                    capacity_bytes: spec.slow_capacity,
+                    name: "slowmem".into(),
+                    spec: TierSpec::paper_slowmem(),
+                    capacity_bytes: 4 << 30,
+                    // Kept as the product (1.2000000000000002): the
+                    // tier costs printed downstream derive from it.
                     price_per_gib: 6.0 * 0.2,
                 },
             ],
-            cache: spec.cache,
+            cache: CacheConfig::paper_llc(),
         }
     }
 
@@ -135,7 +140,8 @@ impl StackSpec {
 
     /// Check structural invariants: 1..=[`MAX_TIERS`] tiers, positive
     /// capacities, finite positive timing, non-empty case-insensitively
-    /// unique names, finite non-negative prices.
+    /// unique names, finite non-negative prices, and a buildable LLC
+    /// (errors about it start with `[cache]`).
     pub fn validate(&self) -> Result<(), String> {
         if self.tiers.is_empty() {
             return Err("hierarchy has no tiers".to_string());
@@ -190,8 +196,40 @@ impl StackSpec {
                 }
             }
         }
-        Ok(())
+        validate_cache(&self.cache)
     }
+}
+
+/// The LLC checks of [`StackSpec::validate`]: the set-associative
+/// geometry must be buildable (power-of-two lines, no more ways than
+/// lines) and any real cache must have a finite, non-negative hit
+/// latency and a finite, positive bandwidth.
+fn validate_cache(cache: &CacheConfig) -> Result<(), String> {
+    if cache.kind == CacheKind::None {
+        return Ok(());
+    }
+    if cache.kind == CacheKind::SetAssociative {
+        if !cache.line_bytes.is_power_of_two() {
+            return Err(format!(
+                "[cache] line_bytes must be a power of two (got {})",
+                cache.line_bytes
+            ));
+        }
+        let lines = (cache.capacity_bytes / cache.line_bytes).max(1);
+        if cache.ways == 0 || num::u64_from_usize(cache.ways) > lines {
+            return Err(format!(
+                "[cache] ways must be at least 1 and at most the cache's {lines} lines (got {})",
+                cache.ways
+            ));
+        }
+    }
+    if !(cache.hit_latency_ns.is_finite() && cache.hit_latency_ns >= 0.0) {
+        return Err("[cache] hit_latency_ns must be finite and >= 0".to_string());
+    }
+    if !(cache.bandwidth_bytes_per_ns.is_finite() && cache.bandwidth_bytes_per_ns > 0.0) {
+        return Err("[cache] bandwidth_bytes_per_ns must be finite and positive".to_string());
+    }
+    Ok(())
 }
 
 /// Build a [`TierId`] from a stack index bounded by [`MAX_TIERS`].
@@ -439,7 +477,7 @@ impl TierStack {
     pub fn name(&self, tier: TierId) -> &str {
         self.spec
             .tier(tier)
-            .map(|t| t.name.as_str())
+            .map(|t| &*t.name)
             .unwrap_or("<unknown>")
     }
 
@@ -734,19 +772,19 @@ mod tests {
         StackSpec {
             tiers: vec![
                 TierDef {
-                    name: "dram".to_string(),
+                    name: "dram".into(),
                     spec: TierSpec::paper_fastmem(),
                     capacity_bytes: 1 << 20,
                     price_per_gib: 6.0,
                 },
                 TierDef {
-                    name: "optane".to_string(),
+                    name: "optane".into(),
                     spec: TierSpec::optane_dc(),
                     capacity_bytes: 4 << 20,
                     price_per_gib: 2.0,
                 },
                 TierDef {
-                    name: "ssd".to_string(),
+                    name: "ssd".into(),
                     spec: TierSpec {
                         read_latency_ns: 10_000.0,
                         bandwidth_bytes_per_ns: 3.2,
@@ -765,7 +803,7 @@ mod tests {
     fn validate_catches_bad_specs() {
         let mut s = three_tier();
         assert!(s.validate().is_ok());
-        s.tiers[1].name = "DRAM".to_string();
+        s.tiers[1].name = "DRAM".into();
         assert!(s.validate().unwrap_err().contains("duplicate"));
         let mut s = three_tier();
         s.tiers[2].capacity_bytes = 0;
@@ -776,6 +814,25 @@ mod tests {
         let mut s = three_tier();
         s.tiers[0].spec.bandwidth_bytes_per_ns = 0.0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn an_unbuildable_cache_is_an_invalid_spec_not_a_panic() {
+        let mut s = three_tier();
+        s.cache = CacheConfig {
+            line_bytes: 48,
+            ..CacheConfig::line_granular()
+        };
+        match TierStack::new(s) {
+            Err(StackError::InvalidSpec(reason)) => {
+                assert!(reason.starts_with("[cache] line_bytes"), "{reason}")
+            }
+            other => panic!("expected InvalidSpec, got {:?}", other.err()),
+        }
+        // The geometry only matters to the set-associative model.
+        let mut s = three_tier();
+        s.cache.ways = 0;
+        assert!(s.validate().is_ok());
     }
 
     #[test]

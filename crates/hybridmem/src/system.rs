@@ -2,8 +2,8 @@
 //!
 //! [`TierStack`](crate::stack::TierStack) is the one memory system: an
 //! ordered stack of devices behind a shared LLC. The paper's FastMem /
-//! SlowMem testbed is its two-tier case, built from the Table I
-//! description with [`StackSpec::two_tier`](crate::stack::StackSpec::two_tier).
+//! SlowMem testbed is its two-tier case,
+//! [`StackSpec::paper_testbed`](crate::stack::StackSpec::paper_testbed).
 //! This module holds the LLC counters the stack reports and the
 //! end-to-end unit tests of that two-tier configuration.
 
@@ -48,32 +48,32 @@ impl CacheStats {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::spec::{AccessKind, HybridSpec, MemTier, TierId};
+    use crate::spec::{AccessKind, TierId};
     use crate::stack::{StackError, StackSpec, TierStack};
 
     const FAST: TierId = TierId::FAST;
     const SLOW: TierId = TierId::SLOW;
 
-    fn small_spec() -> HybridSpec {
-        let mut spec = HybridSpec::paper_testbed();
-        spec.fast_capacity = 1 << 20;
-        spec.slow_capacity = 1 << 20;
+    fn small_spec() -> StackSpec {
+        let mut spec = StackSpec::paper_testbed();
+        spec.tiers[0].capacity_bytes = 1 << 20;
+        spec.tiers[1].capacity_bytes = 1 << 20;
         spec
     }
 
-    fn system(spec: &HybridSpec) -> TierStack {
-        TierStack::new(StackSpec::two_tier(spec)).unwrap()
+    fn system(spec: StackSpec) -> TierStack {
+        TierStack::new(spec).unwrap()
     }
 
     fn uncached() -> TierStack {
         let mut spec = small_spec();
         spec.cache = CacheConfig::disabled();
-        system(&spec)
+        system(spec)
     }
 
     #[test]
     fn alloc_free_accounting() {
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         let id = mem.alloc(1000, FAST).unwrap();
         assert_eq!(mem.used(FAST), 1000);
         assert_eq!(mem.object_count(), 1);
@@ -85,18 +85,18 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced() {
-        let mut mem = system(&small_spec());
-        mem.alloc(1 << 20, MemTier::Fast.id()).unwrap();
-        let err = mem.alloc(1, MemTier::Fast.id()).unwrap_err();
+        let mut mem = system(small_spec());
+        mem.alloc(1 << 20, TierId::FAST).unwrap();
+        let err = mem.alloc(1, TierId::FAST).unwrap_err();
         assert!(matches!(err, StackError::OutOfMemory { tier: FAST, .. }));
         // Slow tier unaffected.
-        mem.alloc(1, MemTier::Slow.id()).unwrap();
+        mem.alloc(1, TierId::SLOW).unwrap();
     }
 
     #[test]
     fn over_commit_surfaces_capacity_details() {
         use crate::device::CapacityError;
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         mem.alloc((1 << 20) - 100, FAST).unwrap();
         let err = mem.alloc(500, FAST).unwrap_err();
         assert_eq!(
@@ -123,7 +123,7 @@ mod tests {
         mem.set_degradation(Some(DegradationProfile::new().with(DegradationWindow {
             latency_mult: 4.0,
             bandwidth_mult: 0.25,
-            ..DegradationWindow::nominal(MemTier::Slow, 1_000, 2_000)
+            ..DegradationWindow::nominal(TierId::SLOW, 1_000, 2_000)
         })));
         assert!(mem.degradation().is_some());
         mem.set_now_ns(500);
@@ -141,10 +141,10 @@ mod tests {
     #[test]
     fn capacity_shrink_fails_allocations_during_window() {
         use crate::degrade::{DegradationProfile, DegradationWindow};
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         mem.set_degradation(Some(DegradationProfile::new().with(DegradationWindow {
             capacity_shrink: 1 << 20,
-            ..DegradationWindow::nominal(MemTier::Fast, 100, 200)
+            ..DegradationWindow::nominal(TierId::FAST, 100, 200)
         })));
         mem.set_now_ns(150);
         assert_eq!(mem.effective_capacity(FAST), 0);
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn cached_rereads_are_cheap_and_tier_blind() {
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         let s = mem.alloc(4096, SLOW).unwrap();
         let cold = mem.access(s, AccessKind::Read);
         let warm = mem.access(s, AccessKind::Read);
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn migration_moves_bytes_and_invalidates_cache() {
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         let id = mem.alloc(4096, SLOW).unwrap();
         mem.access(id, AccessKind::Read); // warm the cache
         let cost = mem.migrate(id, FAST).unwrap();
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn migration_fails_when_target_full() {
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         mem.alloc(1 << 20, FAST).unwrap();
         let id = mem.alloc(4096, SLOW).unwrap();
         assert!(mem.migrate(id, FAST).is_err());
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn touch_charges_raw_device_time() {
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         let tf = mem.touch_n(FAST, AccessKind::Read, 64, 1);
         let ts = mem.touch_n(SLOW, AccessKind::Read, 64, 1);
         assert!(ts > 3.0 * tf);
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn reset_measurement_state_clears_cache_and_stats() {
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         let id = mem.alloc(4096, FAST).unwrap();
         mem.access(id, AccessKind::Read);
         mem.access(id, AccessKind::Read);
@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn access_unknown_object_is_zero_cost() {
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         let id = mem.alloc(10, FAST).unwrap();
         mem.free(id).unwrap();
         assert_eq!(mem.access(id, AccessKind::Read), 0.0);
@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn cache_hit_ratio() {
-        let mut mem = system(&small_spec());
+        let mut mem = system(small_spec());
         let id = mem.alloc(1024, FAST).unwrap();
         mem.access(id, AccessKind::Read);
         mem.access(id, AccessKind::Read);

@@ -148,11 +148,11 @@ fn tier_specs(engine: &dyn KvEngine) -> (TierSpec, TierSpec) {
 mod tests {
     use crate::profile::StoreKind;
     use crate::server::{Placement, Server};
-    use hybridmem::HybridSpec;
+    use hybridmem::StackSpec;
     use ycsb::{Trace, WorkloadSpec};
 
-    fn scaled_spec(trace: &Trace) -> HybridSpec {
-        let mut spec = HybridSpec::paper_testbed();
+    fn scaled_spec(trace: &Trace) -> StackSpec {
+        let mut spec = StackSpec::paper_testbed();
         spec.cache.capacity_bytes = (trace.dataset_bytes() / 85).max(1 << 16);
         spec
     }

@@ -20,7 +20,7 @@ use crate::engine::EngineError;
 use crate::profile::StoreKind;
 use crate::server::{make_engine, Placement, RunReport, Server};
 use hybridmem::clock::NoiseConfig;
-use hybridmem::{DetHashSet, HybridSpec, MemTier, StackSpec, TierId};
+use hybridmem::{DetHashSet, StackSpec, TierId};
 use ycsb::Trace;
 
 /// A FastMem server + SlowMem server pair with client-side routing.
@@ -39,7 +39,7 @@ impl TwoInstanceCluster {
         trace: &Trace,
         fast_keys: DetHashSet<u64>,
     ) -> Result<TwoInstanceCluster, EngineError> {
-        let stack = StackSpec::two_tier(&HybridSpec::paper_testbed());
+        let stack = StackSpec::paper_testbed();
         let mut fast = make_engine(kind, stack.clone())?;
         let mut slow = make_engine(kind, stack)?;
         for (key, &bytes) in trace.sizes.iter().enumerate() {
@@ -65,17 +65,17 @@ impl TwoInstanceCluster {
         placement: &Placement,
     ) -> Result<TwoInstanceCluster, EngineError> {
         let fast_keys = (0..trace.keys())
-            .filter(|&k| placement.tier_of(k) == MemTier::Fast)
+            .filter(|&k| placement.tier_of(k) == TierId::FAST)
             .collect();
         TwoInstanceCluster::build(kind, trace, fast_keys)
     }
 
     /// Which instance a key routes to.
-    pub fn route(&self, key: u64) -> MemTier {
+    pub fn route(&self, key: u64) -> TierId {
         if self.fast_keys.contains(&key) {
-            MemTier::Fast
+            TierId::FAST
         } else {
-            MemTier::Slow
+            TierId::SLOW
         }
     }
 
@@ -143,8 +143,8 @@ mod tests {
         let t = trace();
         let fast: DetHashSet<u64> = (0..50).collect();
         let c = TwoInstanceCluster::build(StoreKind::Redis, &t, fast).unwrap();
-        assert_eq!(c.route(10), MemTier::Fast);
-        assert_eq!(c.route(60), MemTier::Slow);
+        assert_eq!(c.route(10), TierId::FAST);
+        assert_eq!(c.route(60), TierId::SLOW);
         assert_eq!(c.key_split(), (50, 150));
         let (fb, sb) = c.byte_split();
         assert!(fb > 0 && sb > 0);

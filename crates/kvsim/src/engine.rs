@@ -6,8 +6,8 @@
 //! traffic through the memory system, and (c) a fixed CPU/protocol cost.
 //! The returned service times are what the YCSB-style
 //! [`Server`](crate::server::Server) accumulates. The paper's two-tier
-//! testbed is the stack built by `StackSpec::two_tier`; every engine
-//! runs unchanged on deeper hierarchies.
+//! testbed is [`StackSpec::paper_testbed`](hybridmem::StackSpec::paper_testbed);
+//! every engine runs unchanged on deeper hierarchies.
 
 use crate::profile::EngineProfile;
 use hybridmem::{
@@ -317,10 +317,10 @@ impl EngineCore {
 /// the memory system the engine unit tests run on.
 #[cfg(test)]
 pub(crate) fn test_stack(fast_capacity: u64, slow_capacity: u64) -> TierStack {
-    let mut spec = hybridmem::HybridSpec::paper_testbed();
-    spec.fast_capacity = fast_capacity;
-    spec.slow_capacity = slow_capacity;
-    TierStack::new(hybridmem::StackSpec::two_tier(&spec)).unwrap()
+    let mut spec = hybridmem::StackSpec::paper_testbed();
+    spec.tiers[0].capacity_bytes = fast_capacity;
+    spec.tiers[1].capacity_bytes = slow_capacity;
+    TierStack::new(spec).unwrap()
 }
 
 #[cfg(test)]

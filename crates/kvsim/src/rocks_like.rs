@@ -201,11 +201,11 @@ mod tests {
     use super::*;
 
     fn small_spec() -> TierStack {
-        let mut spec = hybridmem::HybridSpec::paper_testbed();
-        spec.fast_capacity = 1 << 27;
-        spec.slow_capacity = 1 << 27;
+        let mut spec = hybridmem::StackSpec::paper_testbed();
+        spec.tiers[0].capacity_bytes = 1 << 27;
+        spec.tiers[1].capacity_bytes = 1 << 27;
         spec.cache = hybridmem::CacheConfig::disabled();
-        TierStack::new(hybridmem::StackSpec::two_tier(&spec)).unwrap()
+        TierStack::new(spec).unwrap()
     }
 
     #[test]

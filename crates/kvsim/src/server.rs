@@ -6,8 +6,8 @@
 //! service times, throughput and latency distributions.
 //!
 //! The engine's memory system is a [`TierStack`] of any depth. A server
-//! built from the paper's [`HybridSpec`] places keys statically by
-//! [`Placement`]; one built over a [`StackSpec`] hierarchy takes its
+//! built by [`Server::build_with`] places keys statically by
+//! [`Placement`]; one built by [`Server::build_tiered`] takes its
 //! initial placement from a [`TieringPolicy`] and, with epochs on,
 //! re-plans every that many requests, charging each move's copy cost
 //! (read from source + write to destination, priced by
@@ -27,8 +27,8 @@ use crate::rocks_like::RocksLike;
 use crate::tiered::{load_planned, trace_stats, EpochPlanner};
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{
-    AccessKind, DegradationProfile, DetHashSet, Histogram, HybridSpec, MemTier, NoiseModel,
-    SimClock, StackSpec, TierId, TierStack,
+    AccessKind, DegradationProfile, DetHashSet, Histogram, NoiseModel, SimClock, StackSpec, TierId,
+    TierStack,
 };
 use mnemo_faults::{FaultPlan, ShardCrash};
 use mnemo_telemetry::{AccessStatKeys, CacheStatKeys, EpochLog, Snapshot};
@@ -49,15 +49,15 @@ pub enum Placement {
 
 impl Placement {
     /// The tier a key lands in under this placement.
-    pub fn tier_of(&self, key: u64) -> MemTier {
+    pub fn tier_of(&self, key: u64) -> TierId {
         match self {
-            Placement::AllFast => MemTier::Fast,
-            Placement::AllSlow => MemTier::Slow,
+            Placement::AllFast => TierId::FAST,
+            Placement::AllSlow => TierId::SLOW,
             Placement::FastSet(set) => {
                 if set.contains(&key) {
-                    MemTier::Fast
+                    TierId::FAST
                 } else {
-                    MemTier::Slow
+                    TierId::SLOW
                 }
             }
         }
@@ -309,8 +309,9 @@ pub struct Server {
     cache: Option<FrontCache>,
     migration: MigrationStats,
     /// Per-tier telemetry follows the paper's names (`kv.fast`,
-    /// `kv.slow`) for a server built from a [`HybridSpec`], and the
-    /// hierarchy's tier names (`kv.tier.<name>`) otherwise.
+    /// `kv.slow`) for a statically placed server ([`Server::build_with`]),
+    /// and the hierarchy's tier names (`kv.tier.<name>`) for a
+    /// policy-placed one ([`Server::build_tiered`]).
     paper_names: bool,
 }
 
@@ -335,7 +336,7 @@ impl Server {
     ) -> Result<Server, EngineError> {
         Server::build_with(
             kind,
-            HybridSpec::paper_testbed(),
+            StackSpec::paper_testbed(),
             NoiseConfig::disabled(),
             trace,
             placement,
@@ -345,14 +346,14 @@ impl Server {
     /// Fully parameterised constructor.
     pub fn build_with(
         kind: StoreKind,
-        spec: HybridSpec,
+        spec: StackSpec,
         noise: NoiseConfig,
         trace: &Trace,
         placement: Placement,
     ) -> Result<Server, EngineError> {
-        let mut engine = make_engine(kind, StackSpec::two_tier(&spec))?;
+        let mut engine = make_engine(kind, spec)?;
         for (key, &bytes) in trace.sizes.iter().enumerate() {
-            engine.load(key as u64, bytes, placement.tier_of(key as u64).id())?;
+            engine.load(key as u64, bytes, placement.tier_of(key as u64))?;
         }
         Ok(Server::assemble(engine, kind, noise, None, true))
     }
@@ -383,7 +384,7 @@ impl Server {
     /// `fast_capacity_bytes`, with measurement noise disabled.
     pub fn build_cache_mode(
         kind: StoreKind,
-        spec: HybridSpec,
+        spec: StackSpec,
         trace: &Trace,
         fast_capacity_bytes: u64,
     ) -> Result<Server, EngineError> {
@@ -475,10 +476,10 @@ impl Server {
     ) -> Result<(), EngineError> {
         // Migrate slow->fast second so the fast tier never holds both the
         // outgoing and incoming working set at once.
-        for tier in [MemTier::Slow, MemTier::Fast] {
+        for tier in [TierId::SLOW, TierId::FAST] {
             for key in 0..trace.keys() {
                 if placement.tier_of(key) == tier {
-                    self.engine.migrate(key, tier.id())?;
+                    self.engine.migrate(key, tier)?;
                 }
             }
         }
@@ -888,7 +889,7 @@ mod tests {
             .run(&t);
         let noisy = Server::build_with(
             StoreKind::Redis,
-            HybridSpec::paper_testbed(),
+            StackSpec::paper_testbed(),
             NoiseConfig::default_jitter(7),
             &t,
             Placement::AllFast,
@@ -995,13 +996,13 @@ mod tests {
         server.install_fault_plan(
             &FaultPlan::new(1)
                 .with(FaultEvent::LatencySpike {
-                    tier: hybridmem::MemTier::Slow.id(),
+                    tier: hybridmem::TierId::SLOW,
                     start_ns: 0,
                     end_ns: u128::MAX,
                     factor: 32.0,
                 })
                 .with(FaultEvent::BandwidthThrottle {
-                    tier: hybridmem::MemTier::Slow.id(),
+                    tier: hybridmem::TierId::SLOW,
                     start_ns: 0,
                     end_ns: u128::MAX,
                     factor: 1.0 / 32.0,

@@ -12,7 +12,7 @@ use crate::engine::EngineError;
 use crate::profile::StoreKind;
 use crate::server::{Placement, RunReport, Server};
 use hybridmem::clock::NoiseConfig;
-use hybridmem::HybridSpec;
+use hybridmem::StackSpec;
 use parking_lot::Mutex;
 use ycsb::Trace;
 
@@ -35,7 +35,7 @@ impl ShardedCluster {
     ) -> Result<ShardedCluster, EngineError> {
         Self::build_with(
             kind,
-            HybridSpec::paper_testbed(),
+            StackSpec::paper_testbed(),
             NoiseConfig::disabled(),
             trace,
             placement,
@@ -55,17 +55,18 @@ impl ShardedCluster {
         placement: &Placement,
         n: usize,
     ) -> Result<ShardedCluster, EngineError> {
-        let mut spec = HybridSpec::paper_testbed();
+        let mut spec = StackSpec::paper_testbed();
         let share = n.max(1) as f64;
-        spec.fast.bandwidth_bytes_per_ns /= share;
-        spec.slow.bandwidth_bytes_per_ns /= share;
+        for tier in &mut spec.tiers {
+            tier.spec.bandwidth_bytes_per_ns /= share;
+        }
         Self::build_with(kind, spec, NoiseConfig::disabled(), trace, placement, n)
     }
 
     /// Fully parameterised constructor.
     pub fn build_with(
         kind: StoreKind,
-        spec: HybridSpec,
+        spec: StackSpec,
         noise: NoiseConfig,
         trace: &Trace,
         placement: &Placement,

@@ -243,7 +243,7 @@ mod tests {
     use crate::profile::StoreKind;
     use crate::server::{Placement, Server};
     use hybridmem::clock::NoiseConfig;
-    use hybridmem::{HybridSpec, StackSpec};
+    use hybridmem::StackSpec;
     use mnemo_faults::{FaultEvent, FaultPlan};
     use mnemo_tier::{dram_optane_ssd, DecayPolicy, GreedyPolicy, PolicyKind};
     use ycsb::WorkloadSpec;
@@ -423,17 +423,17 @@ factor = 0.025
 
     /// Paper-proportioned testbed (the full 12 MB LLC would cache these
     /// reduced-scale datasets outright and mask placement effects).
-    fn scaled_spec(t: &Trace) -> HybridSpec {
-        let mut spec = HybridSpec::paper_testbed();
+    fn scaled_spec(t: &Trace) -> StackSpec {
+        let mut spec = StackSpec::paper_testbed();
         spec.cache.capacity_bytes = (t.dataset_bytes() / 85).max(1 << 16);
         spec
     }
 
     /// A Redis server on `spec` tiered by [`DecayPolicy`] at a 20%
     /// FastMem budget, re-planning every `epoch` requests.
-    fn decay(spec: HybridSpec, t: &Trace, epoch: u64) -> Server {
+    fn decay(spec: StackSpec, t: &Trace, epoch: u64) -> Server {
         let policy = Box::new(DecayPolicy::new(budget_for(t)));
-        server(StackSpec::two_tier(&spec), policy, t, epoch)
+        server(spec, policy, t, epoch)
     }
 
     /// A server stuck with the hottest keys by full-trace counts, at the
@@ -473,7 +473,7 @@ factor = 0.025
     #[test]
     fn decay_respects_budget() {
         let t = WorkloadSpec::trending().scaled(200, 4_000).generate(3);
-        let mut s = decay(HybridSpec::paper_testbed(), &t, 1_000);
+        let mut s = decay(StackSpec::paper_testbed(), &t, 1_000);
         let _ = s.run(&t);
         // Engine-side overhead makes bytes slightly exceed the logical
         // budget; allow the header slack.
@@ -521,7 +521,7 @@ factor = 0.025
     #[test]
     fn decay_migration_costs_are_charged() {
         let t = WorkloadSpec::timeline().scaled(200, 6_000).generate(2);
-        let mut s = decay(HybridSpec::paper_testbed(), &t, 200);
+        let mut s = decay(StackSpec::paper_testbed(), &t, 200);
         let report = s.run(&t);
         assert!(s.migration_stats().migration_ns > 0.0);
         // Runtime includes migration time on top of request service time.
@@ -538,8 +538,9 @@ factor = 0.025
         // nanosecond is a promotion's copy, slow read + fast write of the
         // key's stored bytes, priced straight from the tier specs.
         let t = WorkloadSpec::timeline().scaled(200, 2_000).generate(2);
-        let spec = HybridSpec::paper_testbed();
-        let mut s = decay(spec.clone(), &t, 1_000);
+        let spec = StackSpec::paper_testbed();
+        let (fast, slow) = (spec.tiers[0].spec, spec.tiers[1].spec);
+        let mut s = decay(spec, &t, 1_000);
         s.run(&t);
         let stats = s.migration_stats();
         assert_eq!(stats.epochs, 1);
@@ -553,8 +554,8 @@ factor = 0.025
             let stored = s.engine().memory().placement(id).unwrap().bytes;
             assert!(stored > t.sizes[key as usize], "copies move stored bytes");
             promoted += 1;
-            expect += spec.slow.access_ns(hybridmem::AccessKind::Read, stored)
-                + spec.fast.access_ns(hybridmem::AccessKind::Write, stored);
+            expect += slow.access_ns(hybridmem::AccessKind::Read, stored)
+                + fast.access_ns(hybridmem::AccessKind::Write, stored);
         }
         assert!(promoted > 0);
         assert_eq!(stats.moved_keys, promoted);
@@ -569,7 +570,7 @@ factor = 0.025
     #[test]
     fn telemetered_decay_run_records_migration_events() {
         let t = WorkloadSpec::timeline().scaled(200, 6_000).generate(2);
-        let mut s = decay(HybridSpec::paper_testbed(), &t, 200);
+        let mut s = decay(StackSpec::paper_testbed(), &t, 200);
         let (report, snaps) = s.run_telemetered(&t, 1_000);
         let stats = s.migration_stats();
         let sum = |name: &str| snaps.iter().map(|s| s.counter(name)).sum::<u64>();
@@ -588,7 +589,7 @@ factor = 0.025
     #[test]
     fn injected_migration_failures_fall_back_gracefully() {
         let t = WorkloadSpec::timeline().scaled(200, 6_000).generate(2);
-        let mut s = decay(HybridSpec::paper_testbed(), &t, 200);
+        let mut s = decay(StackSpec::paper_testbed(), &t, 200);
         s.install_fault_plan(&always_failing(9, 1.0));
         let report = s.run(&t);
         let stats = s.migration_stats();
@@ -620,7 +621,7 @@ factor = 0.025
         let t = WorkloadSpec::timeline().scaled(200, 6_000).generate(2);
         let plan = always_failing(7, 0.5);
         let run = || {
-            let mut s = decay(HybridSpec::paper_testbed(), &t, 200);
+            let mut s = decay(StackSpec::paper_testbed(), &t, 200);
             s.install_fault_plan(&plan);
             let out = s.run_telemetered(&t, 0);
             (out, s.migration_stats())

@@ -33,15 +33,9 @@
 use hybridmem::cache::CacheKind;
 use hybridmem::spec::TierSpec;
 use hybridmem::stack::{StackSpec, TierDef};
-use hybridmem::{CacheConfig, HybridSpec};
+use hybridmem::CacheConfig;
 use mnemo_codec::toml::{self, Record};
 use mnemo_codec::ParseError;
-
-/// The paper's two-tier testbed as a stack: FastMem (DRAM, $6/GiB) over
-/// SlowMem (emulated NVM at the paper's 0.2 price fraction).
-pub fn paper_two_tier() -> StackSpec {
-    StackSpec::two_tier(&HybridSpec::paper_testbed())
-}
 
 /// A three-tier pyramid: the paper's DRAM, Optane-DC-style persistent
 /// memory (write-asymmetric), and an SSD-backed swap tier. Capacities
@@ -50,19 +44,19 @@ pub fn dram_optane_ssd() -> StackSpec {
     StackSpec {
         tiers: vec![
             TierDef {
-                name: "dram".to_string(),
+                name: "dram".into(),
                 spec: TierSpec::paper_fastmem(),
                 capacity_bytes: 4 << 30,
                 price_per_gib: 6.0,
             },
             TierDef {
-                name: "optane".to_string(),
+                name: "optane".into(),
                 spec: TierSpec::optane_dc(),
                 capacity_bytes: 16 << 30,
                 price_per_gib: 2.0,
             },
             TierDef {
-                name: "ssd".to_string(),
+                name: "ssd".into(),
                 spec: TierSpec {
                     read_latency_ns: 10_000.0,
                     bandwidth_bytes_per_ns: 3.2,
@@ -83,7 +77,7 @@ pub const PRESETS: [&str; 2] = ["paper_two_tier", "dram_optane_ssd"];
 /// Resolve a built-in hierarchy preset by name.
 pub fn preset(name: &str) -> Option<StackSpec> {
     match name {
-        "paper_two_tier" => Some(paper_two_tier()),
+        "paper_two_tier" => Some(StackSpec::paper_testbed()),
         "dram_optane_ssd" => Some(dram_optane_ssd()),
         _ => None,
     }
@@ -278,7 +272,8 @@ fn build_cache(record: &Record) -> Result<CacheConfig, SpecError> {
 /// Parse a hierarchy spec from the TOML subset (`[[tier]]` tables of
 /// scalars plus an optional `[cache]` section). The parsed spec is
 /// validated ([`StackSpec::validate`]) before being returned, with the
-/// validation failure attributed to the offending `[[tier]]` line.
+/// validation failure attributed to the offending `[[tier]]` or
+/// `[cache]` line.
 pub fn parse_hierarchy(text: &str) -> Result<StackSpec, SpecError> {
     let (cache, raw_tiers) = parse_raw(text)?;
     if raw_tiers.is_empty() {
@@ -302,7 +297,7 @@ pub fn parse_hierarchy(text: &str) -> Result<StackSpec, SpecError> {
             .str("name")?
             .ok_or_else(|| SpecError::at(t.line, "missing required field `name`"))?;
         tiers.push(TierDef {
-            name: name.to_string(),
+            name: name.to_string().into(),
             spec: TierSpec {
                 read_latency_ns: t.require_f64("read_latency_ns")?,
                 bandwidth_bytes_per_ns: t.require_f64("bandwidth_bytes_per_ns")?,
@@ -314,19 +309,23 @@ pub fn parse_hierarchy(text: &str) -> Result<StackSpec, SpecError> {
         });
         lines.push(t.line);
     }
-    let cache = match &cache {
-        Some(record) => build_cache(record)?,
-        None => CacheConfig::paper_llc(),
+    let (cache, cache_line) = match &cache {
+        Some(record) => (build_cache(record)?, Some(record.line)),
+        None => (CacheConfig::paper_llc(), None),
     };
     let spec = StackSpec { tiers, cache };
     if let Err(reason) = spec.validate() {
-        // Attribute the failure to the tier it names, falling back to
-        // the first tier's line for stack-level problems.
-        let line = spec
-            .tiers
-            .iter()
-            .position(|t| reason.contains(&format!("'{}'", t.name)))
-            .map(|i| lines[i])
+        // Attribute the failure to the `[cache]` record or the tier it
+        // names, falling back to the first tier's line for stack-level
+        // problems.
+        let line = cache_line
+            .filter(|_| reason.starts_with("[cache]"))
+            .or_else(|| {
+                spec.tiers
+                    .iter()
+                    .position(|t| reason.contains(&format!("'{}'", t.name)))
+                    .map(|i| lines[i])
+            })
             .unwrap_or(lines[0]);
         return Err(SpecError::at(line, reason));
     }
@@ -389,7 +388,7 @@ price_per_gib = 0.1
             assert!(spec.validate().is_ok(), "{name}");
         }
         assert!(preset("tape_library").is_none());
-        assert_eq!(paper_two_tier().len(), 2);
+        assert_eq!(preset("paper_two_tier"), Some(StackSpec::paper_testbed()));
         assert_eq!(dram_optane_ssd().len(), 3);
     }
 
@@ -459,6 +458,41 @@ price_per_gib = 0.1
         let err = parse_hierarchy("# nothing here\n").unwrap_err();
         assert_eq!(err.line, 0);
         assert!(err.reason.contains("no [[tier]]"));
+    }
+
+    #[test]
+    fn unbuildable_cache_is_rejected_at_its_section() {
+        let set_assoc = THREE_TIER.replace("\"object_lru\"", "\"set_associative\"");
+        for (bad, reason) in [
+            (
+                "line_bytes = 48",
+                "[cache] line_bytes must be a power of two",
+            ),
+            ("ways = 0", "[cache] ways must be at least 1"),
+            (
+                "ways = 4611686018427387904",
+                "[cache] ways must be at least 1",
+            ),
+            (
+                "hit_latency_ns = -5.0",
+                "[cache] hit_latency_ns must be finite",
+            ),
+            (
+                "bandwidth_bytes_per_ns = 0.0",
+                "[cache] bandwidth_bytes_per_ns must be finite",
+            ),
+        ] {
+            let text = set_assoc.replace("capacity_mib = 12", &format!("capacity_mib = 12\n{bad}"));
+            let err = parse_hierarchy(&text).unwrap_err();
+            assert_eq!(err.line, 3, "points at [cache] for `{bad}`: {err}");
+            assert!(err.reason.starts_with(reason), "`{bad}`: {err}");
+        }
+        // Timing applies to every real cache, not only the line model.
+        let lru = THREE_TIER.replace(
+            "capacity_mib = 12",
+            "capacity_mib = 12\nhit_latency_ns = -5.0",
+        );
+        assert_eq!(parse_hierarchy(&lru).unwrap_err().line, 3);
     }
 
     #[test]

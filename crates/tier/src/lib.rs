@@ -4,9 +4,9 @@
 //! generalizes the reproduction to *N*-tier hierarchies (DRAM + NVM +
 //! SSD-swap, any depth) built on [`hybridmem::TierStack`]:
 //!
-//! * [`hierarchy`] — named presets ([`hierarchy::paper_two_tier`],
-//!   [`hierarchy::dram_optane_ssd`]) and a TOML-subset hierarchy spec
-//!   file format with line-numbered errors;
+//! * [`hierarchy`] — named presets (`paper_two_tier`, the paper's
+//!   testbed, and [`hierarchy::dram_optane_ssd`]) and a TOML-subset
+//!   hierarchy spec file format with line-numbered errors;
 //! * [`policy`] — the [`TieringPolicy`] trait (initial placement,
 //!   access observation, epoch re-planning) and its catalog: the
 //!   paper's greedy hotness ranking (bit-identical to the two-tier
@@ -25,8 +25,8 @@ pub mod hierarchy;
 pub mod policy;
 
 pub use hierarchy::{
-    dram_optane_ssd, load_hierarchy, paper_two_tier, parse_hierarchy, preset, HierarchyLoadError,
-    SpecError, PRESETS,
+    dram_optane_ssd, load_hierarchy, parse_hierarchy, preset, HierarchyLoadError, SpecError,
+    PRESETS,
 };
 pub use policy::{
     AsymPolicy, DecayPolicy, GreedyPolicy, KeyStat, LruPolicy, OraclePolicy, PolicyKind,

@@ -650,7 +650,7 @@ impl std::fmt::Display for PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{dram_optane_ssd, paper_two_tier};
+    use crate::hierarchy::dram_optane_ssd;
     use hybridmem::stack::TierDef;
     use hybridmem::TierSpec;
 
@@ -715,7 +715,7 @@ mod tests {
         ];
         assert_eq!(weight_order(&stats), vec![1, 2, 0, 3]);
         // FastMem of 200 bytes takes keys 1 and 2; the rest go below.
-        let mut hier = paper_two_tier();
+        let mut hier = StackSpec::paper_testbed();
         hier.tiers[0].capacity_bytes = 200;
         let placed = GreedyPolicy.place(&stats, &hier);
         assert_eq!(
@@ -746,7 +746,7 @@ mod tests {
                 writes: 0,
             },
         ];
-        let mut hier = paper_two_tier();
+        let mut hier = StackSpec::paper_testbed();
         hier.tiers[0].capacity_bytes = 400;
         // Key 1 (weight 0.2) does not fit after key 0 (300 bytes used),
         // but key 2 (weight 0.1, 100 bytes) still does.
@@ -781,7 +781,7 @@ mod tests {
         let hier = StackSpec {
             tiers: vec![
                 TierDef {
-                    name: "rcheap".to_string(),
+                    name: "rcheap".into(),
                     spec: TierSpec {
                         read_latency_ns: 50.0,
                         bandwidth_bytes_per_ns: 15.0,
@@ -792,7 +792,7 @@ mod tests {
                     price_per_gib: 6.0,
                 },
                 TierDef {
-                    name: "wcheap".to_string(),
+                    name: "wcheap".into(),
                     spec: TierSpec {
                         read_latency_ns: 400.0,
                         bandwidth_bytes_per_ns: 2.0,
@@ -900,7 +900,7 @@ mod tests {
                 writes: 0,
             },
         ];
-        let mut hier = paper_two_tier();
+        let mut hier = StackSpec::paper_testbed();
         hier.tiers[0].capacity_bytes = 100;
         // Epoch 0 is hot on key 0; epoch 1 flips to key 1.
         let w0 = vec![KeyStat {
@@ -933,7 +933,7 @@ mod tests {
             writes: 0,
         };
         let stats = vec![stat(0, 100), stat(1, 100), stat(2, 10)];
-        let hier = paper_two_tier();
+        let hier = StackSpec::paper_testbed();
         let mut decay = DecayPolicy::new(100);
         let mut current = decay.place(&stats, &hier);
         assert_eq!(current, vec![TierId::SLOW; 3], "the tierer starts cold");

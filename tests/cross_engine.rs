@@ -76,7 +76,7 @@ fn per_store_storage_overheads_differ() {
     let t = trace();
     let bytes = |store: StoreKind| {
         let server = Server::build(store, &t, Placement::AllFast).unwrap();
-        server.engine().bytes_in(hybridmem::MemTier::Fast.id())
+        server.engine().bytes_in(hybridmem::TierId::FAST)
     };
     let logical = t.dataset_bytes();
     let redis = bytes(StoreKind::Redis);
@@ -140,8 +140,8 @@ fn capacity_pressure_surfaces_as_engine_error() {
     // A spec too small for the dataset must fail loading, not corrupt
     // state.
     let t = trace();
-    let mut spec = hybridmem::HybridSpec::paper_testbed();
-    spec.fast_capacity = 1 << 20; // 1 MiB, dataset is ~20 MiB
+    let mut spec = hybridmem::StackSpec::paper_testbed();
+    spec.tiers[0].capacity_bytes = 1 << 20; // 1 MiB, dataset is ~20 MiB
     let err = Server::build_with(
         StoreKind::Redis,
         spec,

@@ -11,7 +11,7 @@
 //!    machine-readable [`DegradedReason`].
 
 use hybridmem::clock::NoiseConfig;
-use hybridmem::{HybridSpec, StackSpec};
+use hybridmem::StackSpec;
 use kvsim::tiered::trace_windows;
 use kvsim::{MigrationStats, Placement, Server, ShardedCluster, StoreKind};
 use mnemo::advisor::{Advisor, AdvisorConfig, DegradedReason};
@@ -39,13 +39,13 @@ fn trace() -> Trace {
 fn stormy_plan() -> FaultPlan {
     FaultPlan::new(99)
         .with(FaultEvent::LatencySpike {
-            tier: hybridmem::MemTier::Slow.id(),
+            tier: hybridmem::TierId::SLOW,
             start_ns: 0,
             end_ns: u128::MAX,
             factor: 24.0,
         })
         .with(FaultEvent::BandwidthThrottle {
-            tier: hybridmem::MemTier::Slow.id(),
+            tier: hybridmem::TierId::SLOW,
             start_ns: 0,
             end_ns: u128::MAX,
             factor: 1.0 / 12.0,
@@ -135,7 +135,7 @@ fn migration_retries_are_bounded_by_the_backoff_cap() {
     let budget = (t.dataset_bytes() as f64 * 0.3) as u64;
     let mut server = Server::build_tiered(
         StoreKind::Redis,
-        StackSpec::two_tier(&HybridSpec::paper_testbed()),
+        StackSpec::paper_testbed(),
         NoiseConfig::disabled(),
         &t,
         Box::new(DecayPolicy::new(budget)),
@@ -212,25 +212,25 @@ fn advisor_under_faults_always_answers_compliant_or_tagged() {
     // throughput — the regime where plain `recommend` would give up.
     let plan = FaultPlan::new(3)
         .with(FaultEvent::LatencySpike {
-            tier: hybridmem::MemTier::Fast.id(),
+            tier: hybridmem::TierId::FAST,
             start_ns: 0,
             end_ns: u128::MAX,
             factor: 50.0,
         })
         .with(FaultEvent::LatencySpike {
-            tier: hybridmem::MemTier::Slow.id(),
+            tier: hybridmem::TierId::SLOW,
             start_ns: 0,
             end_ns: u128::MAX,
             factor: 50.0,
         })
         .with(FaultEvent::BandwidthThrottle {
-            tier: hybridmem::MemTier::Fast.id(),
+            tier: hybridmem::TierId::FAST,
             start_ns: 0,
             end_ns: u128::MAX,
             factor: 0.02,
         })
         .with(FaultEvent::BandwidthThrottle {
-            tier: hybridmem::MemTier::Slow.id(),
+            tier: hybridmem::TierId::SLOW,
             start_ns: 0,
             end_ns: u128::MAX,
             factor: 0.02,
@@ -238,7 +238,7 @@ fn advisor_under_faults_always_answers_compliant_or_tagged() {
     // Scale the LLC to the dataset (the paper's ~85:1 proportion);
     // otherwise the cache absorbs every device access and hides the
     // injected latency entirely.
-    let mut spec = hybridmem::HybridSpec::paper_testbed();
+    let mut spec = StackSpec::paper_testbed();
     spec.cache.capacity_bytes = spec
         .cache
         .capacity_bytes

@@ -147,14 +147,14 @@ proptest! {
         bytes in 64u64..500_000,
         store_pick in 0u8..3,
     ) {
-        use hybridmem::{CacheConfig, HybridSpec, MemTier, StackSpec};
+        use hybridmem::{CacheConfig, StackSpec, TierId};
         let store = [StoreKind::Redis, StoreKind::Memcached, StoreKind::Dynamo]
             [store_pick as usize];
-        let mut spec = HybridSpec::paper_testbed();
+        let mut spec = StackSpec::paper_testbed();
         spec.cache = CacheConfig::disabled();
-        let mut engine = kvsim::server::make_engine(store, StackSpec::two_tier(&spec)).unwrap();
-        engine.load(0, bytes, MemTier::Fast.id()).unwrap();
-        engine.load(1, bytes, MemTier::Slow.id()).unwrap();
+        let mut engine = kvsim::server::make_engine(store, spec).unwrap();
+        engine.load(0, bytes, TierId::FAST).unwrap();
+        engine.load(1, bytes, TierId::SLOW).unwrap();
         let fast_get = engine.get(0).unwrap();
         let slow_get = engine.get(1).unwrap();
         let fast_put = engine.put(0).unwrap();

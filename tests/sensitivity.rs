@@ -8,8 +8,8 @@
 //! second against full simulations of the split.
 
 use hybridmem::clock::NoiseConfig;
-use hybridmem::{MemTier, StackSpec};
-use kvsim::{PairedDecline, Placement, RunReport, Server, StoreKind};
+use hybridmem::{StackError, TierId};
+use kvsim::{EngineError, PairedDecline, Placement, RunReport, Server, StoreKind};
 use mnemo::advisor::{Advisor, AdvisorConfig};
 use mnemo::{BaselineRun, SensitivityEngine};
 use mnemo_bench::{measurement_noise, testbed_for};
@@ -60,7 +60,6 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, cell: &str) {
 }
 
 fn assert_runs_identical(a: &BaselineRun, b: &BaselineRun, cell: &str) {
-    assert_eq!(a.tier, b.tier, "{cell}");
     assert_eq!(a.runtime_ns.to_bits(), b.runtime_ns.to_bits(), "{cell}");
     assert_eq!(a.avg_read_ns.to_bits(), b.avg_read_ns.to_bits(), "{cell}");
     assert_eq!(a.avg_write_ns.to_bits(), b.avg_write_ns.to_bits(), "{cell}");
@@ -93,7 +92,7 @@ fn one_walk_measure_is_bit_identical_to_two_runs() {
 fn faulted_measure_declines_the_walk_and_matches_two_runs() {
     let trace = WorkloadSpec::trending().scaled(300, 3_000).generate(5);
     let plan = FaultPlan::new(3).with(FaultEvent::LatencySpike {
-        tier: MemTier::Slow.id(),
+        tier: TierId::SLOW,
         start_ns: 0,
         end_ns: u128::MAX,
         factor: 4.0,
@@ -117,7 +116,7 @@ fn faulted_measure_declines_the_walk_and_matches_two_runs() {
         server.install_fault_plan(&plan);
         assert_eq!(
             server
-                .run_paired(&trace, MemTier::Slow.id(), NoiseConfig::disabled())
+                .run_paired(&trace, TierId::SLOW, NoiseConfig::disabled())
                 .unwrap_err(),
             PairedDecline::Degradation
         );
@@ -127,10 +126,10 @@ fn faulted_measure_declines_the_walk_and_matches_two_runs() {
 #[test]
 fn paired_run_declines_with_typed_reasons() {
     let trace = WorkloadSpec::trending().scaled(300, 3_000).generate(5);
-    let alt = MemTier::Slow.id();
+    let alt = TierId::SLOW;
     let quiet = NoiseConfig::disabled();
     // Epoch re-planning on an N-tier build.
-    let spec = StackSpec::two_tier(&testbed_for(&trace));
+    let spec = testbed_for(&trace);
     let greedy = || mnemo_tier::PolicyKind::Greedy.build(1, &[]);
     let mut tiered =
         Server::build_tiered(StoreKind::Redis, spec.clone(), quiet, &trace, greedy(), 500).unwrap();
@@ -161,7 +160,7 @@ fn paired_run_declines_with_typed_reasons() {
         PairedDecline::UnknownTier(hybridmem::TierId(2))
     );
     let mut small = testbed_for(&trace);
-    small.slow_capacity = trace.dataset_bytes() / 2;
+    small.tiers[1].capacity_bytes = trace.dataset_bytes() / 2;
     let mut server = Server::build_with(
         StoreKind::Redis,
         small.clone(),
@@ -204,6 +203,38 @@ fn paired_run_declines_with_typed_reasons() {
         engine
             .measure_one(StoreKind::Redis, &trace, Placement::AllSlow)
             .unwrap_err()
+    );
+}
+
+#[test]
+fn one_tier_stack_is_a_typed_error_from_the_consultant() {
+    let trace = WorkloadSpec::trending().scaled(300, 3_000).generate(5);
+    let quiet = NoiseConfig::disabled();
+    let mut spec = testbed_for(&trace);
+    spec.tiers.truncate(1);
+    assert_eq!(spec.validate(), Ok(()));
+    // The paired walk has no SlowMem to price against and declines...
+    let mut server = Server::build_with(
+        StoreKind::Redis,
+        spec.clone(),
+        quiet,
+        &trace,
+        Placement::AllFast,
+    )
+    .unwrap();
+    assert_eq!(
+        server.run_paired(&trace, TierId::SLOW, quiet).unwrap_err(),
+        PairedDecline::UnknownTier(TierId::SLOW)
+    );
+    // ... and the all-SlowMem load of the two-run fallback fails typed.
+    let advisor = Advisor::new(AdvisorConfig {
+        spec,
+        noise: quiet,
+        ..AdvisorConfig::default()
+    });
+    assert_eq!(
+        advisor.consult(StoreKind::Redis, &trace).unwrap_err(),
+        EngineError::Memory(StackError::UnknownTier(TierId::SLOW))
     );
 }
 

@@ -12,7 +12,7 @@
 
 use hybridmem::clock::NoiseConfig;
 use hybridmem::stack::StackSpec;
-use hybridmem::{HybridSpec, TierId};
+use hybridmem::TierId;
 use kvsim::tiered::{trace_stats, trace_windows};
 use kvsim::{Placement, Server, StoreKind};
 use mnemo::pattern::PatternEngine;
@@ -31,10 +31,10 @@ static JOBS_LOCK: Mutex<()> = Mutex::new(());
 /// store header, so neither server ever overflows FastMem (a static
 /// `Placement` cannot spill). Capacity never enters the charge math, so
 /// the slack cannot perturb bit-identity.
-fn tight_testbed(trace: &Trace) -> (HybridSpec, u64) {
+fn tight_testbed(trace: &Trace) -> (StackSpec, u64) {
     let plan_cap = (trace.dataset_bytes() / 4).max(1);
-    let mut spec = HybridSpec::paper_testbed();
-    spec.fast_capacity = plan_cap + 64 * (trace.sizes.len() as u64 + 1);
+    let mut spec = StackSpec::paper_testbed();
+    spec.tiers[0].capacity_bytes = plan_cap + 64 * (trace.sizes.len() as u64 + 1);
     spec.cache.capacity_bytes = spec
         .cache
         .capacity_bytes
@@ -75,7 +75,7 @@ fn fast_set_run(trace: &Trace, noise: NoiseConfig) -> (kvsim::RunReport, Placeme
     (report, placement)
 }
 
-/// The same testbed as a two-tier stack, placed by the greedy policy
+/// The same testbed, placed by the greedy policy
 /// planning against the same top-tier budget, with static placement.
 fn greedy_server(trace: &Trace, noise: NoiseConfig) -> Server {
     let (testbed, plan_cap) = tight_testbed(trace);
@@ -83,15 +83,7 @@ fn greedy_server(trace: &Trace, noise: NoiseConfig) -> Server {
         budget: plan_cap,
         inner: GreedyPolicy,
     };
-    Server::build_tiered(
-        StoreKind::Redis,
-        StackSpec::two_tier(&testbed),
-        noise,
-        trace,
-        Box::new(policy),
-        0,
-    )
-    .unwrap()
+    Server::build_tiered(StoreKind::Redis, testbed, noise, trace, Box::new(policy), 0).unwrap()
 }
 
 /// Run the greedy-policy server and the FastSet-placed server and
@@ -104,7 +96,7 @@ fn assert_two_tier_bit_identity(trace: &Trace) {
     // The greedy policy must have picked the same FastMem set...
     for s in trace_stats(trace) {
         let tier = server.engine().placement_of(s.key).unwrap();
-        assert_eq!(tier, fast_set.tier_of(s.key).id(), "key {} tier", s.key);
+        assert_eq!(tier, fast_set.tier_of(s.key), "key {} tier", s.key);
     }
     // ...and every measurement must match to the bit.
     assert_eq!(legacy.requests, tiered.requests);
