@@ -279,50 +279,6 @@ impl Consultation {
             .filter_map(|&s| self.recommend(s))
             .collect()
     }
-
-    /// Re-price the curve for a different SlowMem price factor `p`
-    /// *without* re-measuring or re-estimating: performance columns are
-    /// untouched, only the cost-reduction column changes. This is the
-    /// "what if NVM costs 30% of DRAM instead of 20%?" question.
-    pub fn repriced(&self, price_factor: f64) -> EstimateCurve {
-        let cost = CostModel::new(price_factor);
-        let mut curve = self.curve.clone();
-        for row in &mut curve.rows {
-            row.cost_reduction = cost.reduction(row.fast_bytes, curve.total_bytes - row.fast_bytes);
-        }
-        curve
-    }
-
-    /// Recommend by a *tail-latency* SLO instead of a throughput one: the
-    /// cheapest prefix whose estimated `quantile` (e.g. 0.99) service
-    /// time stays at or below `max_latency_ns`. Uses the mixture-model
-    /// tail estimator (extension, [`crate::tail`]); the search is
-    /// logarithmic in the key count because tails fall monotonically as
-    /// FastMem grows along the ordering. Returns `None` when even the
-    /// all-FastMem configuration misses the budget.
-    pub fn recommend_by_tail(&self, quantile: f64, max_latency_ns: f64) -> Option<Recommendation> {
-        let tails = self.tail_estimator();
-        let n = self.order.len();
-        if tails.quantile_at_prefix(&self.order, n, quantile) > max_latency_ns {
-            return None;
-        }
-        // Binary search the smallest prefix meeting the budget.
-        let (mut lo, mut hi) = (0usize, n);
-        if tails.quantile_at_prefix(&self.order, 0, quantile) <= max_latency_ns {
-            hi = 0;
-        }
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if tails.quantile_at_prefix(&self.order, mid, quantile) <= max_latency_ns {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let row = self.curve.rows[hi];
-        let best = self.curve.fast_only().est_throughput_ops_s;
-        Some(self.rec_from_row(&row, best))
-    }
 }
 
 /// The advisor: configuration + the engines it drives.
@@ -595,33 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_slo_recommendation_meets_budget_minimally() {
-        let c = consult(
-            StoreKind::Redis,
-            WorkloadSpec::trending().scaled(250, 3_000),
-        );
-        let tails = c.tail_estimator();
-        let slow_p99 = tails.quantile_at_prefix(&c.order, 0, 0.99);
-        let fast_p99 = tails.quantile_at_prefix(&c.order, c.order.len(), 0.99);
-        assert!(fast_p99 < slow_p99);
-        let budget = (slow_p99 + fast_p99) / 2.0;
-        let rec = c
-            .recommend_by_tail(0.99, budget)
-            .expect("attainable budget");
-        // Meets the budget...
-        assert!(tails.quantile_at_prefix(&c.order, rec.prefix, 0.99) <= budget);
-        // ...minimally (one key less misses it), unless already at 0.
-        if rec.prefix > 0 {
-            assert!(tails.quantile_at_prefix(&c.order, rec.prefix - 1, 0.99) > budget);
-        }
-        // Impossible budgets are rejected.
-        assert!(c.recommend_by_tail(0.99, fast_p99 * 0.5).is_none());
-        // Trivial budgets cost nothing.
-        let trivial = c.recommend_by_tail(0.99, slow_p99 * 2.0).unwrap();
-        assert_eq!(trivial.prefix, 0);
-    }
-
-    #[test]
     fn resilient_recommendation_matches_plain_when_attainable() {
         let c = consult(
             StoreKind::Redis,
@@ -729,23 +658,6 @@ mod tests {
         assert_eq!(res.recommendation.est_throughput_ops_s, best_thr);
         // Against its own faulted baseline the budget is attainable.
         assert!(faulted.recommend_resilient(0.10).is_compliant());
-    }
-
-    #[test]
-    fn repricing_changes_cost_only() {
-        let c = consult(
-            StoreKind::Redis,
-            WorkloadSpec::trending().scaled(150, 1_500),
-        );
-        let repriced = c.repriced(0.5);
-        assert_eq!(repriced.rows.len(), c.curve.rows.len());
-        for (a, b) in c.curve.rows.iter().zip(&repriced.rows) {
-            assert_eq!(a.est_throughput_ops_s, b.est_throughput_ops_s);
-            assert_eq!(a.fast_bytes, b.fast_bytes);
-        }
-        // Floor moves from 0.2 to 0.5; full cost stays 1.0.
-        assert!((repriced.slow_only().cost_reduction - 0.5).abs() < 1e-12);
-        assert!((repriced.fast_only().cost_reduction - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -42,9 +42,6 @@
 //! * [`knapsack`] — the 0/1 knapsack solver used by tiering baselines.
 //! * [`multi`] — shared-FastMem allocation across consolidated tenants
 //!   (extension).
-//! * [`ntier`] — N-tier estimate curves and shared-hierarchy capacity
-//!   planning over [`hybridmem::TierStack`] specs (extension; see the
-//!   `mnemo-tier` crate for hierarchies and policies).
 //!
 //! # Quickstart
 //!
@@ -75,7 +72,6 @@ pub mod estimate;
 pub mod knapsack;
 pub mod model;
 pub mod multi;
-pub mod ntier;
 pub mod pattern;
 pub mod placement;
 pub mod report;
@@ -90,7 +86,6 @@ pub use advisor::{
 pub use curve::{CurveRow, EstimateCurve};
 pub use estimate::EstimateEngine;
 pub use model::{ModelKind, PerfModel};
-pub use ntier::{NTierEstimator, NTierRow, SharedStackPlan, TenantStackGrant, TenantWorkload};
 pub use pattern::{KeyStats, PatternEngine};
 pub use sensitivity::{BaselineRun, Baselines, SensitivityEngine};
 pub use tail::TailEstimator;

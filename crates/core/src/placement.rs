@@ -6,7 +6,7 @@
 //! execution. ... Mnemo provides a static key allocation, with no support
 //! for dynamic data migration."
 
-use crate::curve::{CurveRow, EstimateCurve};
+use crate::curve::CurveRow;
 use kvsim::{EngineError, Placement, StoreKind, TwoInstanceCluster};
 use ycsb::Trace;
 
@@ -51,18 +51,12 @@ impl PlacementEngine {
         let placement = Self::placement_for(order, row);
         TwoInstanceCluster::from_placement(store, trace, &placement)
     }
-
-    /// Sanity-check that a curve row's byte accounting matches the
-    /// placement it implies (used by tests and the harness).
-    pub fn verify_row(order: &[u64], sizes: &[u64], curve: &EstimateCurve, prefix: usize) -> bool {
-        let expect: u64 = order[..prefix].iter().map(|&k| sizes[k as usize]).sum();
-        curve.rows[prefix].fast_bytes == expect
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::EstimateCurve;
     use crate::estimate::EstimateEngine;
     use crate::model::{ModelKind, PerfModel};
     use crate::pattern::PatternEngine;
@@ -122,9 +116,8 @@ mod tests {
     fn curve_rows_match_placement_accounting() {
         let (t, order, curve) = setup();
         for prefix in [0usize, 1, 17, 60, 120] {
-            assert!(PlacementEngine::verify_row(
-                &order, &t.sizes, &curve, prefix
-            ));
+            let expect: u64 = order[..prefix].iter().map(|&k| t.sizes[k as usize]).sum();
+            assert_eq!(curve.rows[prefix].fast_bytes, expect, "prefix {prefix}");
         }
     }
 }

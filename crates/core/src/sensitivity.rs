@@ -9,7 +9,7 @@
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{StackSpec, TierId};
 use kvsim::{CostLedger, EngineError, Placement, RunReport, Server, StoreKind};
-use ycsb::{Op, Trace};
+use ycsb::Trace;
 
 /// One measured baseline (one extreme placement).
 #[derive(Debug, Clone)]
@@ -189,24 +189,6 @@ impl SensitivityEngine {
         noise
     }
 
-    /// Measure a whole grid of (store, trace) cells — the fan-out shape
-    /// of the paper-figure sweeps and store-comparison tables. Cells run
-    /// as coarse jobs on the bounded pool; the returned `Vec` is in cell
-    /// order and identical to measuring each cell sequentially.
-    pub fn measure_grid(
-        &self,
-        cells: &[(StoreKind, &Trace)],
-    ) -> Result<Vec<Baselines>, EngineError> {
-        mnemo_par::Pool::current()
-            // mnemo-lint: allow(D007, "the only reachable reduction is predict's per-key dot product, local to each grid cell job")
-            .run_jobs(cells.len(), |i| {
-                let (store, trace) = cells[i];
-                self.measure(store, trace)
-            })
-            .into_iter()
-            .collect()
-    }
-
     /// One extreme run.
     pub fn measure_one(
         &self,
@@ -230,37 +212,6 @@ impl SensitivityEngine {
             server.install_fault_plan(plan);
         }
         Ok(BaselineRun::from_report(server.run(trace)))
-    }
-
-    /// Average read/write times per op from a report, split by op — a
-    /// convenience for model fitting.
-    pub fn op_means(report: &RunReport) -> (f64, f64) {
-        let mut read = (0.0, 0u64);
-        let mut write = (0.0, 0u64);
-        for s in &report.samples {
-            match s.op {
-                Op::Read => {
-                    read.0 += s.service_ns;
-                    read.1 += 1;
-                }
-                Op::Update => {
-                    write.0 += s.service_ns;
-                    write.1 += 1;
-                }
-            }
-        }
-        (
-            if read.1 == 0 {
-                0.0
-            } else {
-                read.0 / read.1 as f64
-            },
-            if write.1 == 0 {
-                0.0
-            } else {
-                write.0 / write.1 as f64
-            },
-        )
     }
 }
 
@@ -309,38 +260,6 @@ mod tests {
             .unwrap();
         let (dr, dw) = b.deltas();
         assert!(dw < dr, "write delta {dw} must be below read delta {dr}");
-    }
-
-    #[test]
-    fn op_means_match_report_averages() {
-        let t = WorkloadSpec::edit_thumbnail()
-            .scaled(100, 1_000)
-            .generate(5);
-        let b = SensitivityEngine::default()
-            .measure(StoreKind::Redis, &t)
-            .unwrap();
-        let (r, w) = SensitivityEngine::op_means(&b.fast.report);
-        assert!((r - b.fast.avg_read_ns).abs() < 1e-6);
-        assert!((w - b.fast.avg_write_ns).abs() < 1e-6);
-    }
-
-    #[test]
-    fn measure_grid_matches_sequential_cells() {
-        let t = trace();
-        let eng = SensitivityEngine::default();
-        let cells: Vec<(StoreKind, &Trace)> = vec![
-            (StoreKind::Redis, &t),
-            (StoreKind::Dynamo, &t),
-            (StoreKind::Memcached, &t),
-        ];
-        let grid = eng.measure_grid(&cells).unwrap();
-        assert_eq!(grid.len(), 3);
-        for ((store, trace), cell) in cells.iter().zip(&grid) {
-            let solo = eng.measure(*store, trace).unwrap();
-            assert_eq!(cell.store, *store);
-            assert_eq!(cell.fast.runtime_ns, solo.fast.runtime_ns);
-            assert_eq!(cell.slow.runtime_ns, solo.slow.runtime_ns);
-        }
     }
 
     #[test]

@@ -700,11 +700,6 @@ impl TierStack {
         self.devices.get(tier.index()).map_or(0, Device::used)
     }
 
-    /// Free bytes in a tier under its current effective capacity.
-    pub fn free_bytes(&self, tier: TierId) -> u64 {
-        self.devices.get(tier.index()).map_or(0, Device::free)
-    }
-
     /// Nominal capacity of a tier.
     pub fn capacity(&self, tier: TierId) -> u64 {
         self.devices.get(tier.index()).map_or(0, Device::capacity)

@@ -792,11 +792,6 @@ impl Server {
         self.engine.as_ref()
     }
 
-    /// Mutable engine access (placement experiments).
-    pub fn engine_mut(&mut self) -> &mut dyn KvEngine {
-        self.engine.as_mut()
-    }
-
     /// Which store this server simulates.
     pub fn store(&self) -> StoreKind {
         self.store

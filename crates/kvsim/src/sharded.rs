@@ -25,8 +25,7 @@ pub struct ShardedCluster {
 impl ShardedCluster {
     /// Build `n` shards; each shard loads only its own keys under the
     /// given placement. Shards get the full device bandwidth each (the
-    /// optimistic model); see [`Self::build_contended`] for the shared-bus
-    /// alternative.
+    /// optimistic model).
     pub fn build(
         kind: StoreKind,
         trace: &Trace,
@@ -41,26 +40,6 @@ impl ShardedCluster {
             placement,
             n,
         )
-    }
-
-    /// Like [`Self::build`], but the testbed's device bandwidth is shared
-    /// across shards: each shard sees `1/n` of each tier's bandwidth
-    /// (latency is unaffected). This models co-located shards saturating
-    /// one memory bus — the regime where the paper's SlowMem (1.81 GB/s)
-    /// throttles scale-out hard while FastMem (14.9 GB/s) still has
-    /// headroom.
-    pub fn build_contended(
-        kind: StoreKind,
-        trace: &Trace,
-        placement: &Placement,
-        n: usize,
-    ) -> Result<ShardedCluster, EngineError> {
-        let mut spec = StackSpec::paper_testbed();
-        let share = n.max(1) as f64;
-        for tier in &mut spec.tiers {
-            tier.spec.bandwidth_bytes_per_ns /= share;
-        }
-        Self::build_with(kind, spec, NoiseConfig::disabled(), trace, placement, n)
     }
 
     /// Fully parameterised constructor.
@@ -85,11 +64,6 @@ impl ShardedCluster {
             shards,
             store: kind,
         })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Install a fault plan across the cluster: every shard gets the
@@ -222,22 +196,52 @@ mod tests {
         WorkloadSpec::timeline().scaled(128, 4_000).generate(4)
     }
 
+    /// A one-shard cluster is the plain server, bit for bit: every
+    /// store, over three workload shapes and all three placement kinds.
     #[test]
     fn one_shard_equals_plain_server() {
-        let t = trace();
-        let cluster = ShardedCluster::build(StoreKind::Redis, &t, &Placement::AllFast, 1).unwrap();
-        let cr = cluster.run(&t);
-        let sr = Server::build(StoreKind::Redis, &t, Placement::AllFast)
-            .unwrap()
-            .run(&t);
-        assert_eq!(cr.requests, sr.requests);
-        let rel = (cr.runtime_ns - sr.runtime_ns).abs() / sr.runtime_ns;
-        assert!(
-            rel < 0.02,
-            "1-shard {} vs server {}",
-            cr.runtime_ns,
-            sr.runtime_ns
-        );
+        let specs = [
+            WorkloadSpec::timeline(),
+            WorkloadSpec::trending(),
+            WorkloadSpec::edit_thumbnail(),
+        ];
+        for spec in specs {
+            let t = spec.scaled(300, 6_000).generate(4);
+            let placements = [
+                ("AllFast", Placement::AllFast),
+                ("AllSlow", Placement::AllSlow),
+                (
+                    "FastSet",
+                    Placement::FastSet((0..t.keys()).step_by(3).collect()),
+                ),
+            ];
+            for store in StoreKind::ALL {
+                for (label, placement) in &placements {
+                    let cr = ShardedCluster::build(store, &t, placement, 1)
+                        .unwrap()
+                        .run(&t);
+                    let sr = Server::build(store, &t, placement.clone()).unwrap().run(&t);
+                    let cell = format!("{} {} {label}", store.name(), t.name);
+                    assert_eq!(cr.requests, sr.requests, "{cell}");
+                    assert_eq!(cr.reads, sr.reads, "{cell}");
+                    assert_eq!(cr.writes, sr.writes, "{cell}");
+                    assert_eq!(cr.runtime_ns.to_bits(), sr.runtime_ns.to_bits(), "{cell}");
+                    assert_eq!(
+                        cr.read_ns_total.to_bits(),
+                        sr.read_ns_total.to_bits(),
+                        "{cell}"
+                    );
+                    assert_eq!(
+                        cr.write_ns_total.to_bits(),
+                        sr.write_ns_total.to_bits(),
+                        "{cell}"
+                    );
+                    assert!(cr.read_hist == sr.read_hist, "{cell}");
+                    assert!(cr.write_hist == sr.write_hist, "{cell}");
+                    assert!(cr.samples == sr.samples, "{cell}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -335,26 +339,5 @@ mod tests {
     fn zero_shards_rejected() {
         let t = trace();
         let _ = ShardedCluster::build(StoreKind::Redis, &t, &Placement::AllFast, 0);
-    }
-
-    #[test]
-    fn contended_scaling_is_sublinear() {
-        let t = trace();
-        let runtime = |contended: bool, n: usize| {
-            let c = if contended {
-                ShardedCluster::build_contended(StoreKind::Redis, &t, &Placement::AllSlow, n)
-            } else {
-                ShardedCluster::build(StoreKind::Redis, &t, &Placement::AllSlow, n)
-            }
-            .unwrap();
-            c.run(&t).runtime_ns
-        };
-        let free4 = runtime(false, 4);
-        let shared4 = runtime(true, 4);
-        assert!(shared4 > free4, "bandwidth sharing must cost time");
-        // And still faster than a single contended shard (latency and CPU
-        // parallelism still help).
-        let shared1 = runtime(true, 1);
-        assert!(shared4 < shared1);
     }
 }

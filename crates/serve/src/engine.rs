@@ -33,7 +33,7 @@ use mnemo::multi::TenantDemand;
 use mnemo::sensitivity::{Baselines, SensitivityEngine};
 use mnemo_codec::json::escape;
 use mnemo_faults::{FaultEvent, FaultPlan};
-use mnemo_stream::{Drift, StreamConfig, StreamProfiler};
+use mnemo_stream::{advise_trigger, Drift, StreamConfig, StreamProfiler};
 use mnemo_telemetry::{Recorder, Snapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -142,9 +142,9 @@ struct Tenant {
     name: String,
     profiler: StreamProfiler,
     /// Drift that caused the last profiler reset, attached as the
-    /// trigger of the advice emitted one epoch later (the same two-step
-    /// loop as `mnemo_stream::OnlineAdvisor`, inlined here so the state
-    /// dump can reach the profiler).
+    /// trigger of the advice emitted one epoch later. The tenant holds
+    /// this and the profiler itself, not an `OnlineAdvisor`, so the state
+    /// dump can reach both.
     pending: Option<Drift>,
     queue: VecDeque<AccessEvent>,
     offered: u64,
@@ -157,23 +157,14 @@ struct Tenant {
 }
 
 impl Tenant {
-    /// The two-step drift loop over one drained event: `Initial` epochs
-    /// advise, significant drift resets and advises one epoch later.
+    /// The two-step drift loop ([`advise_trigger`]) over one drained
+    /// event: `Initial` epochs advise, significant drift resets and
+    /// advises one epoch later.
     // mnemo-lint: allow(R003, "reachable expects guard unconstructible states: estimate() never emits an empty curve")
     fn on_event(&mut self, event: &AccessEvent, advisor: &Advisor, slo: f64) -> Option<String> {
         let drift = self.profiler.observe(event)?;
-        match drift {
-            Drift::Initial => {
-                let trigger = self.pending.take().unwrap_or(Drift::Initial);
-                Some(self.advise_row(&trigger, advisor, slo))
-            }
-            drift if drift.is_significant() => {
-                self.pending = Some(drift);
-                self.profiler.reset();
-                None
-            }
-            _ => None,
-        }
+        let trigger = advise_trigger(drift, &mut self.pending, &mut self.profiler)?;
+        Some(self.advise_row(&trigger, advisor, slo))
     }
 
     /// Consult from the current sketch state; never absent. Wall-domain
@@ -349,11 +340,6 @@ impl ServeEngine {
     /// the engine's own counters).
     pub(crate) fn note(&mut self, name: &'static str, n: u64) {
         self.recorder.count(name, n);
-    }
-
-    /// Admitted tenant names, in admission order.
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants.iter().map(|t| lock(t).name.clone()).collect()
     }
 
     /// Look up or admit a tenant. Admission measures the tenant's

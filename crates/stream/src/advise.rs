@@ -36,6 +36,27 @@ pub struct Readvice {
     pub profiler_bytes: usize,
 }
 
+/// The two-step drift decision at one epoch boundary, shared by every
+/// drift-driven re-advise loop. An `Initial` epoch returns the trigger
+/// to advise with: the drift stored in `pending` by the last reset, or
+/// `Initial` itself. Significant drift resets `profiler`, stores the
+/// drift in `pending` and returns `None`, as does a stable epoch.
+pub fn advise_trigger(
+    drift: Drift,
+    pending: &mut Option<Drift>,
+    profiler: &mut StreamProfiler,
+) -> Option<Drift> {
+    match drift {
+        Drift::Initial => Some(pending.take().unwrap_or(Drift::Initial)),
+        drift if drift.is_significant() => {
+            *pending = Some(drift);
+            profiler.reset();
+            None
+        }
+        _ => None,
+    }
+}
+
 /// The streaming consultant.
 pub struct OnlineAdvisor {
     profiler: StreamProfiler,
@@ -111,18 +132,8 @@ impl OnlineAdvisor {
             crate::telemetry::record_drift(t, &drift);
             crate::telemetry::record_profiler(t, &self.profiler);
         }
-        let advice = match drift {
-            Drift::Initial => {
-                let trigger = self.pending.take().unwrap_or(Drift::Initial);
-                Some(self.readvise(trigger))
-            }
-            drift if drift.is_significant() => {
-                self.pending = Some(drift);
-                self.profiler.reset();
-                None
-            }
-            _ => None,
-        };
+        let advice = advise_trigger(drift, &mut self.pending, &mut self.profiler)
+            .map(|trigger| self.readvise(trigger));
         if let (Some(t), Some(a)) = (tel, advice.as_ref()) {
             crate::telemetry::record_readvice(t, a);
         }

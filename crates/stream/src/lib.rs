@@ -60,7 +60,7 @@ pub mod sketch;
 pub mod telemetry;
 pub mod topk;
 
-pub use advise::{OnlineAdvisor, Readvice};
+pub use advise::{advise_trigger, OnlineAdvisor, Readvice};
 pub use distinct::{DistinctCounter, DistinctState};
 pub use epoch::{Drift, DriftConfig, EpochSummary, SkewTracker, TrackerState};
 pub use profiler::{ApproxPattern, ProfilerState, StreamConfig, StreamProfiler};

@@ -61,11 +61,6 @@ impl EpochLog {
         self.events_in_epoch = 0;
     }
 
-    /// Number of epochs already closed.
-    pub fn closed_epochs(&self) -> usize {
-        self.done.len()
-    }
-
     /// Close the trailing partial epoch (if it saw any events or
     /// metrics) and return all snapshots in epoch order.
     pub fn finish(mut self) -> Vec<Snapshot> {

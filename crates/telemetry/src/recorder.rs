@@ -201,24 +201,12 @@ impl Recorder {
     /// Record a sim-domain gauge observation (aggregated as
     /// sum/count/min/max so shard merges are order-independent).
     pub fn gauge(&mut self, name: &str, value: f64) {
-        self.gauge_in(name, TimeDomain::Sim, value);
-    }
-
-    /// Record a wall-domain gauge observation.
-    pub fn gauge_wall(&mut self, name: &str, value: f64) {
-        self.gauge_in(name, TimeDomain::Wall, value);
-    }
-
-    fn gauge_in(&mut self, name: &str, domain: TimeDomain, value: f64) {
         match self.gauges.get_mut(name) {
-            Some(entry) => {
-                debug_assert_eq!(entry.0, domain, "gauge '{name}' changed time domain");
-                entry.1.observe(value);
-            }
+            Some(entry) => entry.1.observe(value),
             None => {
                 let mut agg = GaugeAgg::default();
                 agg.observe(value);
-                self.gauges.insert(name.to_string(), (domain, agg));
+                self.gauges.insert(name.to_string(), (TimeDomain::Sim, agg));
             }
         }
     }
