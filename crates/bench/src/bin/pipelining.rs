@@ -55,7 +55,7 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
                 avg_write_ns: slow_report.avg_write_ns(),
                 report: slow_report,
             },
-            ledger: None,
+            tape: None,
         };
         let advisor = Advisor::new(AdvisorConfig {
             spec: testbed.clone(),

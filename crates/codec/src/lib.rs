@@ -49,6 +49,14 @@ pub fn fnv64_chain(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Continue an FNV-1a 64 hash over one 64-bit word taken whole rather
+/// than byte by byte: a fast fingerprint of integer sequences, not the
+/// reference byte function.
+#[inline]
+pub fn fnv64_word(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FNV64_PRIME)
+}
+
 /// A syntax or schema error at a 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {

@@ -8,7 +8,7 @@ use crate::advisor::Consultation;
 use crate::placement::PlacementEngine;
 use hybridmem::clock::NoiseConfig;
 use hybridmem::StackSpec;
-use kvsim::{EngineError, Server, StoreKind};
+use kvsim::{EngineError, StoreKind};
 use serde::{Deserialize, Serialize};
 use ycsb::Trace;
 
@@ -106,7 +106,9 @@ impl ErrorStats {
 ///
 /// `spec`/`noise` configure the *measurement* runs; using a different
 /// noise seed than the baselines mirrors the paper's separate
-/// measurement campaigns.
+/// measurement campaigns. Each run is replayed from the baselines'
+/// charge tape, bit-identical to simulating it, and simulated when the
+/// tape declines.
 pub fn evaluate(
     store: StoreKind,
     trace: &Trace,
@@ -124,8 +126,9 @@ pub fn evaluate(
         let placement = PlacementEngine::placement_for(&consultation.order, &row);
         let mut noise_i = noise;
         noise_i.seed = noise.seed.wrapping_add(0x9E37 * i as u64 + 17);
-        let mut server = Server::build_with(store, spec.clone(), noise_i, trace, placement)?;
-        let report = server.run(trace);
+        let report = consultation
+            .baselines
+            .replay_or_run(store, spec, trace, noise_i, placement)?;
         out.push(EvalPoint {
             prefix,
             cost_reduction: row.cost_reduction,

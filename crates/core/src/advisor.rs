@@ -314,6 +314,9 @@ impl Advisor {
     /// baseline)`. This is the acceptance check the examples and
     /// integration tests perform; it is not part of the paper's flow —
     /// Mnemo's pitch is precisely that the estimate makes it unnecessary.
+    /// The run is replayed from the baselines' charge tape, bit-identical
+    /// to simulating it, and simulated when the tape declines
+    /// ([`Baselines::replay_or_run`]).
     pub fn verify(
         &self,
         store: StoreKind,
@@ -325,14 +328,16 @@ impl Advisor {
             &consultation.order,
             &consultation.curve.rows[recommendation.prefix],
         );
-        let mut server = kvsim::Server::build_with(
-            store,
-            self.config.spec.clone(),
-            self.config.noise,
-            trace,
-            placement,
-        )?;
-        let measured = server.run(trace).throughput_ops_s();
+        let measured = consultation
+            .baselines
+            .replay_or_run(
+                store,
+                &self.config.spec,
+                trace,
+                self.config.noise,
+                placement,
+            )?
+            .throughput_ops_s();
         let best = consultation.baselines.fast.throughput_ops_s();
         Ok((
             measured,

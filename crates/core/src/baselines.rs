@@ -317,7 +317,7 @@ impl MlBaselineProfiler {
         fast_report.runtime_ns = predicted_fast_runtime;
         fast_report.read_ns_total *= ratio;
         fast_report.write_ns_total *= ratio;
-        for s in &mut fast_report.samples {
+        for s in fast_report.samples.iter_mut().flatten() {
             s.service_ns *= ratio;
         }
         let fast = BaselineRun {
@@ -331,7 +331,7 @@ impl MlBaselineProfiler {
             workload: trace.name.clone(),
             fast,
             slow,
-            ledger: None,
+            tape: None,
         })
     }
 }

@@ -117,16 +117,14 @@ impl PerfModel {
                     };
                 }
                 ModelKind::SizeAware => {
+                    let lane = baselines.samples(tier).unwrap_or_default();
                     for op in [Op::Read, Op::Update] {
                         // Filtered collect can't size itself; reserve
                         // the upper bound once instead of doubling up
                         // through ~trace-length growth twice per fit.
-                        let mut samples: Vec<(u64, f64)> =
-                            Vec::with_capacity(run.report.samples.len());
+                        let mut samples: Vec<(u64, f64)> = Vec::with_capacity(lane.len());
                         samples.extend(
-                            run.report
-                                .samples
-                                .iter()
+                            lane.iter()
                                 .filter(|s| s.op == op)
                                 .map(|s| (sizes[s.key as usize], s.service_ns)),
                         );

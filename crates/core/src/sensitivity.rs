@@ -8,7 +8,11 @@
 
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{StackSpec, TierId};
-use kvsim::{CostLedger, EngineError, Placement, RunReport, Server, StoreKind};
+use kvsim::{
+    ChargeTape, EngineError, Placement, ReplayDecline, RequestSample, RunReport, Server, StoreKind,
+};
+use std::borrow::Cow;
+use std::sync::Arc;
 use ycsb::Trace;
 
 /// One measured baseline (one extreme placement).
@@ -20,7 +24,9 @@ pub struct BaselineRun {
     pub avg_read_ns: f64,
     /// Average write service time (ns).
     pub avg_write_ns: f64,
-    /// The full report (per-request samples feed the size-aware model).
+    /// The full report. Per-request samples, which feed the size-aware
+    /// model, are read through [`Baselines::samples`]: a lane of the
+    /// one-walk measurement keeps none of its own.
     pub report: RunReport,
 }
 
@@ -51,10 +57,10 @@ pub struct Baselines {
     pub fast: BaselineRun,
     /// Everything-in-SlowMem run (worst case).
     pub slow: BaselineRun,
-    /// Per-key slow-minus-fast charges from the one-walk measurement;
-    /// `None` when the baselines came from two separate runs (or were
-    /// built some other way).
-    pub ledger: Option<CostLedger>,
+    /// Each request's FastMem and SlowMem charge from the one-walk
+    /// measurement, shared between clones; `None` when the baselines
+    /// came from two separate runs (or were built some other way).
+    pub tape: Option<Arc<ChargeTape>>,
 }
 
 impl Baselines {
@@ -69,9 +75,62 @@ impl Baselines {
 
     /// The exact noise-free runtime (ns) of every prefix split of
     /// `order`: entry `i` keeps the first `i` keys in FastMem and the
-    /// rest in SlowMem. `None` without a ledger.
+    /// rest in SlowMem. The ledger is folded from the tape on each call.
+    /// `None` without a tape.
     pub fn truth_curve(&self, order: &[u64]) -> Option<Vec<f64>> {
-        self.ledger.as_ref().map(|l| l.truth_curve(order))
+        self.tape.as_ref().map(|t| t.ledger().truth_curve(order))
+    }
+
+    /// The per-request samples of the baseline with every key in `tier`
+    /// (FastMem or SlowMem), in trace order: replayed from the tape
+    /// through that lane's noise stream, or else the report's own.
+    /// `None` when neither has them.
+    pub fn samples(&self, tier: TierId) -> Option<Cow<'_, [RequestSample]>> {
+        if let Some(tape) = &self.tape {
+            return tape.samples(tier).map(Cow::Owned);
+        }
+        let run = match tier {
+            TierId::FAST => &self.fast,
+            TierId::SLOW => &self.slow,
+            _ => return None,
+        };
+        run.report.samples.as_deref().map(Cow::Borrowed)
+    }
+
+    /// The run of `trace` on a fresh `store` server over `spec` with
+    /// `noise` and `placement`, replayed from the tape instead of
+    /// simulated (see [`ChargeTape::replay`]); a typed decline when there
+    /// is no tape or it does not cover that run.
+    pub fn replay(
+        &self,
+        store: StoreKind,
+        spec: &StackSpec,
+        trace: &Trace,
+        noise: NoiseConfig,
+        placement: &Placement,
+    ) -> Result<RunReport, ReplayDecline> {
+        self.tape
+            .as_ref()
+            .ok_or(ReplayDecline::NoTape)?
+            .replay(store, spec, trace, noise, placement)
+    }
+
+    /// [`Self::replay`], or when it declines the full simulation it
+    /// stands for: the same report either way.
+    pub fn replay_or_run(
+        &self,
+        store: StoreKind,
+        spec: &StackSpec,
+        trace: &Trace,
+        noise: NoiseConfig,
+        placement: Placement,
+    ) -> Result<RunReport, EngineError> {
+        match self.replay(store, spec, trace, noise, &placement) {
+            Ok(report) => Ok(report),
+            Err(_) => {
+                Ok(Server::build_with(store, spec.clone(), noise, trace, placement)?.run(trace))
+            }
+        }
     }
 
     /// Relative throughput gap between the extremes: how sensitive this
@@ -127,8 +186,9 @@ impl SensitivityEngine {
 
     /// Execute the workload "as-is" under both extreme placements. One
     /// trace walk over an all-FastMem server prices every request in
-    /// both tiers ([`Server::run_paired`]) and also yields the per-key
-    /// [`CostLedger`]. When the walk declines — a fault plan is
+    /// both tiers ([`Server::run_paired`]) and keeps each request's two
+    /// charges as the [`ChargeTape`] every split replays from. When the
+    /// walk declines — a fault plan is
     /// installed, or SlowMem cannot hold the dataset — or the server
     /// cannot be built, the baselines come from two separate runs
     /// instead, which also report any build error. Either way the result
@@ -147,7 +207,7 @@ impl SensitivityEngine {
             workload: trace.name.clone(),
             fast: fast?,
             slow: slow?,
-            ledger: None,
+            tape: None,
         })
     }
 
@@ -173,7 +233,7 @@ impl SensitivityEngine {
             workload: trace.name.clone(),
             fast: BaselineRun::from_report(run.own),
             slow: BaselineRun::from_report(run.alt),
-            ledger: Some(run.ledger),
+            tape: Some(Arc::new(run.tape)),
         })
     }
 

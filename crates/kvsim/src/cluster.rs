@@ -98,7 +98,7 @@ impl TwoInstanceCluster {
     /// Execute the trace through the router: each instance serves its
     /// share in trace order, and the merged report records every request
     /// in trace order. The instances' clocks are integer nanosecond sums,
-    /// so their total is the runtime of one interleaved clock.
+    /// so the merged samples rounded into one clock give their total.
     pub fn run(&mut self, trace: &Trace) -> RunReport {
         let share = |fast: bool| Trace {
             name: trace.name.clone(),
@@ -113,8 +113,10 @@ impl TwoInstanceCluster {
         let (fast_share, slow_share) = (share(true), share(false));
         let fast = self.fast.run(&fast_share);
         let slow = self.slow.run(&slow_share);
-        let (mut fast_samples, mut slow_samples) =
-            (fast.samples.into_iter(), slow.samples.into_iter());
+        let (mut fast_samples, mut slow_samples) = (
+            fast.samples.into_iter().flatten(),
+            slow.samples.into_iter().flatten(),
+        );
         // Each request has exactly one sample in its instance's run.
         let samples = trace.requests.iter().filter_map(|r| {
             if self.fast_keys.contains(&r.key) {
@@ -123,9 +125,7 @@ impl TwoInstanceCluster {
                 slow_samples.next()
             }
         });
-        let mut report = RunReport::from_samples(self.fast.store(), trace, samples);
-        report.runtime_ns = fast.runtime_ns + slow.runtime_ns;
-        report
+        RunReport::from_samples(self.fast.store(), trace, samples)
     }
 }
 
@@ -234,6 +234,7 @@ mod tests {
         report
             .samples
             .iter()
+            .flatten()
             .fold(mnemo_codec::FNV64_OFFSET, |h, s| {
                 let h = mnemo_codec::fnv64_chain(h, &s.key.to_le_bytes());
                 let h = mnemo_codec::fnv64_chain(h, &[u8::from(s.op == Op::Update)]);

@@ -182,7 +182,11 @@ fn merge_reports(store: StoreKind, trace: &Trace, reports: Vec<RunReport>) -> Ru
         merged.write_ns_total += r.write_ns_total;
         merged.read_hist.merge(&r.read_hist);
         merged.write_hist.merge(&r.write_hist);
-        merged.samples.extend(r.samples);
+        // Samples survive the merge only if every shard kept them.
+        merged.samples = merged.samples.zip(r.samples).map(|(mut all, shard)| {
+            all.extend(shard);
+            all
+        });
     }
     merged
 }
@@ -253,7 +257,7 @@ mod tests {
             let r = cluster.run(&t);
             assert_eq!(r.requests, t.len(), "n={n}");
             assert_eq!(r.reads + r.writes, t.len() as u64);
-            assert_eq!(r.samples.len(), t.len());
+            assert_eq!(r.samples.as_ref().map(Vec::len), Some(t.len()));
         }
     }
 

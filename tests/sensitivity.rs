@@ -1,16 +1,23 @@
 //! The one-walk Sensitivity Engine against its definition.
 //!
 //! `SensitivityEngine::measure` prices every request in both tiers on a
-//! single trace walk. Its contract is that the two baselines are
-//! bit-identical to two separate `measure_one` runs, and that the
-//! per-key ledger it yields prices every split exactly. These tests hold
-//! it to both: the first against the two-run path it replaced, the
-//! second against full simulations of the split.
+//! single trace walk and keeps each request's two charges as a tape. Its
+//! contract is that the two baselines are bit-identical to two separate
+//! `measure_one` runs, that the ledger folded from the tape prices every
+//! split exactly, and that every split replayed from the tape is
+//! bit-identical to simulating it. These tests hold it to all three:
+//! the first against the two-run path it replaced, the others against
+//! full simulations of the split.
 
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{StackError, TierId};
-use kvsim::{EngineError, PairedDecline, Placement, RunReport, Server, StoreKind};
-use mnemo::advisor::{Advisor, AdvisorConfig};
+use kvsim::{
+    EngineError, PairedDecline, Placement, ReplayDecline, RequestSample, RunReport, Server,
+    StoreKind,
+};
+use mnemo::accuracy::{evaluate, EvalPoint};
+use mnemo::advisor::{Advisor, AdvisorConfig, Consultation};
+use mnemo::placement::PlacementEngine;
 use mnemo::{BaselineRun, SensitivityEngine};
 use mnemo_bench::{measurement_noise, testbed_for};
 use mnemo_faults::{FaultEvent, FaultPlan};
@@ -32,7 +39,8 @@ fn traces() -> Vec<Trace> {
         .collect()
 }
 
-fn assert_reports_identical(a: &RunReport, b: &RunReport, cell: &str) {
+/// Every total and histogram of two reports, bit for bit.
+fn assert_totals_identical(a: &RunReport, b: &RunReport, cell: &str) {
     assert_eq!(a.runtime_ns.to_bits(), b.runtime_ns.to_bits(), "{cell}");
     assert_eq!(a.requests, b.requests, "{cell}");
     assert_eq!((a.reads, a.writes), (b.reads, b.writes), "{cell}");
@@ -48,8 +56,11 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, cell: &str) {
     );
     assert_eq!(a.read_hist, b.read_hist, "{cell}");
     assert_eq!(a.write_hist, b.write_hist, "{cell}");
-    assert_eq!(a.samples.len(), b.samples.len(), "{cell}");
-    for (i, (x, y)) in a.samples.iter().zip(&b.samples).enumerate() {
+}
+
+fn assert_samples_identical(a: &[RequestSample], b: &[RequestSample], cell: &str) {
+    assert_eq!(a.len(), b.len(), "{cell}");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!((x.key, x.op), (y.key, y.op), "{cell} sample {i}");
         assert_eq!(
             x.service_ns.to_bits(),
@@ -59,11 +70,24 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, cell: &str) {
     }
 }
 
-fn assert_runs_identical(a: &BaselineRun, b: &BaselineRun, cell: &str) {
+/// Two simulated runs: totals, histograms and samples, bit for bit.
+fn assert_reports_identical(a: &RunReport, b: &RunReport, cell: &str) {
+    assert_totals_identical(a, b, cell);
+    assert_samples_identical(
+        a.samples.as_deref().unwrap(),
+        b.samples.as_deref().unwrap(),
+        cell,
+    );
+}
+
+/// A baseline against a separately measured run; the baseline's samples
+/// are `samples`, read through `Baselines::samples`.
+fn assert_runs_identical(a: &BaselineRun, samples: &[RequestSample], b: &BaselineRun, cell: &str) {
     assert_eq!(a.runtime_ns.to_bits(), b.runtime_ns.to_bits(), "{cell}");
     assert_eq!(a.avg_read_ns.to_bits(), b.avg_read_ns.to_bits(), "{cell}");
     assert_eq!(a.avg_write_ns.to_bits(), b.avg_write_ns.to_bits(), "{cell}");
-    assert_reports_identical(&a.report, &b.report, cell);
+    assert_totals_identical(&a.report, &b.report, cell);
+    assert_samples_identical(samples, b.report.samples.as_deref().unwrap(), cell);
 }
 
 #[test]
@@ -74,15 +98,30 @@ fn one_walk_measure_is_bit_identical_to_two_runs() {
             for store in STORES {
                 let cell = format!("{} / {store} / sigma {}", trace.name, noise.relative_sigma);
                 let one = engine.measure(store, &trace).unwrap();
-                assert!(one.ledger.is_some(), "{cell}: the walk must not decline");
+                assert!(one.tape.is_some(), "{cell}: the walk must not decline");
+                // The walk keeps no samples of its own: they come from
+                // the tape, never from an empty list.
+                assert!(one.fast.report.samples.is_none(), "{cell}");
+                assert!(one.slow.report.samples.is_none(), "{cell}");
                 let fast = engine
                     .measure_one(store, &trace, Placement::AllFast)
                     .unwrap();
                 let slow = engine
                     .measure_one(store, &trace, Placement::AllSlow)
                     .unwrap();
-                assert_runs_identical(&one.fast, &fast, &format!("{cell} fast"));
-                assert_runs_identical(&one.slow, &slow, &format!("{cell} slow"));
+                let samples = |tier| one.samples(tier).unwrap();
+                assert_runs_identical(
+                    &one.fast,
+                    &samples(TierId::FAST),
+                    &fast,
+                    &format!("{cell} fast"),
+                );
+                assert_runs_identical(
+                    &one.slow,
+                    &samples(TierId::SLOW),
+                    &slow,
+                    &format!("{cell} slow"),
+                );
             }
         }
     }
@@ -102,15 +141,16 @@ fn faulted_measure_declines_the_walk_and_matches_two_runs() {
     for store in STORES {
         let measured = engine.measure(store, &trace).unwrap();
         assert!(
-            measured.ledger.is_none(),
-            "{store}: a faulted run has no ledger"
+            measured.tape.is_none(),
+            "{store}: a faulted run has no tape"
         );
-        for (run, placement) in [
-            (&measured.fast, Placement::AllFast),
-            (&measured.slow, Placement::AllSlow),
+        for (run, tier, placement) in [
+            (&measured.fast, TierId::FAST, Placement::AllFast),
+            (&measured.slow, TierId::SLOW, Placement::AllSlow),
         ] {
             let alone = engine.measure_one(store, &trace, placement).unwrap();
-            assert_runs_identical(run, &alone, &format!("{store} faulted"));
+            let samples = measured.samples(tier).unwrap();
+            assert_runs_identical(run, &samples, &alone, &format!("{store} faulted"));
         }
         let mut server = Server::build(store, &trace, Placement::AllFast).unwrap();
         server.install_fault_plan(&plan);
@@ -283,5 +323,191 @@ fn truth_curve_is_exact_against_simulated_splits() {
                 assert_eq!(measured.to_bits(), exact.to_bits(), "{cell}: verify");
             }
         }
+    }
+}
+
+fn assert_points_identical(a: &[EvalPoint], b: &[EvalPoint], cell: &str) {
+    assert_eq!(a.len(), b.len(), "{cell}");
+    for (x, y) in a.iter().zip(b) {
+        let bits = |p: &EvalPoint| {
+            (
+                p.prefix,
+                [
+                    p.cost_reduction,
+                    p.measured_ops_s,
+                    p.estimated_ops_s,
+                    p.measured_avg_latency_ns,
+                    p.estimated_avg_latency_ns,
+                    p.measured_tail_ns.0,
+                    p.measured_tail_ns.1,
+                ]
+                .map(f64::to_bits),
+            )
+        };
+        assert_eq!(bits(x), bits(y), "{cell}: prefix {}", x.prefix);
+    }
+}
+
+/// `c` with its tape dropped: every verify and evaluate run on it is a
+/// full simulation.
+fn untaped(c: &Consultation) -> Consultation {
+    let mut c = c.clone();
+    c.baselines.tape = None;
+    c
+}
+
+/// The recommended split of `c` at a 10% SLO (the all-FastMem row when
+/// the curve offers none).
+fn recommended(c: &Consultation) -> mnemo::advisor::Recommendation {
+    c.recommend(0.10)
+        .unwrap_or_else(|| c.recommend(0.0).unwrap())
+}
+
+#[test]
+fn replayed_splits_are_bit_identical_to_simulated_ones() {
+    let traces: Vec<Trace> = WorkloadSpec::table3()
+        .into_iter()
+        .chain(WorkloadSpec::ycsb_core_suite())
+        .map(|w| w.scaled(200, 1_500).generate(13))
+        .collect();
+    let noises = [
+        NoiseConfig::disabled(),
+        measurement_noise(7),
+        measurement_noise(8),
+        measurement_noise(9),
+    ];
+    for trace in &traces {
+        let spec = testbed_for(trace);
+        for noise in noises {
+            let advisor = Advisor::new(AdvisorConfig {
+                spec: spec.clone(),
+                noise,
+                ..AdvisorConfig::default()
+            });
+            for store in STORES {
+                let cell = format!(
+                    "{} / {store} / sigma {} seed {}",
+                    trace.name, noise.relative_sigma, noise.seed
+                );
+                let c = advisor.consult(store, trace).unwrap();
+                assert!(c.baselines.tape.is_some(), "{cell}");
+                // The verify run itself, then what verify reports.
+                let rec = recommended(&c);
+                let row = &c.curve.rows[rec.prefix];
+                let placement = PlacementEngine::placement_for(&c.order, row);
+                let replayed = c
+                    .baselines
+                    .replay(store, &spec, trace, noise, &placement)
+                    .unwrap();
+                assert!(replayed.samples.is_none(), "{cell}");
+                let simulated = Server::build_with(store, spec.clone(), noise, trace, placement)
+                    .unwrap()
+                    .run(trace);
+                assert_totals_identical(&replayed, &simulated, &format!("{cell} verify run"));
+                let (a, b) = (
+                    advisor.verify(store, trace, &c, &rec).unwrap(),
+                    advisor.verify(store, trace, &untaped(&c), &rec).unwrap(),
+                );
+                assert_eq!(
+                    (a.0.to_bits(), a.1.to_bits()),
+                    (b.0.to_bits(), b.1.to_bits()),
+                    "{cell}"
+                );
+                // Five evaluate points under their own noise seeds.
+                let eval_noise = NoiseConfig {
+                    seed: noise.seed ^ 0x5a5a,
+                    ..noise
+                };
+                let eval =
+                    |c: &Consultation| evaluate(store, trace, c, &spec, eval_noise, 5).unwrap();
+                assert_points_identical(
+                    &eval(&c),
+                    &eval(&untaped(&c)),
+                    &format!("{cell} evaluate"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn declined_replays_fall_back_to_simulation() {
+    let trace = WorkloadSpec::trending().scaled(300, 3_000).generate(5);
+    let foreign = WorkloadSpec::trending().scaled(300, 3_000).generate(6);
+    let spec = testbed_for(&trace);
+    let noise = measurement_noise(7);
+    let config = AdvisorConfig {
+        spec: spec.clone(),
+        noise,
+        ..AdvisorConfig::default()
+    };
+    let advisor = Advisor::new(config.clone());
+    let mut other_spec = spec.clone();
+    other_spec.cache.capacity_bytes /= 2;
+    let other = Advisor::new(AdvisorConfig {
+        spec: other_spec.clone(),
+        ..config.clone()
+    });
+    let plan = FaultPlan::new(3).with(FaultEvent::LatencySpike {
+        tier: TierId::SLOW,
+        start_ns: 0,
+        end_ns: u128::MAX,
+        factor: 4.0,
+    });
+    let faulted = Advisor::new(AdvisorConfig {
+        fault_plan: Some(plan),
+        ..config
+    });
+    for store in STORES {
+        let c = advisor.consult(store, &trace).unwrap();
+        let rec = recommended(&c);
+        let placement = PlacementEngine::placement_for(&c.order, &c.curve.rows[rec.prefix]);
+        let other_store = if store == StoreKind::Redis {
+            StoreKind::Dynamo
+        } else {
+            StoreKind::Redis
+        };
+        let cases = [
+            ("foreign trace", &advisor, store, &foreign, &spec),
+            ("other spec", &other, store, &trace, &other_spec),
+            ("other store", &advisor, other_store, &trace, &spec),
+        ];
+        for (what, advisor, run_store, trace, spec) in cases {
+            let cell = format!("{store}: {what}");
+            let declined = c
+                .baselines
+                .replay(run_store, spec, trace, noise, &placement);
+            assert!(
+                matches!(declined, Err(ReplayDecline::Fingerprint { .. })),
+                "{cell}: {declined:?}"
+            );
+            let simulated =
+                Server::build_with(run_store, spec.clone(), noise, trace, placement.clone())
+                    .unwrap()
+                    .run(trace)
+                    .throughput_ops_s();
+            let (measured, _) = advisor.verify(run_store, trace, &c, &rec).unwrap();
+            assert_eq!(measured.to_bits(), simulated.to_bits(), "{cell}");
+            let eval = |c: &Consultation| evaluate(run_store, trace, c, spec, noise, 3).unwrap();
+            assert_points_identical(&eval(&c), &eval(&untaped(&c)), &cell);
+        }
+        // A fault plan declines the walk, so there is no tape at all.
+        let fc = faulted.consult(store, &trace).unwrap();
+        assert_eq!(
+            fc.baselines
+                .replay(store, &spec, &trace, noise, &placement)
+                .unwrap_err(),
+            ReplayDecline::NoTape
+        );
+        let simulated = Server::build_with(store, spec.clone(), noise, &trace, placement.clone())
+            .unwrap()
+            .run(&trace)
+            .throughput_ops_s();
+        let (measured, _) = faulted.verify(store, &trace, &fc, &rec).unwrap();
+        assert_eq!(
+            measured.to_bits(),
+            simulated.to_bits(),
+            "{store}: fault plan"
+        );
     }
 }

@@ -117,8 +117,9 @@ fn assert_two_tier_bit_identity(trace: &Trace) {
         legacy.write_ns_total.to_bits(),
         tiered.write_ns_total.to_bits()
     );
-    assert_eq!(legacy.samples.len(), tiered.samples.len());
-    for (l, t) in legacy.samples.iter().zip(tiered.samples.iter()) {
+    let (legacy, tiered) = (legacy.samples.unwrap(), tiered.samples.unwrap());
+    assert_eq!(legacy.len(), tiered.len());
+    for (l, t) in legacy.iter().zip(&tiered) {
         assert_eq!(l.key, t.key);
         assert_eq!(l.op, t.op);
         assert_eq!(l.service_ns.to_bits(), t.service_ns.to_bits());
@@ -369,7 +370,7 @@ fn redis_closed_form_matches_a_cacheless_measured_run() {
     .run(&t);
     // The run clock quantizes each request to whole nanoseconds, so
     // compare against the un-quantized per-request service times.
-    let measured: f64 = report.samples.iter().map(|s| s.service_ns).sum();
+    let measured: f64 = report.samples.unwrap().iter().map(|s| s.service_ns).sum();
     let rel = (oracle - measured).abs() / measured;
     assert!(
         rel < 1e-9,
