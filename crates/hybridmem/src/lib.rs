@@ -22,7 +22,10 @@
 //!   case ([`StackSpec::paper_testbed`]).
 //! * [`system`] — whole-system LLC counters ([`system::CacheStats`]).
 //! * [`clock`] — simulated nanosecond clock and a seeded Gaussian noise
-//!   model standing in for real-hardware measurement variability.
+//!   model standing in for real-hardware measurement variability; its
+//!   factor streams live in one process-wide table bounded by
+//!   [`clock::NOISE_TABLE_BYTES`], so each `(seed, sigma)` stream is
+//!   drawn once and then shared.
 //! * [`degrade`] — time-varying per-tier degradation profiles (latency
 //!   spikes, bandwidth throttles, capacity shrink), the device-side
 //!   mechanism behind the `mnemo-faults` injection crate.
