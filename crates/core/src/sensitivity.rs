@@ -188,8 +188,8 @@ impl SensitivityEngine {
     /// trace walk over an all-FastMem server prices every request in
     /// both tiers ([`Server::run_paired`]) and keeps each request's two
     /// charges as the [`ChargeTape`] every split replays from. When the
-    /// walk declines — a fault plan is
-    /// installed, or SlowMem cannot hold the dataset — or the server
+    /// walk declines — a fault plan is installed, SlowMem cannot hold the
+    /// dataset, or a key needs more than the tape's 31 bits — or the server
     /// cannot be built, the baselines come from two separate runs
     /// instead, which also report any build error. Either way the result
     /// is bit-identical to [`Self::measure_one`] under each placement.

@@ -8,7 +8,9 @@
 //! in for run-to-run hardware variability. A noise stream is a pure
 //! function of its seed and sigma, so its factors are drawn once per
 //! process into a shared, read-only table that every model on that
-//! stream reads.
+//! stream reads. Every reader reads a stream from its start, so the
+//! table, bounded by [`NOISE_TABLE_BYTES`], keeps the front of each
+//! stream and gives up the tails of the longest ones first.
 
 use crate::det::DetHashMap;
 use rand::rngs::StdRng;
@@ -86,12 +88,20 @@ impl NoiseConfig {
 /// cached spare variate.
 const NOISE_CHUNK: usize = 4096;
 
-/// Byte budget of the process-wide factor table. It holds one `fig5`
-/// cell's working set at paper scale (100,000 requests per trace): the
-/// two baseline lanes, the verify seed and nine `evaluate` seeds, about
-/// 1.2 M factors. Beyond it, whole least-recently-used streams are
-/// evicted; a model that needs an evicted chunk redraws it.
-pub const NOISE_TABLE_BYTES: usize = 12 << 20;
+/// Byte budget of the process-wide factor table: every factor a whole
+/// consultation re-reads, at the longest trace the repository benchmark
+/// consults. A consultation reads three streams from the front — its two
+/// baseline lanes, then the verify run — so it needs three times its
+/// trace's length in factors. The longest `consult-ycsb` trace (YCSB E
+/// with its scans expanded, seeds 1–10, every pass) has 1,212,946
+/// requests: three streams of 297 chunks, about 27.9 MiB with each
+/// chunk's generator state, which 32 MiB holds with room for chunk
+/// rounding. It also holds a `fig5` cell at paper scale (two lanes, the
+/// verify seed and nine `evaluate` seeds over 100,000 requests, about
+/// 1.2 M factors). Past the budget, a chunk is kept only in place of the
+/// tail of a longer resident prefix (see the module docs); a model whose
+/// chunk is not kept redraws it in place.
+pub const NOISE_TABLE_BYTES: usize = 32 << 20;
 
 /// One drawn chunk of a factor stream.
 struct Chunk {
@@ -158,16 +168,23 @@ struct TableState {
     streams: DetHashMap<StreamKey, Stream>,
     tick: u64,
     bytes: usize,
+    /// Chunks drawn through this table, kept or not.
+    #[cfg(test)]
+    draws: usize,
 }
 
 /// Read-only factor streams shared by every [`NoiseModel`] of the
 /// process. A stream is a pure function of `(seed, sigma)`, so a chunk
 /// is drawn once and then read by every model on that stream, whatever
-/// thread it runs on. Residency is bounded by a byte budget: whole
-/// least-recently-used streams are evicted, and a stream longer than
-/// the budget keeps only the prefix that fits. Every chunk carries the
-/// generator state after it, so a model always draws a missing chunk
-/// from the chunk before it: eviction and races change only who draws,
+/// thread it runs on. Residency is bounded by a byte budget and kept by
+/// prefix priority: every reader reads a stream from its start, so chunk
+/// `i` is read at least as often as chunk `i + 1`, and each stream keeps
+/// a resident prefix. When the table is full, a newly drawn chunk is
+/// kept only if its index is lower than that of the last chunk of the
+/// longest resident prefix (least recently used among equal lengths),
+/// which it then replaces; otherwise it is not kept. Every chunk carries
+/// the generator state after it, so a model always draws a missing chunk
+/// from the chunk before it: residency and races change only who draws,
 /// never a value.
 struct FactorTable {
     budget: usize,
@@ -204,8 +221,8 @@ impl FactorTable {
         }
         let sigma = f64::from_bits(key.1);
         let chunk = match prev {
-            // Not resident and held by no one else: the stream outgrew
-            // the budget, so its chunk is redrawn in place, as a model
+            // Not resident and held by no one else: the table did not
+            // keep it, so the next chunk is redrawn in place, as a model
             // without the table would refill its own buffer.
             Some(mut own) if Arc::strong_count(&own) == 1 => {
                 if let Some(c) = Arc::get_mut(&mut own) {
@@ -221,27 +238,34 @@ impl FactorTable {
     }
 
     /// Make `chunk` resident as chunk `index` of stream `key` if it
-    /// extends the stream's resident prefix and fits the budget after
-    /// evicting other streams, least recently used first.
+    /// extends the stream's resident prefix and either fits the budget or
+    /// has a lower index than the last chunk of the longest resident
+    /// prefix, which it then replaces.
     fn keep(&self, key: StreamKey, index: usize, chunk: &Arc<Chunk>) {
         let mut state = self.lock();
+        #[cfg(test)]
+        {
+            state.draws += 1;
+        }
         let resident = state.streams.get(&key).map_or(0, |s| s.chunks.len());
         if resident != index {
             return;
         }
-        while state.bytes + CHUNK_BYTES > self.budget {
+        if state.bytes + CHUNK_BYTES > self.budget {
+            // Ticks are unique, so the victim does not depend on the
+            // map's iteration order.
             let victim = state
                 .streams
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| *k);
+                .values_mut()
+                .max_by_key(|s| (s.chunks.len(), std::cmp::Reverse(s.last_used)))
+                .filter(|s| index + 1 < s.chunks.len());
             let Some(victim) = victim else {
                 return;
             };
-            if let Some(gone) = state.streams.remove(&victim) {
-                state.bytes -= gone.chunks.len() * CHUNK_BYTES;
-            }
+            // The victim held more than `index + 1` chunks, so it keeps
+            // at least one.
+            victim.chunks.pop();
+            state.bytes -= CHUNK_BYTES;
         }
         state.tick += 1;
         let tick = state.tick;
@@ -257,6 +281,22 @@ impl FactorTable {
     #[cfg(test)]
     fn resident_bytes(&self) -> usize {
         self.lock().bytes
+    }
+
+    #[cfg(test)]
+    fn draws(&self) -> usize {
+        self.lock().draws
+    }
+
+    /// Each resident stream's prefix length, in chunks.
+    #[cfg(test)]
+    fn resident_lengths(&self) -> std::collections::BTreeMap<StreamKey, usize> {
+        let state = self.lock();
+        state
+            .streams
+            .iter()
+            .map(|(key, s)| (*key, s.chunks.len()))
+            .collect()
     }
 }
 
@@ -498,16 +538,58 @@ mod tests {
         let table = FactorTable::new(3 * CHUNK_BYTES);
         let sigma = 0.02f64.to_bits();
         let first = read_stream(&table, (5, sigma), 3);
-        // Two other streams evict it whole...
+        // Two other streams' first chunks evict its tail...
         read_stream(&table, (6, sigma), 2);
         read_stream(&table, (7, sigma), 1);
-        assert!(!table.lock().streams.contains_key(&(5, sigma)));
-        // ... and its refill draws every value again, bit for bit, as
+        assert_eq!(table.resident_lengths()[&(5, sigma)], 1);
+        // ... and its refill draws those values again, bit for bit, as
         // does the process-wide table behind `NoiseModel`.
         assert_eq!(bits(&read_stream(&table, (5, sigma), 3)), bits(&first));
         let mut model = NoiseModel::new(NoiseConfig::default_jitter(5));
         let direct: Vec<f64> = (0..first.len()).map(|_| model.perturb(1.0)).collect();
         assert_eq!(bits(&direct), bits(&first));
+    }
+
+    #[test]
+    fn cyclic_readers_keep_prefixes_and_draw_only_the_overflow() {
+        // Three streams read in turn from the front, as a consultation
+        // reads its two walk lanes and then verify: twelve chunks of
+        // demand against a budget of seven.
+        let (streams, length, budget_chunks) = (3u64, 4, 7);
+        let budget = budget_chunks * CHUNK_BYTES;
+        let table = FactorTable::new(budget);
+        let roomy = FactorTable::new(NOISE_TABLE_BYTES);
+        let sigma = 0.02f64.to_bits();
+        for round in 0..4 {
+            let drawn_before = table.draws();
+            for key in (0..streams).map(|s| (0xc1c1e + s, sigma)) {
+                let mut factors = Vec::new();
+                let mut prev: Option<Arc<Chunk>> = None;
+                for index in 0..length {
+                    let before = table.resident_lengths();
+                    let full = table.resident_bytes() + CHUNK_BYTES > budget;
+                    let tail = before.values().max().map_or(0, |&len| len - 1);
+                    let chunk = table.chunk(key, index, prev.take());
+                    if full && index >= tail {
+                        // Not lower than the longest prefix's tail: the
+                        // chunk is not admitted and nothing is evicted.
+                        assert_eq!(table.resident_lengths(), before, "{round} {key:?} {index}");
+                    }
+                    assert!(table.resident_bytes() <= budget);
+                    factors.extend_from_slice(&chunk.factors);
+                    prev = Some(chunk);
+                }
+                assert_eq!(bits(&factors), bits(&read_stream(&roomy, key, length)));
+            }
+            let demand = usize::try_from(streams).unwrap_or(usize::MAX) * length;
+            if round > 0 {
+                let drawn = table.draws() - drawn_before;
+                assert!(
+                    drawn <= demand - budget_chunks,
+                    "round {round}: {drawn} draws"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! tier. So one walk that prices every request in two tiers
 //! ([`Server::run_paired`](crate::Server::run_paired)) records all there
 //! is to know about every split of the keys between them: the
-//! [`ChargeTape`], one unperturbed `(own, alt)` charge pair per request.
+//! [`ChargeTape`], one unperturbed `(own, alt)` charge pair per request,
+//! beside the request itself packed into 32 bits: 20 bytes per request.
 //!
 //! * **Replay.** A split's run is the tape read back with each request's
 //!   charge picked by its key's tier, perturbed by the split run's own
@@ -34,7 +35,7 @@ use crate::StoreKind;
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{num, NoiseModel, SimClock, StackSpec, TierId};
 use mnemo_codec::{fnv64_chain, fnv64_word, FNV64_OFFSET};
-use ycsb::{Request, Trace};
+use ycsb::{Op, Request, Trace};
 
 /// One lane of a paired walk: where its keys live and the noise stream
 /// its reported service times were drawn from.
@@ -96,6 +97,31 @@ impl std::fmt::Write for FnvWriter {
     }
 }
 
+/// Bits of a packed request's key: the tape keeps a request as one
+/// `u32`, its key above a one-bit op.
+const PACKED_KEY_BITS: u32 = 31;
+
+/// `r` as the tape keeps it: the key shifted left by one, the low bit
+/// set for an update. Declines when the key needs more than
+/// [`PACKED_KEY_BITS`] bits.
+fn pack(r: &Request) -> Result<u32, PairedDecline> {
+    u32::try_from(r.key)
+        .ok()
+        .filter(|&key| key >> PACKED_KEY_BITS == 0)
+        .map(|key| (key << 1) | u32::from(r.op == Op::Update))
+        .ok_or(PairedDecline::KeySpace { key: r.key })
+}
+
+/// The key and op of a packed request.
+fn unpack(packed: u32) -> (u64, Op) {
+    let op = if packed & 1 == 0 {
+        Op::Read
+    } else {
+        Op::Update
+    };
+    (u64::from(packed >> 1), op)
+}
+
 /// Each request's unperturbed charge in the own and the alternative
 /// lane of one paired walk, in trace order, with what it takes to read
 /// them back: the walk's fingerprint, its requests and its lanes.
@@ -103,27 +129,33 @@ impl std::fmt::Write for FnvWriter {
 pub struct ChargeTape {
     fingerprint: u64,
     keys: usize,
-    requests: Vec<Request>,
+    /// Each request's key and op, packed (see [`pack`]).
+    requests: Vec<u32>,
     /// `[own, alt]` raw charge per request, in nanoseconds.
     charges: Vec<[f64; 2]>,
     lanes: [TapeLane; 2],
 }
 
 impl ChargeTape {
-    /// An empty tape for a walk of `trace` on `store` over `spec`.
+    /// An empty tape for a walk of `trace` on `store` over `spec`;
+    /// declines when a request's key does not fit the packed form.
     pub(crate) fn new(
         store: StoreKind,
         spec: &StackSpec,
         trace: &Trace,
         lanes: [TapeLane; 2],
-    ) -> ChargeTape {
-        ChargeTape {
+    ) -> Result<ChargeTape, PairedDecline> {
+        let mut requests = Vec::with_capacity(trace.len());
+        for r in &trace.requests {
+            requests.push(pack(r)?);
+        }
+        Ok(ChargeTape {
             fingerprint: ChargeTape::fingerprint_of(store, spec, trace),
             keys: trace.sizes.len(),
-            requests: trace.requests.clone(),
+            requests,
             charges: Vec::with_capacity(trace.len()),
             lanes,
-        }
+        })
     }
 
     /// Append the next request's raw charges.
@@ -158,8 +190,8 @@ impl ChargeTape {
     /// `Δ_k` over the walk's dense key space.
     pub fn ledger(&self) -> CostLedger {
         let mut ledger = CostLedger::new(self.keys);
-        for (r, &[own, alt]) in self.requests.iter().zip(&self.charges) {
-            ledger.record(r.key, own, alt);
+        for (&packed, &[own, alt]) in self.requests.iter().zip(&self.charges) {
+            ledger.record(unpack(packed).0, own, alt);
         }
         ledger
     }
@@ -175,10 +207,13 @@ impl ChargeTape {
             .requests
             .iter()
             .zip(&self.charges)
-            .map(|(r, charge)| RequestSample {
-                key: r.key,
-                op: r.op,
-                service_ns: noise.perturb(charge[lane]),
+            .map(|(&packed, charge)| {
+                let (key, op) = unpack(packed);
+                RequestSample {
+                    key,
+                    op,
+                    service_ns: noise.perturb(charge[lane]),
+                }
             })
             .collect();
         Some(samples)
@@ -298,6 +333,66 @@ fn as_i64(ns: u128) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packed_requests_round_trip_and_wide_keys_decline() {
+        let widest = (1u64 << PACKED_KEY_BITS) - 1;
+        for key in [0, 1, 0x1234_5678, widest] {
+            for op in [Op::Read, Op::Update] {
+                assert_eq!(unpack(pack(&Request { key, op }).unwrap()), (key, op));
+            }
+        }
+        for key in [widest + 1, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(
+                pack(&Request { key, op: Op::Read }),
+                Err(PairedDecline::KeySpace { key })
+            );
+        }
+    }
+
+    #[test]
+    fn packed_tape_folds_match_folds_over_the_trace() {
+        use crate::{Placement, Server};
+        // YCSB A: half reads, half updates, so both op bits are exercised.
+        let trace = ycsb::WorkloadSpec::ycsb_a().scaled(300, 6_000).generate(5);
+        for store in StoreKind::ALL {
+            for noise in [NoiseConfig::disabled(), NoiseConfig::default_jitter(11)] {
+                let spec = StackSpec::paper_testbed();
+                let mut server =
+                    Server::build_with(store, spec, noise, &trace, Placement::AllFast).unwrap();
+                let alt_noise = NoiseConfig::default_jitter(12);
+                let tape = server
+                    .run_paired(&trace, TierId::SLOW, alt_noise)
+                    .unwrap()
+                    .tape;
+                let cell = format!("{store} sigma {}", noise.relative_sigma);
+                // The ledger and each lane's samples, folded over the
+                // trace's own requests as the unpacked tape did.
+                let mut ledger = CostLedger::new(trace.sizes.len());
+                for (r, &[own, alt]) in trace.requests.iter().zip(&tape.charges) {
+                    ledger.record(r.key, own, alt);
+                }
+                assert_eq!(tape.ledger(), ledger, "{cell}");
+                for (lane, tier) in [(0, TierId::FAST), (1, TierId::SLOW)] {
+                    let mut lane_noise =
+                        NoiseModel::at(tape.lanes[lane].noise, tape.lanes[lane].start);
+                    let expected: Vec<(u64, Op, u64)> = trace
+                        .requests
+                        .iter()
+                        .zip(&tape.charges)
+                        .map(|(r, c)| (r.key, r.op, lane_noise.perturb(c[lane]).to_bits()))
+                        .collect();
+                    let samples: Vec<(u64, Op, u64)> = tape
+                        .samples(tier)
+                        .unwrap()
+                        .iter()
+                        .map(|s| (s.key, s.op, s.service_ns.to_bits()))
+                        .collect();
+                    assert_eq!(samples, expected, "{cell} lane {lane}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn curve_runs_from_all_alt_to_all_own() {

@@ -265,9 +265,10 @@ pub struct PairedRun {
     pub tape: ChargeTape,
 }
 
-/// Why [`Server::run_paired`] declined. Each names something that makes
-/// a request's charge depend on more than its own key's tier, so one
-/// walk could not stand for two runs.
+/// Why [`Server::run_paired`] declined. Each but the last names
+/// something that makes a request's charge depend on more than its own
+/// key's tier, so one walk could not stand for two runs; the last is a
+/// trace the charge tape cannot record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairedDecline {
     /// A FastMem front cache is installed (cache mode): evictions and
@@ -292,6 +293,12 @@ pub enum PairedDecline {
         /// The alternative tier's capacity.
         capacity: u64,
     },
+    /// A request's key needs more than the 31 bits the charge tape packs
+    /// it into.
+    KeySpace {
+        /// The first such key in the trace.
+        key: u64,
+    },
 }
 
 impl std::fmt::Display for PairedDecline {
@@ -306,6 +313,9 @@ impl std::fmt::Display for PairedDecline {
                 f,
                 "the alternative tier holds {capacity} bytes, the dataset needs {needed}"
             ),
+            PairedDecline::KeySpace { key } => {
+                write!(f, "key {key} needs more than the tape's 31 bits")
+            }
         }
     }
 }
@@ -651,9 +661,10 @@ impl Server {
     /// costs one key lookup and one LLC probe — the LLC is keyed by
     /// object, so its hits are the same in either tier — and goes
     /// through the engine's cost formula once, priced in both tiers.
-    /// The walk keeps only totals, histograms and the 16-byte
-    /// `(own, alt)` charge of each request: the [`ChargeTape`], from
-    /// which the ledger, the lanes' samples and any split replay.
+    /// The walk keeps only totals, histograms and, per request, the
+    /// 16-byte `(own, alt)` charge and the 4-byte packed request: the
+    /// [`ChargeTape`], from which the ledger, the lanes' samples and any
+    /// split replay.
     ///
     /// Declines, changing nothing, when something makes a request's
     /// charge depend on more than its key's tier (see [`PairedDecline`]).
@@ -666,8 +677,6 @@ impl Server {
         if let Some(decline) = self.paired_decline(alt) {
             return Err(decline);
         }
-        self.engine.reset_measurement_state();
-        self.migration = MigrationStats::default();
         let mem = self.engine.memory();
         let used = mem.tier_ids().map(|t| mem.used(t)).sum::<u64>();
         // Every loaded key takes at least one byte, so the own lane has
@@ -685,7 +694,9 @@ impl Server {
                 start: 0,
             },
         ];
-        let mut tape = ChargeTape::new(self.store, mem.spec(), trace, lanes);
+        let mut tape = ChargeTape::new(self.store, mem.spec(), trace, lanes)?;
+        self.engine.reset_measurement_state();
+        self.migration = MigrationStats::default();
         let mut alt_noise = NoiseModel::new(alt_noise);
         let (mut own_clock, mut alt_clock) = (SimClock::new(), SimClock::new());
         let mut own = RunReport::unsampled(self.store, trace);
