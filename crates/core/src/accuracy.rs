@@ -129,6 +129,9 @@ pub fn evaluate(
         let report = consultation
             .baselines
             .replay_or_run(store, spec, trace, noise_i, placement)?;
+        // A replayed or simulated split keeps its histograms; were one
+        // missing, its tails would read NaN, never a silent 0.
+        let tail = |q| report.latency_quantile(q).unwrap_or(f64::NAN);
         out.push(EvalPoint {
             prefix,
             cost_reduction: row.cost_reduction,
@@ -136,7 +139,7 @@ pub fn evaluate(
             estimated_ops_s: row.est_throughput_ops_s,
             measured_avg_latency_ns: report.avg_latency_ns(),
             estimated_avg_latency_ns: row.est_avg_latency_ns(consultation.curve.requests),
-            measured_tail_ns: (report.latency_quantile(0.95), report.latency_quantile(0.99)),
+            measured_tail_ns: (tail(0.95), tail(0.99)),
         });
     }
     Ok(out)

@@ -24,9 +24,11 @@ pub struct BaselineRun {
     pub avg_read_ns: f64,
     /// Average write service time (ns).
     pub avg_write_ns: f64,
-    /// The full report. Per-request samples, which feed the size-aware
+    /// The run's report. Per-request samples, which feed the size-aware
     /// model, are read through [`Baselines::samples`]: a lane of the
-    /// one-walk measurement keeps none of its own.
+    /// one-walk measurement keeps totals only, no samples and no
+    /// histograms; its full report is [`RunReport::from_samples`] of
+    /// those samples.
     pub report: RunReport,
 }
 

@@ -141,7 +141,7 @@ mod tests {
         let report = server.run(&trace);
         for q in [0.5, 0.95, 0.99] {
             let predicted = est.quantile(|_| false, q);
-            let measured = report.latency_quantile(q);
+            let measured = report.latency_quantile(q).unwrap();
             let rel = (predicted - measured).abs() / measured;
             assert!(
                 rel < 0.08,

@@ -64,10 +64,13 @@ fn main() {
         slowdown * 100.0,
         rec.est_slowdown * 100.0
     );
+    // The cluster's report is rebuilt from its samples, histograms
+    // included.
+    let tail_us = |q| report.latency_quantile(q).expect("histograms") / 1e3;
     println!(
         "tail latency: p95 {:.0} us, p99 {:.0} us",
-        report.latency_quantile(0.95) / 1e3,
-        report.latency_quantile(0.99) / 1e3
+        tail_us(0.95),
+        tail_us(0.99)
     );
     assert!(
         slowdown <= slo + 0.02,

@@ -168,7 +168,7 @@ fn tail_estimator_tracks_measured_tails_across_stores() {
         let est = consultation.tail_estimator();
         for q in [0.95, 0.99] {
             let predicted = est.quantile(|_| false, q);
-            let measured = report.latency_quantile(q);
+            let measured = report.latency_quantile(q).unwrap();
             let rel = (predicted - measured).abs() / measured;
             assert!(
                 rel < 0.10,
