@@ -198,8 +198,7 @@ mod tests {
             "{what}"
         );
         assert_eq!((a.reads, a.writes), (b.reads, b.writes), "{what}");
-        assert!(a.read_hist == b.read_hist, "{what}: read histogram");
-        assert!(a.write_hist == b.write_hist, "{what}: write histogram");
+        assert!(a.histograms == b.histograms, "{what}: histograms");
         assert!(a.samples == b.samples, "{what}: samples");
     }
 
