@@ -13,7 +13,7 @@
 //!
 //! Everything is keyed off the plan seed and the virtual clock, so the
 //! whole sweep is byte-identical for every `--jobs` value — the export
-//! joins the CI bench-smoke determinism gate.
+//! joins the `--jobs` determinism gate.
 
 use kvsim::{Server, StoreKind};
 use mnemo::advisor::{Advisor, AdvisorConfig, OrderingKind};

@@ -19,7 +19,7 @@ pub fn run() -> Result<SuiteOutcome, HarnessError> {
     let mut csv_rows = Vec::new();
     // The figure's inputs are a fixed price catalogue, so everything
     // recorded here is scale- and jobs-independent: the export is the
-    // byte-stable golden the CI bench-smoke job diffs.
+    // byte-stable golden the golden-figure gate diffs.
     let mut tel = mnemo_telemetry::Recorder::new();
     let mut providers = 0u64;
     for kind in ProviderKind::ALL {

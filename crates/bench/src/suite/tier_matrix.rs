@@ -11,7 +11,7 @@
 //!
 //! Every run uses the virtual clock, disabled noise, and a fixed seed,
 //! so the grid is byte-identical for every `--jobs` value — the CSV
-//! joins the CI bench-smoke determinism gate and the committed golden
+//! joins the `--jobs` determinism gate and the committed golden
 //! matrix.
 
 use super::SuiteOutcome;

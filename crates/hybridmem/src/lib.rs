@@ -74,7 +74,7 @@ pub mod stats;
 pub mod system;
 
 pub use alloc::ObjectId;
-pub use cache::{Cache, CacheConfig, CacheKind};
+pub use cache::{Cache, CacheConfig, CacheKind, CacheOutcome};
 pub use clock::{NoiseModel, SimClock};
 pub use degrade::{DegradationProfile, DegradationWindow, TierFactors};
 pub use dense::DenseU64Map;
@@ -82,7 +82,7 @@ pub use det::{det_map, det_set, BuildDetHasher, DetHashMap, DetHashSet};
 pub use device::{CapacityError, Device};
 pub use spec::{AccessKind, TierId, TierSpec};
 pub use stack::{
-    AlsoIn, ChargeLanes, OwnTier, PairNs, StackError, StackPlacement, StackSpec, TierDef, TierStack,
+    ChargeLanes, OwnTier, PairNs, Quote, StackError, StackPlacement, StackSpec, TierDef, TierStack,
 };
 pub use stats::{AccessStats, Histogram};
 pub use system::CacheStats;

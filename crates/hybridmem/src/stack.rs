@@ -14,7 +14,7 @@
 //! simulated addresses from the [`alloc`](crate::alloc) arenas.
 
 use crate::alloc::{ObjectId, TierArena};
-use crate::cache::{Cache, CacheConfig, CacheKind, CacheModel};
+use crate::cache::{Cache, CacheConfig, CacheKind, CacheModel, CacheOutcome};
 use crate::degrade::DegradationProfile;
 use crate::device::{CapacityError, Device};
 use crate::num;
@@ -279,7 +279,8 @@ impl Mul<f64> for PairNs {
 /// How a memory charge is priced: the stack's charge primitives, with
 /// the result type they produce. Engines write each cost formula once,
 /// generic over the lanes, and get the plain run ([`OwnTier`], `f64`)
-/// and the paired run ([`AlsoIn`], [`PairNs`]) from the same code.
+/// and the paired walk's quote ([`Quote`], [`PairNs`]) from the same
+/// code.
 pub trait ChargeLanes: Copy {
     /// The charge: `f64`, or one `f64` per lane.
     type Ns: Copy + Add<Output = Self::Ns> + Mul<f64, Output = Self::Ns> + From<f64>;
@@ -333,23 +334,38 @@ impl ChargeLanes for OwnTier {
     }
 }
 
-/// Price every charge in the tier that holds the data and, quoted
-/// without being recorded, as if the data lived in tier `.0` — one walk
-/// that prices two placements.
+/// Quote every charge, recording nothing, in the tier that holds the
+/// data and as if it lived in tier `alt`, for an LLC outcome the caller
+/// already probed ([`TierStack::probe_llc`]) — the paired walk's lanes.
+/// The LLC is keyed by object, not by address, so its outcome is the
+/// same in either tier. The own lane is the same float operations, in
+/// the same order, as [`OwnTier`]'s charge on that outcome, so it is
+/// bit-identical to what `access_at`/`touch_n` return.
 #[derive(Debug, Clone, Copy)]
-pub struct AlsoIn(pub TierId);
+pub struct Quote {
+    /// The LLC outcome of the one whole-object access a request makes.
+    pub llc: CacheOutcome,
+    /// The alternative tier; it must be a tier of the stack.
+    pub alt: TierId,
+}
 
-impl ChargeLanes for AlsoIn {
+impl ChargeLanes for Quote {
     type Ns = PairNs;
 
     fn access_at(
         self,
         mem: &mut TierStack,
-        id: ObjectId,
+        _id: ObjectId,
         p: StackPlacement,
         kind: AccessKind,
     ) -> PairNs {
-        mem.access_at_pair(id, p, kind, self.0)
+        let mut ns = PairNs::from(mem.spec.cache.hit_ns(self.llc.hit_bytes));
+        let miss_bytes = self.llc.miss_bytes;
+        if miss_bytes > 0 {
+            ns.own += mem.devices[p.tier.index()].quote_ns(kind, miss_bytes);
+            ns.alt += mem.devices[self.alt.index()].quote_ns(kind, miss_bytes);
+        }
+        ns
     }
 
     fn touch_n(
@@ -360,7 +376,10 @@ impl ChargeLanes for AlsoIn {
         bytes: u64,
         n: u64,
     ) -> PairNs {
-        mem.touch_n_pair(tier, self.0, kind, bytes, n)
+        PairNs {
+            own: mem.devices[tier.index()].quote_ns_n(kind, bytes, n),
+            alt: mem.devices[self.alt.index()].quote_ns_n(kind, bytes, n),
+        }
     }
 }
 
@@ -615,31 +634,18 @@ impl TierStack {
         ns
     }
 
-    /// [`Self::access_at`] priced twice on one LLC probe: `own` exactly
-    /// as `access_at` charges and records it, `alt` as if the object
-    /// lived in tier `alt` (quoted, not recorded). The LLC is keyed by
-    /// object, not by address, so its hit or miss is the same in either
-    /// tier. `alt` must be a tier of this stack.
-    pub fn access_at_pair(
-        &mut self,
-        id: ObjectId,
-        p: StackPlacement,
-        kind: AccessKind,
-        alt: TierId,
-    ) -> PairNs {
-        let (hit_ns, miss_bytes) = self.probe_cache(id, p.bytes);
-        let mut ns = PairNs::from(hit_ns);
-        if miss_bytes > 0 {
-            ns.own += self.devices[p.tier.index()].access_ns(kind, miss_bytes);
-            ns.alt += self.devices[alt.index()].quote_ns(kind, miss_bytes);
-        }
-        ns
+    /// One LLC access over an object of `bytes`: the cache's residency
+    /// moves as [`Self::access_at`]'s would, but nothing is recorded —
+    /// no cache statistics, no device traffic. The paired walk's probe;
+    /// it prices the outcome in a [`Quote`] lane.
+    pub fn probe_llc(&mut self, id: ObjectId, bytes: u64) -> CacheOutcome {
+        self.cache.access(id.0, bytes)
     }
 
     /// One LLC access over an object of `bytes`, counted in the cache
     /// stats: the cache-side nanoseconds and the bytes that missed.
     fn probe_cache(&mut self, id: ObjectId, bytes: u64) -> (f64, u64) {
-        let outcome = self.cache.access(id.0, bytes);
+        let outcome = self.probe_llc(id, bytes);
         if outcome.hit_bytes > 0 {
             self.cache_stats.hits += 1;
             self.cache_stats.hit_bytes += outcome.hit_bytes;
@@ -663,22 +669,6 @@ impl TierStack {
     /// engines batch their pointer-chase chains.
     pub fn touch_n(&mut self, tier: TierId, kind: AccessKind, bytes: u64, n: u64) -> f64 {
         self.devices[tier.index()].access_ns_n(kind, bytes, n)
-    }
-
-    /// [`Self::touch_n`] in `tier` (charged and recorded) and, quoted
-    /// only, in `alt`.
-    pub fn touch_n_pair(
-        &mut self,
-        tier: TierId,
-        alt: TierId,
-        kind: AccessKind,
-        bytes: u64,
-        n: u64,
-    ) -> PairNs {
-        PairNs {
-            own: self.devices[tier.index()].access_ns_n(kind, bytes, n),
-            alt: self.devices[alt.index()].quote_ns_n(kind, bytes, n),
-        }
     }
 
     /// Device statistics for one tier (the top tier for a foreign id —

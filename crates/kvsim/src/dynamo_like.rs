@@ -10,7 +10,7 @@
 
 use crate::engine::{EngineCore, EngineError, KvEngine};
 use crate::profile::StoreKind;
-use hybridmem::{AccessKind, AlsoIn, ChargeLanes, OwnTier, PairNs, TierId, TierStack};
+use hybridmem::{AccessKind, CacheOutcome, ChargeLanes, OwnTier, PairNs, Quote, TierId, TierStack};
 
 /// Fixed per-item metadata footprint (attribute map skeleton, bytes).
 const ITEM_OVERHEAD_BYTES: u64 = 128;
@@ -88,13 +88,14 @@ impl KvEngine for DynamoLike {
         self.serve(key, AccessKind::Write, OwnTier)
     }
 
-    fn charge_pair(
+    fn quote_pair(
         &mut self,
         key: u64,
         kind: AccessKind,
         alt: TierId,
+        llc: CacheOutcome,
     ) -> Result<PairNs, EngineError> {
-        self.serve(key, kind, AlsoIn(alt))
+        self.serve(key, kind, Quote { llc, alt })
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {

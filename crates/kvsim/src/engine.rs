@@ -11,8 +11,8 @@
 
 use crate::profile::EngineProfile;
 use hybridmem::{
-    AccessKind, ChargeLanes, DenseU64Map, ObjectId, PairNs, StackError, StackPlacement, TierId,
-    TierStack,
+    AccessKind, CacheOutcome, ChargeLanes, DenseU64Map, ObjectId, PairNs, StackError,
+    StackPlacement, TierId, TierStack,
 };
 
 /// Errors surfaced by engines.
@@ -69,18 +69,33 @@ pub trait KvEngine: Send {
     /// Serve a DELETE; returns the service time in nanoseconds.
     fn delete(&mut self, key: u64) -> Result<f64, EngineError>;
 
-    /// Serve a GET (`Read`) or UPDATE (`Write`) priced twice: `own` is
-    /// bit-identical to what [`Self::get`]/[`Self::put`] would return,
-    /// with the same state changes; `alt` is what it would have cost
-    /// with the key's data in tier `alt`, which must be a tier of the
-    /// engine's stack. Engines implement both from one cost formula,
-    /// generic over [`ChargeLanes`].
-    fn charge_pair(
+    /// Price a GET (`Read`) or UPDATE (`Write`) twice, recording
+    /// nothing, for the LLC outcome `llc` of its value access (the
+    /// caller probed it with [`TierStack::probe_llc`]): `own` is
+    /// bit-identical to what [`Self::get`]/[`Self::put`] return on that
+    /// outcome; `alt` is what it would have cost with the key's data in
+    /// tier `alt`, which must be a tier of the engine's stack. Engines
+    /// price both through the one cost formula behind `get`/`put`,
+    /// generic over [`ChargeLanes`], in a [`hybridmem::Quote`] lane: no
+    /// device or cache statistics move and the LLC is not touched. Unless
+    /// [`Self::quote_is_pure`] says otherwise, no other state changes
+    /// either, so the price is a function of the key, the op, `alt` and
+    /// `llc` alone.
+    fn quote_pair(
         &mut self,
         key: u64,
         kind: AccessKind,
         alt: TierId,
+        llc: CacheOutcome,
     ) -> Result<PairNs, EngineError>;
+
+    /// Whether [`Self::quote_pair`] changes no state, so that a walk may
+    /// price each `(key, op, LLC outcome)` once. An engine whose price
+    /// also depends on request history (a block cache) advances that
+    /// state in `quote_pair`, as `get`/`put` would, and returns `false`.
+    fn quote_is_pure(&self) -> bool {
+        true
+    }
 
     /// The engine's cost profile.
     fn profile(&self) -> &EngineProfile {
@@ -256,9 +271,10 @@ impl EngineCore {
     /// component. Charges the index walk first, then the value traffic
     /// — the same device-access order as the unbatched sequence, so
     /// stats and totals stay bit-identical. Priced in `lanes`: with
-    /// [`hybridmem::OwnTier`] each component is the plain `f64` charge; with
-    /// [`hybridmem::AlsoIn`] it also carries, unrecorded, what it would
-    /// have cost with the key in the alternative tier.
+    /// [`hybridmem::OwnTier`] each component is the plain `f64` charge,
+    /// recorded; with [`hybridmem::Quote`] it is quoted, unrecorded, in
+    /// the key's tier and in the alternative tier, on an LLC outcome
+    /// already probed.
     pub fn charge_op<L: ChargeLanes>(
         &mut self,
         key: u64,
@@ -327,7 +343,8 @@ pub(crate) fn test_stack(fast_capacity: u64, slow_capacity: u64) -> TierStack {
 mod tests {
     use super::*;
     use crate::profile::StoreKind;
-    use hybridmem::{AlsoIn, OwnTier};
+    use crate::server::make_engine;
+    use hybridmem::{CacheOutcome, OwnTier, StackSpec};
 
     const FAST: TierId = TierId::FAST;
     const SLOW: TierId = TierId::SLOW;
@@ -380,8 +397,7 @@ mod tests {
         for kind in [AccessKind::Read, AccessKind::Write] {
             let mut split = core();
             let mut fused = core();
-            let mut paired = core();
-            for c in [&mut split, &mut fused, &mut paired] {
+            for c in [&mut split, &mut fused] {
                 c.load(1, 100_000, 100_000, SLOW).unwrap();
                 // Warm the cache so all paths see the same hit pattern.
                 value_traffic(c, 1, kind);
@@ -395,20 +411,90 @@ mod tests {
                 split.memory().tier_stats(SLOW),
                 fused.memory().tier_stats(SLOW)
             );
-            // The paired charge's own lane is the plain charge, with the
-            // same stats; the alternative tier's quote is not recorded.
-            let pair = paired.charge_op(1, kind, 5, AlsoIn(FAST)).unwrap();
-            assert_eq!(pair.index_ns.own.to_bits(), op.index_ns.to_bits());
-            assert_eq!(pair.value_ns.own.to_bits(), op.value_ns.to_bits());
-            assert!(pair.index_ns.alt < pair.index_ns.own, "{kind:?}");
-            assert_eq!(
-                paired.memory().tier_stats(SLOW),
-                fused.memory().tier_stats(SLOW)
-            );
-            assert_eq!(
-                paired.memory().tier_stats(FAST),
-                fused.memory().tier_stats(FAST)
-            );
+        }
+    }
+
+    /// What `get`/`put` charge (and record) for one request.
+    fn recorded(e: &mut dyn KvEngine, key: u64, kind: AccessKind) -> f64 {
+        match kind {
+            AccessKind::Read => e.get(key),
+            AccessKind::Write => e.put(key),
+        }
+        .unwrap()
+    }
+
+    /// A key's object and its stored bytes.
+    fn object(e: &dyn KvEngine, key: u64) -> (ObjectId, u64) {
+        let (id, _) = e.core().lookup(key).unwrap();
+        (id, e.memory().placement(id).unwrap().bytes)
+    }
+
+    #[test]
+    fn quote_pair_is_the_recorded_charge_on_every_llc_outcome() {
+        let mut spec = StackSpec::paper_testbed();
+        spec.tiers[0].capacity_bytes = 1 << 26;
+        spec.tiers[1].capacity_bytes = 1 << 26;
+        // A small LLC, so that every store's largest object (Memcached
+        // caps its slab chunks at 1 MiB) can bypass it.
+        spec.cache.capacity_bytes = 1 << 16;
+        let whole = |bytes, hit: bool| CacheOutcome {
+            hit_bytes: if hit { bytes } else { 0 },
+            miss_bytes: if hit { 0 } else { bytes },
+        };
+        // Key 1 fits the LLC: a miss, then a hit. Key 2 is larger than
+        // the LLC and bypasses it: a miss every time.
+        let steps = [(1, false), (1, true), (2, false), (2, false)];
+        for store in [
+            StoreKind::Redis,
+            StoreKind::Memcached,
+            StoreKind::Dynamo,
+            StoreKind::Rocks,
+        ] {
+            let build = |tier| {
+                let mut e = make_engine(store, spec.clone()).unwrap();
+                e.load(1, 4096, tier).unwrap();
+                e.load(2, 1 << 17, tier).unwrap();
+                e
+            };
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                let cell = format!("{store} {kind:?}");
+                let (mut own, mut alt, mut quoted) = (build(SLOW), build(FAST), build(SLOW));
+                for (key, hit) in steps {
+                    let (id, bytes) = object(quoted.as_ref(), key);
+                    let outcome = quoted.memory_mut().probe_llc(id, bytes);
+                    assert_eq!(outcome, whole(bytes, hit), "{cell}: key {key}");
+                    let mem = quoted.memory();
+                    let before = (*mem.tier_stats(FAST), *mem.tier_stats(SLOW));
+                    let cache_before = mem.cache_stats();
+                    let quote = quoted.quote_pair(key, kind, FAST, outcome).unwrap();
+                    let mem = quoted.memory();
+                    assert_eq!(
+                        (*mem.tier_stats(FAST), *mem.tier_stats(SLOW)),
+                        before,
+                        "{cell}: a quote records no device traffic"
+                    );
+                    assert_eq!(mem.cache_stats(), cache_before, "{cell}");
+                    let (own_ns, alt_ns) = (
+                        recorded(own.as_mut(), key, kind),
+                        recorded(alt.as_mut(), key, kind),
+                    );
+                    assert_eq!(quote.own.to_bits(), own_ns.to_bits(), "{cell}: key {key}");
+                    assert_eq!(quote.alt.to_bits(), alt_ns.to_bits(), "{cell}: key {key}");
+                }
+                // A quote leaves LLC residency alone: a cold object
+                // quoted as a hit is still cold, and a resident one
+                // quoted as a miss is still resident.
+                let mut probe = build(SLOW);
+                let (id, bytes) = object(probe.as_ref(), 1);
+                probe.quote_pair(1, kind, FAST, whole(bytes, true)).unwrap();
+                let mem = probe.memory_mut();
+                assert_eq!(mem.probe_llc(id, bytes), whole(bytes, false), "{cell}");
+                probe
+                    .quote_pair(1, kind, FAST, whole(bytes, false))
+                    .unwrap();
+                let mem = probe.memory_mut();
+                assert_eq!(mem.probe_llc(id, bytes), whole(bytes, true), "{cell}");
+            }
         }
     }
 

@@ -27,7 +27,10 @@
 //!   tierer Mnemo is set against (the "existing tiering solution" of the
 //!   paper's Fig. 2b) is one such policy, `mnemo_tier::DecayPolicy`.
 //!   Every deployment below runs on this one request loop. Its paired
-//!   walk (`Server::run_paired`) prices each request in two tiers at once.
+//!   walk (`Server::run_paired`) prices each request in two tiers at
+//!   once. On the three paper engines it probes the LLC and changes no
+//!   other engine state, so each `(key, op, LLC outcome)` goes through
+//!   the engine's cost formula ([`KvEngine::quote_pair`]) once per walk.
 //! * [`ledger`] — the paired walk's [`ChargeTape`]: one unperturbed
 //!   `(own, alt)` charge pair per request, from which each lane's totals
 //!   are folded, every split of the keys between the two tiers replays

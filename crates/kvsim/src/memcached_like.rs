@@ -9,7 +9,7 @@
 
 use crate::engine::{EngineCore, EngineError, KvEngine};
 use crate::profile::StoreKind;
-use hybridmem::{AccessKind, AlsoIn, ChargeLanes, OwnTier, PairNs, TierId, TierStack};
+use hybridmem::{AccessKind, CacheOutcome, ChargeLanes, OwnTier, PairNs, Quote, TierId, TierStack};
 
 /// memcached's per-item header (item struct + CAS + key).
 const ITEM_HEADER_BYTES: u64 = 48;
@@ -139,13 +139,14 @@ impl KvEngine for MemcachedLike {
         self.serve(key, AccessKind::Write, OwnTier)
     }
 
-    fn charge_pair(
+    fn quote_pair(
         &mut self,
         key: u64,
         kind: AccessKind,
         alt: TierId,
+        llc: CacheOutcome,
     ) -> Result<PairNs, EngineError> {
-        self.serve(key, kind, AlsoIn(alt))
+        self.serve(key, kind, Quote { llc, alt })
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {

@@ -24,7 +24,7 @@ use crate::engine::{EngineCore, EngineError, KvEngine};
 use crate::profile::{EngineProfile, StoreKind};
 use hybridmem::cache::ObjectLru;
 use hybridmem::Cache as _;
-use hybridmem::{AccessKind, AlsoIn, ChargeLanes, OwnTier, PairNs, TierId, TierStack};
+use hybridmem::{AccessKind, CacheOutcome, ChargeLanes, OwnTier, PairNs, Quote, TierId, TierStack};
 
 /// Simulated SSD: ~90 µs access latency, 500 MB/s effective bandwidth.
 const SSD_LATENCY_NS: f64 = 90_000.0;
@@ -170,13 +170,20 @@ impl KvEngine for RocksLike {
         self.serve(key, AccessKind::Write, OwnTier)
     }
 
-    fn charge_pair(
+    fn quote_pair(
         &mut self,
         key: u64,
         kind: AccessKind,
         alt: TierId,
+        llc: CacheOutcome,
     ) -> Result<PairNs, EngineError> {
-        self.serve(key, kind, AlsoIn(alt))
+        self.serve(key, kind, Quote { llc, alt })
+    }
+
+    /// The block cache moves with every read and write, and the price
+    /// of a read depends on it.
+    fn quote_is_pure(&self) -> bool {
+        false
     }
 
     fn delete(&mut self, key: u64) -> Result<f64, EngineError> {

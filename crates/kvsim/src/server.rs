@@ -27,8 +27,8 @@ use crate::rocks_like::RocksLike;
 use crate::tiered::{load_planned, trace_stats, EpochPlanner};
 use hybridmem::clock::NoiseConfig;
 use hybridmem::{
-    AccessKind, DegradationProfile, DetHashSet, Histogram, NoiseModel, SimClock, StackSpec, TierId,
-    TierStack,
+    AccessKind, CacheOutcome, DegradationProfile, DetHashSet, Histogram, NoiseModel, ObjectId,
+    PairNs, SimClock, StackSpec, TierId, TierStack,
 };
 use mnemo_faults::{FaultPlan, ShardCrash};
 use mnemo_telemetry::{AccessStatKeys, CacheStatKeys, EpochLog, Snapshot};
@@ -291,6 +291,77 @@ pub struct PairedRun {
     /// lanes' samples and every other split of the keys between the two
     /// tiers replay from it.
     pub tape: ChargeTape,
+}
+
+/// One key's row in a paired walk: its object, the object's stored
+/// bytes, and its `(own, alt)` price per op (read, update) and LLC
+/// outcome (whole hit, whole miss), each priced on first sight. A zero
+/// price is "not yet"; a charge that really were zero would only be
+/// priced again.
+#[derive(Clone, Copy)]
+struct KeyRow {
+    id: ObjectId,
+    bytes: u64,
+    price: [[PairNs; 2]; 2],
+}
+
+impl KeyRow {
+    /// The row of a loaded key, nothing priced yet.
+    fn resolve(engine: &dyn KvEngine, key: u64) -> Result<KeyRow, EngineError> {
+        let (id, _) = engine.core().lookup(key)?;
+        Ok(KeyRow {
+            id,
+            bytes: engine.memory().placement(id)?.bytes,
+            price: [[PairNs { own: 0.0, alt: 0.0 }; 2]; 2],
+        })
+    }
+
+    /// The price column of an LLC outcome over this key's object: 0 for
+    /// a whole hit, 1 for a whole miss (a bypass included), `None` for a
+    /// partial one.
+    fn outcome(&self, llc: CacheOutcome) -> Option<usize> {
+        match (llc.hit_bytes, llc.miss_bytes) {
+            (hit, 0) if hit == self.bytes => Some(0),
+            (0, miss) if miss == self.bytes => Some(1),
+            _ => None,
+        }
+    }
+}
+
+/// A paired walk's rows, each resolved on its key's first request and
+/// appended: 4 bytes per key of the dataset (zero for a key not yet
+/// seen, else its row's index plus one) and 80 per key requested.
+struct WalkRows {
+    slot: Vec<u32>,
+    rows: Vec<KeyRow>,
+    /// The row of a key outside the trace's dataset (loaded by a larger
+    /// build), resolved afresh on every request.
+    spare: Option<KeyRow>,
+}
+
+impl WalkRows {
+    fn new(trace: &Trace) -> WalkRows {
+        let keys = trace.sizes.len();
+        WalkRows {
+            slot: vec![0; keys],
+            rows: Vec::with_capacity(keys.min(trace.len())),
+            spare: None,
+        }
+    }
+
+    /// `key`'s row, resolved if this is its first request.
+    fn row(&mut self, engine: &dyn KvEngine, key: u64) -> Result<&mut KeyRow, EngineError> {
+        let Some(slot) = self.slot.get_mut(key as usize) else {
+            return Ok(self.spare.insert(KeyRow::resolve(engine, key)?));
+        };
+        if *slot == 0 {
+            self.rows.push(KeyRow::resolve(engine, key)?);
+            // The walk declined any key above 31 bits, so fewer than
+            // 2^31 rows exist.
+            *slot = self.rows.len() as u32;
+        }
+        Ok(&mut self.rows[*slot as usize - 1])
+    }
 }
 
 /// Why [`Server::run_paired`] declined. Each but the last names
@@ -685,17 +756,25 @@ impl Server {
 
     /// Execute the trace once and report it twice: as placed, exactly as
     /// [`Self::run`] would, and as if every key lived in tier `alt`,
-    /// under its own noise stream `alt_noise` and clock. Each request
-    /// costs one key lookup and one LLC probe — the LLC is keyed by
-    /// object, so its hits are the same in either tier — and goes
-    /// through the engine's cost formula once, priced in both tiers.
+    /// under its own noise stream `alt_noise` and clock. Per request the
+    /// walk probes the LLC (keyed by object, so its hits are the same in
+    /// either tier) and prices the charge with [`KvEngine::quote_pair`],
+    /// which records no statistics. With a pure quote
+    /// ([`KvEngine::quote_is_pure`]) the walk changes no engine state
+    /// but the LLC, so a request's `(own, alt)` price is a function of
+    /// its key, its op and its LLC outcome: each key's row (its object
+    /// and stored bytes, resolved on the key's first request) keeps one
+    /// price per op and whole-hit or whole-miss outcome, priced through
+    /// the engine's cost formula on first sight. A partial outcome, or
+    /// an engine whose quote is not pure, is priced every time.
     /// The walk keeps only, per request, the 16-byte `(own, alt)` charge
     /// and the 4-byte packed request: the [`ChargeTape`]. Both lanes'
     /// totals are then one fold of the tape, the own lane's through this
     /// server's noise stream, which continues as a run's would; the
     /// lanes keep no histograms and no samples, and the ledger, the
     /// lanes' samples (and from them their full reports) and any split
-    /// replay from the tape.
+    /// replay from the tape. Device and LLC statistics are not
+    /// recorded: only a run's telemetry reads them.
     ///
     /// Declines, changing nothing, when something makes a request's
     /// charge depend on more than its key's tier (see [`PairedDecline`]).
@@ -728,17 +807,35 @@ impl Server {
         let mut tape = ChargeTape::new(self.store, mem.spec(), trace, lanes)?;
         self.engine.reset_measurement_state();
         self.migration = MigrationStats::default();
+        let pure = self.engine.quote_is_pure();
+        let mut rows = WalkRows::new(trace);
         for r in &trace.requests {
-            let kind = match r.op {
-                Op::Read => AccessKind::Read,
-                Op::Update => AccessKind::Write,
+            let (kind, op) = match r.op {
+                Op::Read => (AccessKind::Read, 0),
+                Op::Update => (AccessKind::Write, 1),
             };
-            let raw = self
-                .engine
-                .charge_pair(r.key, kind, alt)
+            let row = rows
+                .row(self.engine.as_ref(), r.key)
                 // mnemo-lint: allow(R001, "Server::build loads every key of the trace before run, so requests cannot hit an unloaded key")
                 .expect("trace references unloaded key");
-            tape.push(raw.own, raw.alt);
+            let llc = self.engine.memory_mut().probe_llc(row.id, row.bytes);
+            let mut quote = || {
+                self.engine
+                    .quote_pair(r.key, kind, alt, llc)
+                    // mnemo-lint: allow(R001, "the key's row resolved, so the key is loaded")
+                    .expect("trace references unloaded key")
+            };
+            let price = match row.outcome(llc).filter(|_| pure) {
+                Some(outcome) => {
+                    let slot = &mut row.price[op][outcome];
+                    if slot.own == 0.0 {
+                        *slot = quote();
+                    }
+                    *slot
+                }
+                None => quote(),
+            };
+            tape.push(price.own, price.alt);
         }
         let [own, alt] = tape.fold_into(
             [

@@ -269,14 +269,14 @@ impl Code {
             Code::P001 => {
                 "Walks the call graph from the hybridmem per-request charge paths \
                  (touch_n/access/access_at/access_ns/access_ns_n, the \
-                 paired access_at_pair/touch_n_pair/quote_ns/quote_ns_n, and the \
+                 paired walk's probe_llc and quote_ns/quote_ns_n, and the \
                  AccessStats record/record_n sinks) and the kvsim request paths \
                  (EngineCore::charge_op and each *_like.rs engine's \
-                 get/put/charge_pair) and flags reachable heap \
+                 get/put/quote_pair) and flags reachable heap \
                  allocations (vec!/format!/Box::new/with_capacity/to_vec/to_string/ \
-                 to_owned/String::from/.collect). PR 7's alloc-count perf gates \
-                 pinned these paths alloc-free; this catches regressions at lint \
-                 time instead of bench time."
+                 to_owned/String::from/.collect). The `mnemo perf` alloc-count \
+                 gates pin these paths alloc-free; this catches regressions at \
+                 lint time instead of bench time."
             }
             Code::M001 => {
                 "An allow directive that does not parse: unknown code, missing \

@@ -49,21 +49,16 @@ const SERVE_JOURNAL_ROOTS: [&str; 6] = [
     "recover",
     "encode_record",
 ];
-/// `hybridmem` per-request charge-path roots in `stack.rs`, plain and
-/// paired (priced in a second tier on the same walk).
-const HM_STACK_ROOTS: [&str; 5] = [
-    "access",
-    "access_at",
-    "touch_n",
-    "access_at_pair",
-    "touch_n_pair",
-];
+/// `hybridmem` per-request charge-path roots in `stack.rs`: the plain
+/// charges (`access_at` and `touch_n` also name the paired walk's quote
+/// lane) and the paired walk's LLC probe.
+const HM_STACK_ROOTS: [&str; 4] = ["access", "access_at", "touch_n", "probe_llc"];
 /// `hybridmem` per-request charge-path roots in `device.rs`.
 const HM_DEVICE_ROOTS: [&str; 3] = ["access_ns", "quote_ns", "quote_ns_n"];
 /// `kvsim` per-request charge-path roots in `engine.rs`.
 const KV_ENGINE_ROOTS: [&str; 1] = ["charge_op"];
 /// `kvsim` per-request roots in every `*_like.rs` store engine.
-const KV_STORE_ROOTS: [&str; 3] = ["get", "put", "charge_pair"];
+const KV_STORE_ROOTS: [&str; 3] = ["get", "put", "quote_pair"];
 
 /// Run every workspace-level rule over the parsed models. `models`
 /// must be sorted by path; findings come back in rule-then-site order
@@ -548,38 +543,37 @@ mod tests {
     fn p001_roots_cover_the_paired_charge_path() {
         let alloc_body = "{\n        let v = vec![k];\n    }\n";
         for (path, name) in [
-            ("crates/hybridmem/src/stack.rs", "access_at_pair"),
-            ("crates/hybridmem/src/stack.rs", "touch_n_pair"),
+            ("crates/hybridmem/src/stack.rs", "probe_llc"),
             ("crates/hybridmem/src/device.rs", "quote_ns"),
             ("crates/hybridmem/src/device.rs", "quote_ns_n"),
-            ("crates/kvsim/src/redis_like.rs", "charge_pair"),
-            ("crates/kvsim/src/memcached_like.rs", "charge_pair"),
-            ("crates/kvsim/src/dynamo_like.rs", "charge_pair"),
-            ("crates/kvsim/src/rocks_like.rs", "charge_pair"),
+            ("crates/kvsim/src/redis_like.rs", "quote_pair"),
+            ("crates/kvsim/src/memcached_like.rs", "quote_pair"),
+            ("crates/kvsim/src/dynamo_like.rs", "quote_pair"),
+            ("crates/kvsim/src/rocks_like.rs", "quote_pair"),
         ] {
             let src = format!("impl E {{\n    fn {name}(&mut self, k: u64) {alloc_body}}}\n");
             let f = workspace_rules(&[model(path, &src)]);
             assert_eq!(codes(&f), vec![Code::P001], "{path}::{name}");
             assert!(f[0].message.contains(name), "{}", f[0].message);
         }
-        // A paired engine charge is followed through the shared formula
-        // into the stack's paired primitive.
+        // An engine quote is followed through the shared formula into
+        // the stack's quote lane.
         let models = vec![
             model(
                 "crates/hybridmem/src/stack.rs",
-                "impl TierStack {\n    fn probe(&mut self, k: u64) -> Vec<u64> { vec![k] }\n}\n",
+                "impl ChargeLanes for Quote {\n    fn quote_lane(self, k: u64) -> Vec<u64> { vec![k] }\n}\n",
             ),
             model(
                 "crates/kvsim/src/dynamo_like.rs",
-                "impl DynamoLike {\n    fn charge_pair(&mut self, k: u64) {\n        \
+                "impl DynamoLike {\n    fn quote_pair(&mut self, k: u64) {\n        \
                  self.serve(k);\n    }\n    fn serve(&mut self, k: u64) {\n        \
-                 self.mem.probe(k);\n    }\n}\n",
+                 self.lanes.quote_lane(k);\n    }\n}\n",
             ),
         ];
         let f = workspace_rules(&models);
         assert_eq!(codes(&f), vec![Code::P001]);
         assert_eq!(f[0].file, "crates/kvsim/src/dynamo_like.rs");
-        assert!(f[0].message.contains("probe"), "{}", f[0].message);
+        assert!(f[0].message.contains("quote_lane"), "{}", f[0].message);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use mnemo::placement::PlacementEngine;
 use mnemo::{BaselineRun, SensitivityEngine};
 use mnemo_bench::{measurement_noise, testbed_for};
 use mnemo_faults::{FaultEvent, FaultPlan};
-use ycsb::{Trace, WorkloadSpec};
+use ycsb::{Op, Request, Trace, WorkloadSpec};
 
 const STORES: [StoreKind; 4] = [
     StoreKind::Redis,
@@ -144,6 +144,104 @@ fn one_walk_measure_is_bit_identical_to_two_runs() {
                     &format!("{cell} slow"),
                 );
             }
+        }
+    }
+}
+
+/// Hot keys that a periodic sweep evicts from the LLC, so each flips
+/// between hit and miss, and one key larger than the LLC, which
+/// bypasses it every time; reads and updates mixed.
+fn flipping_trace() -> Trace {
+    let mut keys = Vec::new();
+    for round in 0..60u64 {
+        keys.extend([0, 1, 0, 2, 0]);
+        if round % 3 == 0 {
+            keys.extend(3..12);
+        }
+        if round % 5 == 0 {
+            keys.push(12);
+        }
+    }
+    let requests = keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| Request {
+            key,
+            op: if i % 4 == 1 { Op::Update } else { Op::Read },
+        })
+        .collect();
+    let mut sizes = vec![12 << 10; 12];
+    sizes.push(1 << 18);
+    Trace {
+        name: "llc-flips".to_string(),
+        sizes,
+        requests,
+    }
+}
+
+#[test]
+fn priced_once_tape_equals_each_placements_run() {
+    let trace = flipping_trace();
+    let spec = testbed_for(&trace);
+    assert!(
+        spec.cache.capacity_bytes < trace.sizes[12],
+        "key 12 bypasses"
+    );
+    for noise in [NoiseConfig::disabled(), measurement_noise(7)] {
+        let alt_noise = NoiseConfig {
+            seed: noise.seed ^ 0x5a5a,
+            ..noise
+        };
+        for store in STORES {
+            let cell = format!("{store} / sigma {}", noise.relative_sigma);
+            let build = |placement, noise| {
+                Server::build_with(store, spec.clone(), noise, &trace, placement).unwrap()
+            };
+            let tape = build(Placement::AllFast, noise)
+                .run_paired(&trace, TierId::SLOW, alt_noise)
+                .unwrap()
+                .tape;
+            for (tier, placement, noise) in [
+                (TierId::FAST, Placement::AllFast, noise),
+                (TierId::SLOW, Placement::AllSlow, alt_noise),
+            ] {
+                let run = build(placement, noise).run(&trace);
+                assert_samples_identical(
+                    &tape.samples(tier).unwrap(),
+                    run.samples.as_deref().unwrap(),
+                    &format!("{cell} {tier}"),
+                );
+            }
+            // Noise-free, key 0's reads cost two amounts: they see both
+            // LLC outcomes, so its row prices both columns.
+            if noise.relative_sigma == 0.0 {
+                let own_reads: std::collections::BTreeSet<u64> = tape
+                    .samples(TierId::FAST)
+                    .unwrap()
+                    .iter()
+                    .filter(|s| (s.key, s.op) == (0, Op::Read))
+                    .map(|s| s.service_ns.to_bits())
+                    .collect();
+                assert!(own_reads.len() >= 2, "{cell}: key 0 never flipped");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_run_after_a_paired_walk_is_a_run_after_a_run() {
+    let trace = flipping_trace();
+    let spec = testbed_for(&trace);
+    for noise in [NoiseConfig::disabled(), measurement_noise(7)] {
+        for store in STORES {
+            let cell = format!("{store} / sigma {}", noise.relative_sigma);
+            let build = || {
+                Server::build_with(store, spec.clone(), noise, &trace, Placement::AllFast).unwrap()
+            };
+            let (mut walked, mut ran) = (build(), build());
+            walked.run_paired(&trace, TierId::SLOW, noise).unwrap();
+            ran.run(&trace);
+            assert_reports_identical(&walked.run(&trace), &ran.run(&trace), &cell);
         }
     }
 }

@@ -158,7 +158,8 @@ fn greedy_two_tier_matches_legacy_with_noise_enabled() {
 #[test]
 fn tier_matrix_grid_is_jobs_invariant() {
     // The bench suite's CSV checksum must not depend on the worker
-    // count — the same guarantee the CI bench-smoke byte-diff enforces.
+    // count — the same guarantee the golden gate's `--jobs` byte-diff
+    // enforces.
     let _guard = JOBS_LOCK.lock().unwrap();
     let run_at = |jobs: usize| {
         mnemo_par::set_jobs(jobs);
