@@ -24,21 +24,5 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded(c: &mut Criterion) {
-    let trace = WorkloadSpec::timeline().scaled(1_024, 20_000).generate(3);
-    let mut group = c.benchmark_group("sharded_cluster");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(trace.len() as u64));
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &n| {
-            let cluster =
-                kvsim::ShardedCluster::build(StoreKind::Redis, &trace, &Placement::AllFast, n)
-                    .expect("cluster");
-            b.iter(|| black_box(cluster.run(&trace).runtime_ns));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_engines, bench_sharded);
+criterion_group!(benches, bench_engines);
 criterion_main!(benches);

@@ -1253,18 +1253,16 @@ pub fn plan(parsed: &mut Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
-const LINT_OPTIONS: Options = &[&["root", "format", "deny-warnings", "cache-dir", "explain"]];
+const LINT_OPTIONS: Options = &[&["root", "format", "deny-warnings", "explain"]];
 
 /// `mnemo lint [--root DIR] [--format human|json|sarif] [--deny-warnings]
-///             [--cache-dir DIR] [--explain CODE]`
+///             [--explain CODE]`
 ///
 /// Runs the workspace determinism/robustness linter (the same engine as
 /// the standalone `mnemo-lint` binary). `--explain CODE` short-circuits
-/// to the rule's documentation page. `--cache-dir` memoizes per-file
-/// analyses keyed on content hashes so warm re-runs only re-lex changed
-/// files. The rendered report is returned on success; when unallowed
-/// findings exist it comes back as [`CliError::Lint`] so the process
-/// exits 1 with the report on stdout.
+/// to the rule's documentation page. The rendered report is returned on
+/// success; when unallowed findings exist it comes back as
+/// [`CliError::Lint`] so the process exits 1 with the report on stdout.
 pub fn lint(parsed: &mut Parsed) -> Result<String, CliError> {
     if let Some(code) = parsed.options.get("explain").filter(|v| !v.is_empty()) {
         return mnemo_lint::explain_code(code).map_err(CliError::Usage);
@@ -1276,12 +1274,7 @@ pub fn lint(parsed: &mut Parsed) -> Result<String, CliError> {
             .ok_or_else(|| CliError::Usage(format!("unknown format '{v}' (human|json|sarif)")))?,
     };
     let deny_warnings = parsed.flag("deny-warnings");
-    let cache_dir = parsed
-        .options
-        .get("cache-dir")
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from);
-    let report = mnemo_lint::lint_tree_cached(std::path::Path::new(&root), cache_dir.as_deref())
+    let report = mnemo_lint::lint_tree(std::path::Path::new(&root))
         .map_err(|e| CliError::Io(format!("cannot scan '{root}': {e}")))?;
     let rendered = mnemo_lint::render(&report, format);
     if report.is_failure(deny_warnings) {

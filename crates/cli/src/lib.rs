@@ -137,8 +137,6 @@ COMMANDS:
       --root DIR                         workspace root (default .)
       --format human|json|sarif          (default human)
       --deny-warnings                    stale/malformed allows also fail
-      --cache-dir DIR                    persist per-file analyses; warm
-                                         runs re-lex only changed files
       --explain CODE                     print a rule's documentation page
   plan <trace-file>              price the recommendation as cloud VMs
       --provider aws|gcp|azure           (default all)
@@ -188,7 +186,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     };
     parsed.check_options(&command, options)?;
     // Global --jobs N: bound the worker pool every parallel stage
-    // (baseline runs, curve construction, shard loops) draws from.
+    // (baseline runs, curve construction, the serve drain) draws from.
     // Results are byte-identical for any value; this only tunes speed.
     let jobs: usize = parsed.number_or("jobs", 0usize)?;
     if parsed.flag("jobs") && jobs == 0 {
@@ -234,11 +232,48 @@ mod tests {
     }
 
     #[test]
+    fn oversized_memcached_item_fails_the_consultation() {
+        let dir = std::env::temp_dir().join(format!("mnemo-cli-oversized-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.trace");
+        let trace = ycsb::Trace {
+            name: "oversized".into(),
+            sizes: vec![100, 12 << 20],
+            requests: vec![ycsb::Request {
+                key: 0,
+                op: ycsb::Op::Read,
+            }],
+        };
+        ycsb::fileio::write_trace(&trace, std::fs::File::create(&path).unwrap()).unwrap();
+        let err = run(&argv(&[
+            "consult",
+            path.to_str().unwrap(),
+            "--store",
+            "memcached",
+        ]))
+        .unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(err, CliError::Engine(_)), "{err:?}");
+        assert_eq!(err.exit_code(), 5);
+        let msg = err.to_string();
+        assert!(msg.contains("object too large for cache"), "{msg}");
+        assert!(msg.contains("key 1"), "{msg}");
+        assert!(
+            msg.contains(&format!("{}-byte item", (12 << 20) + 48)),
+            "{msg}"
+        );
+        assert!(msg.contains("limit is 1048576 bytes"), "{msg}");
+    }
+
+    #[test]
     fn undeclared_options_are_usage_errors() {
         let err = run(&argv(&["serve", "--replay", "x.jsonl", "--jbos", "4"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
         assert!(err.to_string().contains("--jbos"), "{err}");
         assert!(err.to_string().contains("mnemo serve"), "{err}");
+        let err = run(&argv(&["lint", "--cache-dir", "c"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("--cache-dir"), "{err}");
         // `--seed -1` is a bad value, not a flag followed by the default.
         let err = run(&argv(&["generate", "trending", "--seed", "-1", "-o", "x"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
@@ -311,14 +346,7 @@ mod tests {
                 "--journal-segment-kib",
                 "64",
             ],
-            &[
-                "lint",
-                "--deny-warnings",
-                "--format",
-                "json",
-                "--cache-dir",
-                "c",
-            ],
+            &["lint", "--deny-warnings", "--format", "json"],
         ];
         for set in sets {
             let parsed = args::Parsed::parse(&argv(set));

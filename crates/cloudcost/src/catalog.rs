@@ -25,13 +25,6 @@ pub struct Instance {
     pub memory_optimized: bool,
 }
 
-impl Instance {
-    /// GiB of memory per vCPU — the "shape" of the instance.
-    pub fn gb_per_vcpu(&self) -> f64 {
-        self.memory_gb / self.vcpus
-    }
-}
-
 /// Which cloud provider a catalogue belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ProviderKind {
@@ -224,7 +217,7 @@ mod tests {
                     .instances
                     .iter()
                     .filter(|i| i.memory_optimized == mo)
-                    .map(Instance::gb_per_vcpu)
+                    .map(|i| i.memory_gb / i.vcpus)
                     .collect();
                 xs.iter().sum::<f64>() / xs.len() as f64
             };

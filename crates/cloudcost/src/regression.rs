@@ -97,13 +97,6 @@ impl CostSplit {
     pub fn memory_share(&self, instance: &Instance) -> f64 {
         (self.per_gb * instance.memory_gb) / instance.hourly_usd
     }
-
-    /// Fraction of the *predicted* price attributable to memory. Less
-    /// sensitive to per-instance pricing noise than [`Self::memory_share`].
-    pub fn memory_share_of_predicted(&self, instance: &Instance) -> f64 {
-        let pred = self.predict(instance);
-        (self.per_gb * instance.memory_gb) / pred
-    }
 }
 
 /// Fig. 1 row: memory share of cost for one memory-optimized instance.
@@ -214,16 +207,6 @@ mod tests {
                 fit.per_vcpu > 0.0,
                 "{kind:?}: per-vCPU rate must be positive"
             );
-        }
-    }
-
-    #[test]
-    fn predicted_share_is_bounded() {
-        let p = Provider::gcp();
-        let fit = CostSplit::fit(&p.instances).unwrap();
-        for i in &p.instances {
-            let s = fit.memory_share_of_predicted(i);
-            assert!((0.0..=1.0).contains(&s), "{}: {s}", i.name);
         }
     }
 }

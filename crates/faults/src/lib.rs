@@ -14,7 +14,8 @@
 //!   `(now_ns, key, attempt)` deciding which migrations fail, driving
 //!   the epoch re-planner's capped-exponential [`Backoff`] retry loop;
 //! * [`FaultPlan::shard_crashes`] — per-shard crash schedules with
-//!   restart and rebuild costs for `ShardedCluster`.
+//!   restart and rebuild costs; a `kvsim::Server` runs shard 0's, and
+//!   the serve daemon turns tenant-scoped crashes into outage windows.
 //!
 //! Everything is keyed off simulated time and the plan seed — no wall
 //! clock, no shared RNG state — so a faulted run produces byte-identical

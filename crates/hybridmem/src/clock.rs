@@ -42,11 +42,6 @@ impl SimClock {
         self.now_ns += crate::num::u128_from_f64(ns);
     }
 
-    /// Elapsed virtual seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.now_ns as f64 / 1e9
-    }
-
     /// Reset to time zero.
     pub fn reset(&mut self) {
         self.now_ns = 0;
@@ -412,7 +407,6 @@ mod tests {
         c.advance(100.4);
         c.advance(0.6);
         assert_eq!(c.now_ns(), 101);
-        assert!((c.elapsed_secs() - 101e-9).abs() < 1e-18);
         c.reset();
         assert_eq!(c.now_ns(), 0);
     }

@@ -61,29 +61,6 @@ impl AccessStats {
         }
     }
 
-    /// Total accesses.
-    pub fn total_accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Mean read service time (ns); 0 when no reads happened.
-    pub fn mean_read_ns(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_ns / self.reads as f64
-        }
-    }
-
-    /// Mean write service time (ns); 0 when no writes happened.
-    pub fn mean_write_ns(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            self.write_ns / self.writes as f64
-        }
-    }
-
     /// The counters accumulated since `earlier`, an older snapshot of
     /// the same device's stats. Saturating, so a stats reset between the
     /// two snapshots yields zeros rather than wrapping. This is what
@@ -277,9 +254,8 @@ mod tests {
         s.record(AccessKind::Read, 100, 50.0);
         s.record(AccessKind::Read, 100, 150.0);
         s.record(AccessKind::Write, 10, 30.0);
-        assert_eq!(s.total_accesses(), 3);
-        assert_eq!(s.mean_read_ns(), 100.0);
-        assert_eq!(s.mean_write_ns(), 30.0);
+        assert_eq!((s.reads, s.read_bytes, s.read_ns), (2, 200, 200.0));
+        assert_eq!((s.writes, s.write_bytes, s.write_ns), (1, 10, 30.0));
     }
 
     #[test]
@@ -309,13 +285,6 @@ mod tests {
         assert_eq!(a.reads, 1);
         assert_eq!(a.writes, 1);
         assert_eq!(a.write_bytes, 2);
-    }
-
-    #[test]
-    fn empty_stats_have_zero_means() {
-        let s = AccessStats::default();
-        assert_eq!(s.mean_read_ns(), 0.0);
-        assert_eq!(s.mean_write_ns(), 0.0);
     }
 
     #[test]

@@ -24,6 +24,16 @@ pub enum EngineError {
     DuplicateKey(u64),
     /// The memory system rejected an operation (or its spec).
     Memory(StackError),
+    /// The engine cannot store an item this large (memcached's "object
+    /// too large for cache").
+    ItemTooLarge {
+        /// The rejected key.
+        key: u64,
+        /// The item's stored size: value plus the engine's item header.
+        item_bytes: u64,
+        /// The largest item the engine stores.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -32,6 +42,15 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownKey(k) => write!(f, "unknown key {k}"),
             EngineError::DuplicateKey(k) => write!(f, "duplicate key {k}"),
             EngineError::Memory(e) => write!(f, "memory error: {e}"),
+            EngineError::ItemTooLarge {
+                key,
+                item_bytes,
+                limit,
+            } => write!(
+                f,
+                "object too large for cache: key {key} is a {item_bytes}-byte item, \
+                 the limit is {limit} bytes"
+            ),
         }
     }
 }

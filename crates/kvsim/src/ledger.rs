@@ -342,11 +342,6 @@ impl CostLedger {
         }
     }
 
-    /// Runtime with every key in its own tier, in nanoseconds.
-    pub fn own_runtime_ns(&self) -> u128 {
-        self.own_ns
-    }
-
     /// The per-key deltas `Δ_k`, indexed by key.
     pub fn delta_ns(&self) -> &[i64] {
         &self.delta_ns
@@ -450,7 +445,6 @@ mod tests {
         ledger.record(1, 5.5, 5.5); // 6 own, +0
         ledger.record(2, 7.0, 9.0); // 7 own, +2
         ledger.record(0, 10.0, 20.0); // 10 own, +10
-        assert_eq!(ledger.own_runtime_ns(), 33);
         assert_eq!(ledger.delta_ns(), &[31, 0, 2]);
         assert_eq!(ledger.truth_curve(&[2, 0, 1]), vec![66.0, 64.0, 33.0, 33.0]);
     }
@@ -461,7 +455,6 @@ mod tests {
         ledger.record(0, 1.0, 4.0);
         ledger.record(1, 1.0, 2.0);
         ledger.record(9, 1.0, 100.0); // outside: counted in own only
-        assert_eq!(ledger.own_runtime_ns(), 3);
         assert_eq!(
             ledger.truth_curve(&[0, 0, 7, 1]),
             vec![7.0, 4.0, 4.0, 4.0, 3.0]

@@ -45,8 +45,6 @@
 //!   ([`Server::build_cache_mode`]): FastMem as a write-back DRAM cache of
 //!   SlowMem (Intel Memory Mode-style), the deployment the paper scopes
 //!   out.
-//! * [`sharded`] — a concurrent multi-shard deployment driven by the
-//!   bounded `mnemo-par` worker pool.
 //!
 //! # Example
 //!
@@ -75,7 +73,6 @@ pub mod profile;
 pub mod redis_like;
 pub mod rocks_like;
 pub mod server;
-pub mod sharded;
 pub mod tiered;
 
 pub use cache_mode::CacheModeStats;
@@ -87,4 +84,3 @@ pub use server::{
     MigrationStats, OpHistograms, PairedDecline, PairedRun, Placement, RequestSample, RunReport,
     Server,
 };
-pub use sharded::ShardedCluster;

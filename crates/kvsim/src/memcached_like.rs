@@ -52,7 +52,8 @@ pub fn slab_classes() -> &'static [u64] {
 }
 
 /// Position of the smallest class that holds `bytes`, clamped to the
-/// largest class for oversized items.
+/// largest class for oversized items (which [`MemcachedLike`] refuses
+/// to load).
 fn class_index(bytes: u64) -> usize {
     SLAB_CLASSES
         .partition_point(|&c| c < bytes)
@@ -69,8 +70,6 @@ pub struct MemcachedLike {
     core: EngineCore,
     /// Per-slab-class item counts, indexed by class position.
     class_counts: [u64; SLAB_CLASS_COUNT],
-    /// Sum of logical value bytes over all loaded keys.
-    core_value_sum: u64,
 }
 
 impl MemcachedLike {
@@ -79,20 +78,7 @@ impl MemcachedLike {
         MemcachedLike {
             core: EngineCore::new(StoreKind::Memcached.profile(), mem),
             class_counts: [0; SLAB_CLASS_COUNT],
-            core_value_sum: 0,
         }
-    }
-
-    /// Slab-allocator internal fragmentation (chunk bytes reserved minus
-    /// logical value bytes stored).
-    pub fn slab_overhead_bytes(&self) -> u64 {
-        let reserved: u64 = self
-            .core
-            .memory()
-            .tier_ids()
-            .map(|t| self.bytes_in(t))
-            .sum();
-        reserved.saturating_sub(self.core_value_sum)
     }
 
     /// The one GET/UPDATE cost formula: the protocol-heavy fixed cost,
@@ -124,9 +110,15 @@ impl KvEngine for MemcachedLike {
     }
 
     fn load(&mut self, key: u64, bytes: u64, tier: TierId) -> Result<(), EngineError> {
-        let item = bytes + ITEM_HEADER_BYTES;
+        let item = bytes.saturating_add(ITEM_HEADER_BYTES);
+        if item > SLAB_MAX_BYTES {
+            return Err(EngineError::ItemTooLarge {
+                key,
+                item_bytes: item,
+                limit: SLAB_MAX_BYTES,
+            });
+        }
         self.core.load(key, bytes, slab_chunk_for(item), tier)?;
-        self.core_value_sum += bytes;
         self.bump_class(item, 1);
         Ok(())
     }
@@ -154,7 +146,6 @@ impl KvEngine for MemcachedLike {
             .core
             .index_walk(key, self.core.profile().index_touches)?;
         let bytes = self.core.remove(key)?;
-        self.core_value_sum = self.core_value_sum.saturating_sub(bytes);
         self.bump_class(bytes + ITEM_HEADER_BYTES, -1);
         Ok(self.core.profile().fixed_op_ns + index)
     }
@@ -246,9 +237,7 @@ mod tests {
     fn slab_overhead_is_visible() {
         let mut e = MemcachedLike::new(small_spec());
         e.load(1, 100, TierId::FAST).unwrap(); // 100+48=148 -> 150-class
-        let reserved = e.bytes_in(TierId::FAST);
-        assert!(reserved > 100, "reserved {reserved}");
-        assert!(e.slab_overhead_bytes() > 0);
+        assert_eq!(e.bytes_in(TierId::FAST), 150);
     }
 
     #[test]

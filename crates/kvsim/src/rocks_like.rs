@@ -135,16 +135,6 @@ impl RocksLike {
     pub fn read_split(&self) -> (u64, u64) {
         (self.cache_reads, self.disk_reads)
     }
-
-    /// Fraction of reads that went to the SSD.
-    pub fn disk_read_ratio(&self) -> f64 {
-        let total = self.cache_reads + self.disk_reads;
-        if total == 0 {
-            0.0
-        } else {
-            self.disk_reads as f64 / total as f64
-        }
-    }
 }
 
 impl KvEngine for RocksLike {

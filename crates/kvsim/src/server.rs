@@ -583,8 +583,7 @@ impl Server {
 
     /// Install a fault plan on a standalone server: degradation windows,
     /// shard-0 crashes and, for an epoch-planned server, the seeded
-    /// migration-failure schedule with the plan's retry policy. Sharded
-    /// clusters install per-shard schedules instead.
+    /// migration-failure schedule with the plan's retry policy.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         let profile = plan.degradation_profile();
         self.set_degradation(if profile.is_empty() {

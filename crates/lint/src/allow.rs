@@ -13,7 +13,7 @@ use crate::diag::{Code, Finding};
 use crate::lexer::{Token, TokenKind};
 
 /// A parsed allow directive.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct AllowDirective {
     /// The code it suppresses.
     pub code: Code,

@@ -4,10 +4,8 @@
 //! deterministic [`Report`].
 //!
 //! The per-file half ([`analyze_source`]) is pure in the file's
-//! content and path, which is what makes it cacheable ([`crate::cache`]
-//! memoizes it on an FNV-64 content hash). The workspace half
-//! ([`assemble`]) always runs — it is cheap next to lexing and has to
-//! see every file at once.
+//! content and path. The workspace half ([`assemble`]) has to see every
+//! file at once.
 
 use crate::allow::{parse_directives, AllowDirective};
 use crate::context::test_region_mask;
@@ -29,8 +27,6 @@ pub struct Report {
     pub allowed: usize,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Files whose per-file analysis was served from the cache.
-    pub files_cached: usize,
 }
 
 impl Report {
@@ -53,9 +49,9 @@ impl Report {
     }
 }
 
-/// Everything the per-file pass produces; the unit the incremental
-/// cache stores and the workspace phase consumes.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Everything the per-file pass produces; the unit the workspace phase
+/// consumes.
+#[derive(Debug, Clone, Default)]
 pub struct FileAnalysis {
     /// Repo-relative path.
     pub path: String,
@@ -205,7 +201,6 @@ pub fn assemble(analyses: &[FileAnalysis]) -> Report {
         findings,
         allowed,
         files_scanned: analyses.len(),
-        files_cached: 0,
     }
 }
 
@@ -230,55 +225,9 @@ pub fn lint_source(path: &str, src: &str) -> Report {
 /// `target/`, `tests/`, and `benches/` directories are skipped — the
 /// invariants bind production sources.
 pub fn lint_tree(root: &Path) -> io::Result<Report> {
-    lint_tree_cached(root, None)
-}
-
-/// [`lint_tree`], memoizing per-file analyses in `cache_dir` when
-/// given. A stale, missing, or malformed cache silently degrades to a
-/// cold run; findings are byte-identical either way.
-pub fn lint_tree_cached(root: &Path, cache_dir: Option<&Path>) -> io::Result<Report> {
     let files = workspace_files(root)?;
-    let hashes: Vec<(&str, u64)> = files
-        .iter()
-        .map(|(p, s)| (p.as_str(), mnemo_codec::fnv64(s.as_bytes())))
-        .collect();
-    // Byte-identical workspace: replay the memoized report and skip
-    // everything — per-file analysis, the workspace phase, even
-    // loading the per-file cache entries. Nothing changed, so the
-    // cache file needs no rewrite either.
-    let digest = crate::cache::Cache::fileset_digest(&hashes);
-    if let Some(dir) = cache_dir {
-        if let Some(mut report) = crate::cache::Cache::load_report(dir, digest) {
-            report.files_cached = report.files_scanned;
-            return Ok(report);
-        }
-    }
-    let mut cache = match cache_dir {
-        Some(dir) => crate::cache::Cache::load(dir),
-        None => crate::cache::Cache::empty(),
-    };
-    let mut analyses = Vec::with_capacity(files.len());
-    let mut files_cached = 0usize;
-    for ((rel, src), (_, hash)) in files.iter().zip(&hashes) {
-        if let Some(hit) = cache.get(rel, *hash) {
-            files_cached += 1;
-            analyses.push(hit);
-        } else {
-            let a = analyze_source(rel, src);
-            cache.put(rel, *hash, &a);
-            analyses.push(a);
-        }
-    }
-    let mut report = assemble(&analyses);
-    report.files_cached = files_cached;
-    if let Some(dir) = cache_dir {
-        // Cache write failures are non-fatal: the lint result stands.
-        let keep: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
-        cache.retain(&keep);
-        cache.set_report(digest, &report);
-        let _ = cache.save(dir);
-    }
-    Ok(report)
+    let analyses: Vec<FileAnalysis> = files.iter().map(|(p, s)| analyze_source(p, s)).collect();
+    Ok(assemble(&analyses))
 }
 
 /// Collect the workspace file-set `lint_tree` binds: every

@@ -29,10 +29,8 @@
 //! The D006/D007/R003/C001/P001 family is *semantic*: a recursive-
 //! descent [`parser`] lifts each file to items + call references, a
 //! workspace [`graph`] resolves those into a cross-crate call graph,
-//! and [`reach`] walks it for transitively reachable facts. Results are
-//! memoized per file in an incremental [`cache`] keyed on FNV-64
-//! content hashes, and findings render as human text, JSON, or SARIF
-//! v2.1.0 ([`sarif`]).
+//! and [`reach`] walks it for transitively reachable facts. Findings
+//! render as human text, JSON, or SARIF v2.1.0 ([`sarif`]).
 //!
 //! Violations are suppressed inline — with a mandatory justification —
 //! via `// mnemo-lint: allow(CODE, "reason")`; see [`allow`].
@@ -49,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod allow;
-pub mod cache;
 pub mod context;
 pub mod diag;
 pub mod engine;
@@ -62,5 +59,5 @@ pub mod rules;
 pub mod sarif;
 
 pub use diag::{explain_code, Code, Finding, Severity};
-pub use engine::{lint_files, lint_source, lint_tree, lint_tree_cached, Report};
+pub use engine::{lint_files, lint_source, lint_tree, Report};
 pub use report::{render, Format};

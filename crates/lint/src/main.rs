@@ -4,13 +4,13 @@
 //!
 //! ```text
 //! mnemo-lint [--root DIR] [--format human|json|sarif]
-//!            [--deny-warnings] [--cache-dir DIR] [--explain CODE]
+//!            [--deny-warnings] [--explain CODE]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings (errors, or warnings under
 //! `--deny-warnings`), 2 usage/IO error.
 
-use mnemo_lint::{explain_code, lint_tree_cached, render, Format};
+use mnemo_lint::{explain_code, lint_tree, render, Format};
 use std::path::PathBuf;
 
 fn main() {
@@ -30,14 +30,13 @@ fn main() {
 }
 
 const USAGE: &str = "usage: mnemo-lint [--root DIR] [--format human|json|sarif] \
-                     [--deny-warnings] [--cache-dir DIR] [--explain CODE]\n";
+                     [--deny-warnings] [--explain CODE]\n";
 
 /// Returns the rendered report and whether the run should fail.
 fn run(argv: &[String]) -> Result<(String, bool), String> {
     let mut root = PathBuf::from(".");
     let mut format = Format::Human;
     let mut deny_warnings = false;
-    let mut cache_dir: Option<PathBuf> = None;
     let mut iter = argv.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -54,12 +53,6 @@ fn run(argv: &[String]) -> Result<(String, bool), String> {
                 format = Format::parse(v).ok_or_else(|| format!("unknown format '{v}'"))?;
             }
             "--deny-warnings" => deny_warnings = true,
-            "--cache-dir" => {
-                cache_dir =
-                    Some(PathBuf::from(iter.next().ok_or_else(|| {
-                        "--cache-dir needs a directory".to_string()
-                    })?));
-            }
             "--explain" => {
                 let v = iter
                     .next()
@@ -72,7 +65,21 @@ fn run(argv: &[String]) -> Result<(String, bool), String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    let report = lint_tree_cached(&root, cache_dir.as_deref()).map_err(|e| e.to_string())?;
+    let report = lint_tree(&root).map_err(|e| e.to_string())?;
     let failed = report.is_failure(deny_warnings);
     Ok((render(&report, format), failed))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    #[test]
+    fn unknown_arguments_are_usage_errors() {
+        let argv = ["--cache-dir".to_string(), "d".to_string()];
+        assert_eq!(
+            run(&argv),
+            Err("unknown argument '--cache-dir'".to_string())
+        );
+    }
 }

@@ -22,7 +22,7 @@
 use crate::lexer::{Token, TokenKind};
 
 /// Everything the workspace analyzer needs to know about one file.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct FileModel {
     /// Repo-relative path the file was parsed under.
     pub path: String,
@@ -38,7 +38,7 @@ pub struct FileModel {
 /// One `use` leaf: `use a::b::{c, d as e};` yields two decls,
 /// `c -> [a,b,c]` and `e -> [a,b,d]`. Globs are recorded with leaf
 /// `"*"` and ignored by resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct UseDecl {
     /// The name this import binds locally.
     pub leaf: String,
@@ -47,7 +47,7 @@ pub struct UseDecl {
 }
 
 /// One function item.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FnInfo {
     /// The function's name.
     pub name: String,
@@ -90,35 +90,8 @@ pub enum FactKind {
     Alloc,
 }
 
-impl FactKind {
-    /// Stable name used in the analysis cache.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FactKind::WallClock => "wall",
-            FactKind::Entropy => "entropy",
-            FactKind::DefaultHasher => "hasher",
-            FactKind::FloatReduction => "float",
-            FactKind::Panics => "panic",
-            FactKind::Alloc => "alloc",
-        }
-    }
-
-    /// Inverse of [`FactKind::as_str`].
-    pub fn parse(s: &str) -> Option<FactKind> {
-        Some(match s {
-            "wall" => FactKind::WallClock,
-            "entropy" => FactKind::Entropy,
-            "hasher" => FactKind::DefaultHasher,
-            "float" => FactKind::FloatReduction,
-            "panic" => FactKind::Panics,
-            "alloc" => FactKind::Alloc,
-            _ => return None,
-        })
-    }
-}
-
 /// One observed fact with its location and matched text.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct FactHit {
     /// The fact class.
     pub kind: FactKind,
@@ -129,7 +102,7 @@ pub struct FactHit {
 }
 
 /// One call reference inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CallRef {
     /// Path segments; a method call has exactly one (the method name).
     pub segments: Vec<String>,
@@ -143,7 +116,7 @@ pub struct CallRef {
 }
 
 /// One lexical lock acquisition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LockAcq {
     /// The receiver name (`self.state.lock()` → `state`).
     pub receiver: String,
@@ -160,7 +133,7 @@ pub struct LockAcq {
 
 /// One pool-scheduling call site: the closure handed to
 /// `pool.map/map_slice/map_chunked/run_jobs/join` plus what it does.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PoolSite {
     /// The entry-point method name (`map`, `run_jobs`, …).
     pub method: String,

@@ -3,7 +3,7 @@
 //! deterministic: rule metadata comes from [`crate::diag::ALL_CODES`]
 //! in declaration order, results are pre-sorted by the engine, and
 //! keys are emitted in a fixed order, so two runs over the same tree
-//! produce byte-identical artifacts (the CI cache gate diffs them).
+//! produce byte-identical artifacts.
 
 use crate::diag::{Severity, ALL_CODES};
 use crate::engine::Report;

@@ -128,7 +128,7 @@ impl Pool {
     }
 
     /// Run `n` *coarse* jobs (chunk size 1): each index is claimed
-    /// individually, so expensive, uneven jobs — shard runs, whole
+    /// individually, so expensive, uneven jobs — tenant drains, whole
     /// consultations — balance across the bounded workers.
     pub fn run_jobs<T, F>(&self, n: usize, f: F) -> Vec<T>
     where

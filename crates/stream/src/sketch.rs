@@ -51,16 +51,6 @@ impl CountMinSketch {
         }
     }
 
-    /// Dimension the sketch for a one-sided error of at most
-    /// `epsilon * N` with failure probability `delta`.
-    pub fn with_error_bound(epsilon: f64, delta: f64) -> CountMinSketch {
-        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon out of (0,1)");
-        assert!(delta > 0.0 && delta < 1.0, "delta out of (0,1)");
-        let width = (std::f64::consts::E / epsilon).ceil() as usize;
-        let depth = (1.0 / delta).ln().ceil().max(1.0) as usize;
-        CountMinSketch::new(width, depth)
-    }
-
     /// Row width (after power-of-two rounding).
     pub fn width(&self) -> usize {
         self.width
@@ -77,14 +67,9 @@ impl CountMinSketch {
     }
 
     /// The `eps` of the error bound: estimates exceed true counts by at
-    /// most `epsilon() * total()` with probability `1 - delta()`.
+    /// most `epsilon() * total()` with probability `1 - e^-depth`.
     pub fn epsilon(&self) -> f64 {
         std::f64::consts::E / self.width as f64
-    }
-
-    /// The failure probability of the error bound.
-    pub fn delta(&self) -> f64 {
-        (-(self.depth as f64)).exp()
     }
 
     /// The absolute error ceiling at the current stream length, in
@@ -180,16 +165,6 @@ mod tests {
         assert_eq!(s.width(), 1024);
         assert_eq!(s.depth(), 4);
         assert_eq!(s.memory_bytes(), 1024 * 4 * 4);
-    }
-
-    #[test]
-    fn error_bound_dimensioning() {
-        let s = CountMinSketch::with_error_bound(0.01, 0.01);
-        // width >= e/0.01 ~ 272 -> 512 after rounding; depth >= ln(100) ~ 5.
-        assert!(s.width() >= 272);
-        assert_eq!(s.depth(), 5);
-        assert!(s.epsilon() <= 0.01);
-        assert!(s.delta() <= 0.01);
     }
 
     #[test]

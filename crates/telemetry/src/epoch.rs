@@ -5,12 +5,6 @@
 //! starts the next epoch empty. Epoch boundaries are defined in *event
 //! counts*, not time, so they land on the same requests regardless of
 //! worker count — a precondition for `--jobs`-invariant exports.
-//!
-//! For sharded runs, each shard rolls its own log over its slice of the
-//! trace; [`merge_epoch_logs`] then folds the per-shard snapshots
-//! epoch-index by epoch-index. Because [`Snapshot::merge`] is
-//! commutative, the fold order (and therefore the shard completion
-//! order) cannot affect the result.
 
 use crate::recorder::Recorder;
 use crate::snapshot::Snapshot;
@@ -71,24 +65,6 @@ impl EpochLog {
     }
 }
 
-/// Fold per-shard epoch snapshot vectors into one vector, merging by
-/// epoch index. Shards may have closed different numbers of epochs
-/// (trailing partial epochs); missing entries merge as empty.
-pub fn merge_epoch_logs(per_shard: &[Vec<Snapshot>]) -> Vec<Snapshot> {
-    let epochs = per_shard.iter().map(|s| s.len()).max().unwrap_or(0);
-    (0..epochs)
-        .map(|i| {
-            let mut merged = Snapshot::empty(i as u64);
-            for shard in per_shard {
-                if let Some(snap) = shard.get(i) {
-                    merged.merge(snap);
-                }
-            }
-            merged
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,58 +101,5 @@ mod tests {
     #[test]
     fn empty_log_finishes_empty() {
         assert!(EpochLog::new(10).finish().is_empty());
-    }
-
-    #[test]
-    fn sharded_merge_equals_single_log() {
-        // Interleave the same 12 events into one log and into three
-        // shard logs; the merged per-epoch snapshots must agree.
-        let mut single = EpochLog::new(4);
-        let mut shards: Vec<EpochLog> = (0..3).map(|_| EpochLog::new(4)).collect();
-        for i in 0..12u64 {
-            single.recorder().count("n", 1);
-            single.recorder().observe("lat", (i * 10) as f64);
-            single.tick();
-        }
-        // Shard by round-robin: each shard sees 4 events -> 1 epoch,
-        // but epoch *indices* align because each shard rolls its own
-        // slice; compare against a single log with a 12-event epoch.
-        let mut whole = EpochLog::new(12);
-        for i in 0..12u64 {
-            let shard = &mut shards[(i % 3) as usize];
-            shard.recorder().count("n", 1);
-            shard.recorder().observe("lat", (i * 10) as f64);
-            shard.tick();
-            whole.recorder().count("n", 1);
-            whole.recorder().observe("lat", (i * 10) as f64);
-            whole.tick();
-        }
-        let per_shard: Vec<Vec<Snapshot>> = shards.into_iter().map(|s| s.finish()).collect();
-        let merged = merge_epoch_logs(&per_shard);
-        let expect = whole.finish();
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].counter("n"), expect[0].counter("n"));
-        assert_eq!(
-            merged[0].histogram("lat").unwrap().mean(),
-            expect[0].histogram("lat").unwrap().mean()
-        );
-    }
-
-    #[test]
-    fn merge_handles_uneven_epoch_counts() {
-        let mut a = EpochLog::new(2);
-        for _ in 0..4 {
-            a.recorder().count("n", 1);
-            a.tick();
-        }
-        let mut b = EpochLog::new(2);
-        for _ in 0..2 {
-            b.recorder().count("n", 1);
-            b.tick();
-        }
-        let merged = merge_epoch_logs(&[a.finish(), b.finish()]);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].counter("n"), 4);
-        assert_eq!(merged[1].counter("n"), 2);
     }
 }

@@ -15,10 +15,10 @@
 //!   ([`hybridmem::SimClock`], byte-deterministic under any `--jobs`)
 //!   and host wall-clock (diagnostic only, never gated).
 //! * [`snapshot`] — epoch [`Snapshot`]s with a stable, versioned schema
-//!   ([`SCHEMA_VERSION`]). Merging shard snapshots is associative and
-//!   commutative and equals recording into one recorder, so a sharded
-//!   run's telemetry is independent of worker count and completion
-//!   order.
+//!   ([`SCHEMA_VERSION`]). Merging snapshots is associative and
+//!   commutative and equals recording into one recorder, so telemetry
+//!   recorded on several workers is independent of worker count and
+//!   completion order.
 //! * [`epoch`] — [`EpochLog`]: rolls a recorder over fixed-length event
 //!   epochs, producing one snapshot per epoch.
 //! * [`export`] — JSONL and long-format CSV renderers (plus the legacy

@@ -136,19 +136,6 @@ impl Trace {
             .collect()
     }
 
-    /// Empirical CDF of the *stored* record sizes, as `(bytes, fraction)`
-    /// steps — the dataset-side view of Fig. 4.
-    pub fn size_cdf(&self) -> Vec<(u64, f64)> {
-        let mut sorted = self.sizes.clone();
-        sorted.sort_unstable();
-        let n = sorted.len().max(1) as f64;
-        sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (b, (i + 1) as f64 / n))
-            .collect()
-    }
-
     /// The "mass curve" behind Mnemo's intuition: sort keys hottest-first
     /// and report the cumulative request share captured by the hottest
     /// `i+1` keys. Entry 0 is the hottest key's share.
@@ -227,14 +214,6 @@ mod tests {
         for w in cdf.windows(2) {
             assert!(w[1] >= w[0]);
         }
-    }
-
-    #[test]
-    fn size_cdf_is_sorted_steps() {
-        let t = tiny();
-        let cdf = t.size_cdf();
-        assert_eq!(cdf[0], (100, 0.25));
-        assert_eq!(cdf[3], (400, 1.0));
     }
 
     #[test]

@@ -1,41 +1,9 @@
-//! Concurrency behaviour: sharded execution, parallel consultations and
-//! determinism under threading.
+//! Concurrency behaviour: consultations run on parallel threads return
+//! exactly what sequential ones do.
 
-use kvsim::{Placement, ShardedCluster, StoreKind};
+use kvsim::StoreKind;
 use mnemo::advisor::{Advisor, AdvisorConfig};
 use ycsb::WorkloadSpec;
-
-#[test]
-fn sharded_cluster_scales_and_conserves_requests() {
-    let t = WorkloadSpec::trending().scaled(256, 8_000).generate(2);
-    let mut runtimes = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let cluster =
-            ShardedCluster::build(StoreKind::Redis, &t, &Placement::AllFast, shards).unwrap();
-        let report = cluster.run(&t);
-        assert_eq!(
-            report.requests,
-            t.len(),
-            "{shards} shards must serve every request"
-        );
-        assert_eq!(report.reads + report.writes, t.len() as u64);
-        runtimes.push(report.runtime_ns);
-    }
-    assert!(runtimes[1] < runtimes[0], "2 shards beat 1");
-    assert!(runtimes[2] < runtimes[1], "4 shards beat 2");
-}
-
-#[test]
-fn sharded_runs_are_deterministic() {
-    let t = WorkloadSpec::timeline().scaled(128, 4_000).generate(9);
-    let run = || {
-        ShardedCluster::build(StoreKind::Dynamo, &t, &Placement::AllSlow, 4)
-            .unwrap()
-            .run(&t)
-            .runtime_ns
-    };
-    assert_eq!(run(), run(), "threaded execution must stay deterministic");
-}
 
 #[test]
 fn parallel_consultations_match_sequential() {
@@ -73,24 +41,4 @@ fn parallel_consultations_match_sequential() {
     for (seq, par) in sequential.iter().zip(parallel) {
         assert_eq!(*seq, par.unwrap());
     }
-}
-
-#[test]
-fn shard_counts_do_not_change_per_request_costs() {
-    // Sharding parallelises the *clients*; the per-request service model
-    // must be unchanged, so average latencies agree across shard counts.
-    let t = WorkloadSpec::trending().scaled(256, 6_000).generate(11);
-    let avg = |shards: usize| {
-        let cluster =
-            ShardedCluster::build(StoreKind::Redis, &t, &Placement::AllFast, shards).unwrap();
-        let rep = cluster.run(&t);
-        (rep.read_ns_total + rep.write_ns_total) / rep.requests as f64
-    };
-    let one = avg(1);
-    let four = avg(4);
-    let rel = (one - four).abs() / one;
-    assert!(
-        rel < 0.05,
-        "avg request cost drifted with sharding: {one} vs {four}"
-    );
 }

@@ -1,9 +1,9 @@
-//! Cross-architecture consistency: the single placement-aware server,
-//! the paper's two-instance cluster and the sharded cluster must agree
-//! on what they measure, for every engine model.
+//! Cross-architecture consistency: the single placement-aware server
+//! and the paper's two-instance cluster must agree on what they
+//! measure, for every engine model.
 
 use hybridmem::DetHashSet;
-use kvsim::{Placement, Server, ShardedCluster, StoreKind, TwoInstanceCluster};
+use kvsim::{Placement, Server, StoreKind, TwoInstanceCluster};
 use ycsb::WorkloadSpec;
 
 fn trace() -> ycsb::Trace {
@@ -23,18 +23,10 @@ fn all_architectures_agree_on_throughput() {
             .unwrap()
             .run(&t)
             .throughput_ops_s();
-        let sharded = ShardedCluster::build(store, &t, &Placement::FastSet(fast_keys.clone()), 1)
-            .unwrap()
-            .run(&t)
-            .throughput_ops_s();
         let rel = |a: f64, b: f64| (a - b).abs() / a;
         assert!(
             rel(single, cluster) < 0.05,
             "{store}: single {single} vs cluster {cluster}"
-        );
-        assert!(
-            rel(single, sharded) < 0.05,
-            "{store}: single {single} vs sharded {sharded}"
         );
     }
 }
@@ -152,4 +144,32 @@ fn capacity_pressure_surfaces_as_engine_error() {
     .err()
     .expect("overcommitted load must fail");
     assert!(matches!(err, kvsim::EngineError::Memory(_)));
+}
+
+#[test]
+fn oversized_memcached_item_is_a_typed_load_error() {
+    // 1 MiB is the largest slab class and an item carries a 48-byte
+    // header: key 0 fills the class exactly, key 1 is 48 bytes over.
+    let t = ycsb::Trace {
+        name: "oversized".into(),
+        sizes: vec![(1 << 20) - 48, 1 << 20],
+        requests: vec![ycsb::Request {
+            key: 1,
+            op: ycsb::Op::Read,
+        }],
+    };
+    let err = Server::build(StoreKind::Memcached, &t, Placement::AllFast)
+        .err()
+        .expect("an item above the largest slab class must not load");
+    assert_eq!(
+        err,
+        kvsim::EngineError::ItemTooLarge {
+            key: 1,
+            item_bytes: (1 << 20) + 48,
+            limit: 1 << 20,
+        }
+    );
+    assert!(err.to_string().contains("too large"), "{err}");
+    // The other engines have no item size limit.
+    assert!(Server::build(StoreKind::Redis, &t, Placement::AllFast).is_ok());
 }

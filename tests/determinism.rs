@@ -1,13 +1,13 @@
 //! The parallel sweep engine's determinism guarantee: for the same seed
 //! and input, every `--jobs` value produces **bit-identical** results —
-//! curves, shard reports, shared allocations. The worker count tunes
-//! wall-clock speed only; it must never leak into any output byte.
+//! curves and shared allocations. The worker count tunes wall-clock
+//! speed only; it must never leak into any output byte.
 //!
 //! `mnemo_par::set_jobs` is process-global, so every test that varies it
 //! serialises on one lock and restores the unbounded default before
 //! releasing it.
 
-use kvsim::{Placement, ShardedCluster, StoreKind};
+use kvsim::StoreKind;
 use mnemo::advisor::{Advisor, AdvisorConfig, OrderingKind};
 use mnemo::curve::EstimateCurve;
 use proptest::prelude::*;
@@ -115,37 +115,6 @@ fn every_ordering_is_jobs_invariant() {
             let parallel = with_jobs(jobs, || curve_for(&trace, ordering));
             assert_rows_bit_identical(&sequential, &parallel, jobs);
         }
-    }
-}
-
-#[test]
-fn sharded_cluster_report_is_jobs_invariant() {
-    let _guard = JOBS_LOCK.lock().unwrap();
-    let trace = spec(96, 3_000, 0.9).generate(11);
-    let run = |jobs: usize| {
-        with_jobs(jobs, || {
-            ShardedCluster::build(StoreKind::Redis, &trace, &Placement::AllFast, 6)
-                .unwrap()
-                .run(&trace)
-        })
-    };
-    let sequential = run(1);
-    for jobs in [2, 4] {
-        let parallel = run(jobs);
-        assert_eq!(parallel.requests, sequential.requests);
-        assert_eq!(
-            parallel.runtime_ns.to_bits(),
-            sequential.runtime_ns.to_bits(),
-            "jobs={jobs}"
-        );
-        assert_eq!(
-            parallel.read_ns_total.to_bits(),
-            sequential.read_ns_total.to_bits()
-        );
-        assert_eq!(
-            parallel.write_ns_total.to_bits(),
-            sequential.write_ns_total.to_bits()
-        );
     }
 }
 

@@ -1,93 +1,27 @@
 //! Fault-injection guarantees, end to end:
 //!
-//! 1. a seeded fault plan perturbs the simulation *deterministically* —
-//!    faulted cluster runs (reports and telemetry exports) are
-//!    byte-identical for every `--jobs` value;
-//! 2. migration retries are bounded by the plan's capped-exponential
+//! 1. migration retries are bounded by the plan's capped-exponential
 //!    backoff policy — no unbounded retry storms — on every
 //!    epoch-planned server, whatever its policy;
-//! 3. the advisor never panics under faults: every query returns a
+//! 2. the advisor never panics under faults: every query returns a
 //!    recommendation that is either SLO-compliant or tagged with a
 //!    machine-readable [`DegradedReason`].
+//!
+//! That a seeded plan perturbs runs deterministically (faulted CSVs and
+//! telemetry byte-identical for every `--jobs` value) is checked on the
+//! `fault_resilience` binary by `crates/bench/tests/golden.rs`.
 
 use hybridmem::clock::NoiseConfig;
 use hybridmem::StackSpec;
 use kvsim::tiered::trace_windows;
-use kvsim::{MigrationStats, Placement, Server, ShardedCluster, StoreKind};
+use kvsim::{MigrationStats, Server, StoreKind};
 use mnemo::advisor::{Advisor, AdvisorConfig, DegradedReason};
 use mnemo_faults::{Backoff, FaultEvent, FaultPlan};
-use mnemo_telemetry::DomainFilter;
 use mnemo_tier::{dram_optane_ssd, DecayPolicy, PolicyKind, TieringPolicy};
-use std::sync::Mutex;
 use ycsb::{Trace, WorkloadSpec};
-
-/// Serialises tests that touch the process-global worker-count override.
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_jobs<T>(jobs: usize, f: impl FnOnce() -> T) -> T {
-    mnemo_par::set_jobs(jobs);
-    let out = f();
-    mnemo_par::set_jobs(0);
-    out
-}
 
 fn trace() -> Trace {
     WorkloadSpec::trending().scaled(250, 5_000).generate(17)
-}
-
-/// A plan that exercises every fault class at once.
-fn stormy_plan() -> FaultPlan {
-    FaultPlan::new(99)
-        .with(FaultEvent::LatencySpike {
-            tier: hybridmem::TierId::SLOW,
-            start_ns: 0,
-            end_ns: u128::MAX,
-            factor: 24.0,
-        })
-        .with(FaultEvent::BandwidthThrottle {
-            tier: hybridmem::TierId::SLOW,
-            start_ns: 0,
-            end_ns: u128::MAX,
-            factor: 1.0 / 12.0,
-        })
-        .with(FaultEvent::MigrationFailure {
-            start_ns: 0,
-            end_ns: u128::MAX,
-            probability: 0.6,
-        })
-        .with(FaultEvent::ShardCrash {
-            shard: 1,
-            at_ns: 50_000,
-            restart_ns: 2_000_000.0,
-            rebuild_ns_per_key: 150.0,
-        })
-}
-
-fn faulted_cluster_run(jobs: usize) -> (u64, String) {
-    with_jobs(jobs, || {
-        let t = trace();
-        let cluster = ShardedCluster::build(StoreKind::Redis, &t, &Placement::AllSlow, 4).unwrap();
-        cluster.install_fault_plan(&stormy_plan());
-        let (report, snaps) = cluster.run_telemetered(&t, 1_000);
-        let jsonl = mnemo_telemetry::export::to_jsonl(&snaps, DomainFilter::SimOnly);
-        // Bit pattern, not `==`: the guarantee is byte identity.
-        (report.runtime_ns.to_bits(), jsonl)
-    })
-}
-
-#[test]
-fn faulted_runs_are_byte_identical_for_every_jobs_value() {
-    let _guard = JOBS_LOCK.lock().unwrap();
-    let (runtime_1, jsonl_1) = faulted_cluster_run(1);
-    for jobs in [2, 4] {
-        let (runtime_n, jsonl_n) = faulted_cluster_run(jobs);
-        assert_eq!(runtime_1, runtime_n, "runtime drifted at jobs={jobs}");
-        assert_eq!(jsonl_1, jsonl_n, "telemetry bytes drifted at jobs={jobs}");
-    }
-    // The plan actually fired: the crashed shard counted its crash and
-    // the degradation windows were observed.
-    assert!(jsonl_1.contains("kv.fault.shard_crashes"), "{jsonl_1}");
-    assert!(jsonl_1.contains("kv.fault.degraded_requests"), "{jsonl_1}");
 }
 
 /// A plan whose only fault fails every migration attempt with
