@@ -269,6 +269,8 @@ pub struct ServeEngine {
     journal_seq: u64,
     recorder: Recorder,
     snapshots: Vec<Snapshot>,
+    /// Fold of `snapshots` in order, kept as each one is pushed.
+    folded: Snapshot,
 }
 
 impl ServeEngine {
@@ -299,6 +301,7 @@ impl ServeEngine {
             journal_seq: 0,
             recorder: Recorder::new(),
             snapshots: Vec::new(),
+            folded: Snapshot::empty(0),
             config,
         })
     }
@@ -498,6 +501,7 @@ impl ServeEngine {
         for tenant in &self.tenants {
             snap.merge(&lock(tenant).recorder.take_snapshot(self.ticks));
         }
+        self.folded.fold(&snap);
         self.snapshots.push(snap);
         rows
     }
@@ -616,12 +620,8 @@ impl ServeEngine {
     }
 
     /// Fold of all completed tick snapshots (cumulative totals).
-    pub fn folded_snapshot(&self) -> Snapshot {
-        let mut folded = Snapshot::empty(0);
-        for snap in &self.snapshots {
-            folded.fold(snap);
-        }
-        folded
+    pub fn folded_snapshot(&self) -> &Snapshot {
+        &self.folded
     }
 
     /// The per-tick snapshots taken so far.
@@ -736,6 +736,40 @@ mod tests {
             rows.iter().any(|r| r.contains("\"replan\"")),
             "a consulted tenant must appear in the re-plan: {rows:?}"
         );
+    }
+
+    #[test]
+    fn the_running_fold_equals_a_refold_of_every_snapshot() {
+        fn assert_refolds(engine: &ServeEngine) {
+            let mut folded = Snapshot::empty(0);
+            for snap in engine.snapshots() {
+                folded.fold(snap);
+            }
+            assert_eq!(
+                format!("{:?}", engine.folded_snapshot()),
+                format!("{folded:?}")
+            );
+        }
+        let mut engine = ServeEngine::new(small_config()).unwrap();
+        for i in 0..1_300u64 {
+            let tenant = if i % 3 == 0 { "beta" } else { "alpha" };
+            engine.ingest(event(tenant, i * 37 % 90)).unwrap();
+        }
+        assert_eq!(engine.ticks(), 3);
+        assert_refolds(&engine);
+        // A reloaded engine folds only the ticks it ran itself.
+        let saved = crate::state::parse(&crate::state::dump(&engine)).unwrap();
+        let mut reloaded = ServeEngine::new(small_config()).unwrap();
+        reloaded
+            .restore(saved.offered, saved.ticks, saved.tenants)
+            .unwrap();
+        assert_refolds(&reloaded);
+        for i in 0..900u64 {
+            reloaded.ingest(event("alpha", i * 11 % 70)).unwrap();
+        }
+        assert_eq!(reloaded.ticks(), 5);
+        assert_eq!(reloaded.snapshots().len(), 2);
+        assert_refolds(&reloaded);
     }
 
     #[test]

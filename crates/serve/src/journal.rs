@@ -22,20 +22,36 @@
 //! points are hard synchronisation barriers — the finished segment and
 //! the directory are fsynced before the next header is written.
 //!
+//! Version 2 adds one thing to the bytes on disk: the live segment may
+//! end in zeros after its last record (the *runway*, below). Version 1
+//! segments are read as before.
+//!
 //! # Writes
 //!
 //! [`JournalWriter::append`] only encodes the record into a pending
-//! buffer. The buffer reaches the OS in one `write` at every sync point
-//! and rotation, on [`JournalWriter::flush`], and when the writer is
-//! dropped. Where the records go and when they are fsynced does not
-//! depend on this: segment bytes, rotation points and fsyncs are those
-//! of a writer that wrote each record as it was appended.
+//! buffer. The buffer reaches the OS in one positioned write at the
+//! segment's record end at every sync point and rotation, on
+//! [`JournalWriter::flush`], and when the writer is dropped. Where the
+//! records go and when they are fsynced does not depend on this: record
+//! bytes, rotation points and fsyncs are those of a writer that wrote
+//! each record as it was appended.
 //!
 //! The rule that keeps this safe is *flush before a visible effect*:
 //! the socket loop flushes before any reply or follower row leaves the
 //! process, and at the end of every poll. A SIGKILL therefore loses at
 //! most records whose effects no client has seen. Power loss is bounded
 //! by the fsync cadence, as before.
+//!
+//! A flush that would write past the zero-filled end of the live
+//! segment also appends, in the same write, a runway of zeros (64 KiB,
+//! never growing the segment past `segment_bytes` or its records). Group
+//! commits then overwrite blocks that already exist, so the file size
+//! changes once per runway instead of once per commit, and most
+//! `fdatasync`s flush data without the size metadata. Only the live
+//! segment ends in zeros: rotation trims the finished segment to its
+//! last record before its barrier sync, and [`JournalWriter::close`]
+//! trims on clean shutdown. Dropping the writer only flushes, so a
+//! killed daemon leaves its runway for recovery.
 //!
 //! # Recovery
 //!
@@ -45,9 +61,17 @@
 //! * A torn tail — an incomplete record at the end of the **last**
 //!   segment — is physically truncated at the last valid frame and
 //!   counted (`serve.journal.truncated`).
+//! * In a version 2 segment, a remainder of nothing but zeros is a
+//!   clean end: the unused part of a runway. In the last segment
+//!   recovery trims it off; it is not counted.
+//! * In the last version 2 segment, an invalid record (bad checksum or
+//!   sequence jump) whose claimed extent is followed by at least one
+//!   byte, all zero to the end of the file, is a torn tail too: a
+//!   group commit that reached only part of its runway blocks.
 //! * A corrupt record anywhere else (bad checksum, sequence jump,
-//!   absurd length, a mid-journal short write) quarantines the segment:
-//!   the file is renamed `*.quarantined`, a frame-numbered
+//!   absurd length, a mid-journal short write, a complete bad record at
+//!   the very end of a runway-free last segment) quarantines the
+//!   segment: the file is renamed `*.quarantined`, a frame-numbered
 //!   [`ServeError::Corrupt`] report is attached, the counter
 //!   (`serve.journal.quarantined`) moves, and recovery continues with
 //!   the next segment in `degraded` mode.
@@ -67,14 +91,15 @@ use crate::proto::{ServeError, MAX_FRAME_BYTES};
 use mnemo_codec::{fnv64, fnv64_chain};
 use mnemo_faults::StorageFaults;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 /// Segment magic, fixed for all versions.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"MNEMOWAL";
 
 /// Segment format version this build writes and the newest it reads.
-pub const JOURNAL_VERSION: u64 = 1;
+/// Version 2 segments may end in a zero runway; version 1 never does.
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// Segment header size in bytes.
 pub const HEADER_BYTES: usize = 32;
@@ -86,6 +111,11 @@ pub const RECORD_OVERHEAD: usize = 4 + 8 + 8;
 /// corruption at recovery time (a flipped length byte must not allocate
 /// gigabytes). Shared with the socket framing limit.
 pub const MAX_RECORD_BYTES: usize = MAX_FRAME_BYTES;
+
+/// Zeros a flush appends past the live segment's records when it would
+/// otherwise grow the file (see the module docs). Larger runways
+/// (256 KiB, 1 MiB) measured no faster.
+const RUNWAY: u64 = 64 * 1024;
 
 fn io_err(context: &str, path: &Path, e: std::io::Error) -> ServeError {
     ServeError::Io(format!("{context} '{}': {e}", path.display()))
@@ -174,9 +204,12 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(le)
 }
 
-/// Header parse outcome: `Ok(first_seq)`, or why not.
+/// Header parse outcome: `Ok { first_seq, version }`, or why not.
 enum HeaderCheck {
-    Ok(u64),
+    Ok {
+        first_seq: u64,
+        version: u64,
+    },
     /// Too few bytes for a header — can only be a torn rotation point.
     Torn,
     /// Structurally complete but invalid.
@@ -200,7 +233,10 @@ fn decode_header(bytes: &[u8]) -> HeaderCheck {
             "segment version {version} too new (this build speaks <= {JOURNAL_VERSION})"
         ));
     }
-    HeaderCheck::Ok(u64_at(bytes, 16))
+    HeaderCheck::Ok {
+        first_seq: u64_at(bytes, 16),
+        version,
+    }
 }
 
 /// One record decode step at byte offset `at`.
@@ -211,8 +247,25 @@ enum Decoded {
     End,
     /// The bytes stop mid-record — a torn write, if this is the tail.
     Torn(String),
-    /// A structurally complete but invalid record.
-    Corrupt(String),
+    /// A structurally complete but invalid record. `extent_end` is
+    /// where the extent its length claims ends, when the record could
+    /// be a tear: a torn write keeps a prefix of the record and leaves
+    /// zeros after it, so its checksum or sequence fails but its length
+    /// reads at most the real one. An absurd length or a checksummed
+    /// non-UTF-8 payload cannot come from a tear (`None`).
+    Corrupt {
+        reason: String,
+        extent_end: Option<usize>,
+    },
+}
+
+impl Decoded {
+    fn corrupt(reason: String) -> Decoded {
+        Decoded::Corrupt {
+            reason,
+            extent_end: None,
+        }
+    }
 }
 
 fn decode_at(bytes: &[u8], at: usize, expect_seq: u64) -> Decoded {
@@ -229,7 +282,7 @@ fn decode_at(bytes: &[u8], at: usize, expect_seq: u64) -> Decoded {
     len_le.copy_from_slice(&bytes[at..at + 4]);
     let len = u32::from_le_bytes(len_le) as usize;
     if len > MAX_RECORD_BYTES {
-        return Decoded::Corrupt(format!("record length {len} exceeds {MAX_RECORD_BYTES}"));
+        return Decoded::corrupt(format!("record length {len} exceeds {MAX_RECORD_BYTES}"));
     }
     let total = RECORD_OVERHEAD + len;
     if remaining < total {
@@ -239,18 +292,22 @@ fn decode_at(bytes: &[u8], at: usize, expect_seq: u64) -> Decoded {
     let payload = &bytes[at + 12..at + 12 + len];
     let check = u64_at(bytes, at + 12 + len);
     let want = fnv64_chain(fnv64(&seq.to_le_bytes()), payload);
+    let maybe_torn = |reason: String| Decoded::Corrupt {
+        reason,
+        extent_end: Some(at + total),
+    };
     if check != want {
-        return Decoded::Corrupt("record checksum mismatch".into());
+        return maybe_torn("record checksum mismatch".into());
     }
     if seq != expect_seq {
-        return Decoded::Corrupt(format!("sequence jump: expected {expect_seq}, found {seq}"));
+        return maybe_torn(format!("sequence jump: expected {expect_seq}, found {seq}"));
     }
     match std::str::from_utf8(payload) {
         Ok(text) => Decoded::Record {
             payload: text.to_string(),
             next: at + total,
         },
-        Err(_) => Decoded::Corrupt("record payload is not UTF-8".into()),
+        Err(_) => Decoded::corrupt("record payload is not UTF-8".into()),
     }
 }
 
@@ -334,8 +391,8 @@ pub fn recover(dir: &Path, from_seq: u64) -> Result<Recovery, ServeError> {
     for (index, path) in segments.iter().enumerate() {
         let is_tail = index == last_index;
         let bytes = std::fs::read(path).map_err(|e| io_err("cannot read segment", path, e))?;
-        let first_seq = match decode_header(&bytes) {
-            HeaderCheck::Ok(first_seq) => first_seq,
+        let (first_seq, version) = match decode_header(&bytes) {
+            HeaderCheck::Ok { first_seq, version } => (first_seq, version),
             HeaderCheck::Torn if is_tail => {
                 // A rotation died before the new header landed; the
                 // segment never held a record.
@@ -377,6 +434,9 @@ pub fn recover(dir: &Path, from_seq: u64) -> Result<Recovery, ServeError> {
             quarantine(path)?;
             continue;
         }
+        // Only a version 2 segment may end in a runway of zeros.
+        let runway = version >= 2;
+        let zero_to_eof = |from: usize| from < bytes.len() && bytes[from..].iter().all(|&b| b == 0);
         let mut expect = first_seq;
         let mut at = HEADER_BYTES;
         let mut record = 0usize;
@@ -392,18 +452,29 @@ pub fn recover(dir: &Path, from_seq: u64) -> Result<Recovery, ServeError> {
                     expect += 1;
                     at = next;
                 }
-                Decoded::Torn(reason) if is_tail => {
-                    out.truncated += 1;
-                    let file = OpenOptions::new()
-                        .write(true)
-                        .open(path)
-                        .map_err(|e| io_err("cannot truncate segment", path, e))?;
-                    file.set_len(at as u64)
-                        .map_err(|e| io_err("cannot truncate segment", path, e))?;
-                    let _ = reason;
+                // The unused part of a runway: a clean end.
+                _ if runway && zero_to_eof(at) => {
+                    if is_tail {
+                        truncate(path, at)?;
+                    }
                     break;
                 }
-                Decoded::Torn(reason) | Decoded::Corrupt(reason) => {
+                Decoded::Corrupt {
+                    extent_end: Some(end),
+                    ..
+                } if runway && is_tail && zero_to_eof(end) => {
+                    // A group commit that reached only part of its
+                    // runway blocks.
+                    out.truncated += 1;
+                    truncate(path, at)?;
+                    break;
+                }
+                Decoded::Torn(_) if is_tail => {
+                    out.truncated += 1;
+                    truncate(path, at)?;
+                    break;
+                }
+                Decoded::Torn(reason) | Decoded::Corrupt { reason, .. } => {
                     out.quarantined += 1;
                     out.reports.push(corrupt_report(path, record + 1, reason));
                     quarantine(path)?;
@@ -415,19 +486,51 @@ pub fn recover(dir: &Path, from_seq: u64) -> Result<Recovery, ServeError> {
     Ok(out)
 }
 
+/// Cut the segment at `path` to its first `len` bytes.
+fn truncate(path: &Path, len: usize) -> Result<(), ServeError> {
+    OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|file| file.set_len(len as u64))
+        .map_err(|e| io_err("cannot truncate segment", path, e))
+}
+
+/// Create the segment whose first record is `first_seq`: write and sync
+/// its header, then sync the directory so the file itself is durable.
+fn create_segment(dir: &Path, first_seq: u64) -> Result<(File, PathBuf), ServeError> {
+    let path = dir.join(segment_name(first_seq));
+    let file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&path)
+        .map_err(|e| io_err("cannot create segment", &path, e))?;
+    file.write_all_at(&encode_header(first_seq), 0)
+        .map_err(|e| io_err("cannot write segment header", &path, e))?;
+    file.sync_data()
+        .map_err(|e| io_err("cannot sync segment", &path, e))?;
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("cannot sync journal dir", dir, e))?;
+    Ok((file, path))
+}
+
 /// The append side of the journal. One writer owns the directory at a
 /// time; it always starts a fresh segment at `first_seq` (recovery has
 /// already truncated or quarantined anything that conflicts).
 ///
 /// Appends encode into one reused pending buffer; see the module docs
-/// for when it reaches the OS.
+/// for when it reaches the OS and for the zero runway ahead of it.
 #[derive(Debug)]
 pub struct JournalWriter {
     dir: PathBuf,
     config: JournalConfig,
     file: File,
     seg_path: PathBuf,
+    /// The segment's record end, pending records included.
     seg_bytes: u64,
+    /// The length of `file`: its written records, then zeros up to here.
+    file_bytes: u64,
     next_seq: u64,
     synced_seq: u64,
     synced_bytes: u64,
@@ -453,47 +556,21 @@ impl JournalWriter {
             return Err(ServeError::Usage("journal sequences start at 1".into()));
         }
         std::fs::create_dir_all(dir).map_err(|e| io_err("cannot create journal", dir, e))?;
-        let mut writer = JournalWriter {
+        let (file, seg_path) = create_segment(dir, first_seq)?;
+        Ok(JournalWriter {
             dir: dir.to_path_buf(),
             config,
-            // Placeholder; replaced by `start_segment` below.
-            file: File::open(dir).map_err(|e| io_err("cannot open journal", dir, e))?,
-            seg_path: PathBuf::new(),
-            seg_bytes: 0,
+            file,
+            seg_path,
+            seg_bytes: HEADER_BYTES as u64,
+            file_bytes: HEADER_BYTES as u64,
             next_seq: first_seq,
             synced_seq: first_seq - 1,
-            synced_bytes: 0,
+            synced_bytes: HEADER_BYTES as u64,
             faults: faults.filter(|f| !f.is_empty()),
             stats: JournalStats::default(),
             pending: Vec::new(),
-        };
-        writer.start_segment()?;
-        Ok(writer)
-    }
-
-    /// Begin a fresh segment at `next_seq`: write + sync the header,
-    /// then sync the directory so the file itself is durable.
-    fn start_segment(&mut self) -> Result<(), ServeError> {
-        let path = self.dir.join(segment_name(self.next_seq));
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| io_err("cannot create segment", &path, e))?;
-        file.write_all(&encode_header(self.next_seq))
-            .map_err(|e| io_err("cannot write segment header", &path, e))?;
-        file.sync_data()
-            .map_err(|e| io_err("cannot sync segment", &path, e))?;
-        File::open(&self.dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| io_err("cannot sync journal dir", &self.dir, e))?;
-        self.file = file;
-        self.seg_path = path;
-        self.seg_bytes = HEADER_BYTES as u64;
-        self.synced_bytes = HEADER_BYTES as u64;
-        self.synced_seq = self.next_seq - 1;
-        Ok(())
+        })
     }
 
     /// Append one record at virtual time `now_ns`, rotating and syncing
@@ -522,16 +599,23 @@ impl JournalWriter {
         Ok(seq)
     }
 
-    /// Rotation: hard-sync the finished segment (fault-exempt — rotation
-    /// points are durability barriers) and open the next one.
+    /// Rotation: trim and hard-sync the finished segment (fault-exempt —
+    /// rotation points are durability barriers) and open the next one.
     fn rotate(&mut self) -> Result<(), ServeError> {
-        self.flush()?;
+        self.write_pending(false)?;
+        self.trim()?;
         self.file
             .sync_data()
             .map_err(|e| io_err("cannot sync segment", &self.seg_path, e))?;
         self.synced_seq = self.next_seq - 1;
         self.stats.rotations += 1;
-        self.start_segment()
+        let (file, path) = create_segment(&self.dir, self.next_seq)?;
+        self.file = file;
+        self.seg_path = path;
+        self.seg_bytes = HEADER_BYTES as u64;
+        self.file_bytes = HEADER_BYTES as u64;
+        self.synced_bytes = HEADER_BYTES as u64;
+        Ok(())
     }
 
     /// Write and fsync pending records. Inside a simulated `fsync_fail`
@@ -561,12 +645,47 @@ impl JournalWriter {
     ///
     /// [`sync`]: JournalWriter::sync
     pub fn flush(&mut self) -> Result<(), ServeError> {
+        self.write_pending(true)
+    }
+
+    /// Flush, then trim the runway so the segment ends at its last
+    /// record. Call on clean shutdown; a writer that is only dropped
+    /// leaves the runway for [`recover`] to trim.
+    pub fn close(mut self) -> Result<(), ServeError> {
+        self.write_pending(false)?;
+        self.trim()
+    }
+
+    /// Write the pending records at the segment's record end. With
+    /// `runway`, a write that would grow the file also carries zeros up
+    /// to `RUNWAY` bytes past the records, capped at the larger of
+    /// `segment_bytes` and the records' end.
+    fn write_pending(&mut self, runway: bool) -> Result<(), ServeError> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let written = self.file.write_all(&self.pending);
+        let at = self.seg_bytes - self.pending.len() as u64;
+        let mut end = self.seg_bytes;
+        if runway && end > self.file_bytes {
+            end = (end + RUNWAY).min(self.config.segment_bytes.max(end));
+            self.pending.resize((end - at) as usize, 0);
+        }
+        let written = self.file.write_all_at(&self.pending, at);
         self.pending.clear();
-        written.map_err(|e| io_err("cannot append to segment", &self.seg_path, e))
+        written.map_err(|e| io_err("cannot append to segment", &self.seg_path, e))?;
+        self.file_bytes = self.file_bytes.max(end);
+        Ok(())
+    }
+
+    /// Cut the runway off the segment; pending records must be written.
+    fn trim(&mut self) -> Result<(), ServeError> {
+        if self.file_bytes > self.seg_bytes {
+            self.file
+                .set_len(self.seg_bytes)
+                .map_err(|e| io_err("cannot trim segment", &self.seg_path, e))?;
+            self.file_bytes = self.seg_bytes;
+        }
+        Ok(())
     }
 
     /// The journal directory.
@@ -598,10 +717,11 @@ impl JournalWriter {
 }
 
 impl Drop for JournalWriter {
-    /// A writer dropped without a final [`JournalWriter::flush`] still
-    /// hands its pending records to the OS; errors are ignored here.
+    /// A writer dropped without [`JournalWriter::close`] still hands its
+    /// pending records to the OS, but leaves any runway in place, as a
+    /// killed process would; errors are ignored here.
     fn drop(&mut self) {
-        let _ = self.flush();
+        let _ = self.write_pending(false);
     }
 }
 
@@ -617,13 +737,37 @@ mod tests {
         dir
     }
 
-    fn write_records(dir: &Path, config: JournalConfig, payloads: &[String]) -> JournalWriter {
+    /// Append `payloads` as records 1.., sync, and close, so every
+    /// segment ends at its last record.
+    fn write_records(dir: &Path, config: JournalConfig, payloads: &[String]) -> JournalStats {
+        let mut w = append_all(dir, config, payloads);
+        w.sync(payloads.len() as u128).unwrap();
+        let stats = w.stats();
+        w.close().unwrap();
+        stats
+    }
+
+    fn append_all(dir: &Path, config: JournalConfig, payloads: &[String]) -> JournalWriter {
         let mut w = JournalWriter::open(dir, config, 1, None).unwrap();
         for (i, p) in payloads.iter().enumerate() {
             assert_eq!(w.append(i as u128, p).unwrap(), i as u64 + 1);
         }
-        w.sync(payloads.len() as u128).unwrap();
         w
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    /// A segment header of any `version`.
+    fn header_with_version(version: u64, first_seq: u64) -> [u8; HEADER_BYTES] {
+        let mut header = [0u8; HEADER_BYTES];
+        header[..8].copy_from_slice(JOURNAL_MAGIC);
+        header[8..16].copy_from_slice(&version.to_le_bytes());
+        header[16..24].copy_from_slice(&first_seq.to_le_bytes());
+        let check = fnv64(&header[..24]);
+        header[24..32].copy_from_slice(&check.to_le_bytes());
+        header
     }
 
     #[test]
@@ -656,8 +800,8 @@ mod tests {
             segment_bytes: 256,
             sync_every: 1,
         };
-        let w = write_records(&dir, config, &payloads);
-        assert!(w.stats().rotations >= 3, "{:?}", w.stats());
+        let stats = write_records(&dir, config, &payloads);
+        assert!(stats.rotations >= 3, "{stats:?}");
         assert!(list_segments(&dir).unwrap().len() >= 4);
         let rec = recover(&dir, 0).unwrap();
         assert_eq!(rec.last_seq, 60);
@@ -702,9 +846,28 @@ mod tests {
             assert_eq!(w.append(i as u128, p).unwrap(), seq);
             assert_eq!(w.synced_seq(), synced, "record {seq}");
             // Records reach the file only at sync points and rotations,
-            // so the file holds exactly its durable prefix.
+            // so the file holds its durable prefix, then zeros no
+            // further than the larger of the segment size and its
+            // records.
             let (path, synced_bytes) = w.sync_point();
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), synced_bytes);
+            let synced_bytes = synced_bytes as usize;
+            let bytes = std::fs::read(&path).unwrap();
+            let reference = &want[want.len() - 1].1;
+            assert_eq!(
+                bytes[..synced_bytes],
+                reference[..synced_bytes],
+                "record {seq}"
+            );
+            assert!(
+                bytes[synced_bytes..].iter().all(|&b| b == 0),
+                "record {seq}"
+            );
+            let cap = config.segment_bytes.max(reference.len() as u64);
+            assert!(
+                bytes.len() as u64 <= cap,
+                "record {seq}: {} bytes",
+                bytes.len()
+            );
         }
         assert!(rotations >= 5, "{rotations}");
         assert_eq!(
@@ -715,8 +878,9 @@ mod tests {
                 rotations,
             }
         );
-        // Dropping the writer hands the unsynced tail to the OS.
-        drop(w);
+        // Closing the writer hands the unsynced tail to the OS and trims
+        // the runway, so every segment is exactly its records.
+        w.close().unwrap();
         let got: Vec<(String, Vec<u8>)> = list_segments(&dir)
             .unwrap()
             .iter()
@@ -805,13 +969,7 @@ mod tests {
         let dir = tmp_dir("version");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(segment_name(1));
-        let mut header = [0u8; HEADER_BYTES];
-        header[..8].copy_from_slice(JOURNAL_MAGIC);
-        header[8..16].copy_from_slice(&99u64.to_le_bytes());
-        header[16..24].copy_from_slice(&1u64.to_le_bytes());
-        let check = fnv64(&header[..24]);
-        header[24..32].copy_from_slice(&check.to_le_bytes());
-        std::fs::write(&path, header).unwrap();
+        std::fs::write(&path, header_with_version(99, 1)).unwrap();
         let rec = recover(&dir, 0).unwrap();
         assert_eq!(rec.quarantined, 1);
         assert!(
@@ -819,6 +977,145 @@ mod tests {
             "{}",
             rec.reports[0]
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn syncs_inside_one_runway_keep_the_file_length() {
+        let dir = tmp_dir("runway");
+        let config = JournalConfig {
+            segment_bytes: 1 << 20,
+            sync_every: 1,
+        };
+        let mut w = JournalWriter::open(&dir, config, 1, None).unwrap();
+        let path = w.sync_point().0;
+        // No runway before the first flush.
+        assert_eq!(file_len(&path), HEADER_BYTES as u64);
+        let payload = "r".repeat(100);
+        let record = (RECORD_OVERHEAD + payload.len()) as u64;
+        w.append(0, &payload).unwrap();
+        let first = HEADER_BYTES as u64 + record;
+        assert_eq!(file_len(&path), first + RUNWAY);
+        // Every sync whose records fit in the runway overwrites zeros.
+        let fit = RUNWAY / record;
+        for i in 1..=fit {
+            w.append(u128::from(i), &payload).unwrap();
+            assert_eq!(w.sync_point().1, first + i * record);
+            assert_eq!(file_len(&path), first + RUNWAY, "sync {i}");
+        }
+        // The first sync past it lays the next runway.
+        w.append(0, &payload).unwrap();
+        let end = first + (fit + 1) * record;
+        assert_eq!(file_len(&path), end + RUNWAY);
+        w.close().unwrap();
+        assert_eq!(file_len(&path), end);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_dropped_writer_leaves_a_runway_recovery_trims() {
+        // Dropping the writer is what a killed daemon does: the records
+        // reach the file, the runway stays.
+        let dir = tmp_dir("killed");
+        let payloads: Vec<String> = (0..25).map(|i| format!("killed-{i}")).collect();
+        let config = JournalConfig {
+            segment_bytes: 4096,
+            sync_every: 4,
+        };
+        let w = append_all(&dir, config, &payloads);
+        let path = w.sync_point().0;
+        drop(w);
+        let end = HEADER_BYTES
+            + payloads
+                .iter()
+                .map(|p| RECORD_OVERHEAD + p.len())
+                .sum::<usize>();
+        assert_eq!(file_len(&path), 4096);
+        let rec = recover(&dir, 0).unwrap();
+        assert_eq!(rec.last_seq, 25);
+        let got: Vec<String> = rec.frames.into_iter().map(|(_, p)| p).collect();
+        assert_eq!(got, payloads);
+        assert_eq!((rec.truncated, rec.quarantined), (0, 0));
+        assert_eq!(file_len(&path), end as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_record_inside_the_runway_truncates_at_every_byte_offset() {
+        // A power cut during a group commit keeps the runway's length
+        // but only part of the record: zeros from the cut on.
+        let dir = tmp_dir("torn-runway");
+        let payloads: Vec<String> = (0..5).map(|i| format!("record-number-{i}")).collect();
+        let w = append_all(&dir, JournalConfig::default(), &payloads);
+        let seg = w.sync_point().0;
+        drop(w);
+        let full = std::fs::read(&seg).unwrap();
+        let end = HEADER_BYTES + 5 * (RECORD_OVERHEAD + payloads[4].len());
+        let keep = end - (RECORD_OVERHEAD + payloads[4].len());
+        assert!(full.len() > end, "the segment has a runway");
+        for cut in keep..end {
+            let mut torn = full.clone();
+            torn[cut..end].fill(0);
+            std::fs::write(&seg, &torn).unwrap();
+            let rec = recover(&dir, 0).unwrap();
+            assert_eq!(rec.last_seq, 4, "cut at {cut}");
+            assert_eq!(rec.frames.len(), 4, "cut at {cut}");
+            // A cut on the record's start leaves only runway: a clean
+            // end. Anything inside the record is a torn tail.
+            assert_eq!(rec.truncated, u64::from(cut > keep), "cut at {cut}");
+            assert_eq!(rec.quarantined, 0, "cut at {cut}");
+            assert_eq!(file_len(&seg), keep as u64, "cut at {cut}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bad_final_record_without_a_runway_still_quarantines() {
+        let dir = tmp_dir("bad-final");
+        let payloads: Vec<String> = (0..5).map(|i| format!("record-number-{i}")).collect();
+        write_records(&dir, JournalConfig::default(), &payloads);
+        let seg = list_segments(&dir).unwrap().pop().unwrap();
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let at = bytes.len() - 10;
+        bytes[at] ^= 0x04;
+        std::fs::write(&seg, &bytes).unwrap();
+        let rec = recover(&dir, 0).unwrap();
+        assert_eq!((rec.truncated, rec.quarantined), (0, 1));
+        assert!(matches!(
+            rec.reports[0],
+            ServeError::Corrupt { line: 5, .. }
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_segments_recover_as_before() {
+        // Version 1 writers appended, so zeros after the records are no
+        // runway there: they stay corruption.
+        let dir = tmp_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(segment_name(1));
+        let payloads: Vec<String> = (0..6).map(|i| format!("v1-record-{i}")).collect();
+        let mut v1 = header_with_version(1, 1).to_vec();
+        for (i, p) in payloads.iter().enumerate() {
+            encode_record(i as u64 + 1, p, &mut v1);
+        }
+        std::fs::write(&path, &v1).unwrap();
+        let rec = recover(&dir, 0).unwrap();
+        let got: Vec<String> = rec.frames.into_iter().map(|(_, p)| p).collect();
+        assert_eq!(got, payloads);
+        assert_eq!((rec.truncated, rec.quarantined), (0, 0));
+        assert_eq!(std::fs::read(&path).unwrap(), v1);
+        // A cut inside the last record is a torn tail.
+        std::fs::write(&path, &v1[..v1.len() - 3]).unwrap();
+        let rec = recover(&dir, 0).unwrap();
+        assert_eq!((rec.last_seq, rec.truncated, rec.quarantined), (5, 1, 0));
+        // Zeros after the last record quarantine.
+        let mut zeroed = v1.clone();
+        zeroed.resize(v1.len() + 64, 0);
+        std::fs::write(&path, &zeroed).unwrap();
+        let rec = recover(&dir, 0).unwrap();
+        assert_eq!((rec.last_seq, rec.truncated, rec.quarantined), (6, 0, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -862,7 +1159,7 @@ mod tests {
                 _ => prop_assert!(false, "valid frame failed to decode"),
             }
             // A wrong expected sequence is corruption, not a record.
-            prop_assert!(matches!(decode_at(&frame, 0, seq + 1), Decoded::Corrupt(_)));
+            prop_assert!(matches!(decode_at(&frame, 0, seq + 1), Decoded::Corrupt { .. }));
         }
 
         #[test]

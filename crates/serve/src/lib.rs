@@ -473,7 +473,8 @@ impl ServeLoop {
     }
 
     /// Poll until shutdown, sleeping briefly when idle. On exit, flushes
-    /// the engine and writes a final state dump if configured.
+    /// the engine, writes a final state dump if configured, and closes
+    /// the journal so its last segment ends at its last record.
     pub fn run(&mut self) -> Result<Vec<String>, ServeError> {
         while !self.done {
             if !self.poll_once()? {
@@ -487,6 +488,9 @@ impl ServeLoop {
             } else {
                 self.engine.note("serve.state.dump_skipped", 1);
             }
+        }
+        if let Some(writer) = self.writer.take() {
+            writer.close()?;
         }
         Ok(rows)
     }
