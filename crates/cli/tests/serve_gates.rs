@@ -8,7 +8,10 @@
 //!   two output trees are byte-identical (wall-clock `timing-*` files
 //!   excepted);
 //! * `chaos`, clean and under `tests/fixtures/serve/storage.toml`: both
-//!   converge, and the fault run quarantines at least one segment.
+//!   converge, and the fault run quarantines at least one segment;
+//! * `chaos` under the same plan over a small seed sweep: every run
+//!   converges, torn writes both truncate and zero unsynced records,
+//!   and at least one restart truncates a torn tail.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -147,5 +150,37 @@ fn chaos_converges_clean_and_quarantines_under_storage_faults() {
         quarantined > 0,
         "the storage-fault plan quarantined nothing: {faulted}"
     );
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn torn_writes_truncate_and_zero_records_and_still_converge() {
+    let root = scratch("chaos-torn");
+    let mut reports = String::new();
+    for seed in ["1", "2", "3"] {
+        let workdir = root.join(seed);
+        let mut args = vec!["chaos", "tests/fixtures/serve/events.jsonl"];
+        args.extend(FIXTURE_FLAGS);
+        args.extend(["--faults", "tests/fixtures/serve/storage.toml"]);
+        args.extend(["--seed", seed, "--kills", "8"]);
+        args.extend(["--workdir", workdir.to_str().unwrap()]);
+        let report = String::from_utf8(mnemo(&args)).unwrap();
+        assert!(
+            report.contains("\"converged\":true"),
+            "seed {seed}: {report}"
+        );
+        reports.push_str(&report);
+    }
+    for effect in ["truncated", "zeroed"] {
+        assert!(
+            reports.contains(&format!("\"torn\":\"{effect}\"")),
+            "no torn write was {effect}: {reports}"
+        );
+    }
+    let truncated = reports
+        .split("\"truncated\":")
+        .skip(1)
+        .any(|rest| !rest.starts_with('0'));
+    assert!(truncated, "no restart truncated a torn tail: {reports}");
     let _ = fs::remove_dir_all(&root);
 }

@@ -110,56 +110,142 @@ pub fn allocate_demands(demands: &[TenantDemand], budget_bytes: u64) -> SharedAl
     allocate_by_density(&per_tenant, &stats, budget_bytes)
 }
 
+/// Classes a tenant's scan keeps open for matching: the approximate
+/// tail's counts decay with rank but round unevenly, so neighbouring
+/// counts interleave (3, 2, 3, 2, ...).
+const OPEN_CLASSES: usize = 4;
+
 /// The density fill behind [`allocate_demands`]: tenant `t` has the
 /// all-FastMem runtime `per_tenant[t].0`, promotion delta
 /// `per_tenant[t].1[k]` and record size `stats[t][k].bytes` for key `k`.
 /// Keys with a positive delta and a positive size are granted in
 /// descending density (`delta / bytes`), ties broken by tenant, then
 /// key, while they fit the budget.
+///
+/// The fill goes by class, not by key. A class holds candidate keys of
+/// one tenant with bitwise-equal deltas and equal sizes, hence one
+/// density; a key joins a class only if one of the tenant's
+/// `OPEN_CLASSES` most recently opened classes matches, so a value can
+/// also open several classes. Classes are sorted by `(density, tenant,
+/// first key)`. A class alone on its `(density, tenant)` is filled
+/// whole: every key costs the same, so the per-key greedy takes its
+/// lowest `min(len, room / bytes)` keys and skips the rest, one
+/// division. Classes that tie on `(density, tenant)` (a split class,
+/// or unequal sizes dividing to one density) are filled key by key in
+/// key order. `saved` adds each granted delta once, in grant order, so
+/// its f64 sums keep the per-key bits.
 fn allocate_by_density(
     per_tenant: &[(f64, Vec<f64>)],
     stats: &[&[KeyStats]],
     budget_bytes: u64,
 ) -> SharedAllocation {
-    struct Cand {
+    struct Class {
         /// Sort key: a positive delta over a positive size is a
         /// non-negative, non-NaN f64, whose bit pattern orders exactly
         /// like `total_cmp`, so the bitwise complement sorts densest
-        /// first. With the `(tenant, key)` tie-break the order is total,
-        /// so an unstable sort yields the one comparator-sorted order.
+        /// first. Classes of one tenant never share a first key, so
+        /// the order is total and an unstable sort yields it.
         rank: (u64, usize, u64),
+        /// The tenant's first slot in `next`.
+        base: usize,
+        /// Slot of the lowest key not yet visited by the fill.
+        head: usize,
+        /// Slot of the highest key, where the next member links on.
+        tail: usize,
+        /// Keys not yet visited.
+        len: u64,
         bytes: u64,
         delta: f64,
     }
-    let mut candidates = Vec::new();
+    // One slot per key of every tenant; a class's keys link upward
+    // through it.
+    let slots: usize = per_tenant.iter().map(|(_, deltas)| deltas.len()).sum();
+    let mut next = vec![0usize; slots];
+    let mut classes: Vec<Class> = Vec::new();
     let mut slow_totals = Vec::with_capacity(per_tenant.len());
+    let mut base = 0;
     for (tenant, (fast_total, deltas)) in per_tenant.iter().enumerate() {
         slow_totals.push(*fast_total + deltas.iter().sum::<f64>());
-        for (key, &delta) in deltas.iter().enumerate() {
-            let bytes = stats[tenant][key].bytes;
-            if delta > 0.0 && bytes > 0 {
-                let density = delta / bytes as f64;
-                candidates.push(Cand {
-                    rank: (!density.to_bits(), tenant, key as u64),
-                    bytes,
-                    delta,
-                });
+        // Indices into `classes`, most recently opened first.
+        let mut open = [usize::MAX; OPEN_CLASSES];
+        for ((key, &delta), s) in (0u64..).zip(deltas).zip(stats[tenant]) {
+            let bytes = s.bytes;
+            if !(delta > 0.0 && bytes > 0) {
+                continue;
+            }
+            let slot = base + key as usize;
+            let member = open.iter().find(|&&c| {
+                classes
+                    .get(c)
+                    .is_some_and(|c| c.bytes == bytes && c.delta.to_bits() == delta.to_bits())
+            });
+            match member {
+                Some(&c) => {
+                    let class = &mut classes[c];
+                    next[class.tail] = slot;
+                    class.tail = slot;
+                    class.len += 1;
+                }
+                None => {
+                    open.rotate_right(1);
+                    open[0] = classes.len();
+                    classes.push(Class {
+                        rank: (!(delta / bytes as f64).to_bits(), tenant, key),
+                        base,
+                        head: slot,
+                        tail: slot,
+                        len: 1,
+                        bytes,
+                        delta,
+                    });
+                }
             }
         }
+        base += deltas.len();
     }
-    candidates.sort_unstable_by_key(|c| c.rank);
+    classes.sort_unstable_by_key(|c| c.rank);
 
     let mut used = 0u64;
     let mut grants: Vec<Vec<u64>> = vec![Vec::new(); per_tenant.len()];
     let mut granted_bytes = vec![0u64; per_tenant.len()];
     let mut saved = vec![0.0f64; per_tenant.len()];
-    for cand in candidates {
-        let (_, tenant, key) = cand.rank;
-        if used + cand.bytes <= budget_bytes {
-            used += cand.bytes;
-            grants[tenant].push(key);
-            granted_bytes[tenant] += cand.bytes;
-            saved[tenant] += cand.delta;
+    let mut rest = classes.as_mut_slice();
+    while let Some(first) = rest.first() {
+        let (density, tenant, _) = first.rank;
+        let tied = rest
+            .iter()
+            .position(|c| (c.rank.0, c.rank.1) != (density, tenant))
+            .unwrap_or(rest.len());
+        let (group, after) = rest.split_at_mut(tied);
+        rest = after;
+        if let [class] = group {
+            let n = class.len.min((budget_bytes - used) / class.bytes);
+            used += n * class.bytes;
+            granted_bytes[tenant] += n * class.bytes;
+            grants[tenant].reserve(n as usize);
+            let mut slot = class.head;
+            for _ in 0..n {
+                grants[tenant].push((slot - class.base) as u64);
+                saved[tenant] += class.delta;
+                slot = next[slot];
+            }
+            continue;
+        }
+        // Key order across the tied classes: always visit the lowest
+        // head.
+        while let Some(class) = group
+            .iter_mut()
+            .filter(|c| c.len > 0)
+            .min_by_key(|c| c.head)
+        {
+            if class.bytes <= budget_bytes - used {
+                used += class.bytes;
+                granted_bytes[tenant] += class.bytes;
+                grants[tenant].push((class.head - class.base) as u64);
+                saved[tenant] += class.delta;
+            }
+            class.len -= 1;
+            class.head = next[class.head];
         }
     }
 
@@ -402,32 +488,61 @@ mod tests {
         }
     }
 
+    /// Keys in runs of one `(delta, bytes)` value from a small palette:
+    /// long runs fill whole classes, more values than `OPEN_CLASSES`
+    /// interleave and split classes, and `(d, 100)` against `(2d, 200)`
+    /// divide to bitwise-equal densities across sizes (1 read of 100 B
+    /// against 2 reads of 200 B under a zero slope).
+    fn runs_of_classes() -> impl Strategy<Value = Vec<(f64, u64)>> {
+        let d = 1234.567;
+        let palette = [
+            (d, 100),
+            (2.0 * d, 200),
+            (3.0 * d, 300),
+            (250.0, 64),
+            (500.0, 64),
+            (0.0, 64),
+            (-250.0, 64),
+            (250.0, 0),
+        ];
+        proptest::collection::vec((0..palette.len(), 1usize..60), 0..12).prop_map(move |runs| {
+            runs.into_iter()
+                .flat_map(|(value, len)| std::iter::repeat_n(palette[value], len))
+                .collect()
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         /// Few distinct delta and size values, so equal densities recur
         /// within and across tenants; zero and negative deltas and
         /// zero-byte keys must be skipped exactly as the comparator
-        /// fill skips them.
+        /// fill skips them. Tenants are either scattered keys or runs of
+        /// classes, and one budget choice ends halfway into a key of
+        /// the comparator order, so mostly in the middle of a class.
         #[test]
         fn integer_key_sort_matches_the_comparator_sort(
             tenants in proptest::collection::vec(
                 (
                     prop_oneof![Just(0.0f64), 1.0f64..1e6],
-                    proptest::collection::vec(
-                        (
-                            prop_oneof![
-                                (-4i32..9).prop_map(|d| d as f64 * 250.0),
-                                0.001f64..5e3,
-                            ],
-                            prop_oneof![Just(0u64), 1u64..5, (1u64..5).prop_map(|b| b * 64)],
+                    prop_oneof![
+                        proptest::collection::vec(
+                            (
+                                prop_oneof![
+                                    (-4i32..9).prop_map(|d| d as f64 * 250.0),
+                                    0.001f64..5e3,
+                                ],
+                                prop_oneof![Just(0u64), 1u64..5, (1u64..5).prop_map(|b| b * 64)],
+                            ),
+                            0..40,
                         ),
-                        0..40,
-                    ),
+                        runs_of_classes(),
+                    ],
                 ),
                 0..5,
             ),
-            budget_pick in 0u8..5,
+            budget_pick in 0u8..6,
             budget_frac in 0.0f64..1.0,
         ) {
             let per_tenant: Vec<(f64, Vec<f64>)> = tenants
@@ -449,13 +564,30 @@ mod tests {
                 .filter(|&&(d, b)| d > 0.0 && b > 0)
                 .map(|&(_, b)| b)
                 .sum();
-            // Zero, a partial fill, exactly everything, and overflow.
+            // The comparator order's sizes, for a budget that runs out
+            // halfway into one of its keys.
+            let mut order: Vec<(f64, usize, usize, u64)> = tenants
+                .iter()
+                .enumerate()
+                .flat_map(|(t, (_, keys))| {
+                    keys.iter().enumerate().map(move |(k, &(d, b))| (d, t, k, b))
+                })
+                .filter(|&(d, _, _, b)| d > 0.0 && b > 0)
+                .map(|(d, t, k, b)| (d / b as f64, t, k, b))
+                .collect();
+            order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            let cut = ((order.len() as f64 * budget_frac) as usize).min(order.len());
+            let mid_key = order[..cut].iter().map(|c| c.3).sum::<u64>()
+                + order.get(cut).map_or(0, |c| c.3 / 2);
+            // Zero, a partial fill, exactly everything, overflow, and
+            // mid-key.
             let budget = match budget_pick {
                 0 => 0,
                 1 => (candidate_bytes as f64 * budget_frac) as u64,
                 2 => candidate_bytes,
                 3 => candidate_bytes.saturating_sub(1),
-                _ => candidate_bytes + 1 + (budget_frac * 1e4) as u64,
+                4 => candidate_bytes + 1 + (budget_frac * 1e4) as u64,
+                _ => mid_key,
             };
             assert_same_allocation(
                 &allocate_by_density(&per_tenant, &stats, budget),

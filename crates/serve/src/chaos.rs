@@ -5,11 +5,12 @@
 //! periodic watermarked dump), kills the session at seeded event
 //! indices — including a mid-dump point (partial temp file, no rename)
 //! and a mid-segment-rotation point — applies the active storage fault
-//! effects to the persisted bytes (`torn_write` discards unsynced tail
-//! bytes, `bit_flip` flips one persisted journal bit, `dump_corrupt`
-//! flips one state-dump bit), restarts via the same
-//! [`crate::recover_engine`] path the daemon uses, and resends the
-//! input from the recovered sequence (an at-least-once client).
+//! effects to the persisted bytes (`torn_write` cuts the unsynced
+//! records at a seeded point, then either truncates the file there or
+//! zeroes the rest of the records, `bit_flip` flips one persisted
+//! journal bit, `dump_corrupt` flips one state-dump bit), restarts via
+//! the same [`crate::recover_engine`] path the daemon uses, and resends
+//! the input from the recovered sequence (an at-least-once client).
 //!
 //! Convergence is exact, not approximate: the state dump covers
 //! sequences `1..=w`, the journal tail replays `w+1..=s`, and the
@@ -26,6 +27,7 @@ use crate::{recover_engine, state, JournalPolicy, StatePolicy};
 use mnemo_faults::StorageFaults;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -104,6 +106,30 @@ impl KillKind {
     }
 }
 
+/// What a `torn_write` power cut did to the unsynced records at a kill.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TornEffect {
+    /// No torn write struck, or every record was durable.
+    None,
+    /// The file ends at a seeded point in the unsynced records: the cut
+    /// lost the file size too.
+    Truncated,
+    /// The unsynced records are zeroed from a seeded point to their end
+    /// and the file keeps its length: the size (with a runway past the
+    /// records) was durable, only part of the data was not.
+    Zeroed,
+}
+
+impl TornEffect {
+    fn name(&self) -> &'static str {
+        match self {
+            TornEffect::None => "none",
+            TornEffect::Truncated => "truncated",
+            TornEffect::Zeroed => "zeroed",
+        }
+    }
+}
+
 /// One kill and the recovery that followed it.
 #[derive(Debug, Clone)]
 pub struct KillReport {
@@ -111,6 +137,8 @@ pub struct KillReport {
     pub index: usize,
     /// How it struck.
     pub kind: KillKind,
+    /// What a torn write did to the journal's unsynced records.
+    pub torn: TornEffect,
     /// Input index the restarted session resumed from.
     pub resumed_at: usize,
     /// Journal records replayed during the restart.
@@ -169,11 +197,12 @@ impl ChaosReport {
             let _ = write!(
                 out,
                 concat!(
-                    "{{\"index\":{},\"kind\":\"{}\",\"resumed_at\":{},\"replayed\":{},",
-                    "\"truncated\":{},\"quarantined\":{},\"dump_corrupt\":{}}}"
+                    "{{\"index\":{},\"kind\":\"{}\",\"torn\":\"{}\",\"resumed_at\":{},",
+                    "\"replayed\":{},\"truncated\":{},\"quarantined\":{},\"dump_corrupt\":{}}}"
                 ),
                 k.index,
                 k.kind.name(),
+                k.torn.name(),
                 k.resumed_at,
                 k.replayed,
                 k.truncated,
@@ -341,37 +370,45 @@ struct ChainOutcome {
 
 /// Simulate the storage faults active at crash time against the bytes
 /// on disk. Pure process kills lose nothing (the page cache survives a
-/// process); these effects model the power-loss cases.
+/// process); these effects model the power-loss cases. `tail` is the
+/// live segment, durable up to `synced` bytes, with records up to
+/// `record_end`.
 fn apply_crash_effects(
     journal_dir: &Path,
     state_path: &Path,
-    sync_point: (PathBuf, u64),
+    (tail, synced, record_end): (PathBuf, u64, u64),
     now_ns: u128,
     faults: &StorageFaults,
     rng: ChaosRng,
     kill_ordinal: u64,
-) -> Result<(), ServeError> {
+) -> Result<TornEffect, ServeError> {
     let salt = kill_ordinal.wrapping_mul(11_400_714_819_323_198_485);
     let io = |what: &str, p: &Path, e: std::io::Error| {
         ServeError::Io(format!("{what} '{}': {e}", p.display()))
     };
-    if faults.torn_write_at(now_ns) {
-        // Power loss: bytes past the last fsync may vanish. Keep a
-        // seeded prefix of the unsynced tail (possibly none).
-        let (tail, synced) = sync_point;
-        if tail.exists() {
-            let len = std::fs::metadata(&tail)
-                .map_err(|e| io("cannot stat", &tail, e))?
-                .len();
-            if len > synced {
-                let keep = synced + rng.draw(salt ^ 1, len - synced);
-                let file = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&tail)
-                    .map_err(|e| io("cannot open", &tail, e))?;
-                file.set_len(keep)
-                    .map_err(|e| io("cannot truncate", &tail, e))?;
-            }
+    let mut torn = TornEffect::None;
+    if faults.torn_write_at(now_ns) && record_end > synced && tail.exists() {
+        // Power loss: records past the last fsync may vanish. Cut them
+        // at a seeded point (at their end, nothing is lost). Zeroing
+        // needs zeros past the records, as the runway leaves them, so a
+        // segment without one is always truncated.
+        let cut = synced + rng.draw(salt ^ 1, record_end - synced + 1);
+        let len = std::fs::metadata(&tail)
+            .map_err(|e| io("cannot stat", &tail, e))?
+            .len();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&tail)
+            .map_err(|e| io("cannot open", &tail, e))?;
+        if len > record_end && rng.draw(salt ^ 5, 2) == 1 {
+            let zeros = vec![0u8; (record_end - cut) as usize];
+            file.write_all_at(&zeros, cut)
+                .map_err(|e| io("cannot zero", &tail, e))?;
+            torn = TornEffect::Zeroed;
+        } else {
+            file.set_len(cut)
+                .map_err(|e| io("cannot truncate", &tail, e))?;
+            torn = TornEffect::Truncated;
         }
     }
     if faults.bit_flip_at(now_ns) {
@@ -402,7 +439,7 @@ fn apply_crash_effects(
             std::fs::write(state_path, &bytes).map_err(|e| io("cannot write", state_path, e))?;
         }
     }
-    Ok(())
+    Ok(torn)
 }
 
 /// Drive `requests` through a chain of sessions in `dir`, killing per
@@ -465,12 +502,13 @@ fn run_chain(
         // process dies — everything written survives, the faults below
         // decide what a power cut or bad media would have destroyed).
         let now_ns = session.engine.now_ns();
-        let sync_point = session.writer.sync_point();
+        let (tail, synced) = session.writer.sync_point();
+        let record_end = session.writer.record_end();
         drop(session);
-        apply_crash_effects(
+        let torn = apply_crash_effects(
             &journal_dir,
             &state_path,
-            sync_point,
+            (tail, synced, record_end),
             now_ns,
             faults,
             rng,
@@ -481,6 +519,7 @@ fn run_chain(
         outcome.kills.push(KillReport {
             index,
             kind,
+            torn,
             resumed_at: next.resume_index(),
             replayed: recovered.replayed,
             truncated: recovered.truncated,

@@ -710,6 +710,12 @@ impl JournalWriter {
         (self.seg_path.clone(), self.synced_bytes)
     }
 
+    /// The byte offset where the current segment's records end, pending
+    /// ones included; zeros of the runway may follow.
+    pub fn record_end(&self) -> u64 {
+        self.seg_bytes
+    }
+
     /// Writer-side counters.
     pub fn stats(&self) -> JournalStats {
         self.stats

@@ -16,6 +16,22 @@
 //! arrivals and an EWMA of the record sizes observed for it, so the
 //! monitored head of the distribution can be converted back into
 //! [`mnemo::KeyStats`].
+//!
+//! # Eviction without a scan
+//!
+//! The victim is the entry with the smallest count, the lowest slot
+//! among equal counts (what `min_by_key` over the entry array picks).
+//! Finding it does not scan the array per takeover. A full summary
+//! keeps the minimum count, the number of entries at it and a cursor
+//! at or below the lowest slot holding it. Between rescans no entry is
+//! added and counts only grow, so the set of slots at the minimum only
+//! shrinks and its lowest slot only moves up: the cursor walks forward
+//! over slots that have left the minimum, at most `K` steps in all.
+//! Every bump of an entry at the minimum (a takeover bumps its victim
+//! from the minimum too) lowers the number at it; when that reaches 0
+//! the next takeover rescans. `clear`, `decay_idle_epoch` and
+//! `import_state` zero it as well. The entry order, [`TopKState`] and
+//! `memory_bytes` are those of the scanning summary.
 
 use hybridmem::DetHashMap;
 use serde::{Deserialize, Serialize};
@@ -65,6 +81,14 @@ pub struct SpaceSaving {
     /// key -> index into `entries`.
     index: DetHashMap<u64, usize>,
     observed: u64,
+    /// The smallest count in a full summary; meaningful only while
+    /// `at_min > 0`.
+    min_count: u64,
+    /// Entries whose count is `min_count`; 0 means "rescan at the next
+    /// takeover".
+    at_min: usize,
+    /// No slot below this one holds `min_count`.
+    min_from: usize,
 }
 
 impl SpaceSaving {
@@ -79,6 +103,9 @@ impl SpaceSaving {
             entries: Vec::with_capacity(capacity),
             index: DetHashMap::with_capacity_and_hasher(capacity, Default::default()),
             observed: 0,
+            min_count: 0,
+            at_min: 0,
+            min_from: 0,
         }
     }
 
@@ -114,19 +141,13 @@ impl SpaceSaving {
             return;
         }
         // Take over the minimum-count entry; its count becomes our error.
-        let min = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.count)
-            .map(|(i, _)| i)
-            // mnemo-lint: allow(R001, "new() asserts capacity > 0 and this branch only runs when entries is full, hence nonempty")
-            .expect("capacity > 0");
+        let min = self.victim();
         let evicted = self.entries[min];
         self.index.remove(&evicted.key);
         self.index.insert(event.key, min);
         // The inherited count is all error; the op split and size of the
-        // evicted key do not transfer.
+        // evicted key do not transfer. The bump below takes the slot off
+        // the minimum.
         self.entries[min] = TopEntry {
             key: event.key,
             count: evicted.count,
@@ -138,8 +159,36 @@ impl SpaceSaving {
         self.bump(min, event);
     }
 
+    /// The lowest slot among the minimum counts of a full summary.
+    fn victim(&mut self) -> usize {
+        if self.at_min == 0 {
+            self.rescan_min();
+        }
+        while self.entries[self.min_from].count != self.min_count {
+            self.min_from += 1;
+        }
+        self.min_from
+    }
+
+    /// Recount the minimum of a nonempty summary from scratch.
+    fn rescan_min(&mut self) {
+        self.min_count = u64::MAX;
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.count < self.min_count {
+                self.min_count = e.count;
+                self.at_min = 1;
+                self.min_from = i;
+            } else if e.count == self.min_count {
+                self.at_min += 1;
+            }
+        }
+    }
+
     fn bump(&mut self, i: usize, event: &AccessEvent) {
         let e = &mut self.entries[i];
+        if self.at_min > 0 && e.count == self.min_count {
+            self.at_min -= 1;
+        }
         e.count += 1;
         match event.op {
             Op::Read => e.reads += 1,
@@ -171,6 +220,7 @@ impl SpaceSaving {
         self.entries.clear();
         self.index.clear();
         self.observed = 0;
+        self.at_min = 0;
     }
 
     /// Decay every monitored entry for one epoch that saw *no* traffic.
@@ -199,6 +249,7 @@ impl SpaceSaving {
             self.index.insert(e.key, i);
         }
         self.observed /= 2;
+        self.at_min = 0;
     }
 
     /// Serialisable snapshot of the summary: the monitored entries (in

@@ -126,26 +126,24 @@ impl Snapshot {
     /// deliberately discarded.
     pub fn fold(&mut self, other: &Snapshot) {
         for (name, n) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += n;
+            fold_entry(&mut self.counters, name, || 0, |total| *total += n);
         }
         for (name, (domain, agg)) in &other.gauges {
-            let entry = self
-                .gauges
-                .entry(name.clone())
-                .or_insert_with(|| (*domain, GaugeAgg::default()));
-            debug_assert_eq!(entry.0, *domain, "gauge '{name}' domain mismatch in merge");
-            entry.1.merge(agg);
+            let empty = || (*domain, GaugeAgg::default());
+            fold_entry(&mut self.gauges, name, empty, |entry| {
+                debug_assert_eq!(entry.0, *domain, "gauge '{name}' domain mismatch in merge");
+                entry.1.merge(agg);
+            });
         }
         for (name, (domain, hist)) in &other.hists {
-            let entry = self
-                .hists
-                .entry(name.clone())
-                .or_insert_with(|| (*domain, Histogram::new()));
-            debug_assert_eq!(
-                entry.0, *domain,
-                "histogram '{name}' domain mismatch in merge"
-            );
-            entry.1.merge_with(hist);
+            let empty = || (*domain, Histogram::new());
+            fold_entry(&mut self.hists, name, empty, |entry| {
+                debug_assert_eq!(
+                    entry.0, *domain,
+                    "histogram '{name}' domain mismatch in merge"
+                );
+                entry.1.merge_with(hist);
+            });
         }
     }
 
@@ -190,6 +188,25 @@ impl Snapshot {
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+    }
+}
+
+/// Apply `add` to the value under `name`, starting from `empty()` when
+/// the name is absent. The name is cloned only on insert: a running
+/// fold meets the same names every epoch.
+fn fold_entry<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &String,
+    empty: impl FnOnce() -> V,
+    add: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(value) => add(value),
+        None => {
+            let mut value = empty();
+            add(&mut value);
+            map.insert(name.clone(), value);
+        }
     }
 }
 
