@@ -15,10 +15,12 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
         .filter(|p| p.extension().is_some_and(|x| x == "csv"))
         .collect();
     entries.sort();
-    assert!(
-        !entries.is_empty(),
-        "no CSVs found — run `cargo run --release -p mnemo-bench --bin all` first"
-    );
+    if entries.is_empty() {
+        return Err(format!(
+            "no CSVs found in {} — run `cargo run --release -p mnemo-bench --bin all` first",
+            dir.display()
+        ));
+    }
 
     let mut md = String::from(
         "# Experiment appendix\n\nGenerated from the CSV artifacts of the last full run.\n",

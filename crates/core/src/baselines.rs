@@ -23,6 +23,7 @@ use crate::pattern::PatternEngine;
 use crate::sensitivity::{BaselineRun, Baselines, SensitivityEngine};
 use hybridmem::{DetHashMap, DetHashSet};
 use kvsim::{EngineError, RunReport, StoreKind};
+use mnemo_tier::density;
 use ycsb::Trace;
 
 /// Cache-line size assumed by the instrumentation shadow.
@@ -38,6 +39,27 @@ pub struct InstrumentedProfile {
     pub events: u64,
     /// Events per request: the instrumentation amplification factor.
     pub amplification: f64,
+}
+
+impl InstrumentedProfile {
+    /// The profile of `events` observed on `trace`, `per_key[k]` of them
+    /// on key `k`: keys by descending count per byte, ties by key.
+    fn from_counts(per_key: &[u64], events: u64, trace: &Trace) -> InstrumentedProfile {
+        let keys = per_key.iter().zip(&trace.sizes).zip(0u64..);
+        let order = density::order(keys.map(|((&count, &bytes), key)| (count as f64, bytes, key)))
+            .map(|key| key as u64)
+            .collect();
+        let amplification = if trace.is_empty() {
+            0.0
+        } else {
+            events as f64 / trace.len() as f64
+        };
+        InstrumentedProfile {
+            order,
+            events,
+            amplification,
+        }
+    }
 }
 
 /// X-Mem-style instrumentation profiler.
@@ -73,22 +95,7 @@ impl InstrumentedProfiler {
                 per_key[key] += count;
             }
         }
-        let mut order: Vec<u64> = (0..trace.sizes.len() as u64).collect();
-        order.sort_by(|&a, &b| {
-            let da = per_key[a as usize] as f64 / trace.sizes[a as usize].max(1) as f64;
-            let db = per_key[b as usize] as f64 / trace.sizes[b as usize].max(1) as f64;
-            db.total_cmp(&da).then(a.cmp(&b))
-        });
-        let amplification = if trace.is_empty() {
-            0.0
-        } else {
-            events as f64 / trace.len() as f64
-        };
-        InstrumentedProfile {
-            order,
-            events,
-            amplification,
-        }
+        InstrumentedProfile::from_counts(&per_key, events, trace)
     }
 }
 
@@ -129,22 +136,7 @@ impl SamplingProfiler {
                 events += sampled;
             }
         }
-        let mut order: Vec<u64> = (0..trace.sizes.len() as u64).collect();
-        order.sort_by(|&a, &b| {
-            let da = per_key[a as usize] as f64 / trace.sizes[a as usize].max(1) as f64;
-            let db = per_key[b as usize] as f64 / trace.sizes[b as usize].max(1) as f64;
-            db.total_cmp(&da).then(a.cmp(&b))
-        });
-        let amplification = if trace.is_empty() {
-            0.0
-        } else {
-            events as f64 / trace.len() as f64
-        };
-        InstrumentedProfile {
-            order,
-            events,
-            amplification,
-        }
+        InstrumentedProfile::from_counts(&per_key, events, trace)
     }
 }
 

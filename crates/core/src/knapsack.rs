@@ -5,7 +5,9 @@
 //! with their calculated weights and sizes, and the size of the knapsacks
 //! are the fixed capacities." This module provides that formulation: an
 //! exact dynamic program over quantised capacities for small instances,
-//! and the classic density-greedy approximation for large ones.
+//! and the density greedy (`mnemo_tier::density`'s fill) for large ones.
+
+use mnemo_tier::density;
 
 /// One knapsack item.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,28 +32,25 @@ pub struct Solution {
 }
 
 /// Greedy by value density (value/weight), the approximation used in
-/// practice by tiering systems: sort by density, take everything that
-/// still fits. Zero-weight items are taken first (infinite density).
+/// practice by tiering systems: items with a positive value, densest
+/// first, each taken if it still fits ([`density::fill`]). A zero-weight
+/// item ranks as a one-weight item: it always fits, but it is selected
+/// after any denser item. Ties break by position; `selected` holds ids
+/// in selection order, and `value` sums in that order.
 pub fn greedy(items: &[Item], capacity: u64) -> Solution {
-    let mut order: Vec<&Item> = items.iter().filter(|i| i.value > 0.0).collect();
-    order.sort_by(|a, b| {
-        let da = a.value / a.weight.max(1) as f64;
-        let db = b.value / b.weight.max(1) as f64;
-        db.total_cmp(&da).then(a.id.cmp(&b.id))
-    });
-    let mut solution = Solution {
-        selected: Vec::new(),
-        weight: 0,
-        value: 0.0,
-    };
-    for item in order {
-        if solution.weight + item.weight <= capacity {
-            solution.selected.push(item.id);
-            solution.weight += item.weight;
-            solution.value += item.value;
-        }
+    let candidates = items
+        .iter()
+        .map(|i| (i.value > 0.0).then_some((i.value, i.weight)));
+    let grant = density::fill([candidates], capacity).remove(0);
+    Solution {
+        selected: grant
+            .positions
+            .iter()
+            .map(|&p| items[p as usize].id)
+            .collect(),
+        weight: grant.bytes,
+        value: grant.value,
     }
-    solution
 }
 
 /// Exact DP over capacities quantised to `unit`-byte buckets. Memory and
@@ -153,6 +152,15 @@ mod tests {
         let g = greedy(&items, 0);
         assert_eq!(g.selected, vec![1], "zero-weight items always fit");
         assert_eq!(g.weight, 0);
+    }
+
+    #[test]
+    fn a_denser_item_outranks_a_zero_weight_one() {
+        // The zero-weight item ranks at density 1 (value over one unit),
+        // behind the density-5 item; it still fits a full knapsack.
+        let items = vec![item(0, 0, 1.0), item(1, 2, 10.0), item(2, 1, 0.5)];
+        let g = greedy(&items, 2);
+        assert_eq!((g.selected, g.weight, g.value), (vec![1, 0], 2, 11.0));
     }
 
     #[test]

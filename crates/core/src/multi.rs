@@ -8,13 +8,14 @@
 //! budget greedily by *benefit density* (estimated nanoseconds saved per
 //! FastMem byte) across the union of all tenants' keys — the same
 //! density rule MnemoT applies within one workload, lifted across
-//! workloads.
+//! workloads through the same fill (`mnemo_tier::density`).
 
 use crate::advisor::Consultation;
 use crate::estimate::EstimateEngine;
 use crate::model::PerfModel;
 use crate::pattern::{KeyStats, PatternEngine};
 use cloudcost::CostModel;
+use mnemo_tier::density;
 use serde::Serialize;
 
 /// Per-tenant outcome of a shared allocation.
@@ -110,152 +111,34 @@ pub fn allocate_demands(demands: &[TenantDemand], budget_bytes: u64) -> SharedAl
     allocate_by_density(&per_tenant, &stats, budget_bytes)
 }
 
-/// Classes a tenant's scan keeps open for matching: the approximate
-/// tail's counts decay with rank but round unevenly, so neighbouring
-/// counts interleave (3, 2, 3, 2, ...).
-const OPEN_CLASSES: usize = 4;
-
 /// The density fill behind [`allocate_demands`]: tenant `t` has the
 /// all-FastMem runtime `per_tenant[t].0`, promotion delta
 /// `per_tenant[t].1[k]` and record size `stats[t][k].bytes` for key `k`.
 /// Keys with a positive delta and a positive size are granted in
 /// descending density (`delta / bytes`), ties broken by tenant, then
-/// key, while they fit the budget.
-///
-/// The fill goes by class, not by key. A class holds candidate keys of
-/// one tenant with bitwise-equal deltas and equal sizes, hence one
-/// density; a key joins a class only if one of the tenant's
-/// `OPEN_CLASSES` most recently opened classes matches, so a value can
-/// also open several classes. Classes are sorted by `(density, tenant,
-/// first key)`. A class alone on its `(density, tenant)` is filled
-/// whole: every key costs the same, so the per-key greedy takes its
-/// lowest `min(len, room / bytes)` keys and skips the rest, one
-/// division. Classes that tie on `(density, tenant)` (a split class,
-/// or unequal sizes dividing to one density) are filled key by key in
-/// key order. `saved` adds each granted delta once, in grant order, so
-/// its f64 sums keep the per-key bits.
+/// key, while they fit the budget: [`density::fill`] with one group per
+/// tenant, whose value sums are the runtime each grant saves.
 fn allocate_by_density(
     per_tenant: &[(f64, Vec<f64>)],
     stats: &[&[KeyStats]],
     budget_bytes: u64,
 ) -> SharedAllocation {
-    struct Class {
-        /// Sort key: a positive delta over a positive size is a
-        /// non-negative, non-NaN f64, whose bit pattern orders exactly
-        /// like `total_cmp`, so the bitwise complement sorts densest
-        /// first. Classes of one tenant never share a first key, so
-        /// the order is total and an unstable sort yields it.
-        rank: (u64, usize, u64),
-        /// The tenant's first slot in `next`.
-        base: usize,
-        /// Slot of the lowest key not yet visited by the fill.
-        head: usize,
-        /// Slot of the highest key, where the next member links on.
-        tail: usize,
-        /// Keys not yet visited.
-        len: u64,
-        bytes: u64,
-        delta: f64,
-    }
-    // One slot per key of every tenant; a class's keys link upward
-    // through it.
-    let slots: usize = per_tenant.iter().map(|(_, deltas)| deltas.len()).sum();
-    let mut next = vec![0usize; slots];
-    let mut classes: Vec<Class> = Vec::new();
-    let mut slow_totals = Vec::with_capacity(per_tenant.len());
-    let mut base = 0;
-    for (tenant, (fast_total, deltas)) in per_tenant.iter().enumerate() {
-        slow_totals.push(*fast_total + deltas.iter().sum::<f64>());
-        // Indices into `classes`, most recently opened first.
-        let mut open = [usize::MAX; OPEN_CLASSES];
-        for ((key, &delta), s) in (0u64..).zip(deltas).zip(stats[tenant]) {
-            let bytes = s.bytes;
-            if !(delta > 0.0 && bytes > 0) {
-                continue;
-            }
-            let slot = base + key as usize;
-            let member = open.iter().find(|&&c| {
-                classes
-                    .get(c)
-                    .is_some_and(|c| c.bytes == bytes && c.delta.to_bits() == delta.to_bits())
-            });
-            match member {
-                Some(&c) => {
-                    let class = &mut classes[c];
-                    next[class.tail] = slot;
-                    class.tail = slot;
-                    class.len += 1;
-                }
-                None => {
-                    open.rotate_right(1);
-                    open[0] = classes.len();
-                    classes.push(Class {
-                        rank: (!(delta / bytes as f64).to_bits(), tenant, key),
-                        base,
-                        head: slot,
-                        tail: slot,
-                        len: 1,
-                        bytes,
-                        delta,
-                    });
-                }
-            }
-        }
-        base += deltas.len();
-    }
-    classes.sort_unstable_by_key(|c| c.rank);
-
-    let mut used = 0u64;
-    let mut grants: Vec<Vec<u64>> = vec![Vec::new(); per_tenant.len()];
-    let mut granted_bytes = vec![0u64; per_tenant.len()];
-    let mut saved = vec![0.0f64; per_tenant.len()];
-    let mut rest = classes.as_mut_slice();
-    while let Some(first) = rest.first() {
-        let (density, tenant, _) = first.rank;
-        let tied = rest
+    let groups = per_tenant.iter().zip(stats).map(|((_, deltas), stats)| {
+        deltas
             .iter()
-            .position(|c| (c.rank.0, c.rank.1) != (density, tenant))
-            .unwrap_or(rest.len());
-        let (group, after) = rest.split_at_mut(tied);
-        rest = after;
-        if let [class] = group {
-            let n = class.len.min((budget_bytes - used) / class.bytes);
-            used += n * class.bytes;
-            granted_bytes[tenant] += n * class.bytes;
-            grants[tenant].reserve(n as usize);
-            let mut slot = class.head;
-            for _ in 0..n {
-                grants[tenant].push((slot - class.base) as u64);
-                saved[tenant] += class.delta;
-                slot = next[slot];
-            }
-            continue;
-        }
-        // Key order across the tied classes: always visit the lowest
-        // head.
-        while let Some(class) = group
-            .iter_mut()
-            .filter(|c| c.len > 0)
-            .min_by_key(|c| c.head)
-        {
-            if class.bytes <= budget_bytes - used {
-                used += class.bytes;
-                granted_bytes[tenant] += class.bytes;
-                grants[tenant].push((class.head - class.base) as u64);
-                saved[tenant] += class.delta;
-            }
-            class.len -= 1;
-            class.head = next[class.head];
-        }
-    }
-
+            .zip(stats.iter())
+            .map(|(&delta, s)| (delta > 0.0 && s.bytes > 0).then_some((delta, s.bytes)))
+    });
+    let grants = density::fill(groups, budget_bytes);
+    let used_bytes = grants.iter().map(|g| g.bytes).sum();
     let tenants = per_tenant
         .iter()
+        .zip(grants)
         .enumerate()
-        .map(|(tenant, &(fast, _))| {
+        .map(|(tenant, ((fast, deltas), grant))| {
             // Runtime = all-slow estimate minus what the grant saves.
-            let est_runtime_ns = slow_totals[tenant] - saved[tenant];
-            let est_slowdown = if fast > 0.0 {
+            let est_runtime_ns = fast + deltas.iter().sum::<f64>() - grant.value;
+            let est_slowdown = if *fast > 0.0 {
                 // Throughput ratio via runtimes: slowdown vs all-fast.
                 (est_runtime_ns - fast) / est_runtime_ns
             } else {
@@ -263,8 +146,8 @@ fn allocate_by_density(
             };
             TenantAllocation {
                 tenant,
-                keys: std::mem::take(&mut grants[tenant]),
-                fast_bytes: granted_bytes[tenant],
+                keys: grant.positions,
+                fast_bytes: grant.bytes,
                 est_runtime_ns,
                 est_slowdown: est_slowdown.max(0.0),
             }
@@ -272,7 +155,7 @@ fn allocate_by_density(
         .collect();
     SharedAllocation {
         tenants,
-        used_bytes: used,
+        used_bytes,
         budget_bytes,
     }
 }
@@ -489,8 +372,8 @@ mod tests {
     }
 
     /// Keys in runs of one `(delta, bytes)` value from a small palette:
-    /// long runs fill whole classes, more values than `OPEN_CLASSES`
-    /// interleave and split classes, and `(d, 100)` against `(2d, 200)`
+    /// long runs fill whole classes, more values than `density::fill`
+    /// keeps classes open for interleave and split classes, and `(d, 100)` against `(2d, 200)`
     /// divide to bitwise-equal densities across sizes (1 read of 100 B
     /// against 2 reads of 200 B under a zero slope).
     fn runs_of_classes() -> impl Strategy<Value = Vec<(f64, u64)>> {

@@ -9,7 +9,7 @@
 //! The catalog:
 //!
 //! * [`GreedyPolicy`] — the paper's hotness ranking (`accesses / size`,
-//!   §V-B), float-op-identical to the two-tier Pattern Engine so the
+//!   §V-B), the two-tier Pattern Engine's [`density::order`], so the
 //!   legacy golden figures stay byte-stable at N=2;
 //! * [`LruPolicy`] — recency ranking: each epoch refills the stack with
 //!   the most recently touched keys on top;
@@ -27,6 +27,7 @@
 //! All policies are deterministic: orderings break ties by key id and
 //! randomness is a pure function of the seed and key.
 
+use crate::density;
 use hybridmem::stack::StackSpec;
 use hybridmem::{AccessKind, DetHashMap, TierId};
 
@@ -98,7 +99,12 @@ fn tier_id(index: usize) -> TierId {
 /// skipped, later smaller keys may still be packed. Keys left over after
 /// every listed tier go to the tier with the most remaining free bytes
 /// (ties to the topmost), matching the legacy "everything else lands in
-/// SlowMem" behaviour whenever the last tier has room.
+/// SlowMem" behaviour whenever the last tier has room, so every key of
+/// `key_order` ends up assigned.
+///
+/// This walk stays apart from [`density::fill`]: its key and tier orders
+/// are arbitrary (LRU recency, asym's per-kind tier costs), not one
+/// density order into one budget.
 fn fill(
     stats: &[KeyStat],
     key_order: &[usize],
@@ -132,41 +138,22 @@ fn fill(
     }
 }
 
-/// Unwrap a fully-filled assignment vector.
-fn assignments(out: Vec<Option<TierId>>) -> Vec<TierId> {
-    // `fill` assigns every key (the fallback arm is total).
-    out.into_iter().flatten().collect()
-}
-
-/// Key indices ordered by the paper's placement weight — `accesses /
-/// size`, descending, ties by key id — with the exact float operations
-/// of the two-tier Pattern Engine (`MnemoT::weight_order`).
-fn weight_order(stats: &[KeyStat]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..stats.len()).collect();
-    order.sort_by(|&a, &b| {
-        let sa = &stats[a];
-        let sb = &stats[b];
-        let wa = sa.accesses() as f64 / sa.bytes.max(1) as f64;
-        let wb = sb.accesses() as f64 / sb.bytes.max(1) as f64;
-        wb.total_cmp(&wa).then(sa.key.cmp(&sb.key))
-    });
-    order
-}
-
 /// Greedy fill in `key_order` through the stack top-down.
 fn fill_stack_order(stats: &[KeyStat], key_order: &[usize], hier: &StackSpec) -> Vec<TierId> {
     let mut free: Vec<u64> = hier.tiers.iter().map(|t| t.capacity_bytes).collect();
     let tier_order: Vec<usize> = (0..hier.len()).collect();
     let mut out = vec![None; stats.len()];
     fill(stats, key_order, &tier_order, &mut free, &mut out);
-    assignments(out)
+    out.into_iter().flatten().collect()
 }
 
 // --------------------------------------------------------------- greedy --
 
 /// The paper's hotness-ranking policy generalized to N tiers: keys in
-/// placement-weight order fill the stack top-down, skip-but-continue
-/// per tier. At N=2 this reproduces `MnemoT::fill_capacity` exactly.
+/// placement-weight order (`accesses / size`, descending, ties by key
+/// id: [`density::order`], as `MnemoT::weight_order` ranks) fill the
+/// stack top-down, skip-but-continue per tier. At N=2 this reproduces
+/// `MnemoT::fill_capacity` exactly.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyPolicy;
 
@@ -176,7 +163,8 @@ impl TieringPolicy for GreedyPolicy {
     }
 
     fn place(&mut self, stats: &[KeyStat], hier: &StackSpec) -> Vec<TierId> {
-        fill_stack_order(stats, &weight_order(stats), hier)
+        let weight = stats.iter().map(|s| (s.accesses() as f64, s.bytes, s.key));
+        fill_stack_order(stats, &density::order(weight).collect::<Vec<_>>(), hier)
     }
 
     fn on_epoch(
@@ -223,10 +211,9 @@ impl TieringPolicy for LruPolicy {
         hier: &StackSpec,
     ) -> Vec<(u64, TierId)> {
         let mut order: Vec<usize> = (0..stats.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ra = self.last_access.get(&stats[a].key).copied().unwrap_or(0);
-            let rb = self.last_access.get(&stats[b].key).copied().unwrap_or(0);
-            rb.cmp(&ra).then(stats[a].key.cmp(&stats[b].key))
+        order.sort_by_key(|&i| {
+            let recency = self.last_access.get(&stats[i].key).copied().unwrap_or(0);
+            (std::cmp::Reverse(recency), stats[i].key)
         });
         let tiers = fill_stack_order(stats, &order, hier);
         stats.iter().map(|s| s.key).zip(tiers).collect()
@@ -250,13 +237,24 @@ const ASYM_REF_BYTES: u64 = 4096;
 pub struct AsymPolicy;
 
 impl AsymPolicy {
+    /// The write-hot keys (more writes than reads) or the rest, by
+    /// descending dominant count per byte ([`density::order`]), ties by
+    /// key id.
+    fn dense_first(stats: &[KeyStat], write_hot: bool) -> Vec<usize> {
+        let count = |s: &KeyStat| if write_hot { s.writes } else { s.reads };
+        let kept: Vec<usize> = (0..stats.len())
+            .filter(|&i| (stats[i].writes > stats[i].reads) == write_hot)
+            .collect();
+        let items = kept
+            .iter()
+            .map(|&i| (count(&stats[i]) as f64, stats[i].bytes, stats[i].key));
+        density::order(items).map(|pos| kept[pos]).collect()
+    }
+
     fn tier_order_by_cost(hier: &StackSpec, kind: AccessKind) -> Vec<usize> {
+        let cost = |t: usize| hier.tiers[t].spec.access_ns(kind, ASYM_REF_BYTES);
         let mut order: Vec<usize> = (0..hier.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ca = hier.tiers[a].spec.access_ns(kind, ASYM_REF_BYTES);
-            let cb = hier.tiers[b].spec.access_ns(kind, ASYM_REF_BYTES);
-            ca.total_cmp(&cb).then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| cost(a).total_cmp(&cost(b)).then(a.cmp(&b)));
         order
     }
 }
@@ -270,14 +268,7 @@ impl TieringPolicy for AsymPolicy {
         let mut free: Vec<u64> = hier.tiers.iter().map(|t| t.capacity_bytes).collect();
         let mut out = vec![None; stats.len()];
 
-        let mut write_hot: Vec<usize> = (0..stats.len())
-            .filter(|&i| stats[i].writes > stats[i].reads)
-            .collect();
-        write_hot.sort_by(|&a, &b| {
-            let wa = stats[a].writes as f64 / stats[a].bytes.max(1) as f64;
-            let wb = stats[b].writes as f64 / stats[b].bytes.max(1) as f64;
-            wb.total_cmp(&wa).then(stats[a].key.cmp(&stats[b].key))
-        });
+        let write_hot = Self::dense_first(stats, true);
         fill(
             stats,
             &write_hot,
@@ -285,15 +276,7 @@ impl TieringPolicy for AsymPolicy {
             &mut free,
             &mut out,
         );
-
-        let mut read_rest: Vec<usize> = (0..stats.len())
-            .filter(|&i| stats[i].writes <= stats[i].reads)
-            .collect();
-        read_rest.sort_by(|&a, &b| {
-            let wa = stats[a].reads as f64 / stats[a].bytes.max(1) as f64;
-            let wb = stats[b].reads as f64 / stats[b].bytes.max(1) as f64;
-            wb.total_cmp(&wa).then(stats[a].key.cmp(&stats[b].key))
-        });
+        let read_rest = Self::dense_first(stats, false);
         fill(
             stats,
             &read_rest,
@@ -301,7 +284,7 @@ impl TieringPolicy for AsymPolicy {
             &mut free,
             &mut out,
         );
-        assignments(out)
+        out.into_iter().flatten().collect()
     }
 
     fn on_epoch(
@@ -372,7 +355,7 @@ impl TieringPolicy for RandomPolicy {
             let mut placed = chosen;
             for step in 0..hier.len() {
                 let ti = (chosen + step) % hier.len();
-                if stats_fit(s.bytes, free[ti]) {
+                if s.bytes <= free[ti] {
                     placed = ti;
                     break;
                 }
@@ -382,10 +365,6 @@ impl TieringPolicy for RandomPolicy {
         }
         out
     }
-}
-
-fn stats_fit(bytes: u64, free: u64) -> bool {
-    bytes <= free
 }
 
 // -------------------------------------------------------------- oracle --
@@ -428,7 +407,7 @@ impl OraclePolicy {
                 merged[i].writes = w.writes;
             }
         }
-        fill_stack_order(&merged, &weight_order(&merged), hier)
+        GreedyPolicy.place(&merged, hier)
     }
 }
 
@@ -444,7 +423,7 @@ impl TieringPolicy for OraclePolicy {
                 self.next = 1;
                 out
             }
-            None => fill_stack_order(stats, &weight_order(stats), hier),
+            None => GreedyPolicy.place(stats, hier),
         }
     }
 
@@ -536,28 +515,21 @@ impl TieringPolicy for DecayPolicy {
             let i = usize::try_from(s.key).unwrap_or(usize::MAX);
             self.scores.get(i).copied().unwrap_or(0.0)
         };
-        let density: Vec<f64> = stats
-            .iter()
-            .zip(current)
-            .map(|(s, &tier)| {
-                let base = score(s) / s.bytes.max(1) as f64;
-                if tier == top {
-                    base * (1.0 + HYSTERESIS)
-                } else {
-                    base
-                }
-            })
-            .collect();
-        let n = density.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            density[b]
-                .total_cmp(&density[a])
-                .then(stats[a].key.cmp(&stats[b].key))
-        });
+        // Each density is already over its size: as a one-byte item it
+        // ranks unchanged.
+        let order = density::order(stats.iter().zip(current).map(|(s, &tier)| {
+            let base = score(s) / s.bytes.max(1) as f64;
+            let density = if tier == top {
+                base * (1.0 + HYSTERESIS)
+            } else {
+                base
+            };
+            (density, 1, s.key)
+        }));
+        let n = order.len();
         let mut budget = self.budget;
         let mut want_top = vec![false; n];
-        for &i in &order {
+        for i in order {
             let s = score(&stats[i]);
             if s <= 0.0 {
                 break;
@@ -654,6 +626,15 @@ mod tests {
     use hybridmem::stack::TierDef;
     use hybridmem::TierSpec;
 
+    fn stat(key: u64, bytes: u64, reads: u64, writes: u64) -> KeyStat {
+        KeyStat {
+            key,
+            bytes,
+            reads,
+            writes,
+        }
+    }
+
     fn stats(n: u64) -> Vec<KeyStat> {
         (0..n)
             .map(|key| KeyStat {
@@ -688,32 +669,13 @@ mod tests {
         // Crafted stats mirroring `weight_order_on_crafted_trace` in the
         // core crate: the expected order is 1, 2, 0, 3.
         let stats = vec![
-            KeyStat {
-                key: 0,
-                bytes: 1000,
-                reads: 2,
-                writes: 0,
-            },
-            KeyStat {
-                key: 1,
-                bytes: 100,
-                reads: 2,
-                writes: 0,
-            },
-            KeyStat {
-                key: 2,
-                bytes: 100,
-                reads: 1,
-                writes: 0,
-            },
-            KeyStat {
-                key: 3,
-                bytes: 100,
-                reads: 0,
-                writes: 0,
-            },
+            stat(0, 1000, 2, 0),
+            stat(1, 100, 2, 0),
+            stat(2, 100, 1, 0),
+            stat(3, 100, 0, 0),
         ];
-        assert_eq!(weight_order(&stats), vec![1, 2, 0, 3]);
+        let weight = stats.iter().map(|s| (s.accesses() as f64, s.bytes, s.key));
+        assert_eq!(density::order(weight).collect::<Vec<_>>(), vec![1, 2, 0, 3]);
         // FastMem of 200 bytes takes keys 1 and 2; the rest go below.
         let mut hier = StackSpec::paper_testbed();
         hier.tiers[0].capacity_bytes = 200;
@@ -727,24 +689,9 @@ mod tests {
     #[test]
     fn greedy_skip_but_continue_packs_later_smaller_keys() {
         let stats = vec![
-            KeyStat {
-                key: 0,
-                bytes: 300,
-                reads: 90,
-                writes: 0,
-            },
-            KeyStat {
-                key: 1,
-                bytes: 300,
-                reads: 60,
-                writes: 0,
-            },
-            KeyStat {
-                key: 2,
-                bytes: 100,
-                reads: 10,
-                writes: 0,
-            },
+            stat(0, 300, 90, 0),
+            stat(1, 300, 60, 0),
+            stat(2, 100, 10, 0),
         ];
         let mut hier = StackSpec::paper_testbed();
         hier.tiers[0].capacity_bytes = 400;
@@ -805,20 +752,7 @@ mod tests {
             ],
             cache: hybridmem::CacheConfig::disabled(),
         };
-        let stats = vec![
-            KeyStat {
-                key: 0,
-                bytes: 1000,
-                reads: 90,
-                writes: 1,
-            },
-            KeyStat {
-                key: 1,
-                bytes: 1000,
-                reads: 1,
-                writes: 90,
-            },
-        ];
+        let stats = vec![stat(0, 1000, 90, 1), stat(1, 1000, 1, 90)];
         let placed = AsymPolicy.place(&stats, &hier);
         assert_eq!(placed[0], TierId(0), "read-hot key on the read-cheap tier");
         assert_eq!(
@@ -831,14 +765,7 @@ mod tests {
     #[test]
     fn lru_promotes_recently_touched_keys_at_epochs() {
         // Uniform sizes so the fill order alone decides the top tier.
-        let stats: Vec<KeyStat> = (0..50)
-            .map(|key| KeyStat {
-                key,
-                bytes: 1000,
-                reads: 0,
-                writes: 0,
-            })
-            .collect();
+        let stats: Vec<KeyStat> = (0..50).map(|key| stat(key, 1000, 0, 0)).collect();
         let mut hier = dram_optane_ssd();
         hier.tiers[0].capacity_bytes = 5_000; // exactly five keys
         hier.tiers[1].capacity_bytes = 10_000;
@@ -886,35 +813,12 @@ mod tests {
 
     #[test]
     fn oracle_follows_future_windows() {
-        let stats = vec![
-            KeyStat {
-                key: 0,
-                bytes: 100,
-                reads: 0,
-                writes: 0,
-            },
-            KeyStat {
-                key: 1,
-                bytes: 100,
-                reads: 0,
-                writes: 0,
-            },
-        ];
+        let stats = vec![stat(0, 100, 0, 0), stat(1, 100, 0, 0)];
         let mut hier = StackSpec::paper_testbed();
         hier.tiers[0].capacity_bytes = 100;
         // Epoch 0 is hot on key 0; epoch 1 flips to key 1.
-        let w0 = vec![KeyStat {
-            key: 0,
-            bytes: 100,
-            reads: 10,
-            writes: 0,
-        }];
-        let w1 = vec![KeyStat {
-            key: 1,
-            bytes: 100,
-            reads: 10,
-            writes: 0,
-        }];
+        let w0 = vec![stat(0, 100, 10, 0)];
+        let w1 = vec![stat(1, 100, 10, 0)];
         let mut oracle = OraclePolicy::new(vec![w0, w1]);
         let first = oracle.place(&stats, &hier);
         assert_eq!(first, vec![TierId::FAST, TierId::SLOW]);
@@ -926,13 +830,7 @@ mod tests {
 
     #[test]
     fn decay_filters_one_hit_keys_and_damps_residents() {
-        let stat = |key, bytes| KeyStat {
-            key,
-            bytes,
-            reads: 0,
-            writes: 0,
-        };
-        let stats = vec![stat(0, 100), stat(1, 100), stat(2, 10)];
+        let stats = vec![stat(0, 100, 0, 0), stat(1, 100, 0, 0), stat(2, 10, 0, 0)];
         let hier = StackSpec::paper_testbed();
         let mut decay = DecayPolicy::new(100);
         let mut current = decay.place(&stats, &hier);
