@@ -95,7 +95,7 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
         let consultation = advisor_with(&trace, Some(plan.clone()))
             .consult(StoreKind::Redis, &trace)
             .map_err(|e| format!("faulted consultation failed: {e}"))?;
-        let resilient = consultation.recommend_resilient_vs(SLO_SLOWDOWN, Some(healthy_fast_ops));
+        let resilient = consultation.recommend_resilient(SLO_SLOWDOWN, Some(healthy_fast_ops));
 
         // Replay the advised placement through clean and faulted servers.
         let placement = PlacementEngine::placement_for_budget(

@@ -62,10 +62,8 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
             ordering: OrderingKind::MnemoT,
             ..AdvisorConfig::default()
         });
-        let consultation = advisor
+        let rec = advisor
             .consult_with_baselines(baselines, &trace)
-            .map_err(|e| format!("consultation failed: {e}"))?;
-        let rec = consultation
             .recommend(0.10)
             .ok_or("estimate curve is empty")?;
         Ok((depth, sensitivity, rec))

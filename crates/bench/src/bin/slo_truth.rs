@@ -65,9 +65,8 @@ fn judge(store: StoreKind, trace: &ycsb::Trace) -> Result<Vec<Verdict>, HarnessE
     let throughput = |runtime_ns: f64| ops / (runtime_ns / 1e9);
     let mut verdicts = Vec::new();
     for model in MODELS {
-        let c = Advisor::new(config_for(model, trace))
-            .consult_with_baselines(baselines.clone(), trace)
-            .map_err(|e| format!("consultation failed: {e}"))?;
+        let c =
+            Advisor::new(config_for(model, trace)).consult_with_baselines(baselines.clone(), trace);
         let truth = c
             .baselines
             .truth_curve(&c.order)

@@ -48,7 +48,6 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
     // The reference: the offline Pattern Engine with exact per-key stats.
     let exact = advisor
         .consult_with_baselines(baselines.clone(), &trace)
-        .map_err(|e| format!("offline consultation failed: {e}"))?
         .recommend(slo)
         .ok_or("offline estimate curve is empty")?;
     println!(
@@ -70,7 +69,6 @@ fn main() -> Result<(), mnemo_bench::HarnessError> {
         let head = approx.head_keys.len();
         let streamed = advisor
             .consult_with_pattern(baselines.clone(), approx.pattern.clone())
-            .map_err(|e| format!("streaming consultation failed: {e}"))?
             .recommend(slo)
             .ok_or("streamed estimate curve is empty")?;
         let rel_err = (streamed.cost_reduction - exact.cost_reduction).abs() / exact.cost_reduction;

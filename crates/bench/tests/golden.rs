@@ -11,6 +11,11 @@
 //!   `tests/golden/README.md`);
 //! * the two job counts write byte-identical trees, wall-clock `timing-*`
 //!   files excepted.
+//!
+//! `table2` and `table3` write no CSV; their stdout at `MNEMO_SCALE=50`
+//! is pinned in `tests/golden/table2.txt` and `table3.txt`. CI's
+//! `bench-smoke` job runs the binaries its `FIGURES` variable names,
+//! which must be `BINARIES`' names in order.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -169,4 +174,33 @@ fn appendix_of_no_csvs_is_a_harness_error() {
     assert_eq!(run.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("no CSVs found in"), "{stderr}");
     let _ = fs::remove_dir_all(&empty);
+}
+
+#[test]
+fn tables_print_their_goldens() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, exe) in [
+        ("table2", env!("CARGO_BIN_EXE_table2")),
+        ("table3", env!("CARGO_BIN_EXE_table3")),
+    ] {
+        let run = harness(exe, out).env("MNEMO_SCALE", "50").output().unwrap();
+        assert!(run.status.success(), "{name}: {}", run.status);
+        let golden = fs::read_to_string(golden_dir().join(format!("{name}.txt"))).unwrap();
+        assert_eq!(String::from_utf8_lossy(&run.stdout), golden, "{name}");
+    }
+}
+
+#[test]
+fn ci_runs_the_golden_binaries() {
+    let ci = fs::read_to_string(golden_dir().join("../../.github/workflows/ci.yml")).unwrap();
+    let figures: Vec<&str> = ci
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("FIGURES:"))
+        .expect("ci.yml sets FIGURES")
+        .trim()
+        .trim_matches('"')
+        .split_whitespace()
+        .collect();
+    let names: Vec<&str> = BINARIES.iter().map(|(name, _)| *name).collect();
+    assert_eq!(figures, names, "ci.yml FIGURES and golden.rs BINARIES");
 }

@@ -858,7 +858,7 @@ pub fn trace_cmd(parsed: &mut Parsed) -> Result<String, CliError> {
             // The resilient path never fails: under a fault plan that
             // makes the SLO unattainable, the nearest-feasible split is
             // used and the degradation is called out.
-            let resilient = consultation.recommend_resilient(slo);
+            let resilient = consultation.recommend_resilient(slo, None);
             let rec = resilient.recommendation;
             let mut desc = format!(
                 "advised @{:.0}% SLO: {} of {} keys ({:.1}% of bytes) in FastMem",

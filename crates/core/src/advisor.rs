@@ -4,8 +4,9 @@
 //! Engine once, analyse the pattern, produce the estimate curve, and
 //! choose "the line that satisfies its performance requirements and price
 //! allowance". [`Advisor::consult`] does the first three;
-//! [`Consultation::recommend`] does the choosing (e.g. the 10% slowdown
-//! SLO of Fig. 9).
+//! [`Consultation::recommend_resilient`], the one row search, does the
+//! choosing (e.g. the 10% slowdown SLO of Fig. 9);
+//! [`Consultation::recommend`] reads its compliant answers.
 
 use crate::curve::{CurveRow, EstimateCurve};
 use crate::estimate::EstimateEngine;
@@ -99,9 +100,9 @@ pub struct Recommendation {
 /// Why a resilient recommendation could not simply comply with the SLO.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DegradedReason {
-    /// The requested slowdown budget was outside `[0, 1]` and was clamped
-    /// before searching (a plain [`Consultation::recommend`] would panic
-    /// on such input).
+    /// The requested slowdown budget was outside `[0, 1]` (or NaN) and
+    /// was clamped before searching; [`Consultation::recommend`] returns
+    /// `None` on such input.
     SloClamped {
         /// The budget as requested.
         requested: f64,
@@ -140,6 +141,22 @@ impl ResilientRecommendation {
     /// Whether the recommendation meets the requested SLO outright.
     pub fn is_compliant(&self) -> bool {
         self.degraded.is_none()
+    }
+
+    /// The answer when there is no row to recommend: a zero-sized
+    /// placement tagged [`DegradedReason::EmptyCurve`].
+    pub fn empty_curve() -> ResilientRecommendation {
+        ResilientRecommendation {
+            recommendation: Recommendation {
+                prefix: 0,
+                fast_bytes: 0,
+                fast_ratio: 0.0,
+                cost_reduction: 0.0,
+                est_throughput_ops_s: 0.0,
+                est_slowdown: 0.0,
+            },
+            degraded: Some(DegradedReason::EmptyCurve),
+        }
     }
 }
 
@@ -186,47 +203,32 @@ impl Consultation {
     }
 
     /// The cheapest configuration within `slowdown` (e.g. `0.10`) of
-    /// FastMem-only performance. `None` only for empty workloads.
+    /// FastMem-only performance: [`Self::recommend_resilient`] against
+    /// the curve's own all-FastMem row, when that answer complies. `None`
+    /// otherwise: for an empty curve, and for a budget outside `[0, 1]`
+    /// or NaN.
     pub fn recommend(&self, slowdown: f64) -> Option<Recommendation> {
-        let row = self.curve.cheapest_within_slowdown(slowdown)?;
-        let best = self.curve.fast_only().est_throughput_ops_s;
-        Some(self.rec_from_row(row, best))
+        let resilient = self.recommend_resilient(slowdown, None);
+        resilient.is_compliant().then_some(resilient.recommendation)
     }
 
-    /// Degraded-mode recommend: never panics and never returns nothing.
-    /// The slowdown budget is measured against this curve's own
-    /// all-FastMem throughput; see [`Self::recommend_resilient_vs`] for
-    /// an external (e.g. healthy-testbed) reference.
-    pub fn recommend_resilient(&self, slowdown: f64) -> ResilientRecommendation {
-        self.recommend_resilient_vs(slowdown, None)
-    }
-
-    /// [`Self::recommend_resilient`] with an explicit reference
-    /// throughput the budget is measured against. When this consultation
-    /// was produced under a fault plan, passing the *healthy* testbed's
-    /// all-FastMem throughput asks "which split keeps us within the SLO
-    /// of normal operation?" — and when even all-FastMem cannot (the
-    /// faulted devices are simply too slow), the answer is the
-    /// best-performing split tagged [`DegradedReason::SloUnattainable`]
-    /// with the slowdown it actually achieves.
-    pub fn recommend_resilient_vs(
+    /// The one SLO row search; never panics and never returns nothing.
+    /// The budget is clamped to `[0, 1]` (tagged
+    /// [`DegradedReason::SloClamped`]) and measured against
+    /// `reference_ops_s`, or the curve's own all-FastMem throughput. Rows
+    /// rise in cost, so the first row at or above the target is the
+    /// cheapest. Under a fault plan, passing the *healthy* all-FastMem
+    /// throughput asks "which split keeps us within the SLO of normal
+    /// operation?"; when no row can, the best-performing one is tagged
+    /// [`DegradedReason::SloUnattainable`] with the slowdown it achieves.
+    pub fn recommend_resilient(
         &self,
         slowdown: f64,
         reference_ops_s: Option<f64>,
     ) -> ResilientRecommendation {
-        if self.curve.rows.is_empty() {
-            return ResilientRecommendation {
-                recommendation: Recommendation {
-                    prefix: 0,
-                    fast_bytes: 0,
-                    fast_ratio: 0.0,
-                    cost_reduction: 0.0,
-                    est_throughput_ops_s: 0.0,
-                    est_slowdown: 0.0,
-                },
-                degraded: Some(DegradedReason::EmptyCurve),
-            };
-        }
+        let Some(fast) = self.curve.rows.last() else {
+            return ResilientRecommendation::empty_curve();
+        };
         let clamped = if slowdown.is_finite() {
             slowdown.clamp(0.0, 1.0)
         } else {
@@ -234,7 +236,7 @@ impl Consultation {
         };
         let reference = reference_ops_s
             .filter(|r| r.is_finite() && *r > 0.0)
-            .unwrap_or(self.curve.fast_only().est_throughput_ops_s);
+            .unwrap_or(fast.est_throughput_ops_s);
         let target = reference * (1.0 - clamped);
         if let Some(row) = self
             .curve
@@ -253,7 +255,7 @@ impl Consultation {
         }
         // Nearest-feasible: the best-performing row, cheapest among ties
         // (strict `>` keeps the first maximum).
-        let mut best = self.curve.fast_only();
+        let mut best = fast;
         let mut best_thr = f64::NEG_INFINITY;
         for r in &self.curve.rows {
             if r.est_throughput_ops_s.is_finite() && r.est_throughput_ops_s > best_thr {
@@ -272,7 +274,7 @@ impl Consultation {
     }
 
     /// The cost/performance frontier for several SLOs at once: one
-    /// recommendation per slowdown budget, in the given order.
+    /// recommendation per slowdown budget in `[0, 1]`, in the given order.
     pub fn frontier(&self, slowdowns: &[f64]) -> Vec<Recommendation> {
         slowdowns
             .iter()
@@ -305,7 +307,7 @@ impl Advisor {
             sensitivity = sensitivity.with_fault_plan(plan.clone());
         }
         let baselines = sensitivity.measure(store, trace)?;
-        self.consult_with_baselines(baselines, trace)
+        Ok(self.consult_with_baselines(baselines, trace))
     }
 
     /// Verify a recommendation by *executing* the recommended placement
@@ -351,11 +353,7 @@ impl Advisor {
 
     /// Run the pipeline from pre-measured baselines (lets callers reuse
     /// one Sensitivity run across model/ordering variants).
-    pub fn consult_with_baselines(
-        &self,
-        baselines: Baselines,
-        trace: &Trace,
-    ) -> Result<Consultation, EngineError> {
+    pub fn consult_with_baselines(&self, baselines: Baselines, trace: &Trace) -> Consultation {
         self.consult_with_pattern(baselines, PatternEngine::analyze(trace))
     }
 
@@ -368,7 +366,7 @@ impl Advisor {
         &self,
         baselines: Baselines,
         pattern: PatternEngine,
-    ) -> Result<Consultation, EngineError> {
+    ) -> Consultation {
         let order = match self.config.ordering {
             OrderingKind::TouchOrder => pattern.touch_order().to_vec(),
             OrderingKind::Hotness => pattern.hotness_order(),
@@ -382,13 +380,13 @@ impl Advisor {
             estimator = estimator.with_cache_correction(llc);
         }
         let curve = estimator.curve(&pattern, &order);
-        Ok(Consultation {
+        Consultation {
             baselines,
             pattern,
             model,
             order,
             curve,
-        })
+        }
     }
 
     /// Fit a bare allocator demand from baselines and a pattern —
@@ -408,8 +406,22 @@ impl Advisor {
 }
 
 #[cfg(test)]
+impl Consultation {
+    /// A consultation of a tiny trace with its curve replaced by `curve`:
+    /// the row search reads nothing else.
+    pub(crate) fn over(curve: EstimateCurve) -> Consultation {
+        let trace = ycsb::WorkloadSpec::trending().scaled(20, 200).generate(1);
+        let c = Advisor::new(AdvisorConfig::default())
+            .consult(StoreKind::Redis, &trace)
+            .unwrap();
+        Consultation { curve, ..c }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ycsb::WorkloadSpec;
 
     fn consult(store: StoreKind, spec: WorkloadSpec) -> Consultation {
@@ -562,7 +574,7 @@ mod tests {
             WorkloadSpec::trending().scaled(200, 3_000),
         );
         let plain = c.recommend(0.10).unwrap();
-        let res = c.recommend_resilient(0.10);
+        let res = c.recommend_resilient(0.10, None);
         assert!(res.is_compliant());
         assert_eq!(res.recommendation, plain);
     }
@@ -573,7 +585,7 @@ mod tests {
             StoreKind::Redis,
             WorkloadSpec::trending().scaled(150, 2_000),
         );
-        let res = c.recommend_resilient(1.7);
+        let res = c.recommend_resilient(1.7, None);
         match res.degraded {
             Some(DegradedReason::SloClamped { requested, clamped }) => {
                 assert_eq!(requested, 1.7);
@@ -584,7 +596,7 @@ mod tests {
         // A full-slack budget admits the all-SlowMem row.
         assert_eq!(res.recommendation.prefix, 0);
         // Negative budgets clamp to zero slack -> all-FastMem.
-        let strict = c.recommend_resilient(-0.5);
+        let strict = c.recommend_resilient(-0.5, None);
         assert!(matches!(
             strict.degraded,
             Some(DegradedReason::SloClamped { .. })
@@ -595,6 +607,17 @@ mod tests {
         assert!(
             strict.recommendation.est_throughput_ops_s >= c.curve.fast_only().est_throughput_ops_s
         );
+        // `recommend` answers only what the search can comply with.
+        for s in [f64::NAN, 1.7, -0.5] {
+            assert_eq!(c.recommend(s), None, "budget {s}");
+        }
+        let empty = Consultation::over(EstimateCurve {
+            rows: Vec::new(),
+            ..c.curve
+        });
+        assert_eq!(empty.recommend(0.10), None);
+        let res = empty.recommend_resilient(0.10, None);
+        assert_eq!(res, ResilientRecommendation::empty_curve());
     }
 
     #[test]
@@ -637,7 +660,7 @@ mod tests {
             "the fault must make the nominal SLO unattainable"
         );
 
-        let res = faulted.recommend_resilient_vs(0.10, Some(nominal));
+        let res = faulted.recommend_resilient(0.10, Some(nominal));
         match res.degraded {
             Some(DegradedReason::SloUnattainable {
                 requested,
@@ -662,7 +685,52 @@ mod tests {
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(res.recommendation.est_throughput_ops_s, best_thr);
         // Against its own faulted baseline the budget is attainable.
-        assert!(faulted.recommend_resilient(0.10).is_compliant());
+        assert!(faulted.recommend_resilient(0.10, None).is_compliant());
+    }
+
+    /// The row search `recommend` replaced, kept as its oracle: the first
+    /// row within `slowdown` of the all-FastMem row's throughput.
+    fn cheapest_within_slowdown(curve: &EstimateCurve, slowdown: f64) -> Option<&CurveRow> {
+        let target = curve.fast_only().est_throughput_ops_s * (1.0 - slowdown);
+        curve.rows.iter().find(|r| r.est_throughput_ops_s >= target)
+    }
+
+    /// Curves of 1 to 11 rows with throughputs from a few levels, so
+    /// ties, drops and zero rows are common.
+    fn arb_curve() -> impl Strategy<Value = EstimateCurve> {
+        let levels = [0.0, 500.0, 900.0, 1000.0, 1000.0 + 1e-9];
+        proptest::collection::vec(0usize..5, 1..12).prop_map(move |picks| EstimateCurve {
+            total_bytes: 100 * (picks.len() as u64 - 1),
+            rows: picks
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| CurveRow {
+                    prefix: i,
+                    key: i.checked_sub(1).map(|k| k as u64),
+                    fast_bytes: 100 * i as u64,
+                    cost_reduction: 0.2 + 0.05 * i as f64,
+                    est_runtime_ns: 1e9,
+                    est_throughput_ops_s: levels[p],
+                })
+                .collect(),
+            requests: 1000,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn recommend_is_the_first_row_search(
+            curve in arb_curve(),
+            slowdown in prop_oneof![Just(0.0), Just(0.1), Just(0.5), Just(1.0), 0.0..=1.0f64],
+        ) {
+            let c = Consultation::over(curve);
+            let best = c.curve.fast_only().est_throughput_ops_s;
+            let expected = cheapest_within_slowdown(&c.curve, slowdown)
+                .map(|row| c.rec_from_row(row, best));
+            prop_assert_eq!(c.recommend(slowdown), expected);
+            let resilient = c.recommend_resilient(slowdown, None);
+            prop_assert_eq!(resilient.is_compliant().then_some(resilient.recommendation), expected);
+        }
     }
 
     #[test]
@@ -670,9 +738,7 @@ mod tests {
         let trace = WorkloadSpec::trending().scaled(100, 1_000).generate(2);
         let advisor = Advisor::new(AdvisorConfig::default());
         let c1 = advisor.consult(StoreKind::Redis, &trace).unwrap();
-        let c2 = advisor
-            .consult_with_baselines(c1.baselines.clone(), &trace)
-            .unwrap();
+        let c2 = advisor.consult_with_baselines(c1.baselines.clone(), &trace);
         assert_eq!(c1.curve, c2.curve);
     }
 
@@ -685,9 +751,7 @@ mod tests {
         // reproduce the offline curve (the default MnemoT ordering does
         // not depend on touch order).
         let exact = PatternEngine::from_stats(c1.pattern.stats().to_vec());
-        let c2 = advisor
-            .consult_with_pattern(c1.baselines.clone(), exact)
-            .unwrap();
+        let c2 = advisor.consult_with_pattern(c1.baselines.clone(), exact);
         assert_eq!(c1.curve, c2.curve);
         assert_eq!(c1.order, c2.order);
     }

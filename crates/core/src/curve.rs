@@ -76,21 +76,6 @@ impl EstimateCurve {
         self.rows.last().expect("curve always has the all-fast row")
     }
 
-    /// The cheapest row whose estimated throughput is within
-    /// `slowdown` (e.g. 0.10) of the all-FastMem throughput — the paper's
-    /// "sweet spot between cost efficiency and ensured performance".
-    /// Returns `None` only for an empty curve.
-    pub fn cheapest_within_slowdown(&self, slowdown: f64) -> Option<&CurveRow> {
-        assert!(
-            (0.0..=1.0).contains(&slowdown),
-            "slowdown {slowdown} out of [0,1]"
-        );
-        let target = self.fast_only().est_throughput_ops_s * (1.0 - slowdown);
-        // Rows are ordered by increasing FastMem share, hence increasing
-        // cost; the first row meeting the target is the cheapest.
-        self.rows.iter().find(|r| r.est_throughput_ops_s >= target)
-    }
-
     /// The row at a given FastMem capacity *ratio* (first row whose
     /// `fast_bytes` reaches `ratio * total_bytes`).
     pub fn row_at_ratio(&self, ratio: f64) -> &CurveRow {
@@ -177,15 +162,15 @@ mod tests {
 
     #[test]
     fn sweet_spot_is_cheapest_row_meeting_target() {
-        let c = curve();
+        let c = crate::advisor::Consultation::over(curve());
+        let prefix = |s| c.recommend(s).unwrap().prefix;
         // Fast-only throughput 2000; 10% slowdown target = 1800 -> first
         // row with throughput >= 1800 is prefix 8.
-        let row = c.cheapest_within_slowdown(0.10).unwrap();
-        assert_eq!(row.prefix, 8);
+        assert_eq!(prefix(0.10), 8);
         // Zero slowdown forces the all-fast row.
-        assert_eq!(c.cheapest_within_slowdown(0.0).unwrap().prefix, 10);
+        assert_eq!(prefix(0.0), 10);
         // Full slack allows the all-slow row.
-        assert_eq!(c.cheapest_within_slowdown(1.0).unwrap().prefix, 0);
+        assert_eq!(prefix(1.0), 0);
     }
 
     #[test]

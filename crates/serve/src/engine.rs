@@ -26,9 +26,7 @@
 
 use crate::proto::{self, EventV1, ServeError};
 use kvsim::StoreKind;
-use mnemo::advisor::{
-    Advisor, AdvisorConfig, DegradedReason, Recommendation, ResilientRecommendation,
-};
+use mnemo::advisor::{Advisor, AdvisorConfig, ResilientRecommendation};
 use mnemo::multi::TenantDemand;
 use mnemo::sensitivity::{Baselines, SensitivityEngine};
 use mnemo_codec::json::escape;
@@ -160,7 +158,7 @@ impl Tenant {
     /// The two-step drift loop ([`advise_trigger`]) over one drained
     /// event: `Initial` epochs advise, significant drift resets and
     /// advises one epoch later.
-    // mnemo-lint: allow(R003, "reachable expects guard unconstructible states: estimate() never emits an empty curve")
+    // mnemo-lint: allow(R003, "the one reachable expect asserts that the advisor's own key ordering is a permutation of the pattern")
     fn on_event(&mut self, event: &AccessEvent, advisor: &Advisor, slo: f64) -> Option<String> {
         let drift = self.profiler.observe(event)?;
         let trigger = advise_trigger(drift, &mut self.pending, &mut self.profiler)?;
@@ -169,21 +167,20 @@ impl Tenant {
 
     /// Consult from the current sketch state; never absent. Wall-domain
     /// advise latency lands in `span.serve.advise.wall_ns`.
-    // mnemo-lint: allow(R003, "fast_only's expect fires only on an empty curve, which estimate() cannot produce")
+    // mnemo-lint: allow(R003, "EstimateEngine::curve expects the ordering the advisor derived from this same pattern to be a permutation of it")
     fn advise(&mut self, advisor: &Advisor, slo: f64) -> ResilientRecommendation {
         if self.profiler.events() == 0 {
             // Cold sketch: a consultation would "succeed" on an empty
             // pattern and emit an untagged zero placement. Tag it.
             self.recorder.count("serve.advise.cold", 1);
-            return empty_recommendation();
+            return ResilientRecommendation::empty_curve();
         }
         let pattern = self.profiler.approx_pattern().pattern.clone();
         let baselines = self.baselines.clone();
         self.recorder.time_wall("serve.advise", 1, || {
-            match advisor.consult_with_pattern(baselines, pattern) {
-                Ok(c) => c.recommend_resilient(slo),
-                Err(_) => empty_recommendation(),
-            }
+            advisor
+                .consult_with_pattern(baselines, pattern)
+                .recommend_resilient(slo, None)
         })
     }
 
@@ -204,7 +201,7 @@ impl Tenant {
         Some(advisor.demand_with_pattern(&self.baselines, &approx.pattern))
     }
 
-    // mnemo-lint: allow(R003, "delegates to advise; the reachable curve expect cannot fire for non-empty estimates")
+    // mnemo-lint: allow(R003, "delegates to advise, whose one reachable expect is the ordering-permutation invariant")
     fn advise_row(&mut self, trigger: &Drift, advisor: &Advisor, slo: f64) -> String {
         let resilient = self.advise(advisor, slo);
         self.advice_rows += 1;
@@ -237,22 +234,6 @@ impl Tenant {
             }
         }
         rows
-    }
-}
-
-/// The never-absent fallback when even consultation fails: a zero-sized
-/// placement tagged as degraded.
-fn empty_recommendation() -> ResilientRecommendation {
-    ResilientRecommendation {
-        recommendation: Recommendation {
-            prefix: 0,
-            fast_bytes: 0,
-            fast_ratio: 0.0,
-            cost_reduction: 0.0,
-            est_throughput_ops_s: 0.0,
-            est_slowdown: 0.0,
-        },
-        degraded: Some(DegradedReason::EmptyCurve),
     }
 }
 
@@ -458,7 +439,7 @@ impl ServeEngine {
     /// One scheduler tick: activate due crashes, drain every tenant's
     /// queue (one pool job per tenant, reassembled in admission order),
     /// decay idle tenants, and re-plan the shared budget when due.
-    // mnemo-lint: allow(R003, "reachable panics are invariant asserts: non-empty curve, pre-initialized fault section")
+    // mnemo-lint: allow(R003, "the one reachable panic is an invariant assert: the advisor's key ordering is a permutation of the pattern")
     fn tick(&mut self) -> Vec<String> {
         self.ticks += 1;
         let now = self.now_ns();
@@ -545,7 +526,7 @@ impl ServeEngine {
     /// that bound, not the queue depth, is the advise latency). Unknown
     /// tenants are admitted cold, so the answer is a degraded
     /// `empty_curve` row rather than an error.
-    // mnemo-lint: allow(R003, "the curve expect guards an empty-curve state estimate() is documented never to emit")
+    // mnemo-lint: allow(R003, "reachable expects assert invariants, not input-dependent states; on the advise path, that the advisor's ordering is a permutation of the pattern")
     pub fn advise_now(&mut self, name: &str) -> String {
         match self.tenant_index(name) {
             Err(reason) => proto::error_row(&reason),

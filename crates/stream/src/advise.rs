@@ -148,8 +148,7 @@ impl OnlineAdvisor {
         let recommendation = self
             .advisor
             .consult_with_pattern(self.baselines.clone(), pattern)
-            .ok()
-            .and_then(|c| c.recommend(self.slo));
+            .recommend(self.slo);
         Readvice {
             at_event: self.profiler.events(),
             trigger,

@@ -40,7 +40,6 @@ fn sketch_fed_advisor_matches_exact_offline_mnemot_within_5_percent() {
     // Exact offline path: full trace, per-key stats, MnemoT ordering.
     let exact = advisor
         .consult_with_baselines(baselines.clone(), &trace)
-        .unwrap()
         .recommend(slo)
         .unwrap();
 
@@ -66,7 +65,6 @@ fn sketch_fed_advisor_matches_exact_offline_mnemot_within_5_percent() {
     let approx = profiler.approx_pattern();
     let streamed = advisor
         .consult_with_pattern(baselines, approx.pattern.clone())
-        .unwrap()
         .recommend(slo)
         .unwrap();
 

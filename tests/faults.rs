@@ -195,7 +195,7 @@ fn advisor_under_faults_always_answers_compliant_or_tagged() {
     // Hostile SLO inputs: none may panic, every answer must be a real
     // row that is compliant or carries a reason.
     for slo in [0.10, 0.0, 1.0, 2.0, -1.0, f64::NAN, f64::INFINITY] {
-        let r = faulted.recommend_resilient(slo);
+        let r = faulted.recommend_resilient(slo, None);
         assert!(r.recommendation.est_throughput_ops_s > 0.0, "slo={slo}");
         assert!(
             r.is_compliant() || r.degraded.is_some(),
@@ -206,7 +206,7 @@ fn advisor_under_faults_always_answers_compliant_or_tagged() {
     // Judged against the *healthy* reference, the faulted hardware
     // cannot reach within 10%: the advisor degrades gracefully to the
     // nearest-feasible row and says why, instead of returning nothing.
-    let vs = faulted.recommend_resilient_vs(0.10, Some(healthy_ops));
+    let vs = faulted.recommend_resilient(0.10, Some(healthy_ops));
     match vs.degraded {
         Some(DegradedReason::SloUnattainable {
             requested,

@@ -81,8 +81,7 @@ proptest! {
         for ordering in [OrderingKind::TouchOrder, OrderingKind::Hotness, OrderingKind::MnemoT] {
             let config = AdvisorConfig { ordering, ..AdvisorConfig::default() };
             let c = Advisor::new(config)
-                .consult_with_baselines(base.baselines.clone(), &trace)
-                .unwrap();
+                .consult_with_baselines(base.baselines.clone(), &trace);
             endpoints.push((c.curve.slow_only().est_runtime_ns, c.curve.fast_only().est_runtime_ns));
         }
         for w in endpoints.windows(2) {
@@ -202,7 +201,6 @@ proptest! {
         let touch = base.curve.clone();
         let hot = advisor(OrderingKind::Hotness)
             .consult_with_baselines(base.baselines.clone(), &trace)
-            .unwrap()
             .curve;
         for (h, t) in hot.rows.iter().zip(&touch.rows) {
             prop_assert!(
