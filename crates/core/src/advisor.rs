@@ -213,8 +213,9 @@ impl Consultation {
     }
 
     /// The one SLO row search; never panics and never returns nothing.
-    /// The budget is clamped to `[0, 1]` (tagged
-    /// [`DegradedReason::SloClamped`]) and measured against
+    /// The budget is clamped to `[0, 1]`, `±inf` included, and NaN is
+    /// read as 0, the strictest (all tagged
+    /// [`DegradedReason::SloClamped`]); it is measured against
     /// `reference_ops_s`, or the curve's own all-FastMem throughput. Rows
     /// rise in cost, so the first row at or above the target is the
     /// cheapest. Under a fault plan, passing the *healthy* all-FastMem
@@ -229,10 +230,12 @@ impl Consultation {
         let Some(fast) = self.curve.rows.last() else {
             return ResilientRecommendation::empty_curve();
         };
-        let clamped = if slowdown.is_finite() {
-            slowdown.clamp(0.0, 1.0)
-        } else {
+        // More slack never costs more: `+inf` clamps to 1 as `1.7` does,
+        // and only NaN, which names no budget, falls to the strictest.
+        let clamped = if slowdown.is_nan() {
             0.0
+        } else {
+            slowdown.clamp(0.0, 1.0)
         };
         let reference = reference_ops_s
             .filter(|r| r.is_finite() && *r > 0.0)
@@ -595,6 +598,19 @@ mod tests {
         }
         // A full-slack budget admits the all-SlowMem row.
         assert_eq!(res.recommendation.prefix, 0);
+        // The infinities clamp to the nearer end; NaN to the strictest.
+        for (requested, expected) in [
+            (f64::INFINITY, 1.0),
+            (f64::NEG_INFINITY, 0.0),
+            (f64::NAN, 0.0),
+        ] {
+            match c.recommend_resilient(requested, None).degraded {
+                Some(DegradedReason::SloClamped { clamped, .. }) => {
+                    assert_eq!(clamped, expected, "budget {requested}")
+                }
+                other => panic!("budget {requested}: expected SloClamped, got {other:?}"),
+            }
+        }
         // Negative budgets clamp to zero slack -> all-FastMem.
         let strict = c.recommend_resilient(-0.5, None);
         assert!(matches!(
@@ -717,6 +733,20 @@ mod tests {
         })
     }
 
+    /// SLO budgets in and out of `[0, 1]`, the infinities included.
+    fn budget() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NEG_INFINITY),
+            Just(-0.5),
+            Just(0.0),
+            Just(0.1),
+            Just(1.0),
+            Just(1.7),
+            Just(f64::INFINITY),
+            0.0..=1.0f64,
+        ]
+    }
+
     proptest! {
         #[test]
         fn recommend_is_the_first_row_search(
@@ -730,6 +760,31 @@ mod tests {
             prop_assert_eq!(c.recommend(slowdown), expected);
             let resilient = c.recommend_resilient(slowdown, None);
             prop_assert_eq!(resilient.is_compliant().then_some(resilient.recommendation), expected);
+        }
+
+        #[test]
+        fn more_slack_never_recommends_a_costlier_split(
+            curve in arb_curve(),
+            budgets in (budget(), budget()),
+            reference in prop_oneof![Just(None), Just(Some(950.0)), Just(Some(2000.0))],
+        ) {
+            let c = Consultation::over(curve);
+            let (a, b) = if budgets.1 < budgets.0 { (budgets.1, budgets.0) } else { budgets };
+            let strict = c.recommend_resilient(a, reference);
+            let slack = c.recommend_resilient(b, reference);
+            prop_assert!(
+                slack.recommendation.prefix <= strict.recommendation.prefix,
+                "budget {} gave prefix {}, budget {} gave {}",
+                b, slack.recommendation.prefix, a, strict.recommendation.prefix
+            );
+            for (budget, res) in [(a, strict), (b, slack)] {
+                if !(0.0..=1.0).contains(&budget) {
+                    let clamped = matches!(res.degraded, Some(DegradedReason::SloClamped { .. }));
+                    let unattainable =
+                        matches!(res.degraded, Some(DegradedReason::SloUnattainable { .. }));
+                    prop_assert!(clamped || unattainable, "budget {} untagged", budget);
+                }
+            }
         }
     }
 

@@ -298,6 +298,26 @@ impl FactorTable {
 /// The process-wide factor table every [`NoiseModel`] reads.
 static FACTORS: LazyLock<FactorTable> = LazyLock::new(|| FactorTable::new(NOISE_TABLE_BYTES));
 
+#[cfg(test)]
+thread_local! {
+    /// A private table the models of this test thread read instead of
+    /// [`FACTORS`], so a test can count its draws and residency alone.
+    static TEST_TABLE: std::cell::Cell<Option<&'static FactorTable>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The table this thread's models read.
+fn table() -> &'static FactorTable {
+    #[cfg(test)]
+    if let Some(table) = TEST_TABLE.with(std::cell::Cell::get) {
+        return table;
+    }
+    &FACTORS
+}
+
+/// The factors a noiseless run multiplies by: one, which changes no bit.
+static UNIT: [f64; NOISE_CHUNK] = [1.0; NOISE_CHUNK];
+
 /// Seeded multiplicative Gaussian noise source.
 ///
 /// Perturbation factors `max(0, 1 + sigma * N(0,1))` come in chunks from
@@ -373,9 +393,63 @@ impl NoiseModel {
             None => (0, None),
             Some(chunk) => (self.index + 1, Some(chunk)),
         };
-        self.chunk = Some(FACTORS.chunk(key, index, prev));
+        self.chunk = Some(table().chunk(key, index, prev));
         self.index = index;
         self.next = 0;
+    }
+
+    /// The factors left in the current chunk, moving to the next chunk
+    /// first when none are left: the next [`Self::perturb`] multiplies
+    /// by the first of them. `None` when sigma is 0, which perturbs
+    /// nothing. Read a block of them, then [`Self::consume`] it: the
+    /// chunks are asked of the process-wide table at the same request as
+    /// by perturbing one by one.
+    pub fn factors(&mut self) -> Option<&[f64]> {
+        if self.sigma == 0.0 {
+            return None;
+        }
+        if self.next == NOISE_CHUNK {
+            self.advance();
+        }
+        let next = self.next;
+        self.chunk.as_ref().map(|c| &c.factors[next..])
+    }
+
+    /// Step past `n` factors of the current chunk, as `n` perturbs
+    /// would; `n` is at most what [`Self::factors`] returned.
+    pub fn consume(&mut self, n: usize) {
+        if self.sigma != 0.0 {
+            debug_assert!(self.next + n <= NOISE_CHUNK, "consumed past the chunk");
+            self.next += n;
+        }
+    }
+
+    /// Read the next `len` factors of every model in `models` together,
+    /// a block at a time: `block(range, factors)` gets factor
+    /// `range.start + j` of model `i` as `factors[i][j]`, or 1 for a
+    /// noiseless model. A block ends where any model's chunk ends, and
+    /// at each block's start the models take their factors in model
+    /// order, so every stream asks the factor table for the same chunks,
+    /// at the same factor and in the same order as `len` rounds of
+    /// [`Self::perturb`] over `models` in turn.
+    pub fn read_blocks<const N: usize>(
+        mut models: [&mut NoiseModel; N],
+        len: usize,
+        mut block: impl FnMut(std::ops::Range<usize>, [&[f64]; N]),
+    ) {
+        let mut start = 0;
+        while start < len {
+            let factors = models.each_mut().map(|m| m.factors().unwrap_or(&UNIT));
+            let n = factors
+                .iter()
+                .map(|f| f.len())
+                .fold(len - start, usize::min);
+            block(start..start + n, factors.map(|f| &f[..n]));
+            for model in &mut models {
+                model.consume(n);
+            }
+            start += n;
+        }
     }
 
     /// Perturb a nanosecond cost: `ns * max(0, 1 + sigma * N(0,1))`.
@@ -614,6 +688,84 @@ mod tests {
             || read_stream(&table, key, 3),
         );
         assert_eq!(bits(&c), bits(&d));
+    }
+
+    /// Run `f` with this thread's models on a fresh table of `budget`
+    /// bytes, and hand back what it returned with the table's draws and
+    /// resident prefix lengths.
+    fn on_private_table<R>(
+        budget: usize,
+        f: impl FnOnce() -> R,
+    ) -> (R, usize, std::collections::BTreeMap<StreamKey, usize>) {
+        let table: &'static FactorTable = Box::leak(Box::new(FactorTable::new(budget)));
+        TEST_TABLE.with(|t| t.set(Some(table)));
+        let out = f();
+        TEST_TABLE.with(|t| t.set(None));
+        (out, table.draws(), table.resident_lengths())
+    }
+
+    #[test]
+    fn block_reads_ask_the_table_as_perturbs_do() {
+        // Three chunks of budget against up to eight of demand: which
+        // chunks stay depends on the order the streams ask for them.
+        let budget = 3 * CHUNK_BYTES;
+        let own = NoiseConfig::default_jitter(0xb10c);
+        let alt = NoiseConfig::default_jitter(0xb10d);
+        let configs = [
+            (own, 0),
+            (own, 100),
+            (own, NOISE_CHUNK as u64),
+            (NoiseConfig::disabled(), 0),
+        ];
+        let lengths = [
+            0,
+            1,
+            NOISE_CHUNK - 1,
+            NOISE_CHUNK,
+            NOISE_CHUNK + 1,
+            3 * NOISE_CHUNK + 17,
+        ];
+        for (config, start) in configs {
+            for len in lengths {
+                let cell = format!("sigma {} start {start} len {len}", config.relative_sigma);
+                // N = 1: factor by factor, then a block at a time.
+                let by_factor = on_private_table(budget, || {
+                    let mut m = NoiseModel::at(config, start);
+                    let f: Vec<u64> = (0..len).map(|_| m.perturb(1.0).to_bits()).collect();
+                    (f, m.position())
+                });
+                let by_block = on_private_table(budget, || {
+                    let mut m = NoiseModel::at(config, start);
+                    let mut f = Vec::new();
+                    NoiseModel::read_blocks([&mut m], len, |range, [block]| {
+                        assert_eq!(range.len(), block.len());
+                        assert_eq!(range.start, f.len());
+                        f.extend(block.iter().map(|x| x.to_bits()));
+                    });
+                    (f, m.position())
+                });
+                assert_eq!(by_block, by_factor, "N=1 {cell}");
+                // N = 2: the second stream from its start, as a paired
+                // walk's alternative lane.
+                let by_factor = on_private_table(budget, || {
+                    let (mut a, mut b) = (NoiseModel::at(config, start), NoiseModel::new(alt));
+                    let mut f = Vec::new();
+                    for _ in 0..len {
+                        f.push([a.perturb(1.0).to_bits(), b.perturb(1.0).to_bits()]);
+                    }
+                    (f, a.position(), b.position())
+                });
+                let by_block = on_private_table(budget, || {
+                    let (mut a, mut b) = (NoiseModel::at(config, start), NoiseModel::new(alt));
+                    let mut f = Vec::new();
+                    NoiseModel::read_blocks([&mut a, &mut b], len, |_, [x, y]| {
+                        f.extend(x.iter().zip(y).map(|(x, y)| [x.to_bits(), y.to_bits()]));
+                    });
+                    (f, a.position(), b.position())
+                });
+                assert_eq!(by_block, by_factor, "N=2 {cell}");
+            }
+        }
     }
 
     #[test]

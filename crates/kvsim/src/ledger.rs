@@ -62,12 +62,19 @@ pub enum ReplayDecline {
     /// There is no tape: the paired walk declined, or the baselines were
     /// built some other way.
     NoTape,
-    /// The tape was walked on another trace, store or stack spec.
+    /// The tape was walked on a trace of another length or other key
+    /// sizes, or on another store or stack spec.
     Fingerprint {
         /// Fingerprint of the walk the tape recorded.
         tape: u64,
         /// Fingerprint of the run asked for.
         run: u64,
+    },
+    /// The run's requests are not the walk's: the first that differs,
+    /// by its index in the trace.
+    Request {
+        /// Index of the first request whose key or op differs.
+        index: usize,
     },
     /// The walk's own reason: here, the split puts a key in a tier the
     /// tape does not price ([`PairedDecline::UnknownTier`]).
@@ -82,6 +89,9 @@ impl std::fmt::Display for ReplayDecline {
                 f,
                 "the tape's walk {tape:016x} is not this run's {run:016x}"
             ),
+            ReplayDecline::Request { index } => {
+                write!(f, "request {index} is not the tape's")
+            }
             ReplayDecline::Paired(decline) => decline.fmt(f),
         }
     }
@@ -104,15 +114,28 @@ impl std::fmt::Write for FnvWriter {
 /// `u32`, its key above a one-bit op.
 const PACKED_KEY_BITS: u32 = 31;
 
-/// `r` as the tape keeps it: the key shifted left by one, the low bit
-/// set for an update. Declines when the key needs more than
-/// [`PACKED_KEY_BITS`] bits.
-fn pack(r: &Request) -> Result<u32, PairedDecline> {
-    u32::try_from(r.key)
-        .ok()
-        .filter(|&key| key >> PACKED_KEY_BITS == 0)
-        .map(|key| (key << 1) | u32::from(r.op == Op::Update))
-        .ok_or(PairedDecline::KeySpace { key: r.key })
+/// `requests` as the tape keeps them: each key shifted left by one, the
+/// low bit set for an update. Declines, naming the first, when a key
+/// needs more than [`PACKED_KEY_BITS`] bits.
+fn pack(requests: &[Request]) -> Result<Vec<u32>, PairedDecline> {
+    // Pack truncating and check the width once, over every key's bits.
+    let mut bits = 0;
+    let packed = requests
+        .iter()
+        .map(|r| {
+            bits |= r.key;
+            ((r.key as u32) << 1) | u32::from(r.op == Op::Update)
+        })
+        .collect();
+    if bits >> PACKED_KEY_BITS == 0 {
+        return Ok(packed);
+    }
+    let key = requests
+        .iter()
+        .map(|r| r.key)
+        .find(|key| key >> PACKED_KEY_BITS != 0)
+        .unwrap_or(bits);
+    Err(PairedDecline::KeySpace { key })
 }
 
 /// The key and op of a packed request.
@@ -127,9 +150,12 @@ fn unpack(packed: u32) -> (u64, Op) {
 
 /// Each request's unperturbed charge in the own and the alternative
 /// lane of one paired walk, in trace order, with what it takes to read
-/// them back: the walk's fingerprint, its requests and its lanes.
+/// them back: the walk's requests, the fingerprint of the rest of its
+/// run, and its lanes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChargeTape {
+    /// Fingerprint of the walk's run but its requests (see
+    /// [`Self::fingerprint_of`]).
     fingerprint: u64,
     keys: usize,
     /// Each request's key and op, packed (see [`pack`]).
@@ -148,14 +174,10 @@ impl ChargeTape {
         trace: &Trace,
         lanes: [TapeLane; 2],
     ) -> Result<ChargeTape, PairedDecline> {
-        let mut requests = Vec::with_capacity(trace.len());
-        for r in &trace.requests {
-            requests.push(pack(r)?);
-        }
         Ok(ChargeTape {
+            requests: pack(&trace.requests)?,
             fingerprint: ChargeTape::fingerprint_of(store, spec, trace),
             keys: trace.sizes.len(),
-            requests,
             charges: Vec::with_capacity(trace.len()),
             lanes,
         })
@@ -166,14 +188,12 @@ impl ChargeTape {
         self.charges.push([own, alt]);
     }
 
-    /// The fingerprint of a run of `trace` on `store` over `spec`: FNV-64
-    /// of the requests (word by word), the key sizes, the store and the
-    /// spec. A tape replays only runs with its own walk's fingerprint.
+    /// The fingerprint of a run of `trace` on `store` over `spec` but its
+    /// requests: FNV-64 of the request count, the key sizes, the store
+    /// and the spec. A tape replays only runs with its own walk's
+    /// fingerprint and, request for request, its own walk's requests.
     fn fingerprint_of(store: StoreKind, spec: &StackSpec, trace: &Trace) -> u64 {
-        let mut hash = FNV64_OFFSET;
-        for r in &trace.requests {
-            hash = fnv64_word(fnv64_word(hash, r.key), r.op as u64);
-        }
+        let mut hash = fnv64_word(FNV64_OFFSET, num::u64_from_usize(trace.len()));
         hash = fnv64_word(hash, num::u64_from_usize(trace.sizes.len()));
         for &bytes in &trace.sizes {
             hash = fnv64_word(hash, bytes);
@@ -195,6 +215,12 @@ impl ChargeTape {
     /// `record(i, ..)` — the arithmetic of
     /// [`Server::run`](crate::Server::run), in its order. Returns each
     /// run's runtime.
+    ///
+    /// The tape is read a noise block at a time
+    /// ([`NoiseModel::read_blocks`]): every stream asks the factor table
+    /// for the same chunks, at the same request and in the same order as
+    /// perturbing request by request, and inside a block a charge is
+    /// perturbed by one multiply.
     fn fold<const N: usize>(
         &self,
         noise: [&mut NoiseModel; N],
@@ -202,17 +228,23 @@ impl ChargeTape {
         mut record: impl FnMut(usize, u64, Op, f64),
     ) -> [f64; N] {
         let mut clocks = [SimClock::new(); N];
-        // By reference: a by-value `(key, op, [own, alt])` item compiles
-        // to overlapping stack copies that stall every iteration.
-        for (&packed, charge) in self.requests.iter().zip(&self.charges) {
-            let (key, op) = unpack(packed);
-            let lanes = pick(key);
-            for run in 0..N {
-                let ns = noise[run].perturb(charge[lanes[run]]);
-                clocks[run].advance(ns);
-                record(run, key, op, ns);
+        NoiseModel::read_blocks(noise, self.requests.len(), |range, factors| {
+            // By reference: a by-value `(key, op, [own, alt])` item
+            // compiles to overlapping stack copies that stall every
+            // iteration.
+            let block = self.requests[range.clone()]
+                .iter()
+                .zip(&self.charges[range]);
+            for (j, (&packed, charge)) in block.enumerate() {
+                let (key, op) = unpack(packed);
+                let lanes = pick(key);
+                for run in 0..N {
+                    let ns = charge[lanes[run]] * factors[run][j];
+                    clocks[run].advance(ns);
+                    record(run, key, op, ns);
+                }
             }
-        }
+        });
         clocks.map(|clock| clock.now_ns() as f64)
     }
 
@@ -288,6 +320,16 @@ impl ChargeTape {
                 tape: self.fingerprint,
                 run,
             });
+        }
+        // The same count, so a differing request is the only way left
+        // for the run to be another; unpacked, the comparison is exact.
+        let differs = self
+            .requests
+            .iter()
+            .zip(&trace.requests)
+            .position(|(&packed, r)| unpack(packed) != (r.key, r.op));
+        if let Some(index) = differs {
+            return Err(ReplayDecline::Request { index });
         }
         let mut lane_of_key = Vec::with_capacity(self.keys);
         for key in 0..trace.keys() {
@@ -381,16 +423,208 @@ mod tests {
     #[test]
     fn packed_requests_round_trip_and_wide_keys_decline() {
         let widest = (1u64 << PACKED_KEY_BITS) - 1;
-        for key in [0, 1, 0x1234_5678, widest] {
-            for op in [Op::Read, Op::Update] {
-                assert_eq!(unpack(pack(&Request { key, op }).unwrap()), (key, op));
+        let requests: Vec<Request> = [0, 1, 0x1234_5678, widest]
+            .into_iter()
+            .flat_map(|key| [Op::Read, Op::Update].map(|op| Request { key, op }))
+            .collect();
+        let packed = pack(&requests).unwrap();
+        let unpacked: Vec<(u64, Op)> = packed.into_iter().map(unpack).collect();
+        let expected: Vec<(u64, Op)> = requests.iter().map(|r| (r.key, r.op)).collect();
+        assert_eq!(unpacked, expected);
+        for key in [widest + 1, u64::from(u32::MAX), u64::MAX] {
+            // The first wide key is named, wherever it stands.
+            let mut wide = requests.clone();
+            wide.insert(3, Request { key, op: Op::Read });
+            wide.push(Request {
+                key: u64::MAX - 1,
+                op: Op::Update,
+            });
+            assert_eq!(pack(&wide), Err(PairedDecline::KeySpace { key }));
+        }
+    }
+
+    /// The fold as it read the tape before it went a noise block at a
+    /// time: one `perturb` per request and run. Kept as the oracle of
+    /// [`ChargeTape::fold`].
+    fn per_request_fold<const N: usize>(
+        tape: &ChargeTape,
+        noise: [&mut NoiseModel; N],
+        pick: impl Fn(u64) -> [usize; N],
+        mut record: impl FnMut(usize, u64, Op, f64),
+    ) -> [f64; N] {
+        let mut clocks = [SimClock::new(); N];
+        for (&packed, charge) in tape.requests.iter().zip(&tape.charges) {
+            let (key, op) = unpack(packed);
+            let lanes = pick(key);
+            for run in 0..N {
+                let ns = noise[run].perturb(charge[lanes[run]]);
+                clocks[run].advance(ns);
+                record(run, key, op, ns);
             }
         }
-        for key in [widest + 1, u64::from(u32::MAX), u64::MAX] {
-            assert_eq!(
-                pack(&Request { key, op: Op::Read }),
-                Err(PairedDecline::KeySpace { key })
-            );
+        clocks.map(|clock| clock.now_ns() as f64)
+    }
+
+    /// [`ChargeTape::fold_into`] over [`per_request_fold`].
+    fn per_request_fold_into<const N: usize>(
+        tape: &ChargeTape,
+        mut reports: [RunReport; N],
+        noise: [&mut NoiseModel; N],
+        pick: impl Fn(u64) -> [usize; N],
+    ) -> [RunReport; N] {
+        let runtimes = per_request_fold(tape, noise, pick, |run, key, op, ns| {
+            reports[run].record(key, op, ns)
+        });
+        for (report, runtime_ns) in reports.iter_mut().zip(runtimes) {
+            report.runtime_ns = runtime_ns;
+        }
+        reports
+    }
+
+    /// A report's totals, histograms and samples, floats as bits.
+    type ReportBits = ([u64; 5], Option<OpHistograms>, Option<Vec<(u64, Op, u64)>>);
+
+    /// Everything a report holds, floats as bits.
+    fn report_bits(r: &RunReport) -> ReportBits {
+        (
+            [
+                r.runtime_ns.to_bits(),
+                r.reads,
+                r.writes,
+                r.read_ns_total.to_bits(),
+                r.write_ns_total.to_bits(),
+            ],
+            r.histograms.clone(),
+            r.samples.as_ref().map(|s| sample_bits(s)),
+        )
+    }
+
+    fn sample_bits(samples: &[RequestSample]) -> Vec<(u64, Op, u64)> {
+        samples
+            .iter()
+            .map(|s| (s.key, s.op, s.service_ns.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn block_folds_match_the_per_request_fold() {
+        let (store, spec) = (StoreKind::Redis, StackSpec::paper_testbed());
+        let chunk = 4096;
+        let alt_noise = NoiseConfig::default_jitter(0xa17);
+        let own_lanes = [
+            (NoiseConfig::disabled(), 0),
+            (NoiseConfig::default_jitter(0x0e7), 0),
+            (NoiseConfig::default_jitter(0x0e7), 100),
+            (NoiseConfig::default_jitter(0x0e7), chunk + 5),
+        ];
+        let split = Placement::FastSet((0..13).filter(|k| k % 3 != 0).collect());
+        for len in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 17] {
+            let trace = Trace {
+                name: format!("len {len}"),
+                sizes: vec![100; 13],
+                requests: (0..len)
+                    .map(|i| Request {
+                        key: (i * 7 % 13) as u64,
+                        op: if i % 3 == 0 { Op::Update } else { Op::Read },
+                    })
+                    .collect(),
+            };
+            for (own_noise, start) in own_lanes {
+                let cell = format!(
+                    "len {len}, own sigma {} from {start}",
+                    own_noise.relative_sigma
+                );
+                let lanes = [
+                    TapeLane {
+                        tier: Some(TierId::FAST),
+                        noise: own_noise,
+                        start: start as u64,
+                    },
+                    TapeLane {
+                        tier: Some(TierId::SLOW),
+                        noise: alt_noise,
+                        start: 0,
+                    },
+                ];
+                let mut tape = ChargeTape::new(store, &spec, &trace, lanes).unwrap();
+                for i in 0..len {
+                    let own = 40.0 + (i % 11) as f64 * 3.3;
+                    tape.push(own, own * 2.7 + 0.1);
+                }
+                let models = || {
+                    [
+                        NoiseModel::at(own_noise, start as u64),
+                        NoiseModel::new(alt_noise),
+                    ]
+                };
+                // N = 2, totals only: the paired walk's fold.
+                let totals = || {
+                    [
+                        RunReport::totals(store, &trace),
+                        RunReport::totals(store, &trace),
+                    ]
+                };
+                let [mut a, mut b] = models();
+                let folded = tape.fold_into(totals(), [&mut a, &mut b], |_| [0, 1]);
+                let [mut ra, mut rb] = models();
+                let expected =
+                    per_request_fold_into(&tape, totals(), [&mut ra, &mut rb], |_| [0, 1]);
+                for lane in 0..2 {
+                    assert_eq!(
+                        report_bits(&folded[lane]),
+                        report_bits(&expected[lane]),
+                        "{cell} N=2 lane {lane}"
+                    );
+                }
+                assert_eq!(
+                    [a.position(), b.position()],
+                    [ra.position(), rb.position()],
+                    "{cell} N=2 positions"
+                );
+                // N = 1, with histograms and samples, on the own stream.
+                let [mut a, _] = models();
+                let [folded] = tape.fold_into([RunReport::empty(store, &trace)], [&mut a], |_| [0]);
+                let [mut ra, _] = models();
+                let [expected] = per_request_fold_into(
+                    &tape,
+                    [RunReport::empty(store, &trace)],
+                    [&mut ra],
+                    |_| [0],
+                );
+                assert_eq!(report_bits(&folded), report_bits(&expected), "{cell} N=1");
+                assert_eq!(a.position(), ra.position(), "{cell} N=1 position");
+                // Each lane's samples.
+                for (lane, tier) in [(0, TierId::FAST), (1, TierId::SLOW)] {
+                    let mut noise = NoiseModel::at(lanes[lane].noise, lanes[lane].start);
+                    let mut expected = Vec::new();
+                    per_request_fold(
+                        &tape,
+                        [&mut noise],
+                        |_| [lane],
+                        |_, key, op, ns| expected.push((key, op, ns.to_bits())),
+                    );
+                    let samples = tape.samples(tier).unwrap();
+                    assert_eq!(sample_bits(&samples), expected, "{cell} samples {lane}");
+                }
+                // A split's replay, keys picked from both lanes.
+                let replayed = tape
+                    .replay(store, &spec, &trace, own_noise, &split)
+                    .unwrap();
+                let [expected] = per_request_fold_into(
+                    &tape,
+                    [RunReport {
+                        histograms: Some(OpHistograms::new()),
+                        ..RunReport::totals(store, &trace)
+                    }],
+                    [&mut NoiseModel::new(own_noise)],
+                    |key| [usize::from(split.tier_of(key) != TierId::FAST)],
+                );
+                assert_eq!(
+                    report_bits(&replayed),
+                    report_bits(&expected),
+                    "{cell} replay"
+                );
+            }
         }
     }
 

@@ -550,6 +550,58 @@ fn replayed_splits_are_bit_identical_to_simulated_ones() {
 }
 
 #[test]
+fn replays_know_a_tape_by_its_requests() {
+    let trace = WorkloadSpec::trending().scaled(300, 3_000).generate(5);
+    let spec = testbed_for(&trace);
+    let noise = measurement_noise(7);
+    let advisor = Advisor::new(AdvisorConfig {
+        spec: spec.clone(),
+        noise,
+        ..AdvisorConfig::default()
+    });
+    // The walk's length, sizes, store and spec, so only the requests
+    // tell these runs from the walk's: one op flipped, and two requests
+    // for different keys swapped.
+    let flip = trace.len() / 2;
+    let mut flipped = trace.clone();
+    flipped.requests[flip].op = match trace.requests[flip].op {
+        Op::Read => Op::Update,
+        Op::Update => Op::Read,
+    };
+    let first = 17;
+    let other = (first + 1..trace.len())
+        .find(|&i| trace.requests[i].key != trace.requests[first].key)
+        .unwrap();
+    let mut swapped = trace.clone();
+    swapped.requests.swap(first, other);
+    for store in STORES {
+        let c = advisor.consult(store, &trace).unwrap();
+        let rec = recommended(&c);
+        let placement = PlacementEngine::placement_for(&c.order, &c.curve.rows[rec.prefix]);
+        assert!(c
+            .baselines
+            .replay(store, &spec, &trace, noise, &placement)
+            .is_ok());
+        for (what, run, index) in [("flipped op", &flipped, flip), ("swapped", &swapped, first)] {
+            let cell = format!("{store}: {what}");
+            let declined = c.baselines.replay(store, &spec, run, noise, &placement);
+            assert_eq!(
+                declined.unwrap_err(),
+                ReplayDecline::Request { index },
+                "{cell}"
+            );
+            // Verify simulates the run instead.
+            let simulated = Server::build_with(store, spec.clone(), noise, run, placement.clone())
+                .unwrap()
+                .run(run)
+                .throughput_ops_s();
+            let (measured, _) = advisor.verify(store, run, &c, &rec).unwrap();
+            assert_eq!(measured.to_bits(), simulated.to_bits(), "{cell}");
+        }
+    }
+}
+
+#[test]
 fn declined_replays_fall_back_to_simulation() {
     let trace = WorkloadSpec::trending().scaled(300, 3_000).generate(5);
     let foreign = WorkloadSpec::trending().scaled(300, 3_000).generate(6);
