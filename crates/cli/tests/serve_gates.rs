@@ -1,6 +1,6 @@
 //! The serve and chaos byte gates, under `cargo test`: the built `mnemo`
-//! binary runs with the exact arguments of CI's `serve-smoke` and
-//! `chaos-smoke` jobs.
+//! binary runs with the exact arguments of CI's `serve-smoke` job and of
+//! the committed chaos fault plans.
 //!
 //! * `serve --replay` of the committed request log at `--jobs 1` and
 //!   `--jobs 4`: each transcript equals `tests/golden/serve/replay.jsonl`,
@@ -11,7 +11,10 @@
 //!   converge, and the fault run quarantines at least one segment;
 //! * `chaos` under the same plan over a small seed sweep: every run
 //!   converges, torn writes both truncate and zero unsynced records,
-//!   and at least one restart truncates a torn tail.
+//!   and at least one restart truncates a torn tail;
+//! * `chaos` under `tests/fixtures/serve/fsync_mid_tick.toml`: a dump
+//!   skipped by a failed fsync waits for the next tick end, so every
+//!   restart from a dump converges.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -182,5 +185,24 @@ fn torn_writes_truncate_and_zero_records_and_still_converge() {
         .skip(1)
         .any(|rest| !rest.starts_with('0'));
     assert!(truncated, "no restart truncated a torn tail: {reports}");
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_dump_skipped_by_a_failed_fsync_waits_for_the_next_tick_end() {
+    let root = scratch("chaos-mid-tick");
+    for seed in ["1", "6"] {
+        let workdir = root.join(seed);
+        let mut args = vec!["chaos", "tests/fixtures/serve/events.jsonl"];
+        args.extend(FIXTURE_FLAGS);
+        args.extend(["--faults", "tests/fixtures/serve/fsync_mid_tick.toml"]);
+        args.extend(["--seed", seed, "--kills", "4"]);
+        args.extend(["--workdir", workdir.to_str().unwrap()]);
+        let report = String::from_utf8(mnemo(&args)).unwrap();
+        assert!(
+            report.contains("\"converged\":true"),
+            "seed {seed}: {report}"
+        );
+    }
     let _ = fs::remove_dir_all(&root);
 }

@@ -1,16 +1,16 @@
 //! Deterministic kill/restart chaos harness for the durable daemon.
 //!
-//! The harness drives a replay input through a journaled session
-//! exactly the way the socket loop would (write-ahead append, apply,
-//! periodic watermarked dump), kills the session at seeded event
-//! indices — including a mid-dump point (partial temp file, no rename)
+//! The harness drives a replay input through the daemon's own
+//! [`Session`] (write-ahead append, apply, a dump where a due tick
+//! ends), kills it at seeded event indices — including a mid-dump point
+//! (the session's due dump leaves a partial temp file and no rename)
 //! and a mid-segment-rotation point — applies the active storage fault
 //! effects to the persisted bytes (`torn_write` cuts the unsynced
 //! records at a seeded point, then either truncates the file there or
 //! zeroes the rest of the records, `bit_flip` flips one persisted
-//! journal bit, `dump_corrupt` flips one state-dump bit), restarts via
-//! the same [`crate::recover_engine`] path the daemon uses, and resends
-//! the input from the recovered sequence (an at-least-once client).
+//! journal bit, `dump_corrupt` flips one state-dump bit), restarts
+//! through [`Session::start`] as the daemon does, and resends the input
+//! from the recovered sequence (an at-least-once client).
 //!
 //! Convergence is exact, not approximate: the state dump covers
 //! sequences `1..=w`, the journal tail replays `w+1..=s`, and the
@@ -18,12 +18,13 @@
 //! order regardless of where the kills landed or which bytes were lost.
 //! [`run_chaos`] byte-diffs the final transcript and final state dump
 //! against an uninterrupted golden run of the same input and reports
-//! any divergence — the CI chaos-smoke job gates on that report.
+//! any divergence; `crates/cli/tests/serve_gates.rs` gates on that
+//! report.
 
-use crate::engine::{ServeConfig, ServeEngine};
-use crate::journal::{self, JournalConfig, JournalWriter};
+use crate::engine::ServeConfig;
+use crate::journal::{self, JournalConfig};
 use crate::proto::{self, Request, ServeError};
-use crate::{recover_engine, state, JournalPolicy, StatePolicy};
+use crate::{state, JournalPolicy, Session, StatePolicy};
 use mnemo_faults::StorageFaults;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -245,117 +246,15 @@ fn durable_requests(input: &str) -> Result<Vec<String>, ServeError> {
     Ok(requests)
 }
 
-/// What one [`DurableSession::apply`] did.
-struct Applied {
-    rows: Vec<String>,
-    rotated: bool,
-    dumped: bool,
-}
-
-/// One daemon lifetime: engine + journal writer + dump policy, driving
-/// the same write-ahead discipline as the socket loop. Input index `i`
-/// maps to journal sequence `i + 1` — the session resumes appending
-/// exactly where recovery left off, so resent requests take the same
-/// sequence numbers they lost.
-struct DurableSession {
-    engine: ServeEngine,
-    writer: JournalWriter,
-    state: StatePolicy,
-    last_dumped_tick: u64,
-}
-
-impl DurableSession {
-    fn start(
-        config: &ServeConfig,
-        state: &StatePolicy,
-    ) -> Result<(DurableSession, crate::Recovered), ServeError> {
-        let mut engine = ServeEngine::new(config.clone())?;
-        let mut recovered = recover_engine(&mut engine, state)?;
-        let Some(writer) = recovered.writer.take() else {
-            return Err(ServeError::Usage(
-                "chaos sessions require a journal policy".into(),
-            ));
-        };
-        let last_dumped_tick = engine.ticks();
-        Ok((
-            DurableSession {
-                engine,
-                writer,
-                state: state.clone(),
-                last_dumped_tick,
-            },
-            recovered,
-        ))
-    }
-
-    /// The input index this session should (re)start applying from.
-    fn resume_index(&self) -> usize {
-        self.engine.journal_seq() as usize
-    }
-
-    /// Append, apply, and run the per-event dump check — the same order
-    /// as the socket loop. `kill_mid_dump` turns a due dump into a
-    /// simulated crash halfway through the atomic write.
-    fn apply(
-        &mut self,
-        index: usize,
-        line: &str,
-        kill_mid_dump: bool,
-    ) -> Result<Applied, ServeError> {
-        let rotations_before = self.writer.stats().rotations;
-        let seq = self.writer.append(self.engine.now_ns(), line)?;
-        self.engine.set_journal_seq(seq);
-        self.engine.note("serve.journal.appended", 1);
-        let rows = match proto::parse_request(line, index + 1)? {
-            Request::Ingest(event) => self.engine.ingest(event)?,
-            Request::Advise { tenant } => vec![self.engine.advise_now(&tenant)],
-            _ => Vec::new(),
-        };
-        let rotated = self.writer.stats().rotations > rotations_before;
-        let mut dumped = false;
-        let every = self.state.every_ticks.max(1);
-        let ticks = self.engine.ticks();
-        if ticks > self.last_dumped_tick && ticks % every == 0 {
-            if let Some(path) = self.state.path.clone() {
-                if kill_mid_dump {
-                    // Die halfway through write_atomic: the temp
-                    // sibling holds a prefix of the dump, the rename
-                    // never happens, the previous dump stays intact.
-                    let content = state::dump(&self.engine);
-                    let mut tmp = path.as_os_str().to_owned();
-                    tmp.push(".tmp");
-                    let tmp = PathBuf::from(tmp);
-                    std::fs::write(&tmp, &content.as_bytes()[..content.len() / 2]).map_err(
-                        |e| ServeError::Io(format!("cannot write '{}': {e}", tmp.display())),
-                    )?;
-                } else if self.writer.sync(self.engine.now_ns())? {
-                    state::write_atomic(&path, &state::dump(&self.engine))?;
-                    self.last_dumped_tick = ticks;
-                    dumped = true;
-                } else {
-                    self.engine.note("serve.state.dump_skipped", 1);
-                }
-            }
-        }
-        Ok(Applied {
-            rows,
-            rotated,
-            dumped,
-        })
-    }
-
-    /// End of input: final tick, then the final watermarked dump.
-    fn finish(&mut self) -> Result<Vec<String>, ServeError> {
-        let rows = self.engine.finish();
-        if let Some(path) = self.state.path.clone() {
-            if self.writer.sync(self.engine.now_ns())? {
-                state::write_atomic(&path, &state::dump(&self.engine))?;
-            } else {
-                self.engine.note("serve.state.dump_skipped", 1);
-            }
-        }
-        Ok(rows)
-    }
+/// Die halfway through [`state::write_atomic`]: the temp sibling holds
+/// a prefix of the dump, the rename never happens, the previous dump
+/// stays intact.
+fn write_half(path: &Path, content: &str) -> Result<(), ServeError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, &content.as_bytes()[..content.len() / 2])
+        .map_err(|e| ServeError::Io(format!("cannot write '{}': {e}", tmp.display())))
 }
 
 /// A finished session chain: per-event transcript slots plus the golden
@@ -473,19 +372,32 @@ fn run_chain(
         first_dump: None,
         first_rotation: None,
     };
-    let (mut session, _) = DurableSession::start(config, &policy)?;
+    let rotations = |session: &Session| session.journal().map_or(0, |w| w.stats().rotations);
+    let (mut session, _) = Session::start(config.clone(), policy.clone())?;
     loop {
         let mut struck: Option<(usize, KillKind)> = None;
-        let start = session.resume_index().min(requests.len());
+        // Input index `i` is journal sequence `i + 1`: the session
+        // resumes where recovery left off, so resent requests take the
+        // sequence numbers they lost.
+        let start = (session.engine().journal_seq() as usize).min(requests.len());
         for (index, request) in requests.iter().enumerate().skip(start) {
             let pending = schedule.front().copied().filter(|(k, _)| *k == index);
             let mid_dump = matches!(pending, Some((_, KillKind::MidDump)));
-            let applied = session.apply(index, request, mid_dump)?;
-            outcome.slots[index] = applied.rows;
-            if applied.dumped && outcome.first_dump.is_none() {
+            let rotations_before = rotations(&session);
+            let mut dumped = false;
+            let parsed = proto::parse_request(request, index + 1)?;
+            outcome.slots[index] = session.apply_with(request, parsed, &mut |path, content| {
+                if mid_dump {
+                    write_half(path, content)
+                } else {
+                    dumped = true;
+                    state::write_atomic(path, content)
+                }
+            })?;
+            if dumped && outcome.first_dump.is_none() {
                 outcome.first_dump = Some(index);
             }
-            if applied.rotated && outcome.first_rotation.is_none() {
+            if rotations(&session) > rotations_before && outcome.first_rotation.is_none() {
                 outcome.first_rotation = Some(index);
             }
             if pending.is_some() {
@@ -501,26 +413,31 @@ fn run_chain(
         // Kill: capture the durable frontier, drop the session (the
         // process dies — everything written survives, the faults below
         // decide what a power cut or bad media would have destroyed).
-        let now_ns = session.engine.now_ns();
-        let (tail, synced) = session.writer.sync_point();
-        let record_end = session.writer.record_end();
+        let now_ns = session.engine().now_ns();
+        let frontier = session
+            .journal()
+            .map(|w| {
+                let (tail, synced) = w.sync_point();
+                (tail, synced, w.record_end())
+            })
+            .ok_or_else(|| ServeError::Usage("chaos sessions require a journal".into()))?;
         drop(session);
         let torn = apply_crash_effects(
             &journal_dir,
             &state_path,
-            (tail, synced, record_end),
+            frontier,
             now_ns,
             faults,
             rng,
             outcome.kills.len() as u64 + 1,
         )?;
-        let (next, recovered) = DurableSession::start(config, &policy)?;
+        let (next, recovered) = Session::start(config.clone(), policy.clone())?;
         outcome.quarantined_total += recovered.quarantined;
         outcome.kills.push(KillReport {
             index,
             kind,
             torn,
-            resumed_at: next.resume_index(),
+            resumed_at: next.engine().journal_seq() as usize,
             replayed: recovered.replayed,
             truncated: recovered.truncated,
             quarantined: recovered.quarantined,

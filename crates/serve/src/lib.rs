@@ -18,7 +18,10 @@
 //!   re-planning through [`mnemo::multi::allocate_demands`] (model fit
 //!   plus approximate pattern per tenant, no estimate curve);
 //! * [`state`] — crash-safe state dumps (atomic write, exact float and
-//!   u64 round-trip) for warm restarts.
+//!   u64 round-trip) for warm restarts;
+//! * [`session`] — the durable path: write-ahead journal append, apply,
+//!   a state dump where a due tick ends, and warm-restart recovery,
+//!   shared by [`ServeLoop`] and the [`chaos`] harness.
 //!
 //! The same engine serves three front ends: [`run_replay`] (a JSONL
 //! file on the virtual clock — byte-identical transcripts for any
@@ -60,11 +63,13 @@ pub mod chaos;
 pub mod engine;
 pub mod journal;
 pub mod proto;
+pub mod session;
 pub mod state;
 
 pub use engine::{ServeConfig, ServeEngine};
 pub use journal::{JournalConfig, JournalStats};
 pub use proto::{EventV1, Request, ServeError};
+pub use session::{Recovered, Session};
 
 use mnemo_faults::Backoff;
 use mnemo_telemetry::Snapshot;
@@ -126,7 +131,7 @@ fn to_transcript(rows: Vec<String>) -> String {
     out
 }
 
-/// Write-ahead journal policy for the socket loop.
+/// Write-ahead journal policy for a durable [`Session`].
 #[derive(Debug, Clone)]
 pub struct JournalPolicy {
     /// Journal directory (segments live as `wal-*.log` inside it).
@@ -135,7 +140,7 @@ pub struct JournalPolicy {
     pub config: JournalConfig,
 }
 
-/// Periodic state-dump policy for the socket loop.
+/// State-dump and journal policy for a durable [`Session`].
 #[derive(Debug, Clone, Default)]
 pub struct StatePolicy {
     /// Dump target; `None` disables dumping.
@@ -160,101 +165,9 @@ struct ClientConn {
 /// every emitted row.
 pub struct ServeLoop {
     listener: UnixListener,
-    engine: ServeEngine,
+    session: Session,
     clients: Vec<ClientConn>,
-    state: StatePolicy,
-    writer: Option<journal::JournalWriter>,
-    last_dumped_tick: u64,
     done: bool,
-}
-
-/// What [`recover_engine`] did on a warm restart.
-pub struct Recovered {
-    /// The journal writer, open at the recovered sequence (`None` when
-    /// journaling is disabled).
-    pub writer: Option<journal::JournalWriter>,
-    /// Journal records replayed through the engine.
-    pub replayed: u64,
-    /// Torn tail records truncated.
-    pub truncated: u64,
-    /// Journal segments quarantined.
-    pub quarantined: u64,
-    /// Whether the state dump was rejected as corrupt (recovery then
-    /// degraded to a full journal replay).
-    pub dump_corrupt: bool,
-}
-
-/// Warm-restore `engine` from an optional dump plus the journal tail,
-/// and open the journal writer at the recovered sequence. Shared by the
-/// socket loop and the chaos harness so both restart paths are the same
-/// code. Recovery is total: a corrupt dump degrades to a full journal
-/// replay (counted, never fatal); corrupt journal segments quarantine.
-pub fn recover_engine(
-    engine: &mut ServeEngine,
-    state: &StatePolicy,
-) -> Result<Recovered, ServeError> {
-    let mut dump_corrupt = false;
-    if let Some(dump_path) = state.path.as_ref().filter(|p| p.exists()) {
-        match state::reload(engine, dump_path) {
-            Ok(_) => {}
-            Err(ServeError::Corrupt { .. }) if state.journal.is_some() => {
-                // The dump is damaged but the journal holds the full
-                // history (segments are never pruned): degrade to a
-                // cold engine plus a complete replay.
-                engine.note("serve.state.corrupt", 1);
-                engine.set_journal_seq(0);
-                dump_corrupt = true;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let Some(policy) = state.journal.as_ref() else {
-        return Ok(Recovered {
-            writer: None,
-            replayed: 0,
-            truncated: 0,
-            quarantined: 0,
-            dump_corrupt,
-        });
-    };
-    let recovery = journal::recover(&policy.dir, engine.journal_seq())?;
-    engine.note("serve.journal.truncated", recovery.truncated);
-    engine.note("serve.journal.quarantined", recovery.quarantined);
-    let mut replayed = 0u64;
-    for (seq, payload) in &recovery.frames {
-        // The journal only ever holds admitted requests, so a parse
-        // failure here means damage the checksum missed; skip it and
-        // count, keeping recovery total.
-        match proto::parse_request(payload, *seq as usize) {
-            Ok(Request::Ingest(event)) => {
-                engine.ingest(event)?;
-            }
-            Ok(Request::Advise { tenant }) => {
-                engine.advise_now(&tenant);
-            }
-            Ok(_) | Err(_) => {
-                engine.note("serve.journal.replay_rejected", 1);
-            }
-        }
-        engine.set_journal_seq(*seq);
-        replayed += 1;
-    }
-    engine.note("serve.journal.replayed", replayed);
-    engine.set_journal_seq(recovery.last_seq);
-    let faults = engine
-        .config()
-        .faults
-        .as_ref()
-        .map(mnemo_faults::FaultPlan::storage_faults);
-    let writer =
-        journal::JournalWriter::open(&policy.dir, policy.config, recovery.last_seq + 1, faults)?;
-    Ok(Recovered {
-        writer: Some(writer),
-        replayed,
-        truncated: recovery.truncated,
-        quarantined: recovery.quarantined,
-        dump_corrupt,
-    })
 }
 
 impl ServeLoop {
@@ -279,36 +192,18 @@ impl ServeLoop {
         listener
             .set_nonblocking(true)
             .map_err(|e| ServeError::Io(format!("cannot set nonblocking: {e}")))?;
-        let mut engine = ServeEngine::new(config)?;
-        let recovered = recover_engine(&mut engine, &state)?;
-        let last_dumped_tick = engine.ticks();
+        let (session, _) = Session::start(config, state)?;
         Ok(ServeLoop {
             listener,
-            engine,
+            session,
             clients: Vec::new(),
-            state,
-            writer: recovered.writer,
-            last_dumped_tick,
             done: false,
         })
     }
 
-    /// Journal a mutating request before it is applied (write-ahead
-    /// discipline: a crash after the append replays it, a crash before
-    /// loses an unacknowledged request — never a half-applied one).
-    fn journal_append(&mut self, payload: &str) -> Result<(), ServeError> {
-        let Some(writer) = self.writer.as_mut() else {
-            return Ok(());
-        };
-        let seq = writer.append(self.engine.now_ns(), payload)?;
-        self.engine.set_journal_seq(seq);
-        self.engine.note("serve.journal.appended", 1);
-        Ok(())
-    }
-
     /// The engine (for inspection in tests and for final dumps).
     pub fn engine(&self) -> &ServeEngine {
-        &self.engine
+        self.session.engine()
     }
 
     /// Whether a `shutdown` command has been processed.
@@ -374,28 +269,22 @@ impl ServeLoop {
                 active = true;
                 match proto::parse_request(&frame, frame_no) {
                     Err(e) => self.reply(i, &proto::error_row(&e.to_string()))?,
-                    Ok(Request::Ingest(event)) => {
-                        self.journal_append(&frame)?;
-                        broadcast.extend(self.engine.ingest(event)?);
-                        // Dump checks run per-ingest, not per-batch: a
-                        // dump is only consistent with its journal
-                        // watermark at the instant a tick completes
-                        // (queues drained, nothing applied past the
-                        // watermark).
-                        self.maybe_dump_state()?;
+                    Ok(request @ Request::Ingest(_)) => {
+                        broadcast.extend(self.session.apply(&frame, request)?);
                     }
-                    Ok(Request::Advise { tenant }) => {
-                        self.journal_append(&frame)?;
-                        let row = self.engine.advise_now(&tenant);
-                        self.reply(i, &row)?;
-                        broadcast.push(row);
+                    Ok(request @ Request::Advise { .. }) => {
+                        let rows = self.session.apply(&frame, request)?;
+                        for row in &rows {
+                            self.reply(i, row)?;
+                        }
+                        broadcast.extend(rows);
                     }
                     Ok(Request::Status) => {
-                        let row = self.engine.status_row();
+                        let row = self.session.engine().status_row();
                         self.reply(i, &row)?;
                     }
                     Ok(Request::Snapshot) => {
-                        let row = self.engine.snapshot_row();
+                        let row = self.session.engine().snapshot_row();
                         self.reply(i, &row)?;
                     }
                     Ok(Request::Follow) => self.clients[i].follow = true,
@@ -404,7 +293,7 @@ impl ServeLoop {
             }
         }
         // Nothing leaves the process ahead of the records behind it.
-        self.flush_journal()?;
+        self.session.flush()?;
         if !broadcast.is_empty() {
             for client in &mut self.clients {
                 if client.follow && !client.dead {
@@ -423,7 +312,7 @@ impl ServeLoop {
 
     /// Send `row` to one client, after the journal records behind it.
     fn reply(&mut self, client: usize, row: &str) -> Result<(), ServeError> {
-        self.flush_journal()?;
+        self.session.flush()?;
         if self.clients[client]
             .stream
             .write_all(&proto::encode_frame(row))
@@ -432,44 +321,6 @@ impl ServeLoop {
             self.clients[client].dead = true;
         }
         Ok(())
-    }
-
-    /// Hand pending journal records to the OS (see the journal module's
-    /// flush-before-visible-effect rule).
-    fn flush_journal(&mut self) -> Result<(), ServeError> {
-        match self.writer.as_mut() {
-            None => Ok(()),
-            Some(writer) => writer.flush(),
-        }
-    }
-
-    fn maybe_dump_state(&mut self) -> Result<(), ServeError> {
-        let Some(path) = self.state.path.clone() else {
-            return Ok(());
-        };
-        let every = self.state.every_ticks.max(1);
-        let ticks = self.engine.ticks();
-        if ticks > self.last_dumped_tick && ticks % every == 0 {
-            if !self.sync_journal()? {
-                // The journal tail is not durable (simulated fsync
-                // failure): a dump now would claim a watermark the disk
-                // cannot back. Skip; the next due tick retries.
-                self.engine.note("serve.state.dump_skipped", 1);
-                return Ok(());
-            }
-            state::write_atomic(&path, &state::dump(&self.engine))?;
-            self.last_dumped_tick = ticks;
-        }
-        Ok(())
-    }
-
-    /// Force the journal durable. Returns false when a simulated fsync
-    /// failure left unsynced records (dumps must not proceed).
-    fn sync_journal(&mut self) -> Result<bool, ServeError> {
-        match self.writer.as_mut() {
-            None => Ok(true),
-            Some(writer) => writer.sync(self.engine.now_ns()),
-        }
     }
 
     /// Poll until shutdown, sleeping briefly when idle. On exit, flushes
@@ -481,18 +332,7 @@ impl ServeLoop {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
-        let rows = self.engine.finish();
-        if let Some(path) = self.state.path.clone() {
-            if self.sync_journal()? {
-                state::write_atomic(&path, &state::dump(&self.engine))?;
-            } else {
-                self.engine.note("serve.state.dump_skipped", 1);
-            }
-        }
-        if let Some(writer) = self.writer.take() {
-            writer.close()?;
-        }
-        Ok(rows)
+        self.session.finish()
     }
 }
 
