@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The golden binaries and their paths, in the order CI runs them.
-const BINARIES: [(&str, &str); 19] = [
+const BINARIES: [(&str, &str); 20] = [
     ("fig1", env!("CARGO_BIN_EXE_fig1")),
     ("fig5", env!("CARGO_BIN_EXE_fig5")),
     ("table1", env!("CARGO_BIN_EXE_table1")),
@@ -43,6 +43,7 @@ const BINARIES: [(&str, &str); 19] = [
     ("sweep_slowmem", env!("CARGO_BIN_EXE_sweep_slowmem")),
     ("variance", env!("CARGO_BIN_EXE_variance")),
     ("ycsb_core", env!("CARGO_BIN_EXE_ycsb_core")),
+    ("table4", env!("CARGO_BIN_EXE_table4")),
 ];
 
 fn golden_dir() -> PathBuf {

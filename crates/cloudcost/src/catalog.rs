@@ -8,10 +8,8 @@
 //! Linux, on-demand). Prices are constants of the reproduction — they do
 //! not need network access and never change under test.
 
-use serde::{Deserialize, Serialize};
-
 /// One virtual machine instance type: its shape and hourly list price.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Instance type name as the provider lists it, e.g. `cache.r5.xlarge`.
     pub name: &'static str,
@@ -26,7 +24,7 @@ pub struct Instance {
 }
 
 /// Which cloud provider a catalogue belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProviderKind {
     /// Amazon Web Services (ElastiCache node types).
     Aws,
@@ -51,7 +49,7 @@ impl ProviderKind {
 }
 
 /// A provider's instance catalogue.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Provider {
     /// Which provider this is.
     pub kind: ProviderKind,

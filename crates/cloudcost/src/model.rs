@@ -12,20 +12,18 @@
 //! SlowMem — the cheapest possible system) to `1` (everything in FastMem).
 //! The paper fixes `p = 0.2` throughout, based on NVDIMM price projections.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's fixed SlowMem:FastMem per-byte price factor.
 pub const DEFAULT_PRICE_FACTOR: f64 = 0.2;
 
 /// Hybrid memory cost model parameterised by the price factor `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// SlowMem per-byte price as a fraction of FastMem per-byte price.
     pub price_factor: f64,
 }
 
 /// One point of a cost sweep: a capacity split and its relative cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostPoint {
     /// FastMem bytes.
     pub fast_bytes: u64,

@@ -10,13 +10,12 @@
 
 use crate::catalog::{Instance, Provider};
 use crate::regression::CostSplit;
-use serde::Serialize;
 
 /// Bytes per GiB.
 const GIB: f64 = (1u64 << 30) as f64;
 
 /// A priced deployment plan for a hybrid capacity split.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VmPlan {
     /// Chosen DRAM-backed instance (smallest that fits the FastMem GiB).
     pub dram_instance: String,

@@ -9,12 +9,11 @@ use crate::placement::PlacementEngine;
 use hybridmem::clock::NoiseConfig;
 use hybridmem::StackSpec;
 use kvsim::{EngineError, StoreKind};
-use serde::{Deserialize, Serialize};
 use ycsb::Trace;
 
 /// One comparison point: a capacity configuration measured for real
 /// (simulated) and estimated by the model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalPoint {
     /// Keys in FastMem.
     pub prefix: usize,
@@ -54,7 +53,7 @@ impl EvalPoint {
 }
 
 /// Boxplot-style summary of a set of (absolute) percentage errors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorStats {
     /// Smallest |error|.
     pub min: f64,

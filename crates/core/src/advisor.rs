@@ -18,11 +18,10 @@ use cloudcost::CostModel;
 use hybridmem::clock::NoiseConfig;
 use hybridmem::StackSpec;
 use kvsim::{EngineError, StoreKind};
-use serde::{Deserialize, Serialize};
 use ycsb::Trace;
 
 /// Which key ordering the curve follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderingKind {
     /// Standalone Mnemo (Fig. 2a): keys in first-touch order.
     TouchOrder,
@@ -81,7 +80,7 @@ impl AdvisorConfig {
 }
 
 /// One recommended configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Recommendation {
     /// Keys placed in FastMem.
     pub prefix: usize,
@@ -98,7 +97,7 @@ pub struct Recommendation {
 }
 
 /// Why a resilient recommendation could not simply comply with the SLO.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DegradedReason {
     /// The requested slowdown budget was outside `[0, 1]` (or NaN) and
     /// was clamped before searching; [`Consultation::recommend`] returns
@@ -128,7 +127,7 @@ pub enum DegradedReason {
 /// machine-readable reason it is degraded. This is the advisor's
 /// fault-tolerant output contract — under any fault profile it never
 /// panics and never returns nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilientRecommendation {
     /// The recommended configuration.
     pub recommendation: Recommendation,

@@ -8,7 +8,6 @@
 //! attributed to SlowMem."
 
 use mnemo_codec::decimal::{push_fixed, push_u64};
-use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
 
 /// Header line of the curve CSV.
@@ -21,7 +20,7 @@ const CSV_ROW_BYTES: usize = 32;
 
 /// One row of the estimate curve: the state *after* placing `key` (and
 /// all keys of earlier rows) in FastMem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurveRow {
     /// Number of keys in FastMem at this row.
     pub prefix: usize,
@@ -51,7 +50,7 @@ impl CurveRow {
 
 /// The full cost-vs-performance trade-off curve, one row per incremental
 /// key tiering, from all-SlowMem (first row) to all-FastMem (last row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimateCurve {
     /// Rows in tiering order (`prefix` 0 ..= key count).
     pub rows: Vec<CurveRow>,

@@ -15,11 +15,10 @@
 
 use crate::sensitivity::Baselines;
 use hybridmem::TierId;
-use serde::{Deserialize, Serialize};
 use ycsb::Op;
 
 /// Which estimation model to fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ModelKind {
     /// The paper's model: one average read and write time per tier.
     #[default]
@@ -29,7 +28,7 @@ pub enum ModelKind {
 }
 
 /// An affine service-time predictor for one (tier, op) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct AffineFit {
     intercept: f64,
     slope_per_byte: f64,
@@ -78,7 +77,7 @@ impl AffineFit {
 
 /// A fitted performance model: predicts per-request service time from
 /// `(tier, op, value size)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfModel {
     kind: ModelKind,
     /// [tier][op] — indexed via `idx()`.

@@ -16,10 +16,9 @@ use crate::model::PerfModel;
 use crate::pattern::{KeyStats, PatternEngine};
 use cloudcost::CostModel;
 use mnemo_tier::density;
-use serde::Serialize;
 
 /// Per-tenant outcome of a shared allocation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenantAllocation {
     /// Tenant index (order of the input slice).
     pub tenant: usize,
@@ -34,7 +33,7 @@ pub struct TenantAllocation {
 }
 
 /// Result of a shared-budget allocation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SharedAllocation {
     /// Per-tenant grants, in input order.
     pub tenants: Vec<TenantAllocation>,

@@ -3,11 +3,10 @@
 //! "Analyzes the request access pattern of the workload, and establishes
 //! a relationship between the keys and requests Req(keys)."
 
-use serde::{Deserialize, Serialize};
 use ycsb::{Op, Trace};
 
 /// Per-key request statistics — `Req(keys)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyStats {
     /// Read requests to this key.
     pub reads: u64,
@@ -26,7 +25,7 @@ impl KeyStats {
 
 /// The Pattern Engine: per-key statistics plus key orderings for
 /// incremental FastMem sizing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternEngine {
     stats: Vec<KeyStats>,
     touch_order: Vec<u64>,

@@ -13,10 +13,9 @@
 //! and disjoint (they seed the cache models), not contiguous.
 
 use crate::det::DetHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Stable identifier of a simulated object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u64);
 
 impl std::fmt::Display for ObjectId {

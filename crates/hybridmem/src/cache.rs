@@ -20,7 +20,6 @@
 
 use crate::dense::DenseU64Map;
 use crate::num;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of pushing one object access through a cache model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,7 +56,7 @@ pub trait Cache: Send {
 }
 
 /// Which cache implementation to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheKind {
     /// No cache at all.
     None,
@@ -68,7 +67,7 @@ pub enum CacheKind {
 }
 
 /// Configuration of the simulated LLC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Which model to use.
     pub kind: CacheKind,

@@ -15,7 +15,6 @@
 use crate::det::DetHashMap;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, LazyLock, Mutex};
 
 /// A monotonically advancing virtual nanosecond clock.
@@ -49,7 +48,7 @@ impl SimClock {
 }
 
 /// Configuration for multiplicative Gaussian measurement noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
     /// Relative standard deviation (e.g. 0.02 = 2% jitter per request).
     pub relative_sigma: f64,

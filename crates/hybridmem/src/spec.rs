@@ -1,14 +1,12 @@
 //! Memory tier timing specifications (the paper's Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of one tier in an ordered N-tier hierarchy: index 0 is
 /// the topmost (fastest, most expensive) tier and indices grow downward.
 ///
 /// The paper's two tiers are [`TierId::FAST`] (FastMem, DRAM-like: high
 /// bandwidth, low latency) and [`TierId::SLOW`] (SlowMem, NVDIMM-like:
 /// lower bandwidth, higher latency, but cheaper per byte).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TierId(pub u8);
 
 impl TierId {
@@ -30,7 +28,7 @@ impl std::fmt::Display for TierId {
 }
 
 /// Whether an access reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load: latency-exposed — the requester waits for the data.
     Read,
@@ -41,7 +39,7 @@ pub enum AccessKind {
 }
 
 /// Timing model of one memory tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierSpec {
     /// Idle read latency in nanoseconds (first-word).
     pub read_latency_ns: f64,

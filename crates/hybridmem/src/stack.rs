@@ -21,7 +21,6 @@ use crate::num;
 use crate::spec::{AccessKind, TierId, TierSpec};
 use crate::stats::AccessStats;
 use crate::system::CacheStats;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::ops::{Add, Mul};
 use std::sync::Arc;
@@ -35,7 +34,7 @@ pub const MAX_TIERS: usize = 64;
 
 /// One tier of an N-tier hierarchy: a name (referenced by fault plans
 /// and figures), Table-I-style timing, a capacity, and a price.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierDef {
     /// Human-facing tier name (e.g. `"dram"`, `"optane"`, `"ssd"`).
     /// Matched case-insensitively by spec files and fault plans. Borrowed
@@ -60,7 +59,7 @@ impl TierDef {
 
 /// Ordered N-tier hierarchy specification, fastest tier first, plus the
 /// shared last-level cache in front of all tiers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackSpec {
     /// The tiers, top (index 0, fastest) first.
     pub tiers: Vec<TierDef>,

@@ -2,10 +2,9 @@
 
 use crate::num;
 use crate::spec::AccessKind;
-use serde::{Deserialize, Serialize};
 
 /// Flat counters for accesses against one device or system.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccessStats {
     /// Number of read accesses.
     pub reads: u64,
@@ -93,7 +92,7 @@ impl AccessStats {
 ///
 /// Supports the tail-latency reporting of the paper's Figs. 8d/8e: average,
 /// p50, p95, p99, p99.9 over millions of samples in O(1) memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// bucket index -> count. Bucket b covers
     /// `[lower(b), lower(b+1))` with `lower = sub * 2^(exp)` layout.

@@ -15,11 +15,9 @@
 //!   amplify every value access several-fold, plus a deep index walk; "the
 //!   most impacted when executing over SlowMem" (Fig. 8b).
 
-use serde::{Deserialize, Serialize};
-
 /// The three stores the paper evaluates, plus a storage-engaged negative
 /// control.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreKind {
     /// Redis-like: single-threaded dict server.
     Redis,
@@ -95,7 +93,7 @@ impl std::fmt::Display for StoreKind {
 }
 
 /// The cost constants of one engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineProfile {
     /// Which store this profiles.
     pub kind: StoreKind,

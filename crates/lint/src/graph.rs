@@ -11,10 +11,12 @@
 //!
 //! Resolution is deliberately an *over*-approximation where Rust's
 //! name resolution needs types we don't have: an unqualified method
-//! call `.advise(…)` links to every `fn advise` defined in an `impl`
-//! anywhere in the workspace. To keep that tractable, method names
-//! from the std prelude/iterator vocabulary ([`METHOD_SKIP`]) never
-//! resolve unqualified — `xs.map(f)` must not link to `Pool::map`.
+//! call `.advise(…)` links to every `fn advise` with a `self` receiver
+//! defined in an `impl` anywhere in the workspace (an associated fn
+//! without one is reachable only through a path such as `Type::open`).
+//! To keep that tractable, method names from the std prelude/iterator
+//! vocabulary ([`METHOD_SKIP`]) never resolve unqualified — `xs.map(f)`
+//! must not link to `Pool::map`.
 //! Unknown paths (`std::…`, vendored externals) resolve to nothing.
 //!
 //! Everything is index-based and iteration-ordered off sorted inputs,
@@ -205,7 +207,9 @@ impl<'m> Graph<'m> {
                     crate_dir: dir.clone(),
                 });
                 if f.impl_ty.is_some() {
-                    by_method.entry(f.name.clone()).or_default().push(id);
+                    if f.takes_self {
+                        by_method.entry(f.name.clone()).or_default().push(id);
+                    }
                     by_type_method
                         .entry((f.impl_ty.clone().unwrap_or_default(), f.name.clone()))
                         .or_default()
@@ -569,6 +573,29 @@ mod tests {
         assert!(g.edges[caller].is_empty(), "{:?}", g.edges[caller]);
         let named = id_of(&g, "named");
         assert_eq!(g.edges[named], vec![id_of(&g, "custom_step")]);
+    }
+
+    #[test]
+    fn method_calls_link_only_to_fns_with_a_self_receiver() {
+        let models = vec![model(
+            "crates/alpha/src/lib.rs",
+            "struct Session;\n\
+             impl Session { fn open(path: &str) -> Session { load(path).unwrap() } }\n\
+             struct Segment;\n\
+             impl Segment { fn open(&self) {} }\n\
+             fn create(opts: &Options) { opts.open(\"seg\"); }\n\
+             fn start() { Session::open(\"s\"); }\n",
+        )];
+        let g = Graph::build(&models);
+        let opens: Vec<FnId> = (0..g.nodes.len())
+            .filter(|&id| g.fn_of(id).name == "open")
+            .collect();
+        let (session_open, segment_open) = (opens[0], opens[1]);
+        assert_eq!(g.display(session_open), "Session::open");
+        assert!(!g.fn_of(session_open).takes_self);
+        assert!(g.fn_of(segment_open).takes_self);
+        assert_eq!(g.edges[id_of(&g, "create")], vec![segment_open]);
+        assert_eq!(g.edges[id_of(&g, "start")], vec![session_open]);
     }
 
     #[test]

@@ -53,6 +53,9 @@ pub struct FnInfo {
     pub name: String,
     /// The `impl`/`trait` type it is defined on, if any.
     pub impl_ty: Option<String>,
+    /// Does its parameter list open with a `self` receiver? Only such
+    /// fns are reachable by an unqualified `.name(` method call.
+    pub takes_self: bool,
     /// Enclosing `mod` names, outermost first (file-local only).
     pub module: Vec<String>,
     /// 1-based line of the `fn` name token.
@@ -483,9 +486,15 @@ impl<'a> Parser<'a> {
     ) -> usize {
         let name_idx = i + 1;
         let name_tok = &self.tokens[name_idx];
+        // Find the body `{` (or `;` for a bodyless trait fn).
+        let mut j = name_idx + 1;
+        while j < end && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
+            j += 1;
+        }
         let info = FnInfo {
             name: name_tok.text(self.src).to_string(),
             impl_ty: impl_ty.map(str::to_string),
+            takes_self: self.opens_with_self(name_idx + 1, j),
             module: module.clone(),
             line: name_tok.line,
             col: name_tok.col,
@@ -494,11 +503,6 @@ impl<'a> Parser<'a> {
             calls: Vec::new(),
             locks: Vec::new(),
         };
-        // Find the body `{` (or `;` for a bodyless trait fn).
-        let mut j = name_idx + 1;
-        while j < end && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
-            j += 1;
-        }
         if !self.is_punct(j, "{") {
             self.model.fns.push(info);
             return j + 1;
@@ -515,6 +519,28 @@ impl<'a> Parser<'a> {
             depth,
         );
         close
+    }
+
+    /// Does a `(` in the signature `[i, end)` open with a `self`
+    /// receiver: `self`, `mut self`, `&self`, `&'a mut self` or
+    /// `self: Box<Self>`? A `self::` path is not a receiver.
+    fn opens_with_self(&self, i: usize, end: usize) -> bool {
+        (i..end).any(|open| {
+            if !self.is_punct(open, "(") {
+                return false;
+            }
+            let mut k = open + 1;
+            if self.is_punct(k, "&") {
+                k += 1;
+            }
+            if self.kind(k) == Some(TokenKind::Lifetime) {
+                k += 1;
+            }
+            if self.text(k) == "mut" {
+                k += 1;
+            }
+            self.is_ident_at(k) && self.text(k) == "self" && !self.is_path_sep(k + 1)
+        })
     }
 
     /// Scan a function body `[i, end)` for facts, calls, locks, pool

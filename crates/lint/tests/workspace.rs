@@ -1,6 +1,7 @@
 //! Workspace-wide gates under `cargo test`: the linter over the whole
-//! workspace with `--deny-warnings`, and three source-text invariants
-//! that keep one copy of each shared layer. This file is the only
+//! workspace with `--deny-warnings`, three source-text invariants that
+//! keep one copy of each shared layer, and one that keeps every crate
+//! manifest to the dependencies its sources use. This file is the only
 //! definition of those invariants; CI runs it with
 //! `cargo test --workspace`.
 //!
@@ -17,12 +18,19 @@
 //!   header-size constant in a `.rs` file under those roots outside
 //!   `crates/kvsim/src/`, or the removed analytic N-tier estimator named
 //!   in any file under them, fails.
+//! * **No unused dependency:** every dependency a `crates/*/Cargo.toml`
+//!   declares, dev-dependencies included, is named as a path (`name::`)
+//!   or in a `use name` item by a `.rs` file the crate compiles: any
+//!   under its directory, and those its `[[test]]`, `[[example]]`,
+//!   `[[bench]]` and `[[bin]]` targets list (the integration crate's
+//!   `/tests` files, the core crate's `/examples`). A dependency name's
+//!   `-` reads as `_`.
 //!
-//! Each is matched line by line, as `grep` would. The patterns are
-//! assembled from pieces, so this file does not trip them itself. Each
-//! has planted violations that must be found, and near misses that must
-//! not. `target` directories are build output, absent from a fresh
-//! checkout, and are skipped.
+//! The first three are matched line by line, as `grep` would. The
+//! patterns are assembled from pieces, so this file does not trip them
+//! itself. Each invariant has planted violations that must be found,
+//! and near misses that must not. `target` directories are build
+//! output, absent from a fresh checkout, and are skipped.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -244,5 +252,110 @@ fn planted_violations_fail_each_grep_invariant() {
             "{} at {path}: {line:?} gave {found:?}",
             invariant.name
         );
+    }
+}
+
+/// The dependency names `manifest` declares in its dependency tables,
+/// and the paths its `[[…]]` targets list, as written.
+fn manifest_parts(manifest: &str) -> (Vec<String>, Vec<String>) {
+    let (mut deps, mut target_paths) = (Vec::new(), Vec::new());
+    let mut table = "";
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            table = line;
+        } else if let Some((key, value)) = line.split_once('=').filter(|_| !line.starts_with('#')) {
+            let key = key.trim();
+            if table.ends_with("dependencies]") {
+                deps.push(key.to_string());
+            } else if table.starts_with("[[") && key == "path" {
+                target_paths.push(value.trim().trim_matches('"').to_string());
+            }
+        }
+    }
+    (deps, target_paths)
+}
+
+/// Does `source` name the library `lib` as a path's first segment
+/// (`lib::`) or in a `use lib` item?
+fn names_crate(source: &str, lib: &str) -> bool {
+    source.match_indices(lib).any(|(at, _)| {
+        let before = &source[..at];
+        let after = &source[at + lib.len()..];
+        let bounded =
+            !before.ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':');
+        bounded
+            && (after.starts_with("::")
+                || before.ends_with("use ") && after.starts_with([';', ' ']))
+    })
+}
+
+/// The dependencies of the crate at `dir` (relative to `root`) that
+/// none of its sources names, as `dir/Cargo.toml: name`.
+fn unused_dependencies(root: &Path, dir: &Path) -> Vec<String> {
+    let manifest = fs::read_to_string(root.join(dir).join("Cargo.toml")).unwrap();
+    let (deps, target_paths) = manifest_parts(&manifest);
+    let mut paths = Vec::new();
+    files(root, &root.join(dir), &mut paths);
+    let mut sources: Vec<String> = paths
+        .iter()
+        .filter(|p| is_rs(p))
+        .map(|p| fs::read_to_string(root.join(p)).unwrap())
+        .collect();
+    for target in target_paths.iter().filter(|t| t.starts_with("..")) {
+        sources.push(fs::read_to_string(root.join(dir).join(target)).unwrap());
+    }
+    deps.iter()
+        .filter(|dep| {
+            let lib = dep.replace('-', "_");
+            !sources.iter().any(|source| names_crate(source, &lib))
+        })
+        .map(|dep| format!("{}/Cargo.toml: {dep}", dir.display()))
+        .collect()
+}
+
+#[test]
+fn no_crate_declares_a_dependency_its_sources_never_name() {
+    let root = workspace();
+    let mut dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.join("Cargo.toml").is_file())
+        .map(|path| path.strip_prefix(&root).unwrap().to_path_buf())
+        .collect();
+    dirs.sort();
+    assert!(dirs.len() > 10, "crates found: {dirs:?}");
+    let unused: Vec<String> = dirs
+        .iter()
+        .flat_map(|dir| unused_dependencies(&root, dir))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "unused dependencies:\n{}",
+        unused.join("\n")
+    );
+}
+
+#[test]
+fn planted_dependencies_are_found_unused_or_named() {
+    let manifest = "[package]\nname = \"x\"\n\n[dependencies]\n\
+                    mnemo-codec = { workspace = true }\nkvsim = { workspace = true }\n\
+                    # note = \"a comment\"\n\n[dev-dependencies]\nproptest = { workspace = true }\n\n\
+                    [[test]]\nname = \"e2e\"\npath = \"../../tests/e2e.rs\"\n";
+    let (deps, targets) = manifest_parts(manifest);
+    assert_eq!(deps, ["mnemo-codec", "kvsim", "proptest"]);
+    assert_eq!(targets, ["../../tests/e2e.rs"]);
+    // (source, library, whether the source names it)
+    let cases = [
+        ("use mnemo_codec::json;", "mnemo_codec", true),
+        ("let v = kvsim::StoreKind::Redis;", "kvsim", true),
+        ("use proptest;", "proptest", true),
+        ("use proptest as pt;", "proptest", true),
+        ("// drives the kvsim engines", "kvsim", false),
+        ("let k = my_kvsim::Store;", "kvsim", false),
+        ("use crate::kvsim::Store;", "kvsim", false),
+        ("use proptests::x;", "proptest", false),
+    ];
+    for (source, lib, named) in cases {
+        assert_eq!(names_crate(source, lib), named, "{source:?} names {lib}");
     }
 }

@@ -5,7 +5,7 @@
 //! workload mixes — but naive `spawn`-per-job concurrency oversubscribes
 //! wide sweeps and makes results depend on scheduling. This crate is the
 //! one place the workspace forks: a small self-scheduling pool built on
-//! the vendored crossbeam shim with three guarantees:
+//! [`std::thread::scope`] with three guarantees:
 //!
 //! * **bounded workers** — at most [`Pool::workers`] OS threads per
 //!   parallel region, regardless of how many items a sweep has;
@@ -23,9 +23,9 @@
 //! experiment harness `--jobs N` flag), the `MNEMO_JOBS` environment
 //! variable, then [`std::thread::available_parallelism`].
 //!
-//! A worker panic is propagated to the caller via
-//! [`std::panic::resume_unwind`] once all workers have joined, matching
-//! plain-loop semantics.
+//! A worker panic reaches the caller with the worker's own payload: the
+//! caller joins every worker and passes the first panic it finds to
+//! [`std::panic::resume_unwind`], matching plain-loop semantics.
 //!
 //! The crate also hosts [`SweepTimer`], the per-stage wall-clock
 //! instrumentation the `bench-smoke` CI job reads: stages are recorded
@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use parking_lot::Mutex;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -154,26 +153,30 @@ impl Pool {
             return (0..n).map(f).collect();
         }
         let next = AtomicUsize::new(0);
-        let parts: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::with_capacity(chunks));
-        let scope_result = crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                let (next, parts, f) = (&next, &parts, &f);
-                scope.spawn(move |_| loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunks {
-                        break;
-                    }
-                    let lo = c * chunk;
-                    let hi = ((c + 1) * chunk).min(n);
-                    let part: Vec<T> = (lo..hi).map(f).collect();
-                    parts.lock().push((c, part));
-                });
+        // Each worker hands back the chunks it claimed, tagged with their
+        // indices, through its own join handle.
+        let claim = || {
+            let mut claimed: Vec<(usize, Vec<T>)> = Vec::new();
+            loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= chunks {
+                    return claimed;
+                }
+                let lo = c * chunk;
+                let hi = ((c + 1) * chunk).min(n);
+                claimed.push((c, (lo..hi).map(&f).collect()));
+            }
+        };
+        let mut parts = Vec::with_capacity(chunks);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+            for handle in handles {
+                match handle.join() {
+                    Ok(claimed) => parts.extend(claimed),
+                    Err(payload) => panic::resume_unwind(payload),
+                }
             }
         });
-        if let Err(payload) = scope_result {
-            panic::resume_unwind(payload);
-        }
-        let mut parts = parts.into_inner();
         parts.sort_unstable_by_key(|&(c, _)| c);
         let mut out = Vec::with_capacity(n);
         for (_, part) in parts {
@@ -194,16 +197,14 @@ impl Pool {
         if self.workers <= 1 {
             return (fa(), fb());
         }
-        let scope_result = crossbeam::scope(|scope| {
-            let hb = scope.spawn(|_| fb());
+        std::thread::scope(|scope| {
+            let hb = scope.spawn(fb);
             let a = fa();
-            (a, hb.join())
-        });
-        match scope_result {
-            Ok((a, Ok(b))) => (a, b),
-            Ok((_, Err(payload))) => panic::resume_unwind(payload),
-            Err(payload) => panic::resume_unwind(payload),
-        }
+            match hb.join() {
+                Ok(b) => (a, b),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        })
     }
 }
 
@@ -402,7 +403,12 @@ mod tests {
                 i
             })
         });
-        assert!(result.is_err(), "a worker panic must reach the caller");
+        let payload = result.expect_err("a worker panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"job 5 exploded"),
+            "the caller must see the worker's own payload"
+        );
     }
 
     #[test]
@@ -460,7 +466,8 @@ mod tests {
         assert_eq!((a, b), (2, "two"));
         let panicked =
             panic::catch_unwind(|| Pool::new(2).join(|| 1, || -> usize { panic!("right side") }));
-        assert!(panicked.is_err());
+        let payload = panicked.expect_err("a right-side panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"right side"));
         // Sequential pools run both inline.
         let (a, b) = Pool::new(1).join(|| 7, || 9);
         assert_eq!((a, b), (7, 9));

@@ -11,8 +11,6 @@
 //! beyond the monitored top-K, over which the residual mass spreads")
 //! requires a cardinality estimate.
 
-use serde::{Deserialize, Serialize};
-
 #[inline]
 fn mix(key: u64) -> u64 {
     let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -22,7 +20,7 @@ fn mix(key: u64) -> u64 {
 }
 
 /// A linear-counting distinct estimator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistinctCounter {
     bits: Vec<u64>,
     mask: u64,

@@ -11,12 +11,11 @@
 //! worth its cost.
 
 use crate::topk::SpaceSaving;
-use serde::{Deserialize, Serialize};
 use ycsb::fit::fit_zipf_theta;
 use ycsb::AccessEvent;
 
 /// What a completed epoch looked like.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochSummary {
     /// Epoch ordinal (0-based).
     pub index: u64,
@@ -33,7 +32,7 @@ pub struct EpochSummary {
 }
 
 /// Decision issued at an epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Drift {
     /// The first completed epoch: there is nothing to compare against,
     /// but downstream consumers need an initial recommendation.
@@ -64,7 +63,7 @@ impl Drift {
 }
 
 /// Configuration of the drift detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Events per epoch.
     pub epoch_len: u64,

@@ -15,8 +15,6 @@
 //! profiler keeps two of these — one for reads, one for writes — so the
 //! per-key operation mix survives summarisation.
 
-use serde::{Deserialize, Serialize};
-
 /// Mixer used to derive the per-row counter index (SplitMix64 finaliser:
 /// cheap, well-distributed, and deterministic across runs).
 #[inline]
@@ -28,7 +26,7 @@ fn mix(key: u64, row_seed: u64) -> u64 {
 }
 
 /// A Count-Min sketch over `u64` keys with `u32` counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountMinSketch {
     width: usize,
     depth: usize,

@@ -34,11 +34,10 @@
 //! `memory_bytes` are those of the scanning summary.
 
 use hybridmem::DetHashMap;
-use serde::{Deserialize, Serialize};
 use ycsb::{AccessEvent, Op};
 
 /// One monitored key.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopEntry {
     /// The key.
     pub key: u64,
@@ -73,7 +72,7 @@ pub struct TopKState {
 }
 
 /// The Space-Saving summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: usize,
     ewma_alpha: f64,

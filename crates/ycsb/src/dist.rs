@@ -8,13 +8,12 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// YCSB's default zipfian skew constant.
 pub const ZIPFIAN_CONSTANT: f64 = 0.99;
 
 /// Which distribution a workload uses (Fig. 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DistKind {
     /// Every key equally likely.
     Uniform,

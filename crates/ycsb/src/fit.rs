@@ -15,7 +15,6 @@
 
 use crate::dist::DistKind;
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Fit the zipfian exponent `theta` to per-key request counts by least
 /// squares on the log-log rank-frequency curve. `counts` need not be
@@ -54,7 +53,7 @@ pub fn fit_zipf_theta(counts: &[u64]) -> Option<f64> {
 }
 
 /// Skew statistics of an observed trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkewReport {
     /// Fitted zipfian exponent over the rank-frequency curve (0 =
     /// uniform; YCSB's default is 0.99). `None` when fewer than three

@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// One social-media record-size class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeClass {
     /// Photo thumbnail, ~100 KB.
     Thumbnail,
@@ -104,7 +103,7 @@ fn erf(x: f64) -> f64 {
 }
 
 /// How a workload assigns sizes to keys.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SizeModel {
     /// Every key belongs to one class.
     Single(SizeClass),

@@ -1,9 +1,7 @@
 //! Materialised request traces and the CDF utilities of Figs. 3 and 4.
 
-use serde::{Deserialize, Serialize};
-
 /// Request type issued by the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Read the value of a key.
     Read,
@@ -12,7 +10,7 @@ pub enum Op {
 }
 
 /// One client request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Key index in `[0, keys)`.
     pub key: u64,
@@ -28,7 +26,7 @@ pub struct Request {
 /// receives an unbounded sequence of these (from [`Trace::events`] in
 /// replay, or from a live server's event tap) and must summarise it in
 /// bounded memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessEvent {
     /// Key accessed.
     pub key: u64,
@@ -43,7 +41,7 @@ pub struct AccessEvent {
 /// This is exactly the "workload descriptor" Mnemo's interface requires:
 /// "a key sequence and the corresponding request type" plus the key-value
 /// sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Workload name (Table III row).
     pub name: String,

@@ -7,7 +7,6 @@ use crate::sizes::{SizeClass, SizeModel};
 use crate::trace::{Op, Request, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Table III's fixed key count.
 pub const DEFAULT_KEYS: u64 = 10_000;
@@ -15,7 +14,7 @@ pub const DEFAULT_KEYS: u64 = 10_000;
 pub const DEFAULT_REQUESTS: usize = 100_000;
 
 /// A complete workload description — Table III row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Workload name.
     pub name: String,

@@ -7,8 +7,8 @@ use ycsb::WorkloadSpec;
 
 #[test]
 fn parallel_consultations_match_sequential() {
-    // The harness fans consultations out with crossbeam; results must be
-    // identical to sequential runs.
+    // Consultations fanned out on scoped threads must be identical to
+    // sequential runs.
     let specs: Vec<_> = WorkloadSpec::table3()
         .into_iter()
         .map(|w| w.scaled(100, 1_200))
@@ -24,9 +24,9 @@ fn parallel_consultations_match_sequential() {
         })
         .collect();
     let mut parallel: Vec<Option<_>> = specs.iter().map(|_| None).collect();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, w) in parallel.iter_mut().zip(&specs) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let trace = w.generate(4);
                 *slot = Some(
                     Advisor::new(AdvisorConfig::default())
@@ -36,8 +36,7 @@ fn parallel_consultations_match_sequential() {
                 );
             });
         }
-    })
-    .unwrap();
+    });
     for (seq, par) in sequential.iter().zip(parallel) {
         assert_eq!(*seq, par.unwrap());
     }
