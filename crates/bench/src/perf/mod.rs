@@ -1,7 +1,7 @@
 //! The `mnemo perf` perf-audit harness.
 //!
 //! Runs a fixed suite of benches (fig1, fig5, table1, ycsb_core,
-//! serve_throughput) at a pinned scale, measures each end to end —
+//! serve_throughput, components) at a pinned scale, measures each end to end —
 //! wall clock per stage via the telemetry-span [`crate::SweepTimer`], ops/s,
 //! peak RSS, allocation counts from [`crate::alloc_track`], and the
 //! bench's own deterministic counters — and emits the machine-readable
@@ -27,9 +27,16 @@ use std::fmt::Write as _;
 pub const SCHEMA: &str = "mnemo-bench-core/v1";
 
 /// The benches every suite runs, in run order.
-pub const BENCHES: [&str; 5] = ["fig1", "fig5", "table1", "ycsb_core", "serve_throughput"];
+pub const BENCHES: [&str; 6] = [
+    "fig1",
+    "fig5",
+    "table1",
+    "ycsb_core",
+    "serve_throughput",
+    "components",
+];
 
-/// A named suite: the same five benches at a pinned scale divisor.
+/// A named suite: the same six benches at a pinned scale divisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuiteSpec {
     /// Suite name (`core`, `smoke`).
@@ -199,6 +206,7 @@ fn run_bench(name: &str, scale: u64) -> Result<SuiteOutcome, HarnessError> {
         "table1" => suite::table1::run(),
         "ycsb_core" => suite::ycsb_core::run(scale),
         "serve_throughput" => suite::serve_throughput::run(scale),
+        "components" => suite::components::run(),
         other => Err(format!("unknown perf bench '{other}'")),
     }
 }
@@ -367,7 +375,7 @@ pub enum FindingKind {
     WallRegression,
     /// Wall clock improved past the inverse tolerance. Informational.
     WallImprovement,
-    /// A deterministic counter changed. Fails.
+    /// A deterministic counter changed, appeared or disappeared. Fails.
     CounterDrift,
     /// Allocation counts drifted past the tolerance. Fails.
     AllocDrift,
@@ -538,6 +546,19 @@ pub fn compare(baseline: &CoreReport, current: &CoreReport, th: &Thresholds) -> 
                     ratio: None,
                     note: "deterministic counter disappeared".to_string(),
                 }),
+            }
+        }
+        for (name, cv) in &c.counters {
+            if !b.counters.iter().any(|(n, _)| n == name) {
+                cmp.findings.push(PerfFinding {
+                    bench: b.name.clone(),
+                    metric: name.clone(),
+                    kind: FindingKind::CounterDrift,
+                    baseline: "absent".to_string(),
+                    current: cv.to_string(),
+                    ratio: None,
+                    note: "deterministic counter appeared".to_string(),
+                });
             }
         }
         // Allocation counts: relative tolerance.
@@ -783,6 +804,25 @@ mod tests {
         };
         let cur = report(1_600_000_000);
         assert_eq!(compare(&base, &cur, &loose).failures(), 0);
+    }
+
+    #[test]
+    fn new_counter_is_drift_until_rerecorded() {
+        let base = report(1_000_000);
+        let mut cur = report(1_000_000);
+        cur.benches[0]
+            .counters
+            .push(("stage.events".to_string(), 7));
+        let cmp = compare(&base, &cur, &Thresholds::default());
+        assert_eq!(cmp.failures(), 1, "{cmp:?}");
+        let f = &cmp.findings[0];
+        assert_eq!(f.kind, FindingKind::CounterDrift);
+        assert_eq!(
+            (f.metric.as_str(), f.baseline.as_str()),
+            ("stage.events", "absent")
+        );
+        // Re-recording the baseline with the counter clears it.
+        assert_eq!(compare(&cur, &cur, &Thresholds::default()).failures(), 0);
     }
 
     #[test]

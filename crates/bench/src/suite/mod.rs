@@ -1,9 +1,10 @@
 //! Library form of the paper-figure bench suite.
 //!
-//! Each submodule is the body of the matching `src/bin/` harness,
-//! callable in-process so `mnemo perf` can run the whole suite in one
-//! binary and charge wall clock, allocations, and deterministic
-//! counters per bench. The bins stay as thin wrappers, so
+//! Each submodule but `components` is the body of the matching
+//! `src/bin/` harness, callable in-process so `mnemo perf` can run the
+//! whole suite in one binary and charge wall clock, allocations, and
+//! deterministic counters per bench; `components` writes no artifact
+//! and runs only under `mnemo perf`. The bins stay as thin wrappers, so
 //! `cargo run --release --bin fig5` and `mnemo perf` execute the exact
 //! same code and write the exact same artifacts (the golden-figure CI
 //! gates hold for both entry points).
@@ -12,6 +13,7 @@
 //! `MNEMO_SCALE` itself — the perf harness pins the scale per suite and
 //! must not mutate process environment mid-run.
 
+pub mod components;
 pub mod fig1;
 pub mod fig5;
 pub mod serve_throughput;
